@@ -13,6 +13,8 @@ is how local-at-p valuations of theta elements are read off.
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .exact_linalg import (
     IntMatrix,
     LogMap,
@@ -22,8 +24,10 @@ from .exact_linalg import (
     primes_up_to,
     snf,
     solve_left,
+    vp,
 )
-from .modsym import hecke, path_to_chain, restrict_to_sign
+from .modp import cut
+from .modsym import check_pair, hecke, path_to_chain, restrict_to_sign
 
 
 @dataclass(frozen=True)
@@ -39,17 +43,19 @@ class EisensteinContext:
     sturm_bound: int
     eis_generators: tuple  # restricted operators spanning I on M^sign
     W: tuple  # HNF bases of I^n M^sign, in signed coordinates
-    snf_of_W: tuple
+    snf_of_W: tuple  # WSmith of each W_n
     e: tuple  # p-exponent of M^sign / W_n
     logmap: LogMap
 
 
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+@dataclass(frozen=True)
+class WSmith:
+    """The part of a Smith form of W_n that membership tests read: the
+    invariant factors and the right transform (the left one is not
+    kept)."""
+
+    diag: tuple
+    right: IntMatrix
 
 
 def _next_primes(start, count):
@@ -65,29 +71,21 @@ def _next_primes(start, count):
 def build_context(space, p, n_max=3, sign=1):
     """Assemble the Eisenstein filtration on M^sign at the prime p."""
     N = space.N
-    if not is_prime(p) or p < 5:
-        raise ValueError("need a prime p >= 5")
-    if (N - 1) % p or ((N - 1) // p) % p == 0:
-        raise ValueError("hypothesis p || N-1 violated")
+    check_pair(N, p)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
-    sturm = -(-(N + 1) // 6)
-    gens = []
-    for ell in primes_up_to(sturm):
-        if ell == N:
-            continue
+    def generator(ell, eigen):
+        """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
         t = restrict_to_sign(space, hecke(space, ell).matrix, sign)
-        gens.append(IntMatrix.from_rows(
-            [[x - (ell + 1 if i == j else 0) for j, x in enumerate(row)]
+        return IntMatrix.from_rows(
+            [[x - (eigen if i == j else 0) for j, x in enumerate(row)]
              for i, row in enumerate(t.entries)]
-        ))
-    u = restrict_to_sign(space, hecke(space, N).matrix, sign)
-    gens.append(IntMatrix.from_rows(
-        [[x - (1 if i == j else 0) for j, x in enumerate(row)]
-         for i, row in enumerate(u.entries)]
-    ))
+        )
 
+    sturm = -(-(N + 1) // 6)
+    gens = [generator(ell, ell + 1) for ell in primes_up_to(sturm) if ell != N]
+    gens.append(generator(N, 1))
     g = gens[0].rows
 
     def step(basis_rows, ops):
@@ -108,19 +106,13 @@ def build_context(space, p, n_max=3, sign=1):
         w_rows.append(step(w_rows[-1], gens))
 
     # Sturm saturation check: three more Hecke primes must not shrink W_1
-    extra = []
-    for q in _next_primes(max(N, sturm), 3):
-        t = restrict_to_sign(space, hecke(space, q).matrix, sign)
-        extra.append(IntMatrix.from_rows(
-            [[x - (q + 1 if i == j else 0) for j, x in enumerate(row)]
-             for i, row in enumerate(t.entries)]
-        ))
+    extra = [generator(q, q + 1) for q in _next_primes(max(N, sturm), 3)]
     if step(ident, gens + extra) != w_rows[1]:
         raise ValueError("Sturm-bound generator set failed saturation check")
 
     w_mats = tuple(IntMatrix.from_rows(r) for r in w_rows)
-    smiths = tuple(snf(w) for w in w_mats)
-    es = tuple(max(_vp(d, p) for d in sd.diag) for sd in smiths)
+    smiths = tuple(WSmith(sd.diag, sd.right) for sd in map(snf, w_mats))
+    es = tuple(max(vp(d, p) for d in sd.diag) for sd in smiths)
     return EisensteinContext(
         space=space,
         p=p,
@@ -172,58 +164,21 @@ def theta_valuation(ctx, theta):
     return p_local_valuation(ctx, list(coords.entries[0]))
 
 
-# ---------------------------------------------------------------------------
-# mod-p linear algebra (sizes here are the genus, so plain Gaussian
-# elimination is fine)
-
-def _fp_mul(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(r, c)) % p for c in bt] for r in a]
-
-
-def _fp_pow(a, e, p):
-    n = len(a)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in a]
-    while e:
-        if e & 1:
-            out = _fp_mul(out, base, p)
-        base = _fp_mul(base, base, p)
-        e >>= 1
-    return out
-
-
-def _fp_rank(rows, p):
-    mat = [[x % p for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def g_p_dimension(ctx):
-    """dim over F_p of the intersection of ker(A^d) over the Eisenstein
-    generators A, d = rank of the signed lattice: the multiplicity of
-    the Eisenstein prime in M^sign mod p."""
-    d = ctx.W[0].rows
+    """dim over F_p of the intersection of the generalized kernels of
+    the Eisenstein generators on M^sign mod p: the multiplicity of the
+    Eisenstein prime.  The generators commute, so cutting F_p^g down by
+    one generator at a time leaves that intersection."""
     p = ctx.p
-    concat = [[] for _ in range(d)]
+    g = ctx.W[0].rows
+    rows, cols = np.eye(g), list(range(g))
     for gen in ctx.eis_generators:
-        power = _fp_pow([list(r) for r in gen.entries], d, p)
-        for i in range(d):
-            concat[i].extend(power[i])
-    return d - _fp_rank(concat, p)
+        if not rows.shape[0]:
+            break
+        a = np.array([[x % p for x in r] for r in gen.entries], dtype=np.float64)
+        # the generators already have their eigenvalue subtracted
+        rows, cols = cut(rows, cols, rows @ a % p, 0, p)
+    return rows.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +187,7 @@ def g_p_dimension(ctx):
 def _alpha_data(ctx):
     sd = ctx.snf_of_W[1]
     pivots = [j for j, dj in enumerate(sd.diag) if dj % ctx.p == 0]
-    if len(pivots) != 1 or _vp(sd.diag[pivots[0]], ctx.p) != 1:
+    if len(pivots) != 1 or vp(sd.diag[pivots[0]], ctx.p) != 1:
         raise ValueError("p-part of M^+/W_1 is not of order exactly p")
     return sd.right.entries, pivots[0]
 

@@ -355,6 +355,15 @@ def factorize(n):
     return out
 
 
+def vp(n, p):
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def divisors(n):
     """Sorted positive divisors of n (from trial-division factorization)."""
     out = [1]

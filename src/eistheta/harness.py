@@ -15,13 +15,20 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .eisenstein import build_context, g_p_dimension, theta_valuation
-from .exact_linalg import IntMatrix, is_prime
-from .modsym import ModularSymbolSpace, build_space, theta_element
+from .eisenstein import (
+    EisensteinContext,
+    WSmith,
+    build_context,
+    g_p_dimension,
+    theta_valuation,
+)
+from .exact_linalg import IntMatrix, LogMap
+from .modsym import ModularSymbolSpace, build_space, check_pair, theta_element
 from .quadfield import class_number, field_profile, is_fundamental, validate_discriminant
 from .selmer import SelmerInput, SelmerRankResult, selmer_rank
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # context cache files
+REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
 @dataclass(frozen=True)
@@ -53,15 +60,6 @@ class CacheVersionError(ValueError):
 
 class CacheIntegrityError(ValueError):
     pass
-
-
-def _validate_pair(N, p):
-    if not is_prime(N) or N < 5:
-        raise ValueError("level must be a prime >= 5")
-    if not is_prime(p) or p < 5:
-        raise ValueError("need a prime p >= 5")
-    if (N - 1) % p or ((N - 1) // p) % p == 0:
-        raise ValueError("hypothesis p || N-1 violated")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +137,7 @@ def sweep_even(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental 0 < D in [d_min, d_max] with N
     split in Q(sqrt D), ascending; `context` may carry a preloaded
     (space, ctx) pair from the cache."""
-    _validate_pair(N, p)
+    check_pair(N, p)
     if not 0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
     ds = [D for D in range(d_min, d_max + 1)
@@ -159,7 +157,7 @@ def sweep_even(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
 def sweep_odd(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental D < 0 in [d_min, d_max] with N
     inert in Q(sqrt D), ascending by D."""
-    _validate_pair(N, p)
+    check_pair(N, p)
     if not d_min <= d_max or d_max >= 0:
         raise ValueError("need d_min <= d_max < 0")
     ds = [D for D in range(d_min, d_max + 1)
@@ -227,20 +225,8 @@ def _space_payload(space):
 
 
 def _space_from_payload(data):
-    N = int(data["N"])
-    inv = [0] + [pow(u, N - 2, N) for u in range(1, N)]
-    gens = [(0, 1)] + [(1, y) for y in range(N)]
-
-    def index(u, v):
-        u %= N
-        v %= N
-        if u == 0:
-            return 0 if v else None
-        return 1 + v * inv[u] % N
-
     return ModularSymbolSpace(
-        N=N,
-        generators=tuple(gens),
+        N=int(data["N"]),
         relation_kernel_basis=_dec_matrix(data["section"]),
         reduction=_dec_matrix(data["reduction"]),
         boundary=_dec_matrix(data["boundary"]),
@@ -249,8 +235,6 @@ def _space_from_payload(data):
         plus_basis=_dec_matrix(data["plus_basis"]),
         minus_basis=_dec_matrix(data["minus_basis"]),
         genus=int(data["genus"]),
-        _inv=tuple(inv),
-        _iota=tuple(index(-c, d) for c, d in gens),
     )
 
 
@@ -269,7 +253,6 @@ def save_context(space, ctx, path):
         "eis_generators": [_enc_matrix(m) for m in ctx.eis_generators],
         "W": [_enc_matrix(m) for m in ctx.W],
         "snf_diag": [[str(d) for d in sd.diag] for sd in ctx.snf_of_W],
-        "snf_left": [_enc_matrix(sd.left) for sd in ctx.snf_of_W],
         "snf_right": [_enc_matrix(sd.right) for sd in ctx.snf_of_W],
         "e": [str(x) for x in ctx.e],
     }
@@ -285,9 +268,6 @@ def save_context(space, ctx, path):
 def load_context(path):
     """Rebuild (space, context) from a cache file, refusing stale or
     corrupted envelopes with distinct errors."""
-    from .eisenstein import EisensteinContext
-    from .exact_linalg import LogMap, SmithData
-
     with open(path) as fh:
         envelope = json.load(fh)
     if envelope.get("format_version") != FORMAT_VERSION:
@@ -300,14 +280,8 @@ def load_context(path):
         raise CacheIntegrityError("cache integrity check failed")
     space = _space_from_payload(payload["space"])
     smiths = tuple(
-        SmithData(
-            diag=tuple(int(d) for d in diag),
-            left=_dec_matrix(left),
-            right=_dec_matrix(right),
-        )
-        for diag, left, right in zip(
-            payload["snf_diag"], payload["snf_left"], payload["snf_right"]
-        )
+        WSmith(diag=tuple(int(d) for d in diag), right=_dec_matrix(right))
+        for diag, right in zip(payload["snf_diag"], payload["snf_right"])
     )
     ctx = EisensteinContext(
         space=space,
@@ -364,7 +338,7 @@ def report_to_json(report):
             "consistent": r.consistent,
         })
     return json.dumps({
-        "format_version": FORMAT_VERSION,
+        "format_version": REPORT_FORMAT_VERSION,
         "rows": rows,
         "summary": {
             "total": report.total,

@@ -7,22 +7,28 @@ matrix dominates everything.  For the multiplicity g_p alone nothing
 integral is required — the torsion of the Manin-symbol quotient is
 supported at 2 and 3 while p >= 5, so reducing the presentation mod p
 first and doing plain linear algebra over F_p yields the same number.
+The presentation is the one the exact route uses, `presentation(N)`,
+with its relation triples scattered into a dense array mod p.
 
 All arithmetic runs through float64 BLAS; each product is bounded in
-advance by p^2 times a matrix dimension, far below 2^53, so nothing
-ever rounds.  The Eisenstein generators are applied in increasing
-Hecke index, cutting the candidate space down after each one, so the
-large Merel families near the Sturm bound only ever act on a handful
-of surviving vectors.
+advance by p^2 times a matrix dimension, below 2^53, so nothing ever
+rounds.  The Eisenstein generators are applied in increasing Hecke
+index, cutting the candidate space down after each one (`cut`, which
+the exact route's g_p also runs on), so the large Merel families near
+the Sturm bound only ever act on a handful of surviving vectors.
 """
 
 import numpy as np
 
-from .exact_linalg import is_prime, kronecker, primes_up_to
-from .modsym import merel_matrices
+from .exact_linalg import kronecker, primes_up_to
+from .modsym import check_pair, merel_matrices, p1_index, presentation
 
-_S = ((0, -1), (1, 0))
-_T = ((0, -1), (1, -1))
+
+def _check_exact(p, n):
+    """Refuse F_p work whose float64 dot products of length <= n could
+    leave the exactly representable integers."""
+    if p * p * (n + 1) >= 2**53:
+        raise ValueError("float64 arithmetic mod p is not exact at this size")
 
 
 def _rref_mod_p(a, p, block=128):
@@ -32,8 +38,9 @@ def _rref_mod_p(a, p, block=128):
     Returns (rows, pivot_cols): `rows` has a unit entry at its own
     pivot column and zeros at every other pivot column.
     """
-    a = np.asarray(a, dtype=np.float64) % p
-    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    a = np.asarray(a, dtype=np.float64)
+    _check_exact(p, max(a.shape))
+    a = a % p
     done = np.empty((0, a.shape[1]))
     pcols = []
     for lo in range(0, a.shape[0], block):
@@ -52,7 +59,7 @@ def _rref_mod_p(a, p, block=128):
             i = r + nz[0]
             if i != r:
                 panel[[r, i]] = panel[[i, r]]
-            panel[r] = panel[r] * inv[int(panel[r, j])] % p
+            panel[r] = panel[r] * pow(int(panel[r, j]), -1, p) % p
             factor = panel[:, j].copy()
             factor[r] = 0
             panel -= np.outer(factor, panel[r])
@@ -85,70 +92,47 @@ def _left_nullspace_mod_p(m, p):
     return basis, free
 
 
+def cut(rows, cols, images, eigen, p):
+    """Shrink span(rows) over F_p to the generalized (op - eigen)-kernel
+    of an operator that preserves it.
+
+    `rows` carries an identity minor at the columns `cols`, and
+    `images` holds the operator's images of those rows mod p.  Returns
+    the new (rows, cols) in the same form.
+    """
+    _check_exact(p, max(rows.shape))
+    m = rows.shape[0]
+    restr = images[:, cols]
+    if ((restr @ rows - images) % p).any():
+        raise ValueError("operator does not preserve the subspace mod p")
+    q = (restr - eigen % p * np.eye(m)) % p
+    e = 1
+    while e < m:
+        q = q @ q % p
+        e *= 2
+    ker, _ = _left_nullspace_mod_p(q, p)
+    if ker.shape[0] == m:
+        return rows, cols
+    return _rref_mod_p(ker @ rows % p, p)
+
+
 def g_p_dimension_modp(N, p):
     """dim over F_p of the joint generalized kernel of the Eisenstein
     generators on the plus quotient — the same number the exact route
     computes, at a fraction of the cost for levels in the thousands."""
-    if not is_prime(N) or N < 5:
-        raise ValueError("level must be a prime >= 5")
-    if not is_prime(p) or p < 5:
-        raise ValueError("need a prime p >= 5")
-    if (N - 1) % p or ((N - 1) // p) % p == 0:
-        raise ValueError("hypothesis p || N-1 violated")
-    assert p * p * (N + 2) < 2**53 and p * 4_000_000 < 2**53
+    check_pair(N, p)
+    # the longest float64 products below have length N + 1; this also
+    # keeps p < 2^26, so Merel-family bincounts of up to 4e6 residues
+    # stay exact
+    _check_exact(p, N + 1)
 
+    pres = presentation(N)
     n = N + 1
-    inv = np.zeros(N, dtype=np.int64)
-    inv[1:] = [pow(u, N - 2, N) for u in range(1, N)]
-    cs = np.concatenate(([0], np.ones(N, dtype=np.int64)))
-    ds = np.concatenate(([1], np.arange(N, dtype=np.int64)))
-
-    def perm(g):
-        u = (cs * g[0][0] + ds * g[1][0]) % N
-        v = (cs * g[0][1] + ds * g[1][1]) % N
-        return np.where(u == 0, 0, 1 + v * inv[u] % N)
-
-    sigma, tau = perm(_S), perm(_T)
-
-    # fold the two-term relations exactly as the integral construction
-    var_of = [-1] * n
-    sign_of = [0] * n
-    reps = []
-    sfixed = []
-    for i in range(n):
-        if var_of[i] >= 0:
-            continue
-        j = int(sigma[i])
-        var_of[i] = len(reps)
-        sign_of[i] = 1
-        if j == i:
-            sfixed.append(len(reps))
-        else:
-            var_of[j] = len(reps)
-            sign_of[j] = -1
-        reps.append(i)
-    nvars = len(reps)
-
-    # one relation row per tau-orbit, plus 2x = 0 for self-paired symbols
-    tri = []
-    seen = [False] * n
-    nrel = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        while True:
-            seen[j] = True
-            tri.append((nrel, var_of[j], sign_of[j]))
-            j = int(tau[j])
-            if j == i:
-                break
-        nrel += 1
-    for v in sfixed:
-        tri.append((nrel, v, 2))
-        nrel += 1
-    rel = np.zeros((nrel, nvars))
-    rr, cc, vv = (np.array(t) for t in zip(*tri))
+    inv = np.array(pres.inv, dtype=np.int64)
+    cs, ds = np.array(pres.generators, dtype=np.int64).T
+    nvars = len(pres.reps)
+    rel = np.zeros((pres.nrel, nvars))
+    rr, cc, vv = np.array(pres.relations).T
     np.add.at(rel, (rr, cc), vv)
 
     rref_rows, pivot_cols = _rref_mod_p(rel % p, p)
@@ -158,25 +142,27 @@ def g_p_dimension_modp(N, p):
     nu2 = 1 + kronecker(-4, N)
     nu3 = 1 + kronecker(-3, N)
     genus = (N + 1 - 3 * nu2 - 4 * nu3) // 12
-    assert k == 2 * genus + 1  # p >= 5 kills exactly the torsion
+    if k != 2 * genus + 1:  # p >= 5 kills exactly the torsion
+        raise ValueError("relation quotient mod p does not have rank 2g + 1")
 
     red_vars = np.zeros((nvars, k))
     red_vars[np.array(free), np.arange(k)] = 1
     if pivot_cols:
         red_vars[np.array(pivot_cols)] = (-rref_rows[:, free]) % p
-    red_p = red_vars[np.array(var_of)] * np.array(sign_of, dtype=np.float64)[:, None] % p
-    coord_gen = np.array([reps[f] for f in free])  # one generator per coordinate
-    assert (red_p[coord_gen] == np.eye(k)).all()
+    red_p = red_vars[np.array(pres.var_of)] * np.array(pres.sign_of, dtype=np.float64)[:, None] % p
+    coord_gen = np.array([pres.reps[f] for f in free])  # one generator per coordinate
+    if (red_p[coord_gen] != np.eye(k)).any():
+        raise ValueError("coordinate generators do not reduce to a basis")
 
     # plus quotient: boundary zero and fixed by the star involution
     bd = np.zeros((n, 2))
     bd[np.arange(n), (cs % N == 0).astype(int)] += 1
     bd[np.arange(n), (ds % N == 0).astype(int)] -= 1
-    u_iota = (-cs) % N
-    iota = np.where(u_iota == 0, 0, 1 + ds * inv[u_iota] % N)
+    iota = np.array(pres.iota)
     cond = np.hstack([bd[coord_gen] % p, (red_p[iota[coord_gen]] - np.eye(k)) % p])
     vecs, vcols = _left_nullspace_mod_p(cond, p)
-    assert vecs.shape[0] == genus
+    if vecs.shape[0] != genus:
+        raise ValueError("plus quotient mod p does not have rank g")
 
     crep = cs[coord_gen]
     drep = ds[coord_gen]
@@ -190,7 +176,7 @@ def g_p_dimension_modp(N, p):
             a, b, c2, d2 = (fam[lo:lo + step, t][:, None] for t in range(4))
             u = (crep[None, :] * a + drep[None, :] * c2) % N
             v = (crep[None, :] * b + drep[None, :] * d2) % N
-            tgt = np.where(u == 0, 0, 1 + v * inv[u] % N)
+            tgt = p1_index(u, v, N, inv)
             if drop:
                 keep = (u != 0) | (v != 0)  # (0:0) images die; only for U_N
                 tgt = tgt[keep]
@@ -205,21 +191,6 @@ def g_p_dimension_modp(N, p):
             z %= p
         return z @ red_p % p
 
-    def cut(rows, cols, images, eigen):
-        """Shrink span(rows) to the generalized (op - eigen)-kernel."""
-        m = rows.shape[0]
-        restr = images[:, cols]
-        assert ((restr @ rows - images) % p == 0).all()
-        q = (restr - eigen % p * np.eye(m)) % p
-        e = 1
-        while e < m:
-            q = q @ q % p
-            e *= 2
-        ker, _ = _left_nullspace_mod_p(q, p)
-        if ker.shape[0] == m:
-            return rows, cols
-        return _rref_mod_p(ker @ rows % p, p)
-
     sturm = -(-(N + 1) // 6)
     first = True
     for ell in primes_up_to(sturm) + [N]:
@@ -233,10 +204,10 @@ def g_p_dimension_modp(N, p):
             for a, b, c2, d2 in fam:
                 u = (crep * int(a) + drep * int(c2)) % N
                 v = (crep * int(b) + drep * int(d2)) % N
-                tm += red_p[np.where(u == 0, 0, 1 + v * inv[u] % N)]
+                tm += red_p[p1_index(u, v, N, inv)]
             images = vecs @ (tm % p) % p
             first = False
         else:
             images = apply_family(vecs, fam, drop=ell == N)
-        vecs, vcols = cut(vecs, vcols, images, eigen)
+        vecs, vcols = cut(vecs, vcols, images, eigen, p)
     return vecs.shape[0]

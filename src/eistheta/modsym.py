@@ -3,13 +3,14 @@
 The presentation is the classical one on Manin symbols indexed by
 P^1(Z/NZ): generators x_(c:d) subject to x + xS = 0 and
 x + xT + xT^2 = 0, with S = [[0,-1],[1,0]], T = [[0,-1],[1,-1]] acting
-on the right.  The two-term relations are folded away by hand (they
-pair up symbols, possibly killing self-paired ones into torsion), the
-remaining three-term relations go through an exact Smith normal form,
-and the free quotient is the relative homology lattice M_rel of rank
-2g + 1.  All reductions and sections are integral matrices, so every
-later computation (boundary, star involution, Hecke action, theta
-elements) is exact.
+on the right.  `presentation(N)` folds the two-term relations away
+(they pair up symbols, possibly killing self-paired ones into torsion)
+and lists the remaining three-term relations; the exact route here and
+the mod-p route in `modp` both start from it.  Here the relations go
+through an exact Smith normal form, and the free quotient is the
+relative homology lattice M_rel of rank 2g + 1.  All reductions and
+sections are integral matrices, so every later computation (boundary,
+star involution, Hecke action, theta elements) is exact.
 
 Hecke operators use Merel's determinant-l family of upper-ish
 triangular-ish matrices {(a,b;c,d): a > b >= 0, d > c >= 0, ad-bc = l};
@@ -19,7 +20,8 @@ and section matrices go through int64 matrix multiplication when a
 proven bound certifies no overflow, with a big-integer fallback.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -38,6 +40,117 @@ _S = ((0, -1), (1, 0))
 _T = ((0, -1), (1, -1))
 
 
+def _act(c, d, g):
+    return c * g[0][0] + d * g[1][0], c * g[0][1] + d * g[1][1]
+
+
+def p1_index(u, v, N, inv):
+    """P^1(Z/NZ) index of (u : v) for u, v already reduced mod N: (0 : v)
+    is 0 and (u : v) = (1 : v/u) is 1 + v/u, with `inv` the inverses
+    mod N.  Works on ints and, elementwise, on int64 arrays (with `inv`
+    an array); the degenerate (0 : 0) also lands on 0."""
+    return (1 + v * inv[u] % N) * (u != 0)
+
+
+def check_level(N):
+    if not is_prime(N) or N < 5:
+        raise ValueError("level must be a prime >= 5")
+
+
+def check_pair(N, p):
+    """The standing hypotheses on (N, p): prime level N >= 5, prime
+    p >= 5, and p dividing N - 1 exactly once."""
+    check_level(N)
+    if not is_prime(p) or p < 5:
+        raise ValueError("need a prime p >= 5")
+    if (N - 1) % p or ((N - 1) // p) % p == 0:
+        raise ValueError("hypothesis p || N-1 violated")
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """Manin-symbol presentation at prime level N (Cremona, ch. 2).
+
+    Generators are indexed by P^1(Z/NZ).  The two-term relations
+    x + xS = 0 are folded away: generator i equals sign_of[i] times the
+    folded variable var_of[i], whose representative generator is
+    reps[var_of[i]]; a self-paired symbol leaves a 2y = 0 relation on
+    its variable (listed in `sfixed`).  What remains is the relation
+    matrix in folded variables, nrel rows of sparse (row, var, coeff)
+    triples: one row per tau-orbit, then one row per `sfixed` entry.
+    """
+
+    N: int
+    generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
+    inv: tuple  # inverses mod N (index 0 unused)
+    sigma: tuple  # index permutations (c:d) -> (c:d)S, (c:d)T, (-c:d)
+    tau: tuple
+    iota: tuple
+    var_of: tuple
+    sign_of: tuple
+    reps: tuple
+    sfixed: tuple
+    relations: tuple
+    nrel: int
+
+
+def presentation(N):
+    """The folded Manin-symbol presentation at prime level N >= 5."""
+    check_level(N)
+    gens = ((0, 1),) + tuple((1, y) for y in range(N))
+    n = N + 1
+    inv = (0,) + tuple(pow(u, -1, N) for u in range(1, N))
+    cs, ds = np.array(gens, dtype=np.int64).T
+    invarr = np.array(inv, dtype=np.int64)
+
+    def perm(u, v):
+        return tuple(p1_index(u % N, v % N, N, invarr).tolist())
+
+    sigma = perm(*_act(cs, ds, _S))
+    tau = perm(*_act(cs, ds, _T))
+    iota = perm(-cs, ds)
+
+    # fold the two-term relations: x_j = -x_i for j = sigma(i) != i
+    var_of = [-1] * n
+    sign_of = [0] * n
+    reps = []
+    sfixed = []
+    for i in range(n):
+        if var_of[i] >= 0:
+            continue
+        j = sigma[i]
+        var_of[i] = len(reps)
+        sign_of[i] = 1
+        if j == i:
+            sfixed.append(len(reps))
+        else:
+            var_of[j] = len(reps)
+            sign_of[j] = -1
+        reps.append(i)
+
+    # three-term relations, one row per tau-orbit, in folded variables
+    relations = []
+    nrel = 0
+    done = [False] * n
+    for i in range(n):
+        if done[i]:
+            continue
+        j = i
+        while not done[j]:
+            done[j] = True
+            relations.append((nrel, var_of[j], sign_of[j]))
+            j = tau[j]
+        nrel += 1
+    for v in sfixed:
+        relations.append((nrel, v, 2))
+        nrel += 1
+    return Presentation(
+        N=N, generators=gens, inv=inv, sigma=sigma, tau=tau, iota=iota,
+        var_of=tuple(var_of), sign_of=tuple(sign_of), reps=tuple(reps),
+        sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
+    )
+
+
 @dataclass(frozen=True)
 class ModularSymbolSpace:
     """Immutable exact model of H_1(X_0(N), cusps; Z) and its pieces.
@@ -47,11 +160,11 @@ class ModularSymbolSpace:
     `relation_kernel_basis` (the section) lifts M_rel back to symbols,
     and reduction o section = identity.  `cuspidal_basis` rows span
     M = ker(boundary) inside M_rel; `star`, `plus_basis`, `minus_basis`
-    live in cuspidal-basis coordinates.
+    live in cuspidal-basis coordinates.  The symbol indexing
+    (`generators`, `_inv`, `_iota`) is derived from N on construction.
     """
 
     N: int
-    generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
     relation_kernel_basis: IntMatrix  # section: M_rel -> symbols
     reduction: IntMatrix  # symbols -> M_rel
     boundary: IntMatrix  # M_rel -> Z^2 (cusp classes [0], [oo])
@@ -60,16 +173,21 @@ class ModularSymbolSpace:
     plus_basis: IntMatrix  # rows: basis of M^+ in cuspidal coordinates
     minus_basis: IntMatrix
     genus: int
-    _inv: tuple  # inverses mod N (index 0 unused)
-    _iota: tuple  # index permutation of (c:d) -> (-c:d)
+    generators: tuple = field(init=False)  # the N+1 points (c, d) of P^1(Z/NZ)
+    _inv: tuple = field(init=False)  # inverses mod N (index 0 unused)
+    _iota: tuple = field(init=False)  # index permutation of (c:d) -> (-c:d)
+
+    def __post_init__(self):
+        pres = presentation(self.N)
+        object.__setattr__(self, "generators", pres.generators)
+        object.__setattr__(self, "_inv", pres.inv)
+        object.__setattr__(self, "_iota", pres.iota)
 
     def index(self, u, v):
         """P^1(Z/NZ) index of (u : v); None for the degenerate (0:0)."""
         u %= self.N
         v %= self.N
-        if u == 0:
-            return 0 if v else None
-        return 1 + v * self._inv[u] % self.N
+        return p1_index(u, v, self.N, self._inv) if u or v else None
 
 
 @dataclass(frozen=True)
@@ -91,67 +209,14 @@ class ThetaElement:
     sign: int
 
 
-def _act(c, d, g):
-    return c * g[0][0] + d * g[1][0], c * g[0][1] + d * g[1][1]
-
-
 def build_space(N):
     """Construct the full modular-symbol space at prime level N >= 5."""
-    if not is_prime(N) or N < 5:
-        raise ValueError("level must be a prime >= 5")
-    gens = [(0, 1)] + [(1, y) for y in range(N)]
+    pres = presentation(N)
     n = N + 1
-    inv = [0] + [pow(u, N - 2, N) for u in range(1, N)]
-
-    def index(u, v):
-        u %= N
-        v %= N
-        if u == 0:
-            return 0 if v else None
-        return 1 + v * inv[u] % N
-
-    sigma = [index(*_act(c, d, _S)) for c, d in gens]
-    tau = [index(*_act(c, d, _T)) for c, d in gens]
-    iota = [index(-c, d) for c, d in gens]
-
-    # fold the two-term relations: x_j = -x_i for j = sigma(i) != i
-    var_of = [-1] * n
-    sign_of = [0] * n
-    reps = []  # generator representing each folded variable
-    sfixed = []
-    for i in range(n):
-        if var_of[i] >= 0:
-            continue
-        j = sigma[i]
-        var_of[i] = len(reps)
-        sign_of[i] = 1
-        if j == i:
-            sfixed.append(len(reps))  # 2x = 0 relation to impose
-        else:
-            var_of[j] = len(reps)
-            sign_of[j] = -1
-        reps.append(i)
-    nvars = len(reps)
-
-    # three-term relations, one row per tau-orbit, in folded variables
-    rows = []
-    done = [False] * n
-    for i in range(n):
-        if done[i]:
-            continue
-        row = [0] * nvars
-        j = i
-        while True:
-            done[j] = True
-            row[var_of[j]] += sign_of[j]
-            j = tau[j]
-            if j == i:
-                break
-        rows.append(row)
-    for v in sfixed:
-        row = [0] * nvars
-        row[v] = 2
-        rows.append(row)
+    nvars = len(pres.reps)
+    rows = [[0] * nvars for _ in range(pres.nrel)]
+    for r, v, c in pres.relations:
+        rows[r][v] += c
 
     sd = snf(IntMatrix.from_rows(rows))
     free = [
@@ -163,21 +228,22 @@ def build_space(N):
     vinv = unimodular_inverse(sd.right)
     red_vars = [[sd.right.entries[v][j] for j in free] for v in range(nvars)]
     reduction = [
-        [sign_of[i] * x for x in red_vars[var_of[i]]] for i in range(n)
+        [s * x for x in red_vars[v]] for v, s in zip(pres.var_of, pres.sign_of)
     ]
     section = [[0] * n for _ in range(k)]
     for jj, j in enumerate(free):
         for v in range(nvars):
-            section[jj][reps[v]] = vinv.entries[j][v]
+            section[jj][pres.reps[v]] = vinv.entries[j][v]
     red_m = IntMatrix.from_rows(reduction)
     sec_m = IntMatrix.from_rows(section)
-    assert sec_m * red_m == IntMatrix.identity(k)
+    if sec_m * red_m != IntMatrix.identity(k):
+        raise ValueError("section is not a right inverse of the reduction")
 
     # boundary: symbol (c:d) is the path {b/d, a/c} for any SL2 lift,
     # and at prime level the cusp p/q sits at oo iff N | q, else at 0,
     # so only the bottom row (c, d) matters
     bd_gens = []
-    for c, d in gens:
+    for c, d in pres.generators:
         row = [0, 0]
         row[1 if c % N == 0 else 0] += 1
         row[1 if d % N == 0 else 0] -= 1
@@ -187,26 +253,17 @@ def build_space(N):
     cusp_rows = left_kernel(boundary)
     cuspidal = IntMatrix.from_rows(cusp_rows)
 
-    star_rel = sec_m * IntMatrix.from_rows([reduction[iota[i]] for i in range(n)])
+    star_rel = sec_m * IntMatrix.from_rows([reduction[j] for j in pres.iota])
     star_m = solve_left(cuspidal, cuspidal * star_rel)
-    ident = IntMatrix.identity(star_m.rows)
-    plus = IntMatrix.from_rows(
-        left_kernel(IntMatrix.from_rows(
-            [[x - y for x, y in zip(r, i)] for r, i in zip(star_m.entries, ident.entries)]
-        ))
-    )
-    minus = IntMatrix.from_rows(
-        left_kernel(IntMatrix.from_rows(
-            [[x + y for x, y in zip(r, i)] for r, i in zip(star_m.entries, ident.entries)]
-        ))
-    )
+    plus, minus = star_decompose(star_m)
     genus = cuspidal.rows // 2
-    assert cuspidal.rows == 2 * genus and k == 2 * genus + 1
-    assert plus.rows == genus and minus.rows == genus
+    if cuspidal.rows != 2 * genus or k != 2 * genus + 1:
+        raise ValueError("relative homology rank is not 2g + 1")
+    if plus.rows != genus or minus.rows != genus:
+        raise ValueError("star eigenlattices do not both have rank g")
 
     return ModularSymbolSpace(
         N=N,
-        generators=tuple(gens),
         relation_kernel_basis=sec_m,
         reduction=red_m,
         boundary=boundary,
@@ -215,25 +272,16 @@ def build_space(N):
         plus_basis=plus,
         minus_basis=minus,
         genus=genus,
-        _inv=tuple(inv),
-        _iota=tuple(iota),
     )
 
 
-def star_decompose(space):
-    """Saturated eigenlattices of the star involution inside M, as rows
-    in cuspidal-basis coordinates (recomputed from the matrix)."""
-    ident = IntMatrix.identity(space.star.rows)
-    out = []
-    for eps in (1, -1):
-        mat = IntMatrix.from_rows(
-            [
-                [x - eps * y for x, y in zip(r, i)]
-                for r, i in zip(space.star.entries, ident.entries)
-            ]
-        )
-        out.append(IntMatrix.from_rows(left_kernel(mat)))
-    return out[0], out[1]
+def star_decompose(star):
+    """Saturated eigenlattices (M^+, M^-) of the star involution, as
+    rows in the coordinates the matrix `star` acts on."""
+    ident = IntMatrix.identity(star.rows)
+    return tuple(
+        IntMatrix.from_rows(left_kernel(m)) for m in (star - ident, star + ident)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +337,8 @@ def merel_matrices(ell):
         arr = np.concatenate(chunks)
     else:
         arr = np.array(out, dtype=np.int64)
-    assert (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] == ell).all()
+    if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
+        raise ValueError("Merel family has a matrix of the wrong determinant")
     _MEREL_CACHE[ell] = arr
     return arr
 
@@ -317,15 +366,14 @@ def hecke(space, ell):
         raise ValueError("Hecke index must be prime")
     N = space.N
     n = N + 1
-    cs = np.array([c for c, _ in space.generators], dtype=np.int64)
-    ds = np.array([d for _, d in space.generators], dtype=np.int64)
+    cs, ds = np.array(space.generators, dtype=np.int64).T
     invarr = np.array(space._inv, dtype=np.int64)
     counts = np.zeros((n, n), dtype=np.int64)
     rows_idx = np.arange(n)
     for a, b, c2, d2 in merel_matrices(ell):
         u = (cs * a + ds * c2) % N
         v = (cs * b + ds * d2) % N
-        tgt = np.where(u == 0, 0, 1 + v * invarr[u] % N)
+        tgt = p1_index(u, v, N, invarr)
         keep = (u != 0) | (v != 0)  # (0:0) happens only when ell = N
         np.add.at(counts, (rows_idx[keep], tgt[keep]), 1)
     hred = _bounded_mul([list(map(int, r)) for r in counts],
@@ -384,17 +432,21 @@ def theta_element(space, D):
     if abs(D) <= 1 or not is_fundamental(D) or gcd(D, space.N) != 1:
         raise ValueError("need a fundamental discriminant prime to N")
     m = abs(D)
-    acc = [0] * (space.N + 1)
+    walks = {1: [], -1: []}  # the symbols (u, v) of each sign of chi_D
     for a in range(1, m):
         chi = kronecker(D, a)
-        if not chi:
-            continue
-        for u, v in _symbol_stream(a, m):
-            acc[space.index(u, v)] += chi
+        if chi:
+            walks[chi].extend(_symbol_stream(a, m))
+    N = space.N
+    inv = np.array(space._inv, dtype=np.int64)
+    acc = 0
+    for chi, syms in walks.items():
+        uv = np.fromiter(chain.from_iterable(syms), np.int64, 2 * len(syms)) % N
+        acc = acc + chi * np.bincount(p1_index(uv[0::2], uv[1::2], N, inv), minlength=N + 1)
     red = space.reduction.entries
     k = space.reduction.cols
     coords = [0] * k
-    for i, c in enumerate(acc):
+    for i, c in enumerate(acc.tolist()):
         if c:
             row = red[i]
             for j in range(k):

@@ -24,6 +24,7 @@ from .exact_linalg import (
     kronecker,
     log_to_p,
     sqrt_mod,
+    vp,
 )
 
 
@@ -396,7 +397,7 @@ def field_profile(D, N, p, logmap=None, with_split_data=None):
     pic = True
     if with_split_data:
         s, log1_pi2 = split_prime_data(D, N, p, h=h, logmap=logmap)
-        pic = _vp(h, p) == _vp(s, p)
+        pic = vp(h, p) == vp(s, p)
     elif h % p == 0:
         pic = pic_zn_trivial(D, N, p)
     return QuadFieldProfile(
@@ -412,11 +413,3 @@ def field_profile(D, N, p, logmap=None, with_split_data=None):
         pic_zn_trivial=pic,
         criterion=criterion,
     )
-
-
-def _vp(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v

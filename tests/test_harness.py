@@ -144,6 +144,13 @@ def test_cache_round_trip(tmp_path):
     assert space2.plus_basis == space.plus_basis
     assert ctx2.W == ctx.W and ctx2.e == ctx.e
     assert [sd.diag for sd in ctx2.snf_of_W] == [sd.diag for sd in ctx.snf_of_W]
+    assert [sd.right for sd in ctx2.snf_of_W] == [sd.right for sd in ctx.snf_of_W]
+
+    # the symbol indexing is derived from N alone, identically
+    assert space2.generators == space.generators
+    assert space2._inv == space._inv and space2._iota == space._iota
+    assert all(space2.index(u, v) == space.index(u, v)
+               for u in range(11) for v in range(11))
 
     # the loaded pair is fully usable: same valuations, same sweep
     theta = theta_element(space2, 12)
@@ -166,10 +173,12 @@ def test_cache_rejects_foreign_version(tmp_path):
     path = tmp_path / "ctx.json"
     save_context(space, ctx, path)
     envelope = json.loads(path.read_text())
-    envelope["format_version"] = 0
-    path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="version"):
-        load_context(path)
+    # version 1 files also stored the unused SNF left transforms
+    for version in (0, 1):
+        envelope["format_version"] = version
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CacheVersionError, match="version"):
+            load_context(path)
     assert issubclass(CacheVersionError, ValueError)
 
 

@@ -1,17 +1,34 @@
 """Mod-p multiplicity route: agreement with the exact pipeline and
-oracle checks of the F_p linear algebra helpers against integer SNF."""
+oracle checks of the F_p linear algebra helpers against integer SNF.
 
+Both routes now reach g_p through the same F_p kernel (`modp.cut`), so
+their agreement alone no longer checks that kernel; a pure-Python rank
+computation over F_p serves as the independent oracle.
+"""
+
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eistheta
 from eistheta.eisenstein import build_context, g_p_dimension
-from eistheta.exact_linalg import IntMatrix, snf
+from eistheta.exact_linalg import IntMatrix, is_prime, snf
 from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p, g_p_dimension_modp
 from eistheta.modsym import build_space
 
 rng = random.Random(96059601)
+
+# every admissible (N, p) with N < 200 and p in {5, 7, 11, 13}: 21 pairs
+ADMISSIBLE_SMALL = [
+    (N, p)
+    for p in (5, 7, 11, 13)
+    for N in range(5, 200)
+    if is_prime(N) and (N - 1) % p == 0 and ((N - 1) // p) % p
+]
 
 
 def test_fixture_pins():
@@ -24,6 +41,92 @@ def test_fixture_pins():
 def test_matches_exact_route(N, p):
     exact = g_p_dimension(build_context(build_space(N), p))
     assert g_p_dimension_modp(N, p) == exact
+
+
+def _fp_mul(a, b, p):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(r, c)) % p for c in bt] for r in a]
+
+
+def _fp_pow(a, e, p):
+    n = len(a)
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    base = [row[:] for row in a]
+    while e:
+        if e & 1:
+            out = _fp_mul(out, base, p)
+        base = _fp_mul(base, base, p)
+        e >>= 1
+    return out
+
+
+def _fp_rank(rows, p):
+    mat = [[x % p for x in r] for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][c], p - 2, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c]:
+                f = mat[r][c]
+                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _g_p_oracle(ctx):
+    # d minus the F_p rank of [A_1^d | A_2^d | ...]: the dimension of the
+    # joint kernel of the d-th powers of the Eisenstein generators
+    d = ctx.W[0].rows
+    concat = [[] for _ in range(d)]
+    for gen in ctx.eis_generators:
+        power = _fp_pow([list(r) for r in gen.entries], d, ctx.p)
+        for i in range(d):
+            concat[i].extend(power[i])
+    return d - _fp_rank(concat, ctx.p)
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE_SMALL)
+def test_routes_match_rank_oracle(N, p):
+    ctx = build_context(build_space(N), p)
+    exact = g_p_dimension(ctx)
+    assert exact == g_p_dimension_modp(N, p)
+    assert exact == _g_p_oracle(ctx)
+
+
+def test_exactness_bounds_survive_optimize():
+    # the float64 bounds are explicit raises, so `python -O` keeps them:
+    # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input)
+    # and the entry bound of the mod-p route (25 * (N + 2) >= 2^53),
+    # which must fire before the level-sized presentation is built
+    code = (
+        "import numpy as np\n"
+        "from eistheta import modp\n"
+        "def no_work(N):\n"
+        "    raise RuntimeError('presentation built before the bound check')\n"
+        "modp.presentation = no_work\n"
+        "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
+        "         lambda: modp.g_p_dimension_modp(360287970189731, 5))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+        "    else:\n"
+        "        print('no error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 2
 
 
 def test_input_validation():

@@ -9,6 +9,7 @@ Merel-family route is checked against the definition itself.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eistheta.exact_linalg import IntMatrix, kronecker, xgcd
@@ -17,7 +18,9 @@ from eistheta.modsym import (
     build_space,
     hecke,
     merel_matrices,
+    p1_index,
     path_to_chain,
+    presentation,
     star_decompose,
     theta_element,
 )
@@ -74,6 +77,26 @@ def test_index_is_projective():
             continue
         lam = rng.randrange(1, N)
         assert sp.index(u, v) == sp.index(lam * u % N, lam * v % N)
+
+
+def test_vectorized_index_matches_space_index():
+    sp = build_space(31)
+    N = sp.N
+    u, v = (a.ravel() for a in np.indices((N, N)))
+    u, v = u[1:], v[1:]  # every (u : v) but (0 : 0)
+    idx = p1_index(u, v, N, np.array(sp._inv))
+    assert idx.tolist() == [sp.index(a, b) for a, b in zip(u.tolist(), v.tolist())]
+
+
+def test_presentation_permutations():
+    pres = presentation(31)
+    n = 32
+    assert sorted(pres.sigma) == sorted(pres.tau) == sorted(pres.iota) == list(range(n))
+    assert all(pres.sigma[pres.sigma[i]] == i for i in range(n))  # S^2 = -1 is trivial on P^1
+    assert all(pres.tau[pres.tau[pres.tau[i]]] == i for i in range(n))  # T^3 = 1
+    assert all(pres.iota[pres.iota[i]] == i for i in range(n))
+    # each symbol is +- one folded variable, represented by a symbol of sign +1
+    assert all(pres.var_of[r] == v and pres.sign_of[r] == 1 for v, r in enumerate(pres.reps))
 
 
 def test_two_and_three_term_relations_vanish():
@@ -138,7 +161,7 @@ def test_star_is_an_involution():
     for N in (11, 31, 53):
         sp = build_space(N)
         assert sp.star * sp.star == IntMatrix.identity(sp.star.rows)
-        plus, minus = star_decompose(sp)
+        plus, minus = star_decompose(sp.star)
         assert plus == sp.plus_basis and minus == sp.minus_basis
 
 
@@ -295,6 +318,24 @@ def test_theta_twelve_pinned():
         sp.plus_basis, IntMatrix.from_rows([list(th.coords)])
     )
     assert [abs(x) for x in plus_coords.entries[0]] == [5]
+
+
+def test_theta_matches_sum_of_paths():
+    # loop reference for theta_element's vectorized symbol count: the
+    # chain is sum_a chi_D(a) {0, a/|D|}, each path reduced symbol by symbol
+    sp = build_space(31)
+    for D in (12, 13, -3, -47, 1001, -1003):
+        m = abs(D)
+        rel = [0] * sp.reduction.cols
+        for a in range(1, m):
+            chi = kronecker(D, a)
+            if chi:
+                for i, x in enumerate(path_to_chain(sp, a, m)):
+                    rel[i] += chi * x
+        th = theta_element(sp, D)
+        assert IntMatrix.from_rows([list(th.coords)]) * sp.cuspidal_basis == (
+            IntMatrix.from_rows([rel])
+        )
 
 
 def test_theta_sign_matches_star():
