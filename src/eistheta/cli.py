@@ -2,7 +2,9 @@
 
 All heavy state is the (space, context) pair per (N, p); with
 --cache-dir the pair is saved after first construction and loaded on
-subsequent runs, refusing stale or corrupted cache files loudly.
+subsequent runs, refusing stale, corrupted or foreign cache files
+loudly.  --jobs N sweeps in N worker processes that reuse the built or
+loaded pair; the report is the serial one, byte for byte.
 """
 
 import argparse
@@ -10,20 +12,20 @@ import json
 import os
 import sys
 
-from .eisenstein import build_context, g_p_dimension
 from .harness import (
-    SweepReport,
-    even_row,
+    CacheMismatchError,
+    build_pair,
     fixture_rows,
     load_context,
-    odd_row,
+    make_report,
     report_to_csv,
     report_to_json,
+    row_function,
     save_context,
     sweep_even,
     sweep_odd,
 )
-from .modsym import build_space, theta_element
+from .modsym import build_space
 
 
 def _add_common(sub):
@@ -38,18 +40,21 @@ def _add_common(sub):
 
 
 def _cached_pair(N, p, nmax, sign, cache_dir):
-    """(space, ctx), going through the cache directory when given."""
-    if cache_dir is None:
-        space = build_space(N)
-        return space, build_context(space, p, n_max=nmax, sign=sign)
+    """(space, ctx), loaded from the cache directory when it holds the
+    file of this request, else built (and saved there, if given)."""
     tag = "plus" if sign > 0 else "minus"
-    path = os.path.join(cache_dir, f"context-N{N}-p{p}-n{nmax}-{tag}.json")
-    if os.path.exists(path):
-        return load_context(path)
-    space = build_space(N)
-    ctx = build_context(space, p, n_max=nmax, sign=sign)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_context(space, ctx, path)
+    path = cache_dir and os.path.join(cache_dir, f"context-N{N}-p{p}-n{nmax}-{tag}.json")
+    if path and os.path.exists(path):
+        space, ctx = load_context(path)
+        found = (space.N, ctx.p, ctx.n_max, ctx.sign)
+        if found != (N, p, nmax, sign):
+            raise CacheMismatchError(f"cache file {path} is for (N, p, nmax, sign) = {found}, "
+                                     f"not the requested {(N, p, nmax, sign)}")
+        return space, ctx
+    space, ctx = build_pair(N, p, nmax, sign)
+    if path:
+        os.makedirs(cache_dir, exist_ok=True)
+        save_context(space, ctx, path)
     return space, ctx
 
 
@@ -95,10 +100,8 @@ def _cmd_fixtures(args, out):
 
 
 def _cmd_sweep(args, out, even):
-    pair = None
-    if args.cache_dir is not None:
-        pair = _cached_pair(args.N, args.p, args.nmax,
-                            1 if even else -1, args.cache_dir)
+    pair = _cached_pair(args.N, args.p, args.nmax, 1 if even else -1,
+                        args.cache_dir)
     fn = sweep_even if even else sweep_odd
     report = fn(args.N, args.p, args.dmin, args.dmax,
                 n_max=args.nmax, jobs=args.jobs, context=pair)
@@ -107,18 +110,11 @@ def _cmd_sweep(args, out, even):
 
 
 def _cmd_theta(args, out):
-    even = args.D > 0
-    space, ctx = _cached_pair(args.N, args.p, args.nmax,
-                              1 if even else -1, args.cache_dir)
-    if even:
-        row = even_row(space, ctx, g_p_dimension(ctx), args.D)
-    else:
-        row = odd_row(space, ctx, args.D)
-    report = SweepReport(rows=(row,), total=1,
-                         passed=1 if row.consistent else 0,
-                         failed=0 if row.consistent else 1)
+    _, ctx = _cached_pair(args.N, args.p, args.nmax,
+                          1 if args.D > 0 else -1, args.cache_dir)
+    report = make_report([row_function(ctx)(args.D)])
     _emit(report, args.format, out)
-    return 0 if row.consistent else 1
+    return 0 if report.failed == 0 else 1
 
 
 def main(argv=None):

@@ -8,12 +8,18 @@ real) discriminants that the valuation is >= 1, is >= 2 exactly when
 the unit criterion holds, and that the rank prediction crosses 1 at
 the same time; for odd (inert, imaginary) discriminants that the
 valuation is >= 1 exactly when p divides the class number.
+
+A sweep takes its (space, ctx) pair from the caller or builds it, once,
+and maps one row function over the discriminants, in this process or,
+with jobs > 1, in worker processes handed that function, pair included.
 """
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .eisenstein import (
     EisensteinContext,
@@ -24,8 +30,8 @@ from .eisenstein import (
 )
 from .exact_linalg import IntMatrix, LogMap
 from .modsym import ModularSymbolSpace, build_space, check_pair, theta_element
-from .quadfield import class_number, field_profile, is_fundamental, validate_discriminant
-from .selmer import SelmerInput, SelmerRankResult, selmer_rank
+from .quadfield import class_number, field_profile, validate_discriminant
+from .selmer import SelmerInput, selmer_rank
 
 FORMAT_VERSION = 2  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
@@ -62,10 +68,15 @@ class CacheIntegrityError(ValueError):
     pass
 
 
+class CacheMismatchError(ValueError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # per-discriminant row computations
 
-def even_row(space, ctx, g_p, D):
+def even_row(ctx, g_p, D):
+    space = ctx.space
     profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap)
     val = theta_valuation(ctx, theta_element(space, D))
     sel = selmer_rank(SelmerInput(
@@ -86,91 +97,79 @@ def even_row(space, ctx, g_p, D):
     )
 
 
-def odd_row(space, ctx, D):
+def odd_row(ctx, D):
     h = class_number(D)
-    val = theta_valuation(ctx, theta_element(space, D))
+    val = theta_valuation(ctx, theta_element(ctx.space, D))
     crit = h % ctx.p == 0
     return SweepRow(
-        N=space.N, p=ctx.p, D=D, h=h, h_mod_p=h % ctx.p,
+        N=ctx.space.N, p=ctx.p, D=D, h=h, h_mod_p=h % ctx.p,
         log1_u=None, log1_pi2=None, criterion=crit,
         eis_valuation=val, selmer=None,
         consistent=(val >= 1) == crit,
     )
 
 
-_WORKER = {}
+def row_function(ctx):
+    """ctx's row computation as a function of D alone: even rows (g_p
+    computed here, once) for a plus context, odd rows for a minus one."""
+    if ctx.sign > 0:
+        return partial(even_row, ctx, g_p_dimension(ctx))
+    return partial(odd_row, ctx)
 
 
-def _init_worker(N, p, n_max, sign):
-    space = build_space(N)
-    ctx = build_context(space, p, n_max=n_max, sign=sign)
-    _WORKER["space"] = space
-    _WORKER["ctx"] = ctx
-    _WORKER["g_p"] = g_p_dimension(ctx) if sign > 0 else None
-
-
-def _even_task(D):
-    return even_row(_WORKER["space"], _WORKER["ctx"], _WORKER["g_p"], D)
-
-
-def _odd_task(D):
-    return odd_row(_WORKER["space"], _WORKER["ctx"], D)
-
-
-def _run_sweep(N, p, ds, n_max, jobs, sign, task, serial):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
-            initargs=(N, p, n_max, sign),
-        ) as pool:
-            rows = list(pool.map(task, ds, chunksize=8))
-    else:
-        rows = serial(ds)
+def make_report(rows):
+    rows = tuple(rows)
     passed = sum(1 for r in rows if r.consistent)
-    return SweepReport(
-        rows=tuple(rows), total=len(rows), passed=passed,
-        failed=len(rows) - passed,
-    )
+    return SweepReport(rows=rows, total=len(rows), passed=passed,
+                       failed=len(rows) - passed)
+
+
+def build_pair(N, p, n_max, sign):
+    """Build the (space, ctx) pair of one sweep side from scratch."""
+    space = build_space(N)
+    return space, build_context(space, p, n_max=n_max, sign=sign)
+
+
+# a pool worker's row function, set once by the pool initializer
+_WORKER_ROW = None
+
+
+def _set_worker_row(row):
+    global _WORKER_ROW
+    _WORKER_ROW = row
+
+
+def _worker_row(D):
+    return _WORKER_ROW(D)
+
+
+def _sweep(N, p, drange, n_max, jobs, sign, context):
+    check_pair(N, p)
+    ds = [D for D in drange if validate_discriminant(D, N, p, want_split=sign > 0)]
+    _, ctx = context or build_pair(N, p, n_max, sign)
+    row = row_function(ctx)
+    if jobs > 1:
+        with ProcessPoolExecutor(jobs, initializer=_set_worker_row, initargs=(row,)) as pool:
+            return make_report(pool.map(_worker_row, ds, chunksize=8))
+    return make_report(row(D) for D in ds)
 
 
 def sweep_even(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental 0 < D in [d_min, d_max] with N
-    split in Q(sqrt D), ascending; `context` may carry a preloaded
-    (space, ctx) pair from the cache."""
-    check_pair(N, p)
+    split in Q(sqrt D), ascending; `context` may carry a prebuilt or
+    loaded (space, ctx) pair, which `jobs` worker processes reuse."""
     if not 0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
-    ds = [D for D in range(d_min, d_max + 1)
-          if is_fundamental(D) and validate_discriminant(D, N, p, want_split=True)]
-
-    def serial(dlist):
-        space, ctx = context if context else (None, None)
-        if space is None:
-            space = build_space(N)
-            ctx = build_context(space, p, n_max=n_max)
-        g_p = g_p_dimension(ctx)
-        return [even_row(space, ctx, g_p, D) for D in dlist]
-
-    return _run_sweep(N, p, ds, n_max, jobs, 1, _even_task, serial)
+    return _sweep(N, p, range(d_min, d_max + 1), n_max, jobs, 1, context)
 
 
 def sweep_odd(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental D < 0 in [d_min, d_max] with N
-    inert in Q(sqrt D), ascending by D."""
-    check_pair(N, p)
+    inert in Q(sqrt D), ascending by D; `context` and `jobs` as in
+    `sweep_even`."""
     if not d_min <= d_max or d_max >= 0:
         raise ValueError("need d_min <= d_max < 0")
-    ds = [D for D in range(d_min, d_max + 1)
-          if is_fundamental(D) and validate_discriminant(D, N, p, want_split=False)]
-
-    def serial(dlist):
-        space, ctx = context if context else (None, None)
-        if space is None:
-            space = build_space(N)
-            ctx = build_context(space, p, n_max=n_max, sign=-1)
-        return [odd_row(space, ctx, D) for D in dlist]
-
-    return _run_sweep(N, p, ds, n_max, jobs, -1, _odd_task, serial)
+    return _sweep(N, p, range(d_min, d_max + 1), n_max, jobs, -1, context)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,7 @@ def fixture_rows(large=False):
     """(N, p, expected, computed) for each configured fixture pair."""
     out = []
     for N, p, want in FIXTURES_DEFAULT:
-        ctx = build_context(build_space(N), p)
+        _, ctx = build_pair(N, p, 3, 1)
         out.append((N, p, want, g_p_dimension(ctx)))
     if large:
         from .modp import g_p_dimension_modp
@@ -261,8 +260,11 @@ def save_context(space, ctx, path):
         "checksum": _checksum(payload),
         "payload": payload,
     }
-    with open(path, "w") as fh:
+    # a reader sees the old file or the whole new one, never a part
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
         json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
+    os.replace(tmp, path)
 
 
 def load_context(path):

@@ -155,9 +155,7 @@ def g_p_dimension_modp(N, p):
         raise ValueError("coordinate generators do not reduce to a basis")
 
     # plus quotient: boundary zero and fixed by the star involution
-    bd = np.zeros((n, 2))
-    bd[np.arange(n), (cs % N == 0).astype(int)] += 1
-    bd[np.arange(n), (ds % N == 0).astype(int)] -= 1
+    bd = np.array(pres.boundary, dtype=np.float64)
     iota = np.array(pres.iota)
     cond = np.hstack([bd[coord_gen] % p, (red_p[iota[coord_gen]] - np.eye(k)) % p])
     vecs, vcols = _left_nullspace_mod_p(cond, p)

@@ -29,6 +29,7 @@ import numpy as np
 from .exact_linalg import (
     IntMatrix,
     is_prime,
+    kronecker,
     left_kernel,
     snf,
     solve_left,
@@ -78,6 +79,8 @@ class Presentation:
     its variable (listed in `sfixed`).  What remains is the relation
     matrix in folded variables, nrel rows of sparse (row, var, coeff)
     triples: one row per tau-orbit, then one row per `sfixed` entry.
+    `boundary` gives each generator's boundary as its coefficients on
+    the two cusp classes ([0], [oo]).
     """
 
     N: int
@@ -92,6 +95,7 @@ class Presentation:
     sfixed: tuple
     relations: tuple
     nrel: int
+    boundary: tuple
 
 
 def presentation(N):
@@ -144,10 +148,19 @@ def presentation(N):
     for v in sfixed:
         relations.append((nrel, v, 2))
         nrel += 1
+
+    # symbol (c:d) is the path {b/d, a/c} for any SL2 lift, and at prime
+    # level the cusp p/q sits at oo iff N | q, else at 0, so only the
+    # bottom row (c, d) matters; rows keyed by (N | c, N | d) are shared
+    # so the table costs one reference per generator
+    rows = {(False, False): (0, 0), (True, False): (-1, 1),
+            (False, True): (1, -1), (True, True): (0, 0)}
+    boundary = tuple(rows[c % N == 0, d % N == 0] for c, d in gens)
     return Presentation(
         N=N, generators=gens, inv=inv, sigma=sigma, tau=tau, iota=iota,
         var_of=tuple(var_of), sign_of=tuple(sign_of), reps=tuple(reps),
         sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
+        boundary=boundary,
     )
 
 
@@ -239,16 +252,7 @@ def build_space(N):
     if sec_m * red_m != IntMatrix.identity(k):
         raise ValueError("section is not a right inverse of the reduction")
 
-    # boundary: symbol (c:d) is the path {b/d, a/c} for any SL2 lift,
-    # and at prime level the cusp p/q sits at oo iff N | q, else at 0,
-    # so only the bottom row (c, d) matters
-    bd_gens = []
-    for c, d in pres.generators:
-        row = [0, 0]
-        row[1 if c % N == 0 else 0] += 1
-        row[1 if d % N == 0 else 0] -= 1
-        bd_gens.append(row)
-    boundary = sec_m * IntMatrix.from_rows(bd_gens)
+    boundary = sec_m * IntMatrix.from_rows(pres.boundary)
 
     cusp_rows = left_kernel(boundary)
     cuspidal = IntMatrix.from_rows(cusp_rows)
@@ -427,8 +431,6 @@ def path_to_chain(space, a, m):
 
 def theta_element(space, D):
     """Theta element: sum over a mod |D| of chi_D(a) {0, a/|D|}."""
-    from .exact_linalg import kronecker
-
     if abs(D) <= 1 or not is_fundamental(D) or gcd(D, space.N) != 1:
         raise ValueError("need a fundamental discriminant prime to N")
     m = abs(D)

@@ -133,7 +133,8 @@ def class_number(D):
                 break
     if fundamental_unit(D).norm == -1:
         return cycles
-    assert cycles % 2 == 0  # narrow-to-wide index is 2 when N(u) = +1
+    if cycles % 2:  # narrow-to-wide index is 2 when N(u) = +1
+        raise ValueError("odd number of form cycles for a unit of norm +1")
     return cycles // 2
 
 
@@ -196,7 +197,8 @@ def fundamental_unit(D):
     P0, Q0 = states[j0]
     # the automorphy factor r*alpha + s is the unit; clear Q0 denominators
     ny, nx = 2 * r, 2 * r * P0 + 2 * s * Q0
-    assert ny % Q0 == 0 and nx % Q0 == 0
+    if ny % Q0 or nx % Q0:
+        raise ValueError("unit coordinates are not integral")
     x, y = abs(nx // Q0), abs(ny // Q0)
     return QuadUnit(D, x, y, -1 if period % 2 else 1, period % 2)
 
@@ -226,13 +228,15 @@ def unit_residues(D, N):
         r, s = (r * quots[i] + s) % mod, r
     ny = 2 * r % mod
     nx = (2 * r * P0 + 2 * s * Q0) % mod
-    assert ny % Q0 == 0 and nx % Q0 == 0
+    if ny % Q0 or nx % Q0:
+        raise ValueError("unit coordinates are not integral")
     y2n = ny // Q0 % (2 * N)
     x2n = nx // Q0 % (2 * N)
     inv2 = pow(2, -1, N)
     res1 = (x2n + y2n * r0) * inv2 % N
     res2 = (x2n + y2n * (N - r0)) * inv2 % N
-    assert res1 and res2  # a unit is invertible modulo every prime
+    if not (res1 and res2):
+        raise ValueError("unit vanishes modulo a prime above N")
     return r0, res1, res2
 
 
@@ -245,7 +249,8 @@ def unit_criterion(D, N, p):
     _, res1, res2 = unit_residues(D, N)
     e = h * (N - 1) // p
     out = pow(res1, e, N) == 1
-    assert out == (pow(res2, e, N) == 1)  # independent of the label
+    if out != (pow(res2, e, N) == 1):
+        raise ValueError("unit criterion depends on the choice of prime above N")
     return out
 
 
@@ -270,7 +275,8 @@ def _prime_power_form(D, N, k):
     if (b - D) % 2:
         b += a
     c = b * b - D
-    assert c % (4 * a) == 0
+    if c % (4 * a):
+        raise ValueError("lifted root does not give a form of discriminant D")
     return a, b, c // (4 * a)
 
 
@@ -293,7 +299,8 @@ def _principal_walk(form, D, N):
         (a, b, c), t = _rho(a, b, c, m0, D)
         push(t)
         guard += 1
-        assert guard < 100000
+        if guard >= 100000:
+            raise ValueError("form reduction did not terminate")
     start = (a, b)
     while True:
         if abs(a) == 1:
@@ -303,7 +310,8 @@ def _principal_walk(form, D, N):
         if (a, b) == start:
             return False, None
         guard += 1
-        assert guard < 1000000
+        if guard >= 1000000:
+            raise ValueError("form cycle did not close")
 
 
 def split_prime_data(D, N, p, h=None, logmap=None):
@@ -330,7 +338,8 @@ def split_prime_data(D, N, p, h=None, logmap=None):
             # its conjugate, and sqrt(D) = r modulo prime_1
             x, y = g[0][0], g[1][0]
             t = (2 * (a % N) * x + (b % N) * y - y * r) * inv2 % N
-            assert t  # pi_2 avoids prime_1
+            if not t:
+                raise ValueError("conjugate generator lies in the first prime above N")
             return k, log_to_p(t, logmap)
     raise RuntimeError("no principal power up to the class number")
 
@@ -342,14 +351,7 @@ def pic_zn_trivial(D, N, p):
     if h % p:
         return True
     s, _ = split_prime_data(D, N, p, h=h)
-    vh, vs = 0, 0
-    while h % p == 0:
-        h //= p
-        vh += 1
-    while s % p == 0:
-        s //= p
-        vs += 1
-    return vh == vs
+    return vp(h, p) == vp(s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +390,9 @@ def field_profile(D, N, p, logmap=None, with_split_data=None):
     h = class_number(D)
     r, res1, res2 = unit_residues(D, N)
     log1_u = log_to_p(res1, logmap)
-    assert (log1_u + log_to_p(res2, logmap)) % p == 0  # log1 = -log2
+    if (log1_u + log_to_p(res2, logmap)) % p:
+        raise ValueError("unit logs at the two primes above N do not cancel")
     criterion = h * log1_u % p == 0
-    assert criterion == unit_criterion(D, N, p)
     if with_split_data is None:
         with_split_data = h % p != 0
     s = log1_pi2 = None

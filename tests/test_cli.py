@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from eistheta import harness
 from eistheta.cli import main
 
 
@@ -79,3 +80,39 @@ def test_fixtures_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "N,p,expected,computed,ok"
     assert "11,5,1,1,true" in out
+
+
+@pytest.mark.parametrize("command, dmin, dmax", [("sweep-even", "1", "300"),
+                                                 ("sweep-odd", "-300", "-1")])
+def test_jobs_do_not_change_output(tmp_path, capsys, command, dmin, dmax):
+    args = (command, "--N", "11", "--p", "5", "--dmin", dmin, "--dmax", dmax)
+    code, serial, _ = _run(capsys, *args, "--jobs", "1")
+    assert code == 0
+    for cache in ((), ("--cache-dir", str(tmp_path))):
+        for _ in range(2):  # cold, then warm cache
+            assert _run(capsys, *args, "--jobs", "2", *cache)[:2] == (0, serial)
+
+
+def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):
+    args = ("sweep-even", "--N", "11", "--p", "5", "--dmin", "1",
+            "--dmax", "100", "--cache-dir", str(tmp_path))
+    code, cold, _ = _run(capsys, *args)
+    assert code == 0
+
+    def no_build(*args, **kwargs):
+        raise RuntimeError("context rebuilt although the cache holds it")
+
+    monkeypatch.setattr(harness, "build_space", no_build)
+    monkeypatch.setattr(harness, "build_context", no_build)
+    assert _run(capsys, *args, "--jobs", "2")[:2] == (0, cold)
+
+
+def test_cache_dir_refuses_foreign_file(tmp_path, capsys):
+    assert _run(capsys, "theta", "--N", "11", "--p", "5", "--D", "12",
+                "--cache-dir", str(tmp_path))[0] == 0
+    (path,) = tmp_path.iterdir()
+    path.rename(tmp_path / "context-N31-p5-n3-plus.json")
+    code, out, err = _run(capsys, "sweep-even", "--N", "31", "--p", "5", "--dmin", "1",
+                          "--dmax", "100", "--cache-dir", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "(11, 5, 3, 1), not the requested (31, 5, 3, 1)" in err

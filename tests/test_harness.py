@@ -10,7 +10,9 @@ and Selmer modules together.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eistheta import harness
 from eistheta.eisenstein import build_context, g_p_dimension, theta_valuation
 from eistheta.harness import (
     CacheIntegrityError,
@@ -101,6 +103,36 @@ def test_parallel_matches_serial():
     assert par_odd.rows == ODD_REPORT.rows
 
 
+@pytest.fixture(scope="module")
+def pairs():
+    return {sign: _built_pair(sign) for sign in (1, -1)}
+
+
+def test_supplied_context_is_never_rebuilt(monkeypatch, pairs):
+    def no_build(*args, **kwargs):
+        raise RuntimeError("context rebuilt although one was supplied")
+
+    # pool workers are forked, so they see these patches too
+    monkeypatch.setattr(harness, "build_space", no_build)
+    monkeypatch.setattr(harness, "build_context", no_build)
+    for jobs in (1, 2):
+        even = sweep_even(11, 5, 1, 100, jobs=jobs, context=pairs[1])
+        odd = sweep_odd(11, 5, -50, -1, jobs=jobs, context=pairs[-1])
+        assert even.rows == EVEN_REPORT.rows and odd.rows == ODD_REPORT.rows
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 1500), st.integers(0, 400), st.booleans())
+def test_rows_do_not_depend_on_jobs(pairs, lo, width, even):
+    if even:
+        reports = [sweep_even(11, 5, lo, lo + width, jobs=jobs, context=pairs[1])
+                   for jobs in (1, 2, 3)]
+    else:
+        reports = [sweep_odd(11, 5, -lo - width, -lo, jobs=jobs, context=pairs[-1])
+                   for jobs in (1, 2, 3)]
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_sweep_input_validation():
     with pytest.raises(ValueError, match="prime"):
         sweep_even(12, 5, 1, 100)
@@ -127,9 +159,9 @@ def test_fixture_table():
 # cache envelope
 
 
-def _built_pair():
+def _built_pair(sign=1):
     space = build_space(11)
-    return space, build_context(space, 5)
+    return space, build_context(space, 5, sign=sign)
 
 
 def test_cache_round_trip(tmp_path):

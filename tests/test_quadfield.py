@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 from math import gcd, isqrt
 
 import pytest
 
+import eistheta
 from eistheta.exact_linalg import LogMap, kronecker, log_to_p, xgcd
 from eistheta.quadfield import (
     QuadUnit,
@@ -182,16 +186,43 @@ def test_unit_criterion_true_at_first_D_with_p_dividing_h():
     assert unit_criterion(D, 11, 5) is True
 
 
-def test_criterion_restatement():
-    # criterion <=> (p | h) or (log1_u = 0)
-    L = LogMap(11, 5)
-    for D in range(2, 400):
-        if not validate_discriminant(D, 11, 5, True):
+@pytest.mark.parametrize("N", [11, 31, 211])
+def test_criterion_restatement(N):
+    # criterion <=> (p | h) or (log1_u = 0); unit_criterion is also the
+    # oracle for the criterion field_profile derives from the unit log
+    L = LogMap(N, 5)
+    for D in range(2, 500):
+        if not validate_discriminant(D, N, 5, True):
             continue
         h = class_number(D)
-        _, res1, _ = unit_residues(D, 11)
+        _, res1, _ = unit_residues(D, N)
         log1_u = log_to_p(res1, L)
-        assert unit_criterion(D, 11, 5) == (h % 5 == 0 or log1_u == 0)
+        crit = unit_criterion(D, N, 5)
+        assert crit == (h % 5 == 0 or log1_u == 0)
+        assert field_profile(D, N, 5, logmap=L).criterion == crit
+
+
+def test_invariant_checks_survive_optimize():
+    # the unit-log invariant is an explicit raise, so `python -O` keeps
+    # it: a unit_residues whose second residue breaks log1 = -log2
+    code = (
+        "from eistheta import quadfield\n"
+        "r, res1, _ = quadfield.unit_residues(12, 11)\n"
+        "quadfield.unit_residues = lambda D, N: (r, res1, res1)\n"
+        "try:\n"
+        "    quadfield.field_profile(12, 11, 5)\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+        "else:\n"
+        "    print('no error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["ValueError: unit logs at the two primes above N do not cancel"]
 
 
 # ---------------------------------------------------------------------------
