@@ -15,6 +15,7 @@ import sys
 from .harness import (
     CacheMismatchError,
     build_pair,
+    check_sweep,
     fixture_rows,
     load_context,
     make_report,
@@ -25,7 +26,8 @@ from .harness import (
     sweep_even,
     sweep_odd,
 )
-from .modsym import build_space
+from .modsym import build_space, check_pair
+from .quadfield import validate_discriminant
 
 
 def _add_common(sub):
@@ -100,8 +102,9 @@ def _cmd_fixtures(args, out):
 
 
 def _cmd_sweep(args, out, even):
-    pair = _cached_pair(args.N, args.p, args.nmax, 1 if even else -1,
-                        args.cache_dir)
+    sign = 1 if even else -1
+    check_sweep(args.N, args.p, args.dmin, args.dmax, sign)
+    pair = _cached_pair(args.N, args.p, args.nmax, sign, args.cache_dir)
     fn = sweep_even if even else sweep_odd
     report = fn(args.N, args.p, args.dmin, args.dmax,
                 n_max=args.nmax, jobs=args.jobs, context=pair)
@@ -110,8 +113,12 @@ def _cmd_sweep(args, out, even):
 
 
 def _cmd_theta(args, out):
+    split = args.D > 0
+    check_pair(args.N, args.p)
+    if not validate_discriminant(args.D, args.N, args.p, want_split=split):
+        raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
     _, ctx = _cached_pair(args.N, args.p, args.nmax,
-                          1 if args.D > 0 else -1, args.cache_dir)
+                          1 if split else -1, args.cache_dir)
     report = make_report([row_function(ctx)(args.D)])
     _emit(report, args.format, out)
     return 0 if report.failed == 0 else 1

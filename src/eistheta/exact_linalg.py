@@ -38,10 +38,6 @@ class IntMatrix:
     def identity(cls, n):
         return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, r, c):
-        return cls(r, c, tuple((0,) * c for _ in range(r)))
-
     def to_lists(self):
         return [list(row) for row in self.entries]
 
@@ -66,9 +62,6 @@ class IntMatrix:
         return IntMatrix.from_rows(
             [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
         )
-
-    def transpose(self):
-        return IntMatrix.from_rows(list(zip(*self.entries)))
 
 
 @dataclass(frozen=True)

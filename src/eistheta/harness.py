@@ -143,9 +143,20 @@ def _worker_row(D):
     return _WORKER_ROW(D)
 
 
-def _sweep(N, p, drange, n_max, jobs, sign, context):
+def check_sweep(N, p, d_min, d_max, sign):
+    """Refuse a D window that is empty or not of the sweep's sign, then
+    an (N, p) outside the standing hypotheses."""
+    if sign > 0 and not 0 < d_min <= d_max:
+        raise ValueError("need 0 < d_min <= d_max")
+    if sign < 0 and not d_min <= d_max < 0:
+        raise ValueError("need d_min <= d_max < 0")
     check_pair(N, p)
-    ds = [D for D in drange if validate_discriminant(D, N, p, want_split=sign > 0)]
+
+
+def _sweep(N, p, d_min, d_max, n_max, jobs, sign, context):
+    check_sweep(N, p, d_min, d_max, sign)
+    ds = [D for D in range(d_min, d_max + 1)
+          if validate_discriminant(D, N, p, want_split=sign > 0)]
     _, ctx = context or build_pair(N, p, n_max, sign)
     row = row_function(ctx)
     if jobs > 1:
@@ -158,18 +169,14 @@ def sweep_even(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental 0 < D in [d_min, d_max] with N
     split in Q(sqrt D), ascending; `context` may carry a prebuilt or
     loaded (space, ctx) pair, which `jobs` worker processes reuse."""
-    if not 0 < d_min <= d_max:
-        raise ValueError("need 0 < d_min <= d_max")
-    return _sweep(N, p, range(d_min, d_max + 1), n_max, jobs, 1, context)
+    return _sweep(N, p, d_min, d_max, n_max, jobs, 1, context)
 
 
 def sweep_odd(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
     """Rows for every valid fundamental D < 0 in [d_min, d_max] with N
     inert in Q(sqrt D), ascending by D; `context` and `jobs` as in
     `sweep_even`."""
-    if not d_min <= d_max or d_max >= 0:
-        raise ValueError("need d_min <= d_max < 0")
-    return _sweep(N, p, range(d_min, d_max + 1), n_max, jobs, -1, context)
+    return _sweep(N, p, d_min, d_max, n_max, jobs, -1, context)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,16 @@ All arithmetic runs through float64 BLAS; each product is bounded in
 advance by p^2 times a matrix dimension, below 2^53, so nothing ever
 rounds.  The Eisenstein generators are applied in increasing Hecke
 index, cutting the candidate space down after each one (`cut`, which
-the exact route's g_p also runs on), so the large Merel families near
-the Sturm bound only ever act on a handful of surviving vectors.
+the exact route's g_p also runs on).  Each Merel family acts on the
+2g + 1 coordinate generators through `family_counts`, the action the
+exact route's `hecke` uses too, and its counts meet the surviving
+vectors in one product, bounded by p times their sum.
 """
 
 import numpy as np
 
 from .exact_linalg import kronecker, primes_up_to
-from .modsym import check_pair, merel_matrices, p1_index, presentation
+from .modsym import check_pair, family_counts, merel_matrices, presentation
 
 
 def _check_exact(p, n):
@@ -121,15 +123,10 @@ def g_p_dimension_modp(N, p):
     generators on the plus quotient — the same number the exact route
     computes, at a fraction of the cost for levels in the thousands."""
     check_pair(N, p)
-    # the longest float64 products below have length N + 1; this also
-    # keeps p < 2^26, so Merel-family bincounts of up to 4e6 residues
-    # stay exact
+    # the longest float64 products below have length N + 1
     _check_exact(p, N + 1)
 
     pres = presentation(N)
-    n = N + 1
-    inv = np.array(pres.inv, dtype=np.int64)
-    cs, ds = np.array(pres.generators, dtype=np.int64).T
     nvars = len(pres.reps)
     rel = np.zeros((pres.nrel, nvars))
     rr, cc, vv = np.array(pres.relations).T
@@ -162,50 +159,16 @@ def g_p_dimension_modp(N, p):
     if vecs.shape[0] != genus:
         raise ValueError("plus quotient mod p does not have rank g")
 
-    crep = cs[coord_gen]
-    drep = ds[coord_gen]
-
-    def apply_family(rows, fam, drop):
-        """Images of quotient row vectors under a Merel-family operator."""
-        m = rows.shape[0]
-        z = np.zeros((m, n))
-        step = max(1, 2_000_000 // k)
-        for lo in range(0, len(fam), step):
-            a, b, c2, d2 = (fam[lo:lo + step, t][:, None] for t in range(4))
-            u = (crep[None, :] * a + drep[None, :] * c2) % N
-            v = (crep[None, :] * b + drep[None, :] * d2) % N
-            tgt = p1_index(u, v, N, inv)
-            if drop:
-                keep = (u != 0) | (v != 0)  # (0:0) images die; only for U_N
-                tgt = tgt[keep]
-                for i in range(m):
-                    w = np.broadcast_to(rows[i], keep.shape)[keep]
-                    z[i] += np.bincount(tgt, weights=w, minlength=n)
-            else:
-                flat = tgt.ravel()
-                for i in range(m):
-                    w = np.broadcast_to(rows[i], tgt.shape).ravel()
-                    z[i] += np.bincount(flat, weights=w, minlength=n)
-            z %= p
-        return z @ red_p % p
-
+    symbols = [pres.generators[i] for i in coord_gen]
     sturm = -(-(N + 1) // 6)
-    first = True
     for ell in primes_up_to(sturm) + [N]:
         if not vecs.shape[0]:
             break
         eigen = 1 if ell == N else ell + 1
-        fam = merel_matrices(ell)
-        if first:
-            # dense k x k matrix once, while the candidate space is large
-            tm = np.zeros((k, k))
-            for a, b, c2, d2 in fam:
-                u = (crep * int(a) + drep * int(c2)) % N
-                v = (crep * int(b) + drep * int(d2)) % N
-                tm += red_p[p1_index(u, v, N, inv)]
-            images = vecs @ (tm % p) % p
-            first = False
-        else:
-            images = apply_family(vecs, fam, drop=ell == N)
+        counts = family_counts(symbols, merel_matrices(ell), N, pres.inv)
+        # each entry of vecs @ counts is at most p times a sum of counts
+        if p * int(counts.sum()) >= 2**53:
+            raise ValueError("float64 arithmetic mod p is not exact at this size")
+        images = (vecs @ counts % p) @ red_p % p
         vecs, vcols = cut(vecs, vcols, images, eigen, p)
     return vecs.shape[0]

@@ -15,9 +15,12 @@ star involution, Hecke action, theta elements) is exact.
 Hecke operators use Merel's determinant-l family of upper-ish
 triangular-ish matrices {(a,b;c,d): a > b >= 0, d > c >= 0, ad-bc = l};
 for l = N the same family computes U_N once the symbols that die on
-P^1 (image (0:0)) are dropped.  Products with the integer reduction
-and section matrices go through int64 matrix multiplication when a
-proven bound certifies no overflow, with a big-integer fallback.
+P^1 (image (0:0)) are dropped.  `family_counts` is that action, shared
+with the mod-p route; `hecke` applies it only to the symbols in the
+support of the section, the only ones the operator on M_rel reads.
+Products with the integer reduction and section matrices go through
+int64 matrix multiplication when a proven bound certifies no overflow,
+with a big-integer fallback.
 """
 
 from dataclasses import dataclass, field
@@ -347,44 +350,54 @@ def merel_matrices(ell):
     return arr
 
 
-def _exact_mul(a_rows, b_rows):
-    bt = list(zip(*b_rows))
-    return [[sum(x * y for x, y in zip(r, c)) for c in bt] for r in a_rows]
+def family_counts(symbols, fam, N, inv):
+    """counts[i, t]: how many matrices of the Merel family `fam` send
+    the symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an
+    int64 array with N + 1 columns (`inv` the inverses mod N).  Images
+    (0 : 0), which only ell = N produces, die in a dropped sink column.
+    The family is walked N + 1 matrices at a time, so no index array
+    outgrows the counts it fills."""
+    cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
+    inv = np.array(inv, dtype=np.int64)
+    n = N + 2  # the N + 1 symbols, then the sink
+    base = np.arange(len(cs))[:, None] * n
+    counts = np.zeros(len(cs) * n, dtype=np.int64)
+    for lo in range(0, len(fam), N + 1):
+        a, b, c, d = fam[lo:lo + N + 1].T
+        u = (cs * a + ds * c) % N
+        v = (cs * b + ds * d) % N
+        tgt = p1_index(u, v, N, inv)
+        tgt[(u | v) == 0] = N + 1
+        tgt += base
+        counts += np.bincount(tgt.ravel(), minlength=counts.size)
+    return counts.reshape(-1, n)[:, :N + 1]
 
 
 def _bounded_mul(A, B):
     """Exact product of integer matrices, via int64 BLAS when a proven
     bound rules out overflow, else arbitrary precision."""
-    amax = max((abs(x) for r in A for x in r), default=0)
-    bmax = max((abs(x) for r in B for x in r), default=0)
-    if amax * bmax * len(B) < 2**62:
-        prod = np.array(A, dtype=np.int64) @ np.array(B, dtype=np.int64)
-        return [[int(x) for x in row] for row in prod]
-    return _exact_mul(A, B)
+    amax = max(abs(x) for r in A.entries for x in r)
+    bmax = max(abs(x) for r in B.entries for x in r)
+    if amax * bmax * B.rows < 2**62:
+        prod = np.array(A.entries, dtype=np.int64) @ np.array(B.entries, dtype=np.int64)
+        return IntMatrix.from_rows(prod.tolist())
+    return A * B
 
 
 def hecke(space, ell):
     """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
-    lattice (computed on Manin symbols through Merel's family)."""
+    lattice (computed on Manin symbols through Merel's family).  Only
+    the symbols in the support of the section are acted on: the
+    operator on M_rel is section[:, S] * (counts * reduction)."""
     if not is_prime(ell):
         raise ValueError("Hecke index must be prime")
-    N = space.N
-    n = N + 1
-    cs, ds = np.array(space.generators, dtype=np.int64).T
-    invarr = np.array(space._inv, dtype=np.int64)
-    counts = np.zeros((n, n), dtype=np.int64)
-    rows_idx = np.arange(n)
-    for a, b, c2, d2 in merel_matrices(ell):
-        u = (cs * a + ds * c2) % N
-        v = (cs * b + ds * d2) % N
-        tgt = p1_index(u, v, N, invarr)
-        keep = (u != 0) | (v != 0)  # (0:0) happens only when ell = N
-        np.add.at(counts, (rows_idx[keep], tgt[keep]), 1)
-    hred = _bounded_mul([list(map(int, r)) for r in counts],
-                        [list(r) for r in space.reduction.entries])
-    t_rel = IntMatrix.from_rows(
-        _bounded_mul([list(r) for r in space.relation_kernel_basis.entries], hred)
-    )
+    sec = space.relation_kernel_basis
+    support = [j for j, col in enumerate(zip(*sec.entries)) if any(col)]
+    counts = family_counts([space.generators[j] for j in support],
+                           merel_matrices(ell), space.N, space._inv)
+    sec_s = IntMatrix.from_rows([[row[j] for j in support] for row in sec.entries])
+    hred = _bounded_mul(IntMatrix.from_rows(counts.tolist()), space.reduction)
+    t_rel = _bounded_mul(sec_s, hred)
     t_m = solve_left(space.cuspidal_basis, space.cuspidal_basis * t_rel)
     return HeckeOp(index=ell, matrix=t_m)
 

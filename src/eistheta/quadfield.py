@@ -369,19 +369,18 @@ class QuadFieldProfile:
     r: int
     u_mod_N1: int
     u_mod_N2: int
-    s: int | None
+    s: int
     log1_u: int
     log1_pi2: int | None
     pic_zn_trivial: bool
     criterion: bool
 
 
-def field_profile(D, N, p, logmap=None, with_split_data=None):
+def field_profile(D, N, p, logmap=None):
     """Compute the QuadFieldProfile for a valid even (split) D.
 
-    Split-prime data (s, log1_pi2) is only computed when p does not
-    divide h, where the rank prediction actually consumes it; pass
-    with_split_data=True to force it.
+    log1_pi2 is only reported when p does not divide h, where the rank
+    prediction actually consumes it.
     """
     if not validate_discriminant(D, N, p, want_split=True):
         raise ValueError("invalid discriminant for the split case")
@@ -393,15 +392,9 @@ def field_profile(D, N, p, logmap=None, with_split_data=None):
     if (log1_u + log_to_p(res2, logmap)) % p:
         raise ValueError("unit logs at the two primes above N do not cancel")
     criterion = h * log1_u % p == 0
-    if with_split_data is None:
-        with_split_data = h % p != 0
-    s = log1_pi2 = None
-    pic = True
-    if with_split_data:
-        s, log1_pi2 = split_prime_data(D, N, p, h=h, logmap=logmap)
-        pic = vp(h, p) == vp(s, p)
-    elif h % p == 0:
-        pic = pic_zn_trivial(D, N, p)
+    s, log1_pi2 = split_prime_data(D, N, p, h=h, logmap=logmap)
+    if h % p == 0:
+        log1_pi2 = None
     return QuadFieldProfile(
         D=D,
         h=h,
@@ -412,6 +405,6 @@ def field_profile(D, N, p, logmap=None, with_split_data=None):
         s=s,
         log1_u=log1_u,
         log1_pi2=log1_pi2,
-        pic_zn_trivial=pic,
+        pic_zn_trivial=vp(h, p) == vp(s, p),
         criterion=criterion,
     )

@@ -49,6 +49,25 @@ def test_invalid_inputs_exit_2(capsys):
                 "--dmin", "1", "--dmax", "9")[0] == 2
     assert _run(capsys, "sweep-odd", "--N", "11", "--p", "5",
                 "--dmin", "-5", "--dmax", "5")[0] == 2
+    for D in ("-7", "-8"):  # 11 splits in Q(sqrt D): no sweep admits D
+        assert _run(capsys, "theta", "--N", "11", "--p", "5", "--D", D)[:2] == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-even", "--N", "211", "--p", "5", "--dmin", "9", "--dmax", "1"),
+    ("sweep-odd", "--N", "211", "--p", "5", "--dmin", "-1", "--dmax", "-9"),
+    ("theta", "--N", "211", "--p", "5", "--D", "7"),
+    ("theta", "--N", "11", "--p", "5", "--D", "-7"),
+])
+def test_bad_input_is_refused_before_the_build(tmp_path, capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise RuntimeError("context built for a request that is refused")
+
+    monkeypatch.setattr(harness, "build_space", no_build)
+    monkeypatch.setattr(harness, "build_context", no_build)
+    for cache in ((), ("--cache-dir", str(tmp_path))):
+        code, out, err = _run(capsys, *argv, *cache)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_cache_dir_round_trip(tmp_path, capsys):

@@ -101,17 +101,24 @@ def test_routes_match_rank_oracle(N, p):
 
 def test_exactness_bounds_survive_optimize():
     # the float64 bounds are explicit raises, so `python -O` keeps them:
-    # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input)
-    # and the entry bound of the mod-p route (25 * (N + 2) >= 2^53),
-    # which must fire before the level-sized presentation is built
+    # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input),
+    # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
+    # must fire before the level-sized presentation is built, and the
+    # bound on a Merel family's counts (5 * 36 * 2^50 >= 2^53 at N = 11)
     code = (
         "import numpy as np\n"
         "from eistheta import modp\n"
+        "presentation = modp.presentation\n"
         "def no_work(N):\n"
         "    raise RuntimeError('presentation built before the bound check')\n"
+        "def huge_counts():\n"
+        "    modp.presentation = presentation\n"
+        "    modp.family_counts = lambda symbols, fam, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
+        "    modp.g_p_dimension_modp(11, 5)\n"
         "modp.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
-        "         lambda: modp.g_p_dimension_modp(360287970189731, 5))\n"
+        "         lambda: modp.g_p_dimension_modp(360287970189731, 5),\n"
+        "         huge_counts)\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -126,7 +133,7 @@ def test_exactness_bounds_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True,
         text=True, check=True, timeout=120,
     ).stdout.splitlines()
-    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 2
+    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 3
 
 
 def test_input_validation():

@@ -16,6 +16,7 @@ from eistheta.exact_linalg import IntMatrix, kronecker, xgcd
 from eistheta.modsym import (
     HeckeOp,
     build_space,
+    family_counts,
     hecke,
     merel_matrices,
     p1_index,
@@ -192,6 +193,39 @@ def test_merel_family_small():
         assert len({tuple(r) for r in arr.tolist()}) == len(arr)
         for a, b, c, d in arr.tolist():
             assert a > b >= 0 and d > c >= 0 and a * d - b * c == ell
+
+
+def _family_counts_oracle(sp, ell):
+    # one np.add.at per matrix over all N + 1 symbols, (0:0) dropped:
+    # the loop hecke ran before the shared action
+    N = sp.N
+    n = N + 1
+    cs, ds = np.array(sp.generators, dtype=np.int64).T
+    invarr = np.array(sp._inv, dtype=np.int64)
+    counts = np.zeros((n, n), dtype=np.int64)
+    rows_idx = np.arange(n)
+    for a, b, c2, d2 in merel_matrices(ell):
+        u = (cs * a + ds * c2) % N
+        v = (cs * b + ds * d2) % N
+        tgt = p1_index(u, v, N, invarr)
+        keep = (u != 0) | (v != 0)
+        np.add.at(counts, (rows_idx[keep], tgt[keep]), 1)
+    return counts
+
+
+@pytest.mark.parametrize("N", [11, 31])
+def test_family_counts_match_per_matrix_loop(N):
+    sp = build_space(N)
+    for ell in (2, 3, 5, 7, N):
+        fam = merel_matrices(ell)
+        want = _family_counts_oracle(sp, ell)
+        got = family_counts(sp.generators, fam, N, sp._inv)
+        assert got.shape == (N + 1, N + 1) and (got == want).all()
+        picks = rng.sample(range(N + 1), 5)
+        sub = family_counts([sp.generators[i] for i in picks], fam, N, sp._inv)
+        assert (sub == want[picks]).all()
+        if ell != N:  # no (0:0) image, so nothing is dropped
+            assert (got.sum(axis=1) == len(fam)).all()
 
 
 def test_hecke_pinned_eleven():

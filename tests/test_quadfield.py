@@ -401,6 +401,19 @@ def test_pic_zn_trivial_cases():
     assert found_nontrivial  # a 5 | h discriminant with principal prime
 
 
+@pytest.mark.parametrize("N, d_max", [(11, 5000), (211, 2000)])
+def test_field_profile_pic_matches_oracle(N, d_max):
+    # on p | h rows field_profile reuses its own split-prime data;
+    # pic_zn_trivial recomputes h and s from scratch
+    found = set()
+    for D in range(2, d_max + 1):
+        if validate_discriminant(D, N, 5, True) and class_number(D) % 5 == 0:
+            pic = pic_zn_trivial(D, N, 5)
+            assert field_profile(D, N, 5).pic_zn_trivial == pic, D
+            found.add(pic)
+    assert found == ({True, False} if N == 11 else {True})
+
+
 def test_field_profile_pinned():
     prof = field_profile(12, 11, 5)
     assert prof.h == 1 and prof.h_mod_p == 1
