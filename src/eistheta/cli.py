@@ -15,6 +15,7 @@ import sys
 from .harness import (
     CacheMismatchError,
     build_pair,
+    check_discriminant,
     check_sweep,
     fixture_rows,
     load_context,
@@ -27,7 +28,6 @@ from .harness import (
     sweep_odd,
 )
 from .modsym import build_space, check_pair
-from .quadfield import validate_discriminant
 
 
 def _add_common(sub):
@@ -115,8 +115,7 @@ def _cmd_sweep(args, out, even):
 def _cmd_theta(args, out):
     split = args.D > 0
     check_pair(args.N, args.p)
-    if not validate_discriminant(args.D, args.N, args.p, want_split=split):
-        raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
+    check_discriminant(args.D, args.N, args.p, split)
     _, ctx = _cached_pair(args.N, args.p, args.nmax,
                           1 if split else -1, args.cache_dir)
     report = make_report([row_function(ctx)(args.D)])

@@ -11,7 +11,9 @@ is how local-at-p valuations of theta elements are read off.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -27,7 +29,13 @@ from .exact_linalg import (
     vp,
 )
 from .modp import cut
-from .modsym import check_pair, hecke, path_to_chain, restrict_to_sign
+from .modsym import (
+    check_pair,
+    hecke,
+    path_to_chain,
+    restrict_to_sign,
+    solve_by_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,26 @@ class EisensteinContext:
     snf_of_W: tuple  # WSmith of each W_n
     e: tuple  # p-exponent of M^sign / W_n
     logmap: LogMap
+
+    @cached_property
+    def residue_table(self):
+        """Per level n = 1 .. n_max + 1, the tests of "x in W_n + p^{e_n}
+        M^sign": (modulus, column) for each SNF right-transform column j
+        of W_n with p | d'_j = gcd(d_j, p^{e_n}), the column reduced mod
+        d'_j.  x passes iff x . column = 0 mod d'_j for all of them (the
+        other columns test modulo 1).  Built on first use, never cached
+        on disk."""
+        table = []
+        for n in range(1, self.n_max + 2):
+            pe = self.p ** self.e[n]
+            sd = self.snf_of_W[n]
+            tests = []
+            for j, d in enumerate(sd.diag):
+                mod = gcd(d, pe)
+                if mod % self.p == 0:
+                    tests.append((mod, tuple(r[j] % mod for r in sd.right.entries)))
+            table.append(tuple(tests))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -127,29 +155,17 @@ def build_context(space, p, n_max=3, sign=1):
     )
 
 
-def _in_w_up_to_p(ctx, n, x):
-    """Does x lie in W_n + p^{e_n} M^sign (i.e. in W_n locally at p)?"""
-    sd = ctx.snf_of_W[n]
-    right = sd.right.entries
-    g = len(x)
-    pe = ctx.p ** ctx.e[n]
-    for j in range(g):
-        y = sum(x[i] * right[i][j] for i in range(g))
-        if y % gcd(sd.diag[j], pe):
-            return False
-    return True
-
-
 def p_local_valuation(ctx, x):
-    """Largest n <= n_max with x in W_n locally at p; n_max + 1 means
-    the valuation is at least n_max + 1 (e.g. x = 0)."""
+    """Largest n <= n_max with x in W_n locally at p (in W_n + p^{e_n}
+    M^sign); n_max + 1 means the valuation is at least n_max + 1 (e.g.
+    x = 0)."""
     x = list(x)
     g = ctx.W[0].rows
     if len(x) != g or not all(isinstance(t, int) for t in x):
         raise ValueError("x is not a lattice vector of the right size")
     val = 0
-    for n in range(1, ctx.n_max + 2):
-        if not _in_w_up_to_p(ctx, n, x):
+    for n, tests in enumerate(ctx.residue_table, 1):
+        if any(sum(map(mul, x, col)) % mod for mod, col in tests):
             break
         val = n
     return val
@@ -159,9 +175,13 @@ def theta_valuation(ctx, theta):
     """Valuation of a theta element against the context's sign chain."""
     if theta.sign != ctx.sign:
         raise ValueError("theta element has the wrong star sign")
-    basis = ctx.space.plus_basis if ctx.sign > 0 else ctx.space.minus_basis
-    coords = solve_left(basis, IntMatrix.from_rows([list(theta.coords)]))
-    return p_local_valuation(ctx, list(coords.entries[0]))
+    space = ctx.space
+    if ctx.sign > 0:
+        basis, inverse = space.plus_basis, space.plus_inverse
+    else:
+        basis, inverse = space.minus_basis, space.minus_inverse
+    coords = solve_by_inverse(basis, inverse, IntMatrix.from_rows([theta.coords]))
+    return p_local_valuation(ctx, coords.entries[0])
 
 
 def g_p_dimension(ctx):

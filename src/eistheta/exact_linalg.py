@@ -254,6 +254,19 @@ def left_kernel(A: IntMatrix) -> list:
     return [list(u.entries[i]) for i in range(A.rows) if not any(h.entries[i])]
 
 
+def left_inverse(B: IntMatrix) -> IntMatrix:
+    """Integral L with B*L = I, for B of full row rank whose row lattice
+    is saturated; then v*L is the solution x of x*B = v for every v in
+    that lattice.  From U*B^T = H in Hermite form: H is I over zeros
+    exactly when such an L exists, and L is the first B.rows rows of U,
+    transposed."""
+    h, u = hnf_with_transform(IntMatrix.from_rows(zip(*B.entries)))
+    k = B.rows
+    if h.entries[:k] != IntMatrix.identity(k).entries or any(map(any, h.entries[k:])):
+        raise ValueError("basis is not of full rank with a saturated row lattice")
+    return IntMatrix.from_rows(zip(*u.entries[:k]))
+
+
 def solve_left(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     """Solve X*B = C over the integers for B with full row rank whose row
     lattice is saturated (every rational solution is integral).  Raises

@@ -28,8 +28,14 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuation,
 )
-from .exact_linalg import IntMatrix, LogMap
-from .modsym import ModularSymbolSpace, build_space, check_pair, theta_element
+from .exact_linalg import IntMatrix, LogMap, solve_left
+from .modsym import (
+    ModularSymbolSpace,
+    _bounded_mul,
+    build_space,
+    check_pair,
+    theta_element,
+)
 from .quadfield import class_number, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
@@ -75,8 +81,16 @@ class CacheMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # per-discriminant row computations
 
+def check_discriminant(D, N, p, split):
+    """Refuse a D that is not admissible for the split (D > 0) or inert
+    (D < 0) case at (N, p)."""
+    if not validate_discriminant(D, N, p, want_split=split):
+        raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
+
+
 def even_row(ctx, g_p, D):
     space = ctx.space
+    check_discriminant(D, space.N, ctx.p, ctx.sign > 0)
     profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap)
     val = theta_valuation(ctx, theta_element(space, D))
     sel = selmer_rank(SelmerInput(
@@ -98,6 +112,7 @@ def even_row(ctx, g_p, D):
 
 
 def odd_row(ctx, D):
+    check_discriminant(D, ctx.space.N, ctx.p, ctx.sign > 0)
     h = class_number(D)
     val = theta_valuation(ctx, theta_element(ctx.space, D))
     crit = h % ctx.p == 0
@@ -274,9 +289,25 @@ def save_context(space, ctx, path):
     os.replace(tmp, path)
 
 
+def _check_structure(space, ctx):
+    """The cheap invariants a cache file cannot fake by its checksum:
+    section * reduction = I, and W_{n+1} inside W_n at every level."""
+    k = space.reduction.cols
+    if _bounded_mul(space.relation_kernel_basis, space.reduction) != IntMatrix.identity(k):
+        raise CacheIntegrityError("cache integrity check failed: the section is not "
+                                  "a right inverse of the reduction")
+    for n in range(len(ctx.W) - 1):
+        try:
+            solve_left(ctx.W[n], ctx.W[n + 1])
+        except ValueError:
+            raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} "
+                                      f"is not inside W_{n}") from None
+
+
 def load_context(path):
     """Rebuild (space, context) from a cache file, refusing stale or
-    corrupted envelopes with distinct errors."""
+    corrupted envelopes, and pairs that break the structural invariants,
+    with distinct errors."""
     with open(path) as fh:
         envelope = json.load(fh)
     if envelope.get("format_version") != FORMAT_VERSION:
@@ -304,6 +335,7 @@ def load_context(path):
         e=tuple(int(x) for x in payload["e"]),
         logmap=LogMap(space.N, int(payload["p"])),
     )
+    _check_structure(space, ctx)
     return space, ctx
 
 

@@ -21,18 +21,29 @@ support of the section, the only ones the operator on M_rel reads.
 Products with the integer reduction and section matrices go through
 int64 matrix multiplication when a proven bound certifies no overflow,
 with a big-integer fallback.
+
+The theta element of D is the chain sum_a chi_D(a) {0, a/|D|}.  Its
+symbol counts come from one vectorized pass: chi_D for every a < |D|
+as a product of the characters of the prime discriminants dividing D,
+then the continued-fraction walks of all a with chi_D(a) != 0 in one
+lockstep Euclid loop, each step's symbols (q_k : +-q_{k-1}) counted by
+two `bincount`s, one per value of chi_D.  The counts go through the
+reduction to M_rel, and into the cuspidal (and later the signed) basis
+by a left inverse of that basis derived once per space, each solution
+proven by multiplying it back.  `path_to_chain` is the one-path form.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
 from .exact_linalg import (
     IntMatrix,
+    factorize,
     is_prime,
-    kronecker,
+    left_inverse,
     left_kernel,
     snf,
     solve_left,
@@ -205,6 +216,20 @@ class ModularSymbolSpace:
         v %= self.N
         return p1_index(u, v, self.N, self._inv) if u or v else None
 
+    # integral left inverses of the bases, derived on first use and never
+    # written to a cache file (see `solve_by_inverse`)
+    @cached_property
+    def cuspidal_inverse(self):
+        return left_inverse(self.cuspidal_basis)
+
+    @cached_property
+    def plus_inverse(self):
+        return left_inverse(self.plus_basis)
+
+    @cached_property
+    def minus_inverse(self):
+        return left_inverse(self.minus_basis)
+
 
 @dataclass(frozen=True)
 class HeckeOp:
@@ -376,12 +401,24 @@ def family_counts(symbols, fam, N, inv):
 def _bounded_mul(A, B):
     """Exact product of integer matrices, via int64 BLAS when a proven
     bound rules out overflow, else arbitrary precision."""
-    amax = max(abs(x) for r in A.entries for x in r)
-    bmax = max(abs(x) for r in B.entries for x in r)
+    try:
+        a, b = (np.array(M.entries, dtype=np.int64) for M in (A, B))
+    except OverflowError:
+        return A * B
+    amax, bmax = (max(int(m.max()), -int(m.min())) for m in (a, b))
     if amax * bmax * B.rows < 2**62:
-        prod = np.array(A.entries, dtype=np.int64) @ np.array(B.entries, dtype=np.int64)
-        return IntMatrix.from_rows(prod.tolist())
+        return IntMatrix.from_rows((a @ b).tolist())
     return A * B
+
+
+def solve_by_inverse(B, L, v):
+    """The x with x*B = v, read off as v*L through a left inverse L of B
+    (B*L = I) and proven by multiplying back; like `solve_left`, raises
+    ValueError if some row of v is outside the row lattice of B."""
+    x = _bounded_mul(v, L)
+    if _bounded_mul(x, B) != v:
+        raise ValueError("vector is not in the row span")
+    return x
 
 
 def hecke(space, ell):
@@ -442,33 +479,74 @@ def path_to_chain(space, a, m):
     return tuple(coords)
 
 
+# the characters of the prime discriminants -4, 8 and -8, indexed by a mod 8
+_CHI_MOD_8 = {-4: (0, 1, 0, -1, 0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
+              -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+
+def _chi_table(D):
+    """chi_D(a) for 0 <= a < |D|, D fundamental, as an int8 array: the
+    product of the characters of the prime discriminants dividing D, a
+    Legendre table mod q for each odd prime q | D (the character of
+    q* = +-q = 1 mod 4) and a table mod 8 for the 2-part -4, 8 or -8."""
+    m = abs(D)
+    a = np.arange(m, dtype=np.int64)
+    chi = np.ones(m, dtype=np.int8)
+    odd = m
+    while odd % 2 == 0:
+        odd //= 2
+    for q in factorize(odd):
+        legendre = np.full(q, -1, dtype=np.int8)
+        legendre[0] = 0
+        legendre[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
+        chi *= legendre[a % q]
+    two_part = D // (odd if odd % 4 == 1 else -odd)
+    if two_part != 1:
+        chi *= np.array(_CHI_MOD_8[two_part], dtype=np.int8)[a % 8]
+    return chi
+
+
+def _theta_counts(D, N, inv):
+    """Signed Manin-symbol counts of sum_a chi_D(a) {0, a/|D|}, an int64
+    array over P^1(Z/NZ): the walks of `_symbol_stream` for every a with
+    chi_D(a) != 0, run together as one lockstep Euclid loop.  All lanes
+    take their k-th step together, so the sign of q_{k-1} is shared.
+    Every walk value is at most |D|, a Legendre table squares residues
+    mod q | D, and `p1_index` multiplies residues mod N: all exact in
+    int64 while max(N, |D|)^2 < 2^63."""
+    m = abs(D)
+    if max(N, m) ** 2 >= 2**63:
+        raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
+    inv = np.array(inv, dtype=np.int64)
+    chi = _chi_table(D)
+    x = np.flatnonzero(chi)
+    w = chi[x]
+    y = np.full(len(x), m, dtype=np.int64)
+    qm2, qm1 = np.ones_like(y), np.zeros_like(y)
+    # every walk opens with the {0, oo} symbol (0 : 1), index 0
+    steps, weights = [np.zeros_like(y)], [w]
+    sign = -1
+    while len(x):
+        q = x // y
+        x, y = y, x - q * y
+        qm2, qm1 = qm1, q * qm1 + qm2
+        steps.append(p1_index(qm1 % N, sign * qm2 % N, N, inv))
+        weights.append(w)
+        sign = -sign
+        live = y != 0
+        x, y, qm1, qm2, w = x[live], y[live], qm1[live], qm2[live], w[live]
+    idx, w = np.concatenate(steps), np.concatenate(weights)
+    return (np.bincount(idx[w > 0], minlength=N + 1)
+            - np.bincount(idx[w < 0], minlength=N + 1))
+
+
 def theta_element(space, D):
     """Theta element: sum over a mod |D| of chi_D(a) {0, a/|D|}."""
     if abs(D) <= 1 or not is_fundamental(D) or gcd(D, space.N) != 1:
         raise ValueError("need a fundamental discriminant prime to N")
-    m = abs(D)
-    walks = {1: [], -1: []}  # the symbols (u, v) of each sign of chi_D
-    for a in range(1, m):
-        chi = kronecker(D, a)
-        if chi:
-            walks[chi].extend(_symbol_stream(a, m))
-    N = space.N
-    inv = np.array(space._inv, dtype=np.int64)
-    acc = 0
-    for chi, syms in walks.items():
-        uv = np.fromiter(chain.from_iterable(syms), np.int64, 2 * len(syms)) % N
-        acc = acc + chi * np.bincount(p1_index(uv[0::2], uv[1::2], N, inv), minlength=N + 1)
-    red = space.reduction.entries
-    k = space.reduction.cols
-    coords = [0] * k
-    for i, c in enumerate(acc.tolist()):
-        if c:
-            row = red[i]
-            for j in range(k):
-                coords[j] += c * row[j]
-    rel = IntMatrix.from_rows([coords])
-    bd = rel * space.boundary
-    if any(bd.entries[0]):
+    counts = _theta_counts(D, space.N, space._inv)
+    rel = _bounded_mul(IntMatrix.from_rows([counts.tolist()]), space.reduction)
+    if any((rel * space.boundary).entries[0]):
         raise ValueError("theta chain has nonzero boundary")
-    in_m = solve_left(space.cuspidal_basis, rel)
-    return ThetaElement(D=D, coords=tuple(in_m.entries[0]), sign=1 if D > 0 else -1)
+    in_m = solve_by_inverse(space.cuspidal_basis, space.cuspidal_inverse, rel)
+    return ThetaElement(D=D, coords=in_m.entries[0], sign=1 if D > 0 else -1)

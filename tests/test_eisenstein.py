@@ -13,7 +13,8 @@ from eistheta.eisenstein import (
     p_local_valuation,
     theta_valuation,
 )
-from eistheta.modsym import build_space, theta_element
+from eistheta.modsym import ThetaElement, build_space, theta_element
+from eistheta.quadfield import validate_discriminant
 
 rng = random.Random(771561)
 
@@ -176,3 +177,40 @@ def test_alpha_kills_theta_elements():
 def test_alpha_rejects_bad_denominator():
     with pytest.raises(ValueError):
         alpha_check(CTX11, [(1, 22)])
+
+
+def _oracle_valuation(ctx, x):
+    """Largest n <= n_max + 1 with x in W_1 .. W_n locally at p, by
+    honest integer solves."""
+    val = 0
+    while val <= ctx.n_max and _brute_member(ctx, val + 1, x):
+        val += 1
+    return val
+
+
+@pytest.mark.parametrize("N", [11, 31, 211])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_theta_valuation_matches_solve_oracle(N, sign):
+    # the left-inverse route against solve_left on the signed basis, then
+    # against the residue table and the brute-force membership chain
+    space = {11: SP11, 31: SP31}.get(N) or build_space(N)
+    ctx = {(11, 1): CTX11, (31, 1): CTX31}.get((N, sign)) or build_context(space, 5, sign=sign)
+    basis = space.plus_basis if sign > 0 else space.minus_basis
+    ds = []
+    while len(ds) < 8:
+        D = sign * rng.randrange(3, 1500)
+        if validate_discriminant(D, N, 5, want_split=sign > 0) and D not in ds:
+            ds.append(D)
+    for D in ds:
+        th = theta_element(space, D)
+        x = list(solve_left(basis, IntMatrix.from_rows([list(th.coords)])).entries[0])
+        val = theta_valuation(ctx, th)
+        assert val == p_local_valuation(ctx, x) == _oracle_valuation(ctx, x), (N, D)
+
+
+def test_theta_valuation_refuses_vectors_outside_the_sign_lattice():
+    plus, minus = SP31.plus_basis.entries, SP31.minus_basis.entries
+    outside = (minus[0], [a + b for a, b in zip(plus[0], minus[1])])
+    for coords in outside:
+        with pytest.raises(ValueError, match="row span"):
+            theta_valuation(CTX31, ThetaElement(D=13, coords=tuple(coords), sign=1))

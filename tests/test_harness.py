@@ -7,7 +7,9 @@ sweep row exercises the quadratic-field, modular-symbol, Eisenstein
 and Selmer modules together.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from eistheta.harness import (
     load_context,
     report_to_csv,
     report_to_json,
+    row_function,
     save_context,
     sweep_even,
     sweep_odd,
@@ -133,6 +136,27 @@ def test_rows_do_not_depend_on_jobs(pairs, lo, width, even):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_row_functions_refuse_inadmissible_discriminants(pairs):
+    # 11 splits in Q(sqrt -7), 5 | -15 and 5 | 5, 13 and -3 are the wrong
+    # sign, 44 = 4 * 11 is not prime to N
+    for sign, case, bad in ((1, "split", (-7, 5, 44, -3)), (-1, "inert", (-7, -15, 13))):
+        row = row_function(pairs[sign][1])
+        for D in bad:
+            with pytest.raises(ValueError, match=f"invalid discriminant for the {case} case"):
+                row(D)
+    assert row_function(pairs[1][1])(12) == EVEN_REPORT.rows[0]
+    assert row_function(pairs[-1][1])(-47) == ODD_REPORT.rows[0]
+
+
+def test_sweep_bytes_match_the_benchmark_reference():
+    # the benchmark's pinned CSV for its seed-0 window, read, never written
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+                     .read_text())["sweep-even-211"]["1-3000"]
+    csv = report_to_csv(sweep_even(211, 5, 1, 3000))
+    assert csv.count("\n") - 1 == ref["rows"] == 371
+    assert hashlib.sha256(csv.encode()).hexdigest() == ref["sha256"]
+
+
 def test_sweep_input_validation():
     with pytest.raises(ValueError, match="prime"):
         sweep_even(12, 5, 1, 100)
@@ -224,6 +248,35 @@ def test_cache_rejects_tampered_payload(tmp_path):
     with pytest.raises(CacheIntegrityError, match="integrity"):
         load_context(path)
     assert issubclass(CacheIntegrityError, ValueError)
+
+
+def _resealed(path, edit):
+    """Rewrite a cache file with `edit` applied to its payload and the
+    checksum recomputed, as a consistent but wrong writer would."""
+    envelope = json.loads(path.read_text())
+    edit(envelope["payload"])
+    envelope["checksum"] = harness._checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+
+
+def test_cache_rechecks_structure_on_load(tmp_path):
+    space, ctx = _built_pair()
+    path = tmp_path / "ctx.json"
+
+    def swap_levels(payload):
+        w = payload["W"]
+        w[1], w[2] = w[2], w[1]
+
+    def bend_section(payload):
+        row = payload["space"]["section"][0]
+        row[0] = str(int(row[0]) + 1)
+
+    for edit, what in ((swap_levels, "W_2 is not inside W_1"),
+                       (bend_section, "not a right inverse")):
+        save_context(space, ctx, path)
+        _resealed(path, edit)
+        with pytest.raises(CacheIntegrityError, match=what):
+            load_context(path)
 
 
 # ---------------------------------------------------------------------------

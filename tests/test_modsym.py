@@ -6,15 +6,20 @@ does not divide the level) with exact rational arithmetic, so the
 Merel-family route is checked against the definition itself.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import eistheta
 from eistheta.exact_linalg import IntMatrix, kronecker, xgcd
 from eistheta.modsym import (
     HeckeOp,
+    _chi_table,
     build_space,
     family_counts,
     hecke,
@@ -22,9 +27,11 @@ from eistheta.modsym import (
     p1_index,
     path_to_chain,
     presentation,
+    solve_by_inverse,
     star_decompose,
     theta_element,
 )
+from eistheta.quadfield import is_fundamental
 
 rng = random.Random(60493)
 
@@ -354,22 +361,78 @@ def test_theta_twelve_pinned():
     assert [abs(x) for x in plus_coords.entries[0]] == [5]
 
 
+def _random_fundamental(N, lo, hi, k):
+    out = []
+    while len(out) < k:
+        D = rng.choice((1, -1)) * rng.randrange(lo, hi)
+        if is_fundamental(D) and D % N and D not in out:
+            out.append(D)
+    return out
+
+
 def test_theta_matches_sum_of_paths():
-    # loop reference for theta_element's vectorized symbol count: the
-    # chain is sum_a chi_D(a) {0, a/|D|}, each path reduced symbol by symbol
+    # loop reference for theta_element's vectorized walk: the chain is
+    # sum_a chi_D(a) {0, a/|D|}, each path reduced symbol by symbol, with
+    # chi_D from `kronecker`
+    cases = [(31, (12, 13, -3, -47, 1001, -1003, 8, -8, -4, 24, -24))]
+    cases.append((211, _random_fundamental(211, 3, 1200, 10)))
+    for N, ds in cases:
+        sp = build_space(N)
+        for D in ds:
+            m = abs(D)
+            rel = [0] * sp.reduction.cols
+            for a in range(1, m):
+                chi = kronecker(D, a)
+                if chi:
+                    for i, x in enumerate(path_to_chain(sp, a, m)):
+                        rel[i] += chi * x
+            th = theta_element(sp, D)
+            assert IntMatrix.from_rows([list(th.coords)]) * sp.cuspidal_basis == (
+                IntMatrix.from_rows([rel])
+            ), (N, D)
+
+
+def test_chi_table_matches_kronecker():
+    for m in range(3, 3001):
+        for D in (m, -m):
+            if is_fundamental(D):
+                assert _chi_table(D).tolist() == [kronecker(D, a) for a in range(m)], D
+
+
+def test_theta_walk_bound_survives_optimize():
+    # the walk's int64 bound is an explicit raise, so `python -O` keeps
+    # it; the stub spaces carry a level and no symbol data, so the bound
+    # must fire before any is read: a level past 2^31.5, and a prime
+    # D = 1 mod 4 past 2^31.5
+    code = (
+        "from types import SimpleNamespace\n"
+        "from eistheta.modsym import theta_element\n"
+        "for N, D in ((3037000537, 5), (11, 3037000537)):\n"
+        "    try:\n"
+        "        theta_element(SimpleNamespace(N=N, _inv=None), D)\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+        "    else:\n"
+        "        print('no error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["ValueError: theta walk: N or |D| too large for int64 arithmetic"] * 2
+
+
+def test_theta_refuses_vectors_outside_the_lattice():
+    # the left-inverse solve proves membership by multiplying back
     sp = build_space(31)
-    for D in (12, 13, -3, -47, 1001, -1003):
-        m = abs(D)
-        rel = [0] * sp.reduction.cols
-        for a in range(1, m):
-            chi = kronecker(D, a)
-            if chi:
-                for i, x in enumerate(path_to_chain(sp, a, m)):
-                    rel[i] += chi * x
-        th = theta_element(sp, D)
-        assert IntMatrix.from_rows([list(th.coords)]) * sp.cuspidal_basis == (
-            IntMatrix.from_rows([rel])
-        )
+    for v in ([0, 1, 0, 0, 0], [0, -2, 0, 0, 0], [3, -1, 4, 1, -5]):
+        with pytest.raises(ValueError, match="row span"):
+            solve_by_inverse(sp.cuspidal_basis, sp.cuspidal_inverse, IntMatrix.from_rows([v]))
+    th = theta_element(sp, 13)
+    rel = IntMatrix.from_rows([th.coords]) * sp.cuspidal_basis
+    assert solve_by_inverse(sp.cuspidal_basis, sp.cuspidal_inverse, rel).entries[0] == th.coords
 
 
 def test_theta_sign_matches_star():
