@@ -4,7 +4,9 @@ All heavy state is the (space, context) pair per (N, p); with
 --cache-dir the pair is saved after first construction and loaded on
 subsequent runs, refusing stale, corrupted or foreign cache files
 loudly.  --jobs N sweeps in N worker processes that reuse the built or
-loaded pair; the report is the serial one, byte for byte.
+loaded pair; the report is the serial one, byte for byte.  Reports go
+to stdout; `fixtures` also prints Merel's verdict on g_p >= 2 for each
+fixture to stderr, so stdout stays the table alone.
 """
 
 import argparse
@@ -12,7 +14,10 @@ import json
 import os
 import sys
 
+from .eisenstein import merel_criterion
 from .harness import (
+    FIXTURES_DEFAULT,
+    FIXTURES_LARGE,
     CacheMismatchError,
     build_pair,
     check_discriminant,
@@ -85,6 +90,12 @@ def _cmd_space(args, out):
 
 
 def _cmd_fixtures(args, out):
+    # Merel's criterion first, on stderr: an O(N) verdict on g_p >= 2 for
+    # every fixture before the minutes the large levels take
+    for N, p, want in FIXTURES_DEFAULT + (FIXTURES_LARGE if args.large else ()):
+        verdict = "true" if merel_criterion(N, p) else "false"
+        print(f"merel: N={N} p={p} g_p>=2 {verdict} (fixture expects g_p={want})",
+              file=sys.stderr)
     rows = fixture_rows(large=args.large)
     ok = True
     if args.format == "json":

@@ -4,15 +4,30 @@ At prime level N with p dividing N - 1 exactly once, the Eisenstein
 ideal I is generated (after Sturm-bound truncation) by T_l - l - 1 for
 primes l up to ceil((N+1)/6) together with U_N - 1.  Restricting those
 operators to M^+ or M^- gives a descending chain of finite-index
-sublattices W_n = I^n M^{+-}, computed as exact Hermite normal forms.
-The Smith form of each W_n then turns membership questions "x in W_n
-up to prime-to-p index" into coordinate-wise divisibility tests, which
-is how local-at-p valuations of theta elements are read off.
+sublattices W_n = I^n M^{+-}.  The Smith form of each W_n then turns
+membership questions "x in W_n up to prime-to-p index" into
+coordinate-wise divisibility tests, which is how local-at-p valuations
+of theta elements are read off.
+
+W_{n+1} is spanned by the rows of W_n @ eta over the generators eta,
+formed as int64 products, and its Hermite form is computed modulo a
+proven multiple D_{n+1} of its index (`hnf_mod`), so no entry outgrows
+D_{n+1}.  The modulus: W_n @ eta lies in W_{n+1} for every generator,
+so [M^sign : W_{n+1}] divides [M^sign : W_n @ eta] = det(W_n) |det eta|
+for each one, hence divides D_{n+1} = det(W_n) * G with G the gcd of
+|det eta| over the first three generators.  eta_2 = T_2 - 3 is
+nonsingular, because every eigenvalue a_2 of T_2 on cusp forms has
+|a_2| <= 2 sqrt 2 < 3 (Ramanujan-Petersson), so G != 0.  The Sturm
+saturation check computes W_1 again with three more generators, modulo
+G (det W_0 = 1).
+
+`merel_criterion` decides g_p >= 2 from N and p alone, as an oracle
+independent of both the exact and the mod-p routes.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 import numpy as np
@@ -20,12 +35,14 @@ import numpy as np
 from .exact_linalg import (
     IntMatrix,
     LogMap,
-    hnf,
+    as_int64,
+    det,
+    hnf_mod,
     is_prime,
     log_to_p,
+    mul_int64,
     primes_up_to,
     snf,
-    solve_left,
     vp,
 )
 from .modp import cut
@@ -114,31 +131,26 @@ def build_context(space, p, n_max=3, sign=1):
     sturm = -(-(N + 1) // 6)
     gens = [generator(ell, ell + 1) for ell in primes_up_to(sturm) if ell != N]
     gens.append(generator(N, 1))
-    g = gens[0].rows
+    etas = [as_int64(m) for m in gens]
+    unit = gcd(*(det(m) for m in gens[:3]))
+    if not unit:
+        raise ValueError("Eisenstein generators are all singular")
 
-    def step(basis_rows, ops):
-        stacked = [
-            list(row)
-            for op in ops
-            for row in (IntMatrix.from_rows(basis_rows) * op).entries
-        ]
-        h = hnf(IntMatrix.from_rows(stacked))
-        rows = [list(r) for r in h.entries if any(r)]
-        if len(rows) != g:
-            raise ValueError("Eisenstein sublattice dropped rank")
-        return rows
+    def step(w, ops, modulus):
+        w = as_int64(w)
+        return hnf_mod(np.concatenate([mul_int64(w, op) for op in ops]), modulus)
 
-    ident = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
-    w_rows = [ident]
+    ident = np.eye(gens[0].rows, dtype=np.int64)
+    ws = [ident]
     for _ in range(n_max + 1):
-        w_rows.append(step(w_rows[-1], gens))
+        ws.append(step(ws[-1], etas, prod(map(int, np.diagonal(ws[-1]))) * unit))
 
     # Sturm saturation check: three more Hecke primes must not shrink W_1
-    extra = [generator(q, q + 1) for q in _next_primes(max(N, sturm), 3)]
-    if step(ident, gens + extra) != w_rows[1]:
+    extra = [as_int64(generator(q, q + 1)) for q in _next_primes(max(N, sturm), 3)]
+    if not np.array_equal(step(ident, etas + extra, unit), ws[1]):
         raise ValueError("Sturm-bound generator set failed saturation check")
 
-    w_mats = tuple(IntMatrix.from_rows(r) for r in w_rows)
+    w_mats = tuple(IntMatrix.from_rows(w.tolist()) for w in ws)
     smiths = tuple(WSmith(sd.diag, sd.right) for sd in map(snf, w_mats))
     es = tuple(max(vp(d, p) for d in sd.diag) for sd in smiths)
     return EisensteinContext(
@@ -175,13 +187,9 @@ def theta_valuation(ctx, theta):
     """Valuation of a theta element against the context's sign chain."""
     if theta.sign != ctx.sign:
         raise ValueError("theta element has the wrong star sign")
-    space = ctx.space
-    if ctx.sign > 0:
-        basis, inverse = space.plus_basis, space.plus_inverse
-    else:
-        basis, inverse = space.minus_basis, space.minus_inverse
-    coords = solve_by_inverse(basis, inverse, IntMatrix.from_rows([theta.coords]))
-    return p_local_valuation(ctx, coords.entries[0])
+    basis, inverse = ctx.space.signed_int64(ctx.sign)
+    coords = solve_by_inverse(basis, inverse, as_int64([theta.coords]))
+    return p_local_valuation(ctx, coords[0].tolist())
 
 
 def g_p_dimension(ctx):
@@ -199,6 +207,18 @@ def g_p_dimension(ctx):
         # the generators already have their eigenvalue subtracted
         rows, cols = cut(rows, cols, rows @ a % p, 0, p)
     return rows.shape[0]
+
+
+def merel_criterion(N, p):
+    """Merel's criterion (J. reine angew. Math. 477, 1996): g_p >= 2 iff
+    prod_{k=1}^{(N-1)/2} k^k is a p-th power mod N, that is, iff its
+    (N-1)/p-th power is 1 mod N.  (N-1)/2 modular powers, sharing no
+    code with the exact or the mod-p route."""
+    check_pair(N, p)
+    acc = 1
+    for k in range(1, (N - 1) // 2 + 1):
+        acc = acc * pow(k, k, N) % N
+    return pow(acc, (N - 1) // p, N) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +252,17 @@ def alpha_check(ctx, samples, logmap=None):
         raise ValueError("alpha lives on the plus part")
     lm = logmap if logmap is not None else ctx.logmap
     space = ctx.space
+    cusp, cusp_inv = space.int64("cuspidal_basis"), space.int64("cuspidal_inverse")
+    plus, plus_inv = space.signed_int64(1)
     inv2 = pow(2, -1, ctx.p)
     pairs = []
     for b, d in samples:
         if gcd(d, space.N) != 1:
             raise ValueError("sample denominator shares a factor with N")
-        chain = IntMatrix.from_rows([list(path_to_chain(space, b, d))])
-        x = solve_left(space.cuspidal_basis, chain)
-        sym = x + x * space.star
-        y = solve_left(space.plus_basis, sym)
-        val = _alpha_of_plus_vector(ctx, list(y.entries[0])) * inv2 % ctx.p
+        x = solve_by_inverse(cusp, cusp_inv, as_int64([path_to_chain(space, b, d)]))
+        sym = x + mul_int64(x, space.int64("star"))
+        y = solve_by_inverse(plus, plus_inv, sym)
+        val = _alpha_of_plus_vector(ctx, y[0].tolist()) * inv2 % ctx.p
         pairs.append((val, log_to_p(d, lm)))
     if all(ld == 0 for _, ld in pairs):
         raise ValueError("uninformative samples")

@@ -1,15 +1,20 @@
 """Exact integer linear algebra and modular arithmetic primitives.
 
-Everything downstream (modular symbols, lattice filtrations, quadratic
-fields) runs on arbitrary-precision integers; nothing here ever rounds.
-Normal forms are computed by fraction-free integer elimination with
+Nothing here ever rounds.  `IntMatrix` and its normal forms run on
+arbitrary-precision integers, by fraction-free integer elimination with
 partial pivoting on the entry of least absolute value, which keeps
 intermediate growth tame at the matrix sizes we care about (a few
-hundred rows at most).
+hundred rows at most).  The hot paths run on int64 numpy arrays
+instead, each under a bound that proves no entry can overflow:
+`mul_int64` raises when its bound fails, and `hnf_mod`, whose entries
+stay below its modulus, switches to Python ints (dtype=object) on the
+same code when the modulus is too large for int64.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +36,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, data):
-        data = [tuple(int(x) for x in row) for row in data]
+        data = [tuple(map(int, row)) for row in data]
         return cls(len(data), len(data[0]), tuple(data))
 
     @classmethod
@@ -295,6 +300,101 @@ def solve_left(B: IntMatrix, C: IntMatrix) -> IntMatrix:
             raise ValueError("vector is not in the row span")
         xs.append(coeff)
     return IntMatrix.from_rows(xs) * u
+
+
+def det(A) -> int:
+    """Exact determinant of a square integer matrix (an IntMatrix or an
+    array), by Bareiss's fraction-free elimination on Python ints: every
+    intermediate entry is a minor of A, and each division is exact."""
+    m = np.array(A.entries if isinstance(A, IntMatrix) else A, dtype=object)
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        nz = np.flatnonzero(m[k:, k] != 0)
+        if not len(nz):
+            return 0
+        if nz[0]:
+            m[[k, k + nz[0]]] = m[[k + nz[0], k]]
+            sign = -sign
+        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * m[k, k]
+                             - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        prev = m[k, k]
+    return sign * int(m[-1, -1])
+
+
+def hnf_mod(rows, D):
+    """Canonical row Hermite form, as a g x g array, of the lattice
+    spanned by `rows` (an m x g integer array) and D * Z^g, for D >= 1.
+    When D is a multiple of the index of the row lattice of `rows` in
+    Z^g, that lattice contains D * Z^g, so this is its Hermite form.
+
+    Hermite form modulo D (Domich-Kannan-Trotter, Math. Oper. Res. 12,
+    1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.4.8).  Column by column, Euclid down the column (pivoting on the
+    least entry) leaves one live row r with entry a, and one xgcd
+    u*a + v*D = d folds D e_j in: the unimodular change of (r, D e_j) to
+    (u r + v D e_j, (D/d) r - (a/d) D e_j) gives the pivot row u*r, pivot
+    d, and a row (D/d) r that stays live; every row is reduced mod D,
+    which adding multiples of D e_c does.  The entries above the pivots
+    are then reduced column by column, also mod D (each pivot divides
+    D).  Every entry stays in [0, D) and no intermediate exceeds 2 D^2 in
+    size, so the work is in int64 while 2 D^2 < 2^63 and in Python ints
+    (dtype=object) otherwise, by the same code."""
+    if D < 1:
+        raise ValueError("the modulus must be positive")
+    dtype = np.int64 if 2 * D * D < 2**63 else object
+    a = np.asarray(rows)
+    a = ((a if a.dtype == dtype else a.astype(object)) % D).astype(dtype, copy=False)
+    g = a.shape[1]
+    h = np.zeros((g, g), dtype=dtype)
+    for j in range(g):
+        # `a` holds the live rows on columns j.., all zero before column j
+        while True:
+            nz = np.flatnonzero(a[:, 0] != 0)
+            if len(nz) < 2:
+                break
+            k = nz[np.argmin(a[nz, 0])]
+            q = a[nz, 0] // a[k, 0]
+            q[nz == k] = 0
+            a[nz] = (a[nz] - q[:, None] * a[k]) % D
+        if not len(nz):
+            h[j, j] = D
+            a = a[:, 1:]
+            continue
+        r = a[nz[0]]
+        d, u, _ = xgcd(int(r[0]), D)
+        h[j, j:] = u * r % D  # pivot u*a = d mod D, and d < D
+        a = np.vstack([np.delete(a, nz, axis=0), D // d * r % D])[:, 1:]
+        a = a[(a != 0).any(axis=1)]
+    for j in range(1, g):
+        q = h[:j, j] // h[j, j]
+        h[:j, j:] = (h[:j, j:] - q[:, None] * h[j, j:]) % D
+    return h
+
+
+def as_int64(M):
+    """int64 array of an IntMatrix (or of any integer array-like);
+    raises ValueError if an entry does not fit."""
+    try:
+        return np.array(M.entries if isinstance(M, IntMatrix) else M, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("matrix entry does not fit in int64") from None
+
+
+def mul_int64(a, b):
+    """Exact product a @ b of int64 arrays: raises ValueError unless
+    max|a| * max|b| * (inner dimension) < 2^63, which bounds every
+    partial sum of every entry, in any order.  Below 2^53 the product
+    runs in float64 BLAS, where all those sums are exact integers."""
+    bound = 0
+    if a.size and b.size:
+        bound = (max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+                 * a.shape[1])
+    if bound >= 2**63:
+        raise ValueError("int64 product bound exceeded")
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    return a @ b
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from math import prod
+
+import numpy as np
 
 from .eisenstein import (
     EisensteinContext,
@@ -28,10 +31,9 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuation,
 )
-from .exact_linalg import IntMatrix, LogMap, solve_left
+from .exact_linalg import IntMatrix, LogMap, hnf_mod, mul_int64
 from .modsym import (
     ModularSymbolSpace,
-    _bounded_mul,
     build_space,
     check_pair,
     theta_element,
@@ -291,17 +293,30 @@ def save_context(space, ctx, path):
 
 def _check_structure(space, ctx):
     """The cheap invariants a cache file cannot fake by its checksum:
-    section * reduction = I, and W_{n+1} inside W_n at every level."""
-    k = space.reduction.cols
-    if _bounded_mul(space.relation_kernel_basis, space.reduction) != IntMatrix.identity(k):
+    section * reduction = I (the section vanishes off its support S, so
+    this is section[:, S] * reduction[S] = I), and each W_n a Hermite
+    basis holding W_{n+1}."""
+    try:
+        support, sec_s = space.section_support
+        right_inverse = np.array_equal(mul_int64(sec_s, space.int64("reduction")[support]),
+                                       np.eye(space.reduction.cols))
+    except ValueError:  # an entry or the product leaves int64
+        right_inverse = False
+    if not right_inverse:
         raise CacheIntegrityError("cache integrity check failed: the section is not "
                                   "a right inverse of the reduction")
     for n in range(len(ctx.W) - 1):
+        # a Hermite basis W_n of index d gives itself back from hnf_mod of
+        # W_n and W_{n+1} modulo d exactly when W_{n+1} lies inside it
+        w = ctx.W[n].entries
+        d = prod(w[i][i] for i in range(len(w))) if len(w) == len(w[0]) else 0
         try:
-            solve_left(ctx.W[n], ctx.W[n + 1])
-        except ValueError:
-            raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} "
-                                      f"is not inside W_{n}") from None
+            inside = d > 0 and hnf_mod(w + ctx.W[n + 1].entries, d).tolist() == list(map(list, w))
+        except ValueError:  # the two levels differ in width
+            inside = False
+        if not inside:
+            raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
+                                      f"inside W_{n}, or W_{n} is not a Hermite basis")
 
 
 def load_context(path):

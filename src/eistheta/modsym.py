@@ -18,9 +18,15 @@ for l = N the same family computes U_N once the symbols that die on
 P^1 (image (0:0)) are dropped.  `family_counts` is that action, shared
 with the mod-p route; `hecke` applies it only to the symbols in the
 support of the section, the only ones the operator on M_rel reads.
-Products with the integer reduction and section matrices go through
-int64 matrix multiplication when a proven bound certifies no overflow,
-with a big-integer fallback.
+
+The fixed matrices of a space (reduction, section on its support,
+boundary, cuspidal and signed bases, and integral left inverses of the
+bases) have int64 copies, made on first use and never written to a
+cache file.  Products with them run in int64 under `mul_int64`'s bound,
+which raises rather than overflow.  A solve x @ B = v is v @ L for a
+left inverse L of B, proven by multiplying back (`solve_by_inverse`);
+`hecke` and `restrict_to_sign` solve that way, and only their g x g
+results become `IntMatrix`es.
 
 The theta element of D is the chain sum_a chi_D(a) {0, a/|D|}.  Its
 symbol counts come from one vectorized pass: chi_D for every a < |D|
@@ -28,9 +34,8 @@ as a product of the characters of the prime discriminants dividing D,
 then the continued-fraction walks of all a with chi_D(a) != 0 in one
 lockstep Euclid loop, each step's symbols (q_k : +-q_{k-1}) counted by
 two `bincount`s, one per value of chi_D.  The counts go through the
-reduction to M_rel, and into the cuspidal (and later the signed) basis
-by a left inverse of that basis derived once per space, each solution
-proven by multiplying it back.  `path_to_chain` is the one-path form.
+int64 reduction to M_rel, and into the cuspidal (and later the signed)
+basis by `solve_by_inverse`.  `path_to_chain` is the one-path form.
 """
 
 from dataclasses import dataclass, field
@@ -41,12 +46,13 @@ import numpy as np
 
 from .exact_linalg import (
     IntMatrix,
+    as_int64,
     factorize,
     is_prime,
     left_inverse,
     left_kernel,
+    mul_int64,
     snf,
-    solve_left,
     unimodular_inverse,
 )
 from .quadfield import is_fundamental
@@ -230,6 +236,31 @@ class ModularSymbolSpace:
     def minus_inverse(self):
         return left_inverse(self.minus_basis)
 
+    def int64(self, name):
+        """Read-only int64 copy of the matrix attribute `name` (a field or
+        one of the inverses above), made on first use and, like them,
+        never written to a cache file."""
+        cache = self.__dict__.setdefault("_int64", {})
+        if name not in cache:
+            cache[name] = as_int64(getattr(self, name))
+            cache[name].flags.writeable = False
+        return cache[name]
+
+    def signed_int64(self, sign):
+        """int64 (basis, left inverse) of M^+ (sign > 0) or M^-."""
+        side = "plus" if sign > 0 else "minus"
+        return self.int64(f"{side}_basis"), self.int64(f"{side}_inverse")
+
+    @cached_property
+    def section_support(self):
+        """(S, section[:, S]): the symbols the section reads, and its int64
+        columns there; the section vanishes on every other symbol."""
+        sec = self.relation_kernel_basis.entries
+        support = [j for j, col in enumerate(zip(*sec)) if any(col)]
+        sec_s = as_int64([[row[j] for j in support] for row in sec])
+        sec_s.flags.writeable = False
+        return support, sec_s
+
 
 @dataclass(frozen=True)
 class HeckeOp:
@@ -275,18 +306,19 @@ def build_space(N):
     for jj, j in enumerate(free):
         for v in range(nvars):
             section[jj][pres.reps[v]] = vinv.entries[j][v]
-    red_m = IntMatrix.from_rows(reduction)
-    sec_m = IntMatrix.from_rows(section)
-    if sec_m * red_m != IntMatrix.identity(k):
+    sec, red = as_int64(section), as_int64(reduction)
+    if not np.array_equal(mul_int64(sec, red), np.eye(k)):
         raise ValueError("section is not a right inverse of the reduction")
 
-    boundary = sec_m * IntMatrix.from_rows(pres.boundary)
+    boundary = IntMatrix.from_rows(mul_int64(sec, as_int64(pres.boundary)).tolist())
 
     cusp_rows = left_kernel(boundary)
     cuspidal = IntMatrix.from_rows(cusp_rows)
 
-    star_rel = sec_m * IntMatrix.from_rows([reduction[j] for j in pres.iota])
-    star_m = solve_left(cuspidal, cuspidal * star_rel)
+    cusp = as_int64(cuspidal)
+    star_rel = mul_int64(sec, red[list(pres.iota)])
+    star_m = IntMatrix.from_rows(solve_by_inverse(
+        cusp, as_int64(left_inverse(cuspidal)), mul_int64(cusp, star_rel)).tolist())
     plus, minus = star_decompose(star_m)
     genus = cuspidal.rows // 2
     if cuspidal.rows != 2 * genus or k != 2 * genus + 1:
@@ -296,8 +328,8 @@ def build_space(N):
 
     return ModularSymbolSpace(
         N=N,
-        relation_kernel_basis=sec_m,
-        reduction=red_m,
+        relation_kernel_basis=IntMatrix.from_rows(section),
+        reduction=IntMatrix.from_rows(reduction),
         boundary=boundary,
         cuspidal_basis=cuspidal,
         star=star_m,
@@ -398,25 +430,13 @@ def family_counts(symbols, fam, N, inv):
     return counts.reshape(-1, n)[:, :N + 1]
 
 
-def _bounded_mul(A, B):
-    """Exact product of integer matrices, via int64 BLAS when a proven
-    bound rules out overflow, else arbitrary precision."""
-    try:
-        a, b = (np.array(M.entries, dtype=np.int64) for M in (A, B))
-    except OverflowError:
-        return A * B
-    amax, bmax = (max(int(m.max()), -int(m.min())) for m in (a, b))
-    if amax * bmax * B.rows < 2**62:
-        return IntMatrix.from_rows((a @ b).tolist())
-    return A * B
-
-
 def solve_by_inverse(B, L, v):
-    """The x with x*B = v, read off as v*L through a left inverse L of B
-    (B*L = I) and proven by multiplying back; like `solve_left`, raises
-    ValueError if some row of v is outside the row lattice of B."""
-    x = _bounded_mul(v, L)
-    if _bounded_mul(x, B) != v:
+    """The x with x @ B = v, for int64 arrays, read off as v @ L through
+    a left inverse L of B (B @ L = I) and proven by multiplying back;
+    like `solve_left`, raises ValueError if some row of v is outside the
+    row lattice of B."""
+    x = mul_int64(v, L)
+    if not np.array_equal(mul_int64(x, B), v):
         raise ValueError("vector is not in the row span")
     return x
 
@@ -424,25 +444,26 @@ def solve_by_inverse(B, L, v):
 def hecke(space, ell):
     """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
     lattice (computed on Manin symbols through Merel's family).  Only
-    the symbols in the support of the section are acted on: the
-    operator on M_rel is section[:, S] * (counts * reduction)."""
+    the symbols S in the support of the section are acted on: the
+    operator on M_rel is section[:, S] @ counts @ reduction, and on M it
+    is read off through the cuspidal basis's left inverse, all in int64
+    under `mul_int64`'s bound."""
     if not is_prime(ell):
         raise ValueError("Hecke index must be prime")
-    sec = space.relation_kernel_basis
-    support = [j for j, col in enumerate(zip(*sec.entries)) if any(col)]
+    support, sec_s = space.section_support
     counts = family_counts([space.generators[j] for j in support],
                            merel_matrices(ell), space.N, space._inv)
-    sec_s = IntMatrix.from_rows([[row[j] for j in support] for row in sec.entries])
-    hred = _bounded_mul(IntMatrix.from_rows(counts.tolist()), space.reduction)
-    t_rel = _bounded_mul(sec_s, hred)
-    t_m = solve_left(space.cuspidal_basis, space.cuspidal_basis * t_rel)
-    return HeckeOp(index=ell, matrix=t_m)
+    t_rel = mul_int64(sec_s, mul_int64(counts, space.int64("reduction")))
+    cusp = space.int64("cuspidal_basis")
+    t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))
+    return HeckeOp(index=ell, matrix=IntMatrix.from_rows(t_m.tolist()))
 
 
 def restrict_to_sign(space, op_matrix, sign):
     """Restrict an operator on M (cuspidal coordinates) to M^+ or M^-."""
-    basis = space.plus_basis if sign > 0 else space.minus_basis
-    return solve_left(basis, basis * op_matrix)
+    basis, inverse = space.signed_int64(sign)
+    x = solve_by_inverse(basis, inverse, mul_int64(basis, as_int64(op_matrix)))
+    return IntMatrix.from_rows(x.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +566,8 @@ def theta_element(space, D):
     if abs(D) <= 1 or not is_fundamental(D) or gcd(D, space.N) != 1:
         raise ValueError("need a fundamental discriminant prime to N")
     counts = _theta_counts(D, space.N, space._inv)
-    rel = _bounded_mul(IntMatrix.from_rows([counts.tolist()]), space.reduction)
-    if any((rel * space.boundary).entries[0]):
+    rel = mul_int64(counts[None, :], space.int64("reduction"))
+    if mul_int64(rel, space.int64("boundary")).any():
         raise ValueError("theta chain has nonzero boundary")
-    in_m = solve_by_inverse(space.cuspidal_basis, space.cuspidal_inverse, rel)
-    return ThetaElement(D=D, coords=in_m.entries[0], sign=1 if D > 0 else -1)
+    in_m = solve_by_inverse(space.int64("cuspidal_basis"), space.int64("cuspidal_inverse"), rel)
+    return ThetaElement(D=D, coords=tuple(in_m[0].tolist()), sign=1 if D > 0 else -1)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eistheta import harness
+from eistheta import cli, harness
 from eistheta.cli import main
 
 
@@ -99,6 +99,26 @@ def test_fixtures_command(capsys):
     assert code == 0
     assert out.splitlines()[0] == "N,p,expected,computed,ok"
     assert "11,5,1,1,true" in out
+
+
+def test_fixtures_print_merel_on_stderr(capsys, monkeypatch):
+    # stdout is the fixture table alone; Merel's verdict on g_p >= 2 goes
+    # to stderr, one line per fixture, before the table is computed
+    code, out, err = _run(capsys, "fixtures")
+    assert code == 0
+    assert out == "N,p,expected,computed,ok\n11,5,1,1,true\n31,5,2,2,true\n211,5,2,2,true\n"
+    assert err.splitlines() == [
+        "merel: N=11 p=5 g_p>=2 false (fixture expects g_p=1)",
+        "merel: N=31 p=5 g_p>=2 true (fixture expects g_p=2)",
+        "merel: N=211 p=5 g_p>=2 true (fixture expects g_p=2)",
+    ]
+    # --large without its minutes: the table is stubbed, the verdicts are not
+    monkeypatch.setattr(cli, "fixture_rows", lambda large: [])
+    code, out, err = _run(capsys, "fixtures", "--large")
+    assert (code, out) == (0, "N,p,expected,computed,ok\n")
+    assert err.splitlines()[3:] == [
+        f"merel: N={N} p=5 g_p>=2 true (fixture expects g_p=2)" for N in (1871, 4621, 9931)
+    ]
 
 
 @pytest.mark.parametrize("command, dmin, dmax", [("sweep-even", "1", "300"),

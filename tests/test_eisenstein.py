@@ -4,16 +4,34 @@ import random
 
 import pytest
 
-from eistheta.exact_linalg import IntMatrix, LogMap, solve_left
+from eistheta.exact_linalg import (
+    IntMatrix,
+    LogMap,
+    hnf,
+    primes_up_to,
+    snf,
+    solve_left,
+    vp,
+)
 from eistheta.eisenstein import (
     _alpha_of_plus_vector,
     alpha_check,
     build_context,
     g_p_dimension,
+    merel_criterion,
     p_local_valuation,
     theta_valuation,
 )
-from eistheta.modsym import ThetaElement, build_space, theta_element
+from eistheta.harness import FIXTURES_LARGE
+from eistheta.modsym import (
+    ThetaElement,
+    build_space,
+    family_counts,
+    hecke,
+    merel_matrices,
+    restrict_to_sign,
+    theta_element,
+)
 from eistheta.quadfield import validate_discriminant
 
 rng = random.Random(771561)
@@ -214,3 +232,85 @@ def test_theta_valuation_refuses_vectors_outside_the_sign_lattice():
     for coords in outside:
         with pytest.raises(ValueError, match="row span"):
             theta_valuation(CTX31, ThetaElement(D=13, coords=tuple(coords), sign=1))
+
+
+# ---------------------------------------------------------------------------
+# the filtration against the stacked-HNF route and the good-prime oracle
+
+SP211 = build_space(211)
+
+
+def _stacked_filtration(space, p, n_max, sign):
+    """(generators, W, SNF diagonals, e) by the route the modular HNF
+    replaced: each Hecke operator and its restriction solved by
+    `solve_left` in IntMatrix arithmetic, and each W_{n+1} the full
+    `hnf` of the stacked products W_n * eta."""
+    sec = space.relation_kernel_basis
+    support = [j for j, col in enumerate(zip(*sec.entries)) if any(col)]
+    sec_s = IntMatrix.from_rows([[row[j] for j in support] for row in sec.entries])
+    basis = space.plus_basis if sign > 0 else space.minus_basis
+    cusp = space.cuspidal_basis
+
+    def generator(ell, eigen):
+        counts = family_counts([space.generators[j] for j in support],
+                               merel_matrices(ell), space.N, space._inv)
+        t_rel = sec_s * (IntMatrix.from_rows(counts.tolist()) * space.reduction)
+        t = solve_left(basis, basis * solve_left(cusp, cusp * t_rel))
+        return IntMatrix.from_rows([[x - (eigen if i == j else 0) for j, x in enumerate(row)]
+                                    for i, row in enumerate(t.entries)])
+
+    N = space.N
+    gens = [generator(ell, ell + 1) for ell in primes_up_to(-(-(N + 1) // 6)) if ell != N]
+    gens.append(generator(N, 1))
+    w = [IntMatrix.identity(space.genus)]
+    for _ in range(n_max + 1):
+        h = hnf(IntMatrix.from_rows([row for op in gens for row in (w[-1] * op).entries]))
+        w.append(IntMatrix.from_rows([r for r in h.entries if any(r)]))
+    diags = [snf(m).diag for m in w]
+    return gens, w, diags, [max(vp(d, p) for d in diag) for diag in diags]
+
+
+@pytest.mark.parametrize("N", [11, 31, 211])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_filtration_matches_stacked_hnf_oracle(N, sign):
+    space = {11: SP11, 31: SP31, 211: SP211}[N]
+    ctx = build_context(space, 5, sign=sign)
+    gens, w, diags, e = _stacked_filtration(space, 5, ctx.n_max, sign)
+    assert ctx.eis_generators == tuple(gens)
+    assert ctx.W == tuple(w)
+    assert [sd.diag for sd in ctx.snf_of_W] == diags
+    assert list(ctx.e) == e
+
+
+def _p_parts(diag, p):
+    return sorted(v for v in (vp(d, p) for d in diag) if v)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_good_primes_generate_the_filtration_locally(sign):
+    # Mazur (1977, II.16): locally at p, I^n is generated by eta_l^n for a
+    # good prime l (l != N, l not a p-th power mod N, l != 1 mod p), so the
+    # p-parts of the Smith forms of eta_l^n and of W_n agree; at N = 211
+    # the primes 11 and 31 (= 1 mod 5) are not good, and differ
+    N, p = 211, 5
+    ctx = build_context(SP211, p, sign=sign)
+    good = []
+    for ell in primes_up_to(40):
+        eta = restrict_to_sign(SP211, hecke(SP211, ell).matrix, sign) - IntMatrix.from_rows(
+            [[ell + 1 if i == j else 0 for j in range(SP211.genus)] for i in range(SP211.genus)])
+        is_good = ell != N and pow(ell, (N - 1) // p, N) != 1 and ell % p != 1
+        power = eta
+        for n in range(1, 5):
+            same = _p_parts(snf(power).diag, p) == _p_parts(ctx.snf_of_W[n].diag, p)
+            assert same == is_good, (ell, n)
+            power = power * eta
+        good.append(is_good)
+    assert good.count(False) == 2
+
+
+def test_merel_criterion_at_the_large_fixtures():
+    for N, p, want in FIXTURES_LARGE:
+        assert merel_criterion(N, p) == (want >= 2)
+    assert merel_criterion(31, 5) and not merel_criterion(11, 5)
+    with pytest.raises(ValueError, match="hypothesis"):
+        merel_criterion(101, 5)

@@ -1,18 +1,28 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import permutations
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eistheta
 from eistheta.exact_linalg import (
     IntMatrix,
     LogMap,
+    det,
     factorize,
     hnf,
+    hnf_mod,
     hnf_with_transform,
     is_prime,
     kronecker,
     left_kernel,
     log_to_p,
+    mul_int64,
     primes_up_to,
     snf,
     solve_left,
@@ -95,6 +105,124 @@ def test_hnf_zero_rows_at_bottom_and_reduced_off_pivots():
     for i, j in pivots:
         for k in range(i):
             assert 0 <= h.entries[k][j] < h.entries[i][j]
+
+
+# ---------------------------------------------------------------------------
+# Hermite form modulo D, against the stacked `hnf` oracle
+
+def _stacked_hnf(rows, D):
+    """The g x g Hermite form of rows + D * Z^g, by the full `hnf` of the
+    rows stacked on D * I."""
+    g = len(rows[0])
+    stacked = [list(r) for r in rows] + [[D if i == j else 0 for j in range(g)]
+                                         for i in range(g)]
+    return [list(r) for r in hnf(IntMatrix.from_rows(stacked)).entries[:g]]
+
+
+def _index(rows):
+    """[Z^g : row lattice], or 0 when the rows do not have full rank."""
+    h = hnf(IntMatrix.from_rows(rows)).entries
+    g = len(rows[0])
+    return prod(h[i][i] for i in range(g)) if len(h) >= g else 0
+
+
+def _random_rows(m, g, bound=9, zero_cols=()):
+    return [[0 if j in zero_cols else rng.randint(-bound, bound) for j in range(g)]
+            for _ in range(m)]
+
+
+def test_hnf_mod_matches_stacked_hnf():
+    for _ in range(60):
+        g = rng.randint(1, 6)
+        m = rng.choice((g, g + 2, 8 * g))  # square, a little taller, tall stacks
+        zero_cols = set(rng.sample(range(g), rng.randint(0, 1)))
+        rows = _random_rows(m, g, zero_cols=zero_cols)
+        idx = _index(rows)
+        for D in (rng.randint(1, 500), idx, 3 * idx, 2**40 * idx):
+            if D:
+                got = hnf_mod(rows, D)
+                assert got.tolist() == _stacked_hnf(rows, D), (rows, D)
+        if idx:  # D a multiple of the index gives the lattice's own form
+            want = [list(r) for r in hnf(IntMatrix.from_rows(rows)).entries[:g]]
+            assert hnf_mod(rows, idx).tolist() == want
+            assert hnf_mod(rows, 7 * idx).tolist() == want
+
+
+def test_hnf_mod_takes_python_ints_past_the_int64_bound():
+    rows = [[3, 5, 7], [0, 11, 13], [0, 0, 17], [2**70, 1, 2**65]]
+    for D in (3037000499, 3037000500, 2**80 * 561):  # 2 D^2 just under, just over, far over 2^63
+        got = hnf_mod(rows, D)
+        assert got.dtype == (np.int64 if 2 * D * D < 2**63 else object)
+        assert got.tolist() == _stacked_hnf(rows, D)
+    assert hnf_mod(rows, 561).tolist() == [list(r) for r in hnf(IntMatrix.from_rows(rows)).entries[:3]]
+    with pytest.raises(ValueError, match="positive"):
+        hnf_mod(rows, 0)
+
+
+@given(st.integers(1, 5).flatmap(lambda g: st.tuples(
+    st.lists(st.lists(st.integers(-50, 50), min_size=g, max_size=g), min_size=1, max_size=12),
+    st.integers(1, 10**4), st.booleans())))
+@settings(max_examples=150, deadline=None)
+def test_hnf_mod_matches_stacked_hnf_hypothesis(case):
+    rows, D, big = case
+    D = D * 2**40 if big else D
+    assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D)
+
+
+def test_det_matches_leibniz():
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a = rand_matrix(n, n, bound=rng.choice((1, 9, 10**12)))
+        leibniz = 0
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            leibniz += (-1) ** inversions * prod(a.entries[i][perm[i]] for i in range(n))
+        assert det(a) == leibniz
+    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+
+
+def test_mul_int64_is_exact_on_both_sides_of_the_float_bound():
+    for bound in (9, 2**20, 2**28):  # float64 products, int64 products
+        a = [[rng.randint(-bound, bound) for _ in range(7)] for _ in range(5)]
+        b = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(7)]
+        want = IntMatrix.from_rows(a) * IntMatrix.from_rows(b)
+        assert mul_int64(np.array(a), np.array(b)).tolist() == [list(r) for r in want.entries]
+    big = np.full((1, 4), 2**30, dtype=np.int64)
+    assert mul_int64(big, big.T).tolist() == [[2**62]]  # bound 2^62: exact in int64
+    with pytest.raises(ValueError, match="bound"):
+        mul_int64(big, np.full((4, 1), 2**31, dtype=np.int64))
+
+
+def test_int64_bounds_survive_optimize():
+    # the int64 bounds are explicit raises, so `python -O` keeps them: a
+    # product whose bound reaches 2^63, an entry past int64, and the same
+    # product bound met by an operator restricted to M^+ at N = 11
+    code = (
+        "import numpy as np\n"
+        "from eistheta.exact_linalg import IntMatrix, as_int64, mul_int64\n"
+        "from eistheta.modsym import build_space, restrict_to_sign\n"
+        "big = np.full((2, 2), 2**31, dtype=np.int64)\n"
+        "calls = (lambda: mul_int64(big, big),\n"
+        "         lambda: as_int64([[2**63]]),\n"
+        "         lambda: restrict_to_sign(build_space(11), IntMatrix.from_rows([[2**62, 0], [0, 1]]), 1))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('ValueError:', exc)\n"
+        "    else:\n"
+        "        print('no error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["ValueError: int64 product bound exceeded",
+                   "ValueError: matrix entry does not fit in int64",
+                   "ValueError: int64 product bound exceeded"]
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,12 @@ def test_cache_rechecks_structure_on_load(tmp_path):
         row = payload["space"]["section"][0]
         row[0] = str(int(row[0]) + 1)
 
+    def negate_level(payload):  # the same lattice, but not a Hermite basis
+        payload["W"][1] = [[str(-int(x)) for x in row] for row in payload["W"][1]]
+
     for edit, what in ((swap_levels, "W_2 is not inside W_1"),
-                       (bend_section, "not a right inverse")):
+                       (bend_section, "not a right inverse"),
+                       (negate_level, "W_1 is not a Hermite basis")):
         save_context(space, ctx, path)
         _resealed(path, edit)
         with pytest.raises(CacheIntegrityError, match=what):
