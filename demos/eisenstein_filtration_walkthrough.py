@@ -9,9 +9,10 @@ from eistheta.modsym import build_space, hecke, theta_element
 N, p = 11, 5
 
 # The space is presented on the N+1 points of P^1(Z/N); the two-term
-# relations fold pairs of symbols together, the three-term relations go
-# through one Smith normal form, and what survives is a free lattice of
-# rank 2g + 1 containing the cuspidal part of rank 2g.
+# relations fold pairs of symbols together, the three-term relations
+# form a graph whose spanning tree leaves a free lattice of rank 2g + 1,
+# one basis vector per edge off the tree, containing the cuspidal part
+# of rank 2g.
 space = build_space(N)
 print(f"level {N}: {len(space.generators)} Manin symbols, "
       f"rank {space.reduction.cols} quotient, genus {space.genus}")

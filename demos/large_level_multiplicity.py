@@ -3,10 +3,10 @@
 
 The exact route builds saturated lattices over Z and reads g_p off
 Smith normal forms; it is the reference but its cost grows fast with
-the level.  The mod-p route reduces the whole presentation modulo p
-first (legitimate because the symbol quotient only has 2- and
-3-torsion) and cuts the plus part down one Hecke operator at a time,
-which reaches four-digit levels in seconds."""
+the level.  The mod-p route reduces the symbol quotient modulo p
+(legitimate because it only has 2- and 3-torsion) and cuts the plus
+part down one Hecke operator at a time, which reaches four-digit
+levels in seconds."""
 
 import time
 

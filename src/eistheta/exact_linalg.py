@@ -246,7 +246,8 @@ def snf(A: IntMatrix) -> SmithData:
 
 def unimodular_inverse(M: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix (HNF of M must be the
-    identity, in which case the tracked transform is M^{-1})."""
+    identity, in which case the tracked transform is M^{-1}).  Nothing
+    in the package calls it; the tests' Smith-form route to M_rel does."""
     h, u = hnf_with_transform(M)
     if h != IntMatrix.identity(M.rows):
         raise ValueError("matrix is not unimodular")

@@ -41,7 +41,7 @@ from .modsym import (
 from .quadfield import class_number, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 2  # context cache files
+FORMAT_VERSION = 3  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 

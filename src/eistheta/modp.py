@@ -1,14 +1,13 @@
 """Mod-p route to the Eisenstein multiplicity at large prime level.
 
-The exact integer pipeline keeps every lattice saturated, which is the
-right default at small level but needlessly slow once N has four
-digits: the Smith normal form over Z of an (N/3) x (N/2) relation
-matrix dominates everything.  For the multiplicity g_p alone nothing
-integral is required — the torsion of the Manin-symbol quotient is
-supported at 2 and 3 while p >= 5, so reducing the presentation mod p
-first and doing plain linear algebra over F_p yields the same number.
-The presentation is the one the exact route uses, `presentation(N)`,
-with its relation triples scattered into a dense array mod p.
+The exact route keeps every lattice saturated and builds the Hecke
+algebra's filtration over Z, which is the right default at small level
+but needlessly slow once N has four digits.  For the multiplicity g_p
+alone nothing integral is required: the torsion of the Manin-symbol
+quotient is supported at 2 and 3 while p >= 5, so plain linear algebra
+over F_p yields the same number.  The quotient map is the exact
+route's, `tree_reduction` of `presentation(N)` (entries -1, 0, 1)
+reduced mod p, so no elimination of the relation matrix is needed.
 
 All arithmetic runs through float64 BLAS; each product is bounded in
 advance by p^2 times a matrix dimension, below 2^53, so nothing ever
@@ -22,8 +21,15 @@ vectors in one product, bounded by p times their sum.
 
 import numpy as np
 
-from .exact_linalg import kronecker, primes_up_to
-from .modsym import check_pair, family_counts, merel_matrices, presentation
+from .exact_linalg import primes_up_to
+from .modsym import (
+    check_pair,
+    family_counts,
+    genus,
+    merel_matrices,
+    presentation,
+    tree_reduction,
+)
 
 
 def _check_exact(p, n):
@@ -127,25 +133,10 @@ def g_p_dimension_modp(N, p):
     _check_exact(p, N + 1)
 
     pres = presentation(N)
-    nvars = len(pres.reps)
-    rel = np.zeros((pres.nrel, nvars))
-    rr, cc, vv = np.array(pres.relations).T
-    np.add.at(rel, (rr, cc), vv)
-
-    rref_rows, pivot_cols = _rref_mod_p(rel % p, p)
-    pset = set(pivot_cols)
-    free = [j for j in range(nvars) if j not in pset]
+    free, red_vars = tree_reduction(pres)
     k = len(free)
-    nu2 = 1 + kronecker(-4, N)
-    nu3 = 1 + kronecker(-3, N)
-    genus = (N + 1 - 3 * nu2 - 4 * nu3) // 12
-    if k != 2 * genus + 1:  # p >= 5 kills exactly the torsion
-        raise ValueError("relation quotient mod p does not have rank 2g + 1")
-
-    red_vars = np.zeros((nvars, k))
-    red_vars[np.array(free), np.arange(k)] = 1
-    if pivot_cols:
-        red_vars[np.array(pivot_cols)] = (-rref_rows[:, free]) % p
+    # the tree's reduction is exact over Z, so mod p it is the reduction of
+    # the relation quotient mod p: p >= 5 kills exactly the torsion
     red_p = red_vars[np.array(pres.var_of)] * np.array(pres.sign_of, dtype=np.float64)[:, None] % p
     coord_gen = np.array([pres.reps[f] for f in free])  # one generator per coordinate
     if (red_p[coord_gen] != np.eye(k)).any():
@@ -156,7 +147,7 @@ def g_p_dimension_modp(N, p):
     iota = np.array(pres.iota)
     cond = np.hstack([bd[coord_gen] % p, (red_p[iota[coord_gen]] - np.eye(k)) % p])
     vecs, vcols = _left_nullspace_mod_p(cond, p)
-    if vecs.shape[0] != genus:
+    if vecs.shape[0] != genus(N):
         raise ValueError("plus quotient mod p does not have rank g")
 
     symbols = [pres.generators[i] for i in coord_gen]

@@ -6,11 +6,23 @@ x + xT + xT^2 = 0, with S = [[0,-1],[1,0]], T = [[0,-1],[1,-1]] acting
 on the right.  `presentation(N)` folds the two-term relations away
 (they pair up symbols, possibly killing self-paired ones into torsion)
 and lists the remaining three-term relations; the exact route here and
-the mod-p route in `modp` both start from it.  Here the relations go
-through an exact Smith normal form, and the free quotient is the
-relative homology lattice M_rel of rank 2g + 1.  All reductions and
-sections are integral matrices, so every later computation (boundary,
-star involution, Hecke action, theta elements) is exact.
+the mod-p route in `modp` both start from it.
+
+Those relations are the signed incidence matrix of a graph.  Its
+vertices are the tau-orbit rows (the triangles of the Farey
+tessellation mod Gamma_0(N)) and its edges the folded variables: the
+pair {x, xS} has x in one tau-orbit with sign +1 and xS in one with
+sign -1.  An S-fixed variable is a half-edge, which its 2y = 0 row
+kills over Q and mod p >= 5; a tau-fixed orbit is a leaf, its row a
+single symbol; an edge with both ends in one orbit is a loop.  The
+free quotient M_rel, of rank 2g + 1, is then read off a spanning tree
+with no elimination (`tree_reduction`): the non-tree edges are its
+basis, and a tree edge is the signed sum of the non-tree edges across
+the cut it makes, the sum of the vertex rows on one side.  Every
+reduction entry is -1, 0 or 1, and the section lifts each basis vector
+to a single symbol.  All reductions and sections are integral
+matrices, so every later computation (boundary, star involution,
+Hecke action, theta elements) is exact.
 
 Hecke operators use Merel's determinant-l family of upper-ish
 triangular-ish matrices {(a,b;c,d): a > b >= 0, d > c >= 0, ad-bc = l};
@@ -49,11 +61,10 @@ from .exact_linalg import (
     as_int64,
     factorize,
     is_prime,
+    kronecker,
     left_inverse,
     left_kernel,
     mul_int64,
-    snf,
-    unimodular_inverse,
 )
 from .quadfield import is_fundamental
 
@@ -86,6 +97,15 @@ def check_pair(N, p):
         raise ValueError("need a prime p >= 5")
     if (N - 1) % p or ((N - 1) // p) % p == 0:
         raise ValueError("hypothesis p || N-1 violated")
+
+
+def genus(N):
+    """Genus of X_0(N) at prime level N >= 5: (N + 1 - 3 nu_2 - 4 nu_3) / 12,
+    with nu_2 = 1 + (-4/N) and nu_3 = 1 + (-3/N) elliptic points."""
+    check_level(N)
+    nu2 = 1 + kronecker(-4, N)
+    nu3 = 1 + kronecker(-3, N)
+    return (N + 1 - 3 * nu2 - 4 * nu3) // 12
 
 
 @dataclass(frozen=True)
@@ -182,6 +202,65 @@ def presentation(N):
         sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
         boundary=boundary,
     )
+
+
+def tree_reduction(pres):
+    """(free, red_vars): M_rel read off a spanning tree of the tau-orbit
+    graph (module docstring), grown breadth-first from row 0 in relation
+    order, so the output is deterministic.  `free` lists the 2g + 1
+    non-tree variables in increasing order; red_vars, int64 nvars x
+    (2g + 1), maps each folded variable to M_rel: a unit row at a free
+    one, zero at an S-fixed one, and at the tree edge into row u, minus
+    its coefficient there times the sum of the rows of u's subtree on
+    the free columns.  Raises ValueError if the relations are not a
+    connected graph with 2g + 1 free edges.
+    """
+    nvars = len(pres.reps)
+    nrows = pres.nrel - len(pres.sfixed)  # the tau-orbit rows come first
+    half = set(pres.sfixed)  # killed by their 2y = 0 rows wherever they sit
+    slots = [[] for _ in range(nvars)]  # (row, coeff) of each occurrence
+    incident = [[] for _ in range(nrows)]
+    for r, v, c in pres.relations:
+        if r < nrows:
+            slots[v].append((r, c))
+            incident[r].append(v)
+    for v, s in enumerate(slots):
+        if v not in half and (len(s) != 2 or s[0][1] + s[1][1]):
+            raise ValueError(f"variable {v} does not sit in exactly two tau-row slots "
+                             "of opposite signs")
+
+    parent = [None] * nrows  # the tree edge into each row but the root
+    seen = [True] + [False] * (nrows - 1)
+    order = [0]
+    for u in order:
+        for v in incident[u]:
+            if v in half:
+                continue
+            w = slots[v][0][0] + slots[v][1][0] - u  # the other end; u for a loop
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                order.append(w)
+    if len(order) != nrows:
+        raise ValueError("the tau-orbit graph is not connected")
+    tree = set(parent[1:])
+    free = [v for v in range(nvars) if v not in half and v not in tree]
+    if len(free) != 2 * genus(pres.N) + 1:
+        raise ValueError("the tau-orbit graph does not have 2g + 1 free edges")
+
+    col = {v: j for j, v in enumerate(free)}
+    sub = np.zeros((nrows, len(free)), dtype=np.int64)  # row sums over subtrees
+    for r, v, c in pres.relations:
+        if v in col:
+            sub[r, col[v]] += c
+    red_vars = np.zeros((nvars, len(free)), dtype=np.int64)
+    red_vars[free, np.arange(len(free))] = 1
+    for u in reversed(order[1:]):
+        t = parent[u]
+        (r1, c1), (r2, c2) = slots[t]
+        red_vars[t] = -(c1 if r1 == u else c2) * sub[u]
+        sub[r1 + r2 - u] += sub[u]
+    return free, red_vars
 
 
 @dataclass(frozen=True)
@@ -282,31 +361,22 @@ class ThetaElement:
 
 
 def build_space(N):
-    """Construct the full modular-symbol space at prime level N >= 5."""
+    """Construct the full modular-symbol space at prime level N >= 5, on
+    the M_rel basis of `tree_reduction`: the section lifts each basis
+    vector to the representative symbol of its free variable."""
     pres = presentation(N)
-    n = N + 1
-    nvars = len(pres.reps)
-    rows = [[0] * nvars for _ in range(pres.nrel)]
-    for r, v, c in pres.relations:
-        rows[r][v] += c
+    free, red_vars = tree_reduction(pres)
+    red = red_vars[list(pres.var_of)] * np.array(pres.sign_of, dtype=np.int64)[:, None]
+    sec = np.zeros((len(free), N + 1), dtype=np.int64)
+    sec[np.arange(len(free)), [pres.reps[v] for v in free]] = 1
+    return _space_from_section(pres, sec, red)
 
-    sd = snf(IntMatrix.from_rows(rows))
-    free = [
-        j
-        for j in range(nvars)
-        if j >= len(sd.diag) or sd.diag[j] == 0
-    ]
-    k = len(free)
-    vinv = unimodular_inverse(sd.right)
-    red_vars = [[sd.right.entries[v][j] for j in free] for v in range(nvars)]
-    reduction = [
-        [s * x for x in red_vars[v]] for v, s in zip(pres.var_of, pres.sign_of)
-    ]
-    section = [[0] * n for _ in range(k)]
-    for jj, j in enumerate(free):
-        for v in range(nvars):
-            section[jj][pres.reps[v]] = vinv.entries[j][v]
-    sec, red = as_int64(section), as_int64(reduction)
+
+def _space_from_section(pres, sec, red):
+    """The space on the M_rel basis given by int64 arrays sec (section,
+    M_rel -> symbols) and red (reduction, symbols -> M_rel), checked to
+    satisfy sec @ red = I."""
+    k = sec.shape[0]
     if not np.array_equal(mul_int64(sec, red), np.eye(k)):
         raise ValueError("section is not a right inverse of the reduction")
 
@@ -316,27 +386,31 @@ def build_space(N):
     cuspidal = IntMatrix.from_rows(cusp_rows)
 
     cusp = as_int64(cuspidal)
+    cusp_inv = left_inverse(cuspidal)
     star_rel = mul_int64(sec, red[list(pres.iota)])
     star_m = IntMatrix.from_rows(solve_by_inverse(
-        cusp, as_int64(left_inverse(cuspidal)), mul_int64(cusp, star_rel)).tolist())
+        cusp, as_int64(cusp_inv), mul_int64(cusp, star_rel)).tolist())
     plus, minus = star_decompose(star_m)
-    genus = cuspidal.rows // 2
-    if cuspidal.rows != 2 * genus or k != 2 * genus + 1:
+    g = cuspidal.rows // 2
+    if cuspidal.rows != 2 * g or k != 2 * g + 1:
         raise ValueError("relative homology rank is not 2g + 1")
-    if plus.rows != genus or minus.rows != genus:
+    if plus.rows != g or minus.rows != g:
         raise ValueError("star eigenlattices do not both have rank g")
 
-    return ModularSymbolSpace(
-        N=N,
-        relation_kernel_basis=IntMatrix.from_rows(section),
-        reduction=IntMatrix.from_rows(reduction),
+    space = ModularSymbolSpace(
+        N=pres.N,
+        relation_kernel_basis=IntMatrix.from_rows(sec.tolist()),
+        reduction=IntMatrix.from_rows(red.tolist()),
         boundary=boundary,
         cuspidal_basis=cuspidal,
         star=star_m,
         plus_basis=plus,
         minus_basis=minus,
-        genus=genus,
+        genus=g,
     )
+    # seed the cached property, so the first hecke or theta does not redo the HNF
+    space.__dict__["cuspidal_inverse"] = cusp_inv
+    return space
 
 
 def star_decompose(star):

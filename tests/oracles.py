@@ -1,0 +1,63 @@
+"""Slow reference routes kept as differential oracles for the tests.
+
+Both routes to M_rel once eliminated the relation matrix densely; the
+package now reads M_rel off a spanning tree of the tau-orbit graph
+(`modsym.tree_reduction`).  The eliminations live on here: the exact
+route's Smith normal form with the inverse of its right transform, and
+the mod-p route's F_p row reduction.
+"""
+
+import numpy as np
+
+from eistheta.exact_linalg import IntMatrix, as_int64, is_prime, snf, unimodular_inverse
+from eistheta.modp import _rref_mod_p
+
+# every admissible (N, p) with N < 400 and p in {5, 7, 11, 13}: 36 pairs,
+# 21 of them with N < 200
+ADMISSIBLE = [
+    (N, p)
+    for p in (5, 7, 11, 13)
+    for N in range(5, 400)
+    if is_prime(N) and (N - 1) % p == 0 and ((N - 1) // p) % p
+]
+
+
+def relation_matrix(pres):
+    """The folded relations as a dense int64 nrel x nvars array."""
+    rel = np.zeros((pres.nrel, len(pres.reps)), dtype=np.int64)
+    r, v, c = np.array(pres.relations).T
+    np.add.at(rel, (r, v), c)
+    return rel
+
+
+def snf_section_reduction(pres):
+    """int64 (section, reduction) of M_rel from the Smith normal form of
+    the relation matrix: the free columns of its right transform V give
+    the reduction, the matching rows of V^-1 the section."""
+    n = len(pres.generators)
+    nvars = len(pres.reps)
+    sd = snf(IntMatrix.from_rows(relation_matrix(pres).tolist()))
+    free = [j for j in range(nvars) if j >= len(sd.diag) or sd.diag[j] == 0]
+    vinv = unimodular_inverse(sd.right)
+    red_vars = [[sd.right.entries[v][j] for j in free] for v in range(nvars)]
+    reduction = [[s * x for x in red_vars[v]] for v, s in zip(pres.var_of, pres.sign_of)]
+    section = [[0] * n for _ in free]
+    for jj, j in enumerate(free):
+        for v in range(nvars):
+            section[jj][pres.reps[v]] = vinv.entries[j][v]
+    return as_int64(section), as_int64(reduction)
+
+
+def rref_reduction(pres, p):
+    """(free, red_vars) of the relation quotient mod p from the dense F_p
+    row reduction of the relation matrix, in `tree_reduction`'s form:
+    entries in [0, p), a unit row at each free (non-pivot) variable."""
+    nvars = len(pres.reps)
+    rows, pivots = _rref_mod_p(relation_matrix(pres), p)
+    pset = set(pivots)
+    free = [j for j in range(nvars) if j not in pset]
+    red_vars = np.zeros((nvars, len(free)), dtype=np.int64)
+    red_vars[free, np.arange(len(free))] = 1
+    if pivots:
+        red_vars[pivots] = (-rows[:, free].astype(np.int64)) % p
+    return free, red_vars

@@ -25,14 +25,17 @@ from eistheta.eisenstein import (
 from eistheta.harness import FIXTURES_LARGE
 from eistheta.modsym import (
     ThetaElement,
+    _space_from_section,
     build_space,
     family_counts,
     hecke,
     merel_matrices,
+    presentation,
     restrict_to_sign,
     theta_element,
 )
 from eistheta.quadfield import validate_discriminant
+from oracles import snf_section_reduction
 
 rng = random.Random(771561)
 
@@ -314,3 +317,20 @@ def test_merel_criterion_at_the_large_fixtures():
     assert merel_criterion(31, 5) and not merel_criterion(11, 5)
     with pytest.raises(ValueError, match="hypothesis"):
         merel_criterion(101, 5)
+
+
+@pytest.mark.parametrize("N,p", [(31, 5), (71, 7), (181, 5)])
+def test_filtration_is_independent_of_the_m_rel_basis(N, p):
+    # e, the Smith invariants of every W_n, g_p and the theta valuations
+    # are the same on the SNF route's M_rel basis as on the tree's
+    pres = presentation(N)
+    tree = build_context(build_space(N), p)
+    old = build_context(_space_from_section(pres, *snf_section_reduction(pres)), p)
+    assert old.space.reduction != tree.space.reduction
+    assert old.e == tree.e and g_p_dimension(old) == g_p_dimension(tree)
+    assert [sd.diag for sd in old.snf_of_W] == [sd.diag for sd in tree.snf_of_W]
+    ds = [D for D in range(5, 400) if validate_discriminant(D, N, p, want_split=True)][:5]
+    assert ds
+    for D in ds:
+        assert (theta_valuation(old, theta_element(old.space, D))
+                == theta_valuation(tree, theta_element(tree.space, D)))

@@ -29,7 +29,8 @@ from eistheta.harness import (
     sweep_even,
     sweep_odd,
 )
-from eistheta.modsym import build_space, theta_element
+from eistheta.modsym import _space_from_section, build_space, presentation, theta_element
+from oracles import snf_section_reduction
 
 EVEN_CSV = """\
 N,p,D,h,h_mod_p,log1_u,log1_pi2,criterion,eis_valuation,selmer_rank,selmer_kind,consistent
@@ -236,6 +237,21 @@ def test_cache_rejects_foreign_version(tmp_path):
         with pytest.raises(CacheVersionError, match="version"):
             load_context(path)
     assert issubclass(CacheVersionError, ValueError)
+
+
+def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
+    # version 2 files hold spaces on the M_rel basis of the Smith normal
+    # form, which the spanning-tree basis replaced
+    pres = presentation(31)
+    space = _space_from_section(pres, *snf_section_reduction(pres))
+    assert space.reduction != build_space(31).reduction
+    path = tmp_path / "v2.json"
+    save_context(space, build_context(space, 5), path)
+    envelope = json.loads(path.read_text())
+    envelope["format_version"] = 2
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 3"):
+        load_context(path)
 
 
 def test_cache_rejects_tampered_payload(tmp_path):

@@ -16,21 +16,14 @@ import numpy as np
 import pytest
 
 import eistheta
+from eistheta import modp
 from eistheta.eisenstein import build_context, g_p_dimension, merel_criterion
-from eistheta.exact_linalg import IntMatrix, is_prime, snf
+from eistheta.exact_linalg import IntMatrix, snf
 from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p, g_p_dimension_modp
-from eistheta.modsym import build_space
+from eistheta.modsym import build_space, presentation, tree_reduction
+from oracles import ADMISSIBLE, rref_reduction
 
 rng = random.Random(96059601)
-
-# every admissible (N, p) with N < 400 and p in {5, 7, 11, 13}: 36 pairs,
-# 21 of them with N < 200
-ADMISSIBLE = [
-    (N, p)
-    for p in (5, 7, 11, 13)
-    for N in range(5, 400)
-    if is_prime(N) and (N - 1) % p == 0 and ((N - 1) // p) % p
-]
 
 
 def test_fixture_pins():
@@ -98,16 +91,36 @@ def _space(N):
     return build_space(N)
 
 
+@functools.cache
+def _g_p_modp(N, p):
+    return g_p_dimension_modp(N, p)
+
+
 @pytest.mark.parametrize("N,p", ADMISSIBLE)
 def test_routes_match_rank_oracle(N, p):
     # exact route == mod-p route, and g_p >= 2 exactly when Merel's
     # criterion holds; the pure-Python rank oracle is run below N = 200
     ctx = build_context(_space(N), p)
     exact = g_p_dimension(ctx)
-    assert exact == g_p_dimension_modp(N, p)
+    assert exact == _g_p_modp(N, p)
     assert (exact >= 2) == merel_criterion(N, p)
     if N < 200:
         assert exact == _g_p_oracle(ctx)
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE)
+def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
+    # the tree's reduction mod p is the dense F_p elimination's quotient
+    # map in another basis: red = red_o @ red[free_o] mod p, red_o being
+    # a unit row at each of its free variables; run on the eliminated
+    # reduction, the mod-p route gives the same g_p
+    pres = presentation(N)
+    free, red = tree_reduction(pres)
+    free_o, red_o = rref_reduction(pres, p)
+    assert len(free_o) == len(free)
+    assert not ((red_o @ red[free_o] - red) % p).any()
+    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (free_o, red_o))
+    assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
 
 
 def test_exactness_bounds_survive_optimize():

@@ -6,22 +6,25 @@ does not divide the level) with exact rational arithmetic, so the
 Merel-family route is checked against the definition itself.
 """
 
+import dataclasses
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import eistheta
-from eistheta.exact_linalg import IntMatrix, kronecker, xgcd
+from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, xgcd
 from eistheta.modsym import (
     HeckeOp,
     _chi_table,
     build_space,
     family_counts,
+    genus,
     hecke,
     merel_matrices,
     p1_index,
@@ -30,8 +33,10 @@ from eistheta.modsym import (
     solve_by_inverse,
     star_decompose,
     theta_element,
+    tree_reduction,
 )
 from eistheta.quadfield import is_fundamental
+from oracles import ADMISSIBLE, relation_matrix, snf_section_reduction
 
 rng = random.Random(60493)
 
@@ -65,6 +70,90 @@ def test_ranks_match_genus_formula(N):
     assert sp.reduction.cols == 2 * g + 1
     assert sp.cuspidal_basis.rows == 2 * g
     assert sp.plus_basis.rows == g and sp.minus_basis.rows == g
+
+
+def test_genus_matches_formula():
+    for N in range(5, 2000):
+        if is_prime(N):
+            assert genus(N) == genus_formula(N), N
+    with pytest.raises(ValueError, match="prime"):
+        genus(91)
+
+
+# --- M_rel from the spanning tree, against the SNF route ----------------------
+
+LEVELS = sorted({N for N, _ in ADMISSIBLE})
+
+
+def test_levels_cover_both_graph_shapes():
+    # N = 1 mod 4 has S-fixed symbols (half-edges), N = 1 mod 3 has
+    # tau-fixed ones (leaves); the oracle levels include each case and
+    # its absence
+    assert {N % 4 for N in LEVELS} == {1, 3} and {N % 3 for N in LEVELS} == {1, 2}
+    for N in LEVELS:
+        pres = presentation(N)
+        assert bool(pres.sfixed) == (N % 4 == 1)
+        leaves = [i for i in range(N + 1) if pres.tau[i] == i]
+        assert bool(leaves) == (N % 3 == 1)
+
+
+@pytest.mark.parametrize("N", LEVELS)
+def test_tree_reduction_matches_snf_oracle(N):
+    pres = presentation(N)
+    free, red_vars = tree_reduction(pres)
+    assert len(free) == 2 * genus(N) + 1
+    assert not (relation_matrix(pres) @ red_vars).any()  # every relation dies
+    assert set(np.unique(red_vars).tolist()) <= {-1, 0, 1}
+    sp = build_space(N)
+    sec, red = sp.int64("relation_kernel_basis"), sp.int64("reduction")
+    assert set(np.unique(red).tolist()) <= {-1, 0, 1}
+    assert (np.abs(sec).sum(axis=1) == 1).all()  # each row one symbol, +-1
+    # both reductions are quotient maps onto M_rel: the change of basis
+    # each way is an integer matrix, and the two are mutually inverse
+    sec_o, red_o = snf_section_reduction(pres)
+    a, b = mul_int64(sec_o, red), mul_int64(sec, red_o)
+    eye = np.eye(len(free), dtype=np.int64)
+    assert (a @ b == eye).all() and (b @ a == eye).all()
+
+
+def test_tree_reduction_rejects_broken_graphs():
+    pres = presentation(31)
+    (r, v, c), rest = pres.relations[0], pres.relations[1:]
+    flipped = dataclasses.replace(pres, relations=((r, v, -c),) + rest)
+    with pytest.raises(ValueError, match="opposite signs"):
+        tree_reduction(flipped)
+    # a presentation read at the wrong level has the wrong free rank
+    with pytest.raises(ValueError, match="2g \\+ 1 free edges"):
+        tree_reduction(dataclasses.replace(pres, N=41))  # genus 3, not 2
+    # two rows, each with a loop and nothing joining them
+    two_loops = SimpleNamespace(N=11, reps=(0, 1), sfixed=(), nrel=2,
+                                relations=((0, 0, 1), (0, 0, -1), (1, 1, 1), (1, 1, -1)))
+    with pytest.raises(ValueError, match="not connected"):
+        tree_reduction(two_loops)
+
+
+def test_tree_reduction_checks_survive_optimize():
+    # a presentation with one relation triple dropped leaves a variable in
+    # a single slot; the check is a raise, so `python -O` keeps it
+    code = (
+        "import dataclasses\n"
+        "from eistheta.modsym import presentation, tree_reduction\n"
+        "pres = presentation(31)\n"
+        "try:\n"
+        "    tree_reduction(dataclasses.replace(pres, relations=pres.relations[1:]))\n"
+        "except ValueError as exc:\n"
+        "    print('ValueError:', exc)\n"
+        "else:\n"
+        "    print('no error')\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["ValueError: variable 0 does not sit in exactly two tau-row slots "
+                   "of opposite signs"]
 
 
 def test_build_space_rejects_bad_level():
@@ -123,6 +212,13 @@ def test_two_and_three_term_relations_vanish():
 def test_section_is_a_section():
     sp = build_space(31)
     assert sp.relation_kernel_basis * sp.reduction == IntMatrix.identity(5)
+
+
+def test_build_space_hands_over_the_cuspidal_inverse():
+    # the star matrix needs the inverse, so the build seeds the cached one
+    sp = build_space(31)
+    assert "cuspidal_inverse" in sp.__dict__
+    assert sp.cuspidal_basis * sp.cuspidal_inverse == IntMatrix.identity(4)
 
 
 def test_boundary_rank_one():
@@ -428,7 +524,12 @@ def test_theta_refuses_vectors_outside_the_lattice():
     # the left-inverse solve proves membership by multiplying back
     sp = build_space(31)
     basis, inverse = sp.int64("cuspidal_basis"), sp.int64("cuspidal_inverse")
-    for v in ([0, 1, 0, 0, 0], [0, -2, 0, 0, 0], [3, -1, 4, 1, -5]):
+    # a vector is outside M exactly when its boundary is nonzero; one
+    # M_rel coordinate carries the boundary
+    j = next(i for i, row in enumerate(sp.boundary.entries) if any(row))
+    unit = [int(i == j) for i in range(5)]
+    for v in (unit, [-2 * x for x in unit], [3, -1, 4, 1, -5]):
+        assert (IntMatrix.from_rows([v]) * sp.boundary).entries != ((0, 0),)
         with pytest.raises(ValueError, match="row span"):
             solve_by_inverse(basis, inverse, np.array([v]))
     th = theta_element(sp, 13)
