@@ -91,7 +91,7 @@ def _cmd_space(args, out):
 
 def _cmd_fixtures(args, out):
     # Merel's criterion first, on stderr: an O(N) verdict on g_p >= 2 for
-    # every fixture before the minutes the large levels take
+    # every fixture before the table is computed
     for N, p, want in FIXTURES_DEFAULT + (FIXTURES_LARGE if args.large else ()):
         verdict = "true" if merel_criterion(N, p) else "false"
         print(f"merel: N={N} p={p} g_p>=2 {verdict} (fixture expects g_p={want})",
@@ -148,7 +148,7 @@ def main(argv=None):
 
     fx = subs.add_parser("fixtures", help="check the g_p fixture table")
     fx.add_argument("--large", action="store_true",
-                    help="include the minutes-scale large levels")
+                    help="include the large levels (mod-p route)")
     _add_common(fx)
 
     for name in ("sweep-even", "sweep-odd"):

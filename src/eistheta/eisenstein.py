@@ -21,8 +21,9 @@ nonsingular, because every eigenvalue a_2 of T_2 on cusp forms has
 saturation check computes W_1 again with three more generators, modulo
 G (det W_0 = 1).
 
-`merel_criterion` decides g_p >= 2 from N and p alone, as an oracle
-independent of both the exact and the mod-p routes.
+`merel_criterion` (defined in `modp`, which takes it as a lower bound
+on g_p) decides g_p >= 2 from N and p alone; the exact route's
+`g_p_dimension` does not use it and stays an independent check.
 """
 
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .exact_linalg import (
     snf,
     vp,
 )
-from .modp import cut
+from .modp import cut, merel_criterion
 from .modsym import (
     check_pair,
     hecke,
@@ -207,18 +208,6 @@ def g_p_dimension(ctx):
         # the generators already have their eigenvalue subtracted
         rows, cols = cut(rows, cols, rows @ a % p, 0, p)
     return rows.shape[0]
-
-
-def merel_criterion(N, p):
-    """Merel's criterion (J. reine angew. Math. 477, 1996): g_p >= 2 iff
-    prod_{k=1}^{(N-1)/2} k^k is a p-th power mod N, that is, iff its
-    (N-1)/p-th power is 1 mod N.  (N-1)/2 modular powers, sharing no
-    code with the exact or the mod-p route."""
-    check_pair(N, p)
-    acc = 1
-    for k in range(1, (N - 1) // 2 + 1):
-        acc = acc * pow(k, k, N) % N
-    return pow(acc, (N - 1) // p, N) == 1
 
 
 # ---------------------------------------------------------------------------

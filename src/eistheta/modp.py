@@ -17,6 +17,17 @@ the exact route's g_p also runs on).  Each Merel family acts on the
 2g + 1 coordinate generators through `family_counts`, the action the
 exact route's `hecke` uses too, and its counts meet the surviving
 vectors in one product, bounded by p times their sum.
+
+The loop stops as soon as its answer is proven (`g_p_dimension_modp`):
+every cut keeps the m-part, so the dimension never drops below g_p,
+and g_p is at least 1 (Mazur), at least 2 when `merel_criterion`
+holds (Merel); a dimension equal to that lower bound is g_p.  At
+N = 1871 this happens after T_2 - 3, the first of 65 generators.
+
+`_rref_mod_p` eliminates in panels of rows and reduces lazily: a pivot
+reduces only its own column and row mod p and updates the columns from
+its own on, and the panel is reduced once when it is done.  The bound
+it checks up front keeps every unreduced entry below 2^53.
 """
 
 import numpy as np
@@ -45,9 +56,20 @@ def _rref_mod_p(a, p, block=128):
 
     Returns (rows, pivot_cols): `rows` has a unit entry at its own
     pivot column and zeros at every other pivot column.
+
+    Inside a panel nothing is reduced mod p but the current column and
+    the pivot row, both into [0, p); rows at and below the pivot row are
+    zero left of its column, so only the columns from it on change.
+    After t pivots an unreduced entry is at most (p-1) + t(p-1)^2 in
+    absolute value, and every product against the finished rows is a
+    sum of at most m terms below (p-1)^2, where m = min(rows, columns)
+    bounds both t and the rank; (p-1)(1 + m(p-1)) < 2^53 keeps all of
+    it exact, so one reduction per panel suffices.
     """
     a = np.asarray(a, dtype=np.float64)
-    _check_exact(p, max(a.shape))
+    m = min(a.shape)
+    if (p - 1) * (1 + m * (p - 1)) >= 2**53:
+        raise ValueError("float64 arithmetic mod p is not exact at this size")
     a = a % p
     done = np.empty((0, a.shape[1]))
     pcols = []
@@ -59,24 +81,25 @@ def _rref_mod_p(a, p, block=128):
         r = 0
         j = 0
         while j < panel.shape[1] and r < panel.shape[0]:
-            col = panel[r:, j]
-            nz = np.flatnonzero(col)
+            col = panel[:, j] % p
+            panel[:, j] = col
+            nz = np.flatnonzero(col[r:])
             if nz.size == 0:
                 j += 1
                 continue
             i = r + nz[0]
             if i != r:
                 panel[[r, i]] = panel[[i, r]]
-            panel[r] = panel[r] * pow(int(panel[r, j]), -1, p) % p
-            factor = panel[:, j].copy()
-            factor[r] = 0
-            panel -= np.outer(factor, panel[r])
-            panel %= p
+                col[[r, i]] = col[[i, r]]
+            prow = panel[r, j:] % p * pow(int(col[r]), -1, p) % p
+            panel[r, j:] = prow
+            col[r] = 0
+            panel[:, j:] -= np.outer(col, prow)
             new_cols.append(j)
             r += 1
             j += 1
         if r:
-            new = panel[:r]
+            new = panel[:r] % p
             if pcols:
                 done = (done - done[:, new_cols] @ new) % p
             done = np.vstack([done, new])
@@ -124,10 +147,24 @@ def cut(rows, cols, images, eigen, p):
     return _rref_mod_p(ker @ rows % p, p)
 
 
-def g_p_dimension_modp(N, p):
-    """dim over F_p of the joint generalized kernel of the Eisenstein
-    generators on the plus quotient — the same number the exact route
-    computes, at a fraction of the cost for levels in the thousands."""
+def merel_criterion(N, p):
+    """Merel's criterion (J. reine angew. Math. 477, 1996): g_p >= 2 iff
+    prod_{k=1}^{(N-1)/2} k^k is a p-th power mod N, that is, iff its
+    (N-1)/p-th power is 1 mod N.  (N-1)/2 modular powers, sharing no
+    code with either route: the mod-p route takes it as a lower bound
+    on g_p, and the exact route stays independent of it."""
+    check_pair(N, p)
+    acc = 1
+    for k in range(1, (N - 1) // 2 + 1):
+        acc = acc * pow(k, k, N) % N
+    return pow(acc, (N - 1) // p, N) == 1
+
+
+def _joint_kernel_dims(N, p):
+    """Cut the plus quotient mod p by the Eisenstein generators in turn:
+    yields (None, g) for the quotient itself, then (ell, d) after the
+    generator of Hecke index ell, d being the dimension of the joint
+    generalized kernel so far.  Drained, the last d is g_p."""
     check_pair(N, p)
     # the longest float64 products below have length N + 1
     _check_exact(p, N + 1)
@@ -149,6 +186,7 @@ def g_p_dimension_modp(N, p):
     vecs, vcols = _left_nullspace_mod_p(cond, p)
     if vecs.shape[0] != genus(N):
         raise ValueError("plus quotient mod p does not have rank g")
+    yield None, vecs.shape[0]
 
     symbols = [pres.generators[i] for i in coord_gen]
     sturm = -(-(N + 1) // 6)
@@ -162,4 +200,29 @@ def g_p_dimension_modp(N, p):
             raise ValueError("float64 arithmetic mod p is not exact at this size")
         images = (vecs @ counts % p) @ red_p % p
         vecs, vcols = cut(vecs, vcols, images, eigen, p)
-    return vecs.shape[0]
+        yield ell, vecs.shape[0]
+
+
+def g_p_dimension_modp(N, p):
+    """dim over F_p of the joint generalized kernel of the Eisenstein
+    generators on the plus quotient — the same number the exact route
+    computes, at a fraction of the cost for levels in the thousands.
+
+    Stops as soon as the dimension d is proven to be g_p.  Each
+    generator eta_l lies in the Eisenstein ideal m, so it is nilpotent
+    on the m-part, whose dimension is g_p: every cut keeps the m-part,
+    and d >= g_p after each one.  Mazur (Publ. IHES 47, 1977) gives
+    g_p >= 1 when p || N - 1, and Merel's criterion decides g_p >= 2;
+    so d >= g_p >= lower, and d == lower means d == g_p.  A d below
+    lower can only come from a broken Hecke action or a wrong
+    certificate, and raises.
+    """
+    lower = None
+    for _, d in _joint_kernel_dims(N, p):
+        if lower is None:  # after the generator's own checks of (N, p)
+            lower = 2 if merel_criterion(N, p) else 1
+        if d < lower:
+            raise ValueError(f"dimension {d} is below the proven g_p >= {lower}")
+        if d == lower:
+            break
+    return d

@@ -4,7 +4,9 @@ Both routes to M_rel once eliminated the relation matrix densely; the
 package now reads M_rel off a spanning tree of the tau-orbit graph
 (`modsym.tree_reduction`).  The eliminations live on here: the exact
 route's Smith normal form with the inverse of its right transform, and
-the mod-p route's F_p row reduction.
+the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
+pure-Python elimination that the panelled float64 kernel is checked
+against.
 """
 
 import numpy as np
@@ -61,3 +63,25 @@ def rref_reduction(pres, p):
     if pivots:
         red_vars[pivots] = (-rows[:, free].astype(np.int64)) % p
     return free, red_vars
+
+
+def gauss_jordan_mod_p(rows, p):
+    """Canonical reduced row echelon form over F_p by pure-Python
+    Gauss-Jordan: (nonzero rows in pivot order, pivot columns)."""
+    mat = [[int(x) % p for x in r] for r in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        prow = mat[r] = [x * inv % p for x in mat[r]]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(c)
+    return mat[:len(pivots)], pivots

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -18,10 +19,15 @@ import pytest
 import eistheta
 from eistheta import modp
 from eistheta.eisenstein import build_context, g_p_dimension, merel_criterion
-from eistheta.exact_linalg import IntMatrix, snf
-from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p, g_p_dimension_modp
+from eistheta.exact_linalg import IntMatrix, is_prime, primes_up_to, snf
+from eistheta.modp import (
+    _joint_kernel_dims,
+    _left_nullspace_mod_p,
+    _rref_mod_p,
+    g_p_dimension_modp,
+)
 from eistheta.modsym import build_space, presentation, tree_reduction
-from oracles import ADMISSIBLE, rref_reduction
+from oracles import ADMISSIBLE, gauss_jordan_mod_p, rref_reduction
 
 rng = random.Random(96059601)
 
@@ -55,25 +61,6 @@ def _fp_pow(a, e, p):
     return out
 
 
-def _fp_rank(rows, p):
-    mat = [[x % p for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][c], p - 2, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def _g_p_oracle(ctx):
     # d minus the F_p rank of [A_1^d | A_2^d | ...]: the dimension of the
     # joint kernel of the d-th powers of the Eisenstein generators
@@ -83,7 +70,7 @@ def _g_p_oracle(ctx):
         power = _fp_pow([list(r) for r in gen.entries], d, ctx.p)
         for i in range(d):
             concat[i].extend(power[i])
-    return d - _fp_rank(concat, ctx.p)
+    return d - len(gauss_jordan_mod_p(concat, ctx.p)[1])
 
 
 @functools.cache
@@ -98,11 +85,16 @@ def _g_p_modp(N, p):
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE)
 def test_routes_match_rank_oracle(N, p):
-    # exact route == mod-p route, and g_p >= 2 exactly when Merel's
-    # criterion holds; the pure-Python rank oracle is run below N = 200
+    # exact route == mod-p route == the mod-p loop drained past its proven
+    # stop (every generator up to the Sturm bound, then U_N - 1), and
+    # g_p >= 2 exactly when Merel's criterion holds; the pure-Python rank
+    # oracle is run below N = 200
     ctx = build_context(_space(N), p)
     exact = g_p_dimension(ctx)
     assert exact == _g_p_modp(N, p)
+    dims = list(_joint_kernel_dims(N, p))
+    assert [ell for ell, _ in dims] == [None] + primes_up_to(-(-(N + 1) // 6)) + [N]
+    assert dims[-1][1] == exact
     assert (exact >= 2) == merel_criterion(N, p)
     if N < 200:
         assert exact == _g_p_oracle(ctx)
@@ -123,12 +115,39 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
 
 
+def _families_used(monkeypatch, N, p):
+    used = []
+    merel_matrices = modp.merel_matrices
+    monkeypatch.setattr(modp, "merel_matrices", lambda ell: used.append(ell) or merel_matrices(ell))
+    return g_p_dimension_modp(N, p), used
+
+
+@pytest.mark.parametrize("N,p,g_p,families", [
+    (11, 5, 1, []),     # g = 1 = Mazur's bound: no operator at all
+    (31, 5, 2, []),     # g = 2 = Merel's bound
+    (1871, 5, 2, [2]),  # d = 2 = Merel's bound after T_2 - 3
+    (181, 5, 3, primes_up_to(31) + [181]),  # g_p = 3 > 2: the full loop
+])
+def test_stop_points(N, p, g_p, families, monkeypatch):
+    assert _families_used(monkeypatch, N, p) == (g_p, families)
+
+
+def test_dimension_below_the_certificate_raises(monkeypatch):
+    # g_p = 1 at (41, 5); a false Merel verdict claims g_p >= 2, and T_2 - 3
+    # takes the dimension from 3 straight to 1
+    assert [d for _, d in _joint_kernel_dims(41, 5)][:2] == [3, 1]
+    monkeypatch.setattr(modp, "merel_criterion", lambda N, p: True)
+    with pytest.raises(ValueError, match="below the proven g_p >= 2"):
+        g_p_dimension_modp(41, 5)
+
+
 def test_exactness_bounds_survive_optimize():
     # the float64 bounds are explicit raises, so `python -O` keeps them:
     # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input),
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
-    # bound on a Merel family's counts (5 * 36 * 2^50 >= 2^53 at N = 11)
+    # bound on a Merel family's counts (5 * 7 * 42 * 2^50 >= 2^53 at
+    # N = 41; at N = 11 and 31 the loop is proven done before any family)
     code = (
         "import numpy as np\n"
         "from eistheta import modp\n"
@@ -138,7 +157,7 @@ def test_exactness_bounds_survive_optimize():
         "def huge_counts():\n"
         "    modp.presentation = presentation\n"
         "    modp.family_counts = lambda symbols, fam, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
-        "    modp.g_p_dimension_modp(11, 5)\n"
+        "    modp.g_p_dimension_modp(41, 5)\n"
         "modp.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
         "         lambda: modp.g_p_dimension_modp(360287970189731, 5),\n"
@@ -210,3 +229,59 @@ def test_rref_blocked_panels_agree():
     a, pa = _rref_mod_p(np.array(rows), 5, block=7)
     b, pb = _rref_mod_p(np.array(rows), 5, block=128)
     assert pa == pb and (a == b).all()
+
+
+def _largest_exact_prime(m):
+    # the largest prime p with (p-1)(1 + m(p-1)) < 2^53: the lazy panel's bound
+    p = isqrt(2**53 // m) + 2
+    while not (is_prime(p) and (p - 1) * (1 + m * (p - 1)) < 2**53):
+        p -= 1
+    return p
+
+
+P_EDGE = _largest_exact_prime(129)
+
+
+def _rref_input(p, rows, cols, kind, seed):
+    g = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "lowrank":
+        return g.integers(0, p, (rows, 24)) @ g.integers(0, p, (24, cols)) % p
+    if kind == "duprows":
+        half = g.integers(-p, p, (rows // 2, cols))
+        a = np.vstack([half, half * g.integers(1, p, (rows // 2, 1)), half[:rows % 2]])
+        return a[g.permutation(rows)]
+    if kind == "dupcols":
+        return _rref_input(p, cols, rows, "duprows", seed).T
+    return g.integers(0, p, (rows, cols))
+
+
+@pytest.mark.parametrize("p,rows,cols,kind", [
+    (5, 127, 140, "dense"),      # wide
+    (7, 128, 60, "dense"),       # tall, one full panel
+    (11, 129, 150, "dense"),     # wide, one row past the panel edge
+    (13, 257, 40, "dense"),      # tall, three panels
+    (5, 257, 300, "lowrank"),
+    (7, 129, 129, "duprows"),
+    (11, 128, 200, "dupcols"),
+    (13, 257, 257, "zero"),
+    (P_EDGE, 129, 160, "dense"),  # 128 unreduced pivots near 2^53, free columns
+])
+def test_rref_matches_gauss_jordan(p, rows, cols, kind):
+    a = _rref_input(p, rows, cols, kind, seed=rows * cols + p % 1000)
+    want_rows, want_pivots = gauss_jordan_mod_p(a.tolist(), p)
+    for block in (128, 7):
+        got, pivots = _rref_mod_p(a, p, block=block)
+        assert pivots == want_pivots
+        assert got.tolist() == want_rows
+
+
+def test_rref_bound_raises_past_its_limit():
+    # m = min(rows, cols) bounds the pivots in a panel, so only it counts
+    p_next = next(q for q in range(P_EDGE + 1, 2 * P_EDGE) if is_prime(q))
+    a = np.ones((129, 300))
+    with pytest.raises(ValueError, match="not exact"):
+        _rref_mod_p(a, p_next)
+    _rref_mod_p(a[:128], p_next)
+    _rref_mod_p(a.T[:, :128], p_next)
