@@ -12,17 +12,20 @@ valuation is >= 1 exactly when p divides the class number.
 A sweep takes its (space, ctx) pair from the caller or builds it, once,
 and maps one row function over the discriminants, in this process or,
 with jobs > 1, in worker processes handed that function, pair included.
+
+A cache file keeps the pair's expensive half, the Eisenstein context,
+with the level N and a digest of the space.  The space is a cheap,
+deterministic function of N, so `load_context` rebuilds it and refuses
+a file whose digest it does not match.
 """
 
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from math import prod
-
-import numpy as np
 
 from .eisenstein import (
     EisensteinContext,
@@ -31,17 +34,12 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuation,
 )
-from .exact_linalg import IntMatrix, LogMap, hnf_mod, mul_int64
-from .modsym import (
-    ModularSymbolSpace,
-    build_space,
-    check_pair,
-    theta_element,
-)
+from .exact_linalg import IntMatrix, LogMap, as_int64, hnf_mod
+from .modsym import build_space, check_pair, theta_element
 from .quadfield import class_number, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 3  # context cache files
+FORMAT_VERSION = 4  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
@@ -233,32 +231,16 @@ def _dec_matrix(rows):
     return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
 
 
-def _space_payload(space):
-    return {
-        "N": str(space.N),
-        "genus": str(space.genus),
-        "section": _enc_matrix(space.relation_kernel_basis),
-        "reduction": _enc_matrix(space.reduction),
-        "boundary": _enc_matrix(space.boundary),
-        "cuspidal_basis": _enc_matrix(space.cuspidal_basis),
-        "star": _enc_matrix(space.star),
-        "plus_basis": _enc_matrix(space.plus_basis),
-        "minus_basis": _enc_matrix(space.minus_basis),
-    }
-
-
-def _space_from_payload(data):
-    return ModularSymbolSpace(
-        N=int(data["N"]),
-        relation_kernel_basis=_dec_matrix(data["section"]),
-        reduction=_dec_matrix(data["reduction"]),
-        boundary=_dec_matrix(data["boundary"]),
-        cuspidal_basis=_dec_matrix(data["cuspidal_basis"]),
-        star=_dec_matrix(data["star"]),
-        plus_basis=_dec_matrix(data["plus_basis"]),
-        minus_basis=_dec_matrix(data["minus_basis"]),
-        genus=int(data["genus"]),
-    )
+def _space_digest(space):
+    """sha256 of the shape and int64 bytes of each matrix field of the
+    space, in field order: what a cache file keeps of the space."""
+    h = hashlib.sha256()
+    for f in fields(space):
+        m = getattr(space, f.name)
+        if isinstance(m, IntMatrix):
+            h.update(f"{f.name}:{m.rows}x{m.cols};".encode())
+            h.update(as_int64(m).astype("<i8").tobytes())
+    return h.hexdigest()
 
 
 def _checksum(payload):
@@ -267,8 +249,11 @@ def _checksum(payload):
 
 
 def save_context(space, ctx, path):
+    """Write ctx to `path`.  Of the space only N and `_space_digest` are
+    kept: `load_context` rebuilds it with `build_space(N)`."""
     payload = {
-        "space": _space_payload(space),
+        "N": str(space.N),
+        "space_sha256": _space_digest(space),
         "p": str(ctx.p),
         "n_max": str(ctx.n_max),
         "sign": str(ctx.sign),
@@ -291,38 +276,59 @@ def save_context(space, ctx, path):
     os.replace(tmp, path)
 
 
-def _check_structure(space, ctx):
-    """The cheap invariants a cache file cannot fake by its checksum:
-    section * reduction = I (the section vanishes off its support S, so
-    this is section[:, S] * reduction[S] = I), and each W_n a Hermite
-    basis holding W_{n+1}."""
+def _read_payload(payload):
+    """(N, p, space digest, the context's other fields) of a payload,
+    raising CacheIntegrityError if a key is missing, a value does not
+    parse, (N, p) breaks the standing hypotheses, or W, snf_diag,
+    snf_right or e does not have n_max + 2 levels."""
     try:
-        support, sec_s = space.section_support
-        right_inverse = np.array_equal(mul_int64(sec_s, space.int64("reduction")[support]),
-                                       np.eye(space.reduction.cols))
-    except ValueError:  # an entry or the product leaves int64
-        right_inverse = False
-    if not right_inverse:
-        raise CacheIntegrityError("cache integrity check failed: the section is not "
-                                  "a right inverse of the reduction")
+        N, p, n_max, sign = (int(payload[k]) for k in ("N", "p", "n_max", "sign"))
+        check_pair(N, p)
+        levels = [payload[k] for k in ("W", "snf_diag", "snf_right", "e")]
+        if any(len(x) != n_max + 2 for x in levels):
+            raise ValueError(f"W, snf_diag, snf_right and e need n_max + 2 = {n_max + 2} levels")
+        w, diags, rights, e = levels
+        return N, p, str(payload["space_sha256"]), {
+            "n_max": n_max,
+            "sign": sign,
+            "sturm_bound": int(payload["sturm_bound"]),
+            "eis_generators": tuple(_dec_matrix(m) for m in payload["eis_generators"]),
+            "W": tuple(_dec_matrix(m) for m in w),
+            "snf_of_W": tuple(WSmith(diag=tuple(int(d) for d in diag), right=_dec_matrix(right))
+                              for diag, right in zip(diags, rights)),
+            "e": tuple(int(x) for x in e),
+        }
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise CacheIntegrityError(f"cache integrity check failed: malformed payload "
+                                  f"({type(exc).__name__}: {exc})") from None
+
+
+def _check_structure(ctx):
+    """The cheap invariants a cache file cannot fake by its checksum:
+    every operator and level g x g for the rebuilt space's genus g, and
+    each W_n a Hermite basis holding W_{n+1}."""
+    g = ctx.space.genus
+    square = [*ctx.eis_generators, *ctx.W, *(sd.right for sd in ctx.snf_of_W)]
+    if (any((m.rows, m.cols) != (g, g) for m in square)
+            or any(len(sd.diag) != g for sd in ctx.snf_of_W)):
+        raise CacheIntegrityError(f"cache integrity check failed: an operator or level "
+                                  f"is not {g} x {g}")
     for n in range(len(ctx.W) - 1):
         # a Hermite basis W_n of index d gives itself back from hnf_mod of
         # W_n and W_{n+1} modulo d exactly when W_{n+1} lies inside it
         w = ctx.W[n].entries
-        d = prod(w[i][i] for i in range(len(w))) if len(w) == len(w[0]) else 0
-        try:
-            inside = d > 0 and hnf_mod(w + ctx.W[n + 1].entries, d).tolist() == list(map(list, w))
-        except ValueError:  # the two levels differ in width
-            inside = False
-        if not inside:
+        d = prod(w[i][i] for i in range(len(w)))
+        if not (d > 0 and hnf_mod(w + ctx.W[n + 1].entries, d).tolist() == list(map(list, w))):
             raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
 
 
 def load_context(path):
-    """Rebuild (space, context) from a cache file, refusing stale or
-    corrupted envelopes, and pairs that break the structural invariants,
-    with distinct errors."""
+    """(space, context) from a cache file: the space rebuilt from N and
+    checked against the file's digest, the context read from the file.
+    Stale envelopes and spaces on another basis raise CacheVersionError;
+    a corrupted, malformed or structurally broken payload raises
+    CacheIntegrityError."""
     with open(path) as fh:
         envelope = json.load(fh)
     if envelope.get("format_version") != FORMAT_VERSION:
@@ -330,27 +336,16 @@ def load_context(path):
             "cache version mismatch: file has %r, this build reads %r"
             % (envelope.get("format_version"), FORMAT_VERSION)
         )
-    payload = envelope["payload"]
+    payload = envelope.get("payload")
     if _checksum(payload) != envelope.get("checksum"):
         raise CacheIntegrityError("cache integrity check failed")
-    space = _space_from_payload(payload["space"])
-    smiths = tuple(
-        WSmith(diag=tuple(int(d) for d in diag), right=_dec_matrix(right))
-        for diag, right in zip(payload["snf_diag"], payload["snf_right"])
-    )
-    ctx = EisensteinContext(
-        space=space,
-        p=int(payload["p"]),
-        n_max=int(payload["n_max"]),
-        sign=int(payload["sign"]),
-        sturm_bound=int(payload["sturm_bound"]),
-        eis_generators=tuple(_dec_matrix(m) for m in payload["eis_generators"]),
-        W=tuple(_dec_matrix(m) for m in payload["W"]),
-        snf_of_W=smiths,
-        e=tuple(int(x) for x in payload["e"]),
-        logmap=LogMap(space.N, int(payload["p"])),
-    )
-    _check_structure(space, ctx)
+    N, p, digest, parts = _read_payload(payload)
+    space = build_space(N)
+    if _space_digest(space) != digest:
+        raise CacheVersionError("cache file was written on another M_rel basis: "
+                                f"its space digest differs from build_space({N})")
+    ctx = EisensteinContext(space=space, p=p, logmap=LogMap(N, p), **parts)
+    _check_structure(ctx)
     return space, ctx
 
 

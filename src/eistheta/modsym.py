@@ -50,7 +50,7 @@ int64 reduction to M_rel, and into the cuspidal (and later the signed)
 basis by `solve_by_inverse`.  `path_to_chain` is the one-path form.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -273,7 +273,10 @@ class ModularSymbolSpace:
     and reduction o section = identity.  `cuspidal_basis` rows span
     M = ker(boundary) inside M_rel; `star`, `plus_basis`, `minus_basis`
     live in cuspidal-basis coordinates.  The symbol indexing
-    (`generators`, `_inv`, `_iota`) is derived from N on construction.
+    (`generators`, `_inv`, `_iota`) is that of `presentation(N)`.
+    `build_space(N)` makes every field a deterministic function of N, so
+    a cache file stores N and a digest of the matrices, not the matrices
+    (`harness.save_context`).
     """
 
     N: int
@@ -285,15 +288,9 @@ class ModularSymbolSpace:
     plus_basis: IntMatrix  # rows: basis of M^+ in cuspidal coordinates
     minus_basis: IntMatrix
     genus: int
-    generators: tuple = field(init=False)  # the N+1 points (c, d) of P^1(Z/NZ)
-    _inv: tuple = field(init=False)  # inverses mod N (index 0 unused)
-    _iota: tuple = field(init=False)  # index permutation of (c:d) -> (-c:d)
-
-    def __post_init__(self):
-        pres = presentation(self.N)
-        object.__setattr__(self, "generators", pres.generators)
-        object.__setattr__(self, "_inv", pres.inv)
-        object.__setattr__(self, "_iota", pres.iota)
+    generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
+    _inv: tuple  # inverses mod N (index 0 unused)
+    _iota: tuple  # index permutation of (c:d) -> (-c:d)
 
     def index(self, u, v):
         """P^1(Z/NZ) index of (u : v); None for the degenerate (0:0)."""
@@ -407,6 +404,9 @@ def _space_from_section(pres, sec, red):
         plus_basis=plus,
         minus_basis=minus,
         genus=g,
+        generators=pres.generators,
+        _inv=pres.inv,
+        _iota=pres.iota,
     )
     # seed the cached property, so the first hecke or theta does not redo the HNF
     space.__dict__["cuspidal_inverse"] = cusp_inv

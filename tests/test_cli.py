@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eistheta import cli, harness
+from eistheta import cli, eisenstein, harness
 from eistheta.cli import main
 
 
@@ -94,6 +94,21 @@ def test_cache_dir_refuses_corruption(tmp_path, capsys):
     assert "integrity" in err
 
 
+def test_cache_dir_refuses_a_malformed_file(tmp_path, capsys):
+    # a resealed file missing one SNF level is refused, not a traceback
+    args = ("sweep-even", "--N", "11", "--p", "5", "--dmin", "1", "--dmax", "50",
+            "--cache-dir", str(tmp_path))
+    assert _run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    envelope = json.loads(path.read_text())
+    envelope["payload"]["snf_diag"].pop()
+    envelope["checksum"] = harness._checksum(envelope["payload"])
+    path.write_text(json.dumps(envelope))
+    code, out, err = _run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cache integrity check failed")
+
+
 def test_fixtures_command(capsys):
     code, out, _ = _run(capsys, "fixtures")
     assert code == 0
@@ -141,8 +156,9 @@ def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise RuntimeError("context rebuilt although the cache holds it")
 
-    monkeypatch.setattr(harness, "build_space", no_build)
+    # the warm path rebuilds the space from N on purpose, and nothing else
     monkeypatch.setattr(harness, "build_context", no_build)
+    monkeypatch.setattr(eisenstein, "hecke", no_build)
     assert _run(capsys, *args, "--jobs", "2")[:2] == (0, cold)
 
 

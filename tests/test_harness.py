@@ -196,9 +196,13 @@ def test_cache_round_trip(tmp_path):
     space2, ctx2 = load_context(path)
 
     assert space2.N == space.N and space2.genus == space.genus
+    assert space2.relation_kernel_basis == space.relation_kernel_basis
     assert space2.reduction == space.reduction
+    assert space2.boundary == space.boundary
     assert space2.cuspidal_basis == space.cuspidal_basis
+    assert space2.star == space.star
     assert space2.plus_basis == space.plus_basis
+    assert space2.minus_basis == space.minus_basis
     assert ctx2.W == ctx.W and ctx2.e == ctx.e
     assert [sd.diag for sd in ctx2.snf_of_W] == [sd.diag for sd in ctx.snf_of_W]
     assert [sd.right for sd in ctx2.snf_of_W] == [sd.right for sd in ctx.snf_of_W]
@@ -230,8 +234,9 @@ def test_cache_rejects_foreign_version(tmp_path):
     path = tmp_path / "ctx.json"
     save_context(space, ctx, path)
     envelope = json.loads(path.read_text())
-    # version 1 files also stored the unused SNF left transforms
-    for version in (0, 1):
+    # version 1 files also stored the unused SNF left transforms, version 3
+    # files every matrix of the space
+    for version in (0, 1, 3):
         envelope["format_version"] = version
         path.write_text(json.dumps(envelope))
         with pytest.raises(CacheVersionError, match="version"):
@@ -241,16 +246,35 @@ def test_cache_rejects_foreign_version(tmp_path):
 
 def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
     # version 2 files hold spaces on the M_rel basis of the Smith normal
-    # form, which the spanning-tree basis replaced
+    # form, which the spanning-tree basis replaced; at the current version
+    # the space's digest tells that basis from the one build_space gives
     pres = presentation(31)
     space = _space_from_section(pres, *snf_section_reduction(pres))
     assert space.reduction != build_space(31).reduction
     path = tmp_path / "v2.json"
     save_context(space, build_context(space, 5), path)
+    with pytest.raises(CacheVersionError, match="another M_rel basis"):
+        load_context(path)
     envelope = json.loads(path.read_text())
     envelope["format_version"] = 2
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 2, this build reads 3"):
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 4"):
+        load_context(path)
+
+
+def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
+    space, ctx = _built_pair()
+    path = tmp_path / "ctx.json"
+    save_context(space, ctx, path)
+    payload = json.loads(path.read_text())["payload"]
+    assert "space" not in payload and payload["N"] == "11"
+    assert payload["space_sha256"] == harness._space_digest(build_space(11))
+
+    def edit_digest(payload):
+        payload["space_sha256"] = payload["space_sha256"][::-1]
+
+    _resealed(path, edit_digest)
+    with pytest.raises(CacheVersionError, match="another M_rel basis"):
         load_context(path)
 
 
@@ -283,16 +307,33 @@ def test_cache_rechecks_structure_on_load(tmp_path):
         w = payload["W"]
         w[1], w[2] = w[2], w[1]
 
-    def bend_section(payload):
-        row = payload["space"]["section"][0]
-        row[0] = str(int(row[0]) + 1)
-
     def negate_level(payload):  # the same lattice, but not a Hermite basis
         payload["W"][1] = [[str(-int(x)) for x in row] for row in payload["W"][1]]
 
+    def widen_level(payload):
+        payload["W"][2] = [row + ["0"] for row in payload["W"][2]]
+
+    def shorten_diag(payload):
+        payload["snf_diag"][1].pop()
+
+    def drop(key):
+        return lambda payload: payload.pop(key)
+
+    def drop_level(key):
+        return lambda payload: payload[key].pop()
+
+    def other_p(payload):  # 7 does not divide N - 1 = 10
+        payload["p"] = "7"
+
     for edit, what in ((swap_levels, "W_2 is not inside W_1"),
-                       (bend_section, "not a right inverse"),
-                       (negate_level, "W_1 is not a Hermite basis")):
+                       (negate_level, "W_1 is not a Hermite basis"),
+                       (widen_level, "not 1 x 1"),
+                       (shorten_diag, "not 1 x 1"),
+                       (drop("e"), r"malformed payload \(KeyError: 'e'"),
+                       (drop("space_sha256"), r"malformed payload \(KeyError"),
+                       *((drop_level(k), r"n_max \+ 2 = 5 levels")
+                         for k in ("W", "snf_diag", "snf_right", "e")),
+                       (other_p, r"malformed payload \(ValueError: hypothesis p")):
         save_context(space, ctx, path)
         _resealed(path, edit)
         with pytest.raises(CacheIntegrityError, match=what):
