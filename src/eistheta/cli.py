@@ -129,7 +129,7 @@ def _cmd_theta(args, out):
     check_discriminant(args.D, args.N, args.p, split)
     _, ctx = _cached_pair(args.N, args.p, args.nmax,
                           1 if split else -1, args.cache_dir)
-    report = make_report([row_function(ctx)(args.D)])
+    report = make_report(row_function(ctx)([args.D]))
     _emit(report, args.format, out)
     return 0 if report.failed == 0 else 1
 

@@ -10,8 +10,10 @@ the same time; for odd (inert, imaginary) discriminants that the
 valuation is >= 1 exactly when p divides the class number.
 
 A sweep takes its (space, ctx) pair from the caller or builds it, once,
-and maps one row function over the discriminants, in this process or,
-with jobs > 1, in worker processes handed that function, pair included.
+and hands its discriminants to one row function, which walks their
+theta elements together: in this process or, with jobs > 1, in worker
+processes handed that function, pair included, one contiguous slice of
+the discriminants at a time.
 
 A cache file keeps the pair's expensive half, the Eisenstein context,
 with the level N and a digest of the space.  The space is a cheap,
@@ -35,7 +37,7 @@ from .eisenstein import (
     theta_valuation,
 )
 from .exact_linalg import IntMatrix, LogMap, as_int64, hnf_mod
-from .modsym import build_space, check_pair, theta_element
+from .modsym import build_space, check_pair, theta_elements
 from .quadfield import class_number, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
@@ -88,11 +90,13 @@ def check_discriminant(D, N, p, split):
         raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
 
 
-def even_row(ctx, g_p, D):
+def even_row(ctx, g_p, theta):
+    """The sweep row of the split discriminant theta.D, from its theta
+    element."""
     space = ctx.space
-    check_discriminant(D, space.N, ctx.p, ctx.sign > 0)
+    D = theta.D
     profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap)
-    val = theta_valuation(ctx, theta_element(space, D))
+    val = theta_valuation(ctx, theta)
     sel = selmer_rank(SelmerInput(
         p_divides_h=profile.h_mod_p == 0,
         pic_zn_trivial=profile.pic_zn_trivial,
@@ -111,10 +115,12 @@ def even_row(ctx, g_p, D):
     )
 
 
-def odd_row(ctx, D):
-    check_discriminant(D, ctx.space.N, ctx.p, ctx.sign > 0)
+def odd_row(ctx, theta):
+    """The sweep row of the inert discriminant theta.D, from its theta
+    element."""
+    D = theta.D
     h = class_number(D)
-    val = theta_valuation(ctx, theta_element(ctx.space, D))
+    val = theta_valuation(ctx, theta)
     crit = h % ctx.p == 0
     return SweepRow(
         N=ctx.space.N, p=ctx.p, D=D, h=h, h_mod_p=h % ctx.p,
@@ -124,12 +130,20 @@ def odd_row(ctx, D):
     )
 
 
+def _rows(ctx, row, Ds):
+    for D in Ds:
+        check_discriminant(D, ctx.space.N, ctx.p, ctx.sign > 0)
+    return [row(theta) for theta in theta_elements(ctx.space, Ds)]
+
+
 def row_function(ctx):
-    """ctx's row computation as a function of D alone: even rows (g_p
-    computed here, once) for a plus context, odd rows for a minus one."""
+    """ctx's row computation as a function of a sequence of D alone, all
+    refused before any is computed: even rows (g_p computed here, once)
+    for a plus context, odd rows for a minus one, their theta elements
+    walked together."""
     if ctx.sign > 0:
-        return partial(even_row, ctx, g_p_dimension(ctx))
-    return partial(odd_row, ctx)
+        return partial(_rows, ctx, partial(even_row, ctx, g_p_dimension(ctx)))
+    return partial(_rows, ctx, partial(odd_row, ctx))
 
 
 def make_report(rows):
@@ -146,16 +160,16 @@ def build_pair(N, p, n_max, sign):
 
 
 # a pool worker's row function, set once by the pool initializer
-_WORKER_ROW = None
+_WORKER_ROWS = None
 
 
-def _set_worker_row(row):
-    global _WORKER_ROW
-    _WORKER_ROW = row
+def _set_worker_rows(rows):
+    global _WORKER_ROWS
+    _WORKER_ROWS = rows
 
 
-def _worker_row(D):
-    return _WORKER_ROW(D)
+def _worker_rows(Ds):
+    return _WORKER_ROWS(Ds)
 
 
 def check_sweep(N, p, d_min, d_max, sign):
@@ -173,11 +187,14 @@ def _sweep(N, p, d_min, d_max, n_max, jobs, sign, context):
     ds = [D for D in range(d_min, d_max + 1)
           if validate_discriminant(D, N, p, want_split=sign > 0)]
     _, ctx = context or build_pair(N, p, n_max, sign)
-    row = row_function(ctx)
+    rows = row_function(ctx)
     if jobs > 1:
-        with ProcessPoolExecutor(jobs, initializer=_set_worker_row, initargs=(row,)) as pool:
-            return make_report(pool.map(_worker_row, ds, chunksize=8))
-    return make_report(row(D) for D in ds)
+        # contiguous slices, a few per worker, so the walks still batch
+        size = -(-len(ds) // (4 * jobs)) or 1
+        slices = [ds[i:i + size] for i in range(0, len(ds), size)]
+        with ProcessPoolExecutor(jobs, initializer=_set_worker_rows, initargs=(rows,)) as pool:
+            return make_report(r for part in pool.map(_worker_rows, slices) for r in part)
+    return make_report(rows(ds))
 
 
 def sweep_even(N, p, d_min, d_max, n_max=3, jobs=1, context=None):
@@ -327,10 +344,15 @@ def load_context(path):
     """(space, context) from a cache file: the space rebuilt from N and
     checked against the file's digest, the context read from the file.
     Stale envelopes and spaces on another basis raise CacheVersionError;
-    a corrupted, malformed or structurally broken payload raises
-    CacheIntegrityError."""
-    with open(path) as fh:
-        envelope = json.load(fh)
+    a file that is not a JSON object, and a corrupted, malformed or
+    structurally broken payload, raise CacheIntegrityError."""
+    try:
+        with open(path) as fh:
+            envelope = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CacheIntegrityError(f"cache integrity check failed: not a JSON file ({exc})") from None
+    if not isinstance(envelope, dict):
+        raise CacheIntegrityError("cache integrity check failed: the envelope is not a JSON object")
     if envelope.get("format_version") != FORMAT_VERSION:
         raise CacheVersionError(
             "cache version mismatch: file has %r, this build reads %r"

@@ -40,14 +40,27 @@ left inverse L of B, proven by multiplying back (`solve_by_inverse`);
 `hecke` and `restrict_to_sign` solve that way, and only their g x g
 results become `IntMatrix`es.
 
-The theta element of D is the chain sum_a chi_D(a) {0, a/|D|}.  Its
-symbol counts come from one vectorized pass: chi_D for every a < |D|
-as a product of the characters of the prime discriminants dividing D,
-then the continued-fraction walks of all a with chi_D(a) != 0 in one
-lockstep Euclid loop, each step's symbols (q_k : +-q_{k-1}) counted by
-two `bincount`s, one per value of chi_D.  The counts go through the
-int64 reduction to M_rel, and into the cuspidal (and later the signed)
-basis by `solve_by_inverse`.  `path_to_chain` is the one-path form.
+The theta element of D is the chain sum_a chi_D(a) {0, a/m}, m = |D|,
+and only the a < m/2 are walked (the half walk).  Proof: pair a > m/2
+with a' = m - a < m/2.  chi_D(a) = chi_D(-1) chi_D(a') = s chi_D(a') with
+s = sign(D).  In M_rel, where Gamma_0(N) acts trivially,
+{0, a/m} = {0, 1} + {1, 1 - a'/m} = {0, 1} + T{0, -a'/m}
+= {0, 1} + iota{0, a'/m}, with T = [[1, 1], [0, 1]] in Gamma_0(N) and
+iota: x -> -x, conjugation by diag(-1, 1), which sends the symbol
+(c:d) = {b/d, a/c} to (-c:d): the permutation the star involution
+reads.  So theta = h + s (iota(h) + sigma {0, 1}), with h the signed
+symbol counts of the walks of the a < m/2 and sigma the sum of their
+chi_D(a).  At even m (so m >= 4) the middle a = m/2 has chi_D = 0,
+since gcd(m/2, m) > 1.  The sigma term is zero: {0, 1} is the symbol
+pair (0:1) + (1:0) = x + xS, which the two-term relation kills.  So is
+the same pair that opens every walk of a/m < 1, so the walks are not
+made to count it.  chi_D comes from the characters of the prime
+discriminants dividing D; the continued-fraction walks of many D run
+together in one lockstep Euclid loop, each step's symbols
+(q_k : +-q_{k-1}) counted by one `bincount` keyed by row and symbol
+(`theta_elements`).  The folded counts go through the int64 reduction
+to M_rel, and into the cuspidal (and later the signed) basis by
+`solve_by_inverse`.  `path_to_chain` is the one-path form.
 """
 
 from dataclasses import dataclass
@@ -601,47 +614,85 @@ def _chi_table(D):
     return chi
 
 
-def _theta_counts(D, N, inv):
-    """Signed Manin-symbol counts of sum_a chi_D(a) {0, a/|D|}, an int64
-    array over P^1(Z/NZ): the walks of `_symbol_stream` for every a with
-    chi_D(a) != 0, run together as one lockstep Euclid loop.  All lanes
-    take their k-th step together, so the sign of q_{k-1} is shared.
-    Every walk value is at most |D|, a Legendre table squares residues
-    mod q | D, and `p1_index` multiplies residues mod N: all exact in
-    int64 while max(N, |D|)^2 < 2^63."""
-    m = abs(D)
-    if max(N, m) ** 2 >= 2**63:
+# the theta walk runs at most this many lanes at a time, and counts the
+# symbols of at most this many (row, symbol) cells (unless one row is wider)
+_THETA_CHUNK = 2**14
+
+
+def theta_elements(space, Ds):
+    """Theta elements sum_a chi_D(a) {0, a/|D|} of the fundamental
+    discriminants Ds, prime to N, in the order given, by the half walk
+    of the module docstring.
+
+    A lane is one a of one D, keyed by its row's block of N + 1 symbol
+    counts, and the lanes with chi_D(a) = -1 by a second block.  The
+    rows are walked in chunks of at most _THETA_CHUNK lanes and
+    (row, symbol) cells (a row with more lanes or cells is a chunk
+    alone, its lanes walked _THETA_CHUNK at a time), so no array
+    outgrows that bound.  Each chunk is folded, reduced to M_rel,
+    checked to have no boundary and solved into the cuspidal basis at
+    once.  Every walk value is at most |D|, a Legendre table squares
+    residues mod q | D, and `p1_index` multiplies residues mod N: all
+    exact in int64 while max(N, |D|)^2 < 2^63, which is checked before
+    any symbol data is read."""
+    N = space.N
+    Ds = list(Ds)
+    for D in Ds:
+        if abs(D) <= 1 or not is_fundamental(D) or gcd(D, N) != 1:
+            raise ValueError("need a fundamental discriminant prime to N")
+    if max([N] + [abs(D) for D in Ds]) ** 2 >= 2**63:
         raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
-    inv = np.array(inv, dtype=np.int64)
-    chi = _chi_table(D)
-    x = np.flatnonzero(chi)
-    w = chi[x]
-    y = np.full(len(x), m, dtype=np.int64)
-    qm2, qm1 = np.ones_like(y), np.zeros_like(y)
-    # every walk opens with the {0, oo} symbol (0 : 1), index 0
-    steps, weights = [np.zeros_like(y)], [w]
-    sign = -1
-    while len(x):
-        q = x // y
-        x, y = y, x - q * y
-        qm2, qm1 = qm1, q * qm1 + qm2
-        steps.append(p1_index(qm1 % N, sign * qm2 % N, N, inv))
-        weights.append(w)
-        sign = -sign
-        live = y != 0
-        x, y, qm1, qm2, w = x[live], y[live], qm1[live], qm2[live], w[live]
-    idx, w = np.concatenate(steps), np.concatenate(weights)
-    return (np.bincount(idx[w > 0], minlength=N + 1)
-            - np.bincount(idx[w < 0], minlength=N + 1))
+    inv = np.array(space._inv, dtype=np.int64)
+    iota = np.array(space._iota, dtype=np.int64)
+    out = []
+    rows, n = [], 0  # the rows (D, a, chi_D(a) < 0) of the next chunk, n lanes
+    for D in Ds:
+        chi = _chi_table(D)[:(abs(D) + 1) // 2]
+        a = np.flatnonzero(chi)  # the 0 < a < |D|/2 with chi_D(a) != 0
+        if rows and (n + len(a) > _THETA_CHUNK or (len(rows) + 1) * (N + 1) > _THETA_CHUNK):
+            out += _theta_chunk(space, rows, inv, iota)
+            rows, n = [], 0
+        rows.append((D, a, chi[a] < 0))
+        n += len(a)
+    return out + (_theta_chunk(space, rows, inv, iota) if rows else [])
+
+
+def _theta_chunk(space, rows, inv, iota):
+    """The theta elements of the rows (D, a, chi_D(a) < 0) of one chunk."""
+    N = space.N
+    Ds = [D for D, _, _ in rows]
+    width = len(rows) * (N + 1)
+    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(a) for _, a, _ in rows])
+    a_all = np.concatenate([a for _, a, _ in rows])
+    key_all = row * (N + 1) + width * np.concatenate([neg for _, _, neg in rows])
+    m_all = np.abs(np.array(Ds, dtype=np.int64))[row]
+    counts = np.zeros(2 * width, dtype=np.int64)
+    for lo in range(0, len(a_all), _THETA_CHUNK):
+        piece = slice(lo, lo + _THETA_CHUNK)
+        # each walk starts after its opening (0 : 1), q_0 = 0, (1 : 0)
+        x, y, key = m_all[piece], a_all[piece], key_all[piece]
+        qm2, qm1 = np.zeros_like(y), np.ones_like(y)
+        sign = 1  # all lanes take their k-th step together: one sign of q_{k-1}
+        while len(x):
+            q = x // y
+            x, y = y, x - q * y
+            qm2, qm1 = qm1, q * qm1 + qm2
+            counts += np.bincount(key + p1_index(qm1 % N, sign * qm2 % N, N, inv),
+                                  minlength=2 * width)
+            sign = -sign
+            live = y != 0
+            x, y, qm1, qm2, key = x[live], y[live], qm1[live], qm2[live], key[live]
+    half = (counts[:width] - counts[width:]).reshape(len(rows), N + 1)
+    # theta = half + s iota(half), s = sign(D)
+    s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
+    rel = mul_int64(half + s * half[:, iota], space.int64("reduction"))
+    if mul_int64(rel, space.int64("boundary")).any():
+        raise ValueError("theta chain has nonzero boundary")
+    in_m = solve_by_inverse(space.int64("cuspidal_basis"), space.int64("cuspidal_inverse"), rel)
+    return [ThetaElement(D=D, coords=tuple(c), sign=1 if D > 0 else -1)
+            for D, c in zip(Ds, in_m.tolist())]
 
 
 def theta_element(space, D):
     """Theta element: sum over a mod |D| of chi_D(a) {0, a/|D|}."""
-    if abs(D) <= 1 or not is_fundamental(D) or gcd(D, space.N) != 1:
-        raise ValueError("need a fundamental discriminant prime to N")
-    counts = _theta_counts(D, space.N, space._inv)
-    rel = mul_int64(counts[None, :], space.int64("reduction"))
-    if mul_int64(rel, space.int64("boundary")).any():
-        raise ValueError("theta chain has nonzero boundary")
-    in_m = solve_by_inverse(space.int64("cuspidal_basis"), space.int64("cuspidal_inverse"), rel)
-    return ThetaElement(D=D, coords=tuple(in_m[0].tolist()), sign=1 if D > 0 else -1)
+    return theta_elements(space, [D])[0]

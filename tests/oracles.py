@@ -6,13 +6,15 @@ package now reads M_rel off a spanning tree of the tau-orbit graph
 route's Smith normal form with the inverse of its right transform, and
 the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination that the panelled float64 kernel is checked
-against.
+against.  `full_theta_counts` is the theta walk over every residue, the
+reference for the half walk of `modsym.theta_elements`.
 """
 
 import numpy as np
 
 from eistheta.exact_linalg import IntMatrix, as_int64, is_prime, snf, unimodular_inverse
 from eistheta.modp import _rref_mod_p
+from eistheta.modsym import _chi_table, p1_index
 
 # every admissible (N, p) with N < 400 and p in {5, 7, 11, 13}: 36 pairs,
 # 21 of them with N < 200
@@ -85,3 +87,35 @@ def gauss_jordan_mod_p(rows, p):
                 mat[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
     return mat[:len(pivots)], pivots
+
+
+def full_theta_counts(D, N, inv):
+    """Signed Manin-symbol counts of sum_a chi_D(a) {0, a/|D|}, an int64
+    array over P^1(Z/NZ): the continued-fraction walks of every a < |D|
+    with chi_D(a) != 0, run together as one lockstep Euclid loop (all
+    lanes take their k-th step together, so the sign of q_{k-1} is
+    shared).  Exact in int64 while max(N, |D|)^2 < 2^63."""
+    m = abs(D)
+    if max(N, m) ** 2 >= 2**63:
+        raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
+    inv = np.array(inv, dtype=np.int64)
+    chi = _chi_table(D)
+    x = np.flatnonzero(chi)
+    w = chi[x]
+    y = np.full(len(x), m, dtype=np.int64)
+    qm2, qm1 = np.ones_like(y), np.zeros_like(y)
+    # every walk opens with the {0, oo} symbol (0 : 1), index 0
+    steps, weights = [np.zeros_like(y)], [w]
+    sign = -1
+    while len(x):
+        q = x // y
+        x, y = y, x - q * y
+        qm2, qm1 = qm1, q * qm1 + qm2
+        steps.append(p1_index(qm1 % N, sign * qm2 % N, N, inv))
+        weights.append(w)
+        sign = -sign
+        live = y != 0
+        x, y, qm1, qm2, w = x[live], y[live], qm1[live], qm2[live], w[live]
+    idx, w = np.concatenate(steps), np.concatenate(weights)
+    return (np.bincount(idx[w > 0], minlength=N + 1)
+            - np.bincount(idx[w < 0], minlength=N + 1))

@@ -109,6 +109,19 @@ def test_cache_dir_refuses_a_malformed_file(tmp_path, capsys):
     assert err.startswith("error: cache integrity check failed")
 
 
+@pytest.mark.parametrize("text", ["[1,2]", '{"format_version":4,"checksum":"ab'])
+def test_cache_dir_refuses_a_file_that_is_not_a_json_object(tmp_path, capsys, text):
+    # a JSON list, and a file cut off mid-string, are refused as cache
+    # files, not a traceback or a bare json message
+    args = ("theta", "--N", "11", "--p", "5", "--D", "12", "--cache-dir", str(tmp_path))
+    assert _run(capsys, *args)[0] == 0
+    (path,) = tmp_path.iterdir()
+    path.write_text(text)
+    code, out, err = _run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cache integrity check failed")
+
+
 def test_fixtures_command(capsys):
     code, out, _ = _run(capsys, "fixtures")
     assert code == 0

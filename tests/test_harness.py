@@ -141,12 +141,14 @@ def test_row_functions_refuse_inadmissible_discriminants(pairs):
     # 11 splits in Q(sqrt -7), 5 | -15 and 5 | 5, 13 and -3 are the wrong
     # sign, 44 = 4 * 11 is not prime to N
     for sign, case, bad in ((1, "split", (-7, 5, 44, -3)), (-1, "inert", (-7, -15, 13))):
-        row = row_function(pairs[sign][1])
+        rows = row_function(pairs[sign][1])
+        good = 12 if sign > 0 else -47
         for D in bad:
-            with pytest.raises(ValueError, match=f"invalid discriminant for the {case} case"):
-                row(D)
-    assert row_function(pairs[1][1])(12) == EVEN_REPORT.rows[0]
-    assert row_function(pairs[-1][1])(-47) == ODD_REPORT.rows[0]
+            for Ds in ([D], [good, D]):
+                with pytest.raises(ValueError, match=f"invalid discriminant for the {case} case"):
+                    rows(Ds)
+    assert row_function(pairs[1][1])([12]) == [EVEN_REPORT.rows[0]]
+    assert row_function(pairs[-1][1])([-47]) == [ODD_REPORT.rows[0]]
 
 
 def test_sweep_bytes_match_the_benchmark_reference():
@@ -156,6 +158,19 @@ def test_sweep_bytes_match_the_benchmark_reference():
     csv = report_to_csv(sweep_even(211, 5, 1, 3000))
     assert csv.count("\n") - 1 == ref["rows"] == 371
     assert hashlib.sha256(csv.encode()).hexdigest() == ref["sha256"]
+
+
+# sha256 of the sweep-odd CSV at N = 211, p = 5, D in [-3000, -1],
+# recorded from the program before the theta walk was halved
+ODD_211_SHA256 = "08a90ba8705fd247654d4d9c06549f75bf7178669bfefccf7df0d36ece9c0e44"
+
+
+def test_odd_sweep_bytes_pinned_at_211():
+    pair = harness.build_pair(211, 5, 3, -1)
+    csv = report_to_csv(sweep_odd(211, 5, -3000, -1, context=pair))
+    assert csv.count("\n") - 1 == 371
+    assert hashlib.sha256(csv.encode()).hexdigest() == ODD_211_SHA256
+    assert report_to_csv(sweep_odd(211, 5, -3000, -1, jobs=2, context=pair)) == csv
 
 
 def test_sweep_input_validation():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import eistheta
+from eistheta import modsym
 from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, xgcd
 from eistheta.modsym import (
     HeckeOp,
@@ -33,10 +34,11 @@ from eistheta.modsym import (
     solve_by_inverse,
     star_decompose,
     theta_element,
+    theta_elements,
     tree_reduction,
 )
 from eistheta.quadfield import is_fundamental
-from oracles import ADMISSIBLE, relation_matrix, snf_section_reduction
+from oracles import ADMISSIBLE, full_theta_counts, relation_matrix, snf_section_reduction
 
 rng = random.Random(60493)
 
@@ -486,6 +488,60 @@ def test_theta_matches_sum_of_paths():
             assert IntMatrix.from_rows([list(th.coords)]) * sp.cuspidal_basis == (
                 IntMatrix.from_rows([rel])
             ), (N, D)
+
+
+def _fundamental_window(N, ms):
+    """The fundamental D = +-m, m in ms, prime to N, in that order."""
+    return [D for m in ms for D in (m, -m) if is_fundamental(D) and D % N]
+
+
+def test_theta_elements_match_the_full_walk_oracle():
+    # the half walk, batched across discriminants, against the walk over
+    # every residue, reduced to M_rel: at every admissible N < 400, on a
+    # random window of both signs (even |D| among them) and at |D| = 3, 4, 8
+    r = random.Random(20261018)
+    for N in sorted({N for N, _ in ADMISSIBLE}):
+        sp = build_space(N)
+        assert not any(path_to_chain(sp, 1, 1))  # {0, 1} is zero in M_rel
+        lo = r.randrange(5, 1500)
+        Ds = _fundamental_window(N, [3, 4, 8, *range(lo, lo + 40)])
+        assert {-3, -4, 8, -8} <= set(Ds) and any(D % 2 == 0 for D in Ds[4:])
+        thetas = theta_elements(sp, Ds)
+        assert [(th.D, th.sign) for th in thetas] == [(D, 1 if D > 0 else -1) for D in Ds]
+        got = mul_int64(np.array([th.coords for th in thetas]), sp.int64("cuspidal_basis"))
+        counts = np.array([full_theta_counts(D, N, sp._inv) for D in Ds])
+        assert np.array_equal(got, mul_int64(counts, sp.int64("reduction"))), N
+
+
+@pytest.mark.parametrize("N", [11, 211])
+def test_theta_elements_do_not_depend_on_the_chunk_bound(monkeypatch, N):
+    # with the bound patched small, chunks hold one D or split one D's
+    # lanes across several loops; the elements are those of one chunk
+    sp = build_space(N)
+    Ds = _fundamental_window(N, range(3, 200))
+    monkeypatch.setattr(modsym, "_THETA_CHUNK", 2**40)
+    whole = theta_elements(sp, Ds)
+    walk = modsym._theta_chunk
+    for bound, split in ((1, True), (7, True), (64, True), (3 * (N + 1), False)):
+        chunks = []
+
+        def spy(space, rows, *args):
+            chunks.append((len(rows), sum(len(a) for _, a, _ in rows), len(rows[0][1])))
+            return walk(space, rows, *args)
+
+        monkeypatch.setattr(modsym, "_THETA_CHUNK", bound)
+        monkeypatch.setattr(modsym, "_theta_chunk", spy)
+        assert theta_elements(sp, Ds) == whole, bound
+        assert sum(rows for rows, _, _ in chunks) == len(Ds)
+        assert all(rows * (N + 1) <= bound or rows == 1 for rows, _, _ in chunks)
+        assert all(lanes <= bound or rows == 1 for rows, lanes, _ in chunks)
+        # a chunk is cut only where the next D would break the bound
+        assert all(lanes + first > bound or (rows + 1) * (N + 1) > bound
+                   for (rows, lanes, _), (_, _, first) in zip(chunks, chunks[1:]))
+        if split:  # some D's lanes are split across the bound
+            assert any(lanes > bound for _, lanes, _ in chunks)
+        else:  # some chunk holds several D
+            assert any(rows > 1 for rows, _, _ in chunks)
 
 
 def test_chi_table_matches_kronecker():
