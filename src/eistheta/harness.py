@@ -288,8 +288,9 @@ def save_context(space, ctx, path):
     }
     # a reader sees the old file or the whole new one, never a part
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    # json.dumps runs the C encoder; json.dump would not
     with open(tmp, "w") as fh:
-        json.dump(envelope, fh, sort_keys=True, separators=(",", ":"))
+        fh.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, path)
 
 

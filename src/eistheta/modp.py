@@ -13,10 +13,11 @@ All arithmetic runs through float64 BLAS; each product is bounded in
 advance by p^2 times a matrix dimension, below 2^53, so nothing ever
 rounds.  The Eisenstein generators are applied in increasing Hecke
 index, cutting the candidate space down after each one (`cut`, which
-the exact route's g_p also runs on).  Each Merel family acts on the
-2g + 1 coordinate generators through `family_counts`, the action the
-exact route's `hecke` uses too, and its counts meet the surviving
-vectors in one product, bounded by p times their sum.
+the exact route's g_p also runs on).  Each Hecke family
+(`hecke_family`: Cremona's for l != N, Merel's for U_N) acts on the
+2g + 1 coordinate generators through `family_counts`; the exact
+route's `hecke` uses the same families and action.  The counts meet
+the surviving vectors in one product, bounded by p times their sum.
 
 The loop stops as soon as its answer is proven (`g_p_dimension_modp`):
 every cut keeps the m-part, so the dimension never drops below g_p,
@@ -37,7 +38,7 @@ from .modsym import (
     check_pair,
     family_counts,
     genus,
-    merel_matrices,
+    hecke_family,
     presentation,
     tree_reduction,
 )
@@ -194,7 +195,7 @@ def _joint_kernel_dims(N, p):
         if not vecs.shape[0]:
             break
         eigen = 1 if ell == N else ell + 1
-        counts = family_counts(symbols, merel_matrices(ell), N, pres.inv)
+        counts = family_counts(symbols, hecke_family(ell, N), N, pres.inv)
         # each entry of vecs @ counts is at most p times a sum of counts
         if p * int(counts.sum()) >= 2**53:
             raise ValueError("float64 arithmetic mod p is not exact at this size")

@@ -24,12 +24,21 @@ to a single symbol.  All reductions and sections are integral
 matrices, so every later computation (boundary, star involution,
 Hecke action, theta elements) is exact.
 
-Hecke operators use Merel's determinant-l family of upper-ish
-triangular-ish matrices {(a,b;c,d): a > b >= 0, d > c >= 0, ad-bc = l};
-for l = N the same family computes U_N once the symbols that die on
-P^1 (image (0:0)) are dropped.  `family_counts` is that action, shared
-with the mod-p route; `hecke` applies it only to the symbols in the
-support of the section, the only ones the operator on M_rel reads.
+A Hecke operator acts on Manin symbols through a family of integer
+matrices of determinant l, each sending the symbol (c:d) to
+(c:d)(a,b;c',d') = (ca + dc' : cb + dd').  For l prime to N, T_l uses
+Cremona's Heilbronn matrices (`cremona_matrices`; Cremona, Algorithms
+for Modular Elliptic Curves, 2nd ed., 1997, sec. 2.4): (1, 0; 0, l) and
+the matrices of the nearest-integer continued fractions of -l/r,
+|r| <= l/2, halves rounded away from zero, about a third as many as
+Merel's.  Cremona's proof covers only l prime to N, so U_N (l = N)
+keeps Merel's family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = l}
+(`merel_matrices`; Merel, Universal Fourier expansions of modular
+forms, LNM 1585, 1994), with the symbols that die on P^1 (image (0:0))
+dropped.  `hecke_family` makes that choice for both routes;
+`family_counts` is the action, shared with the mod-p route, and `hecke`
+applies it only to the symbols in the support of the section, the only
+ones the operator on M_rel reads.
 
 The fixed matrices of a space (reduction, section on its support,
 boundary, cuspidal and signed bases, and integral left inverses of the
@@ -436,8 +445,9 @@ def star_decompose(star):
 
 
 # ---------------------------------------------------------------------------
-# Merel's determinant-l family
+# the determinant-l families of Merel and Cremona
 
+# both families, Merel's keyed by l and Cremona's by ("cremona", l)
 _MEREL_CACHE = {}
 
 
@@ -494,13 +504,63 @@ def merel_matrices(ell):
     return arr
 
 
+def cremona_matrices(ell):
+    """Cremona's Heilbronn matrices of determinant l, for a prime l, as
+    an int64 array of rows (a, b, c, d), memoized in _MEREL_CACHE under
+    ("cremona", l).
+
+    The family is (1, 0; 0, l) and, for each r with |r| <= l // 2, the
+    matrices met by the nearest-integer continued fraction of -l/r,
+    started at (l, -r; 0, 1): with (a, b) = (-l, r), each step takes
+    q = round(a / b), halves rounded away from zero, sets
+    (a, b) = (-b, a - qb) and (x1, x2; y1, y2) =
+    (x2, q x2 - x1; y2, q y2 - y1), until b = 0.  Each step keeps the
+    determinant.  For l = 2 the family is Merel's four matrices.
+    """
+    key = ("cremona", ell)
+    if key in _MEREL_CACHE:
+        return _MEREL_CACHE[key]
+    if ell == 2:
+        out = [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
+    else:
+        out = [(1, 0, 0, ell)]
+        for r in range(-(ell // 2), ell // 2 + 1):
+            x1, x2, y1, y2 = ell, -r, 0, 1
+            a, b = -ell, r
+            out.append((x1, x2, y1, y2))
+            while b:
+                q, rem = divmod(2 * a + b, 2 * b)  # floor(a / b + 1/2)
+                if not rem and q <= 0:
+                    q -= 1  # a / b = q - 1/2 < 0 rounds down, away from zero
+                a, b = -b, a - b * q
+                x1, x2 = x2, q * x2 - x1
+                y1, y2 = y2, q * y2 - y1
+                out.append((x1, x2, y1, y2))
+    arr = np.array(out, dtype=np.int64)
+    if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
+        raise ValueError("Cremona family has a matrix of the wrong determinant")
+    _MEREL_CACHE[key] = arr
+    return arr
+
+
+def hecke_family(ell, N):
+    """The determinant-l family that computes T_l (l != N) or U_N
+    (l = N) on the Manin symbols of level N: Cremona's for l != N,
+    Merel's for l = N."""
+    return merel_matrices(ell) if ell == N else cremona_matrices(ell)
+
+
 def family_counts(symbols, fam, N, inv):
-    """counts[i, t]: how many matrices of the Merel family `fam` send
-    the symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an
-    int64 array with N + 1 columns (`inv` the inverses mod N).  Images
+    """counts[i, t]: how many matrices of the family `fam` send the
+    symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
+    array with N + 1 columns (`inv` the inverses mod N).  Images
     (0 : 0), which only ell = N produces, die in a dropped sink column.
     The family is walked N + 1 matrices at a time, so no index array
-    outgrows the counts it fills."""
+    outgrows the counts it fills.  Raises ValueError unless
+    2 N max|entry| < 2^63, which keeps c a + d c' exact in int64 for
+    0 <= c, d < N."""
+    if len(fam) and 2 * N * int(np.abs(fam).max()) >= 2**63:
+        raise ValueError("family entries too large for int64 symbol action")
     cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
     inv = np.array(inv, dtype=np.int64)
     n = N + 2  # the N + 1 symbols, then the sink
@@ -530,16 +590,18 @@ def solve_by_inverse(B, L, v):
 
 def hecke(space, ell):
     """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
-    lattice (computed on Manin symbols through Merel's family).  Only
-    the symbols S in the support of the section are acted on: the
-    operator on M_rel is section[:, S] @ counts @ reduction, and on M it
-    is read off through the cuspidal basis's left inverse, all in int64
-    under `mul_int64`'s bound."""
+    lattice, computed on Manin symbols through `hecke_family`: Cremona's
+    Heilbronn matrices for ell != N (rounding halves away from zero),
+    Merel's family for U_N, which Cremona's proof does not cover (module
+    docstring).  Only the symbols S in the support of the section are
+    acted on: the operator on M_rel is section[:, S] @ counts @
+    reduction, and on M it is read off through the cuspidal basis's left
+    inverse, all in int64 under `mul_int64`'s bound."""
     if not is_prime(ell):
         raise ValueError("Hecke index must be prime")
     support, sec_s = space.section_support
     counts = family_counts([space.generators[j] for j in support],
-                           merel_matrices(ell), space.N, space._inv)
+                           hecke_family(ell, space.N), space.N, space._inv)
     t_rel = mul_int64(sec_s, mul_int64(counts, space.int64("reduction")))
     cusp = space.int64("cuspidal_basis")
     t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))

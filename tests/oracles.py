@@ -7,14 +7,29 @@ route's Smith normal form with the inverse of its right transform, and
 the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination that the panelled float64 kernel is checked
 against.  `full_theta_counts` is the theta walk over every residue, the
-reference for the half walk of `modsym.theta_elements`.
+reference for the half walk of `modsym.theta_elements`.  `merel_hecke`
+is T_l through Merel's family at every l, the route `modsym.hecke`
+took before Cremona's Heilbronn matrices replaced it at l != N.
 """
 
 import numpy as np
 
-from eistheta.exact_linalg import IntMatrix, as_int64, is_prime, snf, unimodular_inverse
+from eistheta.exact_linalg import (
+    IntMatrix,
+    as_int64,
+    is_prime,
+    mul_int64,
+    snf,
+    unimodular_inverse,
+)
 from eistheta.modp import _rref_mod_p
-from eistheta.modsym import _chi_table, p1_index
+from eistheta.modsym import (
+    _chi_table,
+    family_counts,
+    merel_matrices,
+    p1_index,
+    solve_by_inverse,
+)
 
 # every admissible (N, p) with N < 400 and p in {5, 7, 11, 13}: 36 pairs,
 # 21 of them with N < 200
@@ -119,3 +134,16 @@ def full_theta_counts(D, N, inv):
     idx, w = np.concatenate(steps), np.concatenate(weights)
     return (np.bincount(idx[w > 0], minlength=N + 1)
             - np.bincount(idx[w < 0], minlength=N + 1))
+
+
+def merel_hecke(space, ell):
+    """T_ell (U_N at ell = N) on the cuspidal lattice through Merel's
+    determinant-ell family, as an IntMatrix: `modsym.hecke` with the
+    family fixed to `merel_matrices`."""
+    support, sec_s = space.section_support
+    counts = family_counts([space.generators[j] for j in support],
+                           merel_matrices(ell), space.N, space._inv)
+    t_rel = mul_int64(sec_s, mul_int64(counts, space.int64("reduction")))
+    cusp = space.int64("cuspidal_basis")
+    t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))
+    return IntMatrix.from_rows(t_m.tolist())

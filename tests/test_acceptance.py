@@ -388,10 +388,12 @@ def test_criterion_9_oracles(pair11):
             failures.append(f"unit residue mismatch at {D}")
         n_u += 1
 
-    for ell in (2, 3):
-        if _coset_hecke(space11, ell) != hecke(space11, ell).matrix:
-            failures.append(f"T{ell} differs from the coset definition")
+    space37 = build_space(37)
+    for space in (space11, space37):
+        for ell in (2, 3, 5, 7):
+            if _coset_hecke(space, ell) != hecke(space, ell).matrix:
+                failures.append(f"T{ell} at N = {space.N} differs from the coset definition")
 
     _verdict(9, not failures, "; ".join(failures) if failures else
              f"class numbers ({n_h} discriminants), unit residues "
-             f"({n_u} fields), Heilbronn vs coset T2/T3 all agree")
+             f"({n_u} fields), Heilbronn vs coset T2, T3, T5, T7 at N = 11, 37 all agree")

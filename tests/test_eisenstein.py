@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from eistheta import eisenstein
 from eistheta.exact_linalg import (
     IntMatrix,
     LogMap,
@@ -35,7 +36,7 @@ from eistheta.modsym import (
     theta_element,
 )
 from eistheta.quadfield import validate_discriminant
-from oracles import snf_section_reduction
+from oracles import ADMISSIBLE, merel_hecke, snf_section_reduction
 
 rng = random.Random(771561)
 
@@ -283,6 +284,23 @@ def test_filtration_matches_stacked_hnf_oracle(N, sign):
     assert ctx.W == tuple(w)
     assert [sd.diag for sd in ctx.snf_of_W] == diags
     assert list(ctx.e) == e
+
+
+@pytest.mark.parametrize("N,p", sorted({N: p for N, p in reversed(ADMISSIBLE)}.items())
+                         + [(421, 5)])
+def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
+    # Cremona's family gives T_l (l != N) and Merel's U_N; both families
+    # give the same operator at every l the context asks for: the primes
+    # up to the Sturm bound, N, and the three saturation primes above both
+    space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
+    asked = []
+    monkeypatch.setattr(eisenstein, "hecke", lambda sp, ell: asked.append(ell) or hecke(sp, ell))
+    build_context(space, p)
+    sturm = -(-(N + 1) // 6)
+    above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
+    assert asked == [ell for ell in primes_up_to(sturm) if ell != N] + [N] + above
+    for ell in asked:
+        assert hecke(space, ell).matrix == merel_hecke(space, ell), ell
 
 
 def _p_parts(diag, p):

@@ -8,6 +8,7 @@ and Selmer modules together.
 """
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -242,6 +243,21 @@ def test_cache_save_is_deterministic(tmp_path):
     save_context(space, ctx, a)
     save_context(space, ctx, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_cache_file_is_compact_sorted_json(tmp_path):
+    # the C encoder (json.dumps) writes the bytes the pure-Python one
+    # (json.dump to a file) would
+    space, ctx = _built_pair()
+    path = tmp_path / "ctx.json"
+    save_context(space, ctx, path)
+    envelope = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    buf = io.StringIO()
+    json.dump(envelope, buf, sort_keys=True, separators=(",", ":"))
+    assert path.read_text() == buf.getvalue()
+    space2, ctx2 = load_context(path)
+    assert space2.N == space.N and ctx2.W == ctx.W and ctx2.e == ctx.e
 
 
 def test_cache_rejects_foreign_version(tmp_path):

@@ -117,8 +117,9 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
 
 def _families_used(monkeypatch, N, p):
     used = []
-    merel_matrices = modp.merel_matrices
-    monkeypatch.setattr(modp, "merel_matrices", lambda ell: used.append(ell) or merel_matrices(ell))
+    hecke_family = modp.hecke_family
+    monkeypatch.setattr(modp, "hecke_family",
+                        lambda ell, N: used.append(ell) or hecke_family(ell, N))
     return g_p_dimension_modp(N, p), used
 
 

@@ -3,7 +3,7 @@
 The Hecke tests include a from-scratch oracle that applies the coset
 definition T_l {a,b} = sum_u {(a+u)/l, (b+u)/l} (+ {la, lb} when l
 does not divide the level) with exact rational arithmetic, so the
-Merel-family route is checked against the definition itself.
+Heilbronn-family route is checked against the definition itself.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import floor
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,14 +20,17 @@ import pytest
 
 import eistheta
 from eistheta import modsym
-from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, xgcd
+from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, primes_up_to, xgcd
 from eistheta.modsym import (
     HeckeOp,
     _chi_table,
+    _MEREL_CACHE,
     build_space,
+    cremona_matrices,
     family_counts,
     genus,
     hecke,
+    hecke_family,
     merel_matrices,
     p1_index,
     path_to_chain,
@@ -298,6 +302,63 @@ def test_merel_family_small():
         assert len({tuple(r) for r in arr.tolist()}) == len(arr)
         for a, b, c, d in arr.tolist():
             assert a > b >= 0 and d > c >= 0 and a * d - b * c == ell
+
+
+def _cremona_reference(ell):
+    """Cremona's family for an odd prime ell, each nearest integer taken
+    from an exact Fraction, halves rounded away from zero."""
+    half = Fraction(1, 2)
+    out = [(1, 0, 0, ell)]
+    for r in range(-(ell // 2), ell // 2 + 1):
+        x1, x2, y1, y2 = ell, -r, 0, 1
+        a, b = -ell, r
+        out.append((x1, x2, y1, y2))
+        while b:
+            f = Fraction(a, b)
+            q = floor(abs(f) + half) * (1 if f > 0 else -1)
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
+    return out
+
+
+def test_cremona_family():
+    assert {tuple(r) for r in cremona_matrices(2).tolist()} == \
+        {tuple(r) for r in merel_matrices(2).tolist()}
+    assert cremona_matrices(3).tolist() == [
+        [1, 0, 0, 3], [3, 1, 0, 1], [1, 0, 1, 3], [3, 0, 0, 1], [3, -1, 0, 1], [-1, 0, 1, -3]]
+    for ell in primes_up_to(2000)[1:]:
+        arr = cremona_matrices(ell)
+        assert arr.dtype == np.int64
+        assert (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] == ell).all()
+        assert np.array_equal(arr, np.array(_cremona_reference(ell))), ell
+    # 8,694 matrices for the 20 T_l and three saturation primes at N = 421,
+    # against 26,924 in Merel's families
+    ells = primes_up_to(71) + [431, 433, 439]
+    assert sum(len(cremona_matrices(ell)) for ell in ells) == 8694
+
+
+def test_hecke_family_keeps_merel_for_u_n():
+    assert hecke_family(11, 11) is merel_matrices(11)
+    assert hecke_family(5, 11) is cremona_matrices(5)
+    assert hecke_family(5, 5) is merel_matrices(5)
+    # both families of 5 memoized side by side in the one cache
+    assert _MEREL_CACHE[5] is merel_matrices(5)
+    assert _MEREL_CACHE[("cremona", 5)] is cremona_matrices(5)
+    assert len(merel_matrices(5)) == 15 and len(cremona_matrices(5)) == 12
+
+
+def test_family_counts_refuses_entries_beyond_int64():
+    sp = build_space(11)
+    fam = np.array([[1, 0, 0, 2], [2**60, 0, 0, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="int64"):
+        family_counts(sp.generators, fam, 11, sp._inv)
+    fam[1, 0] = -(2**60)  # the bound is on the absolute value
+    with pytest.raises(ValueError, match="int64"):
+        family_counts(sp.generators, fam, 11, sp._inv)
+    fam[1, 0] = 2**58  # 2 * 11 * 2^58 < 2^63 is still exact
+    assert family_counts(sp.generators, fam, 11, sp._inv).sum() == 2 * 12
 
 
 def _family_counts_oracle(sp, ell):
