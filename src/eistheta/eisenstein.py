@@ -184,13 +184,38 @@ def p_local_valuation(ctx, x):
     return val
 
 
+def theta_valuations(ctx, thetas):
+    """The valuations of theta elements against the context's sign chain,
+    as `p_local_valuation` reads them: one solve into the signed basis,
+    the coordinates reduced mod p^E with E = max e_n (every test modulus
+    divides p^E, so the reduction is exact), and each level's tests as
+    one product, in int64 while p^2E * g < 2^63 and in Python ints
+    beyond."""
+    thetas = list(thetas)
+    if any(theta.sign != ctx.sign for theta in thetas):
+        raise ValueError("theta element has the wrong star sign")
+    if not thetas:
+        return []
+    basis, inverse = ctx.space.signed_int64(ctx.sign)
+    x = solve_by_inverse(basis, inverse, as_int64([theta.coords for theta in thetas]))
+    pe = ctx.p ** max(ctx.e)
+    fits = pe * pe * x.shape[1] < 2**63
+    x = x % pe if fits else x.astype(object) % pe
+    val = np.zeros(len(thetas), dtype=np.int64)
+    passed = np.ones(len(thetas), dtype=bool)
+    for n, tests in enumerate(ctx.residue_table, 1):
+        if tests:
+            mods, cols = zip(*tests)
+            cols = np.array(cols, dtype=np.int64 if fits else object).T
+            prods = mul_int64(x, cols) if fits else x @ cols
+            passed &= (prods % np.array(mods, dtype=cols.dtype) == 0).all(axis=1)
+        val[passed] = n
+    return val.tolist()
+
+
 def theta_valuation(ctx, theta):
     """Valuation of a theta element against the context's sign chain."""
-    if theta.sign != ctx.sign:
-        raise ValueError("theta element has the wrong star sign")
-    basis, inverse = ctx.space.signed_int64(ctx.sign)
-    coords = solve_by_inverse(basis, inverse, as_int64([theta.coords]))
-    return p_local_valuation(ctx, coords[0].tolist())
+    return theta_valuations(ctx, [theta])[0]
 
 
 def g_p_dimension(ctx):

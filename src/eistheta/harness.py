@@ -34,11 +34,11 @@ from .eisenstein import (
     WSmith,
     build_context,
     g_p_dimension,
-    theta_valuation,
+    theta_valuations,
 )
 from .exact_linalg import IntMatrix, LogMap, as_int64, hnf_mod
 from .modsym import build_space, check_pair, theta_elements
-from .quadfield import class_number, field_profile, validate_discriminant
+from .quadfield import class_numbers, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
 FORMAT_VERSION = 4  # context cache files
@@ -90,13 +90,11 @@ def check_discriminant(D, N, p, split):
         raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
 
 
-def even_row(ctx, g_p, theta):
-    """The sweep row of the split discriminant theta.D, from its theta
-    element."""
+def even_row(ctx, g_p, D, h, val):
+    """The sweep row of the split discriminant D, from its class number h
+    and the valuation val of its theta element."""
     space = ctx.space
-    D = theta.D
-    profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap)
-    val = theta_valuation(ctx, theta)
+    profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap, h=h)
     sel = selmer_rank(SelmerInput(
         p_divides_h=profile.h_mod_p == 0,
         pic_zn_trivial=profile.pic_zn_trivial,
@@ -115,12 +113,9 @@ def even_row(ctx, g_p, theta):
     )
 
 
-def odd_row(ctx, theta):
-    """The sweep row of the inert discriminant theta.D, from its theta
-    element."""
-    D = theta.D
-    h = class_number(D)
-    val = theta_valuation(ctx, theta)
+def odd_row(ctx, D, h, val):
+    """The sweep row of the inert discriminant D, from its class number h
+    and the valuation val of its theta element."""
     crit = h % ctx.p == 0
     return SweepRow(
         N=ctx.space.N, p=ctx.p, D=D, h=h, h_mod_p=h % ctx.p,
@@ -133,14 +128,16 @@ def odd_row(ctx, theta):
 def _rows(ctx, row, Ds):
     for D in Ds:
         check_discriminant(D, ctx.space.N, ctx.p, ctx.sign > 0)
-    return [row(theta) for theta in theta_elements(ctx.space, Ds)]
+    vals = theta_valuations(ctx, theta_elements(ctx.space, Ds))
+    return list(map(row, Ds, class_numbers(Ds), vals))
 
 
 def row_function(ctx):
     """ctx's row computation as a function of a sequence of D alone, all
     refused before any is computed: even rows (g_p computed here, once)
     for a plus context, odd rows for a minus one, their theta elements
-    walked together."""
+    walked together, valuated in one solve, and their class numbers
+    computed in one batch."""
     if ctx.sign > 0:
         return partial(_rows, ctx, partial(even_row, ctx, g_p_dimension(ctx)))
     return partial(_rows, ctx, partial(odd_row, ctx))

@@ -1,26 +1,71 @@
 """Arithmetic of quadratic fields K = Q(sqrt(D)).
 
-Class numbers come from reduced binary quadratic forms (Gauss reduction
-for D < 0, cycles of reduced indefinite forms for D > 0), fundamental
-units from the continued-fraction (PQa) expansion of (b0 + sqrt(D))/2,
-and split-prime data from explicit ideal powers [N^k, (b + sqrt(D))/2]
-reduced along their form cycle.
+Class numbers come from reduced binary quadratic forms, the residues
+of the fundamental unit from the continued-fraction (PQa) expansion of
+(b0 + sqrt(D))/2, and split-prime data from explicit ideal powers
+[N^k, (b + sqrt(D))/2] reduced along their form cycle.
 
-Units are always represented as u = (x + y*sqrt(D))/2 with
-x^2 - D*y^2 = +-4; this works uniformly for both parities of D.
-Residues of u modulo the primes above a split N are computed by running
-the convergent recurrence modulo a small auxiliary modulus, so huge
-fundamental units never have to be written down.
+A unit is u = (x + y*sqrt(D))/2 with x^2 - D*y^2 = +-4, for both
+parities of D.  Its residues modulo the primes above a split N come
+from running the convergent recurrence modulo a small auxiliary
+modulus, so a huge fundamental unit is never written down.
+
+The class numbers of many D are found together (`class_numbers`), in
+batches of one sign.  Each b >= 0 of the parity of a D, with
+m = |b^2 - D|/4, makes a group of candidates a <= sqrt(m), each tested
+by a | m.  The candidates of a batch form one flat int64 range, scanned
+_CLASS_CHUNK at a time, so a group may span two chunks.
+- D < 0: the reduced forms (a, +-b, c) have 0 <= b <= a <= c, so
+  b^2 <= |D|/3 and max(b, 1) <= a; h counts each once if b = 0, b = a
+  or a = c, and twice otherwise.
+- D > 0, m0 = isqrt(D): (a, b, c) is reduced iff 0 < b < sqrt(D) and
+  sqrt(D) - b < 2|a| < sqrt(D) + b.  Then ac = -m, and (c, b, a) is
+  reduced too, so only |a| <= |c| is scanned: 2a + b >= m0 + 1 and
+  a^2 <= m.  A hit a, c = m/a gives (a, b, -c), (-a, b, c) and, if
+  c != a, (c, b, -a), (-c, b, a); 2c < sqrt(D) + b because
+  c = m/a < 2m/(sqrt(D) - b).  That is about D/14 candidates.
+  - On a reduced form 2|c| < sqrt(D) + b < 2 sqrt(D), so rho of
+    `_rho` takes its second branch: rho(a, b, c) = (c, b', .), with b'
+    the residue of -b mod 2|c| in (sqrt(D) - 2|c|, sqrt(D)), that is
+    m0 - ((m0 + b) mod 2|c|).  rho maps reduced forms to reduced
+    forms, and two reduced forms are properly equivalent iff they lie
+    on one rho-cycle (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, section 5.6; Buchmann and Vollmer, Binary Quadratic
+    Forms, 2007, chapter 6).  rho is also injective on them: b = -b'
+    mod 2|c| lies in (sqrt(D) - 2|c|, sqrt(D)), as (c, b, a) is
+    reduced, so (c, b') fixes b and then a.  So rho permutes the
+    reduced forms, found by `searchsorted` on the key below, and the
+    number of its cycles is the narrow class number.
+  - The cycles are labelled by pointer doubling: after k rounds
+    label(i) is the least index among i, rho(i), ..., rho^(2^k - 1)(i),
+    and a round, with nxt = rho^(2^k), sets label = min(label,
+    label[nxt]) and nxt = nxt[nxt].  While 2^k < L for a cycle of
+    length L, its least index mu lies outside the window of
+    rho^(-2^k)(mu) but inside the next, so some label drops; so the
+    loop, run until no label changes, stops with every label its
+    cycle's least index.
+  - (1, b0, .) and (-1, b0, .), b0 the one of m0 - 1, m0 of the
+    parity of D, are the reduced forms with |a| = 1.  They share a
+    cycle iff the principal form represents -1, that is iff the
+    fundamental unit has norm -1; h is the number of cycles then, and
+    half of it otherwise.
+- int64: |D| < 2^52, so the float square root of every m or |D| is
+  within one of its floor and one correction makes it exact.  A form
+  is keyed (row * (2M + 1) + a + M) * (M + 1) + b, M the batch's
+  largest m0; a batch holds at most _CLASS_CHUNK rows, so keys stay
+  below _CLASS_CHUNK * (2M + 1) * (M + 1) < 2^63.  Both bounds are
+  checked before any work.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
+
+import numpy as np
 
 from .exact_linalg import (
     LogMap,
     divisors,
     factorize,
-    is_prime,
     kronecker,
     log_to_p,
     sqrt_mod,
@@ -57,25 +102,7 @@ def validate_discriminant(D, N, p, want_split):
 
 
 # ---------------------------------------------------------------------------
-# class numbers via reduced forms
-
-def _reduced_count_neg(D):
-    # |b| <= a <= c with b >= 0 when |b| = a or a = c; all forms are
-    # primitive because D is fundamental
-    count = 0
-    b = abs(D) % 2
-    while b * b <= abs(D) // 3:
-        m = (b * b - D) // 4
-        for a in divisors(m):
-            if a * a > m:
-                break
-            if a < max(b, 1):
-                continue
-            c = m // a
-            count += 1 if (b == 0 or b == a or a == c) else 2
-        b += 2
-    return count
-
+# class numbers via reduced forms, a batch of discriminants at a time
 
 def _is_reduced_pos(a, b, c, m0, D):
     # 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b, in exact integer form
@@ -99,64 +126,132 @@ def _rho(a, b, c, m0, D):
     return (c, b2, (b2 * b2 - D) // (4 * c)), t
 
 
-def _reduced_forms_pos(D):
-    m0 = isqrt(D)
-    forms = []
-    b = D % 2 if D % 2 else 2
-    while b <= m0:
-        m = (D - b * b) // 4
-        for d in divisors(m):
-            if (2 * d + b) ** 2 > D and (2 * d < b or (2 * d - b) ** 2 < D):
-                forms.append((d, b, -(m // d)))
-                forms.append((-d, b, m // d))
-        b += 2
-    return forms
+# the class-number scan tests at most this many candidates a at a time; a
+# batch takes rows while the sum of |D| // 8 + 1 (about a row's candidates)
+# stays within it, so a batch never holds more rows than this
+_CLASS_CHUNK = 2**14
+
+
+def _isqrt_int64(m):
+    """floor(sqrt(m)) of an int64 array with 0 <= m < 2^52: the float
+    root is within one of it, and one correction each way makes it exact."""
+    s = np.sqrt(m.astype(np.float64)).astype(np.int64)
+    s -= s * s > m
+    return s + ((s + 1) * (s + 1) <= m)
+
+
+def _divisor_pairs(Ds):
+    """(row, b, a, m) of every a | m = |b^2 - D| / 4 in the scan range of
+    the module docstring, for the rows Ds (all of one sign), testing
+    _CLASS_CHUNK candidates a at a time."""
+    D = np.array(Ds, dtype=np.int64)
+    pos = Ds[0] > 0
+    m0 = _isqrt_int64(np.abs(D))
+    b_lo = 2 - D % 2 if pos else D % 2
+    b_hi = m0 if pos else _isqrt_int64(-D // 3)
+    nb = np.maximum((b_hi - b_lo) // 2 + 1, 0)
+    row = np.repeat(np.arange(len(Ds), dtype=np.int64), nb)
+    b = b_lo[row] + 2 * (np.arange(len(row), dtype=np.int64) - (np.cumsum(nb) - nb)[row])
+    m = np.abs(b * b - D[row]) // 4
+    a_lo = np.maximum((m0[row] + 2 - b) // 2 if pos else b, 1)
+    counts = np.maximum(_isqrt_int64(m) - a_lo + 1, 0)
+    starts, total = np.cumsum(counts) - counts, int(counts.sum())
+    hits = []
+    for lo in range(0, total, _CLASS_CHUNK):
+        t = np.arange(lo, min(lo + _CLASS_CHUNK, total), dtype=np.int64)
+        g = np.searchsorted(starts, t, side="right") - 1
+        a = a_lo[g] + t - starts[g]
+        hits.append(np.stack([g, a])[:, m[g] % a == 0])
+    g, a = np.concatenate(hits, axis=1) if hits else np.zeros((2, 0), dtype=np.int64)
+    return row[g], b[g], a, m[g]
+
+
+def _cycle_labels(nxt):
+    """The least index on the cycle of each index under the permutation
+    nxt, by pointer doubling until no label changes (module docstring)."""
+    label = np.arange(len(nxt), dtype=np.int64)
+    while True:
+        new = np.minimum(label, label[nxt])
+        if np.array_equal(new, label):
+            return label
+        label, nxt = new, nxt[nxt]
+
+
+def _batch_class_numbers(Ds):
+    """h(D) for a batch of fundamental D, all of one sign."""
+    R = len(Ds)
+    row, b, a, m = _divisor_pairs(Ds)
+    c = m // a
+    if Ds[0] < 0:
+        # (a, +-b, c): once if b = 0, b = a or a = c, else twice
+        twice = (b != 0) & (b != a) & (a != c)
+        return np.bincount(row, minlength=R) + np.bincount(row[twice], minlength=R)
+    # the pair a <= c gives (a, b, -c) and (-a, b, c), then, if c != a,
+    # (c, b, -a) and (-c, b, a): each reduced form as (row, first, b, last)
+    two = c != a
+    row, b = (np.concatenate([x, x, x[two], x[two]]) for x in (row, b))
+    first = np.concatenate([a, -a, c[two], -c[two]])
+    last = -np.concatenate([c, -c, a[two], -a[two]])
+    D = np.array(Ds, dtype=np.int64)
+    m0 = _isqrt_int64(D)
+    M = int(m0.max())
+
+    def find(r, x, y):
+        """The index of the form (r, x, y, .), which must exist."""
+        want = (r * (2 * M + 1) + x + M) * (M + 1) + y
+        at = np.minimum(np.searchsorted(key, want), len(key) - 1)
+        if not np.array_equal(key[at], want):
+            raise ValueError("a form cycle leaves the reduced forms")
+        return at
+
+    key = (row * (2 * M + 1) + first + M) * (M + 1) + b
+    order = np.argsort(key)
+    row, b, last, key = row[order], b[order], last[order], key[order]
+    # rho: (a, b, c) -> (c, m0 - ((m0 + b) mod 2|c|), .), as |c| <= m0
+    label = _cycle_labels(find(row, last, m0[row] - (m0[row] + b) % (2 * np.abs(last))))
+    cycles = np.bincount(row[label == np.arange(len(label))], minlength=R)
+    # N(u) = -1 iff (1, b0, .) and (-1, b0, .) share a cycle
+    r = np.arange(R, dtype=np.int64)
+    b0 = m0 - (m0 - D) % 2
+    plus = label[find(r, 1, b0)] != label[find(r, -1, b0)]
+    if (cycles[plus] % 2).any():  # narrow-to-wide index is 2 when N(u) = +1
+        raise ValueError("odd number of form cycles for a unit of norm +1")
+    return np.where(plus, cycles // 2, cycles)
+
+
+def class_numbers(Ds):
+    """Wide class numbers h(K) of the maximal orders of Q(sqrt(D)) for
+    the fundamental D in Ds, of either sign, in the order given, from one
+    batched scan of their reduced forms (module docstring).  |D| is
+    checked against the int64 bounds before any other work."""
+    Ds = [int(D) for D in Ds]
+    M = isqrt(max(map(abs, Ds), default=0))
+    if M * M >= 2**52 or _CLASS_CHUNK * (2 * M + 1) * (M + 1) >= 2**63:
+        raise ValueError("class numbers: |D| too large for int64 arithmetic")
+    if not all(map(is_fundamental, Ds)):
+        raise ValueError("discriminant is not fundamental")
+    batches, out = [], {}
+    for pos in (True, False):
+        n = _CLASS_CHUNK  # each sign opens a new batch
+        for i in (i for i, D in enumerate(Ds) if (D > 0) == pos):
+            size = abs(Ds[i]) // 8 + 1
+            if n + size > _CLASS_CHUNK:
+                batches.append([])
+                n = 0
+            batches[-1].append(i)
+            n += size
+    for batch in batches:
+        out.update(zip(batch, _batch_class_numbers([Ds[i] for i in batch]).tolist()))
+    return [out[i] for i in range(len(Ds))]
 
 
 def class_number(D):
     """Wide class number h(K) of the maximal order of Q(sqrt(D))."""
-    if not is_fundamental(D):
-        raise ValueError("discriminant is not fundamental")
-    if D < 0:
-        return _reduced_count_neg(D)
-    m0 = isqrt(D)
-    todo = set(_reduced_forms_pos(D))
-    cycles = 0
-    while todo:
-        start = next(iter(todo))
-        cycles += 1
-        f = start
-        while True:
-            todo.discard(f)
-            f, _ = _rho(*f, m0, D)
-            if f == start:
-                break
-    if fundamental_unit(D).norm == -1:
-        return cycles
-    if cycles % 2:  # narrow-to-wide index is 2 when N(u) = +1
-        raise ValueError("odd number of form cycles for a unit of norm +1")
-    return cycles // 2
+    return class_numbers([D])[0]
 
 
 # ---------------------------------------------------------------------------
-# fundamental units
-
-@dataclass(frozen=True)
-class QuadUnit:
-    """Fundamental unit u = (x + y*sqrt(D))/2 > 1 of O_K."""
-
-    D: int
-    x: int
-    y: int
-    norm: int
-    period_parity: int
-
-    def __post_init__(self):
-        if self.x * self.x - self.D * self.y * self.y != 4 * self.norm:
-            raise ValueError("unit does not satisfy x^2 - D y^2 = +-4")
-        if (self.norm == -1) != (self.period_parity == 1):
-            raise ValueError("norm disagrees with period parity")
-
+# the fundamental unit modulo the primes above N
 
 def _pqa_cycle(D):
     """Continued fraction of (D mod 2 + sqrt(D))/2 by the PQa recurrence.
@@ -182,25 +277,6 @@ def _pqa_cycle(D):
         i += 1
     j0 = seen[P, Q]
     return m0, states, quots, j0, i - j0
-
-
-def fundamental_unit(D):
-    """Fundamental unit of O_K for real quadratic K, from one period of
-    the continued fraction of (D mod 2 + sqrt(D))/2."""
-    if not is_fundamental(D) or D < 0:
-        raise ValueError("need a positive fundamental discriminant")
-    m0, states, quots, j0, period = _pqa_cycle(D)
-    # bottom row of the product of [[a,1],[1,0]] over one period
-    r, s = 0, 1
-    for i in range(j0, j0 + period):
-        r, s = r * quots[i] + s, r
-    P0, Q0 = states[j0]
-    # the automorphy factor r*alpha + s is the unit; clear Q0 denominators
-    ny, nx = 2 * r, 2 * r * P0 + 2 * s * Q0
-    if ny % Q0 or nx % Q0:
-        raise ValueError("unit coordinates are not integral")
-    x, y = abs(nx // Q0), abs(ny // Q0)
-    return QuadUnit(D, x, y, -1 if period % 2 else 1, period % 2)
 
 
 def split_root(D, N):
@@ -238,20 +314,6 @@ def unit_residues(D, N):
     if not (res1 and res2):
         raise ValueError("unit vanishes modulo a prime above N")
     return r0, res1, res2
-
-
-def unit_criterion(D, N, p):
-    """True iff (u mod prime_1)^h is a p-th power in F_N^* (equivalently
-    at prime_2; equivalently h * log_1(u) = 0 in Z/p)."""
-    if not validate_discriminant(D, N, p, want_split=True):
-        raise ValueError("invalid discriminant for the split case")
-    h = class_number(D)
-    _, res1, res2 = unit_residues(D, N)
-    e = h * (N - 1) // p
-    out = pow(res1, e, N) == 1
-    if out != (pow(res2, e, N) == 1):
-        raise ValueError("unit criterion depends on the choice of prime above N")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +406,6 @@ def split_prime_data(D, N, p, h=None, logmap=None):
     raise RuntimeError("no principal power up to the class number")
 
 
-def pic_zn_trivial(D, N, p):
-    """True iff the p-part of Cl(K) dies in Cl(O_K[1/N]), i.e. is
-    generated by the class of a prime above N: v_p(s) = v_p(h)."""
-    h = class_number(D)
-    if h % p:
-        return True
-    s, _ = split_prime_data(D, N, p, h=h)
-    return vp(h, p) == vp(s, p)
-
-
 # ---------------------------------------------------------------------------
 # assembled per-discriminant profile
 
@@ -376,8 +428,9 @@ class QuadFieldProfile:
     criterion: bool
 
 
-def field_profile(D, N, p, logmap=None):
-    """Compute the QuadFieldProfile for a valid even (split) D.
+def field_profile(D, N, p, logmap=None, h=None):
+    """Compute the QuadFieldProfile for a valid even (split) D; h, if
+    given, is its class number (a sweep batches them).
 
     log1_pi2 is only reported when p does not divide h, where the rank
     prediction actually consumes it.
@@ -386,7 +439,8 @@ def field_profile(D, N, p, logmap=None):
         raise ValueError("invalid discriminant for the split case")
     if logmap is None:
         logmap = LogMap(N, p)
-    h = class_number(D)
+    if h is None:
+        h = class_number(D)
     r, res1, res2 = unit_residues(D, N)
     log1_u = log_to_p(res1, logmap)
     if (log1_u + log_to_p(res2, logmap)) % p:

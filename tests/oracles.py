@@ -10,14 +10,27 @@ against.  `full_theta_counts` is the theta walk over every residue, the
 reference for the half walk of `modsym.theta_elements`.  `merel_hecke`
 is T_l through Merel's family at every l, the route `modsym.hecke`
 took before Cremona's Heilbronn matrices replaced it at l != N.
+`class_number_per_d` is the class number of one discriminant from its
+reduced forms, enumerated by factoring each (b^2 - D)/4 and walked
+cycle by cycle: the reference for the batched `quadfield.class_numbers`.
+`fundamental_unit` writes the unit down, where
+`quadfield.unit_residues` only tracks it modulo the primes above N.
+`unit_criterion` and `pic_zn_trivial` recompute, for one D, what
+`quadfield.field_profile` derives as its `criterion` and
+`pic_zn_trivial` fields.
 """
+
+from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from eistheta.exact_linalg import (
     IntMatrix,
     as_int64,
+    divisors,
     is_prime,
+    vp,
     mul_int64,
     snf,
     unimodular_inverse,
@@ -29,6 +42,14 @@ from eistheta.modsym import (
     merel_matrices,
     p1_index,
     solve_by_inverse,
+)
+from eistheta.quadfield import (
+    _pqa_cycle,
+    _rho,
+    is_fundamental,
+    split_prime_data,
+    unit_residues,
+    validate_discriminant,
 )
 
 # every admissible (N, p) with N < 400 and p in {5, 7, 11, 13}: 36 pairs,
@@ -147,3 +168,123 @@ def merel_hecke(space, ell):
     cusp = space.int64("cuspidal_basis")
     t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))
     return IntMatrix.from_rows(t_m.tolist())
+
+
+@dataclass(frozen=True)
+class QuadUnit:
+    """Fundamental unit u = (x + y*sqrt(D))/2 > 1 of O_K."""
+
+    D: int
+    x: int
+    y: int
+    norm: int
+    period_parity: int
+
+    def __post_init__(self):
+        if self.x * self.x - self.D * self.y * self.y != 4 * self.norm:
+            raise ValueError("unit does not satisfy x^2 - D y^2 = +-4")
+        if (self.norm == -1) != (self.period_parity == 1):
+            raise ValueError("norm disagrees with period parity")
+
+
+def fundamental_unit(D):
+    """Fundamental unit of O_K for real quadratic K, from one period of
+    the continued fraction of (D mod 2 + sqrt(D))/2."""
+    if not is_fundamental(D) or D < 0:
+        raise ValueError("need a positive fundamental discriminant")
+    m0, states, quots, j0, period = _pqa_cycle(D)
+    # bottom row of the product of [[a,1],[1,0]] over one period
+    r, s = 0, 1
+    for i in range(j0, j0 + period):
+        r, s = r * quots[i] + s, r
+    P0, Q0 = states[j0]
+    # the automorphy factor r*alpha + s is the unit; clear Q0 denominators
+    ny, nx = 2 * r, 2 * r * P0 + 2 * s * Q0
+    if ny % Q0 or nx % Q0:
+        raise ValueError("unit coordinates are not integral")
+    x, y = abs(nx // Q0), abs(ny // Q0)
+    return QuadUnit(D, x, y, -1 if period % 2 else 1, period % 2)
+
+
+def reduced_count_neg(D):
+    """The number of reduced forms of discriminant D < 0, each (a, b, c)
+    with |b| <= a <= c and b >= 0 when |b| = a or a = c; all forms are
+    primitive because D is fundamental."""
+    count = 0
+    b = abs(D) % 2
+    while b * b <= abs(D) // 3:
+        m = (b * b - D) // 4
+        for a in divisors(m):
+            if a * a > m:
+                break
+            if a < max(b, 1):
+                continue
+            c = m // a
+            count += 1 if (b == 0 or b == a or a == c) else 2
+        b += 2
+    return count
+
+
+def reduced_forms_pos(D):
+    """The reduced forms (a, b, c) of discriminant D > 0."""
+    m0 = isqrt(D)
+    forms = []
+    b = D % 2 if D % 2 else 2
+    while b <= m0:
+        m = (D - b * b) // 4
+        for d in divisors(m):
+            if (2 * d + b) ** 2 > D and (2 * d < b or (2 * d - b) ** 2 < D):
+                forms.append((d, b, -(m // d)))
+                forms.append((-d, b, m // d))
+        b += 2
+    return forms
+
+
+def class_number_per_d(D):
+    """h(D) from the reduced forms: their count for D < 0; for D > 0 the
+    number of rho-cycles, halved when the fundamental unit has norm +1."""
+    if not is_fundamental(D):
+        raise ValueError("discriminant is not fundamental")
+    if D < 0:
+        return reduced_count_neg(D)
+    m0 = isqrt(D)
+    todo = set(reduced_forms_pos(D))
+    cycles = 0
+    while todo:
+        start = next(iter(todo))
+        cycles += 1
+        f = start
+        while True:
+            todo.discard(f)
+            f, _ = _rho(*f, m0, D)
+            if f == start:
+                break
+    if fundamental_unit(D).norm == -1:
+        return cycles
+    if cycles % 2:  # narrow-to-wide index is 2 when N(u) = +1
+        raise AssertionError("odd number of form cycles for a unit of norm +1")
+    return cycles // 2
+
+
+def unit_criterion(D, N, p):
+    """True iff (u mod prime_1)^h is a p-th power in F_N^* (equivalently
+    at prime_2; equivalently h * log_1(u) = 0 in Z/p)."""
+    if not validate_discriminant(D, N, p, want_split=True):
+        raise ValueError("invalid discriminant for the split case")
+    h = class_number_per_d(D)
+    _, res1, res2 = unit_residues(D, N)
+    e = h * (N - 1) // p
+    out = pow(res1, e, N) == 1
+    if out != (pow(res2, e, N) == 1):
+        raise ValueError("unit criterion depends on the choice of prime above N")
+    return out
+
+
+def pic_zn_trivial(D, N, p):
+    """True iff the p-part of Cl(K) dies in Cl(O_K[1/N]), i.e. is
+    generated by the class of a prime above N: v_p(s) = v_p(h)."""
+    h = class_number_per_d(D)
+    if h % p:
+        return True
+    s, _ = split_prime_data(D, N, p, h=h)
+    return vp(h, p) == vp(s, p)

@@ -26,13 +26,13 @@ from eistheta.modsym import build_space, hecke, path_to_chain, theta_element
 from eistheta.quadfield import (
     class_number,
     field_profile,
-    fundamental_unit,
     is_fundamental,
     split_root,
     unit_residues,
     validate_discriminant,
 )
 from eistheta.selmer import SelmerInput, equivalence_predicate
+from oracles import fundamental_unit
 
 rng = random.Random(3001)
 

@@ -22,6 +22,7 @@ from eistheta.eisenstein import (
     merel_criterion,
     p_local_valuation,
     theta_valuation,
+    theta_valuations,
 )
 from eistheta.harness import FIXTURES_LARGE
 from eistheta.modsym import (
@@ -34,6 +35,7 @@ from eistheta.modsym import (
     presentation,
     restrict_to_sign,
     theta_element,
+    theta_elements,
 )
 from eistheta.quadfield import validate_discriminant
 from oracles import ADMISSIBLE, merel_hecke, snf_section_reduction
@@ -228,6 +230,41 @@ def test_theta_valuation_matches_solve_oracle(N, sign):
         x = list(solve_left(basis, IntMatrix.from_rows([list(th.coords)])).entries[0])
         val = theta_valuation(ctx, th)
         assert val == p_local_valuation(ctx, x) == _oracle_valuation(ctx, x), (N, D)
+
+
+def _valuations_one_by_one(ctx, thetas):
+    basis = ctx.space.plus_basis if ctx.sign > 0 else ctx.space.minus_basis
+    xs = solve_left(basis, IntMatrix.from_rows([list(th.coords) for th in thetas])).entries
+    return [p_local_valuation(ctx, list(x)) for x in xs]
+
+
+@pytest.mark.parametrize("N", [11, 31, 211])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_theta_valuations_match_p_local_valuation(N, sign):
+    # the one batched solve and product per level, against the per-vector
+    # residue tests on exact solve_left coordinates, row by row
+    space = {11: SP11, 31: SP31}.get(N) or build_space(N)
+    ctx = {(11, 1): CTX11, (31, 1): CTX31}.get((N, sign)) or build_context(space, 5, sign=sign)
+    ds = [D for D in range(2 * sign, 1200 * sign, sign)
+          if validate_discriminant(D, N, 5, want_split=sign > 0)]
+    thetas = theta_elements(space, ds)
+    vals = theta_valuations(ctx, thetas)
+    assert vals == _valuations_one_by_one(ctx, thetas)
+    assert len(set(vals)) >= 2
+    assert theta_valuations(ctx, []) == []
+    with pytest.raises(ValueError, match="wrong star sign"):
+        theta_valuations(ctx, thetas[:1] + theta_elements(space, [-3 if sign > 0 else 12]))
+
+
+def test_theta_valuations_past_the_int64_bound():
+    # at n_max = 16, p^(2E) * g >= 2^63: the residue tests run in Python ints
+    ctx = build_context(SP11, 5, n_max=16)
+    assert 5 ** (2 * max(ctx.e)) * ctx.space.genus >= 2**63
+    thetas = [ThetaElement(D=th.D, coords=tuple(5**k * c for c in th.coords), sign=1)
+              for th in theta_elements(SP11, [12, 37, 53]) for k in (0, 6, 13, 20)]
+    vals = theta_valuations(ctx, thetas)
+    assert vals == _valuations_one_by_one(ctx, thetas)
+    assert vals[:4] == [1, 7, 14, 17]  # 17 = n_max + 1: at least 17
 
 
 def test_theta_valuation_refuses_vectors_outside_the_sign_lattice():

@@ -174,6 +174,18 @@ def test_odd_sweep_bytes_pinned_at_211():
     assert report_to_csv(sweep_odd(211, 5, -3000, -1, jobs=2, context=pair)) == csv
 
 
+# sha256 of the sweep-even CSV at N = 211, p = 5, D in [3001, 6000]: a
+# window past every benchmark reference window, recorded from the program
+# before class numbers and valuations were batched
+EVEN_211_3001_SHA256 = "a3da5018820ab906a4bbd000761a57386cbf69aa2d9dac2ca5965215996d3f3b"
+
+
+def test_second_even_sweep_bytes_pinned_at_211():
+    csv = report_to_csv(sweep_even(211, 5, 3001, 6000))
+    assert csv.count("\n") - 1 == 389
+    assert hashlib.sha256(csv.encode()).hexdigest() == EVEN_211_3001_SHA256
+
+
 def test_sweep_input_validation():
     with pytest.raises(ValueError, match="prime"):
         sweep_even(12, 5, 1, 100)

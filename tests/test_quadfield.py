@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from math import gcd, isqrt
@@ -7,22 +8,27 @@ from math import gcd, isqrt
 import pytest
 
 import eistheta
+from eistheta import quadfield
 from eistheta.exact_linalg import LogMap, kronecker, log_to_p, xgcd
 from eistheta.quadfield import (
-    QuadUnit,
     _is_reduced_pos,
     _prime_power_form,
     _rho,
     class_number,
+    class_numbers,
     field_profile,
-    fundamental_unit,
     is_fundamental,
-    pic_zn_trivial,
     split_prime_data,
     split_root,
-    unit_criterion,
     unit_residues,
     validate_discriminant,
+)
+from oracles import (
+    QuadUnit,
+    class_number_per_d,
+    fundamental_unit,
+    pic_zn_trivial,
+    unit_criterion,
 )
 
 FUND_NEG = [D for D in range(-1, -200, -1) if is_fundamental(D)]
@@ -84,6 +90,41 @@ def test_class_number_pos_matches_analytic_formula():
         h = s / (2 * log_u)
         assert abs(h - round(h)) < 1e-6
         assert class_number(D) == round(h), D
+
+
+FAR = [D for D in range(97001, 97601) if is_fundamental(D)]
+
+
+def test_class_numbers_match_the_per_d_oracle():
+    # every fundamental 1 < |D| <= 5000 and 97001 <= |D| <= 97600, shuffled,
+    # so the batch also keeps the caller's order
+    ds = [D for D in range(-5000, 5001) if abs(D) > 1 and is_fundamental(D)]
+    ds += FAR + [D for D in range(-97600, -97000) if is_fundamental(D)]
+    random.Random(2023).shuffle(ds)
+    assert class_numbers(ds) == [class_number_per_d(D) for D in ds]
+    assert class_numbers([]) == []
+
+
+def test_class_numbers_do_not_depend_on_the_chunk_bound(monkeypatch):
+    # small bounds make many batches, one-row batches, and rows whose
+    # candidate scan is split across many chunks
+    ds = [D for D in range(-700, 701) if abs(D) > 1 and is_fundamental(D)] + FAR[:3]
+    want = [class_number_per_d(D) for D in ds]
+    for chunk in (3, 50, 2**10):
+        monkeypatch.setattr(quadfield, "_CLASS_CHUNK", chunk)
+        assert class_numbers(ds) == want
+
+
+def test_class_numbers_refuse_discriminants_beyond_int64(monkeypatch):
+    # refused before D is factored or any array is built
+    for ds in ([2**48 + 1], [12, -(2**48 + 3)], [2**62 + 1]):
+        with pytest.raises(ValueError, match="too large for int64"):
+            class_numbers(ds)
+    with pytest.raises(ValueError, match="too large for int64"):
+        class_number(2**48 + 1)
+    monkeypatch.setattr(quadfield, "_CLASS_CHUNK", 1)
+    with pytest.raises(ValueError, match="too large for int64"):
+        class_numbers([2**52 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +453,18 @@ def test_field_profile_pic_matches_oracle(N, d_max):
             assert field_profile(D, N, 5).pic_zn_trivial == pic, D
             found.add(pic)
     assert found == ({True, False} if N == 11 else {True})
+
+
+def test_field_profile_expands_the_continued_fraction_once(monkeypatch):
+    # h comes from the form cycles, so the one PQa expansion of a row
+    # serves the unit residues alone
+    calls = []
+    real = quadfield._pqa_cycle
+    monkeypatch.setattr(quadfield, "_pqa_cycle", lambda D: calls.append(D) or real(D))
+    ds = [D for D in range(2, 800) if validate_discriminant(D, 11, 5, True)]
+    for D in ds:
+        field_profile(D, 11, 5)
+    assert calls == ds
 
 
 def test_field_profile_pinned():
