@@ -89,7 +89,7 @@ class EisensteinContext:
             for j, d in enumerate(sd.diag):
                 mod = gcd(d, pe)
                 if mod % self.p == 0:
-                    tests.append((mod, tuple(r[j] % mod for r in sd.right.entries)))
+                    tests.append((mod, tuple(map(int, sd.right.array[:, j] % mod))))
             table.append(tuple(tests))
         return tuple(table)
 
@@ -123,36 +123,33 @@ def build_context(space, p, n_max=3, sign=1):
 
     def generator(ell, eigen):
         """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
-        t = restrict_to_sign(space, hecke(space, ell).matrix, sign)
-        return IntMatrix.from_rows(
-            [[x - (eigen if i == j else 0) for j, x in enumerate(row)]
-             for i, row in enumerate(t.entries)]
-        )
+        t = restrict_to_sign(space, hecke(space, ell).matrix, sign).array
+        if np.abs(t).max() >= 2**62:  # so that t - eigen cannot wrap
+            raise ValueError("Hecke operator entries too large for int64")
+        return IntMatrix(t - eigen * np.eye(len(t), dtype=np.int64))
 
     sturm = -(-(N + 1) // 6)
     gens = [generator(ell, ell + 1) for ell in primes_up_to(sturm) if ell != N]
     gens.append(generator(N, 1))
-    etas = [as_int64(m) for m in gens]
-    unit = gcd(*(det(m) for m in gens[:3]))
+    etas = [m.array for m in gens]
+    unit = gcd(*(det(m) for m in etas[:3]))
     if not unit:
         raise ValueError("Eisenstein generators are all singular")
 
     def step(w, ops, modulus):
-        w = as_int64(w)
-        return hnf_mod(np.concatenate([mul_int64(w, op) for op in ops]), modulus)
+        return IntMatrix(hnf_mod(np.concatenate([mul_int64(w.array, op) for op in ops]), modulus))
 
-    ident = np.eye(gens[0].rows, dtype=np.int64)
+    ident = IntMatrix.identity(gens[0].rows)
     ws = [ident]
     for _ in range(n_max + 1):
-        ws.append(step(ws[-1], etas, prod(map(int, np.diagonal(ws[-1]))) * unit))
+        ws.append(step(ws[-1], etas, prod(map(int, np.diagonal(ws[-1].array))) * unit))
 
     # Sturm saturation check: three more Hecke primes must not shrink W_1
-    extra = [as_int64(generator(q, q + 1)) for q in _next_primes(max(N, sturm), 3)]
-    if not np.array_equal(step(ident, etas + extra, unit), ws[1]):
+    extra = [generator(q, q + 1).array for q in _next_primes(max(N, sturm), 3)]
+    if step(ident, etas + extra, unit) != ws[1]:
         raise ValueError("Sturm-bound generator set failed saturation check")
 
-    w_mats = tuple(IntMatrix.from_rows(w.tolist()) for w in ws)
-    smiths = tuple(WSmith(sd.diag, sd.right) for sd in map(snf, w_mats))
+    smiths = tuple(WSmith(sd.diag, sd.right) for sd in map(snf, ws))
     es = tuple(max(vp(d, p) for d in sd.diag) for sd in smiths)
     return EisensteinContext(
         space=space,
@@ -161,7 +158,7 @@ def build_context(space, p, n_max=3, sign=1):
         sign=sign,
         sturm_bound=sturm,
         eis_generators=tuple(gens),
-        W=w_mats,
+        W=tuple(ws),
         snf_of_W=smiths,
         e=es,
         logmap=LogMap(N, p),
@@ -196,7 +193,7 @@ def theta_valuations(ctx, thetas):
         raise ValueError("theta element has the wrong star sign")
     if not thetas:
         return []
-    basis, inverse = ctx.space.signed_int64(ctx.sign)
+    basis, inverse = ctx.space.signed(ctx.sign)
     x = solve_by_inverse(basis, inverse, as_int64([theta.coords for theta in thetas]))
     pe = ctx.p ** max(ctx.e)
     fits = pe * pe * x.shape[1] < 2**63
@@ -229,7 +226,7 @@ def g_p_dimension(ctx):
     for gen in ctx.eis_generators:
         if not rows.shape[0]:
             break
-        a = np.array([[x % p for x in r] for r in gen.entries], dtype=np.float64)
+        a = (gen.array % p).astype(np.float64)
         # the generators already have their eigenvalue subtracted
         rows, cols = cut(rows, cols, rows @ a % p, 0, p)
     return rows.shape[0]
@@ -243,15 +240,14 @@ def _alpha_data(ctx):
     pivots = [j for j, dj in enumerate(sd.diag) if dj % ctx.p == 0]
     if len(pivots) != 1 or vp(sd.diag[pivots[0]], ctx.p) != 1:
         raise ValueError("p-part of M^+/W_1 is not of order exactly p")
-    return sd.right.entries, pivots[0]
+    return sd.right.array, pivots[0]
 
 
 def _alpha_of_plus_vector(ctx, y):
     """Value of the alpha functional on a vector of M^+ (signed coords):
     its image in the order-p quotient of M^+/W_1, as an element of F_p."""
     right, jstar = _alpha_data(ctx)
-    g = len(y)
-    return sum(y[i] * right[i][jstar] for i in range(g)) % ctx.p
+    return sum(map(mul, y, map(int, right[:, jstar] % ctx.p))) % ctx.p
 
 
 def alpha_check(ctx, samples, logmap=None):
@@ -266,17 +262,17 @@ def alpha_check(ctx, samples, logmap=None):
         raise ValueError("alpha lives on the plus part")
     lm = logmap if logmap is not None else ctx.logmap
     space = ctx.space
-    cusp, cusp_inv = space.int64("cuspidal_basis"), space.int64("cuspidal_inverse")
-    plus, plus_inv = space.signed_int64(1)
+    cusp, cusp_inv = space.cuspidal_basis.array, space.cuspidal_inverse.array
+    plus, plus_inv = space.signed(1)
     inv2 = pow(2, -1, ctx.p)
     pairs = []
     for b, d in samples:
         if gcd(d, space.N) != 1:
             raise ValueError("sample denominator shares a factor with N")
         x = solve_by_inverse(cusp, cusp_inv, as_int64([path_to_chain(space, b, d)]))
-        sym = x + mul_int64(x, space.int64("star"))
-        y = solve_by_inverse(plus, plus_inv, sym)
-        val = _alpha_of_plus_vector(ctx, y[0].tolist()) * inv2 % ctx.p
+        sym = x + mul_int64(x, space.star.array)
+        y = solve_by_inverse(plus, plus_inv, sym)[0].tolist()
+        val = _alpha_of_plus_vector(ctx, y) * inv2 % ctx.p
         pairs.append((val, log_to_p(d, lm)))
     if all(ld == 0 for _, ld in pairs):
         raise ValueError("uninformative samples")

@@ -1,18 +1,22 @@
 """Exact integer linear algebra and modular arithmetic primitives.
 
-Nothing here ever rounds.  `IntMatrix` and its normal forms run on
-arbitrary-precision integers, by fraction-free integer elimination with
-partial pivoting on the entry of least absolute value, which keeps
+Nothing here ever rounds.  An `IntMatrix` is one read-only 2-D numpy
+array: int64 when every entry fits, Python ints (dtype=object) when
+one does not.  Products run on int64 arrays, each under a bound that
+proves no entry can overflow: `mul_int64` raises when its bound fails,
+and `hnf_mod`, whose entries stay below its modulus, switches to
+Python ints on the same code when the modulus is too large for int64.
+The Hermite and Smith forms with transforms (`hnf_with_transform`,
+`snf`) and the lattice helpers built on them run on Python-int lists
+of the array, by fraction-free integer elimination with partial
+pivoting on the entry of least absolute value, which keeps
 intermediate growth tame at the matrix sizes we care about (a few
-hundred rows at most).  The hot paths run on int64 numpy arrays
-instead, each under a bound that proves no entry can overflow:
-`mul_int64` raises when its bound fails, and `hnf_mod`, whose entries
-stay below its modulus, switches to Python ints (dtype=object) on the
-same code when the modulus is too large for int64.
+hundred rows at most).
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 
 import numpy as np
 
@@ -20,53 +24,64 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major."""
+def _int_array(data):
+    """The read-only array of an IntMatrix from a nonempty 2-D integer
+    array-like: int64 when every entry fits, else dtype=object holding
+    Python ints.  Raises ValueError for any other shape and for entries
+    that are not integers (floats included)."""
+    a = np.asarray(data)
+    if a.ndim != 2 or not a.size:
+        raise ValueError("an IntMatrix needs a nonempty 2-D array")
+    if a.dtype.kind not in "bi":
+        # big Python ints arrive as object, uint64 or float64 arrays
+        try:
+            a = np.frompyfunc(index, 1, 1)(np.array(data, dtype=object))
+        except TypeError:
+            raise ValueError("matrix entries must be integers") from None
+    try:
+        a = a.astype(np.int64)
+    except OverflowError:  # an entry does not fit: keep the Python ints
+        pass
+    a.flags.writeable = False
+    return a
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+
+@dataclass(frozen=True, eq=False)
+class IntMatrix:
+    """Immutable integer matrix: one read-only 2-D array, `array`, int64
+    when every entry fits and dtype=object (Python ints) otherwise.
+    Built from any nonempty 2-D integer array-like."""
+
+    array: np.ndarray
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry shape does not match declared dimensions")
-
-    @classmethod
-    def from_rows(cls, data):
-        data = [tuple(map(int, row)) for row in data]
-        return cls(len(data), len(data[0]), tuple(data))
+        object.__setattr__(self, "array", _int_array(self.array))
 
     @classmethod
     def identity(cls, n):
-        return cls.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(np.eye(n, dtype=np.int64))
 
-    def to_lists(self):
-        return [list(row) for row in self.entries]
+    @property
+    def rows(self):
+        return self.array.shape[0]
 
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        bt = list(zip(*other.entries))
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries]
-        )
+    @property
+    def cols(self):
+        return self.array.shape[1]
 
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix sum")
-        return IntMatrix.from_rows(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+    @property
+    def entries(self):
+        """The entries as a tuple of row tuples of Python ints, worked out
+        on each read; for readers outside the package."""
+        return tuple(map(tuple, self.array.tolist()))
 
-    def __sub__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix difference")
-        return IntMatrix.from_rows(
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.entries, other.entries)]
-        )
+    def __eq__(self, other):
+        return (isinstance(other, IntMatrix) and self.array.shape == other.array.shape
+                and bool((self.array == other.array).all()))
+
+    def __reduce__(self):
+        # numpy unpickles arrays writeable; the constructor makes them read-only
+        return IntMatrix, (self.array,)
 
 
 @dataclass(frozen=True)
@@ -79,6 +94,10 @@ class SmithData:
     diag: tuple
     left: IntMatrix
     right: IntMatrix
+
+
+def _eye(n):
+    return np.eye(n, dtype=np.int64).tolist()
 
 
 def _hnf_inplace(data, transform=None):
@@ -140,28 +159,29 @@ def _row_sub(data, i, j, q, start):
             ri[k] -= q * rj[k]
 
 
-def hnf(A: IntMatrix) -> IntMatrix:
-    """Canonical row-style Hermite normal form (same shape as A; zero
-    rows sink to the bottom, pivots positive, entries above a pivot
-    reduced into [0, pivot))."""
-    return IntMatrix.from_rows(_hnf_inplace(A.to_lists()))
+def _hnf_lists(h):
+    """(H, U) with U unimodular and U*A = H in Hermite form, for A given
+    as a list of Python-int rows, which becomes H in place."""
+    u = _eye(len(h))
+    _hnf_inplace(h, u)
+    return h, u
 
 
 def hnf_with_transform(A: IntMatrix):
-    """Return (H, U) with U unimodular and U*A = H in Hermite form."""
-    data = A.to_lists()
-    u = IntMatrix.identity(A.rows).to_lists()
-    _hnf_inplace(data, u)
-    return IntMatrix.from_rows(data), IntMatrix.from_rows(u)
+    """Return (H, U) with U unimodular and U*A = H in Hermite form
+    (same shape as A; zero rows sink to the bottom, pivots positive,
+    entries above a pivot reduced into [0, pivot))."""
+    h, u = _hnf_lists(A.array.tolist())
+    return IntMatrix(h), IntMatrix(u)
 
 
 def snf(A: IntMatrix) -> SmithData:
     """Smith normal form with transforms, by alternating row/column
     reduction pivoting on the least nonzero entry."""
-    s = A.to_lists()
+    s = A.array.tolist()
     m, n = A.rows, A.cols
-    left = IntMatrix.identity(m).to_lists()
-    right = IntMatrix.identity(n).to_lists()
+    left = _eye(m)
+    right = _eye(n)
 
     def col_sub(j, k, q):
         # column_j -= q * column_k, mirrored on `right`
@@ -239,25 +259,15 @@ def snf(A: IntMatrix) -> SmithData:
             left[i] = [-x for x in left[i]]
     return SmithData(
         diag=tuple(s[i][i] for i in range(min(m, n))),
-        left=IntMatrix.from_rows(left),
-        right=IntMatrix.from_rows(right),
+        left=IntMatrix(left),
+        right=IntMatrix(right),
     )
-
-
-def unimodular_inverse(M: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix (HNF of M must be the
-    identity, in which case the tracked transform is M^{-1}).  Nothing
-    in the package calls it; the tests' Smith-form route to M_rel does."""
-    h, u = hnf_with_transform(M)
-    if h != IntMatrix.identity(M.rows):
-        raise ValueError("matrix is not unimodular")
-    return u
 
 
 def left_kernel(A: IntMatrix) -> list:
     """Basis (list of row vectors) of {v : v*A = 0}; always saturated."""
-    h, u = hnf_with_transform(A)
-    return [list(u.entries[i]) for i in range(A.rows) if not any(h.entries[i])]
+    h, u = _hnf_lists(A.array.tolist())
+    return [u[i] for i in range(A.rows) if not any(h[i])]
 
 
 def left_inverse(B: IntMatrix) -> IntMatrix:
@@ -266,48 +276,18 @@ def left_inverse(B: IntMatrix) -> IntMatrix:
     that lattice.  From U*B^T = H in Hermite form: H is I over zeros
     exactly when such an L exists, and L is the first B.rows rows of U,
     transposed."""
-    h, u = hnf_with_transform(IntMatrix.from_rows(zip(*B.entries)))
+    h, u = _hnf_lists(B.array.T.tolist())
     k = B.rows
-    if h.entries[:k] != IntMatrix.identity(k).entries or any(map(any, h.entries[k:])):
+    if h[:k] != _eye(k) or any(map(any, h[k:])):
         raise ValueError("basis is not of full rank with a saturated row lattice")
-    return IntMatrix.from_rows(zip(*u.entries[:k]))
+    return IntMatrix(list(zip(*u[:k])))
 
 
-def solve_left(B: IntMatrix, C: IntMatrix) -> IntMatrix:
-    """Solve X*B = C over the integers for B with full row rank whose row
-    lattice is saturated (every rational solution is integral).  Raises
-    ValueError if some row of C is outside the row span."""
-    h, u = hnf_with_transform(B)
-    hr = h.entries
-    pivots = []
-    for i in range(B.rows):
-        nz = [j for j in range(B.cols) if hr[i][j]]
-        if not nz:
-            raise ValueError("basis matrix does not have full row rank")
-        pivots.append(nz[0])
-    xs = []
-    for crow in C.entries:
-        rem = list(crow)
-        coeff = [0] * B.rows
-        for i, pj in enumerate(pivots):
-            q, r = divmod(rem[pj], hr[i][pj])
-            if r:
-                raise ValueError("vector is not in the row span")
-            coeff[i] = q
-            if q:
-                for k in range(B.cols):
-                    rem[k] -= q * hr[i][k]
-        if any(rem):
-            raise ValueError("vector is not in the row span")
-        xs.append(coeff)
-    return IntMatrix.from_rows(xs) * u
-
-
-def det(A) -> int:
-    """Exact determinant of a square integer matrix (an IntMatrix or an
-    array), by Bareiss's fraction-free elimination on Python ints: every
-    intermediate entry is a minor of A, and each division is exact."""
-    m = np.array(A.entries if isinstance(A, IntMatrix) else A, dtype=object)
+def det(a) -> int:
+    """Exact determinant of a square integer array, by Bareiss's
+    fraction-free elimination on Python ints: every intermediate entry
+    is a minor of the array, and each division is exact."""
+    m = np.array(a, dtype=object)
     n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -373,11 +353,11 @@ def hnf_mod(rows, D):
     return h
 
 
-def as_int64(M):
-    """int64 array of an IntMatrix (or of any integer array-like);
-    raises ValueError if an entry does not fit."""
+def as_int64(a):
+    """int64 array of an integer array-like; raises ValueError if an
+    entry does not fit."""
     try:
-        return np.array(M.entries if isinstance(M, IntMatrix) else M, dtype=np.int64)
+        return np.array(a, dtype=np.int64)
     except OverflowError:
         raise ValueError("matrix entry does not fit in int64") from None
 

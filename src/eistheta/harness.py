@@ -29,6 +29,8 @@ from dataclasses import dataclass, fields
 from functools import partial
 from math import prod
 
+import numpy as np
+
 from .eisenstein import (
     EisensteinContext,
     WSmith,
@@ -36,7 +38,7 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuations,
 )
-from .exact_linalg import IntMatrix, LogMap, as_int64, hnf_mod
+from .exact_linalg import IntMatrix, LogMap, hnf_mod
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import class_numbers, field_profile, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
@@ -238,11 +240,11 @@ def check_fixtures(large=False):
 # persistence: single-file JSON envelope, checksummed and versioned
 
 def _enc_matrix(m):
-    return [[str(x) for x in row] for row in m.entries]
+    return [[str(x) for x in row] for row in m.array.tolist()]
 
 
 def _dec_matrix(rows):
-    return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
+    return IntMatrix([[int(x) for x in row] for row in rows])
 
 
 def _space_digest(space):
@@ -253,7 +255,7 @@ def _space_digest(space):
         m = getattr(space, f.name)
         if isinstance(m, IntMatrix):
             h.update(f"{f.name}:{m.rows}x{m.cols};".encode())
-            h.update(as_int64(m).astype("<i8").tobytes())
+            h.update(m.array.astype("<i8").tobytes())
     return h.hexdigest()
 
 
@@ -331,9 +333,9 @@ def _check_structure(ctx):
     for n in range(len(ctx.W) - 1):
         # a Hermite basis W_n of index d gives itself back from hnf_mod of
         # W_n and W_{n+1} modulo d exactly when W_{n+1} lies inside it
-        w = ctx.W[n].entries
-        d = prod(w[i][i] for i in range(len(w)))
-        if not (d > 0 and hnf_mod(w + ctx.W[n + 1].entries, d).tolist() == list(map(list, w))):
+        w = ctx.W[n].array
+        d = prod(map(int, np.diagonal(w)))
+        if not (d > 0 and np.array_equal(hnf_mod(np.concatenate([w, ctx.W[n + 1].array]), d), w)):
             raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
 

@@ -40,14 +40,14 @@ dropped.  `hecke_family` makes that choice for both routes;
 applies it only to the symbols in the support of the section, the only
 ones the operator on M_rel reads.
 
-The fixed matrices of a space (reduction, section on its support,
-boundary, cuspidal and signed bases, and integral left inverses of the
-bases) have int64 copies, made on first use and never written to a
-cache file.  Products with them run in int64 under `mul_int64`'s bound,
-which raises rather than overflow.  A solve x @ B = v is v @ L for a
-left inverse L of B, proven by multiplying back (`solve_by_inverse`);
-`hecke` and `restrict_to_sign` solve that way, and only their g x g
-results become `IntMatrix`es.
+The fixed matrices of a space (reduction, section, boundary, cuspidal
+and signed bases, and integral left inverses of the bases) are
+`IntMatrix`es, each stored once as a read-only array, int64 while its
+entries fit.  Products with them run in int64 under `mul_int64`'s
+bound, which raises rather than overflow.
+A solve x @ B = v is v @ L for a left inverse L of B, proven by
+multiplying back (`solve_by_inverse`); `hecke`, `restrict_to_sign` and
+the theta walk solve that way.
 
 The theta element of D is the chain sum_a chi_D(a) {0, a/m}, m = |D|,
 and only the a < m/2 are walked (the half walk).  Proof: pair a > m/2
@@ -334,28 +334,21 @@ class ModularSymbolSpace:
     def minus_inverse(self):
         return left_inverse(self.minus_basis)
 
-    def int64(self, name):
-        """Read-only int64 copy of the matrix attribute `name` (a field or
-        one of the inverses above), made on first use and, like them,
-        never written to a cache file."""
-        cache = self.__dict__.setdefault("_int64", {})
-        if name not in cache:
-            cache[name] = as_int64(getattr(self, name))
-            cache[name].flags.writeable = False
-        return cache[name]
-
-    def signed_int64(self, sign):
-        """int64 (basis, left inverse) of M^+ (sign > 0) or M^-."""
-        side = "plus" if sign > 0 else "minus"
-        return self.int64(f"{side}_basis"), self.int64(f"{side}_inverse")
+    def signed(self, sign):
+        """The arrays of the basis of M^+ (sign > 0) or M^- and of its
+        left inverse."""
+        if sign > 0:
+            return self.plus_basis.array, self.plus_inverse.array
+        return self.minus_basis.array, self.minus_inverse.array
 
     @cached_property
     def section_support(self):
-        """(S, section[:, S]): the symbols the section reads, and its int64
-        columns there; the section vanishes on every other symbol."""
-        sec = self.relation_kernel_basis.entries
-        support = [j for j, col in enumerate(zip(*sec)) if any(col)]
-        sec_s = as_int64([[row[j] for j in support] for row in sec])
+        """(S, section[:, S]): the symbols the section reads, and its
+        columns there as a read-only int64 array; the section vanishes on
+        every other symbol."""
+        sec = self.relation_kernel_basis.array
+        support = np.flatnonzero(sec.any(axis=0))
+        sec_s = sec[:, support]
         sec_s.flags.writeable = False
         return support, sec_s
 
@@ -399,16 +392,12 @@ def _space_from_section(pres, sec, red):
     if not np.array_equal(mul_int64(sec, red), np.eye(k)):
         raise ValueError("section is not a right inverse of the reduction")
 
-    boundary = IntMatrix.from_rows(mul_int64(sec, as_int64(pres.boundary)).tolist())
-
-    cusp_rows = left_kernel(boundary)
-    cuspidal = IntMatrix.from_rows(cusp_rows)
-
-    cusp = as_int64(cuspidal)
+    boundary = IntMatrix(mul_int64(sec, as_int64(pres.boundary)))
+    cuspidal = IntMatrix(left_kernel(boundary))
     cusp_inv = left_inverse(cuspidal)
+    cusp = cuspidal.array
     star_rel = mul_int64(sec, red[list(pres.iota)])
-    star_m = IntMatrix.from_rows(solve_by_inverse(
-        cusp, as_int64(cusp_inv), mul_int64(cusp, star_rel)).tolist())
+    star_m = IntMatrix(solve_by_inverse(cusp, cusp_inv.array, mul_int64(cusp, star_rel)))
     plus, minus = star_decompose(star_m)
     g = cuspidal.rows // 2
     if cuspidal.rows != 2 * g or k != 2 * g + 1:
@@ -418,8 +407,8 @@ def _space_from_section(pres, sec, red):
 
     space = ModularSymbolSpace(
         N=pres.N,
-        relation_kernel_basis=IntMatrix.from_rows(sec.tolist()),
-        reduction=IntMatrix.from_rows(red.tolist()),
+        relation_kernel_basis=IntMatrix(sec),
+        reduction=IntMatrix(red),
         boundary=boundary,
         cuspidal_basis=cuspidal,
         star=star_m,
@@ -438,10 +427,8 @@ def _space_from_section(pres, sec, red):
 def star_decompose(star):
     """Saturated eigenlattices (M^+, M^-) of the star involution, as
     rows in the coordinates the matrix `star` acts on."""
-    ident = IntMatrix.identity(star.rows)
-    return tuple(
-        IntMatrix.from_rows(left_kernel(m)) for m in (star - ident, star + ident)
-    )
+    ident = np.eye(star.rows, dtype=np.int64)
+    return tuple(IntMatrix(left_kernel(IntMatrix(star.array + s * ident))) for s in (-1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +567,7 @@ def family_counts(symbols, fam, N, inv):
 def solve_by_inverse(B, L, v):
     """The x with x @ B = v, for int64 arrays, read off as v @ L through
     a left inverse L of B (B @ L = I) and proven by multiplying back;
-    like `solve_left`, raises ValueError if some row of v is outside the
-    row lattice of B."""
+    raises ValueError if some row of v is outside the row lattice of B."""
     x = mul_int64(v, L)
     if not np.array_equal(mul_int64(x, B), v):
         raise ValueError("vector is not in the row span")
@@ -602,17 +588,16 @@ def hecke(space, ell):
     support, sec_s = space.section_support
     counts = family_counts([space.generators[j] for j in support],
                            hecke_family(ell, space.N), space.N, space._inv)
-    t_rel = mul_int64(sec_s, mul_int64(counts, space.int64("reduction")))
-    cusp = space.int64("cuspidal_basis")
-    t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))
-    return HeckeOp(index=ell, matrix=IntMatrix.from_rows(t_m.tolist()))
+    t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
+    cusp = space.cuspidal_basis.array
+    t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))
+    return HeckeOp(index=ell, matrix=IntMatrix(t_m))
 
 
 def restrict_to_sign(space, op_matrix, sign):
     """Restrict an operator on M (cuspidal coordinates) to M^+ or M^-."""
-    basis, inverse = space.signed_int64(sign)
-    x = solve_by_inverse(basis, inverse, mul_int64(basis, as_int64(op_matrix)))
-    return IntMatrix.from_rows(x.tolist())
+    basis, inverse = space.signed(sign)
+    return IntMatrix(solve_by_inverse(basis, inverse, mul_int64(basis, op_matrix.array)))
 
 
 # ---------------------------------------------------------------------------
@@ -640,13 +625,8 @@ def path_to_chain(space, a, m):
     """Coordinates in M_rel of the modular symbol {0, a/m}."""
     if m <= 0 or gcd(a, m) != 1:
         raise ValueError("need m > 0 and gcd(a, m) = 1")
-    red = space.reduction.entries
-    coords = [0] * space.reduction.cols
-    for u, v in _symbol_stream(a, m):
-        row = red[space.index(u, v)]
-        for i, x in enumerate(row):
-            coords[i] += x
-    return tuple(coords)
+    symbols = [space.index(u, v) for u, v in _symbol_stream(a, m)]
+    return tuple(map(int, space.reduction.array[symbols].sum(axis=0)))
 
 
 # the characters of the prime discriminants -4, 8 and -8, indexed by a mod 8
@@ -747,10 +727,10 @@ def _theta_chunk(space, rows, inv, iota):
     half = (counts[:width] - counts[width:]).reshape(len(rows), N + 1)
     # theta = half + s iota(half), s = sign(D)
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
-    rel = mul_int64(half + s * half[:, iota], space.int64("reduction"))
-    if mul_int64(rel, space.int64("boundary")).any():
+    rel = mul_int64(half + s * half[:, iota], space.reduction.array)
+    if mul_int64(rel, space.boundary.array).any():
         raise ValueError("theta chain has nonzero boundary")
-    in_m = solve_by_inverse(space.int64("cuspidal_basis"), space.int64("cuspidal_inverse"), rel)
+    in_m = solve_by_inverse(space.cuspidal_basis.array, space.cuspidal_inverse.array, rel)
     return [ThetaElement(D=D, coords=tuple(c), sign=1 if D > 0 else -1)
             for D, c in zip(Ds, in_m.tolist())]
 

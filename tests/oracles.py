@@ -18,6 +18,11 @@ cycle by cycle: the reference for the batched `quadfield.class_numbers`.
 `unit_criterion` and `pic_zn_trivial` recompute, for one D, what
 `quadfield.field_profile` derives as its `criterion` and
 `pic_zn_trivial` fields.
+
+`hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
+Hermite-form routes that the package's int64 left inverses and modular
+Hermite forms replaced, and `mat_mul` is the pure-Python product that
+int64 products are checked against.
 """
 
 from dataclasses import dataclass
@@ -27,13 +32,14 @@ import numpy as np
 
 from eistheta.exact_linalg import (
     IntMatrix,
+    _hnf_inplace,
     as_int64,
     divisors,
+    hnf_with_transform,
     is_prime,
     vp,
     mul_int64,
     snf,
-    unimodular_inverse,
 )
 from eistheta.modp import _rref_mod_p
 from eistheta.modsym import (
@@ -62,6 +68,63 @@ ADMISSIBLE = [
 ]
 
 
+def mat_mul(*factors):
+    """The product of IntMatrix factors, left to right, in Python ints."""
+    out = factors[0].array.tolist()
+    for f in factors[1:]:
+        if len(out[0]) != f.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        cols = list(zip(*f.array.tolist()))
+        out = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in out]
+    return IntMatrix(out)
+
+
+def hnf(A):
+    """Canonical row-style Hermite normal form of an IntMatrix (same
+    shape; zero rows sink to the bottom, pivots positive, entries above
+    a pivot reduced into [0, pivot))."""
+    return IntMatrix(_hnf_inplace(A.array.tolist()))
+
+
+def unimodular_inverse(M):
+    """Inverse of a unimodular IntMatrix: the HNF of M is then the
+    identity, and its tracked transform is M^{-1}."""
+    h, u = hnf_with_transform(M)
+    if h != IntMatrix.identity(M.rows):
+        raise ValueError("matrix is not unimodular")
+    return u
+
+
+def solve_left(B, C):
+    """Solve X*B = C over the integers for IntMatrices B with full row
+    rank whose row lattice is saturated (every rational solution is
+    integral) and C; raises ValueError if some row of C is outside the
+    row span."""
+    h, u = hnf_with_transform(B)
+    hr = h.array.tolist()
+    pivots = []
+    for i in range(B.rows):
+        nz = [j for j in range(B.cols) if hr[i][j]]
+        if not nz:
+            raise ValueError("basis matrix does not have full row rank")
+        pivots.append(nz[0])
+    xs = []
+    for rem in C.array.tolist():
+        coeff = [0] * B.rows
+        for i, pj in enumerate(pivots):
+            q, r = divmod(rem[pj], hr[i][pj])
+            if r:
+                raise ValueError("vector is not in the row span")
+            coeff[i] = q
+            if q:
+                for k in range(B.cols):
+                    rem[k] -= q * hr[i][k]
+        if any(rem):
+            raise ValueError("vector is not in the row span")
+        xs.append(coeff)
+    return mat_mul(IntMatrix(xs), u)
+
+
 def relation_matrix(pres):
     """The folded relations as a dense int64 nrel x nvars array."""
     rel = np.zeros((pres.nrel, len(pres.reps)), dtype=np.int64)
@@ -76,15 +139,15 @@ def snf_section_reduction(pres):
     the reduction, the matching rows of V^-1 the section."""
     n = len(pres.generators)
     nvars = len(pres.reps)
-    sd = snf(IntMatrix.from_rows(relation_matrix(pres).tolist()))
+    sd = snf(IntMatrix(relation_matrix(pres)))
     free = [j for j in range(nvars) if j >= len(sd.diag) or sd.diag[j] == 0]
-    vinv = unimodular_inverse(sd.right)
-    red_vars = [[sd.right.entries[v][j] for j in free] for v in range(nvars)]
+    right, vinv = sd.right.entries, unimodular_inverse(sd.right).entries
+    red_vars = [[right[v][j] for j in free] for v in range(nvars)]
     reduction = [[s * x for x in red_vars[v]] for v, s in zip(pres.var_of, pres.sign_of)]
     section = [[0] * n for _ in free]
     for jj, j in enumerate(free):
         for v in range(nvars):
-            section[jj][pres.reps[v]] = vinv.entries[j][v]
+            section[jj][pres.reps[v]] = vinv[j][v]
     return as_int64(section), as_int64(reduction)
 
 
@@ -164,10 +227,10 @@ def merel_hecke(space, ell):
     support, sec_s = space.section_support
     counts = family_counts([space.generators[j] for j in support],
                            merel_matrices(ell), space.N, space._inv)
-    t_rel = mul_int64(sec_s, mul_int64(counts, space.int64("reduction")))
-    cusp = space.int64("cuspidal_basis")
-    t_m = solve_by_inverse(cusp, space.int64("cuspidal_inverse"), mul_int64(cusp, t_rel))
-    return IntMatrix.from_rows(t_m.tolist())
+    t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
+    cusp = space.cuspidal_basis.array
+    t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))
+    return IntMatrix(t_m)
 
 
 @dataclass(frozen=True)

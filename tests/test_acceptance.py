@@ -13,7 +13,7 @@ from math import gcd, isqrt
 import pytest
 
 from eistheta.eisenstein import alpha_check, build_context, g_p_dimension, theta_valuation
-from eistheta.exact_linalg import IntMatrix, LogMap, solve_left, xgcd
+from eistheta.exact_linalg import IntMatrix, LogMap, xgcd
 from eistheta.harness import (
     fixture_rows,
     load_context,
@@ -32,7 +32,7 @@ from eistheta.quadfield import (
     validate_discriminant,
 )
 from eistheta.selmer import SelmerInput, equivalence_predicate
-from oracles import fundamental_unit
+from oracles import fundamental_unit, mat_mul, solve_left
 
 rng = random.Random(3001)
 
@@ -206,18 +206,18 @@ def test_criterion_8_structural_suite(pair11, pair31, tmp_path):
     ops = {ell: hecke(space31, ell).matrix for ell in (2, 3, 5, 31)}
     for i in ops:
         for j in ops:
-            if ops[i] * ops[j] != ops[j] * ops[i]:
+            if mat_mul(ops[i], ops[j]) != mat_mul(ops[j], ops[i]):
                 failures.append(f"T{i} T{j} do not commute")
-        if ops[i] * space31.star != space31.star * ops[i]:
+        if mat_mul(ops[i], space31.star) != mat_mul(space31.star, ops[i]):
             failures.append(f"T{i} does not commute with the involution")
 
     # theta elements: boundary zero, eigenvector of the involution
     for D in (12, 37, -3, -47):
         theta = theta_element(space11, D)
-        rel = IntMatrix.from_rows([list(theta.coords)]) * space11.cuspidal_basis
-        if any((rel * space11.boundary).entries[0]):
+        rel = mat_mul(IntMatrix([theta.coords]), space11.cuspidal_basis)
+        if any(mat_mul(rel, space11.boundary).entries[0]):
             failures.append(f"theta {D} has boundary")
-        image = IntMatrix.from_rows([list(theta.coords)]) * space11.star
+        image = mat_mul(IntMatrix([theta.coords]), space11.star)
         want = tuple(theta.sign * x for x in theta.coords)
         if image.entries[0] != want:
             failures.append(f"theta {D} not a sign eigenvector")
@@ -331,15 +331,17 @@ def _coset_hecke(space, ell):
     """T_ell on the cuspidal lattice straight from the coset action on
     rational paths, None standing in for the infinite cusp."""
 
+    oo = space.reduction.entries[0]  # the (0:1) symbol is {0, oo}
+
     def chain(e):
         if e is None:
-            return space.reduction.entries[0]  # the (0:1) symbol is {0, oo}
+            return oo
         return path_to_chain(space, e.numerator, e.denominator)
 
     k = space.reduction.cols
     rows = []
     for row in space.cuspidal_basis.entries:
-        weights = (IntMatrix.from_rows([list(row)]) * space.relation_kernel_basis).entries[0]
+        weights = mat_mul(IntMatrix([row]), space.relation_kernel_basis).entries[0]
         total = [0] * k
         for i, coeff in enumerate(weights):
             if not coeff:
@@ -357,7 +359,7 @@ def _coset_hecke(space, ell):
                 for j in range(k):
                     total[j] += coeff * (chi_[j] - clo[j])
         rows.append(total)
-    return solve_left(space.cuspidal_basis, IntMatrix.from_rows(rows))
+    return solve_left(space.cuspidal_basis, IntMatrix(rows))
 
 
 def test_criterion_9_oracles(pair11):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from eistheta import eisenstein
+import numpy as np
+
 from eistheta.exact_linalg import (
     IntMatrix,
     LogMap,
-    hnf,
     primes_up_to,
     snf,
-    solve_left,
     vp,
 )
 from eistheta.eisenstein import (
@@ -38,7 +38,7 @@ from eistheta.modsym import (
     theta_elements,
 )
 from eistheta.quadfield import validate_discriminant
-from oracles import ADMISSIBLE, merel_hecke, snf_section_reduction
+from oracles import ADMISSIBLE, hnf, mat_mul, merel_hecke, snf_section_reduction, solve_left
 
 rng = random.Random(771561)
 
@@ -92,17 +92,15 @@ def test_valuation_input_validation():
 
 def _brute_member(ctx, n, x):
     """Membership in W_n + p^{e_n} M via an honest integer solve."""
-    from eistheta.exact_linalg import hnf
-
     g = ctx.W[0].rows
     pe = ctx.p ** ctx.e[n]
-    stacked = hnf(IntMatrix.from_rows(
+    stacked = hnf(IntMatrix(
         [list(r) for r in ctx.W[n].entries]
         + [[pe if i == j else 0 for j in range(g)] for i in range(g)]
     ))
-    basis = IntMatrix.from_rows([list(r) for r in stacked.entries if any(r)])
+    basis = IntMatrix([list(r) for r in stacked.entries if any(r)])
     try:
-        solve_left(basis, IntMatrix.from_rows([list(x)]))
+        solve_left(basis, IntMatrix([list(x)]))
         return True
     except ValueError:
         return False
@@ -193,7 +191,7 @@ def test_alpha_kills_theta_elements():
     for D in (12, 37, 40):
         th = theta_element(SP11, D)
         y = solve_left(
-            SP11.plus_basis, IntMatrix.from_rows([list(th.coords)])
+            SP11.plus_basis, IntMatrix([list(th.coords)])
         )
         assert _alpha_of_plus_vector(CTX11, list(y.entries[0])) == 0
 
@@ -227,14 +225,14 @@ def test_theta_valuation_matches_solve_oracle(N, sign):
             ds.append(D)
     for D in ds:
         th = theta_element(space, D)
-        x = list(solve_left(basis, IntMatrix.from_rows([list(th.coords)])).entries[0])
+        x = list(solve_left(basis, IntMatrix([list(th.coords)])).entries[0])
         val = theta_valuation(ctx, th)
         assert val == p_local_valuation(ctx, x) == _oracle_valuation(ctx, x), (N, D)
 
 
 def _valuations_one_by_one(ctx, thetas):
     basis = ctx.space.plus_basis if ctx.sign > 0 else ctx.space.minus_basis
-    xs = solve_left(basis, IntMatrix.from_rows([list(th.coords) for th in thetas])).entries
+    xs = solve_left(basis, IntMatrix([list(th.coords) for th in thetas])).entries
     return [p_local_valuation(ctx, list(x)) for x in xs]
 
 
@@ -286,27 +284,27 @@ def _stacked_filtration(space, p, n_max, sign):
     replaced: each Hecke operator and its restriction solved by
     `solve_left` in IntMatrix arithmetic, and each W_{n+1} the full
     `hnf` of the stacked products W_n * eta."""
-    sec = space.relation_kernel_basis
-    support = [j for j, col in enumerate(zip(*sec.entries)) if any(col)]
-    sec_s = IntMatrix.from_rows([[row[j] for j in support] for row in sec.entries])
+    sec = space.relation_kernel_basis.entries
+    support = [j for j, col in enumerate(zip(*sec)) if any(col)]
+    sec_s = IntMatrix([[row[j] for j in support] for row in sec])
     basis = space.plus_basis if sign > 0 else space.minus_basis
     cusp = space.cuspidal_basis
 
     def generator(ell, eigen):
         counts = family_counts([space.generators[j] for j in support],
                                merel_matrices(ell), space.N, space._inv)
-        t_rel = sec_s * (IntMatrix.from_rows(counts.tolist()) * space.reduction)
-        t = solve_left(basis, basis * solve_left(cusp, cusp * t_rel))
-        return IntMatrix.from_rows([[x - (eigen if i == j else 0) for j, x in enumerate(row)]
-                                    for i, row in enumerate(t.entries)])
+        t_rel = mat_mul(sec_s, IntMatrix(counts), space.reduction)
+        t = solve_left(basis, mat_mul(basis, solve_left(cusp, mat_mul(cusp, t_rel))))
+        return IntMatrix([[x - (eigen if i == j else 0) for j, x in enumerate(row)]
+                          for i, row in enumerate(t.entries)])
 
     N = space.N
     gens = [generator(ell, ell + 1) for ell in primes_up_to(-(-(N + 1) // 6)) if ell != N]
     gens.append(generator(N, 1))
     w = [IntMatrix.identity(space.genus)]
     for _ in range(n_max + 1):
-        h = hnf(IntMatrix.from_rows([row for op in gens for row in (w[-1] * op).entries]))
-        w.append(IntMatrix.from_rows([r for r in h.entries if any(r)]))
+        h = hnf(IntMatrix([row for op in gens for row in mat_mul(w[-1], op).entries]))
+        w.append(IntMatrix([r for r in h.entries if any(r)]))
     diags = [snf(m).diag for m in w]
     return gens, w, diags, [max(vp(d, p) for d in diag) for diag in diags]
 
@@ -354,14 +352,14 @@ def test_good_primes_generate_the_filtration_locally(sign):
     ctx = build_context(SP211, p, sign=sign)
     good = []
     for ell in primes_up_to(40):
-        eta = restrict_to_sign(SP211, hecke(SP211, ell).matrix, sign) - IntMatrix.from_rows(
-            [[ell + 1 if i == j else 0 for j in range(SP211.genus)] for i in range(SP211.genus)])
+        t = restrict_to_sign(SP211, hecke(SP211, ell).matrix, sign)
+        eta = IntMatrix(t.array - (ell + 1) * np.eye(SP211.genus, dtype=np.int64))
         is_good = ell != N and pow(ell, (N - 1) // p, N) != 1 and ell % p != 1
         power = eta
         for n in range(1, 5):
             same = _p_parts(snf(power).diag, p) == _p_parts(ctx.snf_of_W[n].diag, p)
             assert same == is_good, (ell, n)
-            power = power * eta
+            power = mat_mul(power, eta)
         good.append(is_good)
     assert good.count(False) == 2
 

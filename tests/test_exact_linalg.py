@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from eistheta.exact_linalg import (
     LogMap,
     det,
     factorize,
-    hnf,
     hnf_mod,
     hnf_with_transform,
     is_prime,
@@ -25,29 +25,78 @@ from eistheta.exact_linalg import (
     mul_int64,
     primes_up_to,
     snf,
-    solve_left,
     sqrt_mod,
-    unimodular_inverse,
     xgcd,
 )
+from oracles import hnf, mat_mul, solve_left, unimodular_inverse
 
 rng = random.Random(20161871)
 
 
 def rand_matrix(m, n, bound=9):
-    return IntMatrix.from_rows(
+    return IntMatrix(
         [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
     )
 
 
 def rand_unimodular(n, steps=25):
-    u = IntMatrix.identity(n).to_lists()
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
         q = rng.randint(-3, 3)
         for k in range(n):
             u[i][k] += q * u[j][k]
-    return IntMatrix.from_rows(u)
+    return IntMatrix(u)
+
+
+# ---------------------------------------------------------------------------
+# the matrix type
+
+def test_intmatrix_is_int64_while_every_entry_fits():
+    top = 2**63 - 1
+    m = IntMatrix([[top, -top - 1], [0, 1]])
+    assert m.array.dtype == np.int64 and (m.rows, m.cols) == (2, 2)
+    assert m.entries == ((top, -top - 1), (0, 1))
+    for big in (2**63, -2**63 - 1):
+        m = IntMatrix([[big, 1], [2, 3]])
+        assert m.array.dtype == object
+        assert m.entries == ((big, 1), (2, 3))
+        assert all(type(x) is int for row in m.entries for x in row)
+    assert IntMatrix(np.array([[2**63]], dtype=np.uint64)).entries == ((2**63,),)
+
+
+def test_intmatrix_is_read_only_and_compares_to_a_bool():
+    for m in (IntMatrix([[1, 2], [3, 4]]), IntMatrix([[2**70, 2], [3, 4]])):
+        with pytest.raises(ValueError, match="read-only"):
+            m.array[0, 0] = 5
+        with pytest.raises(AttributeError):
+            m.array = np.zeros((2, 2), dtype=np.int64)
+        again = pickle.loads(pickle.dumps(m))
+        assert again == m and not again.array.flags.writeable
+    m = IntMatrix([[1, 2], [3, 4]])
+    assert (m == IntMatrix(np.array([[1, 2], [3, 4]]))) is True
+    assert (m == IntMatrix([[1, 2], [3, 5]])) is False
+    assert (m != IntMatrix([[1, 2], [3, 5]])) is True
+    assert (m == IntMatrix([[1, 2, 0], [3, 4, 0]])) is False
+    assert (m == IntMatrix([[2**70, 2], [3, 4]])) is False
+    assert (m == [[1, 2], [3, 4]]) is False
+
+
+def test_intmatrix_refuses_other_shapes_and_non_integers():
+    bad = ([1, 2], [[[1]]], [], [[]], np.zeros((0, 3), dtype=np.int64), [[1, 2], [3]],
+           [[1.5, 2]], np.ones((2, 2)), [[2**63, 0.5]], [["1"]])
+    for data in bad:
+        with pytest.raises(ValueError):
+            IntMatrix(data)
+
+
+def test_intmatrix_of_an_object_hnf_mod_result_that_fits_is_int64():
+    rows, D = [[3, 5], [0, 7]], 21 * 2**40  # 2 D^2 >= 2^63: hnf_mod runs in Python ints
+    h = hnf_mod(rows, D)
+    assert h.dtype == object
+    m = IntMatrix(h)
+    assert m.array.dtype == np.int64
+    assert m.entries == ((3, 5), (0, 7)) == tuple(map(tuple, h.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +104,8 @@ def rand_unimodular(n, steps=25):
 
 def test_hnf_pinned_examples():
     assert hnf(IntMatrix.identity(3)) == IntMatrix.identity(3)
-    assert hnf(IntMatrix.from_rows([[0, 1], [1, 0]])) == IntMatrix.identity(2)
-    assert hnf(IntMatrix.from_rows([[2, 4], [1, 2]])) == IntMatrix.from_rows(
+    assert hnf(IntMatrix([[0, 1], [1, 0]])) == IntMatrix.identity(2)
+    assert hnf(IntMatrix([[2, 4], [1, 2]])) == IntMatrix(
         [[1, 2], [0, 0]]
     )
 
@@ -74,19 +123,19 @@ def test_hnf_canonical_under_unimodular_row_ops():
     for _ in range(30):
         a = rand_matrix(4, 5)
         u = rand_unimodular(4)
-        assert hnf(u * a) == hnf(a)
+        assert hnf(mat_mul(u, a)) == hnf(a)
 
 
 def test_hnf_transform_is_unimodular_and_consistent():
     for _ in range(30):
         a = rand_matrix(rng.randint(1, 6), rng.randint(1, 6))
         h, u = hnf_with_transform(a)
-        assert u * a == h
+        assert mat_mul(u, a) == h
         assert hnf(u) == IntMatrix.identity(a.rows)  # unimodular
 
 
 def test_hnf_zero_rows_at_bottom_and_reduced_off_pivots():
-    a = IntMatrix.from_rows([[6, 10, 4], [2, 4, 2], [4, 6, 2]])
+    a = IntMatrix([[6, 10, 4], [2, 4, 2], [4, 6, 2]])
     h = hnf(a)
     seen_zero = False
     for row in h.entries:
@@ -116,12 +165,12 @@ def _stacked_hnf(rows, D):
     g = len(rows[0])
     stacked = [list(r) for r in rows] + [[D if i == j else 0 for j in range(g)]
                                          for i in range(g)]
-    return [list(r) for r in hnf(IntMatrix.from_rows(stacked)).entries[:g]]
+    return [list(r) for r in hnf(IntMatrix(stacked)).entries[:g]]
 
 
 def _index(rows):
     """[Z^g : row lattice], or 0 when the rows do not have full rank."""
-    h = hnf(IntMatrix.from_rows(rows)).entries
+    h = hnf(IntMatrix(rows)).entries
     g = len(rows[0])
     return prod(h[i][i] for i in range(g)) if len(h) >= g else 0
 
@@ -143,7 +192,7 @@ def test_hnf_mod_matches_stacked_hnf():
                 got = hnf_mod(rows, D)
                 assert got.tolist() == _stacked_hnf(rows, D), (rows, D)
         if idx:  # D a multiple of the index gives the lattice's own form
-            want = [list(r) for r in hnf(IntMatrix.from_rows(rows)).entries[:g]]
+            want = [list(r) for r in hnf(IntMatrix(rows)).entries[:g]]
             assert hnf_mod(rows, idx).tolist() == want
             assert hnf_mod(rows, 7 * idx).tolist() == want
 
@@ -154,7 +203,7 @@ def test_hnf_mod_takes_python_ints_past_the_int64_bound():
         got = hnf_mod(rows, D)
         assert got.dtype == (np.int64 if 2 * D * D < 2**63 else object)
         assert got.tolist() == _stacked_hnf(rows, D)
-    assert hnf_mod(rows, 561).tolist() == [list(r) for r in hnf(IntMatrix.from_rows(rows)).entries[:3]]
+    assert hnf_mod(rows, 561).tolist() == [list(r) for r in hnf(IntMatrix(rows)).entries[:3]]
     with pytest.raises(ValueError, match="positive"):
         hnf_mod(rows, 0)
 
@@ -177,16 +226,16 @@ def test_det_matches_leibniz():
         for perm in permutations(range(n)):
             inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
             leibniz += (-1) ** inversions * prod(a.entries[i][perm[i]] for i in range(n))
-        assert det(a) == leibniz
-    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+        assert det(a.array) == leibniz
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[1, 2], [2, 4]]) == 0
 
 
 def test_mul_int64_is_exact_on_both_sides_of_the_float_bound():
     for bound in (9, 2**20, 2**28):  # float64 products, int64 products
         a = [[rng.randint(-bound, bound) for _ in range(7)] for _ in range(5)]
         b = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(7)]
-        want = IntMatrix.from_rows(a) * IntMatrix.from_rows(b)
+        want = mat_mul(IntMatrix(a), IntMatrix(b))
         assert mul_int64(np.array(a), np.array(b)).tolist() == [list(r) for r in want.entries]
     big = np.full((1, 4), 2**30, dtype=np.int64)
     assert mul_int64(big, big.T).tolist() == [[2**62]]  # bound 2^62: exact in int64
@@ -196,8 +245,9 @@ def test_mul_int64_is_exact_on_both_sides_of_the_float_bound():
 
 def test_int64_bounds_survive_optimize():
     # the int64 bounds are explicit raises, so `python -O` keeps them: a
-    # product whose bound reaches 2^63, an entry past int64, and the same
-    # product bound met by an operator restricted to M^+ at N = 11
+    # product whose bound reaches 2^63, an entry past int64, the same
+    # product bound met by an operator restricted to M^+ at N = 11, and a
+    # product of an object array with an entry past int64
     code = (
         "import numpy as np\n"
         "from eistheta.exact_linalg import IntMatrix, as_int64, mul_int64\n"
@@ -205,7 +255,8 @@ def test_int64_bounds_survive_optimize():
         "big = np.full((2, 2), 2**31, dtype=np.int64)\n"
         "calls = (lambda: mul_int64(big, big),\n"
         "         lambda: as_int64([[2**63]]),\n"
-        "         lambda: restrict_to_sign(build_space(11), IntMatrix.from_rows([[2**62, 0], [0, 1]]), 1))\n"
+        "         lambda: restrict_to_sign(build_space(11), IntMatrix([[2**62, 0], [0, 1]]), 1),\n"
+        "         lambda: mul_int64(IntMatrix([[2**70, 1]]).array, np.ones((2, 1), dtype=np.int64)))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -222,6 +273,7 @@ def test_int64_bounds_survive_optimize():
     ).stdout.splitlines()
     assert out == ["ValueError: int64 product bound exceeded",
                    "ValueError: matrix entry does not fit in int64",
+                   "ValueError: int64 product bound exceeded",
                    "ValueError: int64 product bound exceeded"]
 
 
@@ -229,8 +281,8 @@ def test_int64_bounds_survive_optimize():
 # Smith form
 
 def test_snf_pinned_examples():
-    assert snf(IntMatrix.from_rows([[4, 0], [0, 6]])).diag == (2, 12)
-    assert snf(IntMatrix.from_rows([[2, 0], [0, 3]])).diag == (1, 6)
+    assert snf(IntMatrix([[4, 0], [0, 6]])).diag == (2, 12)
+    assert snf(IntMatrix([[2, 0], [0, 3]])).diag == (1, 6)
     assert snf(IntMatrix.identity(4)).diag == (1, 1, 1, 1)
 
 
@@ -239,7 +291,7 @@ def test_snf_transforms_diagonalize():
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(m, n)
         sd = snf(a)
-        prod = sd.left * a * sd.right
+        prod = mat_mul(sd.left, a, sd.right)
         for i in range(m):
             for j in range(n):
                 expect = sd.diag[i] if i == j and i < len(sd.diag) else 0
@@ -254,7 +306,7 @@ def test_snf_invariant_under_unimodular_equivalence():
     for _ in range(25):
         a = rand_matrix(4, 4)
         u, v = rand_unimodular(4), rand_unimodular(4)
-        assert snf(u * a * v).diag == snf(a).diag
+        assert snf(mat_mul(u, a, v)).diag == snf(a).diag
 
 
 def test_snf_agrees_with_sympy():
@@ -265,7 +317,7 @@ def test_snf_agrees_with_sympy():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         a = rand_matrix(m, n, bound=6)
         ours = [d for d in snf(a).diag if d]
-        theirs = smith_normal_form(sympy.Matrix(a.to_lists()))
+        theirs = smith_normal_form(sympy.Matrix(a.array.tolist()))
         ref = sorted(
             abs(theirs[i, i]) for i in range(min(m, n)) if theirs[i, i] != 0
         )
@@ -275,25 +327,25 @@ def test_snf_agrees_with_sympy():
 def test_unimodular_inverse():
     for n in (1, 2, 4):
         u = rand_unimodular(n)
-        assert u * unimodular_inverse(u) == IntMatrix.identity(n)
+        assert mat_mul(u, unimodular_inverse(u)) == IntMatrix.identity(n)
     with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
+        unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_left_kernel_and_solve():
-    a = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    a = IntMatrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     ker = left_kernel(a)
     assert len(ker) == 1
     v = ker[0]
     assert all(sum(v[i] * a.entries[i][j] for i in range(3)) == 0 for j in range(3))
     assert max(abs(x) for x in v) <= 2  # saturated: (2,-1,0) up to sign
 
-    b = IntMatrix.from_rows([[1, 0, 2], [0, 1, 3]])
-    c = IntMatrix.from_rows([[2, 3, 13], [5, -1, 7]])
+    b = IntMatrix([[1, 0, 2], [0, 1, 3]])
+    c = IntMatrix([[2, 3, 13], [5, -1, 7]])
     x = solve_left(b, c)
-    assert x * b == c
+    assert mat_mul(x, b) == c
     with pytest.raises(ValueError):
-        solve_left(b, IntMatrix.from_rows([[0, 0, 1]]))
+        solve_left(b, IntMatrix([[0, 0, 1]]))
 
 
 # ---------------------------------------------------------------------------

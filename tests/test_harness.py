@@ -20,6 +20,7 @@ from eistheta.eisenstein import build_context, g_p_dimension, theta_valuation
 from eistheta.harness import (
     CacheIntegrityError,
     CacheVersionError,
+    build_pair,
     check_fixtures,
     fixture_rows,
     load_context,
@@ -30,7 +31,7 @@ from eistheta.harness import (
     sweep_even,
     sweep_odd,
 )
-from eistheta.modsym import _space_from_section, build_space, presentation, theta_element
+from eistheta.modsym import _space_from_section, build_space, hecke, presentation, theta_element
 from oracles import snf_section_reduction
 
 EVEN_CSV = """\
@@ -247,6 +248,40 @@ def test_cache_round_trip(tmp_path):
     assert g_p_dimension(ctx2) == 1
     report = sweep_even(11, 5, 1, 100, context=(space2, ctx2))
     assert report_to_csv(report) == EVEN_CSV
+
+
+# sha256 and size of what save_context writes for build_pair(N, 5, 3, sign)
+CACHE_BYTES = {
+    (11, 1): ("b2030f96dc25315d755a75351f7aab9a92b6ff6f4748abdb4f68d686ecfc7dcb", 465),
+    (211, 1): ("53ea6c92476c06afbb0411f606344bdd40296c883d06d45697872ec8710a4428", 28868),
+    (211, -1): ("66aad830113355313cad4b1bab29095208c830444ba9e76aea5e6b1049bcfebf", 28708),
+}
+
+
+@pytest.mark.parametrize("N,sign", sorted(CACHE_BYTES))
+def test_cache_file_bytes_are_pinned(tmp_path, N, sign):
+    path = tmp_path / "ctx.json"
+    save_context(*build_pair(N, 5, 3, sign), path)
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CACHE_BYTES[N, sign]
+
+
+def test_bench_and_demo_readers_see_python_ints():
+    # the (211, 5) pair read as the context bench's counters and record
+    # read it, and a Hecke matrix as the filtration walkthrough prints it
+    space, ctx = build_pair(211, 5, 3, 1)
+    section = space.relation_kernel_basis.entries
+    support = sum(1 for j in range(len(space.generators)) if any(r[j] for r in section))
+    assert (support, len(space.generators)) == (35, 212)
+    assert max(abs(x).bit_length() for w in ctx.W for r in w.entries for x in r) == 14
+    assert all(type(d) is int for sd in ctx.snf_of_W for d in sd.diag)
+    diags = [[str(d) for d in sd.diag] for sd in ctx.snf_of_W]
+    assert [d[-2:] for d in diags] == [["1", "1"], ["1", "35"], ["5", "245"],
+                                       ["5", "8575"], ["25", "60025"]]
+    assert all(d[:-2] == ["1"] * 15 for d in diags)
+    t2 = hecke(space, 2).matrix.entries
+    assert all(type(x) is int for row in t2 for x in row)
+    assert str(t2).startswith("((1, 0, 0, -1, 1, 0, 0, 0, -1, 0, 1, -1, ")
 
 
 def test_cache_save_is_deterministic(tmp_path):

@@ -198,7 +198,7 @@ def _random_matrix(rows, cols):
 def _rank_mod_p_via_snf(rows, p):
     # independent oracle: the F_p rank is the number of invariant
     # factors of the integer matrix that p does not divide
-    return sum(1 for d in snf(IntMatrix.from_rows(rows)).diag if d % p)
+    return sum(1 for d in snf(IntMatrix(rows)).diag if d % p)
 
 
 @pytest.mark.parametrize("p", [5, 13])

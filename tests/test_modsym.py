@@ -42,7 +42,14 @@ from eistheta.modsym import (
     tree_reduction,
 )
 from eistheta.quadfield import is_fundamental
-from oracles import ADMISSIBLE, full_theta_counts, relation_matrix, snf_section_reduction
+from oracles import (
+    ADMISSIBLE,
+    full_theta_counts,
+    mat_mul,
+    relation_matrix,
+    snf_section_reduction,
+    solve_left,
+)
 
 rng = random.Random(60493)
 
@@ -111,7 +118,7 @@ def test_tree_reduction_matches_snf_oracle(N):
     assert not (relation_matrix(pres) @ red_vars).any()  # every relation dies
     assert set(np.unique(red_vars).tolist()) <= {-1, 0, 1}
     sp = build_space(N)
-    sec, red = sp.int64("relation_kernel_basis"), sp.int64("reduction")
+    sec, red = sp.relation_kernel_basis.array, sp.reduction.array
     assert set(np.unique(red).tolist()) <= {-1, 0, 1}
     assert (np.abs(sec).sum(axis=1) == 1).all()  # each row one symbol, +-1
     # both reductions are quotient maps onto M_rel: the change of basis
@@ -217,14 +224,14 @@ def test_two_and_three_term_relations_vanish():
 
 def test_section_is_a_section():
     sp = build_space(31)
-    assert sp.relation_kernel_basis * sp.reduction == IntMatrix.identity(5)
+    assert mat_mul(sp.relation_kernel_basis, sp.reduction) == IntMatrix.identity(5)
 
 
 def test_build_space_hands_over_the_cuspidal_inverse():
     # the star matrix needs the inverse, so the build seeds the cached one
     sp = build_space(31)
     assert "cuspidal_inverse" in sp.__dict__
-    assert sp.cuspidal_basis * sp.cuspidal_inverse == IntMatrix.identity(4)
+    assert mat_mul(sp.cuspidal_basis, sp.cuspidal_inverse) == IntMatrix.identity(4)
 
 
 def test_boundary_rank_one():
@@ -259,8 +266,8 @@ def test_path_boundary_telescopes():
         a = rng.randrange(-400, 400)
         if gcd(a, m) != 1:
             continue
-        chain = IntMatrix.from_rows([list(path_to_chain(sp, a, m))])
-        bd = (chain * sp.boundary).entries[0]
+        chain = IntMatrix([list(path_to_chain(sp, a, m))])
+        bd = mat_mul(chain, sp.boundary).entries[0]
         if m % sp.N == 0:
             assert bd == (-1, 1)  # lands at the cusp oo
         else:
@@ -270,7 +277,7 @@ def test_path_boundary_telescopes():
 def test_star_is_an_involution():
     for N in (11, 31, 53):
         sp = build_space(N)
-        assert sp.star * sp.star == IntMatrix.identity(sp.star.rows)
+        assert mat_mul(sp.star, sp.star) == IntMatrix.identity(sp.star.rows)
         plus, minus = star_decompose(sp.star)
         assert plus == sp.plus_basis and minus == sp.minus_basis
 
@@ -278,7 +285,7 @@ def test_star_is_an_involution():
 def test_star_eigenlattice_index_is_power_of_two():
     for N in (11, 31, 53):
         sp = build_space(N)
-        stacked = IntMatrix.from_rows(
+        stacked = IntMatrix(
             list(sp.plus_basis.entries) + list(sp.minus_basis.entries)
         )
         from eistheta.exact_linalg import snf
@@ -397,8 +404,8 @@ def test_family_counts_match_per_matrix_loop(N):
 def test_hecke_pinned_eleven():
     sp = build_space(11)
     t2 = hecke(sp, 2).matrix
-    assert t2 == IntMatrix.from_rows([[-2, 0], [0, -2]])  # both eigenvalues -2
-    assert hecke(sp, 3).matrix == IntMatrix.from_rows([[-1, 0], [0, -1]])
+    assert t2 == IntMatrix([[-2, 0], [0, -2]])  # both eigenvalues -2
+    assert hecke(sp, 3).matrix == IntMatrix([[-1, 0], [0, -1]])
     assert hecke(sp, 11).matrix == IntMatrix.identity(2)
     assert (-2 - 3) % 5 == 0  # T_2 - (2+1) is 5-Eisenstein here
 
@@ -420,8 +427,8 @@ def test_hecke_operators_commute():
     ops = [hecke(sp, ell).matrix for ell in (2, 3, 5, 31)]
     for a in ops:
         for b in ops:
-            assert a * b == b * a
-        assert a * sp.star == sp.star * a
+            assert mat_mul(a, b) == mat_mul(b, a)
+        assert mat_mul(a, sp.star) == mat_mul(sp.star, a)
 
 
 def test_hecke_rejects_composite_index():
@@ -489,9 +496,7 @@ def _oracle_matrix(sp, ell):
             for j in range(k):
                 total[j] += c * img[j]
         images.append(total)
-    from eistheta.exact_linalg import solve_left
-
-    return solve_left(sp.cuspidal_basis, IntMatrix.from_rows(images))
+    return solve_left(sp.cuspidal_basis, IntMatrix(images))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 11])
@@ -512,10 +517,8 @@ def test_theta_twelve_pinned():
     sp = build_space(11)
     th = theta_element(sp, 12)
     assert th.sign == 1
-    from eistheta.exact_linalg import solve_left
-
     plus_coords = solve_left(
-        sp.plus_basis, IntMatrix.from_rows([list(th.coords)])
+        sp.plus_basis, IntMatrix([list(th.coords)])
     )
     assert [abs(x) for x in plus_coords.entries[0]] == [5]
 
@@ -546,9 +549,7 @@ def test_theta_matches_sum_of_paths():
                     for i, x in enumerate(path_to_chain(sp, a, m)):
                         rel[i] += chi * x
             th = theta_element(sp, D)
-            assert IntMatrix.from_rows([list(th.coords)]) * sp.cuspidal_basis == (
-                IntMatrix.from_rows([rel])
-            ), (N, D)
+            assert mat_mul(IntMatrix([th.coords]), sp.cuspidal_basis) == IntMatrix([rel]), (N, D)
 
 
 def _fundamental_window(N, ms):
@@ -569,9 +570,9 @@ def test_theta_elements_match_the_full_walk_oracle():
         assert {-3, -4, 8, -8} <= set(Ds) and any(D % 2 == 0 for D in Ds[4:])
         thetas = theta_elements(sp, Ds)
         assert [(th.D, th.sign) for th in thetas] == [(D, 1 if D > 0 else -1) for D in Ds]
-        got = mul_int64(np.array([th.coords for th in thetas]), sp.int64("cuspidal_basis"))
+        got = mul_int64(np.array([th.coords for th in thetas]), sp.cuspidal_basis.array)
         counts = np.array([full_theta_counts(D, N, sp._inv) for D in Ds])
-        assert np.array_equal(got, mul_int64(counts, sp.int64("reduction"))), N
+        assert np.array_equal(got, mul_int64(counts, sp.reduction.array)), N
 
 
 @pytest.mark.parametrize("N", [11, 211])
@@ -640,17 +641,17 @@ def test_theta_walk_bound_survives_optimize():
 def test_theta_refuses_vectors_outside_the_lattice():
     # the left-inverse solve proves membership by multiplying back
     sp = build_space(31)
-    basis, inverse = sp.int64("cuspidal_basis"), sp.int64("cuspidal_inverse")
+    basis, inverse = sp.cuspidal_basis.array, sp.cuspidal_inverse.array
     # a vector is outside M exactly when its boundary is nonzero; one
     # M_rel coordinate carries the boundary
     j = next(i for i, row in enumerate(sp.boundary.entries) if any(row))
     unit = [int(i == j) for i in range(5)]
     for v in (unit, [-2 * x for x in unit], [3, -1, 4, 1, -5]):
-        assert (IntMatrix.from_rows([v]) * sp.boundary).entries != ((0, 0),)
+        assert mat_mul(IntMatrix([v]), sp.boundary).entries != ((0, 0),)
         with pytest.raises(ValueError, match="row span"):
             solve_by_inverse(basis, inverse, np.array([v]))
     th = theta_element(sp, 13)
-    rel = IntMatrix.from_rows([th.coords]) * sp.cuspidal_basis
+    rel = mat_mul(IntMatrix([th.coords]), sp.cuspidal_basis)
     assert tuple(solve_by_inverse(basis, inverse, np.array(rel.entries))[0].tolist()) == th.coords
 
 
@@ -659,8 +660,8 @@ def test_theta_sign_matches_star():
     for D in (12, 13, -3, -4, -47, 29):
         th = theta_element(sp, D)
         assert th.sign == (1 if D > 0 else -1)
-        v = IntMatrix.from_rows([list(th.coords)])
-        assert v * sp.star == IntMatrix.from_rows(
+        v = IntMatrix([list(th.coords)])
+        assert mat_mul(v, sp.star) == IntMatrix(
             [[th.sign * x for x in th.coords]]
         )
 
