@@ -120,6 +120,8 @@ def build_context(space, p, n_max=3, sign=1):
     check_pair(N, p)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
 
     def generator(ell, eigen):
         """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""

@@ -13,11 +13,12 @@ All arithmetic runs through float64 BLAS; each product is bounded in
 advance by p^2 times a matrix dimension, below 2^53, so nothing ever
 rounds.  The Eisenstein generators are applied in increasing Hecke
 index, cutting the candidate space down after each one (`cut`, which
-the exact route's g_p also runs on).  Each Hecke family
-(`hecke_family`: Cremona's for l != N, Merel's for U_N) acts on the
-2g + 1 coordinate generators through `family_counts`; the exact
-route's `hecke` uses the same families and action.  The counts meet
-the surviving vectors in one product, bounded by p times their sum.
+the exact route's g_p also runs on).  Each Hecke operator acts on the
+2g + 1 coordinate generators through `hecke_counts`, as in the exact
+route's `hecke`: Cremona's family for T_l (l != N), and U_N = -W_N
+from one continued-fraction walk per generator.  The signed counts
+meet the surviving vectors in one product, bounded by p times the sum
+of their absolute values.
 
 The loop stops as soon as its answer is proven (`g_p_dimension_modp`):
 every cut keeps the m-part, so the dimension never drops below g_p,
@@ -36,9 +37,8 @@ import numpy as np
 from .exact_linalg import primes_up_to
 from .modsym import (
     check_pair,
-    family_counts,
     genus,
-    hecke_family,
+    hecke_counts,
     presentation,
     tree_reduction,
 )
@@ -195,9 +195,9 @@ def _joint_kernel_dims(N, p):
         if not vecs.shape[0]:
             break
         eigen = 1 if ell == N else ell + 1
-        counts = family_counts(symbols, hecke_family(ell, N), N, pres.inv)
-        # each entry of vecs @ counts is at most p times a sum of counts
-        if p * int(counts.sum()) >= 2**53:
+        counts = hecke_counts(symbols, ell, N, pres.inv)
+        # each entry of vecs @ counts is at most p times a sum of |counts|
+        if p * int(np.abs(counts).sum()) >= 2**53:
             raise ValueError("float64 arithmetic mod p is not exact at this size")
         images = (vecs @ counts % p) @ red_p % p
         vecs, vcols = cut(vecs, vcols, images, eigen, p)

@@ -30,15 +30,34 @@ matrices of determinant l, each sending the symbol (c:d) to
 Cremona's Heilbronn matrices (`cremona_matrices`; Cremona, Algorithms
 for Modular Elliptic Curves, 2nd ed., 1997, sec. 2.4): (1, 0; 0, l) and
 the matrices of the nearest-integer continued fractions of -l/r,
-|r| <= l/2, halves rounded away from zero, about a third as many as
-Merel's.  Cremona's proof covers only l prime to N, so U_N (l = N)
-keeps Merel's family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = l}
-(`merel_matrices`; Merel, Universal Fourier expansions of modular
-forms, LNM 1585, 1994), with the symbols that die on P^1 (image (0:0))
-dropped.  `hecke_family` makes that choice for both routes;
-`family_counts` is the action, shared with the mod-p route, and `hecke`
-applies it only to the symbols in the support of the section, the only
-ones the operator on M_rel reads.
+|r| <= l/2, halves rounded away from zero.  A matrix of determinant
+prime to N is invertible mod N, so no image is (0:0); `family_counts`,
+the action, raises if one is.
+
+U_N (l = N) is -W_N on the cuspidal lattice M, with W_N the Fricke
+involution {alpha, beta} -> {-1/(N alpha), -1/(N beta)}.  Proof:
+S_2(SL_2(Z)) = 0, so at prime level every weight-2 cusp form is new,
+and each newform f has a_N(f) = -eps_N(f), eps_N(f) = +-1 being its
+W_N-eigenvalue (Atkin-Lehner, Math. Ann. 185, 1970).  So U_N + W_N
+kills S_2(Gamma_0(N)), and hence the cuspidal homology, which the
+integration pairing makes Hecke- and W_N-equivariantly dual to
+S_2 + conj(S_2); both operators preserve the lattice M.  On the
+normalised generators, (c:d) being the path {b/d, a/c} of a lift
+(a, b; c, d): (0:1) = {0, oo} goes to {oo, 0} = -(0:1), and (1:y) =
+{-1/y, 0} (lift (0, -1; 1, y)) to {y/N, oo} = {0, oo} - {0, y/N}.  So
+U_N sends (0:1) to (0:1) and (1:y) to {0, y/N} - {0, oo}, the
+continued-fraction walk of y/N (`_symbol_stream`) past its opening
+(0:1), O(log N) symbols; at y = 0 that walk is (1:0) = -(0:1) by the
+two-term relation, W_N(1:0) = (0:1).  `hecke_counts` gives these
+signed counts at l = N and Cremona's family's counts otherwise, for
+both routes; `hecke` applies them only to the symbols in the support
+of the section, the only ones the operator on M_rel reads.  On M_rel,
+-W_N need not be U_N, but only its restriction to M is read.  Merel's
+determinant-N family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = N}
+(Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994)
+also gives U_N, once its images (0:0) are dropped, but it has 6,991
+matrices at N = 421 against 2g + 1 = 69 walks, so it stays only in the
+tests, as the independent oracle this U_N is checked against.
 
 The fixed matrices of a space (reduction, section, boundary, cuspidal
 and signed bases, and integral left inverses of the bases) are
@@ -74,6 +93,7 @@ to M_rel, and into the cuspidal (and later the signed) basis by
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -432,69 +452,11 @@ def star_decompose(star):
 
 
 # ---------------------------------------------------------------------------
-# the determinant-l families of Merel and Cremona
-
-# both families, Merel's keyed by l and Cremona's by ("cremona", l)
-_MEREL_CACHE = {}
-
-
-def merel_matrices(ell):
-    """Merel's family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = l}
-    as an int64 array of rows (a, b, c, d).
-
-    The boundary strips (b = 0 or c = 0, only possible for a | l) are
-    written down directly; interior entries are found by scanning, for
-    each (a, d), the divisors b of ad - l inside the window forced by
-    c < d — vectorized because the scan is quadratic-ish in l.
-    """
-    if ell in _MEREL_CACHE:
-        return _MEREL_CACHE[ell]
-    out = [(1, 0, 0, ell), (ell, 0, 0, 1)]
-    out += [(1, 0, c, ell) for c in range(1, ell)]
-    out += [(ell, b, 0, 1) for b in range(1, ell)]
-    if ell > 1:
-        chunks = [np.array(out, dtype=np.int64)]
-        for a in range(2, ell + 1):
-            dlo = -(-ell // a)
-            dhi = ell + 1 - a
-            if a * dlo == ell:
-                dlo += 1  # ad = l handled by the boundary strips
-            if dlo > dhi:
-                continue
-            d = np.arange(dlo, dhi + 1, dtype=np.int64)
-            bc = a * d - ell
-            blo = (bc - 1) // (d - 1) + 1
-            np.maximum(blo, 1, out=blo)
-            counts = a - blo
-            counts[counts < 0] = 0
-            total = int(counts.sum())
-            if not total:
-                continue
-            drep = np.repeat(d, counts)
-            bcrep = np.repeat(bc, counts)
-            offs = np.repeat(np.cumsum(counts) - counts, counts)
-            b = np.arange(total, dtype=np.int64) - offs + np.repeat(blo, counts)
-            ok = bcrep % b == 0
-            b, drep, bcrep = b[ok], drep[ok], bcrep[ok]
-            rows = np.empty((len(b), 4), dtype=np.int64)
-            rows[:, 0] = a
-            rows[:, 1] = b
-            rows[:, 2] = bcrep // b
-            rows[:, 3] = drep
-            chunks.append(rows)
-        arr = np.concatenate(chunks)
-    else:
-        arr = np.array(out, dtype=np.int64)
-    if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
-        raise ValueError("Merel family has a matrix of the wrong determinant")
-    _MEREL_CACHE[ell] = arr
-    return arr
-
+# the Hecke action on Manin symbols
 
 def cremona_matrices(ell):
     """Cremona's Heilbronn matrices of determinant l, for a prime l, as
-    an int64 array of rows (a, b, c, d), memoized in _MEREL_CACHE under
-    ("cremona", l).
+    an int64 array of rows (a, b, c, d).
 
     The family is (1, 0; 0, l) and, for each r with |r| <= l // 2, the
     matrices met by the nearest-integer continued fraction of -l/r,
@@ -504,9 +466,6 @@ def cremona_matrices(ell):
     (x2, q x2 - x1; y2, q y2 - y1), until b = 0.  Each step keeps the
     determinant.  For l = 2 the family is Merel's four matrices.
     """
-    key = ("cremona", ell)
-    if key in _MEREL_CACHE:
-        return _MEREL_CACHE[key]
     if ell == 2:
         out = [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
     else:
@@ -526,42 +485,53 @@ def cremona_matrices(ell):
     arr = np.array(out, dtype=np.int64)
     if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
         raise ValueError("Cremona family has a matrix of the wrong determinant")
-    _MEREL_CACHE[key] = arr
     return arr
-
-
-def hecke_family(ell, N):
-    """The determinant-l family that computes T_l (l != N) or U_N
-    (l = N) on the Manin symbols of level N: Cremona's for l != N,
-    Merel's for l = N."""
-    return merel_matrices(ell) if ell == N else cremona_matrices(ell)
 
 
 def family_counts(symbols, fam, N, inv):
     """counts[i, t]: how many matrices of the family `fam` send the
     symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
-    array with N + 1 columns (`inv` the inverses mod N).  Images
-    (0 : 0), which only ell = N produces, die in a dropped sink column.
-    The family is walked N + 1 matrices at a time, so no index array
-    outgrows the counts it fills.  Raises ValueError unless
-    2 N max|entry| < 2^63, which keeps c a + d c' exact in int64 for
-    0 <= c, d < N."""
+    array with N + 1 columns (`inv` the inverses mod N).  The family is
+    walked N + 1 matrices at a time, so no index array outgrows the
+    counts it fills.  Raises ValueError unless 2 N max|entry| < 2^63,
+    which keeps c a + d c' exact in int64 for 0 <= c, d < N, and if an
+    image is (0 : 0), which no matrix of determinant prime to N makes."""
     if len(fam) and 2 * N * int(np.abs(fam).max()) >= 2**63:
         raise ValueError("family entries too large for int64 symbol action")
     cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
     inv = np.array(inv, dtype=np.int64)
-    n = N + 2  # the N + 1 symbols, then the sink
-    base = np.arange(len(cs))[:, None] * n
-    counts = np.zeros(len(cs) * n, dtype=np.int64)
+    base = np.arange(len(cs))[:, None] * (N + 1)
+    counts = np.zeros(len(cs) * (N + 1), dtype=np.int64)
     for lo in range(0, len(fam), N + 1):
         a, b, c, d = fam[lo:lo + N + 1].T
         u = (cs * a + ds * c) % N
         v = (cs * b + ds * d) % N
-        tgt = p1_index(u, v, N, inv)
-        tgt[(u | v) == 0] = N + 1
-        tgt += base
-        counts += np.bincount(tgt.ravel(), minlength=counts.size)
-    return counts.reshape(-1, n)[:, :N + 1]
+        if not (u | v).all():
+            raise ValueError("a matrix of the family sends a symbol to (0 : 0)")
+        counts += np.bincount((p1_index(u, v, N, inv) + base).ravel(), minlength=counts.size)
+    return counts.reshape(-1, N + 1)
+
+
+def hecke_counts(symbols, ell, N, inv):
+    """counts[i, t]: the signed multiplicity of symbol t of P^1(Z/NZ) in
+    the image of symbols[i] under T_ell (ell != N) or U_N (ell = N), as
+    an int64 array with N + 1 columns; the symbols are normalised
+    generators (0, 1) or (1, y) of `presentation(N)`, `inv` the inverses
+    mod N.  T_ell counts Cremona's family (`family_counts`).  U_N is -W_N
+    (module docstring): (0:1) goes to (0:1) and (1:y) to the walk of
+    {0, y/N} past its opening (0:1)."""
+    if ell != N:
+        return family_counts(symbols, cremona_matrices(ell), N, inv)
+    counts = np.zeros((len(symbols), N + 1), dtype=np.int64)
+    for i, (c, d) in enumerate(symbols):
+        if (c, d) == (0, 1):
+            counts[i, 0] = 1
+        elif c == 1 and 0 <= d < N:
+            for u, v in islice(_symbol_stream(d, N), 1, None):
+                counts[i, p1_index(u % N, v % N, N, inv)] += 1
+        else:
+            raise ValueError("symbol is not a normalised generator")
+    return counts
 
 
 def solve_by_inverse(B, L, v):
@@ -576,18 +546,16 @@ def solve_by_inverse(B, L, v):
 
 def hecke(space, ell):
     """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
-    lattice, computed on Manin symbols through `hecke_family`: Cremona's
-    Heilbronn matrices for ell != N (rounding halves away from zero),
-    Merel's family for U_N, which Cremona's proof does not cover (module
-    docstring).  Only the symbols S in the support of the section are
-    acted on: the operator on M_rel is section[:, S] @ counts @
-    reduction, and on M it is read off through the cuspidal basis's left
-    inverse, all in int64 under `mul_int64`'s bound."""
+    lattice, computed on Manin symbols by `hecke_counts`: Cremona's
+    Heilbronn matrices for ell != N, -W_N for U_N (module docstring).
+    Only the symbols S in the support of the section are acted on: the
+    operator on M_rel is section[:, S] @ counts @ reduction, and on M it
+    is read off through the cuspidal basis's left inverse, all in int64
+    under `mul_int64`'s bound."""
     if not is_prime(ell):
         raise ValueError("Hecke index must be prime")
     support, sec_s = space.section_support
-    counts = family_counts([space.generators[j] for j in support],
-                           hecke_family(ell, space.N), space.N, space._inv)
+    counts = hecke_counts([space.generators[j] for j in support], ell, space.N, space._inv)
     t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
     cusp = space.cuspidal_basis.array
     t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))

@@ -7,9 +7,12 @@ route's Smith normal form with the inverse of its right transform, and
 the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination that the panelled float64 kernel is checked
 against.  `full_theta_counts` is the theta walk over every residue, the
-reference for the half walk of `modsym.theta_elements`.  `merel_hecke`
-is T_l through Merel's family at every l, the route `modsym.hecke`
-took before Cremona's Heilbronn matrices replaced it at l != N.
+reference for the half walk of `modsym.theta_elements`.
+`merel_matrices` is Merel's determinant-l family, and `merel_counts`
+its action on Manin symbols, one matrix at a time, with the images
+(0:0) dropped.  `merel_hecke` is T_l (U_N at l = N) through Merel's
+family at every l: the route `modsym.hecke` took before Cremona's
+Heilbronn matrices replaced it at l != N and -W_N at l = N.
 `class_number_per_d` is the class number of one discriminant from its
 reduced forms, enumerated by factoring each (b^2 - D)/4 and walked
 cycle by cycle: the reference for the batched `quadfield.class_numbers`.
@@ -44,8 +47,6 @@ from eistheta.exact_linalg import (
 from eistheta.modp import _rref_mod_p
 from eistheta.modsym import (
     _chi_table,
-    family_counts,
-    merel_matrices,
     p1_index,
     solve_by_inverse,
 )
@@ -220,13 +221,68 @@ def full_theta_counts(D, N, inv):
             - np.bincount(idx[w < 0], minlength=N + 1))
 
 
+def merel_matrices(ell):
+    """Merel's family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = l}
+    as an int64 array of rows (a, b, c, d).
+
+    The boundary strips (b = 0 or c = 0, only possible for a | l) are
+    written down directly; interior entries are found by scanning, for
+    each (a, d), the divisors b of ad - l inside the window forced by
+    c < d, vectorized over d and b.
+    """
+    out = [(1, 0, 0, ell), (ell, 0, 0, 1)]
+    out += [(1, 0, c, ell) for c in range(1, ell)]
+    out += [(ell, b, 0, 1) for b in range(1, ell)]
+    chunks = [np.array(out, dtype=np.int64)]
+    for a in range(2, ell + 1):
+        dlo = -(-ell // a)
+        dhi = ell + 1 - a
+        if a * dlo == ell:
+            dlo += 1  # ad = l handled by the boundary strips
+        if dlo > dhi:
+            continue
+        d = np.arange(dlo, dhi + 1, dtype=np.int64)
+        bc = a * d - ell
+        blo = np.maximum((bc - 1) // (d - 1) + 1, 1)
+        counts = np.maximum(a - blo, 0)
+        total = int(counts.sum())
+        if not total:
+            continue
+        drep = np.repeat(d, counts)
+        bcrep = np.repeat(bc, counts)
+        offs = np.repeat(np.cumsum(counts) - counts, counts)
+        b = np.arange(total, dtype=np.int64) - offs + np.repeat(blo, counts)
+        ok = bcrep % b == 0
+        b, drep, bcrep = b[ok], drep[ok], bcrep[ok]
+        chunks.append(np.stack([np.full_like(b, a), b, bcrep // b, drep], axis=1))
+    arr = np.concatenate(chunks)
+    if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
+        raise ValueError("Merel family has a matrix of the wrong determinant")
+    return arr
+
+
+def merel_counts(symbols, ell, N, inv):
+    """`modsym.hecke_counts` through Merel's family: one np.add.at per
+    matrix over the symbols, the images (0:0) dropped (only l = N makes
+    them); the loop `modsym.hecke` ran before the shared action."""
+    cs, ds = np.array(symbols, dtype=np.int64).T
+    inv = np.array(inv, dtype=np.int64)
+    counts = np.zeros((len(cs), N + 1), dtype=np.int64)
+    rows = np.arange(len(cs))
+    for a, b, c, d in merel_matrices(ell):
+        u = (cs * a + ds * c) % N
+        v = (cs * b + ds * d) % N
+        keep = (u != 0) | (v != 0)
+        np.add.at(counts, (rows[keep], p1_index(u, v, N, inv)[keep]), 1)
+    return counts
+
+
 def merel_hecke(space, ell):
     """T_ell (U_N at ell = N) on the cuspidal lattice through Merel's
     determinant-ell family, as an IntMatrix: `modsym.hecke` with the
-    family fixed to `merel_matrices`."""
+    counts taken from `merel_counts`."""
     support, sec_s = space.section_support
-    counts = family_counts([space.generators[j] for j in support],
-                           merel_matrices(ell), space.N, space._inv)
+    counts = merel_counts([space.generators[j] for j in support], ell, space.N, space._inv)
     t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
     cusp = space.cuspidal_basis.array
     t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))

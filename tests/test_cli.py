@@ -53,6 +53,11 @@ def test_invalid_inputs_exit_2(capsys):
         assert _run(capsys, "theta", "--N", "11", "--p", "5", "--D", D)[:2] == (2, "")
 
 
+def test_negative_nmax_exits_2(capsys):
+    assert _run(capsys, "sweep-even", "--N", "11", "--p", "5", "--dmin", "1",
+                "--dmax", "40", "--nmax", "-1") == (2, "", "error: need n_max >= 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep-even", "--N", "211", "--p", "5", "--dmin", "9", "--dmax", "1"),
     ("sweep-odd", "--N", "211", "--p", "5", "--dmin", "-1", "--dmax", "-9"),

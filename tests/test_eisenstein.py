@@ -29,16 +29,22 @@ from eistheta.modsym import (
     ThetaElement,
     _space_from_section,
     build_space,
-    family_counts,
     hecke,
-    merel_matrices,
     presentation,
     restrict_to_sign,
     theta_element,
     theta_elements,
 )
 from eistheta.quadfield import validate_discriminant
-from oracles import ADMISSIBLE, hnf, mat_mul, merel_hecke, snf_section_reduction, solve_left
+from oracles import (
+    ADMISSIBLE,
+    hnf,
+    mat_mul,
+    merel_counts,
+    merel_hecke,
+    snf_section_reduction,
+    solve_left,
+)
 
 rng = random.Random(771561)
 
@@ -66,6 +72,13 @@ def test_context_validation():
         build_context(SP31, 3)  # 3 || 30, but too small a p
     with pytest.raises(ValueError, match="sign"):
         build_context(SP11, 5, sign=0)
+
+
+def test_context_refuses_negative_n_max():
+    # n_max = -1 once died in the Sturm check's ws[1] with an IndexError
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        build_context(SP11, 5, n_max=-1)
+    assert build_context(SP11, 5, n_max=0).e == (0, 1)
 
 
 def test_g_p_dimension_fixtures_small():
@@ -291,8 +304,7 @@ def _stacked_filtration(space, p, n_max, sign):
     cusp = space.cuspidal_basis
 
     def generator(ell, eigen):
-        counts = family_counts([space.generators[j] for j in support],
-                               merel_matrices(ell), space.N, space._inv)
+        counts = merel_counts([space.generators[j] for j in support], ell, space.N, space._inv)
         t_rel = mat_mul(sec_s, IntMatrix(counts), space.reduction)
         t = solve_left(basis, mat_mul(basis, solve_left(cusp, mat_mul(cusp, t_rel))))
         return IntMatrix([[x - (eigen if i == j else 0) for j, x in enumerate(row)]

@@ -27,7 +27,7 @@ from eistheta.modp import (
     g_p_dimension_modp,
 )
 from eistheta.modsym import build_space, presentation, tree_reduction
-from oracles import ADMISSIBLE, gauss_jordan_mod_p, rref_reduction
+from oracles import ADMISSIBLE, gauss_jordan_mod_p, merel_counts, rref_reduction
 
 rng = random.Random(96059601)
 
@@ -117,9 +117,9 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
 
 def _families_used(monkeypatch, N, p):
     used = []
-    hecke_family = modp.hecke_family
-    monkeypatch.setattr(modp, "hecke_family",
-                        lambda ell, N: used.append(ell) or hecke_family(ell, N))
+    hecke_counts = modp.hecke_counts
+    monkeypatch.setattr(modp, "hecke_counts", lambda symbols, ell, N, inv:
+                        used.append(ell) or hecke_counts(symbols, ell, N, inv))
     return g_p_dimension_modp(N, p), used
 
 
@@ -131,6 +131,18 @@ def _families_used(monkeypatch, N, p):
 ])
 def test_stop_points(N, p, g_p, families, monkeypatch):
     assert _families_used(monkeypatch, N, p) == (g_p, families)
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE)
+def test_u_n_matches_merel_family_in_the_drained_loop(N, p, monkeypatch):
+    # the drained loop reaches U_N at every admissible pair; with Merel's
+    # family counting U_N instead of -W_N it gives the same dimensions
+    own = list(_joint_kernel_dims(N, p))
+    assert own[-1][0] == N
+    hecke_counts = modp.hecke_counts
+    monkeypatch.setattr(modp, "hecke_counts", lambda symbols, ell, N, inv: (
+        merel_counts if ell == N else hecke_counts)(symbols, ell, N, inv))
+    assert list(_joint_kernel_dims(N, p)) == own
 
 
 def test_dimension_below_the_certificate_raises(monkeypatch):
@@ -147,7 +159,7 @@ def test_exactness_bounds_survive_optimize():
     # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input),
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
-    # bound on a Merel family's counts (5 * 7 * 42 * 2^50 >= 2^53 at
+    # bound on a Hecke operator's counts (5 * 7 * 42 * 2^50 >= 2^53 at
     # N = 41; at N = 11 and 31 the loop is proven done before any family)
     code = (
         "import numpy as np\n"
@@ -157,7 +169,7 @@ def test_exactness_bounds_survive_optimize():
         "    raise RuntimeError('presentation built before the bound check')\n"
         "def huge_counts():\n"
         "    modp.presentation = presentation\n"
-        "    modp.family_counts = lambda symbols, fam, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
+        "    modp.hecke_counts = lambda symbols, ell, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
         "modp.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"

@@ -24,14 +24,12 @@ from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, pri
 from eistheta.modsym import (
     HeckeOp,
     _chi_table,
-    _MEREL_CACHE,
     build_space,
     cremona_matrices,
     family_counts,
     genus,
     hecke,
-    hecke_family,
-    merel_matrices,
+    hecke_counts,
     p1_index,
     path_to_chain,
     presentation,
@@ -46,6 +44,8 @@ from oracles import (
     ADMISSIBLE,
     full_theta_counts,
     mat_mul,
+    merel_counts,
+    merel_matrices,
     relation_matrix,
     snf_section_reduction,
     solve_left,
@@ -346,16 +346,6 @@ def test_cremona_family():
     assert sum(len(cremona_matrices(ell)) for ell in ells) == 8694
 
 
-def test_hecke_family_keeps_merel_for_u_n():
-    assert hecke_family(11, 11) is merel_matrices(11)
-    assert hecke_family(5, 11) is cremona_matrices(5)
-    assert hecke_family(5, 5) is merel_matrices(5)
-    # both families of 5 memoized side by side in the one cache
-    assert _MEREL_CACHE[5] is merel_matrices(5)
-    assert _MEREL_CACHE[("cremona", 5)] is cremona_matrices(5)
-    assert len(merel_matrices(5)) == 15 and len(cremona_matrices(5)) == 12
-
-
 def test_family_counts_refuses_entries_beyond_int64():
     sp = build_space(11)
     fam = np.array([[1, 0, 0, 2], [2**60, 0, 0, 1]], dtype=np.int64)
@@ -368,37 +358,30 @@ def test_family_counts_refuses_entries_beyond_int64():
     assert family_counts(sp.generators, fam, 11, sp._inv).sum() == 2 * 12
 
 
-def _family_counts_oracle(sp, ell):
-    # one np.add.at per matrix over all N + 1 symbols, (0:0) dropped:
-    # the loop hecke ran before the shared action
-    N = sp.N
-    n = N + 1
-    cs, ds = np.array(sp.generators, dtype=np.int64).T
-    invarr = np.array(sp._inv, dtype=np.int64)
-    counts = np.zeros((n, n), dtype=np.int64)
-    rows_idx = np.arange(n)
-    for a, b, c2, d2 in merel_matrices(ell):
-        u = (cs * a + ds * c2) % N
-        v = (cs * b + ds * d2) % N
-        tgt = p1_index(u, v, N, invarr)
-        keep = (u != 0) | (v != 0)
-        np.add.at(counts, (rows_idx[keep], tgt[keep]), 1)
-    return counts
-
-
 @pytest.mark.parametrize("N", [11, 31])
 def test_family_counts_match_per_matrix_loop(N):
     sp = build_space(N)
-    for ell in (2, 3, 5, 7, N):
+    for ell in (2, 3, 5, 7):
         fam = merel_matrices(ell)
-        want = _family_counts_oracle(sp, ell)
+        want = merel_counts(sp.generators, ell, N, sp._inv)
         got = family_counts(sp.generators, fam, N, sp._inv)
         assert got.shape == (N + 1, N + 1) and (got == want).all()
         picks = rng.sample(range(N + 1), 5)
         sub = family_counts([sp.generators[i] for i in picks], fam, N, sp._inv)
         assert (sub == want[picks]).all()
-        if ell != N:  # no (0:0) image, so nothing is dropped
-            assert (got.sum(axis=1) == len(fam)).all()
+        # no (0:0) image, so the oracle dropped nothing
+        assert (got.sum(axis=1) == len(fam)).all()
+
+
+@pytest.mark.parametrize("N", [11, 31])
+def test_family_counts_refuse_an_image_at_zero_zero(N):
+    # Merel's family at l = N sends some symbols to (0:0), which the
+    # oracle drops and the action refuses
+    sp = build_space(N)
+    fam = merel_matrices(N)
+    assert (merel_counts(sp.generators, N, N, sp._inv).sum(axis=1) < len(fam)).any()
+    with pytest.raises(ValueError, match=r"\(0 : 0\)"):
+        family_counts(sp.generators, fam, N, sp._inv)
 
 
 def test_hecke_pinned_eleven():
@@ -509,6 +492,38 @@ def test_hecke_matches_coset_definition_at_11(ell):
 def test_hecke_matches_coset_definition_at_31(ell):
     sp = build_space(31)
     assert hecke(sp, ell).matrix == _oracle_matrix(sp, ell)
+
+
+def _fricke(r, N):
+    """W_N on a cusp r of P^1(Q): r -> -1/(N r), with 0 <-> oo."""
+    if r is INF:
+        return Fraction(0)
+    return INF if r == 0 else -1 / (N * r)
+
+
+@pytest.mark.parametrize("N", [11, 31, 211])
+def test_hecke_counts_are_cremona_and_minus_w_n(N):
+    sp = build_space(N)
+    gens, inv = sp.generators, sp._inv
+    for ell in (2, 3, 5, 7):
+        assert np.array_equal(hecke_counts(gens, ell, N, inv),
+                              family_counts(gens, cremona_matrices(ell), N, inv))
+    # at l = N, each generator's counts reduce to -W_N of its path in M_rel
+    red = sp.reduction.array
+    got = mul_int64(hecke_counts(gens, N, N, inv), red)
+    for i in range(N + 1):
+        alpha, beta = _gen_path(sp, i)
+        want = np.array(_chain(sp, _fricke(alpha, N))) - np.array(_chain(sp, _fricke(beta, N)))
+        assert np.array_equal(got[i], want), gens[i]
+    with pytest.raises(ValueError, match="normalised"):
+        hecke_counts([(2, 1)], N, N, inv)
+
+
+@pytest.mark.parametrize("N", [11, 31, 211, 421])
+def test_u_n_is_an_involution(N):
+    # U_N = -W_N on M, and W_N^2 = 1
+    u = hecke(build_space(N), N).matrix
+    assert mat_mul(u, u) == IntMatrix.identity(u.rows)
 
 
 # --- theta elements ----------------------------------------------------------
