@@ -46,7 +46,7 @@ from .exact_linalg import (
     snf,
     vp,
 )
-from .modp import cut, merel_criterion
+from .modp import _mod_p, cut, merel_criterion
 from .modsym import (
     check_pair,
     hecke,
@@ -229,8 +229,10 @@ def g_p_dimension(ctx):
         if not rows.shape[0]:
             break
         a = (gen.array % p).astype(np.float64)
-        # the generators already have their eigenvalue subtracted
-        rows, cols = cut(rows, cols, rows @ a % p, 0, p)
+        # the generators already have their eigenvalue subtracted; the
+        # product is a sum of g terms in [0, (p-1)^2], which cut's own
+        # bound on these rows keeps within 2^53 - p (it raises otherwise)
+        rows, cols = cut(rows, cols, _mod_p(rows @ a, p), 0, p)
     return rows.shape[0]
 
 

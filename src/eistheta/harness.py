@@ -40,7 +40,7 @@ from .eisenstein import (
 )
 from .exact_linalg import IntMatrix, LogMap, hnf_mod
 from .modsym import build_space, check_pair, theta_elements
-from .quadfield import class_numbers, field_profile, validate_discriminant
+from .quadfield import _field_profile, class_numbers, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
 FORMAT_VERSION = 4  # context cache files
@@ -94,9 +94,9 @@ def check_discriminant(D, N, p, split):
 
 def even_row(ctx, g_p, D, h, val):
     """The sweep row of the split discriminant D, from its class number h
-    and the valuation val of its theta element."""
+    and the valuation val of its theta element; `_rows` has validated D."""
     space = ctx.space
-    profile = field_profile(D, space.N, ctx.p, logmap=ctx.logmap, h=h)
+    profile = _field_profile(D, space.N, ctx.p, ctx.logmap, h)
     sel = selmer_rank(SelmerInput(
         p_divides_h=profile.h_mod_p == 0,
         pic_zn_trivial=profile.pic_zn_trivial,

@@ -9,16 +9,29 @@ over F_p yields the same number.  The quotient map is the exact
 route's, `tree_reduction` of `presentation(N)` (entries -1, 0, 1)
 reduced mod p, so no elimination of the relation matrix is needed.
 
-All arithmetic runs through float64 BLAS; each product is bounded in
-advance by p^2 times a matrix dimension, below 2^53, so nothing ever
-rounds.  The Eisenstein generators are applied in increasing Hecke
-index, cutting the candidate space down after each one (`cut`, which
-the exact route's g_p also runs on).  Each Hecke operator acts on the
-2g + 1 coordinate generators through `hecke_counts`, as in the exact
-route's `hecke`: Cremona's family for T_l (l != N), and U_N = -W_N
-from one continued-fraction walk per generator.  The signed counts
-meet the surviving vectors in one product, bounded by p times the sum
-of their absolute values.
+All arithmetic runs through float64 BLAS, the way FFLAS/FFPACK do it
+(Dumas, Giorgi and Pernet, ACM TOMS 35, 2008): each product is bounded
+in advance by p^2 times a matrix dimension, below 2^53, so nothing
+ever rounds, and every residue is taken by one kernel, `_mod_p`, as
+x - p floor(x / p), which is exact under the same bounds.  The
+Eisenstein generators are applied in increasing Hecke index, cutting
+the candidate space down after each one (`cut`, which the exact
+route's g_p also runs on).  Each Hecke operator acts on the 2g + 1
+coordinate generators through `hecke_counts`, as in the exact route's
+`hecke`: Cremona's family for T_l (l != N), and U_N = -W_N from one
+continued-fraction walk per generator.
+
+The quotient map never sees a symbol, only a folded variable: symbol
+i is sign_of[i] times variable var_of[i], and a variable is one
+representative symbol and its sigma-partner, of opposite signs (or a
+sigma-fixed symbol alone).  So the counts are folded onto the
+variables first, the representative's column minus its partner's
+(`_hecke_images`), and the surviving vectors meet them in one product
+and `red_vars` mod p in another, on half the columns of the symbols.
+The product with the counts is bounded by p times the sum of their
+absolute values, taken on the raw counts: the fold can cancel
+entries, and a bound taken after it could pass while the counts
+themselves are far too large.
 
 The loop stops as soon as its answer is proven (`g_p_dimension_modp`):
 every cut keeps the m-part, so the dimension never drops below g_p,
@@ -29,7 +42,7 @@ N = 1871 this happens after T_2 - 3, the first of 65 generators.
 `_rref_mod_p` eliminates in panels of rows and reduces lazily: a pivot
 reduces only its own column and row mod p and updates the columns from
 its own on, and the panel is reduced once when it is done.  The bound
-it checks up front keeps every unreduced entry below 2^53.
+it checks up front keeps every unreduced entry within 2^53 - p.
 """
 
 import numpy as np
@@ -42,6 +55,27 @@ from .modsym import (
     presentation,
     tree_reduction,
 )
+
+
+def _mod_p(x, p):
+    """x mod p, in [0, p), for a float64 array x of integers with
+    |x| + p <= 2^53 and an odd prime p, as x - p floor(x / p).
+
+    Exact: write x = kp + r with 0 <= r < p.  If r = 0, x / p is the
+    integer k, |k| < 2^53, so the division returns it exactly.  If
+    r > 0, x / p lies at distance at least 1/p from both k and k + 1;
+    all three have absolute value at most (|x| + p) / p <= 2^53 / p,
+    where the spacing of float64 values is a power of two no more than
+    2 / p, hence below it for odd p, so rounding to nearest lands in
+    [k, k + 1) and the floor is k.  Then |pk| <= |x| + p <= 2^53 is
+    exactly representable, and so is x - pk = r.  The result is never
+    -0.0: x - x is +0.0 under rounding to nearest, and so is
+    -0.0 - (-0.0).  Each caller names the bound that gives
+    |x| + p <= 2^53.
+    """
+    q = np.floor(x / p)
+    q *= p
+    return np.subtract(x, q, out=q)
 
 
 def _check_exact(p, n):
@@ -61,28 +95,32 @@ def _rref_mod_p(a, p, block=128):
     Inside a panel nothing is reduced mod p but the current column and
     the pivot row, both into [0, p); rows at and below the pivot row are
     zero left of its column, so only the columns from it on change.
-    After t pivots an unreduced entry is at most (p-1) + t(p-1)^2 in
-    absolute value, and every product against the finished rows is a
-    sum of at most m terms below (p-1)^2, where m = min(rows, columns)
-    bounds both t and the rank; (p-1)(1 + m(p-1)) < 2^53 keeps all of
-    it exact, so one reduction per panel suffices.
+    Each pivot subtracts a product of two residues, so after t pivots an
+    unreduced entry lies in [-t(p-1)^2, p-1], and every product against
+    the finished rows is a residue minus a sum of at most m terms in
+    [0, (p-1)^2], where m = min(rows, columns) bounds both t and the
+    rank.  So every `_mod_p` here but the first sees |x| + p <=
+    m(p-1)^2 + p = (p-1)(1 + m(p-1)) + 1, and the check below makes
+    that at most 2^53; one reduction per panel suffices.  The entries of
+    `a` itself must be integers with |x| + p <= 2^53: the route passes
+    residues, and the tests small integers.
     """
     a = np.asarray(a, dtype=np.float64)
     m = min(a.shape)
     if (p - 1) * (1 + m * (p - 1)) >= 2**53:
         raise ValueError("float64 arithmetic mod p is not exact at this size")
-    a = a % p
+    a = _mod_p(a, p)
     done = np.empty((0, a.shape[1]))
     pcols = []
     for lo in range(0, a.shape[0], block):
         panel = a[lo:lo + block].copy()
         if pcols:
-            panel = (panel - panel[:, pcols] @ done) % p
+            panel = _mod_p(panel - panel[:, pcols] @ done, p)
         new_cols = []
         r = 0
         j = 0
         while j < panel.shape[1] and r < panel.shape[0]:
-            col = panel[:, j] % p
+            col = _mod_p(panel[:, j], p)
             panel[:, j] = col
             nz = np.flatnonzero(col[r:])
             if nz.size == 0:
@@ -92,7 +130,7 @@ def _rref_mod_p(a, p, block=128):
             if i != r:
                 panel[[r, i]] = panel[[i, r]]
                 col[[r, i]] = col[[i, r]]
-            prow = panel[r, j:] % p * pow(int(col[r]), -1, p) % p
+            prow = _mod_p(_mod_p(panel[r, j:], p) * pow(int(col[r]), -1, p), p)
             panel[r, j:] = prow
             col[r] = 0
             panel[:, j:] -= np.outer(col, prow)
@@ -100,9 +138,9 @@ def _rref_mod_p(a, p, block=128):
             r += 1
             j += 1
         if r:
-            new = panel[:r] % p
+            new = _mod_p(panel[:r], p)
             if pcols:
-                done = (done - done[:, new_cols] @ new) % p
+                done = _mod_p(done - done[:, new_cols] @ new, p)
             done = np.vstack([done, new])
             pcols += new_cols
     # canonical form: rows ordered by pivot column
@@ -112,7 +150,8 @@ def _rref_mod_p(a, p, block=128):
 
 def _left_nullspace_mod_p(m, p):
     """Basis rows of {x : x m = 0 over F_p}, carrying an identity minor
-    at the returned column list so restrictions read off directly."""
+    at the returned column list so restrictions read off directly.
+    `m` holds integers with |x| + p <= 2^53, as `_rref_mod_p` asks."""
     rr, pc = _rref_mod_p(np.asarray(m).T, p)
     n = m.shape[0]
     pset = set(pc)
@@ -120,7 +159,7 @@ def _left_nullspace_mod_p(m, p):
     basis = np.zeros((len(free), n))
     basis[np.arange(len(free)), free] = 1
     if pc:
-        basis[:, pc] = (-rr[:, free].T) % p
+        basis[:, pc] = _mod_p(-rr[:, free].T, p)  # entries in (-p, 0]
     return basis, free
 
 
@@ -128,24 +167,30 @@ def cut(rows, cols, images, eigen, p):
     """Shrink span(rows) over F_p to the generalized (op - eigen)-kernel
     of an operator that preserves it.
 
-    `rows` carries an identity minor at the columns `cols`, and
-    `images` holds the operator's images of those rows mod p.  Returns
-    the new (rows, cols) in the same form.
+    `rows` (m x n, entries in [0, p)) carries an identity minor at the
+    columns `cols`, and `images` holds the operator's images of those
+    rows, reduced into [0, p).  Returns the new (rows, cols) in the
+    same form.  Every product below is a sum of at most m terms in
+    [0, (p-1)^2], less a residue, so `_check_exact(p, max(m, n))` gives
+    |x| + p <= p^2 (m + 1) < 2^53 at each `_mod_p`.
+
+    A zero power q^(2^i) means q is nilpotent, so the generalized kernel
+    is the whole subspace: the squaring stops there.
     """
     _check_exact(p, max(rows.shape))
     m = rows.shape[0]
     restr = images[:, cols]
-    if ((restr @ rows - images) % p).any():
+    if _mod_p(restr @ rows - images, p).any():
         raise ValueError("operator does not preserve the subspace mod p")
-    q = (restr - eigen % p * np.eye(m)) % p
+    q = _mod_p(restr - eigen % p * np.eye(m), p)
     e = 1
-    while e < m:
-        q = q @ q % p
+    while e < m and q.any():
+        q = _mod_p(q @ q, p)
         e *= 2
-    ker, _ = _left_nullspace_mod_p(q, p)
-    if ker.shape[0] == m:
+    if not q.any():
         return rows, cols
-    return _rref_mod_p(ker @ rows % p, p)
+    ker, _ = _left_nullspace_mod_p(q, p)
+    return _rref_mod_p(_mod_p(ker @ rows, p), p)
 
 
 def merel_criterion(N, p):
@@ -161,29 +206,57 @@ def merel_criterion(N, p):
     return pow(acc, (N - 1) // p, N) == 1
 
 
+def _hecke_images(vecs, counts, pres, red_vars_p, p):
+    """The images mod p of the rows of `vecs` under the operator whose
+    symbol counts are `counts`, in the quotient's coordinates.
+
+    Symbol i is sign_of[i] times variable var_of[i], so counts @ reduction
+    is the fold of the counts onto the variables (a representative's
+    column minus its sigma-partner's) times red_vars.  With
+    S = sum |counts| < 2^53 / p, checked by the caller, the entries of
+    vecs @ folded are below (p - 1) S in absolute value, and with
+    `_check_exact(p, N + 1)` the second product is a sum of at most N + 1
+    terms in [0, (p-1)^2]: both stay within 2^53 - p, so `_mod_p` and the
+    int64 -> float64 conversion of the fold are exact.
+    """
+    reps = np.array(pres.reps)
+    partner = np.array(pres.sigma)[reps]
+    folded = counts[:, reps] - counts[:, partner] * (partner != reps)
+    return _mod_p(_mod_p(vecs @ folded.astype(np.float64), p) @ red_vars_p, p)
+
+
 def _joint_kernel_dims(N, p):
     """Cut the plus quotient mod p by the Eisenstein generators in turn:
     yields (None, g) for the quotient itself, then (ell, d) after the
     generator of Hecke index ell, d being the dimension of the joint
     generalized kernel so far.  Drained, the last d is g_p."""
     check_pair(N, p)
-    # the longest float64 products below have length N + 1
+    # every float64 product below has length at most N + 1, the number of
+    # symbols, which bounds the 2g + 1 coordinates and the variables
     _check_exact(p, N + 1)
 
     pres = presentation(N)
     free, red_vars = tree_reduction(pres)
     k = len(free)
     # the tree's reduction is exact over Z, so mod p it is the reduction of
-    # the relation quotient mod p: p >= 5 kills exactly the torsion
-    red_p = red_vars[np.array(pres.var_of)] * np.array(pres.sign_of, dtype=np.float64)[:, None] % p
+    # the relation quotient mod p: p >= 5 kills exactly the torsion; its
+    # entries are below p in absolute value
+    red_vars_p = _mod_p(red_vars.astype(np.float64), p)
+    var_of = np.array(pres.var_of)
+    sign_of = np.array(pres.sign_of, dtype=np.float64)[:, None]
+
+    def reduce_symbols(idx):  # the quotient map's rows at these symbols
+        return _mod_p(red_vars_p[var_of[idx]] * sign_of[idx], p)
+
     coord_gen = np.array([pres.reps[f] for f in free])  # one generator per coordinate
-    if (red_p[coord_gen] != np.eye(k)).any():
+    if (reduce_symbols(coord_gen) != np.eye(k)).any():
         raise ValueError("coordinate generators do not reduce to a basis")
 
     # plus quotient: boundary zero and fixed by the star involution
     bd = np.array(pres.boundary, dtype=np.float64)
     iota = np.array(pres.iota)
-    cond = np.hstack([bd[coord_gen] % p, (red_p[iota[coord_gen]] - np.eye(k)) % p])
+    cond = np.hstack([_mod_p(bd[coord_gen], p),
+                      _mod_p(reduce_symbols(iota[coord_gen]) - np.eye(k), p)])
     vecs, vcols = _left_nullspace_mod_p(cond, p)
     if vecs.shape[0] != genus(N):
         raise ValueError("plus quotient mod p does not have rank g")
@@ -196,10 +269,11 @@ def _joint_kernel_dims(N, p):
             break
         eigen = 1 if ell == N else ell + 1
         counts = hecke_counts(symbols, ell, N, pres.inv)
-        # each entry of vecs @ counts is at most p times a sum of |counts|
+        # on the raw counts, before the fold can cancel any of them
         if p * int(np.abs(counts).sum()) >= 2**53:
             raise ValueError("float64 arithmetic mod p is not exact at this size")
-        images = (vecs @ counts % p) @ red_p % p
+        images = _hecke_images(vecs, counts, pres, red_vars_p, p)
+        del counts  # k x (N + 1) int64: not held while the next one is built
         vecs, vcols = cut(vecs, vcols, images, eigen, p)
         yield ell, vecs.shape[0]
 

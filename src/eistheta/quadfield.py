@@ -390,6 +390,11 @@ def split_prime_data(D, N, p, h=None, logmap=None):
         h = class_number(D)
     if logmap is None:
         logmap = LogMap(N, p)
+    return _split_prime_data(D, N, p, h, logmap)
+
+
+def _split_prime_data(D, N, p, h, logmap):
+    """`split_prime_data` for a D already validated."""
     r = split_root(D, N)
     inv2 = pow(2, -1, N)
     for k in divisors(h):
@@ -441,12 +446,17 @@ def field_profile(D, N, p, logmap=None, h=None):
         logmap = LogMap(N, p)
     if h is None:
         h = class_number(D)
+    return _field_profile(D, N, p, logmap, h)
+
+
+def _field_profile(D, N, p, logmap, h):
+    """`field_profile` for a D already validated, as a sweep row's is."""
     r, res1, res2 = unit_residues(D, N)
     log1_u = log_to_p(res1, logmap)
     if (log1_u + log_to_p(res2, logmap)) % p:
         raise ValueError("unit logs at the two primes above N do not cancel")
     criterion = h * log1_u % p == 0
-    s, log1_pi2 = split_prime_data(D, N, p, h=h, logmap=logmap)
+    s, log1_pi2 = _split_prime_data(D, N, p, h, logmap)
     if h % p == 0:
         log1_pi2 = None
     return QuadFieldProfile(

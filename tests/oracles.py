@@ -6,7 +6,10 @@ package now reads M_rel off a spanning tree of the tau-orbit graph
 route's Smith normal form with the inverse of its right transform, and
 the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination that the panelled float64 kernel is checked
-against.  `full_theta_counts` is the theta walk over every residue, the
+against.  `dense_hecke_images` is the mod-p route's Hecke product
+through the dense (N + 1) x (2g + 1) quotient map, before the counts
+were folded onto the variables, and `cut_full_squaring` is `modp.cut`
+before it stopped at a vanishing power; both reduce by numpy's `%`.  `full_theta_counts` is the theta walk over every residue, the
 reference for the half walk of `modsym.theta_elements`.
 `merel_matrices` is Merel's determinant-l family, and `merel_counts`
 its action on Manin symbols, one matrix at a time, with the images
@@ -44,7 +47,7 @@ from eistheta.exact_linalg import (
     mul_int64,
     snf,
 )
-from eistheta.modp import _rref_mod_p
+from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p
 from eistheta.modsym import (
     _chi_table,
     p1_index,
@@ -187,6 +190,33 @@ def gauss_jordan_mod_p(rows, p):
                 mat[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
     return mat[:len(pivots)], pivots
+
+
+def dense_hecke_images(vecs, counts, pres, red_vars_p, p):
+    """`modp._hecke_images` through red_p, the quotient map's row at each
+    of the N + 1 symbols: red_vars_p at the symbol's variable times its
+    sign, reduced mod p."""
+    red_p = red_vars_p[np.array(pres.var_of)] * np.array(pres.sign_of, dtype=np.float64)[:, None] % p
+    return (vecs @ counts % p) @ red_p % p
+
+
+def cut_full_squaring(rows, cols, images, eigen, p):
+    """`modp.cut` squaring q = restr - eigen up to q^(2^i), 2^i >= m,
+    whether or not a power vanishes on the way, and taking the null
+    space of the last power."""
+    m = rows.shape[0]
+    restr = images[:, cols]
+    if ((restr @ rows - images) % p).any():
+        raise ValueError("operator does not preserve the subspace mod p")
+    q = (restr - eigen % p * np.eye(m)) % p
+    e = 1
+    while e < m:
+        q = q @ q % p
+        e *= 2
+    ker, _ = _left_nullspace_mod_p(q, p)
+    if ker.shape[0] == m:
+        return rows, cols
+    return _rref_mod_p(ker @ rows % p, p)
 
 
 def full_theta_counts(D, N, inv):

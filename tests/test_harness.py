@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eistheta import harness
+from eistheta import harness, quadfield
 from eistheta.eisenstein import build_context, g_p_dimension, theta_valuation
 from eistheta.harness import (
     CacheIntegrityError,
@@ -185,6 +185,20 @@ def test_second_even_sweep_bytes_pinned_at_211():
     csv = report_to_csv(sweep_even(211, 5, 3001, 6000))
     assert csv.count("\n") - 1 == 389
     assert hashlib.sha256(csv.encode()).hexdigest() == EVEN_211_3001_SHA256
+
+
+def test_sweep_validates_each_discriminant_once_in_a_row(monkeypatch):
+    # the window filter checks every D and `_rows` refuses a bad one again;
+    # the row's field profile and split-prime data then run unchecked, so
+    # a 3000-wide window of n rows makes 3000 + n checks (3000 + 3n before)
+    calls = []
+    real = harness.validate_discriminant
+    counting = lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
+    monkeypatch.setattr(harness, "validate_discriminant", counting)
+    monkeypatch.setattr(quadfield, "validate_discriminant", counting)
+    report = sweep_even(11, 5, 1, 3000)
+    assert report.total == 344
+    assert len(calls) == 3000 + report.total
 
 
 def test_sweep_input_validation():

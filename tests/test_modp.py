@@ -23,11 +23,20 @@ from eistheta.exact_linalg import IntMatrix, is_prime, primes_up_to, snf
 from eistheta.modp import (
     _joint_kernel_dims,
     _left_nullspace_mod_p,
+    _mod_p,
     _rref_mod_p,
+    cut,
     g_p_dimension_modp,
 )
 from eistheta.modsym import build_space, presentation, tree_reduction
-from oracles import ADMISSIBLE, gauss_jordan_mod_p, merel_counts, rref_reduction
+from oracles import (
+    ADMISSIBLE,
+    cut_full_squaring,
+    dense_hecke_images,
+    gauss_jordan_mod_p,
+    merel_counts,
+    rref_reduction,
+)
 
 rng = random.Random(96059601)
 
@@ -115,6 +124,19 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
 
 
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
+def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
+    # the counts folded onto the variables give the same images as the
+    # dense (N + 1) x (2g + 1) quotient map, so the drained loop yields
+    # the same dimensions after every generator
+    own = list(_joint_kernel_dims(N, p))
+    used = []
+    monkeypatch.setattr(modp, "_hecke_images", lambda *args:
+                        used.append(1) or dense_hecke_images(*args))
+    assert list(_joint_kernel_dims(N, p)) == own
+    assert len(used) == len(own) - 1
+
+
 def _families_used(monkeypatch, N, p):
     used = []
     hecke_counts = modp.hecke_counts
@@ -160,7 +182,13 @@ def test_exactness_bounds_survive_optimize():
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
     # bound on a Hecke operator's counts (5 * 7 * 42 * 2^50 >= 2^53 at
-    # N = 41; at N = 11 and 31 the loop is proven done before any family)
+    # N = 41; at N = 11 and 31 the loop is proven done before any family).
+    # The counts are folded onto the variables, a symbol's column minus
+    # its sigma-partner's, so the bound must be taken on the raw counts.
+    # `huge_counts` cannot show that: its two sigma-fixed symbols (41 is
+    # 1 mod 4) keep 2^50 after the fold, so a bound on the fold would
+    # fire too.  `cancelling_counts` is equal on each symbol and its
+    # partner and zero on the fixed ones, so its fold is zero.
     code = (
         "import numpy as np\n"
         "from eistheta import modp\n"
@@ -171,10 +199,16 @@ def test_exactness_bounds_survive_optimize():
         "    modp.presentation = presentation\n"
         "    modp.hecke_counts = lambda symbols, ell, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
+        "def cancelling_counts():\n"
+        "    modp.presentation = presentation\n"
+        "    sigma = np.array(presentation(41).sigma)\n"
+        "    paired = sigma != np.arange(len(sigma))\n"
+        "    modp.hecke_counts = lambda symbols, ell, N, inv: np.where(paired, 2**50, 0)[None].repeat(len(symbols), 0)\n"
+        "    modp.g_p_dimension_modp(41, 5)\n"
         "modp.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
         "         lambda: modp.g_p_dimension_modp(360287970189731, 5),\n"
-        "         huge_counts)\n"
+        "         huge_counts, cancelling_counts)\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -189,7 +223,7 @@ def test_exactness_bounds_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True,
         text=True, check=True, timeout=120,
     ).stdout.splitlines()
-    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 3
+    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 4
 
 
 def test_input_validation():
@@ -201,6 +235,74 @@ def test_input_validation():
         g_p_dimension_modp(101, 5)  # 25 divides 100
     with pytest.raises(ValueError, match="p >= 5"):
         g_p_dimension_modp(31, 3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 2**31 - 1])
+def test_mod_p_matches_numpy_remainder(p):
+    # x - p floor(x / p) against numpy's float `%` and Python's int `%`
+    # over |x| <= 2^53 - p: zero, negatives, multiples of p and their
+    # neighbours, both ends of the range, and random values
+    top = 2**53 - p
+    near = range(-3 * p, 3 * p + 1) if p < 100 else [-2 * p, -p - 1, -p, -p + 1, -1, 1, p - 1, p, p + 1]
+    k = top // p
+    edge = [c * p + r for c in (k, -k, k - 1, -(k - 1)) for r in (-1, 0, 1)] + [top, -top, top - 1, 1 - top]
+    rand = np.random.default_rng(p).integers(-top, top, 2000, endpoint=True).tolist()
+    xs = [x for x in [0, *near, *edge, *rand] if abs(x) <= top]
+    a = np.array(xs, dtype=np.float64)
+    assert a.tolist() == xs  # every value is exact in float64
+    got = _mod_p(a, p)
+    assert got.tolist() == [x % p for x in xs]
+    assert np.array_equal(got, a % p)
+    assert not np.signbit(got).any()
+
+
+def _invertible_mod_p(m, p, g):
+    while True:
+        a = g.integers(0, p, (m, m))
+        rows, pivots = gauss_jordan_mod_p(np.hstack([a, np.eye(m, dtype=np.int64)]).tolist(), p)
+        if pivots == list(range(m)):
+            return a, np.array([r[m:] for r in rows], dtype=np.int64)
+
+
+def _operator(p, m, kind, g):
+    # a conjugate of diag(nilpotent block, invertible block) over F_p
+    a = {"zero": m, "square-zero": m, "nilpotent": m, "invertible": 0}.get(kind, m // 2)
+    nil = np.triu(g.integers(0, p, (a, a)), 1)
+    if kind == "zero":
+        nil[:] = 0
+    if kind == "square-zero":  # only the top-right quarter: nil^2 = 0
+        nil[:, :a - a // 2] = 0
+        nil[a // 2:] = 0
+    unit = np.triu(g.integers(0, p, (m - a, m - a)), 1) + np.diag(g.integers(1, p, m - a))
+    block = np.zeros((m, m), dtype=np.int64)
+    block[:a, :a] = nil
+    block[a:, a:] = unit
+    conj, conj_inv = _invertible_mod_p(m, p, g)
+    return conj_inv @ block % p @ conj % p, a
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("kind", ["zero", "square-zero", "nilpotent", "invertible", "mixed"])
+def test_cut_stops_at_a_vanishing_power(p, kind, monkeypatch):
+    # on a subspace of F_p^n carrying op = eigen + conj^-1 diag(nil, unit) conj,
+    # the cut equals the full-squaring one; a nilpotent op - eigen keeps the
+    # whole subspace without a null space
+    g = np.random.default_rng(p * 100 + len(kind))
+    for m, n in [(1, 3), (2, 2), (5, 9), (8, 8), (17, 30)]:
+        op, a = _operator(p, m, kind, g)
+        eigen = int(g.integers(0, 3 * p))
+        while True:
+            rows, cols = _rref_mod_p(g.integers(0, p, (m, n)), p)
+            if len(cols) == m:
+                break
+        images = (op + eigen * np.eye(m, dtype=np.int64)) % p @ rows % p
+        want = cut_full_squaring(rows, cols, images, eigen, p)
+        if a == m:
+            monkeypatch.setattr(modp, "_left_nullspace_mod_p", None)
+        got = cut(rows, cols, images, eigen, p)
+        monkeypatch.undo()
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        assert got[0].shape[0] == a
 
 
 def _random_matrix(rows, cols):
