@@ -4,10 +4,17 @@ At prime level N with p dividing N - 1 exactly once, the Eisenstein
 ideal I is generated (after Sturm-bound truncation) by T_l - l - 1 for
 primes l up to ceil((N+1)/6) together with U_N - 1.  Restricting those
 operators to M^+ or M^- gives a descending chain of finite-index
-sublattices W_n = I^n M^{+-}.  The Smith form of each W_n then turns
-membership questions "x in W_n up to prime-to-p index" into
-coordinate-wise divisibility tests, which is how local-at-p valuations
-of theta elements are read off.
+sublattices W_n = I^n M^{+-}.  A context keeps their Hermite bases and
+the multiplicity g_p; everything else is read off W_n.
+
+Valuations are local at p: x has valuation >= n when x lies in
+W_n + p^k Z^g for k >= e_n, the p-exponent of A = Z^g / W_n.  That
+lattice does not depend on k >= e_n, because p^k A = p^{e_n} A is the
+prime-to-p part of A.  So take k = v_p(det W_n), which is at least e_n,
+and m_n = p^k: H_n = `hnf_mod`(W_n, m_n) is the Hermite basis of
+W_n + m_n Z^g, and x lies in it exactly when x Z_n = 0 (mod m_n), with
+Z_n = m_n H_n^{-1} mod m_n (`scaled_inverse_mod`).  When m_1 = p, Z_1
+vanishes but for one column, which is the alpha functional.
 
 W_{n+1} is spanned by the rows of W_n @ eta over the generators eta,
 formed as int64 products, and its Hermite form is computed modulo a
@@ -22,14 +29,14 @@ saturation check computes W_1 again with three more generators, modulo
 G (det W_0 = 1).
 
 `merel_criterion` (defined in `modp`, which takes it as a lower bound
-on g_p) decides g_p >= 2 from N and p alone; the exact route's
-`g_p_dimension` does not use it and stays an independent check.
+on g_p) decides g_p >= 2 from N and p alone; `build_context` does not
+use it, so it stays an independent check of the exact g_p, and a
+cache file's g_p is held to it on load.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
-from operator import mul
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from .exact_linalg import (
     log_to_p,
     mul_int64,
     primes_up_to,
+    scaled_inverse_mod,
     snf,
     vp,
 )
@@ -59,49 +67,65 @@ from .modsym import (
 @dataclass(frozen=True)
 class EisensteinContext:
     """Everything needed to valuate elements against the W_n chain at
-    one sign.  W, snf_of_W and e are indexed by n = 0 .. n_max + 1; the
-    extra level lets "valuation >= n_max + 1" be certified honestly."""
+    one sign: the Hermite bases W of W_n = I^n M^sign, n = 0 .. n_max + 1
+    (the extra level lets "valuation >= n_max + 1" be certified
+    honestly), and the multiplicity g_p.  The rest is derived from W."""
 
     space: object
     p: int
     n_max: int
     sign: int
-    sturm_bound: int
-    eis_generators: tuple  # restricted operators spanning I on M^sign
+    g_p: int
     W: tuple  # HNF bases of I^n M^sign, in signed coordinates
-    snf_of_W: tuple  # WSmith of each W_n
-    e: tuple  # p-exponent of M^sign / W_n
     logmap: LogMap
 
+    @property
+    def sturm_bound(self):
+        return _sturm_bound(self.space.N)
+
     @cached_property
-    def residue_table(self):
-        """Per level n = 1 .. n_max + 1, the tests of "x in W_n + p^{e_n}
-        M^sign": (modulus, column) for each SNF right-transform column j
-        of W_n with p | d'_j = gcd(d_j, p^{e_n}), the column reduced mod
-        d'_j.  x passes iff x . column = 0 mod d'_j for all of them (the
-        other columns test modulo 1).  Built on first use, never cached
-        on disk."""
-        table = []
-        for n in range(1, self.n_max + 2):
-            pe = self.p ** self.e[n]
-            sd = self.snf_of_W[n]
-            tests = []
-            for j, d in enumerate(sd.diag):
-                mod = gcd(d, pe)
-                if mod % self.p == 0:
-                    tests.append((mod, tuple(map(int, sd.right.array[:, j] % mod))))
-            table.append(tuple(tests))
-        return tuple(table)
+    def snf_of_W(self):
+        """The Smith invariants of each W_n (for reports; no valuation
+        reads them)."""
+        return tuple(map(snf, self.W))
+
+    @cached_property
+    def e(self):
+        """The p-exponent of each M^sign / W_n."""
+        return tuple(max(vp(d, self.p) for d in sd.diag) for sd in self.snf_of_W)
+
+    @cached_property
+    def membership(self):
+        """Per level n = 1 .. n_max + 1, (m_n, Z_n): m_n = p^{v_p(det W_n)}
+        and Z_n = `scaled_inverse_mod`(H_n, m_n) with H_n = `hnf_mod`(W_n,
+        m_n).  x lies in W_n locally at p exactly when x Z_n = 0 mod m_n."""
+        out = []
+        for w in self.W[1:]:
+            m = self.p ** vp(prod(map(int, np.diagonal(w.array))), self.p)
+            out.append((m, IntMatrix(scaled_inverse_mod(hnf_mod(w.array, m), m)).array))
+        return tuple(out)
 
 
-@dataclass(frozen=True)
-class WSmith:
-    """The part of a Smith form of W_n that membership tests read: the
-    invariant factors and the right transform (the left one is not
-    kept)."""
+def _sturm_bound(N):
+    return -(-(N + 1) // 6)
 
-    diag: tuple
-    right: IntMatrix
+
+def _generator(space, sign, ell, eigen):
+    """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
+    t = restrict_to_sign(space, hecke(space, ell).matrix, sign).array
+    if np.abs(t).max() >= 2**62:  # so that t - eigen cannot wrap
+        raise ValueError("Hecke operator entries too large for int64")
+    return IntMatrix(t - eigen * np.eye(len(t), dtype=np.int64))
+
+
+def eisenstein_generators(space, sign):
+    """The restricted operators spanning I on M^sign: T_l - l - 1 for the
+    primes l != N up to the Sturm bound, then U_N - 1."""
+    N = space.N
+    gens = [_generator(space, sign, ell, ell + 1)
+            for ell in primes_up_to(_sturm_bound(N)) if ell != N]
+    gens.append(_generator(space, sign, N, 1))
+    return gens
 
 
 def _next_primes(start, count):
@@ -122,18 +146,7 @@ def build_context(space, p, n_max=3, sign=1):
         raise ValueError("sign must be +1 or -1")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-
-    def generator(ell, eigen):
-        """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
-        t = restrict_to_sign(space, hecke(space, ell).matrix, sign).array
-        if np.abs(t).max() >= 2**62:  # so that t - eigen cannot wrap
-            raise ValueError("Hecke operator entries too large for int64")
-        return IntMatrix(t - eigen * np.eye(len(t), dtype=np.int64))
-
-    sturm = -(-(N + 1) // 6)
-    gens = [generator(ell, ell + 1) for ell in primes_up_to(sturm) if ell != N]
-    gens.append(generator(N, 1))
-    etas = [m.array for m in gens]
+    etas = [m.array for m in eisenstein_generators(space, sign)]
     unit = gcd(*(det(m) for m in etas[:3]))
     if not unit:
         raise ValueError("Eisenstein generators are all singular")
@@ -141,75 +154,72 @@ def build_context(space, p, n_max=3, sign=1):
     def step(w, ops, modulus):
         return IntMatrix(hnf_mod(np.concatenate([mul_int64(w.array, op) for op in ops]), modulus))
 
-    ident = IntMatrix.identity(gens[0].rows)
+    g = len(etas[0])
+    ident = IntMatrix.identity(g)
     ws = [ident]
     for _ in range(n_max + 1):
         ws.append(step(ws[-1], etas, prod(map(int, np.diagonal(ws[-1].array))) * unit))
 
     # Sturm saturation check: three more Hecke primes must not shrink W_1
-    extra = [generator(q, q + 1).array for q in _next_primes(max(N, sturm), 3)]
+    extra = [_generator(space, sign, q, q + 1).array
+             for q in _next_primes(max(N, _sturm_bound(N)), 3)]
     if step(ident, etas + extra, unit) != ws[1]:
         raise ValueError("Sturm-bound generator set failed saturation check")
 
-    smiths = tuple(WSmith(sd.diag, sd.right) for sd in map(snf, ws))
-    es = tuple(max(vp(d, p) for d in sd.diag) for sd in smiths)
-    return EisensteinContext(
-        space=space,
-        p=p,
-        n_max=n_max,
-        sign=sign,
-        sturm_bound=sturm,
-        eis_generators=tuple(gens),
-        W=tuple(ws),
-        snf_of_W=smiths,
-        e=es,
-        logmap=LogMap(N, p),
-    )
+    # g_p: the generators commute, so cutting F_p^g down by one generator
+    # at a time leaves the intersection of their generalized kernels mod p
+    rows, cols = np.eye(g), list(range(g))
+    for eta in etas:
+        if not rows.shape[0]:
+            break
+        # the generators already have their eigenvalue subtracted; the
+        # product is a sum of g terms in [0, (p-1)^2], which cut's own
+        # bound on these rows keeps within 2^53 - p (it raises otherwise)
+        rows, cols = cut(rows, cols, _mod_p(rows @ (eta % p).astype(np.float64), p), 0, p)
+    return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign, g_p=rows.shape[0],
+                             W=tuple(ws), logmap=LogMap(N, p))
+
+
+def _valuations(ctx, x):
+    """The valuations of the rows of x (signed coordinates): each level's
+    test x Z_n = 0 mod m_n as one product, on x reduced mod the largest
+    m_n (every m_n divides it, so the reduction is exact), in int64
+    while that m_n squared times g is below 2^63 and in Python ints
+    beyond."""
+    top = ctx.membership[-1][0]
+    dtype = np.int64 if top * top * x.shape[1] < 2**63 else object
+    x = x % top if x.dtype == dtype else (x.astype(object) % top).astype(dtype)
+    val = np.zeros(len(x), dtype=np.int64)
+    passed = np.ones(len(x), dtype=bool)
+    for n, (m, z) in enumerate(ctx.membership, 1):
+        prods = mul_int64(x, z) if dtype is np.int64 else x @ z.astype(object)
+        passed &= (prods % m == 0).all(axis=1)
+        val[passed] = n
+    return val.tolist()
 
 
 def p_local_valuation(ctx, x):
-    """Largest n <= n_max with x in W_n locally at p (in W_n + p^{e_n}
-    M^sign); n_max + 1 means the valuation is at least n_max + 1 (e.g.
-    x = 0)."""
+    """Largest n <= n_max with x in W_n locally at p (in W_n + p^k M^sign
+    for every k >= e_n); n_max + 1 means the valuation is at least
+    n_max + 1 (e.g. x = 0)."""
     x = list(x)
-    g = ctx.W[0].rows
-    if len(x) != g or not all(isinstance(t, int) for t in x):
+    if len(x) != ctx.W[0].rows or not all(isinstance(t, int) for t in x):
         raise ValueError("x is not a lattice vector of the right size")
-    val = 0
-    for n, tests in enumerate(ctx.residue_table, 1):
-        if any(sum(map(mul, x, col)) % mod for mod, col in tests):
-            break
-        val = n
-    return val
+    return _valuations(ctx, np.array([x], dtype=object))[0]
 
 
 def theta_valuations(ctx, thetas):
     """The valuations of theta elements against the context's sign chain,
-    as `p_local_valuation` reads them: one solve into the signed basis,
-    the coordinates reduced mod p^E with E = max e_n (every test modulus
-    divides p^E, so the reduction is exact), and each level's tests as
-    one product, in int64 while p^2E * g < 2^63 and in Python ints
-    beyond."""
+    as `p_local_valuation` reads them, after one solve into the signed
+    basis."""
     thetas = list(thetas)
     if any(theta.sign != ctx.sign for theta in thetas):
         raise ValueError("theta element has the wrong star sign")
     if not thetas:
         return []
     basis, inverse = ctx.space.signed(ctx.sign)
-    x = solve_by_inverse(basis, inverse, as_int64([theta.coords for theta in thetas]))
-    pe = ctx.p ** max(ctx.e)
-    fits = pe * pe * x.shape[1] < 2**63
-    x = x % pe if fits else x.astype(object) % pe
-    val = np.zeros(len(thetas), dtype=np.int64)
-    passed = np.ones(len(thetas), dtype=bool)
-    for n, tests in enumerate(ctx.residue_table, 1):
-        if tests:
-            mods, cols = zip(*tests)
-            cols = np.array(cols, dtype=np.int64 if fits else object).T
-            prods = mul_int64(x, cols) if fits else x @ cols
-            passed &= (prods % np.array(mods, dtype=cols.dtype) == 0).all(axis=1)
-        val[passed] = n
-    return val.tolist()
+    return _valuations(ctx, solve_by_inverse(basis, inverse,
+                                             as_int64([theta.coords for theta in thetas])))
 
 
 def theta_valuation(ctx, theta):
@@ -220,38 +230,27 @@ def theta_valuation(ctx, theta):
 def g_p_dimension(ctx):
     """dim over F_p of the intersection of the generalized kernels of
     the Eisenstein generators on M^sign mod p: the multiplicity of the
-    Eisenstein prime.  The generators commute, so cutting F_p^g down by
-    one generator at a time leaves that intersection."""
-    p = ctx.p
-    g = ctx.W[0].rows
-    rows, cols = np.eye(g), list(range(g))
-    for gen in ctx.eis_generators:
-        if not rows.shape[0]:
-            break
-        a = (gen.array % p).astype(np.float64)
-        # the generators already have their eigenvalue subtracted; the
-        # product is a sum of g terms in [0, (p-1)^2], which cut's own
-        # bound on these rows keeps within 2^53 - p (it raises otherwise)
-        rows, cols = cut(rows, cols, _mod_p(rows @ a, p), 0, p)
-    return rows.shape[0]
+    Eisenstein prime, computed once by `build_context`."""
+    return ctx.g_p
 
 
 # ---------------------------------------------------------------------------
 # the alpha map on the p-part of M^+ / W_1
 
 def _alpha_data(ctx):
-    sd = ctx.snf_of_W[1]
-    pivots = [j for j, dj in enumerate(sd.diag) if dj % ctx.p == 0]
-    if len(pivots) != 1 or vp(sd.diag[pivots[0]], ctx.p) != 1:
+    """The functional x -> x z mod p on M^+ whose kernel is W_1 + p M^+:
+    with v_p(det W_1) = 1, H_1 is the identity but for one column j, of
+    pivot p, so Z_1 = p H_1^{-1} vanishes mod p outside column j."""
+    m, z = ctx.membership[0]
+    if m != ctx.p:
         raise ValueError("p-part of M^+/W_1 is not of order exactly p")
-    return sd.right.array, pivots[0]
+    return z[:, np.flatnonzero(z.any(axis=0))[0]].tolist()
 
 
 def _alpha_of_plus_vector(ctx, y):
     """Value of the alpha functional on a vector of M^+ (signed coords):
     its image in the order-p quotient of M^+/W_1, as an element of F_p."""
-    right, jstar = _alpha_data(ctx)
-    return sum(map(mul, y, map(int, right[:, jstar] % ctx.p))) % ctx.p
+    return sum(a * b for a, b in zip(y, _alpha_data(ctx))) % ctx.p
 
 
 def alpha_check(ctx, samples, logmap=None):

@@ -4,10 +4,10 @@ Nothing here ever rounds.  An `IntMatrix` is one read-only 2-D numpy
 array: int64 when every entry fits, Python ints (dtype=object) when
 one does not.  Products run on int64 arrays, each under a bound that
 proves no entry can overflow: `mul_int64` raises when its bound fails,
-and `hnf_mod`, whose entries stay below its modulus, switches to
-Python ints on the same code when the modulus is too large for int64.
-The Hermite and Smith forms with transforms (`hnf_with_transform`,
-`snf`) and the lattice helpers built on them run on Python-int lists
+and `hnf_mod` and `scaled_inverse_mod`, whose entries stay below a
+modulus, switch to Python ints on the same code when that modulus is
+too large for int64.  The Smith invariants (`snf`) and the lattice
+helpers built on a tracked Hermite transform run on Python-int lists
 of the array, by fraction-free integer elimination with partial
 pivoting on the entry of least absolute value, which keeps
 intermediate growth tame at the matrix sizes we care about (a few
@@ -15,7 +15,7 @@ hundred rows at most).
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt, prod
 from operator import index
 
 import numpy as np
@@ -86,14 +86,9 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithData:
-    """Invariant factors d1 | d2 | ... with unimodular transforms.
-
-    left * A * right is diagonal with the stated invariants.
-    """
+    """The invariant factors d1 | d2 | ... of a matrix, all >= 0."""
 
     diag: tuple
-    left: IntMatrix
-    right: IntMatrix
 
 
 def _eye(n):
@@ -167,101 +162,38 @@ def _hnf_lists(h):
     return h, u
 
 
-def hnf_with_transform(A: IntMatrix):
-    """Return (H, U) with U unimodular and U*A = H in Hermite form
-    (same shape as A; zero rows sink to the bottom, pivots positive,
-    entries above a pivot reduced into [0, pivot))."""
-    h, u = _hnf_lists(A.array.tolist())
-    return IntMatrix(h), IntMatrix(u)
-
-
 def snf(A: IntMatrix) -> SmithData:
-    """Smith normal form with transforms, by alternating row/column
-    reduction pivoting on the least nonzero entry."""
+    """The invariant factors of A (min(rows, cols) of them, zeros last),
+    by alternating row and column reduction pivoting on the least
+    nonzero entry of the trailing block.  Rows above the block are zero
+    on its columns, so every operation starts at column or row t."""
     s = A.array.tolist()
     m, n = A.rows, A.cols
-    left = _eye(m)
-    right = _eye(n)
-
-    def col_sub(j, k, q):
-        # column_j -= q * column_k, mirrored on `right`
-        if q:
-            for r in s:
-                r[j] -= q * r[k]
-            for r in right:
-                r[j] -= q * r[k]
-
     t = 0
-    while True:
-        # locate least nonzero entry of the trailing block
-        piv = None
-        best = 0
-        for i in range(t, m):
-            for j in range(t, n):
-                v = s[i][j]
-                if v and (piv is None or abs(v) < best):
-                    piv, best = (i, j), abs(v)
-        if piv is None:
+    while t < min(m, n):
+        live = [(abs(v), i, j) for i in range(t, m) for j, v in enumerate(s[i][t:], t) if v]
+        if not live:
             break
-        i, j = piv
-        if i != t:
-            s[t], s[i] = s[i], s[t]
-            left[t], left[i] = left[i], left[t]
-        if j != t:
-            for r in s:
-                r[t], r[j] = r[j], r[t]
-            for r in right:
-                r[t], r[j] = r[j], r[t]
-        while True:
-            # clear column t
-            for i in range(t + 1, m):
-                q = s[i][t] // s[t][t]
-                _row_sub(s, i, t, q, 0)
-                _row_sub(left, i, t, q, 0)
-            if any(s[i][t] for i in range(t + 1, m)):
-                # a smaller remainder appeared; make it the pivot
-                i = min((i for i in range(t, m) if s[i][t]), key=lambda i: abs(s[i][t]))
-                s[t], s[i] = s[i], s[t]
-                left[t], left[i] = left[i], left[t]
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                q = s[t][j] // s[t][t]
-                col_sub(j, t, q)
-            if any(s[t][j] for j in range(t + 1, n)):
-                j = min((j for j in range(t, n) if s[t][j]), key=lambda j: abs(s[t][j]))
-                for r in s:
-                    r[t], r[j] = r[j], r[t]
-                for r in right:
-                    r[t], r[j] = r[j], r[t]
-                continue
-            break
-        # enforce divisibility of the trailing block by the pivot
-        dirty = False
+        _, i, j = min(live)
+        s[t], s[i] = s[i], s[t]
+        for r in s[t:]:
+            r[t], r[j] = r[j], r[t]
+        a = s[t][t]
         for i in range(t + 1, m):
-            if dirty:
-                break
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t]:
-                    _row_sub(s, t, i, -1, 0)  # row_t += row_i
-                    _row_sub(left, t, i, -1, 0)
-                    dirty = True
-                    break
-        if dirty:
-            # redo the clearing pass for this t
-            continue
-        t += 1
-        if t == min(m, n):
-            break
-    for i in range(min(m, n)):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-            left[i] = [-x for x in left[i]]
-    return SmithData(
-        diag=tuple(s[i][i] for i in range(min(m, n))),
-        left=IntMatrix(left),
-        right=IntMatrix(right),
-    )
+            _row_sub(s, i, t, s[i][t] // a, t)
+        for j in range(t + 1, n):
+            q = s[t][j] // a
+            if q:
+                for r in s[t:]:
+                    r[j] -= q * r[t]
+        if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1:]):
+            continue  # a remainder smaller than the pivot: pivot on it
+        bad = next((i for i in range(t + 1, m) if any(v % a for v in s[i][t + 1:])), None)
+        if bad is None:
+            t += 1
+        else:  # row_t += row_bad puts an entry a does not divide in row t
+            _row_sub(s, t, bad, -1, t)
+    return SmithData(tuple(abs(s[i][i]) for i in range(min(m, n))))
 
 
 def left_kernel(A: IntMatrix) -> list:
@@ -351,6 +283,32 @@ def hnf_mod(rows, D):
         q = h[:j, j] // h[j, j]
         h[:j, j:] = (h[:j, j:] - q[:, None] * h[j, j:]) % D
     return h
+
+
+def scaled_inverse_mod(h, m):
+    """Z = m h^{-1} mod m, for h = `hnf_mod`(rows, m): the g x g Hermite
+    basis, entries in [0, m), of a lattice L holding m Z^g.  Then Z is
+    integral, and x lies in L exactly when x Z = 0 (mod m).
+
+    Back-substitution on Z h = m I, column by column, modulo
+    M = m det h.  Column j is (m e_j - Z[:, :j] h[:j, j]) / h_jj.  By
+    induction the computed column differs from the true one by a
+    multiple of M / (h_00 ... h_jj) = m h_(j+1)(j+1) ... h_(g-1)(g-1):
+    the numerator's error is a multiple of M / (h_00 ... h_(j-1)(j-1)),
+    which h_jj divides, so the division stays exact and the error
+    shrinks by h_jj.  So every column is right mod m.  The entries stay
+    below M m g, in int64 while 2 M m g < 2^63 and in Python ints
+    (dtype=object) otherwise."""
+    g = len(h)
+    M = m * prod(map(int, np.diagonal(h)))
+    dtype = np.int64 if 2 * M * m * g < 2**63 else object
+    h = np.asarray(h).astype(dtype)
+    z = np.zeros((g, g), dtype=dtype)
+    for j in range(g):
+        num = -(z[:, :j] @ h[:j, j])
+        num[j] += m
+        z[:, j] = num % M // h[j, j]
+    return z % m
 
 
 def as_int64(a):

@@ -15,10 +15,11 @@ theta elements together: in this process or, with jobs > 1, in worker
 processes handed that function, pair included, one contiguous slice of
 the discriminants at a time.
 
-A cache file keeps the pair's expensive half, the Eisenstein context,
-with the level N and a digest of the space.  The space is a cheap,
-deterministic function of N, so `load_context` rebuilds it and refuses
-a file whose digest it does not match.
+A cache file keeps the pair's expensive half, the Eisenstein context
+(p, n_max, the sign, g_p and the W_n chain), with the level N and a
+digest of the space.  The space is a cheap, deterministic function of
+N, so `load_context` rebuilds it and refuses a file whose digest it
+does not match; everything else a context offers is derived from W.
 """
 
 import hashlib
@@ -33,17 +34,17 @@ import numpy as np
 
 from .eisenstein import (
     EisensteinContext,
-    WSmith,
     build_context,
     g_p_dimension,
     theta_valuations,
 )
 from .exact_linalg import IntMatrix, LogMap, hnf_mod
+from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import _field_profile, class_numbers, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 4  # context cache files
+FORMAT_VERSION = 5  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
@@ -265,20 +266,17 @@ def _checksum(payload):
 
 
 def save_context(space, ctx, path):
-    """Write ctx to `path`.  Of the space only N and `_space_digest` are
-    kept: `load_context` rebuilds it with `build_space(N)`."""
+    """Write ctx to `path`: its p, n_max, sign, g_p and W.  Of the space
+    only N and `_space_digest` are kept: `load_context` rebuilds it with
+    `build_space(N)`."""
     payload = {
         "N": str(space.N),
         "space_sha256": _space_digest(space),
         "p": str(ctx.p),
         "n_max": str(ctx.n_max),
         "sign": str(ctx.sign),
-        "sturm_bound": str(ctx.sturm_bound),
-        "eis_generators": [_enc_matrix(m) for m in ctx.eis_generators],
+        "g_p": str(ctx.g_p),
         "W": [_enc_matrix(m) for m in ctx.W],
-        "snf_diag": [[str(d) for d in sd.diag] for sd in ctx.snf_of_W],
-        "snf_right": [_enc_matrix(sd.right) for sd in ctx.snf_of_W],
-        "e": [str(x) for x in ctx.e],
     }
     envelope = {
         "format_version": FORMAT_VERSION,
@@ -296,24 +294,18 @@ def save_context(space, ctx, path):
 def _read_payload(payload):
     """(N, p, space digest, the context's other fields) of a payload,
     raising CacheIntegrityError if a key is missing, a value does not
-    parse, (N, p) breaks the standing hypotheses, or W, snf_diag,
-    snf_right or e does not have n_max + 2 levels."""
+    parse, (N, p) breaks the standing hypotheses, or W does not have
+    n_max + 2 levels."""
     try:
-        N, p, n_max, sign = (int(payload[k]) for k in ("N", "p", "n_max", "sign"))
+        N, p, n_max, sign, g_p = (int(payload[k]) for k in ("N", "p", "n_max", "sign", "g_p"))
         check_pair(N, p)
-        levels = [payload[k] for k in ("W", "snf_diag", "snf_right", "e")]
-        if any(len(x) != n_max + 2 for x in levels):
-            raise ValueError(f"W, snf_diag, snf_right and e need n_max + 2 = {n_max + 2} levels")
-        w, diags, rights, e = levels
+        if len(payload["W"]) != n_max + 2:
+            raise ValueError(f"W needs n_max + 2 = {n_max + 2} levels")
         return N, p, str(payload["space_sha256"]), {
             "n_max": n_max,
             "sign": sign,
-            "sturm_bound": int(payload["sturm_bound"]),
-            "eis_generators": tuple(_dec_matrix(m) for m in payload["eis_generators"]),
-            "W": tuple(_dec_matrix(m) for m in w),
-            "snf_of_W": tuple(WSmith(diag=tuple(int(d) for d in diag), right=_dec_matrix(right))
-                              for diag, right in zip(diags, rights)),
-            "e": tuple(int(x) for x in e),
+            "g_p": g_p,
+            "W": tuple(_dec_matrix(m) for m in payload["W"]),
         }
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CacheIntegrityError(f"cache integrity check failed: malformed payload "
@@ -322,14 +314,12 @@ def _read_payload(payload):
 
 def _check_structure(ctx):
     """The cheap invariants a cache file cannot fake by its checksum:
-    every operator and level g x g for the rebuilt space's genus g, and
-    each W_n a Hermite basis holding W_{n+1}."""
+    every level g x g for the rebuilt space's genus g, each W_n a
+    Hermite basis holding W_{n+1}, and 1 <= g_p <= g with g_p >= 2
+    exactly when Merel's criterion holds."""
     g = ctx.space.genus
-    square = [*ctx.eis_generators, *ctx.W, *(sd.right for sd in ctx.snf_of_W)]
-    if (any((m.rows, m.cols) != (g, g) for m in square)
-            or any(len(sd.diag) != g for sd in ctx.snf_of_W)):
-        raise CacheIntegrityError(f"cache integrity check failed: an operator or level "
-                                  f"is not {g} x {g}")
+    if any((m.rows, m.cols) != (g, g) for m in ctx.W):
+        raise CacheIntegrityError(f"cache integrity check failed: a level is not {g} x {g}")
     for n in range(len(ctx.W) - 1):
         # a Hermite basis W_n of index d gives itself back from hnf_mod of
         # W_n and W_{n+1} modulo d exactly when W_{n+1} lies inside it
@@ -338,6 +328,9 @@ def _check_structure(ctx):
         if not (d > 0 and np.array_equal(hnf_mod(np.concatenate([w, ctx.W[n + 1].array]), d), w)):
             raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
+    if not 1 <= ctx.g_p <= g or (ctx.g_p >= 2) != merel_criterion(ctx.space.N, ctx.p):
+        raise CacheIntegrityError(f"cache integrity check failed: g_p = {ctx.g_p} is not in "
+                                  f"[1, {g}] or disagrees with Merel's criterion")
 
 
 def load_context(path):

@@ -28,24 +28,30 @@ cycle by cycle: the reference for the batched `quadfield.class_numbers`.
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
 Hermite forms replaced, and `mat_mul` is the pure-Python product that
-int64 products are checked against.
+int64 products are checked against.  `hnf_with_transform` and `snf`
+carry their unimodular transforms, which the package no longer reads:
+`residue_valuations` and `smith_alpha_functional` are the valuations
+and the alpha functional read off the Smith right transforms of the
+W_n, the route that `eisenstein`'s Z_n = m_n H_n^{-1} mod m_n
+replaced.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
 from eistheta.exact_linalg import (
     IntMatrix,
+    _eye,
     _hnf_inplace,
+    _hnf_lists,
+    _row_sub,
     as_int64,
     divisors,
-    hnf_with_transform,
     is_prime,
     vp,
     mul_int64,
-    snf,
 )
 from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p
 from eistheta.modsym import (
@@ -88,6 +94,149 @@ def hnf(A):
     shape; zero rows sink to the bottom, pivots positive, entries above
     a pivot reduced into [0, pivot))."""
     return IntMatrix(_hnf_inplace(A.array.tolist()))
+
+
+def hnf_with_transform(A):
+    """Return (H, U) with U unimodular and U*A = H in Hermite form
+    (same shape as A; zero rows sink to the bottom, pivots positive,
+    entries above a pivot reduced into [0, pivot))."""
+    h, u = _hnf_lists(A.array.tolist())
+    return IntMatrix(h), IntMatrix(u)
+
+
+@dataclass(frozen=True)
+class SmithData:
+    """Invariant factors d1 | d2 | ... with unimodular transforms.
+
+    left * A * right is diagonal with the stated invariants.
+    """
+
+    diag: tuple
+    left: IntMatrix
+    right: IntMatrix
+
+
+def snf(A):
+    """Smith normal form with transforms, by alternating row/column
+    reduction pivoting on the least nonzero entry."""
+    s = A.array.tolist()
+    m, n = A.rows, A.cols
+    left = _eye(m)
+    right = _eye(n)
+
+    def col_sub(j, k, q):
+        # column_j -= q * column_k, mirrored on `right`
+        if q:
+            for r in s:
+                r[j] -= q * r[k]
+            for r in right:
+                r[j] -= q * r[k]
+
+    t = 0
+    while True:
+        # locate least nonzero entry of the trailing block
+        piv = None
+        best = 0
+        for i in range(t, m):
+            for j in range(t, n):
+                v = s[i][j]
+                if v and (piv is None or abs(v) < best):
+                    piv, best = (i, j), abs(v)
+        if piv is None:
+            break
+        i, j = piv
+        if i != t:
+            s[t], s[i] = s[i], s[t]
+            left[t], left[i] = left[i], left[t]
+        if j != t:
+            for r in s:
+                r[t], r[j] = r[j], r[t]
+            for r in right:
+                r[t], r[j] = r[j], r[t]
+        while True:
+            # clear column t
+            for i in range(t + 1, m):
+                q = s[i][t] // s[t][t]
+                _row_sub(s, i, t, q, 0)
+                _row_sub(left, i, t, q, 0)
+            if any(s[i][t] for i in range(t + 1, m)):
+                # a smaller remainder appeared; make it the pivot
+                i = min((i for i in range(t, m) if s[i][t]), key=lambda i: abs(s[i][t]))
+                s[t], s[i] = s[i], s[t]
+                left[t], left[i] = left[i], left[t]
+                continue
+            # clear row t
+            for j in range(t + 1, n):
+                q = s[t][j] // s[t][t]
+                col_sub(j, t, q)
+            if any(s[t][j] for j in range(t + 1, n)):
+                j = min((j for j in range(t, n) if s[t][j]), key=lambda j: abs(s[t][j]))
+                for r in s:
+                    r[t], r[j] = r[j], r[t]
+                for r in right:
+                    r[t], r[j] = r[j], r[t]
+                continue
+            break
+        # enforce divisibility of the trailing block by the pivot
+        dirty = False
+        for i in range(t + 1, m):
+            if dirty:
+                break
+            for j in range(t + 1, n):
+                if s[i][j] % s[t][t]:
+                    _row_sub(s, t, i, -1, 0)  # row_t += row_i
+                    _row_sub(left, t, i, -1, 0)
+                    dirty = True
+                    break
+        if dirty:
+            # redo the clearing pass for this t
+            continue
+        t += 1
+        if t == min(m, n):
+            break
+    for i in range(min(m, n)):
+        if s[i][i] < 0:
+            s[i] = [-x for x in s[i]]
+            left[i] = [-x for x in left[i]]
+    return SmithData(
+        diag=tuple(s[i][i] for i in range(min(m, n))),
+        left=IntMatrix(left),
+        right=IntMatrix(right),
+    )
+
+
+def residue_valuations(ctx, xs):
+    """The valuations of the rows of xs (signed coordinates, Python ints)
+    by the Smith route that Z_n replaced: x is in W_n + p^{e_n} Z^g iff
+    x . v_j = 0 mod gcd(d_j, p^{e_n}) for every invariant factor d_j of
+    W_n and its column v_j of the Smith right transform."""
+    p = ctx.p
+    table = []
+    for w in ctx.W[1:]:
+        sd = snf(w)
+        pe = p ** max(vp(d, p) for d in sd.diag)
+        table.append([(gcd(d, pe), sd.right.array[:, j].tolist())
+                      for j, d in enumerate(sd.diag) if gcd(d, pe) % p == 0])
+    out = []
+    for x in xs:
+        val = 0
+        for tests in table:
+            if any(sum(a * b for a, b in zip(x, col)) % mod for mod, col in tests):
+                break
+            val += 1
+        out.append(val)
+    return out
+
+
+def smith_alpha_functional(ctx):
+    """The alpha functional mod p as the Smith route read it: the right
+    transform's column at the one invariant factor of W_1 that p divides,
+    which p^2 must not divide."""
+    sd = snf(ctx.W[1])
+    pivots = [j for j, d in enumerate(sd.diag) if d % ctx.p == 0]
+    if len(pivots) != 1 or vp(sd.diag[pivots[0]], ctx.p) != 1:
+        raise ValueError("p-part of M^+/W_1 is not of order exactly p")
+    return [x % ctx.p for x in sd.right.array[:, pivots[0]].tolist()]
 
 
 def unimodular_inverse(M):

@@ -100,13 +100,13 @@ def test_cache_dir_refuses_corruption(tmp_path, capsys):
 
 
 def test_cache_dir_refuses_a_malformed_file(tmp_path, capsys):
-    # a resealed file missing one SNF level is refused, not a traceback
+    # a resealed file missing one W level is refused, not a traceback
     args = ("sweep-even", "--N", "11", "--p", "5", "--dmin", "1", "--dmax", "50",
             "--cache-dir", str(tmp_path))
     assert _run(capsys, *args)[0] == 0
     (path,) = tmp_path.iterdir()
     envelope = json.loads(path.read_text())
-    envelope["payload"]["snf_diag"].pop()
+    envelope["payload"]["W"].pop()
     envelope["checksum"] = harness._checksum(envelope["payload"])
     path.write_text(json.dumps(envelope))
     code, out, err = _run(capsys, *args)
@@ -177,6 +177,8 @@ def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):
     # the warm path rebuilds the space from N on purpose, and nothing else
     monkeypatch.setattr(harness, "build_context", no_build)
     monkeypatch.setattr(eisenstein, "hecke", no_build)
+    # nor a Smith form: the valuations read Z_n off W
+    monkeypatch.setattr(eisenstein, "snf", no_build)
     assert _run(capsys, *args, "--jobs", "2")[:2] == (0, cold)
 
 

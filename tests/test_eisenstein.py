@@ -1,6 +1,7 @@
 """Eisenstein filtration: lattice chain, valuations, g_p, alpha map."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +16,12 @@ from eistheta.exact_linalg import (
     vp,
 )
 from eistheta.eisenstein import (
+    _alpha_data,
     _alpha_of_plus_vector,
+    _valuations,
     alpha_check,
     build_context,
+    eisenstein_generators,
     g_p_dimension,
     merel_criterion,
     p_local_valuation,
@@ -32,6 +36,7 @@ from eistheta.modsym import (
     hecke,
     presentation,
     restrict_to_sign,
+    solve_by_inverse,
     theta_element,
     theta_elements,
 )
@@ -42,6 +47,8 @@ from oracles import (
     mat_mul,
     merel_counts,
     merel_hecke,
+    residue_valuations,
+    smith_alpha_functional,
     snf_section_reduction,
     solve_left,
 )
@@ -268,9 +275,11 @@ def test_theta_valuations_match_p_local_valuation(N, sign):
 
 
 def test_theta_valuations_past_the_int64_bound():
-    # at n_max = 16, p^(2E) * g >= 2^63: the residue tests run in Python ints
+    # at n_max = 16, m^2 * g >= 2^63 for m = m_17 = 5^17: the membership
+    # tests run in Python ints
     ctx = build_context(SP11, 5, n_max=16)
-    assert 5 ** (2 * max(ctx.e)) * ctx.space.genus >= 2**63
+    assert ctx.membership[-1][0] == 5**17
+    assert 5 ** 34 * ctx.space.genus >= 2**63
     thetas = [ThetaElement(D=th.D, coords=tuple(5**k * c for c in th.coords), sign=1)
               for th in theta_elements(SP11, [12, 37, 53]) for k in (0, 6, 13, 20)]
     vals = theta_valuations(ctx, thetas)
@@ -327,7 +336,7 @@ def test_filtration_matches_stacked_hnf_oracle(N, sign):
     space = {11: SP11, 31: SP31, 211: SP211}[N]
     ctx = build_context(space, 5, sign=sign)
     gens, w, diags, e = _stacked_filtration(space, 5, ctx.n_max, sign)
-    assert ctx.eis_generators == tuple(gens)
+    assert eisenstein_generators(space, sign) == gens
     assert ctx.W == tuple(w)
     assert [sd.diag for sd in ctx.snf_of_W] == diags
     assert list(ctx.e) == e
@@ -399,3 +408,51 @@ def test_filtration_is_independent_of_the_m_rel_basis(N, p):
     for D in ds:
         assert (theta_valuation(old, theta_element(old.space, D))
                 == theta_valuation(tree, theta_element(tree.space, D)))
+
+
+# ---------------------------------------------------------------------------
+# membership and alpha against the Smith-transform route they replaced
+
+def _probe_vectors(ctx, count=6):
+    """Signed coordinates of the theta elements of a sweep window, then
+    random integer combinations of the rows of each W_n, n = 0 .. n_max +
+    1, as Python-int lists."""
+    space, N, p = ctx.space, ctx.space.N, ctx.p
+    ds = [D for D in range(ctx.sign * 3, ctx.sign * 1500, ctx.sign)
+          if validate_discriminant(D, N, p, want_split=ctx.sign > 0)][:40]
+    basis, inverse = space.signed(ctx.sign)
+    xs = solve_by_inverse(basis, inverse, np.array([th.coords for th in theta_elements(space, ds)],
+                                                   dtype=np.int64)).tolist() if ds else []
+    for w in ctx.W:
+        for _ in range(count):
+            c = [rng.randrange(-3, 4) for _ in range(w.rows)]
+            xs.append([sum(a * b for a, b in zip(c, col)) for col in w.array.T.tolist()])
+    return xs
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_membership_matches_the_smith_residue_route(N, p, sign):
+    # the Z_n tests against the residue tests on the Smith right transforms,
+    # on sweep-window theta elements and combinations of W_n rows that give
+    # every level 0 .. n_max + 1; and the alpha functional read off Z_1 is
+    # a nonzero multiple of the Smith route's, which refuses where it does
+    space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
+    ctx = build_context(space, p, sign=sign)
+    xs = _probe_vectors(ctx)
+    vals = _valuations(ctx, np.array(xs, dtype=object))
+    assert vals == residue_valuations(ctx, xs)
+    assert set(vals) == set(range(ctx.n_max + 2))
+    if sign > 0:
+        new, old = _alpha_data(ctx), smith_alpha_functional(ctx)
+        ratios = {a * pow(b, -1, p) % p for a, b in zip(new, old) if b}
+        assert len(ratios) == 1 and 0 not in ratios
+        assert all(a == 0 for a, b in zip(new, old) if not b)
+
+
+def test_alpha_refuses_a_p_part_of_order_p_squared():
+    # with W_2 = 25 Z in W_1's place, both routes refuse
+    ctx = replace(CTX11, W=CTX11.W[:1] + CTX11.W[2:])
+    for route in (_alpha_data, smith_alpha_functional):
+        with pytest.raises(ValueError, match="order exactly p"):
+            route(ctx)

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from fractions import Fraction
 from math import prod
 
 import numpy as np
@@ -17,18 +18,19 @@ from eistheta.exact_linalg import (
     det,
     factorize,
     hnf_mod,
-    hnf_with_transform,
     is_prime,
     kronecker,
     left_kernel,
     log_to_p,
     mul_int64,
     primes_up_to,
+    scaled_inverse_mod,
     snf,
     sqrt_mod,
     xgcd,
 )
-from oracles import hnf, mat_mul, solve_left, unimodular_inverse
+from oracles import hnf, hnf_with_transform, mat_mul, solve_left, unimodular_inverse
+from oracles import snf as snf_with_transforms
 
 rng = random.Random(20161871)
 
@@ -218,6 +220,33 @@ def test_hnf_mod_matches_stacked_hnf_hypothesis(case):
     assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D)
 
 
+def _scaled_inverse_by_fractions(h, m):
+    """m h^{-1} mod m for an upper-triangular h, by back-substitution in
+    exact rationals; raises unless m h^{-1} is integral."""
+    g = len(h)
+    z = [[Fraction(0)] * g for _ in range(g)]
+    for j in range(g):
+        for i in range(g):
+            z[i][j] = (Fraction(m * (i == j)) - sum(z[i][k] * h[k][j] for k in range(j))) / h[j][j]
+    assert all(x.denominator == 1 for row in z for x in row)
+    return [[int(x) % m for x in row] for row in z]
+
+
+@given(st.integers(1, 5).flatmap(lambda g: st.tuples(
+    st.lists(st.lists(st.integers(-50, 50), min_size=g, max_size=g), min_size=1, max_size=12),
+    st.integers(1, 3**20), st.integers(0, 3))))
+@settings(max_examples=150, deadline=None)
+def test_scaled_inverse_mod_matches_exact_rationals(case):
+    # every modulus m, from int64 through 2 m^3 g >= 2^63 (Python ints)
+    rows, m, shift = case
+    m *= 10 ** (6 * shift)
+    h = hnf_mod(rows, m)
+    z = scaled_inverse_mod(h, m)
+    assert z.dtype == (np.int64 if 2 * m * prod(map(int, np.diagonal(h))) * m * len(h) < 2**63
+                       else object)
+    assert z.tolist() == _scaled_inverse_by_fractions(h.tolist(), m)
+
+
 def test_det_matches_leibniz():
     for _ in range(40):
         n = rng.randint(1, 5)
@@ -290,7 +319,8 @@ def test_snf_transforms_diagonalize():
     for _ in range(40):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(m, n)
-        sd = snf(a)
+        sd = snf_with_transforms(a)
+        assert sd.diag == snf(a).diag
         prod = mat_mul(sd.left, a, sd.right)
         for i in range(m):
             for j in range(n):

@@ -187,6 +187,20 @@ def test_second_even_sweep_bytes_pinned_at_211():
     assert hashlib.sha256(csv.encode()).hexdigest() == EVEN_211_3001_SHA256
 
 
+@pytest.mark.parametrize("sign,window,rows,digest", [
+    (1, (3001, 6000), 389, EVEN_211_3001_SHA256),
+    (-1, (-3000, -1), 371, ODD_211_SHA256),
+])
+def test_pinned_211_sweeps_from_a_loaded_cache(tmp_path, sign, window, rows, digest):
+    # the context a load derives from W gives the pinned bytes too
+    path = tmp_path / "ctx.json"
+    save_context(*build_pair(211, 5, 3, sign), path)
+    pair = load_context(path)
+    csv = report_to_csv((sweep_even if sign > 0 else sweep_odd)(211, 5, *window, context=pair))
+    assert csv.count("\n") - 1 == rows
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
 def test_sweep_validates_each_discriminant_once_in_a_row(monkeypatch):
     # the window filter checks every D and `_rows` refuses a bad one again;
     # the row's field profile and split-prime data then run unchecked, so
@@ -246,9 +260,10 @@ def test_cache_round_trip(tmp_path):
     assert space2.star == space.star
     assert space2.plus_basis == space.plus_basis
     assert space2.minus_basis == space.minus_basis
-    assert ctx2.W == ctx.W and ctx2.e == ctx.e
+    assert ctx2.W == ctx.W and ctx2.g_p == ctx.g_p and ctx2.e == ctx.e
     assert [sd.diag for sd in ctx2.snf_of_W] == [sd.diag for sd in ctx.snf_of_W]
-    assert [sd.right for sd in ctx2.snf_of_W] == [sd.right for sd in ctx.snf_of_W]
+    assert [m for m, _ in ctx2.membership] == [m for m, _ in ctx.membership]
+    assert all((a == b).all() for (_, a), (_, b) in zip(ctx2.membership, ctx.membership))
 
     # the symbol indexing is derived from N alone, identically
     assert space2.generators == space.generators
@@ -264,11 +279,12 @@ def test_cache_round_trip(tmp_path):
     assert report_to_csv(report) == EVEN_CSV
 
 
-# sha256 and size of what save_context writes for build_pair(N, 5, 3, sign)
+# sha256 and size of what save_context writes for build_pair(N, 5, 3, sign),
+# pinned again at format version 5, which keeps g_p and W alone
 CACHE_BYTES = {
-    (11, 1): ("b2030f96dc25315d755a75351f7aab9a92b6ff6f4748abdb4f68d686ecfc7dcb", 465),
-    (211, 1): ("53ea6c92476c06afbb0411f606344bdd40296c883d06d45697872ec8710a4428", 28868),
-    (211, -1): ("66aad830113355313cad4b1bab29095208c830444ba9e76aea5e6b1049bcfebf", 28708),
+    (11, 1): ("cbfcead6ac47c6b26ea07420cb6fb79e93d22c43dccfffb65d83279108016cf6", 293),
+    (211, 1): ("0f78022ad508f169aea32466fe19e9c28cb488d851042e1cb32c22a4bfcb688c", 6311),
+    (211, -1): ("a344c4abb24c56222f45064796a7a6953f66a111633ec866a555627f9052a75d", 6356),
 }
 
 
@@ -327,8 +343,9 @@ def test_cache_rejects_foreign_version(tmp_path):
     save_context(space, ctx, path)
     envelope = json.loads(path.read_text())
     # version 1 files also stored the unused SNF left transforms, version 3
-    # files every matrix of the space
-    for version in (0, 1, 3):
+    # files every matrix of the space, version 4 files the generators of I,
+    # the SNF diagonals and right transforms and e
+    for version in (0, 1, 3, 4):
         envelope["format_version"] = version
         path.write_text(json.dumps(envelope))
         with pytest.raises(CacheVersionError, match="version"):
@@ -350,7 +367,7 @@ def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
     envelope = json.loads(path.read_text())
     envelope["format_version"] = 2
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 2, this build reads 4"):
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 5"):
         load_context(path)
 
 
@@ -359,7 +376,8 @@ def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
     path = tmp_path / "ctx.json"
     save_context(space, ctx, path)
     payload = json.loads(path.read_text())["payload"]
-    assert "space" not in payload and payload["N"] == "11"
+    assert set(payload) == {"N", "space_sha256", "p", "n_max", "sign", "g_p", "W"}
+    assert payload["N"] == "11" and payload["g_p"] == "1"
     assert payload["space_sha256"] == harness._space_digest(build_space(11))
 
     def edit_digest(payload):
@@ -375,7 +393,7 @@ def test_cache_rejects_tampered_payload(tmp_path):
     path = tmp_path / "ctx.json"
     save_context(space, ctx, path)
     envelope = json.loads(path.read_text())
-    envelope["payload"]["e"][-1] = "999"
+    envelope["payload"]["g_p"] = "2"
     path.write_text(json.dumps(envelope))
     with pytest.raises(CacheIntegrityError, match="integrity"):
         load_context(path)
@@ -405,9 +423,6 @@ def test_cache_rechecks_structure_on_load(tmp_path):
     def widen_level(payload):
         payload["W"][2] = [row + ["0"] for row in payload["W"][2]]
 
-    def shorten_diag(payload):
-        payload["snf_diag"][1].pop()
-
     def drop(key):
         return lambda payload: payload.pop(key)
 
@@ -420,16 +435,27 @@ def test_cache_rechecks_structure_on_load(tmp_path):
     for edit, what in ((swap_levels, "W_2 is not inside W_1"),
                        (negate_level, "W_1 is not a Hermite basis"),
                        (widen_level, "not 1 x 1"),
-                       (shorten_diag, "not 1 x 1"),
-                       (drop("e"), r"malformed payload \(KeyError: 'e'"),
+                       (drop("g_p"), r"malformed payload \(KeyError: 'g_p'"),
                        (drop("space_sha256"), r"malformed payload \(KeyError"),
-                       *((drop_level(k), r"n_max \+ 2 = 5 levels")
-                         for k in ("W", "snf_diag", "snf_right", "e")),
+                       (drop_level("W"), r"n_max \+ 2 = 5 levels"),
                        (other_p, r"malformed payload \(ValueError: hypothesis p")):
         save_context(space, ctx, path)
         _resealed(path, edit)
         with pytest.raises(CacheIntegrityError, match=what):
             load_context(path)
+
+
+def test_cache_refuses_a_g_p_out_of_bounds_or_against_merel(tmp_path):
+    # a resealed g_p is held to 1 <= g_p <= genus and to Merel's criterion
+    # (false at 11, where the genus is 1; true at 31, where it is 2)
+    path = tmp_path / "ctx.json"
+    for N, bad in ((11, ("0", "2")), (31, ("0", "1", "3"))):
+        pair = build_pair(N, 5, 3, 1)
+        for value in bad:
+            save_context(*pair, path)
+            _resealed(path, lambda payload: payload.update(g_p=value))
+            with pytest.raises(CacheIntegrityError, match=f"g_p = {value} is not in"):
+                load_context(path)
 
 
 # ---------------------------------------------------------------------------

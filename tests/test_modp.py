@@ -18,7 +18,7 @@ import pytest
 
 import eistheta
 from eistheta import modp
-from eistheta.eisenstein import build_context, g_p_dimension, merel_criterion
+from eistheta.eisenstein import build_context, eisenstein_generators, g_p_dimension, merel_criterion
 from eistheta.exact_linalg import IntMatrix, is_prime, primes_up_to, snf
 from eistheta.modp import (
     _joint_kernel_dims,
@@ -75,7 +75,7 @@ def _g_p_oracle(ctx):
     # joint kernel of the d-th powers of the Eisenstein generators
     d = ctx.W[0].rows
     concat = [[] for _ in range(d)]
-    for gen in ctx.eis_generators:
+    for gen in eisenstein_generators(ctx.space, ctx.sign):
         power = _fp_pow([list(r) for r in gen.entries], d, ctx.p)
         for i in range(d):
             concat[i].extend(power[i])
