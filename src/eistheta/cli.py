@@ -75,7 +75,7 @@ def _cmd_space(args, out):
         "N": sp.N,
         "generators": len(sp.generators),
         "rank_M_rel": sp.reduction.cols,
-        "rank_M": sp.cuspidal_basis.rows,
+        "rank_M": 2 * sp.genus,
         "genus": sp.genus,
         "rank_plus": sp.plus_basis.rows,
         "rank_minus": sp.minus_basis.rows,

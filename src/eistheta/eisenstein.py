@@ -57,6 +57,7 @@ from .exact_linalg import (
 from .modp import _mod_p, cut, merel_criterion
 from .modsym import (
     check_pair,
+    cuspidal_coords,
     hecke,
     path_to_chain,
     restrict_to_sign,
@@ -69,7 +70,8 @@ class EisensteinContext:
     """Everything needed to valuate elements against the W_n chain at
     one sign: the Hermite bases W of W_n = I^n M^sign, n = 0 .. n_max + 1
     (the extra level lets "valuation >= n_max + 1" be certified
-    honestly), and the multiplicity g_p.  The rest is derived from W."""
+    honestly), and the multiplicity g_p.  The rest is derived from W,
+    and the discrete log from (N, p)."""
 
     space: object
     p: int
@@ -77,11 +79,15 @@ class EisensteinContext:
     sign: int
     g_p: int
     W: tuple  # HNF bases of I^n M^sign, in signed coordinates
-    logmap: LogMap
 
     @property
     def sturm_bound(self):
         return _sturm_bound(self.space.N)
+
+    @cached_property
+    def logmap(self):
+        """The discrete log to Z/p on (Z/N)^x that the sweep rows read."""
+        return LogMap(self.space.N, self.p)
 
     @cached_property
     def snf_of_W(self):
@@ -177,7 +183,7 @@ def build_context(space, p, n_max=3, sign=1):
         # bound on these rows keeps within 2^53 - p (it raises otherwise)
         rows, cols = cut(rows, cols, _mod_p(rows @ (eta % p).astype(np.float64), p), 0, p)
     return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign, g_p=rows.shape[0],
-                             W=tuple(ws), logmap=LogMap(N, p))
+                             W=tuple(ws))
 
 
 def _valuations(ctx, x):
@@ -265,14 +271,13 @@ def alpha_check(ctx, samples, logmap=None):
         raise ValueError("alpha lives on the plus part")
     lm = logmap if logmap is not None else ctx.logmap
     space = ctx.space
-    cusp, cusp_inv = space.cuspidal_basis.array, space.cuspidal_inverse.array
     plus, plus_inv = space.signed(1)
     inv2 = pow(2, -1, ctx.p)
     pairs = []
     for b, d in samples:
         if gcd(d, space.N) != 1:
             raise ValueError("sample denominator shares a factor with N")
-        x = solve_by_inverse(cusp, cusp_inv, as_int64([path_to_chain(space, b, d)]))
+        x = cuspidal_coords(as_int64([path_to_chain(space, b, d)]), "path")
         sym = x + mul_int64(x, space.star.array)
         y = solve_by_inverse(plus, plus_inv, sym)[0].tolist()
         val = _alpha_of_plus_vector(ctx, y) * inv2 % ctx.p

@@ -38,13 +38,13 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuations,
 )
-from .exact_linalg import IntMatrix, LogMap, hnf_mod
+from .exact_linalg import IntMatrix, hnf_mod
 from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import _field_profile, class_numbers, validate_discriminant
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 5  # context cache files
+FORMAT_VERSION = 6  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
@@ -249,11 +249,14 @@ def _dec_matrix(rows):
 
 
 def _space_digest(space):
-    """sha256 of the shape and int64 bytes of each matrix field of the
-    space, in field order: what a cache file keeps of the space."""
+    """sha256 of the shape and int64 bytes of each field of the space
+    that fixes a coordinate, in field order: the matrices and the
+    coordinate symbols.  It is what a cache file keeps of the space."""
     h = hashlib.sha256()
     for f in fields(space):
         m = getattr(space, f.name)
+        if f.name == "coord_symbols":
+            m = IntMatrix([m])
         if isinstance(m, IntMatrix):
             h.update(f"{f.name}:{m.rows}x{m.cols};".encode())
             h.update(m.array.astype("<i8").tobytes())
@@ -359,7 +362,7 @@ def load_context(path):
     if _space_digest(space) != digest:
         raise CacheVersionError("cache file was written on another M_rel basis: "
                                 f"its space digest differs from build_space({N})")
-    ctx = EisensteinContext(space=space, p=p, logmap=LogMap(N, p), **parts)
+    ctx = EisensteinContext(space=space, p=p, **parts)
     _check_structure(ctx)
     return space, ctx
 

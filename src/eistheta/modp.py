@@ -50,6 +50,7 @@ import numpy as np
 from .exact_linalg import primes_up_to
 from .modsym import (
     check_pair,
+    coordinate_symbols,
     genus,
     hecke_counts,
     presentation,
@@ -248,15 +249,15 @@ def _joint_kernel_dims(N, p):
     def reduce_symbols(idx):  # the quotient map's rows at these symbols
         return _mod_p(red_vars_p[var_of[idx]] * sign_of[idx], p)
 
-    coord_gen = np.array([pres.reps[f] for f in free])  # one generator per coordinate
+    coord_gen = np.array(coordinate_symbols(pres, free))  # one generator per coordinate
     if (reduce_symbols(coord_gen) != np.eye(k)).any():
         raise ValueError("coordinate generators do not reduce to a basis")
 
-    # plus quotient: boundary zero and fixed by the star involution
-    bd = np.array(pres.boundary, dtype=np.float64)
+    # plus quotient: boundary zero, which is coordinate 0 zero (the
+    # unit column e_0; `modsym` docstring), and fixed by the star involution
     iota = np.array(pres.iota)
-    cond = np.hstack([_mod_p(bd[coord_gen], p),
-                      _mod_p(reduce_symbols(iota[coord_gen]) - np.eye(k), p)])
+    eye = np.eye(k)
+    cond = np.hstack([eye[:, :1], _mod_p(reduce_symbols(iota[coord_gen]) - eye, p)])
     vecs, vcols = _left_nullspace_mod_p(cond, p)
     if vecs.shape[0] != genus(N):
         raise ValueError("plus quotient mod p does not have rank g")

@@ -19,10 +19,28 @@ free quotient M_rel, of rank 2g + 1, is then read off a spanning tree
 with no elimination (`tree_reduction`): the non-tree edges are its
 basis, and a tree edge is the signed sum of the non-tree edges across
 the cut it makes, the sum of the vertex rows on one side.  Every
-reduction entry is -1, 0 or 1, and the section lifts each basis vector
-to a single symbol.  All reductions and sections are integral
-matrices, so every later computation (boundary, star involution,
+reduction entry is -1, 0 or 1, and basis vector j is the class of one
+symbol, the representative of the j-th free variable.  The reduction
+is an integral matrix, so every later computation (star involution,
 Hecke action, theta elements) is exact.
+
+The cuspidal lattice M = ker(boundary) is M_rel without its coordinate
+0.  Proof: at prime level the cusps form two classes, p/q lying over oo
+iff N | q and over 0 otherwise.  The symbol (c:d) is the path
+{b/d, a/c} of a lift (a, b; c, d), so its boundary [a/c] - [b/d] is
+nonzero only when N divides one of c, d: at (0:1) = {0, oo} and at
+(1:0) = -(0:1).  The two are S-partners, one folded variable, which is
+variable 0, represented by (0:1), the first generator.  The tau-orbit
+of (0:1) is {(0:1), (1:-1), (1:0)}, so that variable sits twice in
+row 0, a loop.  A loop is never a tree edge, so variable 0 is free and,
+`free` being sorted, free[0]: coordinate 0 is the class of {0, oo},
+with boundary [oo] - [0], and every other coordinate is the class of a
+symbol with no boundary.  So a vector of M_rel lies in M exactly when
+its coordinate 0 is zero, and coordinates 1 .. 2g are the cuspidal
+coordinates: no kernel is computed and no section is kept.  A theta
+chain, a Hecke image or a star image with a nonzero coordinate 0 has a
+nonzero boundary, and `cuspidal_coords` raises on it;
+`coordinate_symbols` raises unless free[0] is the variable of (0:1).
 
 A Hecke operator acts on Manin symbols through a family of integer
 matrices of determinant l, each sending the symbol (c:d) to
@@ -50,23 +68,22 @@ continued-fraction walk of y/N (`_symbol_stream`) past its opening
 (0:1), O(log N) symbols; at y = 0 that walk is (1:0) = -(0:1) by the
 two-term relation, W_N(1:0) = (0:1).  `hecke_counts` gives these
 signed counts at l = N and Cremona's family's counts otherwise, for
-both routes; `hecke` applies them only to the symbols in the support
-of the section, the only ones the operator on M_rel reads.  On M_rel,
--W_N need not be U_N, but only its restriction to M is read.  Merel's
+both routes; `hecke` applies them only to the symbols of coordinates
+1 .. 2g, the basis of M.  On M_rel, -W_N need not be U_N, but only its
+restriction to M is read.  Merel's
 determinant-N family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = N}
 (Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994)
 also gives U_N, once its images (0:0) are dropped, but it has 6,991
 matrices at N = 421 against 2g + 1 = 69 walks, so it stays only in the
 tests, as the independent oracle this U_N is checked against.
 
-The fixed matrices of a space (reduction, section, boundary, cuspidal
-and signed bases, and integral left inverses of the bases) are
-`IntMatrix`es, each stored once as a read-only array, int64 while its
-entries fit.  Products with them run in int64 under `mul_int64`'s
-bound, which raises rather than overflow.
+The fixed matrices of a space (reduction, star, the signed bases and
+their integral left inverses) are `IntMatrix`es, each stored once as a
+read-only array, int64 while its entries fit.  Products with them run
+in int64 under `mul_int64`'s bound, which raises rather than overflow.
 A solve x @ B = v is v @ L for a left inverse L of B, proven by
-multiplying back (`solve_by_inverse`); `hecke`, `restrict_to_sign` and
-the theta walk solve that way.
+multiplying back (`solve_by_inverse`); `restrict_to_sign` and the
+valuations solve that way.
 
 The theta element of D is the chain sum_a chi_D(a) {0, a/m}, m = |D|,
 and only the a < m/2 are walked (the half walk).  Proof: pair a > m/2
@@ -87,8 +104,8 @@ discriminants dividing D; the continued-fraction walks of many D run
 together in one lockstep Euclid loop, each step's symbols
 (q_k : +-q_{k-1}) counted by one `bincount` keyed by row and symbol
 (`theta_elements`).  The folded counts go through the int64 reduction
-to M_rel, and into the cuspidal (and later the signed) basis by
-`solve_by_inverse`.  `path_to_chain` is the one-path form.
+to M_rel, whose coordinates 1 .. 2g are the cuspidal ones.
+`path_to_chain` is the one-path form.
 """
 
 from dataclasses import dataclass
@@ -100,7 +117,6 @@ import numpy as np
 
 from .exact_linalg import (
     IntMatrix,
-    as_int64,
     factorize,
     is_prime,
     kronecker,
@@ -161,8 +177,6 @@ class Presentation:
     its variable (listed in `sfixed`).  What remains is the relation
     matrix in folded variables, nrel rows of sparse (row, var, coeff)
     triples: one row per tau-orbit, then one row per `sfixed` entry.
-    `boundary` gives each generator's boundary as its coefficients on
-    the two cusp classes ([0], [oo]).
     """
 
     N: int
@@ -177,7 +191,6 @@ class Presentation:
     sfixed: tuple
     relations: tuple
     nrel: int
-    boundary: tuple
 
 
 def presentation(N):
@@ -230,19 +243,10 @@ def presentation(N):
     for v in sfixed:
         relations.append((nrel, v, 2))
         nrel += 1
-
-    # symbol (c:d) is the path {b/d, a/c} for any SL2 lift, and at prime
-    # level the cusp p/q sits at oo iff N | q, else at 0, so only the
-    # bottom row (c, d) matters; rows keyed by (N | c, N | d) are shared
-    # so the table costs one reference per generator
-    rows = {(False, False): (0, 0), (True, False): (-1, 1),
-            (False, True): (1, -1), (True, True): (0, 0)}
-    boundary = tuple(rows[c % N == 0, d % N == 0] for c, d in gens)
     return Presentation(
         N=N, generators=gens, inv=inv, sigma=sigma, tau=tau, iota=iota,
         var_of=tuple(var_of), sign_of=tuple(sign_of), reps=tuple(reps),
         sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
-        boundary=boundary,
     )
 
 
@@ -310,23 +314,21 @@ class ModularSymbolSpace:
     """Immutable exact model of H_1(X_0(N), cusps; Z) and its pieces.
 
     Matrix conventions: everything acts on row vectors from the right.
-    `reduction` maps Manin-symbol coordinates to M_rel coordinates,
-    `relation_kernel_basis` (the section) lifts M_rel back to symbols,
-    and reduction o section = identity.  `cuspidal_basis` rows span
-    M = ker(boundary) inside M_rel; `star`, `plus_basis`, `minus_basis`
-    live in cuspidal-basis coordinates.  The symbol indexing
-    (`generators`, `_inv`, `_iota`) is that of `presentation(N)`.
-    `build_space(N)` makes every field a deterministic function of N, so
-    a cache file stores N and a digest of the matrices, not the matrices
-    (`harness.save_context`).
+    `reduction` maps Manin-symbol coordinates to M_rel coordinates, and
+    coordinate j is the class of the symbol `coord_symbols[j]`, so the
+    reduction's rows there are the identity.  M is the slice of
+    coordinates 1 .. 2g (module docstring): `star`, `plus_basis`,
+    `minus_basis` and the Hecke matrices live in those cuspidal
+    coordinates.  The symbol indexing (`generators`, `_inv`, `_iota`)
+    is that of `presentation(N)`.  `build_space(N)` makes every field a
+    deterministic function of N, so a cache file stores N and a digest
+    of the space, not the space (`harness.save_context`).
     """
 
     N: int
-    relation_kernel_basis: IntMatrix  # section: M_rel -> symbols
     reduction: IntMatrix  # symbols -> M_rel
-    boundary: IntMatrix  # M_rel -> Z^2 (cusp classes [0], [oo])
-    cuspidal_basis: IntMatrix  # rows: basis of M in M_rel coordinates
-    star: IntMatrix  # involution on M, cuspidal-basis coordinates
+    coord_symbols: tuple  # the symbol of each M_rel coordinate; (0:1) first
+    star: IntMatrix  # involution on M, cuspidal coordinates
     plus_basis: IntMatrix  # rows: basis of M^+ in cuspidal coordinates
     minus_basis: IntMatrix
     genus: int
@@ -340,12 +342,8 @@ class ModularSymbolSpace:
         v %= self.N
         return p1_index(u, v, self.N, self._inv) if u or v else None
 
-    # integral left inverses of the bases, derived on first use and never
-    # written to a cache file (see `solve_by_inverse`)
-    @cached_property
-    def cuspidal_inverse(self):
-        return left_inverse(self.cuspidal_basis)
-
+    # integral left inverses of the signed bases, derived on first use and
+    # never written to a cache file (see `solve_by_inverse`)
     @cached_property
     def plus_inverse(self):
         return left_inverse(self.plus_basis)
@@ -362,15 +360,13 @@ class ModularSymbolSpace:
         return self.minus_basis.array, self.minus_inverse.array
 
     @cached_property
-    def section_support(self):
-        """(S, section[:, S]): the symbols the section reads, and its
-        columns there as a read-only int64 array; the section vanishes on
-        every other symbol."""
-        sec = self.relation_kernel_basis.array
-        support = np.flatnonzero(sec.any(axis=0))
-        sec_s = sec[:, support]
-        sec_s.flags.writeable = False
-        return support, sec_s
+    def relation_kernel_basis(self):
+        """The section M_rel -> symbols: row j is the unit vector at
+        `coord_symbols[j]`.  No computation reads it; it is kept for
+        readers outside the package."""
+        sec = np.zeros((len(self.coord_symbols), self.N + 1), dtype=np.int64)
+        sec[np.arange(len(sec)), self.coord_symbols] = 1
+        return IntMatrix(sec)
 
 
 @dataclass(frozen=True)
@@ -385,7 +381,7 @@ class HeckeOp:
 @dataclass(frozen=True)
 class ThetaElement:
     """Theta element of a fundamental discriminant: the chain
-    sum_a chi_D(a) {0, a/|D|} written in the cuspidal basis."""
+    sum_a chi_D(a) {0, a/|D|} in cuspidal coordinates."""
 
     D: int
     coords: tuple
@@ -393,45 +389,54 @@ class ThetaElement:
 
 
 def build_space(N):
-    """Construct the full modular-symbol space at prime level N >= 5, on
-    the M_rel basis of `tree_reduction`: the section lifts each basis
-    vector to the representative symbol of its free variable."""
+    """Construct the full modular-symbol space at prime level N >= 5 of
+    genus g >= 1, on the M_rel basis of `tree_reduction`."""
+    if genus(N) == 0:
+        raise ValueError(f"X_0({N}) has genus 0: there is no cuspidal lattice")
     pres = presentation(N)
-    free, red_vars = tree_reduction(pres)
+    return _space_from_tree(pres, *tree_reduction(pres))
+
+
+def coordinate_symbols(pres, free):
+    """The representative symbol of each free variable, that is of each
+    M_rel coordinate; raises ValueError unless coordinate 0 is
+    (0:1) = {0, oo}, on which reading M as coordinates 1 .. 2g rests
+    (module docstring)."""
+    symbols = [pres.reps[v] for v in free]
+    if not symbols or symbols[0] != 0:
+        raise ValueError("M_rel coordinate 0 is not the symbol (0:1) = {0, oo}")
+    return symbols
+
+
+def cuspidal_coords(rel, what):
+    """The cuspidal coordinates rel[:, 1:] of the rows of an M_rel array;
+    raises ValueError if a row has a nonzero coordinate 0, that is a
+    nonzero boundary."""
+    if rel[:, 0].any():
+        raise ValueError(f"{what} has nonzero boundary")
+    return rel[:, 1:]
+
+
+def _space_from_tree(pres, free, red_vars):
+    """The space on the M_rel basis of a spanning tree's (free, red_vars)
+    (`tree_reduction`), checked: each coordinate is the class of its
+    free variable's representative symbol, and coordinate 0 is that of
+    (0:1)."""
+    symbols = coordinate_symbols(pres, free)
     red = red_vars[list(pres.var_of)] * np.array(pres.sign_of, dtype=np.int64)[:, None]
-    sec = np.zeros((len(free), N + 1), dtype=np.int64)
-    sec[np.arange(len(free)), [pres.reps[v] for v in free]] = 1
-    return _space_from_section(pres, sec, red)
-
-
-def _space_from_section(pres, sec, red):
-    """The space on the M_rel basis given by int64 arrays sec (section,
-    M_rel -> symbols) and red (reduction, symbols -> M_rel), checked to
-    satisfy sec @ red = I."""
-    k = sec.shape[0]
-    if not np.array_equal(mul_int64(sec, red), np.eye(k)):
-        raise ValueError("section is not a right inverse of the reduction")
-
-    boundary = IntMatrix(mul_int64(sec, as_int64(pres.boundary)))
-    cuspidal = IntMatrix(left_kernel(boundary))
-    cusp_inv = left_inverse(cuspidal)
-    cusp = cuspidal.array
-    star_rel = mul_int64(sec, red[list(pres.iota)])
-    star_m = IntMatrix(solve_by_inverse(cusp, cusp_inv.array, mul_int64(cusp, star_rel)))
-    plus, minus = star_decompose(star_m)
-    g = cuspidal.rows // 2
-    if cuspidal.rows != 2 * g or k != 2 * g + 1:
-        raise ValueError("relative homology rank is not 2g + 1")
+    if not np.array_equal(red[symbols], np.eye(len(symbols))):
+        raise ValueError("the reduction does not send the coordinate symbols to the identity")
+    iota = np.array(pres.iota)
+    star = IntMatrix(cuspidal_coords(red[iota[symbols[1:]]], "star image"))
+    plus, minus = star_decompose(star)
+    g = genus(pres.N)
     if plus.rows != g or minus.rows != g:
         raise ValueError("star eigenlattices do not both have rank g")
-
-    space = ModularSymbolSpace(
+    return ModularSymbolSpace(
         N=pres.N,
-        relation_kernel_basis=IntMatrix(sec),
         reduction=IntMatrix(red),
-        boundary=boundary,
-        cuspidal_basis=cuspidal,
-        star=star_m,
+        coord_symbols=tuple(symbols),
+        star=star,
         plus_basis=plus,
         minus_basis=minus,
         genus=g,
@@ -439,9 +444,6 @@ def _space_from_section(pres, sec, red):
         _inv=pres.inv,
         _iota=pres.iota,
     )
-    # seed the cached property, so the first hecke or theta does not redo the HNF
-    space.__dict__["cuspidal_inverse"] = cusp_inv
-    return space
 
 
 def star_decompose(star):
@@ -548,18 +550,15 @@ def hecke(space, ell):
     """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
     lattice, computed on Manin symbols by `hecke_counts`: Cremona's
     Heilbronn matrices for ell != N, -W_N for U_N (module docstring).
-    Only the symbols S in the support of the section are acted on: the
-    operator on M_rel is section[:, S] @ counts @ reduction, and on M it
-    is read off through the cuspidal basis's left inverse, all in int64
-    under `mul_int64`'s bound."""
+    Only the symbols of the cuspidal coordinates 1 .. 2g are acted on,
+    and their images counts @ reduction, in int64 under `mul_int64`'s
+    bound, are read in cuspidal coordinates."""
     if not is_prime(ell):
         raise ValueError("Hecke index must be prime")
-    support, sec_s = space.section_support
-    counts = hecke_counts([space.generators[j] for j in support], ell, space.N, space._inv)
-    t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
-    cusp = space.cuspidal_basis.array
-    t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))
-    return HeckeOp(index=ell, matrix=IntMatrix(t_m))
+    symbols = [space.generators[j] for j in space.coord_symbols[1:]]
+    counts = hecke_counts(symbols, ell, space.N, space._inv)
+    t = cuspidal_coords(mul_int64(counts, space.reduction.array), "Hecke image")
+    return HeckeOp(index=ell, matrix=IntMatrix(t))
 
 
 def restrict_to_sign(space, op_matrix, sign):
@@ -639,12 +638,12 @@ def theta_elements(space, Ds):
     rows are walked in chunks of at most _THETA_CHUNK lanes and
     (row, symbol) cells (a row with more lanes or cells is a chunk
     alone, its lanes walked _THETA_CHUNK at a time), so no array
-    outgrows that bound.  Each chunk is folded, reduced to M_rel,
-    checked to have no boundary and solved into the cuspidal basis at
-    once.  Every walk value is at most |D|, a Legendre table squares
-    residues mod q | D, and `p1_index` multiplies residues mod N: all
-    exact in int64 while max(N, |D|)^2 < 2^63, which is checked before
-    any symbol data is read."""
+    outgrows that bound.  Each chunk is folded, reduced to M_rel and
+    checked to have no boundary at once.  Every walk value is at most
+    |D|, a Legendre table squares residues mod q | D, and `p1_index`
+    multiplies residues mod N: all exact in int64 while
+    max(N, |D|)^2 < 2^63, which is checked before any symbol data is
+    read."""
     N = space.N
     Ds = list(Ds)
     for D in Ds:
@@ -696,9 +695,7 @@ def _theta_chunk(space, rows, inv, iota):
     # theta = half + s iota(half), s = sign(D)
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
     rel = mul_int64(half + s * half[:, iota], space.reduction.array)
-    if mul_int64(rel, space.boundary.array).any():
-        raise ValueError("theta chain has nonzero boundary")
-    in_m = solve_by_inverse(space.cuspidal_basis.array, space.cuspidal_inverse.array, rel)
+    in_m = cuspidal_coords(rel, "theta chain")
     return [ThetaElement(D=D, coords=tuple(c), sign=1 if D > 0 else -1)
             for D, c in zip(Ds, in_m.tolist())]
 

@@ -11,6 +11,10 @@ through the dense (N + 1) x (2g + 1) quotient map, before the counts
 were folded onto the variables, and `cut_full_squaring` is `modp.cut`
 before it stopped at a vanishing power; both reduce by numpy's `%`.  `full_theta_counts` is the theta walk over every residue, the
 reference for the half walk of `modsym.theta_elements`.
+`saturated_cuspidal_basis` is M as the saturated kernel of the
+boundary map, which `modsym` now reads off as M_rel without its
+coordinate 0, and `shuffled_tree_space` a space on a second spanning
+tree, another M_rel basis.
 `merel_matrices` is Merel's determinant-l family, and `merel_counts`
 its action on Manin symbols, one matrix at a time, with the images
 (0:0) dropped.  `merel_hecke` is T_l (U_N at l = N) through Merel's
@@ -36,7 +40,8 @@ W_n, the route that `eisenstein`'s Z_n = m_n H_n^{-1} mod m_n
 replaced.
 """
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
 import numpy as np
@@ -50,14 +55,18 @@ from eistheta.exact_linalg import (
     as_int64,
     divisors,
     is_prime,
+    left_kernel,
     vp,
     mul_int64,
 )
 from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p
 from eistheta.modsym import (
     _chi_table,
+    _space_from_tree,
+    cuspidal_coords,
     p1_index,
-    solve_by_inverse,
+    presentation,
+    tree_reduction,
 )
 from eistheta.quadfield import (
     _pqa_cycle,
@@ -460,12 +469,37 @@ def merel_hecke(space, ell):
     """T_ell (U_N at ell = N) on the cuspidal lattice through Merel's
     determinant-ell family, as an IntMatrix: `modsym.hecke` with the
     counts taken from `merel_counts`."""
-    support, sec_s = space.section_support
-    counts = merel_counts([space.generators[j] for j in support], ell, space.N, space._inv)
-    t_rel = mul_int64(sec_s, mul_int64(counts, space.reduction.array))
-    cusp = space.cuspidal_basis.array
-    t_m = solve_by_inverse(cusp, space.cuspidal_inverse.array, mul_int64(cusp, t_rel))
-    return IntMatrix(t_m)
+    symbols = [space.generators[j] for j in space.coord_symbols[1:]]
+    counts = merel_counts(symbols, ell, space.N, space._inv)
+    return IntMatrix(cuspidal_coords(mul_int64(counts, space.reduction.array), "Hecke image"))
+
+
+def symbol_boundary(N, c, d):
+    """The boundary [a/c] - [b/d] of the Manin symbol (c:d), the path
+    {b/d, a/c} of a lift (a, b; c, d), on the cusp classes ([0], [oo]):
+    at prime level p/q lies over oo iff N | q."""
+    def cusp(q):
+        return (0, 1) if q % N == 0 else (1, 0)
+    return tuple(x - y for x, y in zip(cusp(c), cusp(d)))
+
+
+def saturated_cuspidal_basis(space):
+    """M inside M_rel as the saturated left kernel of the boundary map on
+    the coordinate symbols, the route `modsym` took before it read M off
+    the coordinates 1 .. 2g."""
+    bd = IntMatrix([symbol_boundary(space.N, *space.generators[i]) for i in space.coord_symbols])
+    return IntMatrix(left_kernel(bd))
+
+
+def shuffled_tree_space(N, seed=0):
+    """The space at N on a second spanning tree: `tree_reduction` grown
+    from the relation triples in a shuffled order, which is another
+    M_rel basis wherever the tau-orbit graph has more than one tree."""
+    pres = presentation(N)
+    relations = list(pres.relations)
+    random.Random(seed).shuffle(relations)
+    pres = replace(pres, relations=tuple(relations))
+    return _space_from_tree(pres, *tree_reduction(pres))
 
 
 @dataclass(frozen=True)

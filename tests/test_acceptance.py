@@ -13,7 +13,7 @@ from math import gcd, isqrt
 import pytest
 
 from eistheta.eisenstein import alpha_check, build_context, g_p_dimension, theta_valuation
-from eistheta.exact_linalg import IntMatrix, LogMap, xgcd
+from eistheta.exact_linalg import IntMatrix, LogMap, kronecker, xgcd
 from eistheta.harness import (
     fixture_rows,
     load_context,
@@ -32,7 +32,7 @@ from eistheta.quadfield import (
     validate_discriminant,
 )
 from eistheta.selmer import SelmerInput, equivalence_predicate
-from oracles import fundamental_unit, mat_mul, solve_left
+from oracles import fundamental_unit, mat_mul
 
 rng = random.Random(3001)
 
@@ -211,12 +211,20 @@ def test_criterion_8_structural_suite(pair11, pair31, tmp_path):
         if mat_mul(ops[i], space31.star) != mat_mul(space31.star, ops[i]):
             failures.append(f"T{i} does not commute with the involution")
 
-    # theta elements: boundary zero, eigenvector of the involution
+    # theta elements: the sum of their paths has boundary zero (no
+    # {0, oo} coordinate) and the theta's coordinates, eigenvector of
+    # the involution
     for D in (12, 37, -3, -47):
         theta = theta_element(space11, D)
-        rel = mat_mul(IntMatrix([theta.coords]), space11.cuspidal_basis)
-        if any(mat_mul(rel, space11.boundary).entries[0]):
+        rel = [0] * space11.reduction.cols
+        for a in range(1, abs(D)):
+            chi = kronecker(D, a)
+            for j, x in enumerate(path_to_chain(space11, a, abs(D)) if chi else ()):
+                rel[j] += chi * x
+        if rel[0]:
             failures.append(f"theta {D} has boundary")
+        if tuple(rel[1:]) != theta.coords:
+            failures.append(f"theta {D} is not the sum of its paths")
         image = mat_mul(IntMatrix([theta.coords]), space11.star)
         want = tuple(theta.sign * x for x in theta.coords)
         if image.entries[0] != want:
@@ -340,26 +348,24 @@ def _coset_hecke(space, ell):
 
     k = space.reduction.cols
     rows = []
-    for row in space.cuspidal_basis.entries:
-        weights = mat_mul(IntMatrix([row]), space.relation_kernel_basis).entries[0]
+    for i in space.coord_symbols[1:]:  # the symbols of the cuspidal coordinates
         total = [0] * k
-        for i, coeff in enumerate(weights):
-            if not coeff:
-                continue
-            c, d = space.generators[i]
-            _, u, v = xgcd(d, c)  # u d + v c = 1, so [[u, -v], [c, d]] lifts
-            alpha = None if d == 0 else Fraction(-v, d)
-            beta = None if c == 0 else Fraction(u, c)
-            pairs = [tuple(None if e is None else (e + sh) / ell for e in (alpha, beta))
-                     for sh in range(ell)]
-            if space.N % ell:
-                pairs.append(tuple(None if e is None else e * ell for e in (alpha, beta)))
-            for lo, hi in pairs:
-                clo, chi_ = chain(lo), chain(hi)
-                for j in range(k):
-                    total[j] += coeff * (chi_[j] - clo[j])
+        c, d = space.generators[i]
+        _, u, v = xgcd(d, c)  # u d + v c = 1, so [[u, -v], [c, d]] lifts
+        alpha = None if d == 0 else Fraction(-v, d)
+        beta = None if c == 0 else Fraction(u, c)
+        pairs = [tuple(None if e is None else (e + sh) / ell for e in (alpha, beta))
+                 for sh in range(ell)]
+        if space.N % ell:
+            pairs.append(tuple(None if e is None else e * ell for e in (alpha, beta)))
+        for lo, hi in pairs:
+            clo, chi_ = chain(lo), chain(hi)
+            for j in range(k):
+                total[j] += chi_[j] - clo[j]
         rows.append(total)
-    return solve_left(space.cuspidal_basis, IntMatrix(rows))
+    if any(row[0] for row in rows):
+        return None  # an image outside M: no operator on the cuspidal lattice
+    return IntMatrix([row[1:] for row in rows])
 
 
 def test_criterion_9_oracles(pair11):

@@ -24,6 +24,12 @@ def test_space_command(capsys):
     assert info["genus"] == 2 and info["rank_plus"] == 2
 
 
+@pytest.mark.parametrize("N", [5, 7, 13])
+def test_space_command_refuses_genus_zero(capsys, N):
+    assert _run(capsys, "space", "--N", str(N)) == (
+        2, "", f"error: X_0({N}) has genus 0: there is no cuspidal lattice\n")
+
+
 def test_sweep_even_deterministic(capsys):
     code, first, _ = _run(capsys, "sweep-even", "--N", "11", "--p", "5",
                        "--dmin", "1", "--dmax", "100")

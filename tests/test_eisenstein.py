@@ -31,10 +31,8 @@ from eistheta.eisenstein import (
 from eistheta.harness import FIXTURES_LARGE
 from eistheta.modsym import (
     ThetaElement,
-    _space_from_section,
     build_space,
     hecke,
-    presentation,
     restrict_to_sign,
     solve_by_inverse,
     theta_element,
@@ -48,8 +46,8 @@ from oracles import (
     merel_counts,
     merel_hecke,
     residue_valuations,
+    shuffled_tree_space,
     smith_alpha_functional,
-    snf_section_reduction,
     solve_left,
 )
 
@@ -306,16 +304,15 @@ def _stacked_filtration(space, p, n_max, sign):
     replaced: each Hecke operator and its restriction solved by
     `solve_left` in IntMatrix arithmetic, and each W_{n+1} the full
     `hnf` of the stacked products W_n * eta."""
-    sec = space.relation_kernel_basis.entries
-    support = [j for j, col in enumerate(zip(*sec)) if any(col)]
-    sec_s = IntMatrix([[row[j] for j in support] for row in sec])
+    symbols = [space.generators[j] for j in space.coord_symbols[1:]]
     basis = space.plus_basis if sign > 0 else space.minus_basis
-    cusp = space.cuspidal_basis
 
     def generator(ell, eigen):
-        counts = merel_counts([space.generators[j] for j in support], ell, space.N, space._inv)
-        t_rel = mat_mul(sec_s, IntMatrix(counts), space.reduction)
-        t = solve_left(basis, mat_mul(basis, solve_left(cusp, mat_mul(cusp, t_rel))))
+        counts = merel_counts(symbols, ell, space.N, space._inv)
+        t_rel = mat_mul(IntMatrix(counts), space.reduction)
+        assert not any(row[0] for row in t_rel.entries)  # the images lie in M
+        t_m = IntMatrix([row[1:] for row in t_rel.entries])
+        t = solve_left(basis, mat_mul(basis, t_m))
         return IntMatrix([[x - (eigen if i == j else 0) for j, x in enumerate(row)]
                           for i, row in enumerate(t.entries)])
 
@@ -396,11 +393,14 @@ def test_merel_criterion_at_the_large_fixtures():
 @pytest.mark.parametrize("N,p", [(31, 5), (71, 7), (181, 5)])
 def test_filtration_is_independent_of_the_m_rel_basis(N, p):
     # e, the Smith invariants of every W_n, g_p and the theta valuations
-    # are the same on the SNF route's M_rel basis as on the tree's
-    pres = presentation(N)
+    # are the same on a second spanning tree's M_rel basis as on the
+    # first; at 31 the second tree gives the same reduction, but the
+    # Hecke operators act on other coordinate symbols
     tree = build_context(build_space(N), p)
-    old = build_context(_space_from_section(pres, *snf_section_reduction(pres)), p)
-    assert old.space.reduction != tree.space.reduction
+    old = build_context(shuffled_tree_space(N), p)
+    assert old.space.coord_symbols != tree.space.coord_symbols
+    assert (old.space.reduction == tree.space.reduction) == (N == 31)
+    assert old.space.coord_symbols[0] == tree.space.coord_symbols[0] == 0
     assert old.e == tree.e and g_p_dimension(old) == g_p_dimension(tree)
     assert [sd.diag for sd in old.snf_of_W] == [sd.diag for sd in tree.snf_of_W]
     ds = [D for D in range(5, 400) if validate_discriminant(D, N, p, want_split=True)][:5]

@@ -31,8 +31,8 @@ from eistheta.harness import (
     sweep_even,
     sweep_odd,
 )
-from eistheta.modsym import _space_from_section, build_space, hecke, presentation, theta_element
-from oracles import snf_section_reduction
+from eistheta.modsym import build_space, hecke, theta_element
+from oracles import shuffled_tree_space
 
 EVEN_CSV = """\
 N,p,D,h,h_mod_p,log1_u,log1_pi2,criterion,eis_valuation,selmer_rank,selmer_kind,consistent
@@ -253,10 +253,8 @@ def test_cache_round_trip(tmp_path):
     space2, ctx2 = load_context(path)
 
     assert space2.N == space.N and space2.genus == space.genus
-    assert space2.relation_kernel_basis == space.relation_kernel_basis
+    assert space2.coord_symbols == space.coord_symbols
     assert space2.reduction == space.reduction
-    assert space2.boundary == space.boundary
-    assert space2.cuspidal_basis == space.cuspidal_basis
     assert space2.star == space.star
     assert space2.plus_basis == space.plus_basis
     assert space2.minus_basis == space.minus_basis
@@ -280,11 +278,12 @@ def test_cache_round_trip(tmp_path):
 
 
 # sha256 and size of what save_context writes for build_pair(N, 5, 3, sign),
-# pinned again at format version 5, which keeps g_p and W alone
+# pinned again at format version 6, whose space digest covers the
+# coordinate symbols in place of the section, boundary and cuspidal basis
 CACHE_BYTES = {
-    (11, 1): ("cbfcead6ac47c6b26ea07420cb6fb79e93d22c43dccfffb65d83279108016cf6", 293),
-    (211, 1): ("0f78022ad508f169aea32466fe19e9c28cb488d851042e1cb32c22a4bfcb688c", 6311),
-    (211, -1): ("a344c4abb24c56222f45064796a7a6953f66a111633ec866a555627f9052a75d", 6356),
+    (11, 1): ("a0735a38f3ca59f0c22bb3b1dc38059c37330641489e4ebe28338b163479170c", 293),
+    (211, 1): ("18e4c7df83d49c291ef89bba1081e8fd4744d412f7e85ac47d90ac1949fcf091", 6311),
+    (211, -1): ("5ef70cf6e4ffe0feb7ff9035d8252bfd9d7cf84b4b325a62182ac1fd1bd3791c", 6356),
 }
 
 
@@ -344,8 +343,9 @@ def test_cache_rejects_foreign_version(tmp_path):
     envelope = json.loads(path.read_text())
     # version 1 files also stored the unused SNF left transforms, version 3
     # files every matrix of the space, version 4 files the generators of I,
-    # the SNF diagonals and right transforms and e
-    for version in (0, 1, 3, 4):
+    # the SNF diagonals and right transforms and e, version 5 files a
+    # digest of the section, boundary and cuspidal basis
+    for version in (0, 1, 3, 4, 5):
         envelope["format_version"] = version
         path.write_text(json.dumps(envelope))
         with pytest.raises(CacheVersionError, match="version"):
@@ -356,18 +356,21 @@ def test_cache_rejects_foreign_version(tmp_path):
 def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
     # version 2 files hold spaces on the M_rel basis of the Smith normal
     # form, which the spanning-tree basis replaced; at the current version
-    # the space's digest tells that basis from the one build_space gives
-    pres = presentation(31)
-    space = _space_from_section(pres, *snf_section_reduction(pres))
-    assert space.reduction != build_space(31).reduction
-    path = tmp_path / "v2.json"
-    save_context(space, build_context(space, 5), path)
-    with pytest.raises(CacheVersionError, match="another M_rel basis"):
-        load_context(path)
+    # the space's digest tells another basis from the one build_space
+    # gives: a second spanning tree's at 71, and at 31, where the second
+    # tree gives the same reduction, its other coordinate symbols
+    for N, p in ((31, 5), (71, 7)):
+        space, base = shuffled_tree_space(N), build_space(N)
+        assert space.coord_symbols != base.coord_symbols
+        assert (space.reduction == base.reduction) == (N == 31)
+        path = tmp_path / f"v2-{N}.json"
+        save_context(space, build_context(space, p), path)
+        with pytest.raises(CacheVersionError, match="another M_rel basis"):
+            load_context(path)
     envelope = json.loads(path.read_text())
     envelope["format_version"] = 2
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 2, this build reads 5"):
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 6"):
         load_context(path)
 
 

@@ -24,7 +24,10 @@ from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, pri
 from eistheta.modsym import (
     HeckeOp,
     _chi_table,
+    _space_from_tree,
     build_space,
+    coordinate_symbols,
+    cuspidal_coords,
     cremona_matrices,
     family_counts,
     genus,
@@ -33,7 +36,6 @@ from eistheta.modsym import (
     p1_index,
     path_to_chain,
     presentation,
-    solve_by_inverse,
     star_decompose,
     theta_element,
     theta_elements,
@@ -47,8 +49,10 @@ from oracles import (
     merel_counts,
     merel_matrices,
     relation_matrix,
+    saturated_cuspidal_basis,
     snf_section_reduction,
     solve_left,
+    symbol_boundary,
 )
 
 rng = random.Random(60493)
@@ -67,11 +71,11 @@ def test_build_space_pinned_ranks():
     sp = build_space(11)
     assert len(sp.generators) == 12
     assert sp.reduction.cols == 3
-    assert sp.cuspidal_basis.rows == 2
+    assert sp.star.rows == 2
     assert sp.genus == 1
     assert sp.plus_basis.rows == 1 and sp.minus_basis.rows == 1
     sp31 = build_space(31)
-    assert sp31.cuspidal_basis.rows == 4
+    assert sp31.star.rows == 4
     assert sp31.genus == 2
 
 
@@ -81,7 +85,7 @@ def test_ranks_match_genus_formula(N):
     g = genus_formula(N)
     assert sp.genus == g
     assert sp.reduction.cols == 2 * g + 1
-    assert sp.cuspidal_basis.rows == 2 * g
+    assert sp.star.rows == 2 * g
     assert sp.plus_basis.rows == g and sp.minus_basis.rows == g
 
 
@@ -175,6 +179,57 @@ def test_build_space_rejects_bad_level():
             build_space(N)
 
 
+@pytest.mark.parametrize("N", [5, 7, 13])
+def test_build_space_refuses_genus_zero(N, monkeypatch):
+    # X_0(N) has genus 0 at these primes: refused before any matrix is built
+    monkeypatch.setattr(modsym, "presentation", None)
+    with pytest.raises(ValueError, match=f"X_0\\({N}\\) has genus 0"):
+        build_space(N)
+
+
+LAYOUT_LEVELS = [N for N in range(11, 400) if is_prime(N) and genus(N) >= 1]
+
+
+def test_coordinate_zero_is_the_cusp_symbol():
+    # at every level of genus >= 1 the first free variable is that of
+    # (0:1) = {0, oo}, and no other representative symbol has c or d = 0
+    # mod N, that is a nonzero boundary
+    assert len(LAYOUT_LEVELS) == 73 and 13 not in LAYOUT_LEVELS
+    for N in LAYOUT_LEVELS:
+        pres = presentation(N)
+        free, _ = tree_reduction(pres)
+        assert free[0] == pres.var_of[0] == 0, N
+        assert pres.generators[0] == (0, 1) and pres.var_of[1] == 0  # (1:0) = -(0:1)
+        assert all(c % N and d % N for c, d in (pres.generators[r] for r in pres.reps[1:])), N
+        assert coordinate_symbols(pres, free) == [pres.reps[v] for v in free]
+        with pytest.raises(ValueError, match="coordinate 0"):
+            coordinate_symbols(pres, free[1:])
+
+
+def test_space_from_tree_checks_its_layout():
+    # the tree's coordinates rotated, so that coordinate 0 is no longer
+    # {0, oo}, and a reduction with a coordinate negated, so that its
+    # symbol no longer reduces to a unit row: both are refused
+    pres = presentation(31)
+    free, red_vars = tree_reduction(pres)
+    assert _space_from_tree(pres, free, red_vars).reduction == build_space(31).reduction
+    with pytest.raises(ValueError, match="coordinate 0"):
+        _space_from_tree(pres, free[1:] + free[:1], np.roll(red_vars, -1, axis=1))
+    flipped = red_vars.copy()
+    flipped[:, 2] *= -1
+    with pytest.raises(ValueError, match="identity"):
+        _space_from_tree(pres, free, flipped)
+
+
+@pytest.mark.parametrize("N", LEVELS + [421])
+def test_cuspidal_slice_matches_the_saturated_kernel(N):
+    # the saturated kernel of the boundary map is the identity without
+    # its row 0, so the cuspidal coordinates are the coordinates 1 .. 2g
+    sp = build_space(N)
+    eye = np.eye(2 * sp.genus + 1, dtype=np.int64)
+    assert saturated_cuspidal_basis(sp) == IntMatrix(eye[1:])
+
+
 def test_index_is_projective():
     sp = build_space(31)
     N = sp.N
@@ -227,19 +282,17 @@ def test_section_is_a_section():
     assert mat_mul(sp.relation_kernel_basis, sp.reduction) == IntMatrix.identity(5)
 
 
-def test_build_space_hands_over_the_cuspidal_inverse():
-    # the star matrix needs the inverse, so the build seeds the cached one
-    sp = build_space(31)
-    assert "cuspidal_inverse" in sp.__dict__
-    assert mat_mul(sp.cuspidal_basis, sp.cuspidal_inverse) == IntMatrix.identity(4)
-
-
 def test_boundary_rank_one():
-    sp = build_space(11)
-    nonzero = [r for r in sp.boundary.entries if any(r)]
-    assert len(nonzero) == 1
-    # degree-zero image: the two cusp classes appear with opposite signs
-    assert sum(nonzero[0]) == 0
+    # the boundary map on M_rel is coordinate 0 times [oo] - [0]: every
+    # symbol's boundary is its coordinate 0 times (-1, 1), a degree-zero
+    # image, so the map has rank one
+    for N in (11, 31, 53):
+        sp = build_space(N)
+        red = sp.reduction.entries
+        for i, (c, d) in enumerate(sp.generators):
+            assert symbol_boundary(N, c, d) == (-red[i][0], red[i][0]), (N, i)
+        bd = [symbol_boundary(N, *sp.generators[i]) for i in sp.coord_symbols]
+        assert bd[0] == (-1, 1) and not any(map(any, bd[1:]))
 
 
 def test_path_pinned_examples():
@@ -257,7 +310,9 @@ def test_path_pinned_examples():
 
 
 def test_path_boundary_telescopes():
-    # boundary of {0, a/m} is [cusp class of a/m] - [class of 0]
+    # boundary of {0, a/m} is [cusp class of a/m] - [class of 0], and
+    # coordinate 0, the {0, oo} one, carries it: it is 1 exactly when the
+    # path lands at the cusp oo, when N | m
     from math import gcd
 
     sp = build_space(11)
@@ -266,12 +321,9 @@ def test_path_boundary_telescopes():
         a = rng.randrange(-400, 400)
         if gcd(a, m) != 1:
             continue
-        chain = IntMatrix([list(path_to_chain(sp, a, m))])
-        bd = mat_mul(chain, sp.boundary).entries[0]
-        if m % sp.N == 0:
-            assert bd == (-1, 1)  # lands at the cusp oo
-        else:
-            assert bd == (0, 0)
+        assert path_to_chain(sp, a, m)[0] == (m % sp.N == 0)
+    for m in (11, 22, 143):
+        assert path_to_chain(sp, 1, m)[0] == 1
 
 
 def test_star_is_an_involution():
@@ -463,23 +515,12 @@ def _coset_apply(sp, ell, alpha, beta):
 
 
 def _oracle_matrix(sp, ell):
-    """The coset-definition operator on M, in cuspidal coordinates."""
-    sec = sp.relation_kernel_basis.entries
-    k = sp.reduction.cols
-    paths = [_gen_path(sp, i) for i in range(len(sp.generators))]
-    images = []
-    for row in sp.cuspidal_basis.entries:
-        coeffs = [sum(row[j] * sec[j][i] for j in range(k))
-                  for i in range(len(sp.generators))]
-        total = [0] * k
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            img = _coset_apply(sp, ell, *paths[i])
-            for j in range(k):
-                total[j] += c * img[j]
-        images.append(total)
-    return solve_left(sp.cuspidal_basis, IntMatrix(images))
+    """The coset-definition operator on M, in cuspidal coordinates: the
+    images of the symbols of coordinates 1 .. 2g, each in M (coordinate
+    0 zero), read without their coordinate 0."""
+    images = [_coset_apply(sp, ell, *_gen_path(sp, i)) for i in sp.coord_symbols[1:]]
+    assert not any(img[0] for img in images)
+    return IntMatrix([img[1:] for img in images])
 
 
 @pytest.mark.parametrize("ell", [2, 3, 11])
@@ -564,7 +605,7 @@ def test_theta_matches_sum_of_paths():
                     for i, x in enumerate(path_to_chain(sp, a, m)):
                         rel[i] += chi * x
             th = theta_element(sp, D)
-            assert mat_mul(IntMatrix([th.coords]), sp.cuspidal_basis) == IntMatrix([rel]), (N, D)
+            assert rel == [0, *th.coords], (N, D)
 
 
 def _fundamental_window(N, ms):
@@ -585,9 +626,10 @@ def test_theta_elements_match_the_full_walk_oracle():
         assert {-3, -4, 8, -8} <= set(Ds) and any(D % 2 == 0 for D in Ds[4:])
         thetas = theta_elements(sp, Ds)
         assert [(th.D, th.sign) for th in thetas] == [(D, 1 if D > 0 else -1) for D in Ds]
-        got = mul_int64(np.array([th.coords for th in thetas]), sp.cuspidal_basis.array)
         counts = np.array([full_theta_counts(D, N, sp._inv) for D in Ds])
-        assert np.array_equal(got, mul_int64(counts, sp.reduction.array)), N
+        rel = mul_int64(counts, sp.reduction.array)
+        assert not rel[:, 0].any(), N
+        assert np.array_equal(np.array([th.coords for th in thetas]), rel[:, 1:]), N
 
 
 @pytest.mark.parametrize("N", [11, 211])
@@ -654,20 +696,23 @@ def test_theta_walk_bound_survives_optimize():
 
 
 def test_theta_refuses_vectors_outside_the_lattice():
-    # the left-inverse solve proves membership by multiplying back
+    # a vector of M_rel is outside M exactly when its boundary, carried
+    # by coordinate 0, is nonzero; the cuspidal read refuses it
     sp = build_space(31)
-    basis, inverse = sp.cuspidal_basis.array, sp.cuspidal_inverse.array
-    # a vector is outside M exactly when its boundary is nonzero; one
-    # M_rel coordinate carries the boundary
-    j = next(i for i, row in enumerate(sp.boundary.entries) if any(row))
-    unit = [int(i == j) for i in range(5)]
-    for v in (unit, [-2 * x for x in unit], [3, -1, 4, 1, -5]):
-        assert mat_mul(IntMatrix([v]), sp.boundary).entries != ((0, 0),)
-        with pytest.raises(ValueError, match="row span"):
-            solve_by_inverse(basis, inverse, np.array([v]))
+    for v in ([1, 0, 0, 0, 0], [-2, 0, 0, 0, 0], [3, -1, 4, 1, -5]):
+        with pytest.raises(ValueError, match="nonzero boundary"):
+            cuspidal_coords(np.array([v]), "vector")
     th = theta_element(sp, 13)
-    rel = mat_mul(IntMatrix([th.coords]), sp.cuspidal_basis)
-    assert tuple(solve_by_inverse(basis, inverse, np.array(rel.entries))[0].tolist()) == th.coords
+    assert tuple(cuspidal_coords(np.array([[0, *th.coords]]), "theta")[0].tolist()) == th.coords
+    # a reduction that gives every symbol a coordinate 0 makes the theta
+    # chains and the Hecke images leave M, and both refuse
+    red = sp.reduction.array.copy()
+    red[:, 0] = 1
+    bad = dataclasses.replace(sp, reduction=IntMatrix(red))
+    with pytest.raises(ValueError, match="theta chain has nonzero boundary"):
+        theta_element(bad, 13)
+    with pytest.raises(ValueError, match="Hecke image has nonzero boundary"):
+        hecke(bad, 2)
 
 
 def test_theta_sign_matches_star():
