@@ -18,15 +18,21 @@ vanishes but for one column, which is the alpha functional.
 
 W_{n+1} is spanned by the rows of W_n @ eta over the generators eta,
 formed as int64 products, and its Hermite form is computed modulo a
-proven multiple D_{n+1} of its index (`hnf_mod`), so no entry outgrows
+proven multiple D_{n+1} of its index (`hnf_mod`, which eliminates a
+certified random sketch of the tall stack), so no entry outgrows
 D_{n+1}.  The modulus: W_n @ eta lies in W_{n+1} for every generator,
 so [M^sign : W_{n+1}] divides [M^sign : W_n @ eta] = det(W_n) |det eta|
 for each one, hence divides D_{n+1} = det(W_n) * G with G the gcd of
 |det eta| over the first three generators.  eta_2 = T_2 - 3 is
 nonsingular, because every eigenvalue a_2 of T_2 on cusp forms has
-|a_2| <= 2 sqrt 2 < 3 (Ramanujan-Petersson), so G != 0.  The Sturm
-saturation check computes W_1 again with three more generators, modulo
-G (det W_0 = 1).
+|a_2| <= 2 sqrt 2 < 3 (Ramanujan-Petersson), so G != 0.
+
+The Sturm saturation check asks whether three more generators, at the
+primes just above max(N, Sturm bound), would shrink W_1: adding them
+gives W_1 + sum eta_q Z^g (W_0 = Z^g), which is W_1 exactly when each
+eta_q maps Z^g into W_1.  W_1 holds G Z^g, so that is a membership
+test: the rows of eta_q mod G must satisfy x Z_1 = 0 (mod G), with
+Z_1 = `scaled_inverse_mod`(W_1, G).
 
 `merel_criterion` (defined in `modp`, which takes it as a lower bound
 on g_p) decides g_p >= 2 from N and p alone; `build_context` does not
@@ -157,20 +163,19 @@ def build_context(space, p, n_max=3, sign=1):
     if not unit:
         raise ValueError("Eisenstein generators are all singular")
 
-    def step(w, ops, modulus):
-        return IntMatrix(hnf_mod(np.concatenate([mul_int64(w.array, op) for op in ops]), modulus))
-
     g = len(etas[0])
-    ident = IntMatrix.identity(g)
-    ws = [ident]
+    ws = [IntMatrix.identity(g)]
     for _ in range(n_max + 1):
-        ws.append(step(ws[-1], etas, prod(map(int, np.diagonal(ws[-1].array))) * unit))
+        w = ws[-1].array
+        ws.append(IntMatrix(hnf_mod(np.concatenate([mul_int64(w, eta) for eta in etas]),
+                                    prod(map(int, np.diagonal(w))) * unit)))
 
-    # Sturm saturation check: three more Hecke primes must not shrink W_1
-    extra = [_generator(space, sign, q, q + 1).array
-             for q in _next_primes(max(N, _sturm_bound(N)), 3)]
-    if step(ident, etas + extra, unit) != ws[1]:
-        raise ValueError("Sturm-bound generator set failed saturation check")
+    # Sturm saturation check: three more Hecke primes must not shrink W_1,
+    # that is, W_0 = Z^g must map into W_1 under each of them
+    z = scaled_inverse_mod(ws[1].array, unit).astype(np.int64)  # entries in [0, G)
+    for q in _next_primes(max(N, _sturm_bound(N)), 3):
+        if (mul_int64(_generator(space, sign, q, q + 1).array % unit, z) % unit).any():
+            raise ValueError("Sturm-bound generator set failed saturation check")
 
     # g_p: the generators commute, so cutting F_p^g down by one generator
     # at a time leaves the intersection of their generalized kernels mod p

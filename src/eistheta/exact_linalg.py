@@ -241,25 +241,98 @@ def hnf_mod(rows, D):
     When D is a multiple of the index of the row lattice of `rows` in
     Z^g, that lattice contains D * Z^g, so this is its Hermite form.
 
+    A tall input is first sketched (Pernet-Stein, J. Number Theory 130,
+    2010): with S the rows reduced mod D and R a fixed (g + 16) x m
+    matrix with entries in [0, D) (`_mixer`), C = the form of R S + D Z^g
+    is eliminated in place of S.  Every row of R S is a combination of
+    rows of S, so C lies in span(S) + D Z^g whatever R is; C is accepted
+    only when the reverse holds too, certified by S Z = 0 (mod D) with
+    Z = `scaled_inverse_mod`(C, D), which says every row of S lies in C.
+    Then C is the form of the same lattice, and a Hermite form is
+    canonical, so R never shows in the output: a certificate that fails
+    costs only time, as the whole stack is then eliminated.  The sketch
+    runs when m > 2 (g + 16), so it saves work, and (D - 1)^2 max(m, g) <
+    2^63, which bounds both products for `mul_int64` and, as m > 32,
+    gives 2 D^2 < 2^63, so S is int64.
+
     Hermite form modulo D (Domich-Kannan-Trotter, Math. Oper. Res. 12,
     1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
-    2.4.8).  Column by column, Euclid down the column (pivoting on the
-    least entry) leaves one live row r with entry a, and one xgcd
-    u*a + v*D = d folds D e_j in: the unimodular change of (r, D e_j) to
+    2.4.8), by `_hnf_mod_reduced`."""
+    if D < 1:
+        raise ValueError("the modulus must be positive")
+    m, g = np.shape(rows)
+    if m > 2 * (g + 16) and (D - 1) ** 2 * max(m, g) < 2**63:
+        c = _sketch(rows, D)
+        if c is not None:
+            return c
+    # the reduced stack is handed over, so that it dies as the elimination
+    # replaces it (at 40 bits it is an array of Python ints)
+    return _hnf_mod_reduced(_mod_rows(rows, D), D)
+
+
+def _sketch(rows, D):
+    """The Hermite form of `rows` and D * Z^g from the certified sketch
+    of `hnf_mod`, or None when the certificate fails.  R S is formed a
+    block of rows at a time, which bounds the temporaries; each running
+    sum stays below (D - 1)^2 m."""
+    s = _mod_rows(rows, D)
+    m, g = s.shape
+    k = g + 16
+    blocks = range(0, m, _SKETCH_BLOCK)
+    rs = np.zeros((k, g), dtype=np.int64)
+    for i in blocks:
+        block = s[i:i + _SKETCH_BLOCK]
+        r = _mixer(i * k, len(block) * k, D).reshape(len(block), k).T
+        rs = (rs + mul_int64(r, block)) % D
+    c = _hnf_mod_reduced(rs, D)
+    z = scaled_inverse_mod(c, D).astype(np.int64)  # entries in [0, D)
+    if any((mul_int64(s[i:i + _SKETCH_BLOCK], z) % D).any() for i in blocks):
+        return None
+    return c
+
+
+def _mod_rows(rows, D):
+    """`rows` reduced into [0, D): int64 while 2 D^2 < 2^63, which keeps
+    the elimination in int64, and Python ints (dtype=object) otherwise."""
+    dtype = np.int64 if 2 * D * D < 2**63 else object
+    a = np.asarray(rows)
+    return ((a if a.dtype == dtype else a.astype(object)) % D).astype(dtype, copy=False)
+
+
+_SKETCH_BLOCK = 1024  # stack rows per product of the sketch
+
+
+def _mixer(start, count, D):
+    """Outputs start + 1 .. start + count of splitmix64 (seed 0), reduced
+    mod D: column i of R is outputs k i + 1 .. k i + k.  Deterministic,
+    and a uniform stand-in for a random matrix without importing
+    `numpy.random`."""
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64, as splitmix64 does
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(mult)
+    x ^= x >> np.uint64(31)
+    x %= np.uint64(D)
+    return x.view(np.int64)  # every entry is below D < 2^63
+
+
+def _hnf_mod_reduced(a, D):
+    """The g x g Hermite form of the rows of `a` and D * Z^g, for `a`
+    already reduced into [0, D), as int64 while 2 D^2 < 2^63 and as
+    Python ints (dtype=object) otherwise; `a` is overwritten.
+
+    Column by column, Euclid down the column (pivoting on the least
+    entry) leaves one live row r with entry a, and one xgcd u*a + v*D = d
+    folds D e_j in: the unimodular change of (r, D e_j) to
     (u r + v D e_j, (D/d) r - (a/d) D e_j) gives the pivot row u*r, pivot
     d, and a row (D/d) r that stays live; every row is reduced mod D,
     which adding multiples of D e_c does.  The entries above the pivots
     are then reduced column by column, also mod D (each pivot divides
     D).  Every entry stays in [0, D) and no intermediate exceeds 2 D^2 in
-    size, so the work is in int64 while 2 D^2 < 2^63 and in Python ints
-    (dtype=object) otherwise, by the same code."""
-    if D < 1:
-        raise ValueError("the modulus must be positive")
-    dtype = np.int64 if 2 * D * D < 2**63 else object
-    a = np.asarray(rows)
-    a = ((a if a.dtype == dtype else a.astype(object)) % D).astype(dtype, copy=False)
+    size, which is what the dtype is chosen by."""
     g = a.shape[1]
-    h = np.zeros((g, g), dtype=dtype)
+    h = np.zeros((g, g), dtype=a.dtype)
     for j in range(g):
         # `a` holds the live rows on columns j.., all zero before column j
         while True:

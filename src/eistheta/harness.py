@@ -34,6 +34,7 @@ import numpy as np
 
 from .eisenstein import (
     EisensteinContext,
+    _generator,
     build_context,
     g_p_dimension,
     theta_valuations,
@@ -302,6 +303,8 @@ def _read_payload(payload):
     try:
         N, p, n_max, sign, g_p = (int(payload[k]) for k in ("N", "p", "n_max", "sign", "g_p"))
         check_pair(N, p)
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
         if len(payload["W"]) != n_max + 2:
             raise ValueError(f"W needs n_max + 2 = {n_max + 2} levels")
         return N, p, str(payload["space_sha256"]), {
@@ -318,7 +321,9 @@ def _read_payload(payload):
 def _check_structure(ctx):
     """The cheap invariants a cache file cannot fake by its checksum:
     every level g x g for the rebuilt space's genus g, each W_n a
-    Hermite basis holding W_{n+1}, and 1 <= g_p <= g with g_p >= 2
+    Hermite basis holding W_{n+1}, W_0 the identity basis of M^sign, W_1
+    holding eta_2 W_0 for eta_2 = T_2 - 3 restricted to the stored sign
+    (which ties the chain to its side), and 1 <= g_p <= g with g_p >= 2
     exactly when Merel's criterion holds."""
     g = ctx.space.genus
     if any((m.rows, m.cols) != (g, g) for m in ctx.W):
@@ -331,6 +336,14 @@ def _check_structure(ctx):
         if not (d > 0 and np.array_equal(hnf_mod(np.concatenate([w, ctx.W[n + 1].array]), d), w)):
             raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
+    # W_1 holds eta_2 W_0 exactly when hnf_mod gives W_1 back from both
+    w = ctx.W[1].array
+    eta = _generator(ctx.space, ctx.sign, 2, 3).array
+    if ctx.W[0] != IntMatrix.identity(g) or not np.array_equal(
+            hnf_mod(np.concatenate([w, eta]), prod(map(int, np.diagonal(w)))), w):
+        side = "plus" if ctx.sign > 0 else "minus"
+        raise CacheIntegrityError(f"cache integrity check failed: W_0 is not M^{side}, or W_1 "
+                                  f"does not hold its image under T_2 - 3 on the {side} side")
     if not 1 <= ctx.g_p <= g or (ctx.g_p >= 2) != merel_criterion(ctx.space.N, ctx.p):
         raise CacheIntegrityError(f"cache integrity check failed: g_p = {ctx.g_p} is not in "
                                   f"[1, {g}] or disagrees with Merel's criterion")

@@ -180,12 +180,23 @@ def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise RuntimeError("context rebuilt although the cache holds it")
 
-    # the warm path rebuilds the space from N on purpose, and nothing else
+    asked = []
+
+    def t2_only(space, ell):
+        if ell != 2:
+            no_build()
+        asked.append(ell)
+        return real_hecke(space, ell)
+
+    # the warm path rebuilds the space from N on purpose, and T_2 once, for
+    # the load's check that the chain belongs to its stored sign; nothing else
+    real_hecke = eisenstein.hecke
     monkeypatch.setattr(harness, "build_context", no_build)
-    monkeypatch.setattr(eisenstein, "hecke", no_build)
+    monkeypatch.setattr(eisenstein, "hecke", t2_only)
     # nor a Smith form: the valuations read Z_n off W
     monkeypatch.setattr(eisenstein, "snf", no_build)
     assert _run(capsys, *args, "--jobs", "2")[:2] == (0, cold)
+    assert asked == [2]
 
 
 def test_cache_dir_refuses_foreign_file(tmp_path, capsys):
@@ -197,3 +208,27 @@ def test_cache_dir_refuses_foreign_file(tmp_path, capsys):
                           "--dmax", "100", "--cache-dir", str(tmp_path))
     assert code == 2 and out == ""
     assert "(11, 5, 3, 1), not the requested (31, 5, 3, 1)" in err
+
+
+WINDOWS = {"sweep-even": ("--dmin", "1", "--dmax", "50"),
+           "sweep-odd": ("--dmin", "-50", "--dmax", "-1")}
+
+
+@pytest.mark.parametrize("made,read", [("sweep-even", "sweep-odd"), ("sweep-odd", "sweep-even")])
+def test_cache_dir_refuses_a_chain_resealed_at_the_other_sign(tmp_path, capsys, made, read):
+    # a plus file resealed as minus under the minus name (and the reverse)
+    # names the request's (N, p, nmax, sign), but its chain is the other side's
+    args = ("--N", "211", "--p", "5", "--cache-dir", str(tmp_path))
+    assert _run(capsys, made, *args, *WINDOWS[made])[0] == 0
+    (path,) = tmp_path.iterdir()
+    envelope = json.loads(path.read_text())
+    sign = int(envelope["payload"]["sign"])
+    envelope["payload"]["sign"] = str(-sign)
+    envelope["checksum"] = harness._checksum(envelope["payload"])
+    side, other = ("plus", "minus") if sign > 0 else ("minus", "plus")
+    path.with_name(path.name.replace(side, other)).write_text(json.dumps(envelope))
+    path.unlink()
+    code, out, err = _run(capsys, read, *args, *WINDOWS[read])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cache integrity check failed")
+    assert f"on the {other} side" in err

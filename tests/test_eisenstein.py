@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from eistheta import eisenstein
+from eistheta import eisenstein, exact_linalg
 import numpy as np
 
 from eistheta.exact_linalg import (
@@ -356,6 +356,34 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
         assert hecke(space, ell).matrix == merel_hecke(space, ell), ell
 
 
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (641, 5), (1021, 5)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypatch):
+    # every step's hnf_mod, sketched or not, against the elimination of
+    # its whole stack; at 421 and 1021 every step is sketched and certified
+    # (g + 16 rows: 50 of 714 at 421, 100 of 3,360 at 1021, whose last
+    # 26-bit modulus D has (D - 1)^2 m within 1% of the 2^63 bound)
+    space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
+    steps, sizes = [], []
+    direct = exact_linalg._hnf_mod_reduced
+    monkeypatch.setattr(exact_linalg, "_hnf_mod_reduced",
+                        lambda a, D: sizes.append(len(a)) or direct(a, D))
+
+    def step(rows, D):  # (stack, modulus, form, rows of each elimination)
+        sizes.clear()
+        steps.append((rows, D, exact_linalg.hnf_mod(rows, D), list(sizes)))
+        return steps[-1][2]
+
+    monkeypatch.setattr(eisenstein, "hnf_mod", step)
+    ctx = build_context(space, p, sign=sign)
+    assert len(steps) == ctx.n_max + 1  # the Sturm check eliminates nothing
+    for n, (rows, D, got, used) in enumerate(steps, 1):
+        assert np.array_equal(got, ctx.W[n].array)
+        assert np.array_equal(got, direct(rows % D, D)), (N, sign, n)
+        if N in (421, 1021):
+            assert used == [ctx.W[0].rows + 16]
+
+
 def _p_parts(diag, p):
     return sorted(v for v in (vp(d, p) for d in diag) if v)
 
@@ -388,6 +416,20 @@ def test_merel_criterion_at_the_large_fixtures():
     assert merel_criterion(31, 5) and not merel_criterion(11, 5)
     with pytest.raises(ValueError, match="hypothesis"):
         merel_criterion(101, 5)
+
+
+def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
+    # an extra Hecke prime whose operator (here the identity) does not map
+    # W_0 into W_1 fails the membership test, at either sign
+    for space, sign in ((SP11, 1), (SP211, -1)):
+        sturm = eisenstein._sturm_bound(space.N)
+        first = eisenstein._next_primes(max(space.N, sturm), 1)[0]
+        real = eisenstein._generator
+        monkeypatch.setattr(eisenstein, "_generator", lambda sp, sg, ell, eigen: (
+            IntMatrix.identity(sp.genus) if ell == first else real(sp, sg, ell, eigen)))
+        with pytest.raises(ValueError, match="failed saturation check"):
+            build_context(space, 5, sign=sign)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("N,p", [(31, 5), (71, 7), (181, 5)])

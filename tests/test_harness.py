@@ -435,16 +435,43 @@ def test_cache_rechecks_structure_on_load(tmp_path):
     def other_p(payload):  # 7 does not divide N - 1 = 10
         payload["p"] = "7"
 
+    def other_sign(payload):
+        payload["sign"] = "5"
+
+    def scaled_top(payload):  # W_0 = 5 Z holds W_1 = 5 Z, but is not M^+
+        payload["W"][0] = [["5"]]
+
     for edit, what in ((swap_levels, "W_2 is not inside W_1"),
                        (negate_level, "W_1 is not a Hermite basis"),
                        (widen_level, "not 1 x 1"),
                        (drop("g_p"), r"malformed payload \(KeyError: 'g_p'"),
                        (drop("space_sha256"), r"malformed payload \(KeyError"),
                        (drop_level("W"), r"n_max \+ 2 = 5 levels"),
-                       (other_p, r"malformed payload \(ValueError: hypothesis p")):
+                       (other_p, r"malformed payload \(ValueError: hypothesis p"),
+                       (other_sign, r"malformed payload \(ValueError: sign must be"),
+                       (scaled_top, "W_0 is not M\\^plus")):
         save_context(space, ctx, path)
         _resealed(path, edit)
         with pytest.raises(CacheIntegrityError, match=what):
+            load_context(path)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cache_refuses_a_chain_resealed_at_the_other_sign(tmp_path, sign):
+    # at 211 the plus and minus chains differ, and eta_2 = T_2 - 3 on the
+    # stored side does not map M into the other side's W_1; at 11 the two
+    # chains are equal, so a swapped sign there changes no answer
+    path = tmp_path / "ctx.json"
+    for N, refused in ((211, True), (11, False)):
+        pair = build_pair(N, 5, 3, sign)
+        save_context(*pair, path)
+        _resealed(path, lambda payload: payload.update(sign=str(-sign)))
+        if not refused:
+            assert load_context(path)[1].W == build_pair(N, 5, 3, -sign)[1].W == pair[1].W
+            continue
+        side = "minus" if sign > 0 else "plus"
+        with pytest.raises(CacheIntegrityError,
+                           match=f"does not hold its image under T_2 - 3 on the {side} side"):
             load_context(path)
 
 
