@@ -20,7 +20,7 @@ print(f"level {N}: {len(space.generators)} Manin symbols, "
 # X_0(11) is an elliptic curve, so every Hecke operator acts on the
 # 2-dimensional cuspidal lattice by the scalar a_ell of 11a1.
 for ell in (2, 3, 5, 11):
-    m = hecke(space, ell).matrix
+    m = hecke(space, ell)
     print(f"  T_{ell} on the cuspidal lattice: {m.entries}")
 
 # The Eisenstein generators are T_ell - (ell + 1) and U_N - 1; W_n is

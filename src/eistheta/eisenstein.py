@@ -124,7 +124,7 @@ def _sturm_bound(N):
 
 def _generator(space, sign, ell, eigen):
     """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
-    t = restrict_to_sign(space, hecke(space, ell).matrix, sign).array
+    t = restrict_to_sign(space, hecke(space, ell), sign).array
     if np.abs(t).max() >= 2**62:  # so that t - eigen cannot wrap
         raise ValueError("Hecke operator entries too large for int64")
     return IntMatrix(t - eigen * np.eye(len(t), dtype=np.int64))

@@ -370,15 +370,6 @@ class ModularSymbolSpace:
 
 
 @dataclass(frozen=True)
-class HeckeOp:
-    """A Hecke operator restricted to the cuspidal lattice M (index N
-    means U_N; anything else is T_index for index prime to N)."""
-
-    index: int
-    matrix: IntMatrix
-
-
-@dataclass(frozen=True)
 class ThetaElement:
     """Theta element of a fundamental discriminant: the chain
     sum_a chi_D(a) {0, a/|D|} in cuspidal coordinates."""
@@ -547,8 +538,9 @@ def solve_by_inverse(B, L, v):
 
 
 def hecke(space, ell):
-    """T_ell for ell prime to N, or U_N for ell = N, on the cuspidal
-    lattice, computed on Manin symbols by `hecke_counts`: Cremona's
+    """The matrix of T_ell for ell prime to N, or U_N for ell = N, on the
+    cuspidal lattice, as an `IntMatrix` in cuspidal coordinates,
+    computed on Manin symbols by `hecke_counts`: Cremona's
     Heilbronn matrices for ell != N, -W_N for U_N (module docstring).
     Only the symbols of the cuspidal coordinates 1 .. 2g are acted on,
     and their images counts @ reduction, in int64 under `mul_int64`'s
@@ -558,7 +550,7 @@ def hecke(space, ell):
     symbols = [space.generators[j] for j in space.coord_symbols[1:]]
     counts = hecke_counts(symbols, ell, space.N, space._inv)
     t = cuspidal_coords(mul_int64(counts, space.reduction.array), "Hecke image")
-    return HeckeOp(index=ell, matrix=IntMatrix(t))
+    return IntMatrix(t)
 
 
 def restrict_to_sign(space, op_matrix, sign):

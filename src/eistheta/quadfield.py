@@ -1,14 +1,40 @@
 """Arithmetic of quadratic fields K = Q(sqrt(D)).
 
-Class numbers come from reduced binary quadratic forms, the residues
-of the fundamental unit from the continued-fraction (PQa) expansion of
-(b0 + sqrt(D))/2, and split-prime data from explicit ideal powers
-[N^k, (b + sqrt(D))/2] reduced along their form cycle.
+Class numbers come from reduced binary quadratic forms.  The residues
+of the fundamental unit and the split-prime data come from one walk
+along a form's rho-cycle with its change of variables kept modulo N
+(`_walk`): the unit from the cycle of the principal form, a split
+prime's generator from explicit ideal powers [N^k, (b + sqrt(D))/2].
+So a huge unit or generator is never written down.
 
 A unit is u = (x + y*sqrt(D))/2 with x^2 - D*y^2 = +-4, for both
-parities of D.  Its residues modulo the primes above a split N come
-from running the convergent recurrence modulo a small auxiliary
-modulus, so a huge fundamental unit is never written down.
+parities of D.  The fundamental one, u > 1, is read off the principal
+cycle (`unit_residues`):
+- Start at f_0 = (1, b0, (b0^2 - D)/4), b0 the one of m0 - 1, m0
+  (m0 = isqrt(D)) of the parity of D; f_0 is reduced, as
+  0 < b0 and sqrt(D) - 2 < b0 < sqrt(D).  Step rho to the first k >= 1 with
+  |a_k| = 1, and let gamma = [[g00, g01], [g10, g11]] be the product of
+  the k changes of variables, so f_0 o gamma = f_k.  Then u has
+  x = s (g00 + a_k g11) and y = s g10, with s = (-1)^floor(k/2), and
+  N(u) = a_k.
+- The reduced forms with |a| = 1 are (1, b0, .) and (-1, b0, .), as a
+  reduced (a, b, .) with |a| = 1 has sqrt(D) - 2 < b <= m0.  So
+  f_0 o (gamma diag(1, a_k)) = a_k f_0, and the matrices that multiply
+  f_0 by a_k are +-[[(x - b0 y)/2, -c0 y], [y, (x + b0 y)/2]], for the
+  units (x + y sqrt(D))/2 of norm a_k: x = +-(g00 + a_k g11) and
+  y = +-g10.  The first return to (+-1, b0) gives a fundamental unit
+  (Buchmann and Vollmer, Binary Quadratic Forms, 2007, chapter 6), but
+  that identity leaves u open among +-u and +-u^-1.
+- The sign: along a reduced cycle with D > 0, ac < 0 and
+  a_{i+1} = c_i, so the leading coefficients alternate in sign (and
+  a_k = (-1)^k).  Each t_i = (b_i + b_{i+1})/(2 c_i) has the sign of
+  c_i, so the t's run -, +, -, ... from f_0.  Two steps multiply to
+  [[0, -1], [1, -q]] [[0, -1], [1, q']] = -[[1, q'], [q, 1 + q q']]
+  with q, q' > 0, so gamma is (-1)^floor(k/2) times a matrix whose
+  signs make x, y > 0, and that picks u > 1.
+- Only gamma mod N is kept, so x and y are known mod N: the residues
+  of u at the primes above N are (x +- y r)/2, r = `split_root`.
+  x^2 - D y^2 = 4 a_k is checked mod N.
 
 The class numbers of many D are found together (`class_numbers`), in
 batches of one sign.  Each b >= 0 of the parity of a D, with
@@ -251,33 +277,43 @@ def class_number(D):
 
 
 # ---------------------------------------------------------------------------
-# the fundamental unit modulo the primes above N
+# the walk along a form cycle, the change of variables kept modulo N
 
-def _pqa_cycle(D):
-    """Continued fraction of (D mod 2 + sqrt(D))/2 by the PQa recurrence.
-
-    Returns (m0, states, partial_quotients, j0, period) where states[i]
-    is (P_i, Q_i) and the expansion is purely periodic from index j0 on.
-    """
+def _walk(form, D, N, first):
+    """Reduce `form`, of discriminant D > 0, then step rho along its
+    cycle to the first form (a, b, c) with |a| = 1 that lies k >= first
+    steps past the first reduced form.  Returns (a, k, gamma), gamma the
+    product of the changes of variables [[0, -1], [1, t]] mod N, so that
+    form o gamma is the form reached; None when the cycle closes first,
+    that is when `form` is not wide-principal.  On the cycle, rho takes
+    its second branch (module docstring)."""
     m0 = isqrt(D)
-    if m0 * m0 == D:
-        raise ValueError("discriminant must not be a square")
-    P, Q = D % 2, 2
-    seen = {}
-    states = []
-    quots = []
-    i = 0
-    while (P, Q) not in seen:
-        seen[P, Q] = i
-        states.append((P, Q))
-        a = (P + m0) // Q if Q > 0 else (P + m0 + 1) // Q
-        quots.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        i += 1
-    j0 = seen[P, Q]
-    return m0, states, quots, j0, i - j0
+    g00, g01, g10, g11 = 1, 0, 0, 1
+    for _ in range(100000):
+        if _is_reduced_pos(*form, m0, D):
+            break
+        form, t = _rho(*form, m0, D)
+        g00, g01 = g01, (g01 * t - g00) % N
+        g10, g11 = g11, (g11 * t - g10) % N
+    else:
+        raise ValueError("form reduction did not terminate")
+    a, b, c = form
+    start = a, b
+    for k in range(1000000):
+        if k >= first and abs(a) == 1:
+            return a, k, ((g00, g01), (g10, g11))
+        if k and (a, b) == start:
+            return None
+        b2 = m0 - (m0 + b) % (2 * abs(c))
+        t = (b + b2) // (2 * c)
+        a, b, c = c, b2, (b2 * b2 - D) // (4 * c)
+        g00, g01 = g01, (g01 * t - g00) % N
+        g10, g11 = g11, (g11 * t - g10) % N
+    raise ValueError("form cycle did not close")
 
+
+# ---------------------------------------------------------------------------
+# the fundamental unit modulo the primes above N
 
 def split_root(D, N):
     """The residue r with r^2 = D mod N that labels the first prime
@@ -293,27 +329,22 @@ def split_root(D, N):
 
 def unit_residues(D, N):
     """(r, u mod prime_1, u mod prime_2) for split N, with sqrt(D) sent
-    to r resp. N - r.  Runs the convergent recurrence modulo 2*N*Q0 so
-    only the small trajectory, never the unit itself, is needed."""
-    r0 = split_root(D, N)
-    m0, states, quots, j0, period = _pqa_cycle(D)
-    P0, Q0 = states[j0]
-    mod = 2 * N * Q0
-    r, s = 0, 1
-    for i in range(j0, j0 + period):
-        r, s = (r * quots[i] + s) % mod, r
-    ny = 2 * r % mod
-    nx = (2 * r * P0 + 2 * s * Q0) % mod
-    if ny % Q0 or nx % Q0:
-        raise ValueError("unit coordinates are not integral")
-    y2n = ny // Q0 % (2 * N)
-    x2n = nx // Q0 % (2 * N)
+    to r resp. N - r, u the fundamental unit read off the principal
+    cycle walked modulo N (module docstring)."""
+    r = split_root(D, N)
+    m0 = isqrt(D)
+    b0 = m0 - (m0 - D) % 2
+    a, k, ((g00, _), (g10, g11)) = _walk((1, b0, (b0 * b0 - D) // 4), D, N, 1)
+    s = -1 if k // 2 % 2 else 1
+    x, y = s * (g00 + a * g11) % N, s * g10 % N
+    if (x * x - D * y * y - 4 * a) % N:
+        raise ValueError("unit does not have norm +-1 modulo N")
     inv2 = pow(2, -1, N)
-    res1 = (x2n + y2n * r0) * inv2 % N
-    res2 = (x2n + y2n * (N - r0)) * inv2 % N
+    res1 = (x + y * r) * inv2 % N
+    res2 = (x - y * r) * inv2 % N
     if not (res1 and res2):
         raise ValueError("unit vanishes modulo a prime above N")
-    return r0, res1, res2
+    return r, res1, res2
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +359,10 @@ def _lift_root(D, N, k, r):
     return rk
 
 
-def _prime_power_form(D, N, k):
-    """The ideal [N^k, (b + sqrt(D))/2] above N (label r) as the form
-    (N^k, b, c); sqrt(D) = r means b = -r mod N^k, parity-corrected."""
-    r = split_root(D, N)
+def _prime_power_form(D, N, k, r):
+    """The ideal [N^k, (b + sqrt(D))/2] above N (label r = `split_root`)
+    as the form (N^k, b, c); sqrt(D) = r means b = -r mod N^k,
+    parity-corrected."""
     a = N**k
     b = (-_lift_root(D, N, k, r)) % a
     if (b - D) % 2:
@@ -340,40 +371,6 @@ def _prime_power_form(D, N, k):
     if c % (4 * a):
         raise ValueError("lifted root does not give a form of discriminant D")
     return a, b, c // (4 * a)
-
-
-def _principal_walk(form, D, N):
-    """Reduce `form` and walk its cycle looking for leading coefficient
-    +-1 (wide principality).  Returns (principal, gamma mod N) where
-    gamma accumulates every change of variables, so its first column is
-    the coordinate vector of a generator."""
-    m0 = isqrt(D)
-    a, b, c = form
-    g = [[1, 0], [0, 1]]
-
-    def push(t):
-        tm = t % N
-        for row in g:
-            row[0], row[1] = row[1], (row[1] * tm - row[0]) % N
-
-    guard = 0
-    while not _is_reduced_pos(a, b, c, m0, D):
-        (a, b, c), t = _rho(a, b, c, m0, D)
-        push(t)
-        guard += 1
-        if guard >= 100000:
-            raise ValueError("form reduction did not terminate")
-    start = (a, b)
-    while True:
-        if abs(a) == 1:
-            return True, g
-        (a, b, c), t = _rho(a, b, c, m0, D)
-        push(t)
-        if (a, b) == start:
-            return False, None
-        guard += 1
-        if guard >= 1000000:
-            raise ValueError("form cycle did not close")
 
 
 def split_prime_data(D, N, p, h=None, logmap=None):
@@ -390,20 +387,20 @@ def split_prime_data(D, N, p, h=None, logmap=None):
         h = class_number(D)
     if logmap is None:
         logmap = LogMap(N, p)
-    return _split_prime_data(D, N, p, h, logmap)
+    return _split_prime_data(D, N, p, h, logmap, split_root(D, N))
 
 
-def _split_prime_data(D, N, p, h, logmap):
-    """`split_prime_data` for a D already validated."""
-    r = split_root(D, N)
+def _split_prime_data(D, N, p, h, logmap, r):
+    """`split_prime_data` for a D already validated, r = `split_root`."""
     inv2 = pow(2, -1, N)
     for k in divisors(h):
-        a, b, c = _prime_power_form(D, N, k)
-        principal, g = _principal_walk((a, b, c), D, N)
-        if principal:
-            # z = x*a + y*(b + sqrt(D))/2 generates the ideal; pi_2 is
-            # its conjugate, and sqrt(D) = r modulo prime_1
-            x, y = g[0][0], g[1][0]
+        a, b, c = _prime_power_form(D, N, k, r)
+        hit = _walk((a, b, c), D, N, 0)
+        if hit:
+            # z = x*a + y*(b + sqrt(D))/2 generates the ideal, (x, y) the
+            # first column of gamma; pi_2 is its conjugate, and
+            # sqrt(D) = r modulo prime_1
+            (x, _), (y, _) = hit[2]
             t = (2 * (a % N) * x + (b % N) * y - y * r) * inv2 % N
             if not t:
                 raise ValueError("conjugate generator lies in the first prime above N")
@@ -456,7 +453,7 @@ def _field_profile(D, N, p, logmap, h):
     if (log1_u + log_to_p(res2, logmap)) % p:
         raise ValueError("unit logs at the two primes above N do not cancel")
     criterion = h * log1_u % p == 0
-    s, log1_pi2 = _split_prime_data(D, N, p, h, logmap)
+    s, log1_pi2 = _split_prime_data(D, N, p, h, logmap, r)
     if h % p == 0:
         log1_pi2 = None
     return QuadFieldProfile(

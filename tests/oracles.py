@@ -23,8 +23,11 @@ Heilbronn matrices replaced it at l != N and -W_N at l = N.
 `class_number_per_d` is the class number of one discriminant from its
 reduced forms, enumerated by factoring each (b^2 - D)/4 and walked
 cycle by cycle: the reference for the batched `quadfield.class_numbers`.
-`fundamental_unit` writes the unit down, where
-`quadfield.unit_residues` only tracks it modulo the primes above N.
+`fundamental_unit` writes the unit down from one period of the
+continued fraction of (D mod 2 + sqrt(D))/2 by the PQa recurrence
+(`_pqa_cycle`), an expansion independent of `quadfield`'s forms; the
+package reads only the unit's residues modulo the primes above N, off
+the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 `unit_criterion` and `pic_zn_trivial` recompute, for one D, what
 `quadfield.field_profile` derives as its `criterion` and
 `pic_zn_trivial` fields.
@@ -69,7 +72,6 @@ from eistheta.modsym import (
     tree_reduction,
 )
 from eistheta.quadfield import (
-    _pqa_cycle,
     _rho,
     is_fundamental,
     split_prime_data,
@@ -517,6 +519,32 @@ class QuadUnit:
             raise ValueError("unit does not satisfy x^2 - D y^2 = +-4")
         if (self.norm == -1) != (self.period_parity == 1):
             raise ValueError("norm disagrees with period parity")
+
+
+def _pqa_cycle(D):
+    """Continued fraction of (D mod 2 + sqrt(D))/2 by the PQa recurrence.
+
+    Returns (m0, states, partial_quotients, j0, period) where states[i]
+    is (P_i, Q_i) and the expansion is purely periodic from index j0 on.
+    """
+    m0 = isqrt(D)
+    if m0 * m0 == D:
+        raise ValueError("discriminant must not be a square")
+    P, Q = D % 2, 2
+    seen = {}
+    states = []
+    quots = []
+    i = 0
+    while (P, Q) not in seen:
+        seen[P, Q] = i
+        states.append((P, Q))
+        a = (P + m0) // Q if Q > 0 else (P + m0 + 1) // Q
+        quots.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        i += 1
+    j0 = seen[P, Q]
+    return m0, states, quots, j0, i - j0
 
 
 def fundamental_unit(D):

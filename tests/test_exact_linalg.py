@@ -202,9 +202,11 @@ def test_hnf_mod_matches_stacked_hnf():
 
 def test_hnf_mod_takes_python_ints_past_the_int64_bound():
     rows = [[3, 5, 7], [0, 11, 13], [0, 0, 17], [2**70, 1, 2**65]]
-    for D in (3037000499, 3037000500, 2**80 * 561):  # 2 D^2 just under, just over, far over 2^63
+    # the elimination runs in int64 while 2 D^2 < 2^63: 2^31 - 1 is the
+    # largest such modulus, 2^31 the least past it, and 2^80 * 561 far past
+    for D, dtype in ((2**31 - 1, np.int64), (2**31, object), (2**80 * 561, object)):
         got = hnf_mod(rows, D)
-        assert got.dtype == (np.int64 if 2 * D * D < 2**63 else object)
+        assert got.dtype == dtype
         assert got.tolist() == _stacked_hnf(rows, D)
     assert hnf_mod(rows, 561).tolist() == [list(r) for r in hnf(IntMatrix(rows)).entries[:3]]
     with pytest.raises(ValueError, match="positive"):

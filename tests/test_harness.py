@@ -308,7 +308,7 @@ def test_bench_and_demo_readers_see_python_ints():
     assert [d[-2:] for d in diags] == [["1", "1"], ["1", "35"], ["5", "245"],
                                        ["5", "8575"], ["25", "60025"]]
     assert all(d[:-2] == ["1"] * 15 for d in diags)
-    t2 = hecke(space, 2).matrix.entries
+    t2 = hecke(space, 2).entries
     assert all(type(x) is int for row in t2 for x in row)
     assert str(t2).startswith("((1, 0, 0, -1, 1, 0, 0, 0, -1, 0, 1, -1, ")
 

@@ -186,19 +186,40 @@ def test_unit_residues_pinned():
         unit_residues(13, 11)  # inert
 
 
-def test_tracked_residues_equal_exact_reduction_to_500():
-    for N in (11, 31):
-        for D in range(2, 501):
-            if not is_fundamental(D) or kronecker(D, N) != 1:
+def test_tracked_residues_equal_exact_reduction_to_20000():
+    # the principal-cycle walk mod N against the unit that the PQa oracle
+    # writes down, at every fundamental D < 20000 and split N: all four
+    # classes of the walk's length k mod 4 occur
+    for D in range(2, 20000):
+        if not is_fundamental(D):
+            continue
+        u = fundamental_unit(D)
+        for N in (11, 31, 211, 421, 1871):
+            if kronecker(D, N) != 1:
                 continue
-            u = fundamental_unit(D)
             r, res1, res2 = unit_residues(D, N)
             assert r * r % N == D % N
             inv2 = pow(2, -1, N)
-            assert res1 == (u.x + u.y * r) * inv2 % N
-            assert res2 == (u.x + u.y * (N - r)) * inv2 % N
+            assert res1 == (u.x + u.y * r) * inv2 % N, (D, N)
+            assert res2 == (u.x + u.y * (N - r)) * inv2 % N, (D, N)
             # product of the two residues is the norm
             assert res1 * res2 % N == u.norm % N
+
+
+def test_unit_residues_refuse_a_gamma_off_the_unit_norm(monkeypatch):
+    # a walk whose gamma takes one step [[0, -1], [1, 3]] more than its
+    # forms did no longer maps the principal form to the form reached,
+    # so x^2 - D y^2 = 4 N(u) fails mod N
+    real = quadfield._walk
+
+    def one_step_more(*args):
+        a, k, ((g00, g01), (g10, g11)) = real(*args)
+        return a, k, ((g01, 3 * g01 - g00), (g11, 3 * g11 - g10))
+
+    monkeypatch.setattr(quadfield, "_walk", one_step_more)
+    for D, N in ((12, 11), (37, 11), (5, 11), (8, 31), (13, 211)):
+        with pytest.raises(ValueError, match="norm"):
+            unit_residues(D, N)
 
 
 def test_log1_u_is_minus_log2_u():
@@ -279,7 +300,7 @@ def exact_generator(D, N, k):
     """Redo the principality walk with an exact transform and return the
     generator z = (tw + y*sqrt(D))/2 of the k-th ideal power (test-side
     slow path; the library only ever tracks the transform mod N)."""
-    a, b, c = _prime_power_form(D, N, k)
+    a, b, c = _prime_power_form(D, N, k, split_root(D, N))
     a0, b0 = a, b
     m0 = isqrt(D)
     g = [[1, 0], [0, 1]]
@@ -398,7 +419,7 @@ def compose(f1, f2, D):
 
 
 def order_by_composition(D, N):
-    f = canon((lambda t: t)(_prime_power_form(D, N, 1)), D)
+    f = canon(_prime_power_form(D, N, 1, split_root(D, N)), D)
     acc = f
     for k in range(1, class_number(D) + 1):
         if any(abs(g[0]) == 1 for g in cycle_of(acc, D)):
@@ -456,15 +477,24 @@ def test_field_profile_pic_matches_oracle(N, d_max):
 
 
 def test_field_profile_expands_the_continued_fraction_once(monkeypatch):
-    # h comes from the form cycles, so the one PQa expansion of a row
-    # serves the unit residues alone
-    calls = []
-    real = quadfield._pqa_cycle
-    monkeypatch.setattr(quadfield, "_pqa_cycle", lambda D: calls.append(D) or real(D))
+    # h comes from the form cycles, so a row walks the principal cycle
+    # once, for the unit residues; every other walk starts at an ideal
+    # power (N^k, b, c).  The split root is found once per row too.
+    walks, roots = [], []
+    real_walk, real_root = quadfield._walk, quadfield.split_root
+
+    def walk(form, D, N, first):
+        walks.append((form[0], D))
+        return real_walk(form, D, N, first)
+
+    monkeypatch.setattr(quadfield, "_walk", walk)
+    monkeypatch.setattr(quadfield, "split_root", lambda D, N: roots.append(D) or real_root(D, N))
     ds = [D for D in range(2, 800) if validate_discriminant(D, 11, 5, True)]
     for D in ds:
         field_profile(D, 11, 5)
-    assert calls == ds
+    assert [D for a, D in walks if a == 1] == ds
+    assert all(a == 1 or a % 11 == 0 for a, _ in walks)
+    assert roots == ds
 
 
 def test_field_profile_pinned():
