@@ -114,7 +114,7 @@ def _cmd_fixtures(args, out):
 
 def _cmd_sweep(args, out, even):
     sign = 1 if even else -1
-    check_sweep(args.N, args.p, args.dmin, args.dmax, sign)
+    check_sweep(args.N, args.p, args.dmin, args.dmax, sign, args.jobs)
     pair = _cached_pair(args.N, args.p, args.nmax, sign, args.cache_dir)
     fn = sweep_even if even else sweep_odd
     report = fn(args.N, args.p, args.dmin, args.dmax,

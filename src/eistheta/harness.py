@@ -39,10 +39,15 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuations,
 )
-from .exact_linalg import IntMatrix, hnf_mod
+from .exact_linalg import IntMatrix, hnf_mod, kronecker
 from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
-from .quadfield import _field_profile, class_numbers, validate_discriminant
+from .quadfield import (
+    _field_profile,
+    class_numbers,
+    fundamental_discriminants,
+    validate_discriminant,
+)
 from .selmer import SelmerInput, selmer_rank
 
 FORMAT_VERSION = 6  # context cache files
@@ -173,20 +178,29 @@ def _worker_rows(Ds):
     return _WORKER_ROWS(Ds)
 
 
-def check_sweep(N, p, d_min, d_max, sign):
+def check_sweep(N, p, d_min, d_max, sign, jobs=1):
     """Refuse a D window that is empty or not of the sweep's sign, then
-    an (N, p) outside the standing hypotheses."""
+    an (N, p) outside the standing hypotheses, then fewer than one job."""
     if sign > 0 and not 0 < d_min <= d_max:
         raise ValueError("need 0 < d_min <= d_max")
     if sign < 0 and not d_min <= d_max < 0:
         raise ValueError("need d_min <= d_max < 0")
     check_pair(N, p)
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
+
+
+def sweep_window(N, p, d_min, d_max, sign):
+    """The D of a checked window that `validate_discriminant` admits for
+    the sweep of that sign, ascending: the sieved fundamental D prime to
+    p and N at which the Kronecker symbol (D/N) is the sign."""
+    return [D for D in fundamental_discriminants(d_min, d_max)
+            if D % p and D % N and kronecker(D, N) == sign]
 
 
 def _sweep(N, p, d_min, d_max, n_max, jobs, sign, context):
-    check_sweep(N, p, d_min, d_max, sign)
-    ds = [D for D in range(d_min, d_max + 1)
-          if validate_discriminant(D, N, p, want_split=sign > 0)]
+    check_sweep(N, p, d_min, d_max, sign, jobs)
+    ds = sweep_window(N, p, d_min, d_max, sign)
     _, ctx = context or build_pair(N, p, n_max, sign)
     rows = row_function(ctx)
     if jobs > 1:

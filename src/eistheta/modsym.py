@@ -99,13 +99,41 @@ chi_D(a).  At even m (so m >= 4) the middle a = m/2 has chi_D = 0,
 since gcd(m/2, m) > 1.  The sigma term is zero: {0, 1} is the symbol
 pair (0:1) + (1:0) = x + xS, which the two-term relation kills.  So is
 the same pair that opens every walk of a/m < 1, so the walks are not
-made to count it.  chi_D comes from the characters of the prime
-discriminants dividing D; the continued-fraction walks of many D run
-together in one lockstep Euclid loop, each step's symbols
-(q_k : +-q_{k-1}) counted by one `bincount` keyed by row and symbol
-(`theta_elements`).  The folded counts go through the int64 reduction
-to M_rel, whose coordinates 1 .. 2g are the cuspidal ones.
-`path_to_chain` is the one-path form.
+made to count it.
+
+The walk of a/m runs over the continued-fraction convergents p_k/q_k
+of a/m, q_{-1} = 0, q_0 = 1, ..., q_n = m: past its opening pair it is
+the symbols (q_k : (-1)^(k-1) q_{k-1}), k = 1 .. n.  It is walked
+backwards, on Euclid remainders (Manin, Parabolic points and zeta
+functions of modular curves, 1972; Cremona, sec. 2.1-2.2).  Lemma:
+q_n, q_{n-1}, ..., q_0, q_{-1} is the Euclid remainder sequence of
+(m, c), c = q_{n-1}, and a c = (-1)^(n-1) (mod m).  Proof: with a_k the
+partial quotients, q_{k-2} = q_k - a_k q_{k-1} and 0 <= q_{k-2} <
+q_{k-1} (for k = 2, q_1 = a_1 >= 2 > q_0, since a < m/2), so q_{k-2} is
+q_k mod q_{k-1}; and p_n q_{n-1} - p_{n-1} q_n = (-1)^(n-1) with
+p_n = a.  The reversed expansion [0; a_n, ..., a_1] has both end
+quotients >= 2 too (a_n = floor(m/c) >= 2, and a_1 is Euclid's last
+quotient), so a -> c permutes the c < m/2 prime to m.  So a lane is a
+c < m/2 with chi_D(c) != 0: it starts at (x, y) = (m, c), steps
+(x, y) -> (y, x mod y) until y = 0, and its j-th symbol, j = 0, 1, ...,
+is (x : (-1)^(j+1) y).  Step j is k = n - j of the walk of a, whose
+sign is (-1)^(n-j-1): the lane's symbols are those of a at even n and
+their iota images at odd n.  The weight: a = (-1)^(n-1) c^-1, so
+chi_D(a) = chi_D(c) s^[n even].  At even n the lane is the walk of a
+weighted s chi_D(c).  At odd n, chi_D(a) = chi_D(c), and the lane is
+iota(w), w the walk of a; at weight s chi_D(c) it adds
+s chi_D(c) (iota(w) + s w) = chi_D(c) (w + s iota(w)) to
+h + s iota(h), what chi_D(a) w adds.  So every lane is weighted
+sign(D) chi_D(c), and n is never computed.
+
+chi_D comes from the characters of the prime discriminants dividing D;
+the remainder walks of many D run together in one lockstep Euclid loop,
+each step's symbols counted by one `bincount` keyed by row and the sign
+of the weight (`theta_elements`).  A lane carries x mod N, since the
+next step's x is this step's y.  The folded counts go through the int64
+reduction to M_rel, whose coordinates 1 .. 2g are the cuspidal ones.
+`path_to_chain` is the one-path form, on the convergents of a/m
+(`_symbol_stream`).
 """
 
 from dataclasses import dataclass
@@ -623,19 +651,19 @@ _THETA_CHUNK = 2**14
 def theta_elements(space, Ds):
     """Theta elements sum_a chi_D(a) {0, a/|D|} of the fundamental
     discriminants Ds, prime to N, in the order given, by the half walk
-    of the module docstring.
+    on Euclid remainders of the module docstring.
 
-    A lane is one a of one D, keyed by its row's block of N + 1 symbol
-    counts, and the lanes with chi_D(a) = -1 by a second block.  The
-    rows are walked in chunks of at most _THETA_CHUNK lanes and
-    (row, symbol) cells (a row with more lanes or cells is a chunk
+    A lane is one c of one D, keyed by its row's block of N + 1 symbol
+    counts, and the lanes of weight sign(D) chi_D(c) = -1 by a second
+    block.  The rows are walked in chunks of at most _THETA_CHUNK lanes
+    and (row, symbol) cells (a row with more lanes or cells is a chunk
     alone, its lanes walked _THETA_CHUNK at a time), so no array
     outgrows that bound.  Each chunk is folded, reduced to M_rel and
     checked to have no boundary at once.  Every walk value is at most
-    |D|, a Legendre table squares residues mod q | D, and `p1_index`
-    multiplies residues mod N: all exact in int64 while
-    max(N, |D|)^2 < 2^63, which is checked before any symbol data is
-    read."""
+    |D|, a Legendre table squares residues mod q | D, and a symbol's
+    index multiplies two residues mod N, w inv[u] < N^2: all exact in
+    int64 while max(N, |D|)^2 < 2^63, which is checked before any
+    symbol data is read."""
     N = space.N
     Ds = list(Ds)
     for D in Ds:
@@ -644,45 +672,47 @@ def theta_elements(space, Ds):
     if max([N] + [abs(D) for D in Ds]) ** 2 >= 2**63:
         raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
     inv = np.array(space._inv, dtype=np.int64)
+    tables = (-inv % N, inv)  # u -> -+u^{-1} mod N, read at signs -1 and +1
     iota = np.array(space._iota, dtype=np.int64)
     out = []
-    rows, n = [], 0  # the rows (D, a, chi_D(a) < 0) of the next chunk, n lanes
+    rows, n = [], 0  # the rows (D, c, weight < 0) of the next chunk, n lanes
     for D in Ds:
         chi = _chi_table(D)[:(abs(D) + 1) // 2]
-        a = np.flatnonzero(chi)  # the 0 < a < |D|/2 with chi_D(a) != 0
-        if rows and (n + len(a) > _THETA_CHUNK or (len(rows) + 1) * (N + 1) > _THETA_CHUNK):
-            out += _theta_chunk(space, rows, inv, iota)
+        c = np.flatnonzero(chi)  # the 0 < c < |D|/2 with chi_D(c) != 0
+        if rows and (n + len(c) > _THETA_CHUNK or (len(rows) + 1) * (N + 1) > _THETA_CHUNK):
+            out += _theta_chunk(space, rows, tables, iota)
             rows, n = [], 0
-        rows.append((D, a, chi[a] < 0))
-        n += len(a)
-    return out + (_theta_chunk(space, rows, inv, iota) if rows else [])
+        rows.append((D, c, chi[c] != (1 if D > 0 else -1)))
+        n += len(c)
+    return out + (_theta_chunk(space, rows, tables, iota) if rows else [])
 
 
-def _theta_chunk(space, rows, inv, iota):
-    """The theta elements of the rows (D, a, chi_D(a) < 0) of one chunk."""
+def _theta_chunk(space, rows, tables, iota):
+    """The theta elements of the rows (D, c, sign(D) chi_D(c) < 0) of one
+    chunk, `tables` being the maps u -> -u^{-1} and u -> u^{-1} mod N."""
     N = space.N
     Ds = [D for D, _, _ in rows]
     width = len(rows) * (N + 1)
-    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(a) for _, a, _ in rows])
-    a_all = np.concatenate([a for _, a, _ in rows])
+    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(c) for _, c, _ in rows])
+    c_all = np.concatenate([c for _, c, _ in rows])
     key_all = row * (N + 1) + width * np.concatenate([neg for _, _, neg in rows])
     m_all = np.abs(np.array(Ds, dtype=np.int64))[row]
     counts = np.zeros(2 * width, dtype=np.int64)
-    for lo in range(0, len(a_all), _THETA_CHUNK):
+    for lo in range(0, len(c_all), _THETA_CHUNK):
         piece = slice(lo, lo + _THETA_CHUNK)
-        # each walk starts after its opening (0 : 1), q_0 = 0, (1 : 0)
-        x, y, key = m_all[piece], a_all[piece], key_all[piece]
-        qm2, qm1 = np.zeros_like(y), np.ones_like(y)
-        sign = 1  # all lanes take their k-th step together: one sign of q_{k-1}
+        # lane c walks the remainders of (m, c), carrying u = x mod N;
+        # x - x // N * N is x % N, which numpy divides by a scalar faster
+        x, y, key = m_all[piece], c_all[piece], key_all[piece]
+        u = x - x // N * N
+        step = 0  # all lanes take their j-th step together: one sign, (-1)^(j+1)
         while len(x):
-            q = x // y
-            x, y = y, x - q * y
-            qm2, qm1 = qm1, q * qm1 + qm2
-            counts += np.bincount(key + p1_index(qm1 % N, sign * qm2 % N, N, inv),
-                                  minlength=2 * width)
-            sign = -sign
+            w = y - y // N * N
+            t = w * tables[step & 1][u]  # the index of (u : -+w) is 1 + t mod N, or 0 at u = 0
+            counts += np.bincount(key + (1 + t - t // N * N) * (u != 0), minlength=2 * width)
+            x, y = y, x % y
             live = y != 0
-            x, y, qm1, qm2, key = x[live], y[live], qm1[live], qm2[live], key[live]
+            x, y, u, key = x[live], y[live], w[live], key[live]
+            step += 1
     half = (counts[:width] - counts[width:]).reshape(len(rows), N + 1)
     # theta = half + s iota(half), s = sign(D)
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]

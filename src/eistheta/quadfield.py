@@ -115,6 +115,19 @@ def is_fundamental(D):
     return False
 
 
+def fundamental_discriminants(d_min, d_max):
+    """The fundamental discriminants in [d_min, d_max], ascending, by one
+    sieve instead of a factorization per D: D = 1 mod 4 or D = 8, 12
+    mod 16 (D/4 = 2, 3 mod 4), D != 1, and no odd square q^2,
+    q <= sqrt(max |D|), dividing D.  That is `is_fundamental`'s test:
+    D/4 = 2, 3 mod 4 leaves no square factor 4 in it."""
+    D = np.arange(d_min, d_max + 1, dtype=np.int64)
+    ok = ((D % 4 == 1) | (D % 16 == 8) | (D % 16 == 12)) & (D != 1)
+    for q in range(3, isqrt(max(abs(d_min), abs(d_max))) + 1, 2):
+        ok[-d_min % (q * q)::q * q] = False
+    return D[ok].tolist()
+
+
 def validate_discriminant(D, N, p, want_split):
     """Admissibility of a twisting discriminant: fundamental, coprime to
     p and N, of the right sign, with N split (+1) resp. inert (-1)."""

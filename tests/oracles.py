@@ -9,8 +9,11 @@ pure-Python elimination that the panelled float64 kernel is checked
 against.  `dense_hecke_images` is the mod-p route's Hecke product
 through the dense (N + 1) x (2g + 1) quotient map, before the counts
 were folded onto the variables, and `cut_full_squaring` is `modp.cut`
-before it stopped at a vanishing power; both reduce by numpy's `%`.  `full_theta_counts` is the theta walk over every residue, the
-reference for the half walk of `modsym.theta_elements`.
+before it stopped at a vanishing power; both reduce by numpy's `%`.
+`full_theta_counts` is the theta walk over every residue, and
+`convergent_theta_coords` the half walk on continued-fraction
+convergents that `modsym.theta_elements` ran before it walked Euclid
+remainders: the two references for that walk.
 `saturated_cuspidal_basis` is M as the saturated kernel of the
 boundary map, which `modsym` now reads off as M_rel without its
 coordinate 0, and `shuffled_tree_space` a space on a second spanning
@@ -409,6 +412,48 @@ def full_theta_counts(D, N, inv):
     idx, w = np.concatenate(steps), np.concatenate(weights)
     return (np.bincount(idx[w > 0], minlength=N + 1)
             - np.bincount(idx[w < 0], minlength=N + 1))
+
+
+def convergent_theta_coords(space, Ds):
+    """Cuspidal coordinates of the theta elements of the Ds, one row per
+    D, by the convergent half walk: the continued-fraction walk of a/|D|
+    for each 0 < a < |D|/2 with chi_D(a) != 0, weighted by chi_D(a),
+    its symbols (q_k : (-1)^(k-1) q_{k-1}) counted as h, and
+    theta = h + sign(D) iota(h).  The walks of 32 D at a time run as one
+    lockstep Euclid loop.  Exact in int64 while max(N, |D|)^2 < 2^63."""
+    N = space.N
+    inv = np.array(space._inv, dtype=np.int64)
+    iota = np.array(space._iota, dtype=np.int64)
+    out = []
+    for lo in range(0, len(Ds), 32):
+        part = Ds[lo:lo + 32]
+        chis = [_chi_table(D)[:(abs(D) + 1) // 2] for D in part]
+        a = [np.flatnonzero(chi) for chi in chis]
+        row = np.repeat(np.arange(len(part)), [len(x) for x in a])
+        w = np.concatenate([chi[x] for chi, x in zip(chis, a)])
+        key = row * (N + 1)
+        # each walk starts after its opening (0 : 1), q_0 = 0, (1 : 0)
+        x, y = np.abs(np.array(part, dtype=np.int64))[row], np.concatenate(a)
+        qm2, qm1 = np.zeros_like(y), np.ones_like(y)
+        h = np.zeros(len(part) * (N + 1), dtype=np.int64)
+        sign = 1
+        while len(x):
+            q = x // y
+            x, y = y, x - q * y
+            qm2, qm1 = qm1, q * qm1 + qm2
+            idx = key + p1_index(qm1 % N, sign * qm2 % N, N, inv)
+            h += (np.bincount(idx[w > 0], minlength=len(h))
+                  - np.bincount(idx[w < 0], minlength=len(h)))
+            sign = -sign
+            live = y != 0
+            x, y, qm1, qm2, key, w = x[live], y[live], qm1[live], qm2[live], key[live], w[live]
+        h = h.reshape(len(part), N + 1)
+        s = np.sign(np.array(part, dtype=np.int64))[:, None]
+        out.append(mul_int64(h + s * h[:, iota], space.reduction.array))
+    rel = np.concatenate(out)
+    if rel[:, 0].any():
+        raise ValueError("theta chain has nonzero boundary")
+    return rel[:, 1:]
 
 
 def merel_matrices(ell):

@@ -81,6 +81,22 @@ def test_bad_input_is_refused_before_the_build(tmp_path, capsys, monkeypatch, ar
         assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command, dmin, dmax", [("sweep-even", "1", "100"),
+                                                 ("sweep-odd", "-50", "-1")])
+def test_jobs_below_one_exit_2_before_the_build(tmp_path, capsys, monkeypatch,
+                                                jobs, command, dmin, dmax):
+    def no_build(*args, **kwargs):
+        raise RuntimeError("context built for a sweep that is refused")
+
+    monkeypatch.setattr(harness, "build_space", no_build)
+    monkeypatch.setattr(harness, "build_context", no_build)
+    args = (command, "--N", "11", "--p", "5", "--dmin", dmin, "--dmax", dmax, "--jobs", jobs)
+    for cache in ((), ("--cache-dir", str(tmp_path))):
+        assert _run(capsys, *args, *cache) == (2, "", "error: need jobs >= 1\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cache_dir_round_trip(tmp_path, capsys):
     args = ("sweep-even", "--N", "11", "--p", "5", "--dmin", "1",
             "--dmax", "100", "--cache-dir", str(tmp_path))

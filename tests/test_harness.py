@@ -30,8 +30,10 @@ from eistheta.harness import (
     save_context,
     sweep_even,
     sweep_odd,
+    sweep_window,
 )
 from eistheta.modsym import build_space, hecke, theta_element
+from eistheta.quadfield import validate_discriminant
 from oracles import shuffled_tree_space
 
 EVEN_CSV = """\
@@ -202,9 +204,10 @@ def test_pinned_211_sweeps_from_a_loaded_cache(tmp_path, sign, window, rows, dig
 
 
 def test_sweep_validates_each_discriminant_once_in_a_row(monkeypatch):
-    # the window filter checks every D and `_rows` refuses a bad one again;
-    # the row's field profile and split-prime data then run unchecked, so
-    # a 3000-wide window of n rows makes 3000 + n checks (3000 + 3n before)
+    # the window is sieved (`sweep_window`) and `_rows` refuses a bad D
+    # once; the row's field profile and split-prime data then run
+    # unchecked, so a 3000-wide window of n rows makes n checks (3000 + n
+    # while the window filter checked every D, 3000 + 3n before that)
     calls = []
     real = harness.validate_discriminant
     counting = lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
@@ -212,7 +215,30 @@ def test_sweep_validates_each_discriminant_once_in_a_row(monkeypatch):
     monkeypatch.setattr(quadfield, "validate_discriminant", counting)
     report = sweep_even(11, 5, 1, 3000)
     assert report.total == 344
-    assert len(calls) == 3000 + report.total
+    assert calls == [row.D for row in report.rows]
+
+
+@pytest.mark.parametrize("N, p, d_min, d_max", [
+    (11, 5, 1, 3000), (11, 5, -3000, -1), (31, 5, 1, 2000), (211, 5, -2500, -1),
+    (421, 7, 1, 1500), (1871, 11, -1500, -1),
+    (211, 5, 997_001, 1_000_000), (421, 5, -1_000_000, -998_001),
+])
+def test_sweep_window_matches_the_per_d_filter(N, p, d_min, d_max):
+    sign = 1 if d_min > 0 else -1
+    harness.check_sweep(N, p, d_min, d_max, sign)
+    assert sweep_window(N, p, d_min, d_max, sign) == [
+        D for D in range(d_min, d_max + 1) if validate_discriminant(D, N, p, sign > 0)]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+@pytest.mark.parametrize("sweep, window", [(sweep_even, (1, 100)), (sweep_odd, (-50, -1))])
+def test_sweep_refuses_fewer_than_one_job(monkeypatch, jobs, sweep, window):
+    def no_build(*args, **kwargs):
+        raise RuntimeError("context built for a sweep that is refused")
+
+    monkeypatch.setattr(harness, "build_pair", no_build)
+    with pytest.raises(ValueError, match="need jobs >= 1"):
+        sweep(11, 5, *window, jobs=jobs)
 
 
 def test_sweep_input_validation():

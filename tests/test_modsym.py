@@ -12,11 +12,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import floor
+from itertools import islice
+from math import floor, gcd
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eistheta
 from eistheta import modsym
@@ -43,6 +45,7 @@ from eistheta.modsym import (
 from eistheta.quadfield import is_fundamental
 from oracles import (
     ADMISSIBLE,
+    convergent_theta_coords,
     full_theta_counts,
     mat_mul,
     merel_counts,
@@ -660,6 +663,67 @@ def test_theta_elements_do_not_depend_on_the_chunk_bound(monkeypatch, N):
             assert any(lanes > bound for _, lanes, _ in chunks)
         else:  # some chunk holds several D
             assert any(rows > 1 for rows, _, _ in chunks)
+
+
+def _remainder_symbols(m, c):
+    """The remainder walk of one lane: (x : -+y) along the Euclid
+    remainders of (m, c), the sign alternating from -1."""
+    out, sign = [], -1
+    x, y = m, c
+    while y:
+        out.append((x, sign * y))
+        x, y, sign = y, x % y, -sign
+    return out
+
+
+@given(st.integers(5, 10**9).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, (m - 1) // 2).filter(lambda c: gcd(m, c) == 1))))
+@settings(max_examples=300, deadline=None)
+def test_remainder_walk_is_the_reversed_convergent_walk(case):
+    # the lemma of the module docstring: the walk of lane c is the walk of
+    # a = (-1)^(n-1) c^-1 mod m, 0 < a < m/2, read backwards, its second
+    # coordinates times (-1)^n
+    m, c = case
+    walk = _remainder_symbols(m, c)
+    n = len(walk)
+    a = (-1) ** (n - 1) * pow(c, -1, m) % m
+    assert 0 < a < m / 2
+    true = list(islice(modsym._symbol_stream(a, m), 2, None))  # k = 1 .. n
+    assert len(true) == n
+    assert walk == [(x, (-1) ** n * v) for x, v in reversed(true)]
+
+
+def test_remainder_lanes_stand_for_every_half_residue():
+    # c -> (-1)^(n-1) c^-1 mod m permutes the c < m/2 prime to m
+    for m in range(3, 400):
+        cs = [c for c in range(1, (m + 1) // 2) if gcd(m, c) == 1]
+        signs = [(-1) ** (len(_remainder_symbols(m, c)) - 1) for c in cs]
+        assert sorted(e * pow(c, -1, m) % m for c, e in zip(cs, signs)) == cs, m
+
+
+def _walks_agree(N, ms):
+    """The remainder walk of the fundamental D = +-m, m in ms, prime to N,
+    against the convergent half walk on all of them and the full walk on
+    every third, offset by N so the levels share the D out."""
+    sp = build_space(N)
+    Ds = _fundamental_window(N, ms)
+    coords = np.array([th.coords for th in theta_elements(sp, Ds)])
+    assert np.array_equal(coords, convergent_theta_coords(sp, Ds)), N
+    some = range(N % 3, len(Ds), 3)
+    counts = np.array([full_theta_counts(Ds[i], N, sp._inv) for i in some])
+    rel = mul_int64(counts, sp.reduction.array)
+    assert not rel[:, 0].any(), N
+    assert np.array_equal(coords[list(some)], rel[:, 1:]), N
+
+
+@pytest.mark.parametrize("N", sorted({N for N, p in ADMISSIBLE if p == 5}))
+def test_remainder_walk_matches_the_convergent_and_full_walks(N):
+    _walks_agree(N, range(1, 3001))
+
+
+@pytest.mark.parametrize("N", [421, 1871])
+def test_remainder_walk_matches_the_oracles_far_out(N):
+    _walks_agree(N, range(20001, 21001))
 
 
 def test_chi_table_matches_kronecker():

@@ -17,6 +17,7 @@ from eistheta.quadfield import (
     class_number,
     class_numbers,
     field_profile,
+    fundamental_discriminants,
     is_fundamental,
     split_prime_data,
     split_root,
@@ -50,6 +51,13 @@ def test_validate_discriminant_pinned():
 def test_is_fundamental():
     assert all(is_fundamental(D) for D in (5, 8, 12, 13, -3, -4, -47, 401))
     assert not any(is_fundamental(D) for D in (0, 1, 2, 3, 4, 9, 18, 25, -27, 45))
+
+
+@pytest.mark.parametrize("d_min, d_max", [(-400, 400), (1, 1), (-1, -1), (0, 0), (2, 4),
+                                          (999_001, 1_000_000), (-1_000_000, -999_001)])
+def test_fundamental_discriminants_sieve_matches_is_fundamental(d_min, d_max):
+    assert fundamental_discriminants(d_min, d_max) == [
+        D for D in range(d_min, d_max + 1) if is_fundamental(D)]
 
 
 # ---------------------------------------------------------------------------
