@@ -39,10 +39,13 @@ and g_p is at least 1 (Mazur), at least 2 when `merel_criterion`
 holds (Merel); a dimension equal to that lower bound is g_p.  At
 N = 1871 this happens after T_2 - 3, the first of 65 generators.
 
-`_rref_mod_p` eliminates in panels of rows and reduces lazily: a pivot
-reduces only its own column and row mod p and updates the columns from
-its own on, and the panel is reduced once when it is done.  The bound
-it checks up front keeps every unreduced entry within 2^53 - p.
+`_rref_mod_p` halves the rows, in the manner of recursive echelon
+forms (Dumas, Pernet and Sultan, ISSAC 2013): the two halves are
+reduced in turn, and each is cleared at the other's pivot columns by
+one product, so the per-pivot Python runs only in leaves of at most
+16 rows.  Every product is a residue minus at most min(rows, columns)
+products of residues, which the bound it checks up front keeps within
+2^53 - p.
 """
 
 import numpy as np
@@ -86,67 +89,82 @@ def _check_exact(p, n):
         raise ValueError("float64 arithmetic mod p is not exact at this size")
 
 
-def _rref_mod_p(a, p, block=128):
-    """Reduced row echelon form over F_p, processing pivot rows in
-    panels so the bulk elimination happens in matrix products.
+_RREF_LEAF = 16  # rows at or below which `_rref_mod_p` runs Gauss-Jordan
+
+
+def _rref_mod_p(a, p):
+    """Reduced row echelon form over F_p by halving the rows, so that
+    the bulk elimination happens in matrix products.
 
     Returns (rows, pivot_cols): `rows` has a unit entry at its own
-    pivot column and zeros at every other pivot column.
+    pivot column and zeros at every other pivot column, and the rows
+    come in increasing pivot column, the canonical form of the row
+    space of `a`.
 
-    Inside a panel nothing is reduced mod p but the current column and
-    the pivot row, both into [0, p); rows at and below the pivot row are
-    zero left of its column, so only the columns from it on change.
-    Each pivot subtracts a product of two residues, so after t pivots an
-    unreduced entry lies in [-t(p-1)^2, p-1], and every product against
-    the finished rows is a residue minus a sum of at most m terms in
-    [0, (p-1)^2], where m = min(rows, columns) bounds both t and the
-    rank.  So every `_mod_p` here but the first sees |x| + p <=
-    m(p-1)^2 + p = (p-1)(1 + m(p-1)) + 1, and the check below makes
-    that at most 2^53; one reduction per panel suffices.  The entries of
-    `a` itself must be integers with |x| + p <= 2^53: the route passes
-    residues, and the tests small integers.
+    `_rref_rows` reduces the top half; one product clears the bottom
+    half at the top's pivot columns; the rest of the bottom half is
+    reduced; one product clears the top half at the bottom's pivot
+    columns; the two are merged in pivot order.  Every step takes and
+    gives residues in [0, p).  A clearing product subtracts from a
+    residue one product of residues, in [0, (p-1)^2], per pivot of the
+    other half, and a half has at most as many pivots as the whole,
+    at most m = min(rows, columns); a leaf's steps subtract one.  So
+    every `_mod_p` here but the first sees |x| + p <= m(p-1)^2 + p =
+    (p-1)(1 + m(p-1)) + 1, and the check below makes that at most
+    2^53.  The entries of `a` itself must be integers with |x| + p <=
+    2^53: the route passes residues, and the tests small integers.
     """
     a = np.asarray(a, dtype=np.float64)
     m = min(a.shape)
     if (p - 1) * (1 + m * (p - 1)) >= 2**53:
         raise ValueError("float64 arithmetic mod p is not exact at this size")
-    a = _mod_p(a, p)
-    done = np.empty((0, a.shape[1]))
+    return _rref_rows(_mod_p(a, p), p)
+
+
+def _rref_rows(a, p):
+    """`_rref_mod_p` of residues `a`, without the bound check.
+
+    The merge keeps the echelon form: a top row is zero left of its
+    pivot, and the bottom rows it takes multiples of have their pivots
+    right of it, so it stays zero there; the bottom rows are zero at
+    the top's pivot columns, so the top's unit columns survive.
+    """
+    if a.shape[0] <= _RREF_LEAF:
+        return _gauss_jordan_leaf(a, p)
+    h = a.shape[0] // 2
+    top, tcols = _rref_rows(a[:h], p)
+    low, lcols = _rref_rows(_mod_p(a[h:] - a[h:, tcols] @ top, p), p)
+    top = _mod_p(top - top[:, lcols] @ low, p)
+    cols = tcols + lcols
+    order = np.argsort(cols)
+    return np.vstack([top, low])[order], [cols[i] for i in order]
+
+
+def _gauss_jordan_leaf(a, p):
+    """`_rref_rows` of at most `_RREF_LEAF` rows by Gauss-Jordan.  The
+    next pivot column is the first with a nonzero among the rows not
+    yet used, so the rows from the pivot row down are zero left of it
+    and only the columns from it on change.  Every entry is reduced
+    after each pivot, a residue minus one product of residues."""
+    a = a.copy()
     pcols = []
-    for lo in range(0, a.shape[0], block):
-        panel = a[lo:lo + block].copy()
-        if pcols:
-            panel = _mod_p(panel - panel[:, pcols] @ done, p)
-        new_cols = []
-        r = 0
-        j = 0
-        while j < panel.shape[1] and r < panel.shape[0]:
-            col = _mod_p(panel[:, j], p)
-            panel[:, j] = col
-            nz = np.flatnonzero(col[r:])
-            if nz.size == 0:
-                j += 1
-                continue
-            i = r + nz[0]
-            if i != r:
-                panel[[r, i]] = panel[[i, r]]
-                col[[r, i]] = col[[i, r]]
-            prow = _mod_p(_mod_p(panel[r, j:], p) * pow(int(col[r]), -1, p), p)
-            panel[r, j:] = prow
-            col[r] = 0
-            panel[:, j:] -= np.outer(col, prow)
-            new_cols.append(j)
-            r += 1
-            j += 1
-        if r:
-            new = _mod_p(panel[:r], p)
-            if pcols:
-                done = _mod_p(done - done[:, new_cols] @ new, p)
-            done = np.vstack([done, new])
-            pcols += new_cols
-    # canonical form: rows ordered by pivot column
-    order = np.argsort(pcols) if pcols else []
-    return done[order], [pcols[i] for i in order]
+    j = 0
+    for r in range(a.shape[0]):
+        nz = np.flatnonzero(a[r:, j:].any(axis=0))
+        if not nz.size:
+            break
+        j += int(nz[0])
+        i = r + int(np.flatnonzero(a[r:, j])[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        prow = _mod_p(a[r, j:] * pow(int(a[r, j]), -1, p), p)
+        a[r, j:] = prow
+        col = a[:, j].copy()
+        col[r] = 0
+        a[:, j:] = _mod_p(a[:, j:] - np.outer(col, prow), p)
+        pcols.append(j)
+        j += 1
+    return a[:len(pcols)], pcols
 
 
 def _left_nullspace_mod_p(m, p):

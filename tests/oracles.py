@@ -5,8 +5,9 @@ package now reads M_rel off a spanning tree of the tau-orbit graph
 (`modsym.tree_reduction`).  The eliminations live on here: the exact
 route's Smith normal form with the inverse of its right transform, and
 the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
-pure-Python elimination that the panelled float64 kernel is checked
-against.  `dense_hecke_images` is the mod-p route's Hecke product
+pure-Python elimination, and `panel_rref_mod_p` the float64 kernel that
+eliminated 128-row panels one pivot at a time before `modp._rref_mod_p`
+halved the rows: the two references for that kernel.  `dense_hecke_images` is the mod-p route's Hecke product
 through the dense (N + 1) x (2g + 1) quotient map, before the counts
 were folded onto the variables, and `cut_full_squaring` is `modp.cut`
 before it stopped at a vanishing power; both reduce by numpy's `%`.
@@ -65,7 +66,7 @@ from eistheta.exact_linalg import (
     vp,
     mul_int64,
 )
-from eistheta.modp import _left_nullspace_mod_p, _rref_mod_p
+from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
     _chi_table,
     _space_from_tree,
@@ -353,6 +354,69 @@ def gauss_jordan_mod_p(rows, p):
                 mat[i] = [(x - f * y) % p for x, y in zip(row, prow)]
         pivots.append(c)
     return mat[:len(pivots)], pivots
+
+
+def panel_rref_mod_p(a, p, block=128):
+    """Reduced row echelon form over F_p, processing pivot rows in
+    panels so the bulk elimination happens in matrix products.
+
+    Returns (rows, pivot_cols): `rows` has a unit entry at its own
+    pivot column and zeros at every other pivot column.
+
+    Inside a panel nothing is reduced mod p but the current column and
+    the pivot row, both into [0, p); rows at and below the pivot row are
+    zero left of its column, so only the columns from it on change.
+    Each pivot subtracts a product of two residues, so after t pivots an
+    unreduced entry lies in [-t(p-1)^2, p-1], and every product against
+    the finished rows is a residue minus a sum of at most m terms in
+    [0, (p-1)^2], where m = min(rows, columns) bounds both t and the
+    rank.  So every `_mod_p` here but the first sees |x| + p <=
+    m(p-1)^2 + p = (p-1)(1 + m(p-1)) + 1, and the check below makes
+    that at most 2^53; one reduction per panel suffices.  The entries of
+    `a` itself must be integers with |x| + p <= 2^53: the route passes
+    residues, and the tests small integers.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    m = min(a.shape)
+    if (p - 1) * (1 + m * (p - 1)) >= 2**53:
+        raise ValueError("float64 arithmetic mod p is not exact at this size")
+    a = _mod_p(a, p)
+    done = np.empty((0, a.shape[1]))
+    pcols = []
+    for lo in range(0, a.shape[0], block):
+        panel = a[lo:lo + block].copy()
+        if pcols:
+            panel = _mod_p(panel - panel[:, pcols] @ done, p)
+        new_cols = []
+        r = 0
+        j = 0
+        while j < panel.shape[1] and r < panel.shape[0]:
+            col = _mod_p(panel[:, j], p)
+            panel[:, j] = col
+            nz = np.flatnonzero(col[r:])
+            if nz.size == 0:
+                j += 1
+                continue
+            i = r + nz[0]
+            if i != r:
+                panel[[r, i]] = panel[[i, r]]
+                col[[r, i]] = col[[i, r]]
+            prow = _mod_p(_mod_p(panel[r, j:], p) * pow(int(col[r]), -1, p), p)
+            panel[r, j:] = prow
+            col[r] = 0
+            panel[:, j:] -= np.outer(col, prow)
+            new_cols.append(j)
+            r += 1
+            j += 1
+        if r:
+            new = _mod_p(panel[:r], p)
+            if pcols:
+                done = _mod_p(done - done[:, new_cols] @ new, p)
+            done = np.vstack([done, new])
+            pcols += new_cols
+    # canonical form: rows ordered by pivot column
+    order = np.argsort(pcols) if pcols else []
+    return done[order], [pcols[i] for i in order]
 
 
 def dense_hecke_images(vecs, counts, pres, red_vars_p, p):

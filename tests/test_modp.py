@@ -35,6 +35,7 @@ from oracles import (
     dense_hecke_images,
     gauss_jordan_mod_p,
     merel_counts,
+    panel_rref_mod_p,
     rref_reduction,
 )
 
@@ -135,6 +136,29 @@ def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
                         used.append(1) or dense_hecke_images(*args))
     assert list(_joint_kernel_dims(N, p)) == own
     assert len(used) == len(own) - 1
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
+def test_halving_kernel_matches_panel_oracle_in_the_route(N, p, monkeypatch):
+    # with the panel kernel in place of `_rref_mod_p`, in the plus quotient's
+    # null space and in every cut, the drained loop yields the same dimensions
+    own = list(_joint_kernel_dims(N, p))
+    used = []
+    monkeypatch.setattr(modp, "_rref_mod_p", lambda *args:
+                        used.append(1) or panel_rref_mod_p(*args))
+    assert list(_joint_kernel_dims(N, p)) == own
+    assert used
+
+
+@pytest.mark.parametrize("N,p", [(41, 5), (181, 5), (211, 7)])
+def test_halving_kernel_matches_panel_oracle_in_the_exact_g_p(N, p, monkeypatch):
+    # the exact route's g_p loop cuts through the same kernel
+    own = build_context(_space(N), p).g_p
+    used = []
+    monkeypatch.setattr(modp, "_rref_mod_p", lambda *args:
+                        used.append(1) or panel_rref_mod_p(*args))
+    assert build_context(_space(N), p).g_p == own
+    assert used
 
 
 def _families_used(monkeypatch, N, p):
@@ -338,16 +362,19 @@ def test_left_nullspace_properties(p):
             assert (basis[:, cols] == np.eye(basis.shape[0])).all()
 
 
-def test_rref_blocked_panels_agree():
-    # force multiple panels through a tiny block size
-    rows = _random_matrix(40, 25)
-    a, pa = _rref_mod_p(np.array(rows), 5, block=7)
-    b, pb = _rref_mod_p(np.array(rows), 5, block=128)
-    assert pa == pb and (a == b).all()
+def test_rref_halving_matches_panel_oracle():
+    # 40 rows halve down to leaves of 10; the oracle runs 128-row panels
+    # and, at block 7, six of them
+    a = np.array(_random_matrix(40, 25))
+    got, pivots = _rref_mod_p(a, 5)
+    for block in (128, 7):
+        want, want_pivots = panel_rref_mod_p(a, 5, block=block)
+        assert pivots == want_pivots and got.tobytes() == want.tobytes()
 
 
 def _largest_exact_prime(m):
-    # the largest prime p with (p-1)(1 + m(p-1)) < 2^53: the lazy panel's bound
+    # the largest prime p with (p-1)(1 + m(p-1)) < 2^53: `_rref_mod_p`'s
+    # bound at m = min(rows, columns)
     p = isqrt(2**53 // m) + 2
     while not (is_prime(p) and (p - 1) * (1 + m * (p - 1)) < 2**53):
         p -= 1
@@ -364,12 +391,24 @@ def _rref_input(p, rows, cols, kind, seed):
     if kind == "lowrank":
         return g.integers(0, p, (rows, 24)) @ g.integers(0, p, (24, cols)) % p
     if kind == "duprows":
-        half = g.integers(-p, p, (rows // 2, cols))
-        a = np.vstack([half, half * g.integers(1, p, (rows // 2, 1)), half[:rows % 2]])
-        return a[g.permutation(rows)]
+        half = g.integers(-p, p, (max(rows // 2, 1), cols))  # one row at rows = 1
+        a = np.vstack([half, half * g.integers(1, p, (len(half), 1)), half[:rows % 2]])
+        return a[:rows][g.permutation(rows)]
     if kind == "dupcols":
         return _rref_input(p, cols, rows, "duprows", seed).T
     return g.integers(0, p, (rows, cols))
+
+
+def _assert_rref_matches_oracles(a, p):
+    # the canonical form is unique: the same pivots as the pure-Python
+    # elimination, and the same bytes as the panel kernel
+    got, pivots = _rref_mod_p(a, p)
+    want, want_pivots = panel_rref_mod_p(a, p)
+    assert pivots == want_pivots and all(type(j) is int for j in pivots)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    gj_rows, gj_pivots = gauss_jordan_mod_p(a.tolist(), p)
+    assert pivots == gj_pivots and got.tolist() == gj_rows
 
 
 @pytest.mark.parametrize("p,rows,cols,kind", [
@@ -385,15 +424,44 @@ def _rref_input(p, rows, cols, kind, seed):
 ])
 def test_rref_matches_gauss_jordan(p, rows, cols, kind):
     a = _rref_input(p, rows, cols, kind, seed=rows * cols + p % 1000)
-    want_rows, want_pivots = gauss_jordan_mod_p(a.tolist(), p)
-    for block in (128, 7):
-        got, pivots = _rref_mod_p(a, p, block=block)
-        assert pivots == want_pivots
-        assert got.tolist() == want_rows
+    _assert_rref_matches_oracles(a, p)
+
+
+# one leaf (1, 15, 16); one row past it, halved into leaves of 8 and 9
+# (17); a leaf of 16 beside a halved 17 (33); uneven halvings (129, 257)
+RREF_ROWS = [1, 15, 16, 17, 33, 129, 257]
+
+
+@pytest.mark.parametrize("rows", RREF_ROWS)
+@pytest.mark.parametrize("kind,cols", [
+    ("dense", lambda r: r + 9),    # wide: full row rank
+    ("dense", lambda r: r // 3 + 1),  # tall: the top half fills every column
+    ("zero", lambda r: r + 3),
+    ("lowrank", lambda r: r + 5),
+    ("duprows", lambda r: r + 2),
+    ("dupcols", lambda r: r // 2 + 1),
+], ids=["wide", "tall", "zero", "lowrank", "duprows", "dupcols"])
+@pytest.mark.parametrize("p", [7, P_EDGE], ids=["7", "edge"])
+def test_rref_halving_matches_oracles(rows, kind, cols, p):
+    cols = cols(rows)
+    if p == P_EDGE and min(rows, cols) > 129:
+        cols = 129  # stay within the bound at P_EDGE: tall instead
+    a = _rref_input(p, rows, cols, kind, seed=rows * 1000 + cols)
+    _assert_rref_matches_oracles(a, p)
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (0, 0), (5, 0), (40, 0), (0, 40)])
+def test_rref_empty_shapes(shape):
+    a = np.zeros(shape, dtype=np.int64)
+    got, pivots = _rref_mod_p(a, 5)
+    want, _ = panel_rref_mod_p(a, 5)
+    assert pivots == [] and got.shape == want.shape == (0, shape[1])
+    basis, free = _left_nullspace_mod_p(a, 5)
+    assert (basis == np.eye(shape[0])).all() and free == list(range(shape[0]))
 
 
 def test_rref_bound_raises_past_its_limit():
-    # m = min(rows, cols) bounds the pivots in a panel, so only it counts
+    # m = min(rows, cols) bounds every rank, so only it counts
     p_next = next(q for q in range(P_EDGE + 1, 2 * P_EDGE) if is_prime(q))
     a = np.ones((129, 300))
     with pytest.raises(ValueError, match="not exact"):
