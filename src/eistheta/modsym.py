@@ -126,12 +126,23 @@ s chi_D(c) (iota(w) + s w) = chi_D(c) (w + s iota(w)) to
 h + s iota(h), what chi_D(a) w adds.  So every lane is weighted
 sign(D) chi_D(c), and n is never computed.
 
-chi_D comes from the characters of the prime discriminants dividing D;
-the remainder walks of many D run together in one lockstep Euclid loop,
-each step's symbols counted by one `bincount` keyed by row and the sign
-of the weight (`theta_elements`).  A lane carries x mod N, since the
-next step's x is this step's y.  The folded counts go through the int64
-reduction to M_rel, whose coordinates 1 .. 2g are the cuspidal ones.
+chi_D comes from the characters of the prime discriminants dividing D,
+made on the half the walk reads from tables shared by a window
+(`_half_chis`); the remainder walks of many D run together in one
+lockstep Euclid loop, the symbols of each piece of lanes counted by one
+`bincount` keyed by row and the sign of the weight (`theta_elements`).
+A lane carries u = x mod N, since the next step's x is this step's y.
+The symbol (u : v) has index 1 + v u^-1 mod N if u != 0 and 0 if
+u = 0; the walk reads u^-1 as 0 at u = 0, so it counts (0 : v) =
+(0 : 1) at index 1, that of (1 : 0), and then zeroes index 1.  Proof
+that nothing is lost: within a lane, a step with N | y, whose symbol is
+(1 : 0), is never the last (that has y = 1), and the next step has
+N | x, the symbol (0 : 1); every step with N | x follows one with
+N | y, as the first has x = |D| prime to N.  So a lane has as many
+(0 : 1) as (1 : 0), at its one weight, and every pair (0 : 1) + (1 : 0)
+= x + xS is killed by the two-term relation in M_rel (iota fixes
+both).  The folded counts go through the int64 reduction to M_rel,
+whose coordinates 1 .. 2g are the cuspidal ones.
 `path_to_chain` is the one-path form, on the convergents of a/m
 (`_symbol_stream`).
 """
@@ -152,7 +163,7 @@ from .exact_linalg import (
     left_kernel,
     mul_int64,
 )
-from .quadfield import is_fundamental
+from .quadfield import fundamental_mask
 
 _S = ((0, -1), (1, 0))
 _T = ((0, -1), (1, -1))
@@ -621,26 +632,38 @@ _CHI_MOD_8 = {-4: (0, 1, 0, -1, 0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
               -8: (0, 1, 0, 1, 0, -1, 0, -1)}
 
 
-def _chi_table(D):
-    """chi_D(a) for 0 <= a < |D|, D fundamental, as an int8 array: the
-    product of the characters of the prime discriminants dividing D, a
-    Legendre table mod q for each odd prime q | D (the character of
-    q* = +-q = 1 mod 4) and a table mod 8 for the 2-part -4, 8 or -8."""
-    m = abs(D)
-    a = np.arange(m, dtype=np.int64)
-    chi = np.ones(m, dtype=np.int8)
-    odd = m
-    while odd % 2 == 0:
-        odd //= 2
-    for q in factorize(odd):
-        legendre = np.full(q, -1, dtype=np.int8)
-        legendre[0] = 0
-        legendre[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
-        chi *= legendre[a % q]
-    two_part = D // (odd if odd % 4 == 1 else -odd)
-    if two_part != 1:
-        chi *= np.array(_CHI_MOD_8[two_part], dtype=np.int8)[a % 8]
-    return chi
+def _half_chis(Ds):
+    """chi_D(a) for 0 <= a < (|D| + 1) // 2, the half the walk reads, of
+    each fundamental D in Ds, in order, as int8 arrays, some of them
+    read-only views of tables shared across Ds: the product of the
+    characters of the prime discriminants dividing D, a Legendre table
+    mod q for each odd prime q | D (the character of q* = +-q = 1 mod 4)
+    and a table mod 8 for the 2-part -4, 8 or -8.  The tables are made
+    once for all of Ds: the mod-8 ones repeated to the longest half, a
+    Legendre table for each distinct q.  A table at least as long as
+    the half is sliced, a shorter one repeated to its length."""
+    size = max([(abs(D) + 1) // 2 for D in Ds], default=0)
+    two = {t: np.resize(np.array(v, dtype=np.int8), size) for t, v in _CHI_MOD_8.items()}
+    for table in two.values():
+        table.flags.writeable = False
+    legendre = {}
+    for D in Ds:
+        m = abs(D)
+        h = (m + 1) // 2
+        odd = m >> ((m & -m).bit_length() - 1)  # m without its factors 2
+        two_part = D // (odd if odd % 4 == 1 else -odd)
+        chi = two[two_part][:h] if two_part != 1 else None
+        for q in factorize(odd):
+            table = legendre.get(q)
+            if table is None:
+                # (q - k)^2 = k^2, so the k < q/2 give every square mod q
+                table = legendre[q] = np.full(q, -1, dtype=np.int8)
+                table[0] = 0
+                table[np.arange(1, (q + 1) // 2, dtype=np.int64) ** 2 % q] = 1
+                table.flags.writeable = False
+            part = table[:h] if q >= h else np.tile(table, -(-h // q))[:h]
+            chi = part if chi is None else chi * part
+        yield chi
 
 
 # the theta walk runs at most this many lanes at a time, and counts the
@@ -657,18 +680,21 @@ def theta_elements(space, Ds):
     counts, and the lanes of weight sign(D) chi_D(c) = -1 by a second
     block.  The rows are walked in chunks of at most _THETA_CHUNK lanes
     and (row, symbol) cells (a row with more lanes or cells is a chunk
-    alone, its lanes walked _THETA_CHUNK at a time), so no array
-    outgrows that bound.  Each chunk is folded, reduced to M_rel and
-    checked to have no boundary at once.  Every walk value is at most
-    |D|, a Legendre table squares residues mod q | D, and a symbol's
-    index multiplies two residues mod N, w inv[u] < N^2: all exact in
-    int64 while max(N, |D|)^2 < 2^63, which is checked before any
-    symbol data is read."""
+    alone, its lanes walked in pieces of _THETA_CHUNK), so no lane
+    array outgrows that bound.  The keys of a piece's steps are kept
+    until the piece is walked and then counted by one `bincount`: a
+    lane of D takes at most log_phi |D| steps (Lame: n division steps
+    need |D| >= F_(n+2) >= phi^n), so the buffer holds at most
+    _THETA_CHUNK log_phi |D| keys, 45 per lane below 2^31.5.  Each chunk
+    is folded, reduced to M_rel and checked to have no boundary at once.
+    Every walk value is at most |D|, a Legendre table squares residues
+    mod q | D, and a symbol's index multiplies two residues mod N,
+    w inv[u] < N^2: all exact in int64 while max(N, |D|)^2 < 2^63, which
+    is checked before any symbol data is read."""
     N = space.N
     Ds = list(Ds)
-    for D in Ds:
-        if abs(D) <= 1 or not is_fundamental(D) or gcd(D, N) != 1:
-            raise ValueError("need a fundamental discriminant prime to N")
+    if not fundamental_mask(Ds).all() or any(gcd(D, N) != 1 for D in Ds):
+        raise ValueError("need a fundamental discriminant prime to N")
     if max([N] + [abs(D) for D in Ds]) ** 2 >= 2**63:
         raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
     inv = np.array(space._inv, dtype=np.int64)
@@ -676,8 +702,7 @@ def theta_elements(space, Ds):
     iota = np.array(space._iota, dtype=np.int64)
     out = []
     rows, n = [], 0  # the rows (D, c, weight < 0) of the next chunk, n lanes
-    for D in Ds:
-        chi = _chi_table(D)[:(abs(D) + 1) // 2]
+    for D, chi in zip(Ds, _half_chis(Ds)):
         c = np.flatnonzero(chi)  # the 0 < c < |D|/2 with chi_D(c) != 0
         if rows and (n + len(c) > _THETA_CHUNK or (len(rows) + 1) * (N + 1) > _THETA_CHUNK):
             out += _theta_chunk(space, rows, tables, iota)
@@ -689,13 +714,15 @@ def theta_elements(space, Ds):
 
 def _theta_chunk(space, rows, tables, iota):
     """The theta elements of the rows (D, c, sign(D) chi_D(c) < 0) of one
-    chunk, `tables` being the maps u -> -u^{-1} and u -> u^{-1} mod N."""
+    chunk, `tables` being the maps u -> -u^{-1} and u -> u^{-1} mod N,
+    both 0 at u = 0 (module docstring)."""
     N = space.N
     Ds = [D for D, _, _ in rows]
     width = len(rows) * (N + 1)
     row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(c) for _, c, _ in rows])
     c_all = np.concatenate([c for _, c, _ in rows])
-    key_all = row * (N + 1) + width * np.concatenate([neg for _, _, neg in rows])
+    # offset by 1: the symbol (u : -+w), u != 0, has index 1 + (-+w u^-1 mod N)
+    key_all = 1 + row * (N + 1) + width * np.concatenate([neg for _, _, neg in rows])
     m_all = np.abs(np.array(Ds, dtype=np.int64))[row]
     counts = np.zeros(2 * width, dtype=np.int64)
     for lo in range(0, len(c_all), _THETA_CHUNK):
@@ -704,16 +731,19 @@ def _theta_chunk(space, rows, tables, iota):
         # x - x // N * N is x % N, which numpy divides by a scalar faster
         x, y, key = m_all[piece], c_all[piece], key_all[piece]
         u = x - x // N * N
+        keys = []  # the (row, sign, symbol) keys of the piece's steps
         step = 0  # all lanes take their j-th step together: one sign, (-1)^(j+1)
         while len(x):
             w = y - y // N * N
-            t = w * tables[step & 1][u]  # the index of (u : -+w) is 1 + t mod N, or 0 at u = 0
-            counts += np.bincount(key + (1 + t - t // N * N) * (u != 0), minlength=2 * width)
-            x, y = y, x % y
-            live = y != 0
-            x, y, u, key = x[live], y[live], w[live], key[live]
+            t = w * tables[step & 1].take(u)
+            keys.append(key + (t - t // N * N))
+            r = x % y
+            live = (r != 0).nonzero()[0]  # numpy finds a bool array's nonzeros faster
+            x, y, u, key = y.take(live), r.take(live), w.take(live), key.take(live)
             step += 1
+        counts += np.bincount(np.concatenate(keys), minlength=2 * width)
     half = (counts[:width] - counts[width:]).reshape(len(rows), N + 1)
+    half[:, 1] = 0  # as many (0 : 1) as (1 : 0), both counted here (module docstring)
     # theta = half + s iota(half), s = sign(D)
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
     rel = mul_int64(half + s * half[:, iota], space.reduction.array)

@@ -94,6 +94,7 @@ from .exact_linalg import (
     factorize,
     kronecker,
     log_to_p,
+    primes_up_to,
     sqrt_mod,
     vp,
 )
@@ -113,6 +114,29 @@ def is_fundamental(D):
         m = D // 4
         return m % 4 in (2, 3) and _squarefree(m)
     return False
+
+
+# `fundamental_mask` tests a |D| below this bound in numpy, by the odd
+# primes up to its square root, 2^16 at most; a larger D is factored alone
+_MASK_BOUND = 2**32
+
+
+def fundamental_mask(Ds):
+    """`is_fundamental` of each D in Ds, in order, as a bool array, by one
+    vectorized test for the |D| < 2^32: D = 1 mod 4 or D = 8, 12 mod 16,
+    D != 1, and no square q^2 of an odd prime q <= sqrt(max |D|) dividing
+    D (the test of `fundamental_discriminants`).  A larger |D| is tested
+    alone by `is_fundamental`."""
+    Ds = [int(D) for D in Ds]
+    D = np.array([D if abs(D) < _MASK_BOUND else 0 for D in Ds], dtype=np.int64)
+    ok = ((D % 4 == 1) | (D % 16 == 8) | (D % 16 == 12)) & (D != 1)
+    q2 = np.array(primes_up_to(isqrt(int(np.abs(D).max(initial=0))))[1:], dtype=np.int64) ** 2
+    step = max(1, 2**16 // max(len(q2), 1))  # rows per block of D % q^2
+    for lo in range(0, len(D), step):
+        ok[lo:lo + step] &= (D[lo:lo + step, None] % q2 != 0).all(axis=1)
+    big = [i for i, D in enumerate(Ds) if abs(D) >= _MASK_BOUND]
+    ok[big] = [is_fundamental(Ds[i]) for i in big]
+    return ok
 
 
 def fundamental_discriminants(d_min, d_max):
@@ -267,7 +291,7 @@ def class_numbers(Ds):
     M = isqrt(max(map(abs, Ds), default=0))
     if M * M >= 2**52 or _CLASS_CHUNK * (2 * M + 1) * (M + 1) >= 2**63:
         raise ValueError("class numbers: |D| too large for int64 arithmetic")
-    if not all(map(is_fundamental, Ds)):
+    if not fundamental_mask(Ds).all():
         raise ValueError("discriminant is not fundamental")
     batches, out = [], {}
     for pos in (True, False):

@@ -14,7 +14,11 @@ before it stopped at a vanishing power; both reduce by numpy's `%`.
 `full_theta_counts` is the theta walk over every residue, and
 `convergent_theta_coords` the half walk on continued-fraction
 convergents that `modsym.theta_elements` ran before it walked Euclid
-remainders: the two references for that walk.
+remainders: the two references for that walk.  Both read chi_D off
+`chi_table`, the full |D| table that `modsym` built for each D on its
+own before it made only the half the walk reads, sharing the tables
+of a window (`modsym._half_chis`), so neither reference runs the code
+it checks.
 `saturated_cuspidal_basis` is M as the saturated kernel of the
 boundary map, which `modsym` now reads off as M_rel without its
 coordinate 0, and `shuffled_tree_space` a space on a second spanning
@@ -61,6 +65,7 @@ from eistheta.exact_linalg import (
     _row_sub,
     as_int64,
     divisors,
+    factorize,
     is_prime,
     left_kernel,
     vp,
@@ -68,7 +73,6 @@ from eistheta.exact_linalg import (
 )
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
-    _chi_table,
     _space_from_tree,
     cuspidal_coords,
     p1_index,
@@ -446,6 +450,33 @@ def cut_full_squaring(rows, cols, images, eigen, p):
     return _rref_mod_p(ker @ rows % p, p)
 
 
+# the characters of the prime discriminants -4, 8 and -8, indexed by a mod 8
+_CHI_MOD_8 = {-4: (0, 1, 0, -1, 0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1),
+              -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+
+def chi_table(D):
+    """chi_D(a) for 0 <= a < |D|, D fundamental, as an int8 array: the
+    product of the characters of the prime discriminants dividing D, a
+    Legendre table mod q for each odd prime q | D (the character of
+    q* = +-q = 1 mod 4) and a table mod 8 for the 2-part -4, 8 or -8."""
+    m = abs(D)
+    a = np.arange(m, dtype=np.int64)
+    chi = np.ones(m, dtype=np.int8)
+    odd = m
+    while odd % 2 == 0:
+        odd //= 2
+    for q in factorize(odd):
+        legendre = np.full(q, -1, dtype=np.int8)
+        legendre[0] = 0
+        legendre[np.arange(1, q, dtype=np.int64) ** 2 % q] = 1
+        chi *= legendre[a % q]
+    two_part = D // (odd if odd % 4 == 1 else -odd)
+    if two_part != 1:
+        chi *= np.array(_CHI_MOD_8[two_part], dtype=np.int8)[a % 8]
+    return chi
+
+
 def full_theta_counts(D, N, inv):
     """Signed Manin-symbol counts of sum_a chi_D(a) {0, a/|D|}, an int64
     array over P^1(Z/NZ): the continued-fraction walks of every a < |D|
@@ -456,7 +487,7 @@ def full_theta_counts(D, N, inv):
     if max(N, m) ** 2 >= 2**63:
         raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
     inv = np.array(inv, dtype=np.int64)
-    chi = _chi_table(D)
+    chi = chi_table(D)
     x = np.flatnonzero(chi)
     w = chi[x]
     y = np.full(len(x), m, dtype=np.int64)
@@ -491,7 +522,7 @@ def convergent_theta_coords(space, Ds):
     out = []
     for lo in range(0, len(Ds), 32):
         part = Ds[lo:lo + 32]
-        chis = [_chi_table(D)[:(abs(D) + 1) // 2] for D in part]
+        chis = [chi_table(D)[:(abs(D) + 1) // 2] for D in part]
         a = [np.flatnonzero(chi) for chi in chis]
         row = np.repeat(np.arange(len(part)), [len(x) for x in a])
         w = np.concatenate([chi[x] for chi, x in zip(chis, a)])

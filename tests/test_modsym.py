@@ -24,7 +24,7 @@ import eistheta
 from eistheta import modsym
 from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, primes_up_to, xgcd
 from eistheta.modsym import (
-    _chi_table,
+    _half_chis,
     _space_from_tree,
     build_space,
     coordinate_symbols,
@@ -45,6 +45,7 @@ from eistheta.modsym import (
 from eistheta.quadfield import is_fundamental
 from oracles import (
     ADMISSIBLE,
+    chi_table,
     convergent_theta_coords,
     full_theta_counts,
     mat_mul,
@@ -726,11 +727,42 @@ def test_remainder_walk_matches_the_oracles_far_out(N):
     _walks_agree(N, range(20001, 21001))
 
 
+def test_remainder_walk_matches_the_convergent_walk_on_multi_piece_rows():
+    # at |D| > 97,000 a row has more lanes than the real _THETA_CHUNK, so
+    # its lanes are walked in several pieces, each counted on its own
+    sp = build_space(211)
+    Ds = _fundamental_window(211, range(97001, 97101))
+    assert any(np.count_nonzero(chi) > modsym._THETA_CHUNK for chi in _half_chis(Ds))
+    coords = np.array([th.coords for th in theta_elements(sp, Ds)])
+    assert np.array_equal(coords, convergent_theta_coords(sp, Ds))
+
+
 def test_chi_table_matches_kronecker():
-    for m in range(3, 3001):
-        for D in (m, -m):
-            if is_fundamental(D):
-                assert _chi_table(D).tolist() == [kronecker(D, a) for a in range(m)], D
+    # the oracle's full tables, and the walk's half tables over windows in
+    # several orders: ascending, descending and shuffled (so a larger |D|
+    # comes after smaller ones, with longer mod-8 tables), with odd primes
+    # that repeat across a window, each 2-part -4, 8 and -8, and far |D|
+    near = [D for m in range(3, 3001) for D in (m, -m) if is_fundamental(D)]
+    far = [D for m in range(97001, 97013) for D in (m, -m) if is_fundamental(D)]
+    want = {}
+    for D in near:
+        full = [kronecker(D, a) for a in range(abs(D))]
+        assert chi_table(D).tolist() == full, D
+        want[D] = full[:(abs(D) + 1) // 2]
+    for D in far:
+        want[D] = [kronecker(D, a) for a in range((abs(D) + 1) // 2)]
+    assert {-4, 8, -8} <= set(near) and {-15, 21, 33, -39} <= set(near) and 97001 in far
+    Ds = near + far
+    shuffled = random.Random(20261019).sample(Ds, len(Ds))
+    for window in (Ds, Ds[::-1], shuffled, [5, -4, 97001, 8, -8, 13]):
+        for D, chi in zip(window, _half_chis(window), strict=True):
+            assert chi.dtype == np.int8
+            assert chi.tolist() == want[D], D
+    # the shared tables are read-only, so no caller can change a later D
+    chis = list(_half_chis([-4, 8, 13, 65]))
+    for chi in chis[:3]:
+        with pytest.raises(ValueError):
+            chi[0] = 1
 
 
 def test_theta_walk_bound_survives_optimize():

@@ -18,6 +18,7 @@ from eistheta.quadfield import (
     class_numbers,
     field_profile,
     fundamental_discriminants,
+    fundamental_mask,
     is_fundamental,
     split_prime_data,
     split_root,
@@ -51,6 +52,15 @@ def test_validate_discriminant_pinned():
 def test_is_fundamental():
     assert all(is_fundamental(D) for D in (5, 8, 12, 13, -3, -4, -47, 401))
     assert not any(is_fundamental(D) for D in (0, 1, 2, 3, 4, 9, 18, 25, -27, 45))
+
+
+def test_fundamental_mask_matches_is_fundamental():
+    Ds = [D for m in range(1, 10**5 + 1) for D in (m, -m)]
+    assert fundamental_mask(Ds).tolist() == [is_fundamental(D) for D in Ds]
+    # in the order given, 0 included; past 2^32 a D is tested alone
+    big = [0, 2**32 + 1, -(2**32 + 3), 9 * 477218589, 3037000537, (2**61 - 1) * 4 * 3, 45]
+    assert fundamental_mask(big).tolist() == [is_fundamental(D) for D in big]
+    assert fundamental_mask(big).dtype == bool and fundamental_mask([]).tolist() == []
 
 
 @pytest.mark.parametrize("d_min, d_max", [(-400, 400), (1, 1), (-1, -1), (0, 0), (2, 4),
