@@ -20,7 +20,7 @@ from .harness import (
     FIXTURES_LARGE,
     CacheMismatchError,
     build_pair,
-    check_discriminant,
+    check_discriminants,
     check_sweep,
     fixture_rows,
     load_context,
@@ -126,7 +126,7 @@ def _cmd_sweep(args, out, even):
 def _cmd_theta(args, out):
     split = args.D > 0
     check_pair(args.N, args.p)
-    check_discriminant(args.D, args.N, args.p, split)
+    check_discriminants([args.D], args.N, args.p, split)
     _, ctx = _cached_pair(args.N, args.p, args.nmax,
                           1 if split else -1, args.cache_dir)
     report = make_report(row_function(ctx)([args.D]))

@@ -64,7 +64,7 @@ from .modp import _mod_p, cut, merel_criterion
 from .modsym import (
     check_pair,
     cuspidal_coords,
-    hecke,
+    hecke_operators,
     path_to_chain,
     restrict_to_sign,
     solve_by_inverse,
@@ -122,22 +122,25 @@ def _sturm_bound(N):
     return -(-(N + 1) // 6)
 
 
-def _generator(space, sign, ell, eigen):
-    """T_ell (or U_N) on M^sign, minus its Eisenstein eigenvalue."""
-    t = restrict_to_sign(space, hecke(space, ell), sign).array
-    if np.abs(t).max() >= 2**62:  # so that t - eigen cannot wrap
-        raise ValueError("Hecke operator entries too large for int64")
-    return IntMatrix(t - eigen * np.eye(len(t), dtype=np.int64))
+def _generators(space, sign, ells):
+    """T_ell - ell - 1 (U_N - 1 at ell = N) on M^sign for each prime of
+    `ells`, in order, from one `hecke_operators` call."""
+    eye = np.eye(space.genus, dtype=np.int64)
+    out = []
+    for ell, op in zip(ells, hecke_operators(space, ells)):
+        t = restrict_to_sign(space, op, sign).array
+        if np.abs(t).max() >= 2**62:  # so that t - eigenvalue cannot wrap
+            raise ValueError("Hecke operator entries too large for int64")
+        out.append(IntMatrix(t - (1 if ell == space.N else ell + 1) * eye))
+    return out
 
 
 def eisenstein_generators(space, sign):
     """The restricted operators spanning I on M^sign: T_l - l - 1 for the
     primes l != N up to the Sturm bound, then U_N - 1."""
     N = space.N
-    gens = [_generator(space, sign, ell, ell + 1)
-            for ell in primes_up_to(_sturm_bound(N)) if ell != N]
-    gens.append(_generator(space, sign, N, 1))
-    return gens
+    return _generators(space, sign, [ell for ell in primes_up_to(_sturm_bound(N)) if ell != N]
+                       + [N])
 
 
 def _next_primes(start, count):
@@ -173,8 +176,8 @@ def build_context(space, p, n_max=3, sign=1):
     # Sturm saturation check: three more Hecke primes must not shrink W_1,
     # that is, W_0 = Z^g must map into W_1 under each of them
     z = scaled_inverse_mod(ws[1].array, unit).astype(np.int64)  # entries in [0, G)
-    for q in _next_primes(max(N, _sturm_bound(N)), 3):
-        if (mul_int64(_generator(space, sign, q, q + 1).array % unit, z) % unit).any():
+    for eta in _generators(space, sign, _next_primes(max(N, _sturm_bound(N)), 3)):
+        if (mul_int64(eta.array % unit, z) % unit).any():
             raise ValueError("Sturm-bound generator set failed saturation check")
 
     # g_p: the generators commute, so cutting F_p^g down by one generator

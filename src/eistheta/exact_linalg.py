@@ -257,7 +257,13 @@ def hnf_mod(rows, D):
 
     Hermite form modulo D (Domich-Kannan-Trotter, Math. Oper. Res. 12,
     1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
-    2.4.8), by `_hnf_mod_reduced`."""
+    2.4.8), by `_hnf_mod_reduced`.  A column that holds a unit mod D is
+    cleared in one product, its unit's row scaled to pivot 1, and only a
+    column without one runs Euclid.  Scaling a row by a unit mod D keeps
+    the lattice of the rows and D Z^g, and a Hermite form (positive
+    pivots, each entry above a pivot below it) is canonical for its
+    lattice, so the form is the same whichever columns take the unit
+    step: the Euclid-only elimination it replaced is its test oracle."""
     if D < 1:
         raise ValueError("the modulus must be positive")
     m, g = np.shape(rows)
@@ -322,19 +328,38 @@ def _hnf_mod_reduced(a, D):
     already reduced into [0, D), as int64 while 2 D^2 < 2^63 and as
     Python ints (dtype=object) otherwise; `a` is overwritten.
 
-    Column by column, Euclid down the column (pivoting on the least
-    entry) leaves one live row r with entry a, and one xgcd u*a + v*D = d
-    folds D e_j in: the unimodular change of (r, D e_j) to
+    Column by column.  When some nonzero entry a of the column is a unit
+    mod D, its row r is scaled to the pivot row r' = a^-1 r mod D, pivot
+    1, and one product clears the column from every other row x, as
+    x - x_j r' mod D.  Otherwise Euclid down the column (pivoting on the
+    least entry) leaves one live row r with entry a, and one xgcd
+    u*a + v*D = d folds D e_j in: the unimodular change of (r, D e_j) to
     (u r + v D e_j, (D/d) r - (a/d) D e_j) gives the pivot row u*r, pivot
-    d, and a row (D/d) r that stays live; every row is reduced mod D,
-    which adding multiples of D e_c does.  The entries above the pivots
-    are then reduced column by column, also mod D (each pivot divides
-    D).  Every entry stays in [0, D) and no intermediate exceeds 2 D^2 in
-    size, which is what the dtype is chosen by."""
+    d, and a row (D/d) r that stays live.  Every row is reduced mod D,
+    which adding multiples of D e_c does.  Both steps keep the lattice:
+    r = a r' mod D, so r and r' span the same lattice with D Z^g, and
+    D e_j = D r' minus D times r' off column j, which D Z^g holds, so
+    the fold leaves nothing live (the Euclid step's (D/d) r is then 0).
+    At D = 1 every entry is 0, so no column is pivoted on a unit.  The
+    entries above the pivots are then reduced column by column, also mod
+    D (each pivot divides D).  The result is the lattice's Hermite form,
+    its pivots positive and each entry above a pivot below it, which
+    is canonical: so which columns take the unit step does not show in
+    it.  Every entry stays in [0, D) and no intermediate exceeds 2 D^2
+    in size (a unit step's a r' is below D^2), which is what the dtype
+    is chosen by."""
     g = a.shape[1]
     h = np.zeros((g, g), dtype=a.dtype)
     for j in range(g):
         # `a` holds the live rows on columns j.., all zero before column j
+        units = np.flatnonzero((a[:, 0] != 0) & (np.gcd(a[:, 0], D) == 1))
+        if len(units):
+            r = a[units[0]] * pow(int(a[units[0], 0]), -1, D) % D
+            h[j, j:] = r
+            a = np.delete(a, units[0], axis=0)
+            a = (a[:, 1:] - a[:, :1] * r[1:]) % D
+            a = a[(a != 0).any(axis=1)]
+            continue
         while True:
             nz = np.flatnonzero(a[:, 0] != 0)
             if len(nz) < 2:
@@ -473,6 +498,15 @@ def factorize(n):
     return out
 
 
+def primitive_root(n):
+    """The smallest primitive root modulo a prime n."""
+    facs = factorize(n - 1)
+    for g in range(2, n):
+        if all(pow(g, (n - 1) // q, n) != 1 for q in facs):
+            return g
+    raise ValueError("no primitive root found")
+
+
 def vp(n, p):
     """Exponent of the prime p in the nonzero integer n."""
     v = 0
@@ -574,7 +608,7 @@ class LogMap:
         self.modulus = modulus
         self.target = target
         if generator is None:
-            generator = self._smallest_primitive_root(modulus)
+            generator = primitive_root(modulus)
         else:
             facs = factorize(modulus - 1)
             if any(pow(generator, (modulus - 1) // q, modulus) == 1 for q in facs):
@@ -589,14 +623,6 @@ class LogMap:
             acc = acc * self.generator % modulus
         self._baby = table
         self._giant = pow(self.generator, -m, modulus)
-
-    @staticmethod
-    def _smallest_primitive_root(n):
-        facs = factorize(n - 1)
-        for g in range(2, n):
-            if all(pow(g, (n - 1) // q, n) != 1 for q in facs):
-                return g
-        raise ValueError("no primitive root found")
 
     def dlog(self, x):
         """Full discrete log of x base the generator, in Z/(N-1)Z."""

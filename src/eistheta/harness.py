@@ -34,7 +34,7 @@ import numpy as np
 
 from .eisenstein import (
     EisensteinContext,
-    _generator,
+    _generators,
     build_context,
     g_p_dimension,
     theta_valuations,
@@ -44,9 +44,9 @@ from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import (
     _field_profile,
+    admissible_mask,
     class_numbers,
     fundamental_discriminants,
-    validate_discriminant,
 )
 from .selmer import SelmerInput, selmer_rank
 
@@ -92,10 +92,11 @@ class CacheMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # per-discriminant row computations
 
-def check_discriminant(D, N, p, split):
-    """Refuse a D that is not admissible for the split (D > 0) or inert
-    (D < 0) case at (N, p)."""
-    if not validate_discriminant(D, N, p, want_split=split):
+def check_discriminants(Ds, N, p, split):
+    """Refuse Ds unless every D is admissible for the split (D > 0) or
+    inert (D < 0) case at (N, p), by one batched test
+    (`admissible_mask`)."""
+    if not admissible_mask(Ds, N, p, split).all():
         raise ValueError(f"invalid discriminant for the {'split' if split else 'inert'} case")
 
 
@@ -135,8 +136,7 @@ def odd_row(ctx, D, h, val):
 
 
 def _rows(ctx, row, Ds):
-    for D in Ds:
-        check_discriminant(D, ctx.space.N, ctx.p, ctx.sign > 0)
+    check_discriminants(Ds, ctx.space.N, ctx.p, ctx.sign > 0)
     vals = theta_valuations(ctx, theta_elements(ctx.space, Ds))
     return list(map(row, Ds, class_numbers(Ds), vals))
 
@@ -352,7 +352,7 @@ def _check_structure(ctx):
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
     # W_1 holds eta_2 W_0 exactly when hnf_mod gives W_1 back from both
     w = ctx.W[1].array
-    eta = _generator(ctx.space, ctx.sign, 2, 3).array
+    eta = _generators(ctx.space, ctx.sign, [2])[0].array
     if ctx.W[0] != IntMatrix.identity(g) or not np.array_equal(
             hnf_mod(np.concatenate([w, eta]), prod(map(int, np.diagonal(w)))), w):
         side = "plus" if ctx.sign > 0 else "minus"

@@ -259,8 +259,11 @@ def _joint_kernel_dims(N, p):
     k = len(free)
     # the tree's reduction is exact over Z, so mod p it is the reduction of
     # the relation quotient mod p: p >= 5 kills exactly the torsion; its
-    # entries are below p in absolute value
-    red_vars_p = _mod_p(red_vars.astype(np.float64), p)
+    # entries are -1, 0 or 1, and an x with |x| < p is x + p [x < 0] mod p
+    if red_vars.min() <= -p or red_vars.max() >= p:
+        raise ValueError("tree reduction has an entry of absolute value >= p")
+    red_vars_p = red_vars.astype(np.float64)
+    red_vars_p[red_vars < 0] += p
     var_of = np.array(pres.var_of)
     sign_of = np.array(pres.sign_of, dtype=np.float64)[:, None]
 

@@ -48,9 +48,28 @@ matrices of determinant l, each sending the symbol (c:d) to
 Cremona's Heilbronn matrices (`cremona_matrices`; Cremona, Algorithms
 for Modular Elliptic Curves, 2nd ed., 1997, sec. 2.4): (1, 0; 0, l) and
 the matrices of the nearest-integer continued fractions of -l/r,
-|r| <= l/2, halves rounded away from zero.  A matrix of determinant
-prime to N is invertible mod N, so no image is (0:0); `family_counts`,
-the action, raises if one is.
+|r| <= l/2, halves rounded away from zero.  The families of all the l
+that one list asks for come from one lockstep walk of every (l, r)
+(`cremona_families`).  A matrix of determinant prime to N is invertible
+mod N, so no image is (0:0); `family_counts`, the action, raises if one
+is.
+
+The action indexes an image (u : v), u and v reduced into [0, N), by
+discrete logs to a primitive root g mod N (`_p1_logs`).  With K = N - 1,
+lu[u] = log u and lv[v] = K + log v for u, v != 0, so d = lv[v] - lu[u]
+lies in [1, 2K - 1] and v/u = g^(d mod K): index[d] = 1 + g^(d mod K)
+is the P^1 index 1 + v/u of (1 : v/u).  The sentinels lu[0] = -K and
+lv[0] = 4K send u = 0 (v != 0) to d in [2K, 3K - 1], where index is 0,
+the index of (0 : v) = (0 : 1); v = 0 (u != 0) to d in [3K + 1, 4K],
+where it is 1, the index of (1 : 0); and (0 : 0) to d = 5K, where it is
+-1, on which the action raises.  The ranges are disjoint, as log u and
+log v lie in [0, K - 1], so one gather in a table of 5K + 1 entries
+reads every index.  The tables are O(N), so the mod-p route uses the
+same action at N = 9931, where an N x N table of indices would have
+98.6 M entries.  The family is reduced mod N once, so for 0 <= c, d < N
+each ca + dc' is below 2 N^2, and every d and table entry is below 5N:
+all exact in int64 under the action's bound 2 N max(N, max|entry|) <
+2^63, which also keeps the unreduced ca + dc' exact.
 
 U_N (l = N) is -W_N on the cuspidal lattice M, with W_N the Fricke
 involution {alpha, beta} -> {-1/(N alpha), -1/(N beta)}.  Proof:
@@ -148,7 +167,7 @@ whose coordinates 1 .. 2g are the cuspidal ones.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 from math import gcd
 
@@ -162,8 +181,9 @@ from .exact_linalg import (
     left_inverse,
     left_kernel,
     mul_int64,
+    primitive_root,
 )
-from .quadfield import fundamental_mask
+from .quadfield import fundamental_mask, legendre_table
 
 _S = ((0, -1), (1, 0))
 _T = ((0, -1), (1, -1))
@@ -486,61 +506,129 @@ def star_decompose(star):
 # ---------------------------------------------------------------------------
 # the Hecke action on Manin symbols
 
-def cremona_matrices(ell):
-    """Cremona's Heilbronn matrices of determinant l, for a prime l, as
-    an int64 array of rows (a, b, c, d).
+# Merel's four matrices of determinant 2, which are Cremona's family at l = 2
+_CREMONA_2 = ((1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2))
 
-    The family is (1, 0; 0, l) and, for each r with |r| <= l // 2, the
-    matrices met by the nearest-integer continued fraction of -l/r,
+
+def cremona_families(ells):
+    """Cremona's Heilbronn matrices of determinant l for each prime l of
+    `ells`, in order (repeats allowed), as int64 arrays of rows
+    (a, b, c, d), from one walk.
+
+    The family of l is (1, 0; 0, l) and, for each r with |r| <= l // 2,
+    the matrices met by the nearest-integer continued fraction of -l/r,
     started at (l, -r; 0, 1): with (a, b) = (-l, r), each step takes
     q = round(a / b), halves rounded away from zero, sets
     (a, b) = (-b, a - qb) and (x1, x2; y1, y2) =
     (x2, q x2 - x1; y2, q y2 - y1), until b = 0.  Each step keeps the
     determinant.  For l = 2 the family is Merel's four matrices.
-    """
-    if ell == 2:
-        out = [(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)]
-    else:
-        out = [(1, 0, 0, ell)]
-        for r in range(-(ell // 2), ell // 2 + 1):
-            x1, x2, y1, y2 = ell, -r, 0, 1
-            a, b = -ell, r
-            out.append((x1, x2, y1, y2))
-            while b:
-                q, rem = divmod(2 * a + b, 2 * b)  # floor(a / b + 1/2)
-                if not rem and q <= 0:
-                    q -= 1  # a / b = q - 1/2 < 0 rounds down, away from zero
-                a, b = -b, a - b * q
-                x1, x2 = x2, q * x2 - x1
-                y1, y2 = y2, q * y2 - y1
-                out.append((x1, x2, y1, y2))
-    arr = np.array(out, dtype=np.int64)
-    if (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] != ell).any():
+
+    Every (l, r) is a lane of one lockstep loop, and (1, 0; 0, l) and
+    each of Merel's four a lane with b = 0, which stops at once.  A
+    lane's rows are its start and the matrix after each of its steps;
+    they are put in lane order, each lane's in step order, so a family
+    is the walks of its r one after the other."""
+    ells = [int(ell) for ell in ells]
+    starts = []  # one block of lanes (x1, x2, y1, y2, a, b) per family
+    for ell in ells:
+        if ell == 2:
+            starts.append(np.array([m + (0, 0) for m in _CREMONA_2], dtype=np.int64))
+            continue
+        r = np.arange(-(ell // 2), ell // 2 + 1, dtype=np.int64)
+        lanes = np.zeros((len(r) + 1, 6), dtype=np.int64)
+        lanes[0, :4] = (1, 0, 0, ell)
+        lanes[1:, 0], lanes[1:, 1], lanes[1:, 3] = ell, -r, 1
+        lanes[1:, 4], lanes[1:, 5] = -ell, r
+        starts.append(lanes)
+    if not starts:
+        return []
+    sizes = [len(lanes) for lanes in starts]
+    start = np.concatenate(starts)
+    rows, ids = [start[:, :4]], [np.arange(len(start))]
+    lane = np.flatnonzero(start[:, 5])
+    x1, x2, y1, y2, a, b = start[lane].T
+    while len(lane):
+        q = (2 * a + b) // (2 * b)  # floor(a / b + 1/2)
+        q -= ((2 * a + b) == q * (2 * b)) & (q <= 0)  # a / b = q - 1/2 < 0 rounds down
+        a, b = -b, a - b * q
+        x1, x2 = x2, q * x2 - x1
+        y1, y2 = y2, q * y2 - y1
+        rows.append(np.stack([x1, x2, y1, y2], axis=1))
+        ids.append(lane)
+        live = (b != 0).nonzero()[0]
+        lane, x1, x2, y1, y2, a, b = (t.take(live) for t in (lane, x1, x2, y1, y2, a, b))
+    ids = np.concatenate(ids)
+    order = np.argsort(ids, kind="stable")
+    out = np.concatenate(rows)[order]
+    family = np.repeat(np.arange(len(sizes)), sizes)[ids[order]]
+    if (out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2]
+            != np.array(ells, dtype=np.int64)[family]).any():
         raise ValueError("Cremona family has a matrix of the wrong determinant")
-    return arr
+    return np.split(out, np.cumsum(np.bincount(family, minlength=len(sizes)))[:-1])
 
 
-def family_counts(symbols, fam, N, inv):
+def cremona_matrices(ell):
+    """Cremona's Heilbronn matrices of determinant l, for a prime l, as
+    an int64 array of rows (a, b, c, d) (`cremona_families`)."""
+    return cremona_families([ell])[0]
+
+
+@lru_cache(maxsize=4)
+def _p1_logs(N):
+    """(lu, lv, index): the P^1(Z/NZ) index of (u : v), for u, v in
+    [0, N), is index[lv[v] - lu[u]], and -1 at (0 : 0) (module
+    docstring).  Read-only, and cached for the few levels in use, as
+    every Hecke operator at N reads them."""
+    K = N - 1
+    g = primitive_root(N)
+    power = np.ones(1, dtype=np.int64)  # power[k] = g^k mod N, by doubling
+    while len(power) < K:
+        power = np.concatenate([power, power * (int(power[-1]) * g % N) % N])
+    power = power[:K]
+    log = np.zeros(N, dtype=np.int64)
+    log[power] = np.arange(K)
+    lu, lv = log, log + K
+    lu[0], lv[0] = -K, 4 * K
+    index = np.full(5 * K + 1, -1, dtype=np.int64)
+    index[1:2 * K] = 1 + power[np.arange(1, 2 * K) % K]  # u, v != 0: 1 + v/u
+    index[2 * K:3 * K] = 0  # u = 0
+    index[3 * K + 1:4 * K + 1] = 1  # v = 0
+    for table in (lu, lv, index):
+        table.flags.writeable = False
+    return lu, lv, index
+
+
+def family_counts(symbols, fam, N):
     """counts[i, t]: how many matrices of the family `fam` send the
     symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
-    array with N + 1 columns (`inv` the inverses mod N).  The family is
-    walked N + 1 matrices at a time, so no index array outgrows the
-    counts it fills.  Raises ValueError unless 2 N max|entry| < 2^63,
-    which keeps c a + d c' exact in int64 for 0 <= c, d < N, and if an
-    image is (0 : 0), which no matrix of determinant prime to N makes."""
-    if len(fam) and 2 * N * int(np.abs(fam).max()) >= 2**63:
+    array with N + 1 columns, the images indexed by discrete logs
+    (`_p1_logs`).  The family is reduced mod N once and walked N + 1
+    matrices at a time, so no index array outgrows the counts it fills.
+    Raises ValueError unless 2 N max(N, max|entry|) < 2^63, which keeps
+    c a + d c' exact in int64 for 0 <= c, d < N on the entries as given
+    and reduced, and if an image is (0 : 0), which no matrix of
+    determinant prime to N makes."""
+    if len(fam) and 2 * N * max(N, int(np.abs(fam).max())) >= 2**63:
         raise ValueError("family entries too large for int64 symbol action")
+    lu, lv, index = _p1_logs(N)
     cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
-    inv = np.array(inv, dtype=np.int64)
+    fam = fam % N
     base = np.arange(len(cs))[:, None] * (N + 1)
-    counts = np.zeros(len(cs) * (N + 1), dtype=np.int64)
-    for lo in range(0, len(fam), N + 1):
+    for lo in range(0, max(len(fam), 1), N + 1):  # once for an empty family
         a, b, c, d = fam[lo:lo + N + 1].T
-        u = (cs * a + ds * c) % N
-        v = (cs * b + ds * d) % N
-        if not (u | v).all():
+        # x - x // N * N is x % N, which numpy divides by a scalar faster
+        u = cs * a + ds * c
+        u -= u // N * N
+        v = cs * b + ds * d
+        v -= v // N * N
+        t = index.take(lv.take(v) - lu.take(u))
+        if (t < 0).any():
             raise ValueError("a matrix of the family sends a symbol to (0 : 0)")
-        counts += np.bincount((p1_index(u, v, N, inv) + base).ravel(), minlength=counts.size)
+        chunk = np.bincount((t + base).ravel(), minlength=len(cs) * (N + 1))
+        if lo:
+            counts += chunk
+        else:  # the first chunk's counts take the rest: no zeroed array is made
+            counts = chunk
     return counts.reshape(-1, N + 1)
 
 
@@ -553,7 +641,7 @@ def hecke_counts(symbols, ell, N, inv):
     (module docstring): (0:1) goes to (0:1) and (1:y) to the walk of
     {0, y/N} past its opening (0:1)."""
     if ell != N:
-        return family_counts(symbols, cremona_matrices(ell), N, inv)
+        return family_counts(symbols, cremona_matrices(ell), N)
     counts = np.zeros((len(symbols), N + 1), dtype=np.int64)
     for i, (c, d) in enumerate(symbols):
         if (c, d) == (0, 1):
@@ -576,20 +664,34 @@ def solve_by_inverse(B, L, v):
     return x
 
 
-def hecke(space, ell):
-    """The matrix of T_ell for ell prime to N, or U_N for ell = N, on the
-    cuspidal lattice, as an `IntMatrix` in cuspidal coordinates,
-    computed on Manin symbols by `hecke_counts`: Cremona's
-    Heilbronn matrices for ell != N, -W_N for U_N (module docstring).
+def hecke_operators(space, ells):
+    """The matrices of T_ell for ell prime to N, or U_N for ell = N, on
+    the cuspidal lattice, for each prime of `ells` in order, as
+    `IntMatrix`es in cuspidal coordinates, computed on Manin symbols by
+    `hecke_counts`: Cremona's Heilbronn matrices for ell != N, all from
+    one `cremona_families` walk, and -W_N for U_N (module docstring).
     Only the symbols of the cuspidal coordinates 1 .. 2g are acted on,
     and their images counts @ reduction, in int64 under `mul_int64`'s
     bound, are read in cuspidal coordinates."""
-    if not is_prime(ell):
+    ells = list(ells)
+    if not all(map(is_prime, ells)):
         raise ValueError("Hecke index must be prime")
+    N = space.N
     symbols = [space.generators[j] for j in space.coord_symbols[1:]]
-    counts = hecke_counts(symbols, ell, space.N, space._inv)
-    t = cuspidal_coords(mul_int64(counts, space.reduction.array), "Hecke image")
-    return IntMatrix(t)
+    families = iter(cremona_families([ell for ell in ells if ell != N]))
+    out = []
+    for ell in ells:
+        counts = (hecke_counts(symbols, N, N, space._inv) if ell == N
+                  else family_counts(symbols, next(families), N))
+        out.append(IntMatrix(cuspidal_coords(mul_int64(counts, space.reduction.array),
+                                             "Hecke image")))
+    return out
+
+
+def hecke(space, ell):
+    """The matrix of T_ell (ell prime to N) or U_N (ell = N) on the
+    cuspidal lattice (`hecke_operators`)."""
+    return hecke_operators(space, [ell])[0]
 
 
 def restrict_to_sign(space, op_matrix, sign):
@@ -656,11 +758,7 @@ def _half_chis(Ds):
         for q in factorize(odd):
             table = legendre.get(q)
             if table is None:
-                # (q - k)^2 = k^2, so the k < q/2 give every square mod q
-                table = legendre[q] = np.full(q, -1, dtype=np.int8)
-                table[0] = 0
-                table[np.arange(1, (q + 1) // 2, dtype=np.int64) ** 2 % q] = 1
-                table.flags.writeable = False
+                table = legendre[q] = legendre_table(q)
             part = table[:h] if q >= h else np.tile(table, -(-h // q))[:h]
             chi = part if chi is None else chi * part
         yield chi

@@ -92,6 +92,7 @@ from .exact_linalg import (
     LogMap,
     divisors,
     factorize,
+    is_prime,
     kronecker,
     log_to_p,
     primes_up_to,
@@ -162,6 +163,31 @@ def validate_discriminant(D, N, p, want_split):
     if want_split:
         return D > 0 and kronecker(D, N) == 1
     return D < 0 and kronecker(D, N) == -1
+
+
+def legendre_table(q):
+    """The Legendre symbol (a/q) at a = 0 .. q - 1, for an odd prime q, as
+    a read-only int8 array: (q - k)^2 = k^2, so the k < q/2 give every
+    square mod q."""
+    table = np.full(q, -1, dtype=np.int8)
+    table[0] = 0
+    table[np.arange(1, (q + 1) // 2, dtype=np.int64) ** 2 % q] = 1
+    table.flags.writeable = False
+    return table
+
+
+def admissible_mask(Ds, N, p, want_split):
+    """`validate_discriminant` of each D in Ds, in order, as one bool
+    array, for an odd prime N: `fundamental_mask`, then p not dividing
+    D, the sign of D, and (D/N) = +1 (split) or -1 (inert), which also
+    puts D prime to N.  At an odd prime N, (D/N) is the Legendre symbol
+    of D mod N (`legendre_table`)."""
+    if N < 3 or not is_prime(N):
+        raise ValueError("need an odd prime N")
+    Ds = [int(D) for D in Ds]
+    residues = np.array([D % N for D in Ds], dtype=np.int64)
+    ok = fundamental_mask(Ds) & (legendre_table(N)[residues] == (1 if want_split else -1))
+    return ok & np.array([D % p != 0 and (D > 0) == want_split for D in Ds], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ coordinate 0, and `shuffled_tree_space` a space on a second spanning
 tree, another M_rel basis.
 `merel_matrices` is Merel's determinant-l family, and `merel_counts`
 its action on Manin symbols, one matrix at a time, with the images
-(0:0) dropped.  `merel_hecke` is T_l (U_N at l = N) through Merel's
+(0:0) dropped.  `inverse_family_counts` is `modsym.family_counts` as it
+indexed images through the inverses mod N, before the discrete-log
+tables.  `merel_hecke` is T_l (U_N at l = N) through Merel's
 family at every l: the route `modsym.hecke` took before Cremona's
 Heilbronn matrices replaced it at l != N and -W_N at l = N.
 `class_number_per_d` is the class number of one discriminant from its
@@ -42,7 +44,9 @@ the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
-Hermite forms replaced, and `mat_mul` is the pure-Python product that
+Hermite forms replaced, `euclid_hnf_mod` is `exact_linalg.hnf_mod` with
+Euclid in every column, before it pivoted on units and sketched tall
+stacks, and `mat_mul` is the pure-Python product that
 int64 products are checked against.  `hnf_with_transform` and `snf`
 carry their unimodular transforms, which the package no longer reads:
 `residue_valuations` and `smith_alpha_functional` are the valuations
@@ -70,6 +74,7 @@ from eistheta.exact_linalg import (
     left_kernel,
     vp,
     mul_int64,
+    xgcd,
 )
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
@@ -222,6 +227,41 @@ def snf(A):
         left=IntMatrix(left),
         right=IntMatrix(right),
     )
+
+
+def euclid_hnf_mod(rows, D):
+    """`exact_linalg.hnf_mod` without the sketch and without unit
+    pivots: `rows` reduced into [0, D) (int64 while 2 D^2 < 2^63, Python
+    ints otherwise) and eliminated column by column by Euclid down the
+    column, with one xgcd folding D e_j in, the elimination
+    `_hnf_mod_reduced` ran before it pivoted on units."""
+    dtype = np.int64 if 2 * D * D < 2**63 else object
+    a = np.asarray(rows)
+    a = ((a if a.dtype == dtype else a.astype(object)) % D).astype(dtype, copy=False)
+    g = a.shape[1]
+    h = np.zeros((g, g), dtype=a.dtype)
+    for j in range(g):
+        while True:
+            nz = np.flatnonzero(a[:, 0] != 0)
+            if len(nz) < 2:
+                break
+            k = nz[np.argmin(a[nz, 0])]
+            q = a[nz, 0] // a[k, 0]
+            q[nz == k] = 0
+            a[nz] = (a[nz] - q[:, None] * a[k]) % D
+        if not len(nz):
+            h[j, j] = D
+            a = a[:, 1:]
+            continue
+        r = a[nz[0]]
+        d, u, _ = xgcd(int(r[0]), D)
+        h[j, j:] = u * r % D
+        a = np.vstack([np.delete(a, nz, axis=0), D // d * r % D])[:, 1:]
+        a = a[(a != 0).any(axis=1)]
+    for j in range(1, g):
+        q = h[:j, j] // h[j, j]
+        h[:j, j:] = (h[:j, j:] - q[:, None] * h[j, j:]) % D
+    return h
 
 
 def residue_valuations(ctx, xs):
@@ -605,6 +645,28 @@ def merel_counts(symbols, ell, N, inv):
         keep = (u != 0) | (v != 0)
         np.add.at(counts, (rows[keep], p1_index(u, v, N, inv)[keep]), 1)
     return counts
+
+
+def inverse_family_counts(symbols, fam, N, inv):
+    """`modsym.family_counts` as it was before the discrete-log index:
+    each image reduced by `%` from the raw entries and indexed
+    1 + v u^-1 mod N through the inverses mod N (`p1_index`), N + 1
+    matrices at a time.  Raises on the same bound and on an image
+    (0 : 0)."""
+    if len(fam) and 2 * N * int(np.abs(fam).max()) >= 2**63:
+        raise ValueError("family entries too large for int64 symbol action")
+    cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
+    inv = np.array(inv, dtype=np.int64)
+    base = np.arange(len(cs))[:, None] * (N + 1)
+    counts = np.zeros(len(cs) * (N + 1), dtype=np.int64)
+    for lo in range(0, len(fam), N + 1):
+        a, b, c, d = fam[lo:lo + N + 1].T
+        u = (cs * a + ds * c) % N
+        v = (cs * b + ds * d) % N
+        if not (u | v).all():
+            raise ValueError("a matrix of the family sends a symbol to (0 : 0)")
+        counts += np.bincount((p1_index(u, v, N, inv) + base).ravel(), minlength=counts.size)
+    return counts.reshape(-1, N + 1)
 
 
 def merel_hecke(space, ell):

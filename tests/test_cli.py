@@ -198,21 +198,21 @@ def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):
 
     asked = []
 
-    def t2_only(space, ell):
-        if ell != 2:
+    def t2_only(space, ells):
+        if list(ells) != [2]:
             no_build()
-        asked.append(ell)
-        return real_hecke(space, ell)
+        asked.append(list(ells))
+        return real_hecke(space, ells)
 
     # the warm path rebuilds the space from N on purpose, and T_2 once, for
     # the load's check that the chain belongs to its stored sign; nothing else
-    real_hecke = eisenstein.hecke
+    real_hecke = eisenstein.hecke_operators
     monkeypatch.setattr(harness, "build_context", no_build)
-    monkeypatch.setattr(eisenstein, "hecke", t2_only)
+    monkeypatch.setattr(eisenstein, "hecke_operators", t2_only)
     # nor a Smith form: the valuations read Z_n off W
     monkeypatch.setattr(eisenstein, "snf", no_build)
     assert _run(capsys, *args, "--jobs", "2")[:2] == (0, cold)
-    assert asked == [2]
+    assert asked == [[2]]
 
 
 def test_cache_dir_refuses_foreign_file(tmp_path, capsys):

@@ -345,15 +345,24 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
     # Cremona's family gives T_l (l != N) and Merel's U_N; both families
     # give the same operator at every l the context asks for: the primes
     # up to the Sturm bound, N, and the three saturation primes above both
+    # (one `hecke_operators` call for the generators, one for the three)
     space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
-    asked = []
-    monkeypatch.setattr(eisenstein, "hecke", lambda sp, ell: asked.append(ell) or hecke(sp, ell))
+    asked, given = [], []
+    real = eisenstein.hecke_operators
+
+    def recording(sp, ells):
+        ops = real(sp, ells)
+        asked.append(list(ells))
+        given.extend(ops)
+        return ops
+
+    monkeypatch.setattr(eisenstein, "hecke_operators", recording)
     build_context(space, p)
     sturm = -(-(N + 1) // 6)
     above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
-    assert asked == [ell for ell in primes_up_to(sturm) if ell != N] + [N] + above
-    for ell in asked:
-        assert hecke(space, ell) == merel_hecke(space, ell), ell
+    assert asked == [[ell for ell in primes_up_to(sturm) if ell != N] + [N], above]
+    for ell, op in zip(asked[0] + asked[1], given):
+        assert op == hecke(space, ell) == merel_hecke(space, ell), ell
 
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (641, 5), (1021, 5)])
@@ -424,9 +433,10 @@ def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
     for space, sign in ((SP11, 1), (SP211, -1)):
         sturm = eisenstein._sturm_bound(space.N)
         first = eisenstein._next_primes(max(space.N, sturm), 1)[0]
-        real = eisenstein._generator
-        monkeypatch.setattr(eisenstein, "_generator", lambda sp, sg, ell, eigen: (
-            IntMatrix.identity(sp.genus) if ell == first else real(sp, sg, ell, eigen)))
+        real = eisenstein._generators
+        monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: [
+            IntMatrix.identity(sp.genus) if ell == first else eta
+            for ell, eta in zip(ells, real(sp, sg, ells))])
         with pytest.raises(ValueError, match="failed saturation check"):
             build_context(space, 5, sign=sign)
         monkeypatch.undo()

@@ -30,7 +30,7 @@ from eistheta.exact_linalg import (
     sqrt_mod,
     xgcd,
 )
-from oracles import hnf, hnf_with_transform, mat_mul, solve_left, unimodular_inverse
+from oracles import euclid_hnf_mod, hnf, hnf_with_transform, mat_mul, solve_left, unimodular_inverse
 from oracles import snf as snf_with_transforms
 
 rng = random.Random(20161871)
@@ -221,6 +221,27 @@ def test_hnf_mod_matches_stacked_hnf_hypothesis(case):
     rows, D, big = case
     D = D * 2**40 if big else D
     assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D)
+
+
+@pytest.mark.parametrize("kind", ["one", "prime power", "35^k, columns without a unit",
+                                  "Python ints"])
+def test_hnf_mod_matches_the_euclid_only_oracle(kind):
+    # unit pivots against the elimination that ran Euclid in every column:
+    # at D = 1 no column may take a unit, at 35^k the columns made of
+    # multiples of 5 and 7 hold none, and 2 D^2 >= 2^63 runs in Python ints
+    for _ in range(40):
+        g = rng.randint(1, 7)
+        m = rng.choice((rng.randint(1, 3 * g + 2), 2 * (g + 16) + rng.randint(1, 10)))
+        D = {"one": 1, "prime power": rng.choice((2, 3, 5, 7, 11)) ** rng.randint(1, 12),
+             "35^k, columns without a unit": 35 ** rng.randint(1, 6),
+             "Python ints": rng.choice((2**31, 35**13, 5**40, 3 * 2**64))}[kind]
+        rows = [[rng.randrange(-D, 2 * D) for _ in range(g)] for _ in range(m)]
+        if D % 35 == 0:
+            for j in rng.sample(range(g), rng.randint(1, g)):
+                for row in rows:
+                    row[j] = rng.choice((5, 7, 35)) * rng.randrange(-D, D)
+        got, want = hnf_mod(rows, D), euclid_hnf_mod(rows, D)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), (rows, D)
 
 
 def _tall_stack(basis, coeffs):

@@ -205,17 +205,19 @@ def test_pinned_211_sweeps_from_a_loaded_cache(tmp_path, sign, window, rows, dig
 
 def test_sweep_validates_each_discriminant_once_in_a_row(monkeypatch):
     # the window is sieved (`sweep_window`) and `_rows` refuses a bad D
-    # once; the row's field profile and split-prime data then run
-    # unchecked, so a 3000-wide window of n rows makes n checks (3000 + n
-    # while the window filter checked every D, 3000 + 3n before that)
-    calls = []
-    real = harness.validate_discriminant
-    counting = lambda *args, **kwargs: calls.append(args[0]) or real(*args, **kwargs)
-    monkeypatch.setattr(harness, "validate_discriminant", counting)
-    monkeypatch.setattr(quadfield, "validate_discriminant", counting)
+    # in one batched test that sees each D once; the row's field profile
+    # and split-prime data then run unchecked, and no D is factored alone
+    # (a 3000-wide window of n rows made n per-D checks before the batch,
+    # 3000 + n while the window filter checked every D, 3000 + 3n before)
+    batched, per_d = [], []
+    real_mask, real = harness.admissible_mask, quadfield.validate_discriminant
+    monkeypatch.setattr(harness, "admissible_mask",
+                        lambda Ds, *args: batched.extend(Ds) or real_mask(Ds, *args))
+    monkeypatch.setattr(quadfield, "validate_discriminant",
+                        lambda *args, **kwargs: per_d.append(args[0]) or real(*args, **kwargs))
     report = sweep_even(11, 5, 1, 3000)
     assert report.total == 344
-    assert calls == [row.D for row in report.rows]
+    assert batched == [row.D for row in report.rows] and per_d == []
 
 
 @pytest.mark.parametrize("N, p, d_min, d_max", [

@@ -125,6 +125,14 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
 
 
+def test_tree_reduction_entries_not_below_p_are_refused(monkeypatch):
+    # the route reads an entry x of the reduction, |x| < p, as x + p [x < 0]
+    real = modp.tree_reduction
+    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (real(pres)[0], 5 * real(pres)[1]))
+    with pytest.raises(ValueError, match="absolute value >= p"):
+        g_p_dimension_modp(11, 5)
+
+
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
 def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
     # the counts folded onto the variables give the same images as the

@@ -29,6 +29,7 @@ from eistheta.modsym import (
     build_space,
     coordinate_symbols,
     cuspidal_coords,
+    cremona_families,
     cremona_matrices,
     family_counts,
     genus,
@@ -48,6 +49,7 @@ from oracles import (
     chi_table,
     convergent_theta_coords,
     full_theta_counts,
+    inverse_family_counts,
     mat_mul,
     merel_counts,
     merel_matrices,
@@ -401,16 +403,30 @@ def test_cremona_family():
     assert sum(len(cremona_matrices(ell)) for ell in ells) == 8694
 
 
+def test_cremona_families_walk_an_unsorted_list_with_repeats():
+    # one lockstep walk gives each family in the order asked, each as
+    # cremona_matrices of one l gave it (at 2, Merel's four in that order)
+    ells = [439, 2, 7, 3, 2, 431, 7, 5, 433, 3]
+    fams = cremona_families(ells)
+    assert len(fams) == len(ells)
+    for ell, fam in zip(ells, fams):
+        assert fam.dtype == np.int64
+        want = ([(1, 0, 0, 2), (2, 0, 0, 1), (2, 1, 0, 1), (1, 0, 1, 2)] if ell == 2
+                else _cremona_reference(ell))
+        assert np.array_equal(fam, np.array(want)), ell
+    assert cremona_families([]) == []
+
+
 def test_family_counts_refuses_entries_beyond_int64():
     sp = build_space(11)
     fam = np.array([[1, 0, 0, 2], [2**60, 0, 0, 1]], dtype=np.int64)
     with pytest.raises(ValueError, match="int64"):
-        family_counts(sp.generators, fam, 11, sp._inv)
+        family_counts(sp.generators, fam, 11)
     fam[1, 0] = -(2**60)  # the bound is on the absolute value
     with pytest.raises(ValueError, match="int64"):
-        family_counts(sp.generators, fam, 11, sp._inv)
+        family_counts(sp.generators, fam, 11)
     fam[1, 0] = 2**58  # 2 * 11 * 2^58 < 2^63 is still exact
-    assert family_counts(sp.generators, fam, 11, sp._inv).sum() == 2 * 12
+    assert family_counts(sp.generators, fam, 11).sum() == 2 * 12
 
 
 @pytest.mark.parametrize("N", [11, 31])
@@ -419,13 +435,40 @@ def test_family_counts_match_per_matrix_loop(N):
     for ell in (2, 3, 5, 7):
         fam = merel_matrices(ell)
         want = merel_counts(sp.generators, ell, N, sp._inv)
-        got = family_counts(sp.generators, fam, N, sp._inv)
+        got = family_counts(sp.generators, fam, N)
         assert got.shape == (N + 1, N + 1) and (got == want).all()
         picks = rng.sample(range(N + 1), 5)
-        sub = family_counts([sp.generators[i] for i in picks], fam, N, sp._inv)
+        sub = family_counts([sp.generators[i] for i in picks], fam, N)
         assert (sub == want[picks]).all()
         # no (0:0) image, so the oracle dropped nothing
         assert (got.sum(axis=1) == len(fam)).all()
+
+
+@pytest.mark.parametrize("N", sorted({N for N, _ in ADMISSIBLE}))
+def test_family_counts_match_the_inverse_index_at_every_context_prime(N):
+    # the discrete-log index against the inverse-table index it replaced
+    # (Cremona's families) and against Merel's per-matrix loop (Merel's),
+    # on the symbols `hecke` acts on, at the primes up to the Sturm bound
+    # and the three saturation primes above it
+    sp = build_space(N)
+    symbols = [sp.generators[j] for j in sp.coord_symbols[1:]]
+    sturm = -(-(N + 1) // 6)
+    above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
+    for ell in [ell for ell in primes_up_to(sturm) if ell != N] + above:
+        fam = cremona_matrices(ell)
+        assert np.array_equal(family_counts(symbols, fam, N),
+                              inverse_family_counts(symbols, fam, N, sp._inv)), ell
+        assert np.array_equal(family_counts(symbols, merel_matrices(ell), N),
+                              merel_counts(symbols, ell, N, sp._inv)), ell
+
+
+def test_family_counts_match_the_inverse_index_at_1871():
+    # T_2, which the mod-p route counts at 1871, on every symbol
+    pres = presentation(1871)
+    for fam in (cremona_matrices(2), merel_matrices(2)):
+        got = family_counts(pres.generators, fam, 1871)
+        assert np.array_equal(got, inverse_family_counts(pres.generators, fam, 1871, pres.inv))
+    assert np.array_equal(got, merel_counts(pres.generators, 2, 1871, pres.inv))
 
 
 @pytest.mark.parametrize("N", [11, 31])
@@ -436,7 +479,7 @@ def test_family_counts_refuse_an_image_at_zero_zero(N):
     fam = merel_matrices(N)
     assert (merel_counts(sp.generators, N, N, sp._inv).sum(axis=1) < len(fam)).any()
     with pytest.raises(ValueError, match=r"\(0 : 0\)"):
-        family_counts(sp.generators, fam, N, sp._inv)
+        family_counts(sp.generators, fam, N)
 
 
 def test_hecke_pinned_eleven():
@@ -551,7 +594,7 @@ def test_hecke_counts_are_cremona_and_minus_w_n(N):
     gens, inv = sp.generators, sp._inv
     for ell in (2, 3, 5, 7):
         assert np.array_equal(hecke_counts(gens, ell, N, inv),
-                              family_counts(gens, cremona_matrices(ell), N, inv))
+                              family_counts(gens, cremona_matrices(ell), N))
     # at l = N, each generator's counts reduce to -W_N of its path in M_rel
     red = sp.reduction.array
     got = mul_int64(hecke_counts(gens, N, N, inv), red)

@@ -17,6 +17,7 @@ from eistheta.quadfield import (
     class_number,
     class_numbers,
     field_profile,
+    admissible_mask,
     fundamental_discriminants,
     fundamental_mask,
     is_fundamental,
@@ -47,6 +48,22 @@ def test_validate_discriminant_pinned():
     assert not validate_discriminant(13, 11, 5, True)  # (13/11) = -1
     assert not validate_discriminant(-47, 11, 5, True)  # wrong sign
     assert not validate_discriminant(45, 11, 5, True)  # not fundamental
+
+
+def test_admissible_mask_matches_validate_discriminant():
+    # one batched test against the per-D one, shuffled, with D past 2^32
+    # (tested alone by `fundamental_mask`) and multiples of N and p
+    Ds = list(range(-3000, 3001)) + [2**32 + 1, -(2**32 + 3), (2**61 - 1) * 4 * 3,
+                                     -(2**61 - 1) * 4, 211 * 5 * 97, -1871 * 13]
+    random.Random(23).shuffle(Ds)
+    for N, p in ((11, 5), (211, 5), (421, 7), (1871, 11)):
+        for split in (True, False):
+            got = admissible_mask(Ds, N, p, split)
+            assert got.dtype == bool
+            assert got.tolist() == [validate_discriminant(D, N, p, split) for D in Ds]
+    assert admissible_mask([], 11, 5, True).tolist() == []
+    with pytest.raises(ValueError, match="odd prime"):
+        admissible_mask([12], 15, 5, True)
 
 
 def test_is_fundamental():
