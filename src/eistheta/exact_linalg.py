@@ -354,7 +354,7 @@ def _hnf_mod_reduced(a, D):
         # `a` holds the live rows on columns j.., all zero before column j
         units = np.flatnonzero((a[:, 0] != 0) & (np.gcd(a[:, 0], D) == 1))
         if len(units):
-            r = a[units[0]] * pow(int(a[units[0], 0]), -1, D) % D
+            r = a[units[0]] * pow(int(a[units[0], 0]), -1, int(D)) % D
             h[j, j:] = r
             a = np.delete(a, units[0], axis=0)
             a = (a[:, 1:] - a[:, :1] * r[1:]) % D

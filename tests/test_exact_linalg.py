@@ -242,6 +242,8 @@ def test_hnf_mod_matches_the_euclid_only_oracle(kind):
                     row[j] = rng.choice((5, 7, 35)) * rng.randrange(-D, D)
         got, want = hnf_mod(rows, D), euclid_hnf_mod(rows, D)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), (rows, D)
+    if kind == "prime power":  # the modulus may also be a numpy integer
+        assert hnf_mod([[3, 5], [1, 7]], np.int64(125)).tolist() == [[1, 0], [0, 1]]
 
 
 def _tall_stack(basis, coeffs):
