@@ -18,11 +18,12 @@ single symbol; an edge with both ends in one orbit is a loop.  The
 free quotient M_rel, of rank 2g + 1, is then read off a spanning tree
 with no elimination (`tree_reduction`): the non-tree edges are its
 basis, and a tree edge is the signed sum of the non-tree edges across
-the cut it makes, the sum of the vertex rows on one side.  Every
-reduction entry is -1, 0 or 1, and basis vector j is the class of one
-symbol, the representative of the j-th free variable.  The reduction
-is an integral matrix, so every later computation (star involution,
-Hecke action, theta elements) is exact.
+the cut it makes, the sum of the vertex rows on one side.  The tree
+gives that reduction as a sparse matrix (`CSR`), every entry -1 or 1,
+and basis vector j is the class of one symbol, the representative of
+the j-th free variable.  The reduction is an integral matrix, so every
+later computation (star involution, Hecke action, theta elements) is
+exact.
 
 The cuspidal lattice M = ker(boundary) is M_rel without its coordinate
 0.  Proof: at prime level the cusps form two classes, p/q lying over oo
@@ -86,10 +87,11 @@ U_N sends (0:1) to (0:1) and (1:y) to {0, y/N} - {0, oo}, the
 continued-fraction walk of y/N (`_symbol_stream`) past its opening
 (0:1), O(log N) symbols; at y = 0 that walk is (1:0) = -(0:1) by the
 two-term relation, W_N(1:0) = (0:1).  `hecke_counts` gives these
-signed counts at l = N and Cremona's family's counts otherwise, for
-both routes; `hecke` applies them only to the symbols of coordinates
-1 .. 2g, the basis of M.  On M_rel, -W_N need not be U_N, but only its
-restriction to M is read.  Merel's
+signed counts at l = N and Cremona's family's counts otherwise, and
+`hecke_pairs` the same images as (symbol, image) pairs, which the
+mod-p route reads; `hecke` applies them only to the symbols of
+coordinates 1 .. 2g, the basis of M.  On M_rel, -W_N need not be U_N,
+but only its restriction to M is read.  Merel's
 determinant-N family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = N}
 (Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994)
 also gives U_N, once its images (0:0) are dropped, but it has 6,991
@@ -257,9 +259,11 @@ def presentation(N):
     check_level(N)
     gens = ((0, 1),) + tuple((1, y) for y in range(N))
     n = N + 1
-    inv = (0,) + tuple(pow(u, -1, N) for u in range(1, N))
+    power = _powers(N)  # (g^k)^-1 = g^(K - k), K = N - 1
+    invarr = np.zeros(N, dtype=np.int64)
+    invarr[power] = power[-np.arange(N - 1) % (N - 1)]
+    inv = tuple(invarr.tolist())
     cs, ds = np.array(gens, dtype=np.int64).T
-    invarr = np.array(inv, dtype=np.int64)
 
     def perm(u, v):
         return tuple(p1_index(u % N, v % N, N, invarr).tolist())
@@ -309,63 +313,152 @@ def presentation(N):
     )
 
 
+def _spans(indptr, rows):
+    """(which, pos) for compressed rows with pointers `indptr`: pos lists
+    the positions of the entries of the rows `rows` (an int64 array), in
+    the order given and each row's in its own order, and which[i] is the
+    index in `rows` of the row holding pos[i]."""
+    start = indptr[rows]
+    size = indptr[rows + 1] - start
+    which = np.repeat(np.arange(len(rows)), size)
+    return which, np.arange(len(which)) + np.repeat(start - (np.cumsum(size) - size), size)
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """An int64 matrix of `ncols` columns in compressed sparse rows: row r
+    holds the entries cols[k], vals[k] for indptr[r] <= k < indptr[r + 1],
+    in increasing column, none of them zero."""
+
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    ncols: int
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, nrows, ncols):
+        """The matrix with the entries (rows[i], cols[i]) = vals[i], given in
+        any order, no position twice and no value zero."""
+        order = np.argsort(rows * ncols + cols, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrows))])
+        return cls(indptr, cols[order], vals[order], ncols)
+
+    def take(self, rows):
+        """(which, cols, vals): the entries of the rows `rows`, an int64
+        array, in that order (`_spans`), which[i] being the index in
+        `rows` of the row of entry i."""
+        which, pos = _spans(self.indptr, rows)
+        return which, self.cols[pos], self.vals[pos]
+
+    def dense(self):
+        """The matrix as a dense int64 array."""
+        out = np.zeros((len(self.indptr) - 1, self.ncols), dtype=np.int64)
+        out[np.repeat(np.arange(len(out)), np.diff(self.indptr)), self.cols] = self.vals
+        return out
+
+
 def tree_reduction(pres):
-    """(free, red_vars): M_rel read off a spanning tree of the tau-orbit
-    graph (module docstring), grown breadth-first from row 0 in relation
-    order, so the output is deterministic.  `free` lists the 2g + 1
-    non-tree variables in increasing order; red_vars, int64 nvars x
-    (2g + 1), maps each folded variable to M_rel: a unit row at a free
-    one, zero at an S-fixed one, and at the tree edge into row u, minus
+    """(free, red): M_rel read off a spanning tree of the tau-orbit graph
+    (module docstring), grown breadth-first from row 0 in relation order,
+    so the output is deterministic.  `free` lists the 2g + 1 non-tree
+    variables in increasing order; red, a `CSR` of nvars rows and 2g + 1
+    columns, maps each folded variable to M_rel: a unit row at a free
+    one, empty at an S-fixed one, and at the tree edge into row u, minus
     its coefficient there times the sum of the rows of u's subtree on
     the free columns.  Raises ValueError if the relations are not a
     connected graph with 2g + 1 free edges.
+
+    The tree is grown one level at a time: the next level is read off
+    the edges of the frontier's rows, taken in queue order and each
+    row's in relation order, and a new row's tree edge is the first
+    that reaches it.  A FIFO queue meets those edges in that same order
+    and marks a row at its first edge, so this is its tree, with the
+    same `free`.
+
+    The subtree sums are never formed.  A free edge f with ends a, b
+    and coefficients c_a = -c_b there adds c_a + c_b = 0 to the sum of a
+    subtree holding both ends, and nothing to one holding neither; so
+    its column of the sum over u's subtree is c_f(x) when the subtree
+    holds exactly one end x, that is when u lies on the tree path from
+    x up to, but not including, the meeting point of a and b, and zero
+    otherwise.  The tree edge into such a u gets -c_t(u) c_f(x) in f's
+    column, c_t(u) being its coefficient in row u.  Every free edge
+    walks its two ends up to their meeting point, the deeper end first
+    and both at equal depth, all edges in lockstep; a loop (a = b) has
+    met at once, so its column is zero off its own unit row.  With the
+    coefficients +-1 of a tau-orbit row, every entry is -1 or 1.
     """
     nvars = len(pres.reps)
     nrows = pres.nrel - len(pres.sfixed)  # the tau-orbit rows come first
-    half = set(pres.sfixed)  # killed by their 2y = 0 rows wherever they sit
-    slots = [[] for _ in range(nvars)]  # (row, coeff) of each occurrence
-    incident = [[] for _ in range(nrows)]
-    for r, v, c in pres.relations:
-        if r < nrows:
-            slots[v].append((r, c))
-            incident[r].append(v)
-    for v, s in enumerate(slots):
-        if v not in half and (len(s) != 2 or s[0][1] + s[1][1]):
-            raise ValueError(f"variable {v} does not sit in exactly two tau-row slots "
-                             "of opposite signs")
+    half = np.zeros(nvars, dtype=bool)  # killed by their 2y = 0 rows wherever they sit
+    half[list(pres.sfixed)] = True
+    r, v, c = np.array(pres.relations, dtype=np.int64).reshape(-1, 3).T
+    tau_row = r < nrows
+    r, v, c = r[tau_row], v[tau_row], c[tau_row]
+    bad = ~half & ((np.bincount(v, minlength=nvars) != 2)
+                   | (np.bincount(v, weights=c, minlength=nvars) != 0))
+    if bad.any():
+        raise ValueError(f"variable {np.flatnonzero(bad)[0]} does not sit in exactly two "
+                         "tau-row slots of opposite signs")
 
-    parent = [None] * nrows  # the tree edge into each row but the root
-    seen = [True] + [False] * (nrows - 1)
-    order = [0]
-    for u in order:
-        for v in incident[u]:
-            if v in half:
-                continue
-            w = slots[v][0][0] + slots[v][1][0] - u  # the other end; u for a loop
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                order.append(w)
-    if len(order) != nrows:
+    edge = ~half[v]  # the slots of the edges, in relation order
+    r, v, c = r[edge], v[edge], c[edge]
+    by_var = np.argsort(v, kind="stable")  # each edge's two slots, in relation order
+    end = np.zeros((2, nvars), dtype=np.int64)
+    coeff = np.zeros((2, nvars), dtype=np.int64)
+    for s in (0, 1):
+        slot = by_var[s::2]
+        end[s, v[slot]], coeff[s, v[slot]] = r[slot], c[slot]
+    by_row = np.argsort(r, kind="stable")  # each row's slots, in relation order
+    inc_ptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=nrows))])
+    inc_var = v[by_row]
+    inc_far = end[0, inc_var] + end[1, inc_var] - r[by_row]  # the other end; the row for a loop
+
+    parent = np.full(nrows, -1, dtype=np.int64)  # the tree edge into each row but the root
+    up = np.full(nrows, -1, dtype=np.int64)  # the row at its other end
+    depth = np.zeros(nrows, dtype=np.int64)
+    seen = np.zeros(nrows, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        which, pos = _spans(inc_ptr, frontier)
+        reach = ~seen[inc_far[pos]]
+        which, pos = which[reach], pos[reach]
+        first = np.sort(np.unique(inc_far[pos], return_index=True)[1])
+        which, pos = which[first], pos[first]
+        new = inc_far[pos]
+        parent[new], up[new] = inc_var[pos], frontier[which]
+        depth[new] = depth[frontier[0]] + 1
+        seen[new] = True
+        frontier = new
+    if not seen.all():
         raise ValueError("the tau-orbit graph is not connected")
-    tree = set(parent[1:])
-    free = [v for v in range(nvars) if v not in half and v not in tree]
+    tree = np.zeros(nvars, dtype=bool)
+    tree[parent[1:]] = True
+    free = np.flatnonzero(~half & ~tree)
     if len(free) != 2 * genus(pres.N) + 1:
         raise ValueError("the tau-orbit graph does not have 2g + 1 free edges")
 
-    col = {v: j for j, v in enumerate(free)}
-    sub = np.zeros((nrows, len(free)), dtype=np.int64)  # row sums over subtrees
-    for r, v, c in pres.relations:
-        if v in col:
-            sub[r, col[v]] += c
-    red_vars = np.zeros((nvars, len(free)), dtype=np.int64)
-    red_vars[free, np.arange(len(free))] = 1
-    for u in reversed(order[1:]):
-        t = parent[u]
-        (r1, c1), (r2, c2) = slots[t]
-        red_vars[t] = -(c1 if r1 == u else c2) * sub[u]
-        sub[r1 + r2 - u] += sub[u]
-    return free, red_vars
+    t = parent[1:]  # c_t(u): the tree edge's coefficient in the row it enters
+    c_up = np.zeros(nrows, dtype=np.int64)
+    c_up[1:] = np.where(end[0, t] == np.arange(1, nrows), coeff[0, t], coeff[1, t])
+    col = np.arange(len(free))
+    rows, cols, vals = [free], [col], [np.ones(len(free), dtype=np.int64)]
+    x, y = end[0, free], end[1, free]
+    cx, cy = coeff[0, free], coeff[1, free]
+    while len(col):
+        live = (x != y).nonzero()[0]
+        col, x, y, cx, cy = (a.take(live) for a in (col, x, y, cx, cy))
+        dx, dy = depth[x], depth[y]
+        for climb, z, cz in ((dx >= dy, x, cx), (dy >= dx, y, cy)):
+            u = z[climb]
+            rows.append(parent[u])
+            cols.append(col[climb])
+            vals.append(-c_up[u] * cz[climb])
+            z[climb] = up[u]
+    red = CSR.from_entries(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+                           nvars, len(free))
+    return free.tolist(), red
 
 
 @dataclass(frozen=True)
@@ -467,13 +560,13 @@ def cuspidal_coords(rel, what):
     return rel[:, 1:]
 
 
-def _space_from_tree(pres, free, red_vars):
-    """The space on the M_rel basis of a spanning tree's (free, red_vars)
+def _space_from_tree(pres, free, red):
+    """The space on the M_rel basis of a spanning tree's (free, red)
     (`tree_reduction`), checked: each coordinate is the class of its
     free variable's representative symbol, and coordinate 0 is that of
-    (0:1)."""
+    (0:1).  The reduction is the one dense array made of `red`."""
     symbols = coordinate_symbols(pres, free)
-    red = red_vars[list(pres.var_of)] * np.array(pres.sign_of, dtype=np.int64)[:, None]
+    red = red.dense()[list(pres.var_of)] * np.array(pres.sign_of, dtype=np.int64)[:, None]
     if not np.array_equal(red[symbols], np.eye(len(symbols))):
         raise ValueError("the reduction does not send the coordinate symbols to the identity")
     iota = np.array(pres.iota)
@@ -573,6 +666,16 @@ def cremona_matrices(ell):
     return cremona_families([ell])[0]
 
 
+def _powers(N):
+    """power[k] = g^k mod N for 0 <= k < N - 1, g the smallest primitive
+    root mod the prime N, as an int64 array built by doubling."""
+    g = primitive_root(N)
+    power = np.ones(1, dtype=np.int64)
+    while len(power) < N - 1:
+        power = np.concatenate([power, power * (int(power[-1]) * g % N) % N])
+    return power[:N - 1]
+
+
 @lru_cache(maxsize=4)
 def _p1_logs(N):
     """(lu, lv, index): the P^1(Z/NZ) index of (u : v), for u, v in
@@ -580,11 +683,7 @@ def _p1_logs(N):
     docstring).  Read-only, and cached for the few levels in use, as
     every Hecke operator at N reads them."""
     K = N - 1
-    g = primitive_root(N)
-    power = np.ones(1, dtype=np.int64)  # power[k] = g^k mod N, by doubling
-    while len(power) < K:
-        power = np.concatenate([power, power * (int(power[-1]) * g % N) % N])
-    power = power[:K]
+    power = _powers(N)
     log = np.zeros(N, dtype=np.int64)
     log[power] = np.arange(K)
     lu, lv = log, log + K
@@ -598,24 +697,24 @@ def _p1_logs(N):
     return lu, lv, index
 
 
-def family_counts(symbols, fam, N):
-    """counts[i, t]: how many matrices of the family `fam` send the
-    symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
-    array with N + 1 columns, the images indexed by discrete logs
-    (`_p1_logs`).  The family is reduced mod N once and walked N + 1
-    matrices at a time, so no index array outgrows the counts it fills.
-    Raises ValueError unless 2 N max(N, max|entry|) < 2^63, which keeps
-    c a + d c' exact in int64 for 0 <= c, d < N on the entries as given
-    and reduced, and if an image is (0 : 0), which no matrix of
-    determinant prime to N makes."""
+def family_images(symbols, fam, N, width):
+    """The images of the symbols symbols[i] = (c, d) under the family
+    `fam`, as int64 arrays t, one for each run of at most `width`
+    consecutive matrices: t[i, m] is the P^1(Z/NZ) index of the image of
+    symbols[i] under the run's m-th matrix, read off discrete logs
+    (`_p1_logs`).  The family is reduced mod N once; an empty family
+    gives one empty run.  Raises ValueError unless
+    2 N max(N, max|entry|) < 2^63, which keeps c a + d c' exact in
+    int64 for 0 <= c, d < N on the entries as given and reduced, and if
+    an image is (0 : 0), which no matrix of determinant prime to N
+    makes."""
     if len(fam) and 2 * N * max(N, int(np.abs(fam).max())) >= 2**63:
         raise ValueError("family entries too large for int64 symbol action")
     lu, lv, index = _p1_logs(N)
     cs, ds = (np.array(x, dtype=np.int64)[:, None] for x in zip(*symbols))
     fam = fam % N
-    base = np.arange(len(cs))[:, None] * (N + 1)
-    for lo in range(0, max(len(fam), 1), N + 1):  # once for an empty family
-        a, b, c, d = fam[lo:lo + N + 1].T
+    for lo in range(0, max(len(fam), 1), width):  # once for an empty family
+        a, b, c, d = fam[lo:lo + width].T
         # x - x // N * N is x % N, which numpy divides by a scalar faster
         u = cs * a + ds * c
         u -= u // N * N
@@ -624,34 +723,73 @@ def family_counts(symbols, fam, N):
         t = index.take(lv.take(v) - lu.take(u))
         if (t < 0).any():
             raise ValueError("a matrix of the family sends a symbol to (0 : 0)")
-        chunk = np.bincount((t + base).ravel(), minlength=len(cs) * (N + 1))
-        if lo:
-            counts += chunk
-        else:  # the first chunk's counts take the rest: no zeroed array is made
+        yield t
+
+
+def family_counts(symbols, fam, N):
+    """counts[i, t]: how many matrices of the family `fam` send the
+    symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
+    array with N + 1 columns, with `family_images`' refusals.  The images
+    come N + 1 matrices at a time, so no index array outgrows the
+    counts it fills."""
+    base = np.arange(len(symbols))[:, None] * (N + 1)
+    counts = None
+    for t in family_images(symbols, fam, N, N + 1):
+        chunk = np.bincount((t + base).ravel(), minlength=len(symbols) * (N + 1))
+        if counts is None:  # the first run's counts take the rest: no zeroed array is made
             counts = chunk
+        else:
+            counts += chunk
     return counts.reshape(-1, N + 1)
+
+
+def _u_n_pairs(symbols, N, inv):
+    """(rows, images): U_N = -W_N (module docstring) as int64 arrays of
+    pairs, one per symbol of an image, images[k] being a symbol of the
+    image of symbols[rows[k]]: (0:1) goes to (0:1), and (1:y) to the walk
+    of {0, y/N} past its opening (0:1)."""
+    rows, images = [], []
+    for i, (c, d) in enumerate(symbols):
+        if (c, d) == (0, 1):
+            rows.append(i)
+            images.append(0)
+        elif c == 1 and 0 <= d < N:
+            for u, v in islice(_symbol_stream(d, N), 1, None):
+                rows.append(i)
+                images.append(p1_index(u % N, v % N, N, inv))
+        else:
+            raise ValueError("symbol is not a normalised generator")
+    return np.array(rows, dtype=np.int64), np.array(images, dtype=np.int64)
+
+
+def hecke_pairs(symbols, ell, N, inv, width):
+    """The images of the symbols under T_ell (ell != N) or U_N (ell = N)
+    as (symbol, image) pairs: yields (rows, images), int64 arrays that
+    broadcast together, each pair an image symbol images[k] of
+    symbols[rows[k]], counted once per matrix or walk step that makes
+    it.  T_ell gives Cremona's family in runs of at most `width`
+    matrices (`family_images`), rows being a column of symbol indices;
+    U_N gives the pairs of its walks at once (`_u_n_pairs`).  The
+    symbols are normalised generators (0, 1) or (1, y) of
+    `presentation(N)`, `inv` the inverses mod N."""
+    if ell == N:
+        yield _u_n_pairs(symbols, N, inv)
+        return
+    rows = np.arange(len(symbols))[:, None]
+    for t in family_images(symbols, cremona_matrices(ell), N, width):
+        yield rows, t
 
 
 def hecke_counts(symbols, ell, N, inv):
     """counts[i, t]: the signed multiplicity of symbol t of P^1(Z/NZ) in
     the image of symbols[i] under T_ell (ell != N) or U_N (ell = N), as
-    an int64 array with N + 1 columns; the symbols are normalised
-    generators (0, 1) or (1, y) of `presentation(N)`, `inv` the inverses
-    mod N.  T_ell counts Cremona's family (`family_counts`).  U_N is -W_N
-    (module docstring): (0:1) goes to (0:1) and (1:y) to the walk of
-    {0, y/N} past its opening (0:1)."""
+    an int64 array with N + 1 columns: `hecke_pairs`, counted.  T_ell
+    counts Cremona's family (`family_counts`)."""
     if ell != N:
         return family_counts(symbols, cremona_matrices(ell), N)
-    counts = np.zeros((len(symbols), N + 1), dtype=np.int64)
-    for i, (c, d) in enumerate(symbols):
-        if (c, d) == (0, 1):
-            counts[i, 0] = 1
-        elif c == 1 and 0 <= d < N:
-            for u, v in islice(_symbol_stream(d, N), 1, None):
-                counts[i, p1_index(u % N, v % N, N, inv)] += 1
-        else:
-            raise ValueError("symbol is not a normalised generator")
-    return counts
+    rows, images = _u_n_pairs(symbols, N, inv)
+    return np.bincount(rows * (N + 1) + images,
+                       minlength=len(symbols) * (N + 1)).reshape(-1, N + 1)
 
 
 def solve_by_inverse(B, L, v):

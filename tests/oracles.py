@@ -4,13 +4,20 @@ Both routes to M_rel once eliminated the relation matrix densely; the
 package now reads M_rel off a spanning tree of the tau-orbit graph
 (`modsym.tree_reduction`).  The eliminations live on here: the exact
 route's Smith normal form with the inverse of its right transform, and
-the mod-p route's F_p row reduction.  `gauss_jordan_mod_p` is the plain
+the mod-p route's F_p row reduction.  `dense_tree_reduction` is the
+tree's reduction as it was built before it became sparse: a FIFO tree
+and dense subtree sums.  `csr_from_dense` turns a dense array into the
+package's `CSR`.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination, and `panel_rref_mod_p` the float64 kernel that
 eliminated 128-row panels one pivot at a time before `modp._rref_mod_p`
 halved the rows: the two references for that kernel.  `dense_hecke_images` is the mod-p route's Hecke product
-through the dense (N + 1) x (2g + 1) quotient map, before the counts
-were folded onto the variables, and `cut_full_squaring` is `modp.cut`
-before it stopped at a vanishing power; both reduce by numpy's `%`.
+through the dense (N + 1) x (2g + 1) quotient map and dense counts,
+before the images met the sparse map pair by pair, and
+`cut_full_squaring` is `modp.cut` before it stopped at a vanishing
+power; both reduce by numpy's `%`.  `pairs_of_counts` turns counts into
+(symbol, image) pairs.  `dense_plus_quotient` is the plus quotient as
+the null space of the dense condition [e_0 | S - I], before
+`modp._plus_quotient` read the star's signed-permutation pairs.
 `full_theta_counts` is the theta walk over every residue, and
 `convergent_theta_coords` the half walk on continued-fraction
 convergents that `modsym.theta_elements` ran before it walked Euclid
@@ -78,8 +85,10 @@ from eistheta.exact_linalg import (
 )
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
+    CSR,
     _space_from_tree,
     cuspidal_coords,
+    genus,
     p1_index,
     presentation,
     tree_reduction,
@@ -363,6 +372,65 @@ def snf_section_reduction(pres):
     return as_int64(section), as_int64(reduction)
 
 
+def dense_tree_reduction(pres):
+    """`modsym.tree_reduction` as it was before the reduction became
+    sparse: (free, red_vars) with red_vars a dense int64 nvars x (2g + 1)
+    array, the tree grown by a FIFO queue and each tree edge's row read
+    off the dense sum of the rows of its subtree."""
+    nvars = len(pres.reps)
+    nrows = pres.nrel - len(pres.sfixed)  # the tau-orbit rows come first
+    half = set(pres.sfixed)  # killed by their 2y = 0 rows wherever they sit
+    slots = [[] for _ in range(nvars)]  # (row, coeff) of each occurrence
+    incident = [[] for _ in range(nrows)]
+    for r, v, c in pres.relations:
+        if r < nrows:
+            slots[v].append((r, c))
+            incident[r].append(v)
+    for v, s in enumerate(slots):
+        if v not in half and (len(s) != 2 or s[0][1] + s[1][1]):
+            raise ValueError(f"variable {v} does not sit in exactly two tau-row slots "
+                             "of opposite signs")
+
+    parent = [None] * nrows  # the tree edge into each row but the root
+    seen = [True] + [False] * (nrows - 1)
+    order = [0]
+    for u in order:
+        for v in incident[u]:
+            if v in half:
+                continue
+            w = slots[v][0][0] + slots[v][1][0] - u  # the other end; u for a loop
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                order.append(w)
+    if len(order) != nrows:
+        raise ValueError("the tau-orbit graph is not connected")
+    tree = set(parent[1:])
+    free = [v for v in range(nvars) if v not in half and v not in tree]
+    if len(free) != 2 * genus(pres.N) + 1:
+        raise ValueError("the tau-orbit graph does not have 2g + 1 free edges")
+
+    col = {v: j for j, v in enumerate(free)}
+    sub = np.zeros((nrows, len(free)), dtype=np.int64)  # row sums over subtrees
+    for r, v, c in pres.relations:
+        if v in col:
+            sub[r, col[v]] += c
+    red_vars = np.zeros((nvars, len(free)), dtype=np.int64)
+    red_vars[free, np.arange(len(free))] = 1
+    for u in reversed(order[1:]):
+        t = parent[u]
+        (r1, c1), (r2, c2) = slots[t]
+        red_vars[t] = -(c1 if r1 == u else c2) * sub[u]
+        sub[r1 + r2 - u] += sub[u]
+    return free, red_vars
+
+
+def csr_from_dense(a):
+    """The `modsym.CSR` of a dense integer array."""
+    rows, cols = np.nonzero(a)
+    return CSR.from_entries(rows, cols, np.asarray(a, dtype=np.int64)[rows, cols], *a.shape)
+
+
 def rref_reduction(pres, p):
     """(free, red_vars) of the relation quotient mod p from the dense F_p
     row reduction of the relation matrix, in `tree_reduction`'s form:
@@ -463,12 +531,37 @@ def panel_rref_mod_p(a, p, block=128):
     return done[order], [pcols[i] for i in order]
 
 
-def dense_hecke_images(vecs, counts, pres, red_vars_p, p):
-    """`modp._hecke_images` through red_p, the quotient map's row at each
-    of the N + 1 symbols: red_vars_p at the symbol's variable times its
-    sign, reduced mod p."""
-    red_p = red_vars_p[np.array(pres.var_of)] * np.array(pres.sign_of, dtype=np.float64)[:, None] % p
-    return (vecs @ counts % p) @ red_p % p
+def dense_hecke_images(vecs, pairs, qmap, p):
+    """`modp._hecke_images` through the dense (N + 1) x (2g + 1) quotient
+    map: the pairs counted into a dense k x (N + 1) array first, then
+    two products, reduced by numpy's `%`."""
+    red_p = qmap.dense() % p
+    counts = np.zeros(vecs.shape[1] * len(red_p), dtype=np.int64)
+    for rows, images in pairs:
+        rows, images = np.broadcast_arrays(rows, images)
+        counts += np.bincount((rows * len(red_p) + images).ravel(), minlength=len(counts))
+    return (vecs @ counts.reshape(vecs.shape[1], -1) % p) @ red_p % p
+
+
+def pairs_of_counts(counts):
+    """The (symbol, image) pairs of nonnegative counts, as one run of
+    `modsym.hecke_pairs`."""
+    if (counts < 0).any():
+        raise ValueError("negative counts have no pairs")
+    rows, images = np.nonzero(counts)
+    yield np.repeat(rows, counts[rows, images]), np.repeat(images, counts[rows, images])
+
+
+def dense_plus_quotient(qmap, pres, coord_gen, p):
+    """`modp._plus_quotient` as the mod-p route took it before it read the
+    star's pairs: the left null space over F_p of the dense condition
+    [e_0 | S - I], boundary zero (coordinate 0, the unit column e_0) and
+    fixed by the star matrix S on all of M_rel."""
+    k = len(coord_gen)
+    red_p = qmap.dense() % p
+    eye = np.eye(k)
+    cond = np.hstack([eye[:, :1], (red_p[np.array(pres.iota)[coord_gen]] - eye) % p])
+    return _left_nullspace_mod_p(cond, p)
 
 
 def cut_full_squaring(rows, cols, images, eigen, p):

@@ -6,6 +6,7 @@ their agreement alone no longer checks that kernel; a pure-Python rank
 computation over F_p serves as the independent oracle.
 """
 
+import dataclasses
 import functools
 import os
 import random
@@ -24,17 +25,22 @@ from eistheta.modp import (
     _joint_kernel_dims,
     _left_nullspace_mod_p,
     _mod_p,
+    _plus_quotient,
+    _quotient_map,
     _rref_mod_p,
     cut,
     g_p_dimension_modp,
 )
-from eistheta.modsym import build_space, presentation, tree_reduction
+from eistheta.modsym import build_space, coordinate_symbols, presentation, tree_reduction
 from oracles import (
     ADMISSIBLE,
+    csr_from_dense,
     cut_full_squaring,
     dense_hecke_images,
+    dense_plus_quotient,
     gauss_jordan_mod_p,
     merel_counts,
+    pairs_of_counts,
     panel_rref_mod_p,
     rref_reduction,
 )
@@ -110,34 +116,52 @@ def test_routes_match_rank_oracle(N, p):
         assert exact == _g_p_oracle(ctx)
 
 
+# the levels where the star matrix on the dense elimination's basis has no
+# signed-permutation pairs at all
+NO_STAR_PAIRS = {(43, 7), (127, 7), (337, 7), (67, 11), (397, 11), (157, 13), (313, 13)}
+
+
 @pytest.mark.parametrize("N,p", ADMISSIBLE)
 def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     # the tree's reduction mod p is the dense F_p elimination's quotient
     # map in another basis: red = red_o @ red[free_o] mod p, red_o being
     # a unit row at each of its free variables; run on the eliminated
-    # reduction, the mod-p route gives the same g_p
+    # reduction, fed in as a CSR, the mod-p route gives the same g_p.  Its
+    # star matrix has few signed-permutation pairs, and none at
+    # NO_STAR_PAIRS, where the plus quotient eliminates all of its 2g rows
     pres = presentation(N)
     free, red = tree_reduction(pres)
+    red = red.dense()
     free_o, red_o = rref_reduction(pres, p)
     assert len(free_o) == len(free)
     assert not ((red_o @ red[free_o] - red) % p).any()
-    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (free_o, red_o))
+    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (free_o, csr_from_dense(red_o)))
+    shapes = []
+    monkeypatch.setattr(modp, "_rref_mod_p", lambda a, p:
+                        shapes.append(a.shape) or _rref_mod_p(a, p))
     assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
+    assert shapes[0][1] == len(free) - 1
+    assert (shapes[0][0] == len(free) - 1) == ((N, p) in NO_STAR_PAIRS)
 
 
 def test_tree_reduction_entries_not_below_p_are_refused(monkeypatch):
     # the route reads an entry x of the reduction, |x| < p, as x + p [x < 0]
     real = modp.tree_reduction
-    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (real(pres)[0], 5 * real(pres)[1]))
+
+    def scaled(pres):
+        free, red = real(pres)
+        return free, dataclasses.replace(red, vals=5 * red.vals)
+
+    monkeypatch.setattr(modp, "tree_reduction", scaled)
     with pytest.raises(ValueError, match="absolute value >= p"):
         g_p_dimension_modp(11, 5)
 
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
 def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
-    # the counts folded onto the variables give the same images as the
-    # dense (N + 1) x (2g + 1) quotient map, so the drained loop yields
-    # the same dimensions after every generator
+    # the pairs met by the sparse quotient map give the same images as
+    # dense counts through the dense (N + 1) x (2g + 1) quotient map, so
+    # the drained loop yields the same dimensions after every generator
     own = list(_joint_kernel_dims(N, p))
     used = []
     monkeypatch.setattr(modp, "_hecke_images", lambda *args:
@@ -148,14 +172,61 @@ def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
 def test_halving_kernel_matches_panel_oracle_in_the_route(N, p, monkeypatch):
-    # with the panel kernel in place of `_rref_mod_p`, in the plus quotient's
-    # null space and in every cut, the drained loop yields the same dimensions
+    # with the panel kernel in place of `_rref_mod_p`, in the plus quotient
+    # and in every cut, the drained loop yields the same dimensions; the
+    # kernel sees every elimination: one for the plus quotient, and two
+    # (the null space and the new rows) in each cut that shrinks
     own = list(_joint_kernel_dims(N, p))
     used = []
     monkeypatch.setattr(modp, "_rref_mod_p", lambda *args:
                         used.append(1) or panel_rref_mod_p(*args))
     assert list(_joint_kernel_dims(N, p)) == own
-    assert used
+    shrinks = sum(d < before for (_, before), (_, d) in zip(own, own[1:]))
+    assert len(used) == 1 + 2 * shrinks
+
+
+def _plus_rows(N, p):
+    pres = presentation(N)
+    free, red = tree_reduction(pres)
+    qmap = _quotient_map(pres, red, p)
+    return pres, qmap, np.array(coordinate_symbols(pres, free))
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5), (4621, 5)])
+def test_plus_quotient_matches_the_dense_null_space(N, p):
+    # the pair-folded elimination gives the row space of the dense
+    # condition's null space, already in its reduced echelon form
+    pres, qmap, coord_gen = _plus_rows(N, p)
+    rows, cols = _plus_quotient(qmap, pres, coord_gen, p)
+    want, want_cols = _rref_mod_p(dense_plus_quotient(qmap, pres, coord_gen, p)[0], p)
+    assert cols == want_cols and all(type(j) is int for j in cols)
+    assert rows.tobytes() == want.tobytes()
+
+
+def test_plus_quotient_refuses_a_star_that_is_no_involution():
+    # the star image of coordinate 1 doubled: S^2 has 2 at (1, 1)
+    pres, qmap, coord_gen = _plus_rows(211, 5)
+    _plus_quotient(qmap, pres, coord_gen, 5)
+    image = pres.iota[coord_gen[1]]
+    vals = qmap.vals.copy()
+    vals[qmap.indptr[image]:qmap.indptr[image + 1]] *= 2
+    with pytest.raises(ValueError, match="does not square to the identity mod p"):
+        _plus_quotient(dataclasses.replace(qmap, vals=vals), pres, coord_gen, 5)
+
+
+def test_star_image_with_a_boundary_is_refused(monkeypatch):
+    # coordinate 1's star image replaced by (0:1) = {0, oo}, coordinate 0
+    real = modp.presentation
+
+    def broken(N):
+        pres = real(N)
+        iota = list(pres.iota)
+        iota[coordinate_symbols(pres, tree_reduction(pres)[0])[1]] = 0
+        return dataclasses.replace(pres, iota=tuple(iota))
+
+    monkeypatch.setattr(modp, "presentation", broken)
+    with pytest.raises(ValueError, match="star image has nonzero boundary"):
+        g_p_dimension_modp(211, 5)
 
 
 @pytest.mark.parametrize("N,p", [(41, 5), (181, 5), (211, 7)])
@@ -171,9 +242,9 @@ def test_halving_kernel_matches_panel_oracle_in_the_exact_g_p(N, p, monkeypatch)
 
 def _families_used(monkeypatch, N, p):
     used = []
-    hecke_counts = modp.hecke_counts
-    monkeypatch.setattr(modp, "hecke_counts", lambda symbols, ell, N, inv:
-                        used.append(ell) or hecke_counts(symbols, ell, N, inv))
+    hecke_pairs = modp.hecke_pairs
+    monkeypatch.setattr(modp, "hecke_pairs", lambda symbols, ell, N, inv, width:
+                        used.append(ell) or hecke_pairs(symbols, ell, N, inv, width))
     return g_p_dimension_modp(N, p), used
 
 
@@ -193,9 +264,10 @@ def test_u_n_matches_merel_family_in_the_drained_loop(N, p, monkeypatch):
     # family counting U_N instead of -W_N it gives the same dimensions
     own = list(_joint_kernel_dims(N, p))
     assert own[-1][0] == N
-    hecke_counts = modp.hecke_counts
-    monkeypatch.setattr(modp, "hecke_counts", lambda symbols, ell, N, inv: (
-        merel_counts if ell == N else hecke_counts)(symbols, ell, N, inv))
+    hecke_pairs = modp.hecke_pairs
+    monkeypatch.setattr(modp, "hecke_pairs", lambda symbols, ell, N, inv, width: (
+        pairs_of_counts(merel_counts(symbols, N, N, inv)) if ell == N
+        else hecke_pairs(symbols, ell, N, inv, width)))
     assert list(_joint_kernel_dims(N, p)) == own
 
 
@@ -213,34 +285,37 @@ def test_exactness_bounds_survive_optimize():
     # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input),
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
-    # bound on a Hecke operator's counts (5 * 7 * 42 * 2^50 >= 2^53 at
-    # N = 41; at N = 11 and 31 the loop is proven done before any family).
-    # The counts are folded onto the variables, a symbol's column minus
-    # its sigma-partner's, so the bound must be taken on the raw counts.
-    # `huge_counts` cannot show that: its two sigma-fixed symbols (41 is
-    # 1 mod 4) keep 2^50 after the fold, so a bound on the fold would
-    # fire too.  `cancelling_counts` is equal on each symbol and its
-    # partner and zero on the fixed ones, so its fold is zero.
+    # bound on a Hecke operator's (symbol, image) pairs (5 * (2^51 + 1)
+    # >= 2^53 at N = 41; at N = 11 and 31 the loop is proven done before
+    # any family), which must fire before a run of pairs is expanded:
+    # the runs are broadcast views of 2^51 pairs that hold a few
+    # integers.  The bound counts pairs, not what they sum to, since the
+    # sum can cancel: `huge_pairs` sends every symbol to one image 2^51
+    # times, `cancelling_pairs` sends symbol 1 to a symbol and to its
+    # sigma-partner 2^50 times each, whose quotient rows cancel.
     code = (
         "import numpy as np\n"
         "from eistheta import modp\n"
         "presentation = modp.presentation\n"
         "def no_work(N):\n"
         "    raise RuntimeError('presentation built before the bound check')\n"
-        "def huge_counts():\n"
+        "def huge_pairs():\n"
         "    modp.presentation = presentation\n"
-        "    modp.hecke_counts = lambda symbols, ell, N, inv: np.full((len(symbols), N + 1), 2**50)\n"
+        "    modp.hecke_pairs = lambda symbols, ell, N, inv, width: iter([(\n"
+        "        np.broadcast_to(np.arange(len(symbols))[:, None], (len(symbols), 2**51)),\n"
+        "        np.broadcast_to(np.int64(2), (1, 2**51)))])\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
-        "def cancelling_counts():\n"
+        "def cancelling_pairs():\n"
         "    modp.presentation = presentation\n"
-        "    sigma = np.array(presentation(41).sigma)\n"
-        "    paired = sigma != np.arange(len(sigma))\n"
-        "    modp.hecke_counts = lambda symbols, ell, N, inv: np.where(paired, 2**50, 0)[None].repeat(len(symbols), 0)\n"
+        "    sigma = presentation(41).sigma\n"
+        "    modp.hecke_pairs = lambda symbols, ell, N, inv, width: iter([(\n"
+        "        np.broadcast_to(np.int64(1), (2**50, 2)),\n"
+        "        np.broadcast_to(np.array([2, sigma[2]]), (2**50, 2)))])\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
         "modp.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
         "         lambda: modp.g_p_dimension_modp(360287970189731, 5),\n"
-        "         huge_counts, cancelling_counts)\n"
+        "         huge_pairs, cancelling_pairs)\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"

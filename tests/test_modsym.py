@@ -48,6 +48,8 @@ from oracles import (
     ADMISSIBLE,
     chi_table,
     convergent_theta_coords,
+    csr_from_dense,
+    dense_tree_reduction,
     full_theta_counts,
     inverse_family_counts,
     mat_mul,
@@ -123,6 +125,7 @@ def test_levels_cover_both_graph_shapes():
 def test_tree_reduction_matches_snf_oracle(N):
     pres = presentation(N)
     free, red_vars = tree_reduction(pres)
+    red_vars = red_vars.dense()
     assert len(free) == 2 * genus(N) + 1
     assert not (relation_matrix(pres) @ red_vars).any()  # every relation dies
     assert set(np.unique(red_vars).tolist()) <= {-1, 0, 1}
@@ -136,6 +139,30 @@ def test_tree_reduction_matches_snf_oracle(N):
     a, b = mul_int64(sec_o, red), mul_int64(sec, red_o)
     eye = np.eye(len(free), dtype=np.int64)
     assert (a @ b == eye).all() and (b @ a == eye).all()
+
+
+@pytest.mark.parametrize("N", LEVELS + [1871, 4621])
+def test_tree_reduction_matches_the_dense_oracle(N):
+    # the level-by-level tree and the lockstep walks to the meeting points
+    # give the FIFO tree's free variables and its dense subtree-sum rows;
+    # the CSR holds only entries -1 and 1, in increasing column per row
+    pres = presentation(N)
+    free, red = tree_reduction(pres)
+    free_o, red_o = dense_tree_reduction(pres)
+    assert free == free_o and all(type(v) is int for v in free)
+    assert red.ncols == len(free) and len(red.indptr) == len(pres.reps) + 1
+    assert np.array_equal(red.dense(), red_o)
+    assert set(red.vals.tolist()) <= {-1, 1}
+    row = np.repeat(np.arange(len(pres.reps)), np.diff(red.indptr))
+    assert (np.diff(row * red.ncols + red.cols) > 0).all()
+
+
+def test_presentation_inverses_match_pow():
+    # the inverses from the primitive root's power table, as Python ints
+    for N in [N for N in range(5, 400) if is_prime(N)] + [1871]:
+        inv = presentation(N).inv
+        assert inv == (0,) + tuple(pow(u, -1, N) for u in range(1, N))
+        assert all(type(x) is int for x in inv)
 
 
 def test_tree_reduction_rejects_broken_graphs():
@@ -216,14 +243,15 @@ def test_space_from_tree_checks_its_layout():
     # {0, oo}, and a reduction with a coordinate negated, so that its
     # symbol no longer reduces to a unit row: both are refused
     pres = presentation(31)
-    free, red_vars = tree_reduction(pres)
-    assert _space_from_tree(pres, free, red_vars).reduction == build_space(31).reduction
+    free, red = tree_reduction(pres)
+    assert _space_from_tree(pres, free, red).reduction == build_space(31).reduction
+    red_vars = red.dense()
     with pytest.raises(ValueError, match="coordinate 0"):
-        _space_from_tree(pres, free[1:] + free[:1], np.roll(red_vars, -1, axis=1))
+        _space_from_tree(pres, free[1:] + free[:1], csr_from_dense(np.roll(red_vars, -1, axis=1)))
     flipped = red_vars.copy()
     flipped[:, 2] *= -1
     with pytest.raises(ValueError, match="identity"):
-        _space_from_tree(pres, free, flipped)
+        _space_from_tree(pres, free, csr_from_dense(flipped))
 
 
 @pytest.mark.parametrize("N", LEVELS + [421])
