@@ -546,8 +546,6 @@ def dense_hecke_images(vecs, pairs, qmap, p):
 def pairs_of_counts(counts):
     """The (symbol, image) pairs of nonnegative counts, as one run of
     `modsym.hecke_pairs`."""
-    if (counts < 0).any():
-        raise ValueError("negative counts have no pairs")
     rows, images = np.nonzero(counts)
     yield np.repeat(rows, counts[rows, images]), np.repeat(images, counts[rows, images])
 
