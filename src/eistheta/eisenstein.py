@@ -1,11 +1,78 @@
 """The p-Eisenstein filtration on the signed cuspidal lattices.
 
-At prime level N with p dividing N - 1 exactly once, the Eisenstein
-ideal I is generated (after Sturm-bound truncation) by T_l - l - 1 for
-primes l up to ceil((N+1)/6) together with U_N - 1.  Restricting those
-operators to M^+ or M^- gives a descending chain of finite-index
-sublattices W_n = I^n M^{+-}.  A context keeps their Hermite bases and
-the multiplicity g_p; everything else is read off W_n.
+At prime level N with p dividing N - 1 exactly once, let T be the Hecke
+algebra acting on M = M^+ or M^-, and I the Eisenstein ideal, generated
+by T_l - l - 1 for the primes l != N and by U_N - 1 (= -(1 + w_N), as
+U_N = -w_N at prime level).  A context keeps the Hermite bases of the
+finite-index sublattices W_n = I^n M and the multiplicity g_p;
+everything else is read off W_n.
+
+One generator per prime of n = num((N - 1) / 12).  T/I is Z/n (Mazur,
+"Modular curves and the Eisenstein ideal", Publ. IHES 47, 1977,
+Prop. II.9.7).  For a prime q not dividing n, I + qT = T, so I^k M and
+M agree locally at q (Nakayama).  For q | n, m = (I, q) is the only
+maximal ideal of T over q that holds I, and M_m != 0, because M (x) Q
+is free of rank one over T (x) Q.  By Nakayama, IM_m is a proper
+submodule of M_m, so [M_m : IM_m] >= q.  Take eta = T_l - l - 1 on M,
+l != N, with v_q(det eta) = 1.  M_q is the sum of the M_m' over the
+maximal ideals m' over q, and det eta is the product of eta's
+determinants on them.  eta lies in I, hence in m, so it is not a unit
+on M_m: its determinant there takes the one factor q, and eta is a
+unit at every other m'.  So [M_m : eta M_m] = q, and eta M_m inside
+IM_m forces eta M_m = IM_m.  T is commutative, so (I^k M)_q =
+(eta^k M)_q for every k.  M_m / eta M_m has order q, so q M_m lies in
+eta M_m, and (I^k M)_q holds q^k M_q.  Hence W_k holds r^k Z^g, with
+r = rad(n).
+
+The certificate needs no determinant: the index of `hnf_mod`(eta, r^2),
+the lattice eta Z^g + r^2 Z^g, has q-part q^(sum min(e_i, 2)) over the
+q-exponents e_i of eta's Smith invariants, which is q exactly when
+v_q(det eta) = 1; a singular eta reads q^2 at least and never
+qualifies.
+
+The build (`_certified_chain`): eta_l for l = 2, 3, 5, ... (l != N,
+l < 50) one at a time, each prime q | n taking the first l that
+certifies it, until every q has one.  For each chosen l, with m_l the
+product of the primes it certifies, L_{l,k} = `hnf_mod`(L_{l,k-1}
+eta_l, m_l^k), from L_{l,0} = Z^g: that is eta_l^k M + m_l^k M, since
+q^(k-1) eta M_q lies in eta^k M_q, and it is W_k locally at the primes
+of m_l and Z^g at every other.  W_k is their intersection, which for
+lattices of coprime indices a and b is A cap B = bA + aB: W_k =
+`hnf_mod`(stack of (r/m_l)^k L_{l,k}, r^k), and W_k = L_{l,k} when one
+l certifies every q.  Every eta the search computed lies in I, so it
+maps Z^g into W_1 = I M: that is checked as membership mod r (W_1 holds
+r Z^g), and a failure raises ValueError.
+
+g_p is the dimension over F_p of M_m/pM_m, m = (I, p): the part of
+M/pM on which I acts nilpotently.  eta_{l_p} is nilpotent on M_m/pM_m
+and a unit on M_m'/pM_m' for every other m' over p, so g_p is the
+dimension of its generalized kernel mod p (`cut` on it alone).
+
+The fallback (`_sturm_chain`).  When some q | n has no certificate
+below 50 (at every level checked, the q = 2 or 3 with q^2 | n: the
+admissible N < 400 at 113, 241, 271, 337, 353 and 379, and 641), the
+chain comes from the Sturm stack: T_l - l - 1 for the primes l != N up
+to ceil((N + 1)/6) and U_N - 1, with the saturation check below, and
+g_p from the generalized kernels of all of them.  It is the route
+every context took before the certificate, and it stays as that
+fallback and as the certified route's test oracle.  There W_{n+1} is
+spanned by the rows of W_n @ eta over the generators eta, formed as
+int64 products, and its Hermite form is computed modulo a proven
+multiple D_{n+1} of its index (`hnf_mod`, which eliminates a certified
+random sketch of the tall stack), so no entry outgrows D_{n+1}.  The
+modulus: W_n @ eta lies in W_{n+1} for every generator, so
+[M : W_{n+1}] divides [M : W_n @ eta] = det(W_n) |det eta| for each
+one, hence divides D_{n+1} = det(W_n) * G with G the gcd of |det eta|
+over the first three generators.  eta_2 = T_2 - 3 is nonsingular,
+because every eigenvalue a_2 of T_2 on cusp forms has |a_2| <= 2 sqrt 2
+< 3 (Ramanujan-Petersson), so G != 0.
+
+The Sturm saturation check asks whether three more generators, at the
+primes just above max(N, Sturm bound), would shrink W_1: adding them
+gives W_1 + sum eta_q Z^g (W_0 = Z^g), which is W_1 exactly when each
+eta_q maps Z^g into W_1.  W_1 holds G Z^g, so that is a membership
+test: the rows of eta_q mod G must satisfy x Z_1 = 0 (mod G), with
+Z_1 = `scaled_inverse_mod`(W_1, G).
 
 Valuations are local at p: x has valuation >= n when x lies in
 W_n + p^k Z^g for k >= e_n, the p-exponent of A = Z^g / W_n.  That
@@ -15,24 +82,6 @@ and m_n = p^k: H_n = `hnf_mod`(W_n, m_n) is the Hermite basis of
 W_n + m_n Z^g, and x lies in it exactly when x Z_n = 0 (mod m_n), with
 Z_n = m_n H_n^{-1} mod m_n (`scaled_inverse_mod`).  When m_1 = p, Z_1
 vanishes but for one column, which is the alpha functional.
-
-W_{n+1} is spanned by the rows of W_n @ eta over the generators eta,
-formed as int64 products, and its Hermite form is computed modulo a
-proven multiple D_{n+1} of its index (`hnf_mod`, which eliminates a
-certified random sketch of the tall stack), so no entry outgrows
-D_{n+1}.  The modulus: W_n @ eta lies in W_{n+1} for every generator,
-so [M^sign : W_{n+1}] divides [M^sign : W_n @ eta] = det(W_n) |det eta|
-for each one, hence divides D_{n+1} = det(W_n) * G with G the gcd of
-|det eta| over the first three generators.  eta_2 = T_2 - 3 is
-nonsingular, because every eigenvalue a_2 of T_2 on cusp forms has
-|a_2| <= 2 sqrt 2 < 3 (Ramanujan-Petersson), so G != 0.
-
-The Sturm saturation check asks whether three more generators, at the
-primes just above max(N, Sturm bound), would shrink W_1: adding them
-gives W_1 + sum eta_q Z^g (W_0 = Z^g), which is W_1 exactly when each
-eta_q maps Z^g into W_1.  W_1 holds G Z^g, so that is a membership
-test: the rows of eta_q mod G must satisfy x Z_1 = 0 (mod G), with
-Z_1 = `scaled_inverse_mod`(W_1, G).
 
 `merel_criterion` (defined in `modp`, which takes it as a lower bound
 on g_p) decides g_p >= 2 from N and p alone; `build_context` does not
@@ -51,6 +100,7 @@ from .exact_linalg import (
     LogMap,
     as_int64,
     det,
+    factorize,
     hnf_mod,
     is_prime,
     log_to_p,
@@ -153,21 +203,65 @@ def _next_primes(start, count):
     return out
 
 
-def build_context(space, p, n_max=3, sign=1):
-    """Assemble the Eisenstein filtration on M^sign at the prime p."""
+_CERTIFY_BELOW = 50  # the certificate search tries the primes l < 50
+
+
+def _candidates(space, sign):
+    """(l, eta_l) for the primes l < 50, l != N, in order, each operator
+    computed only when the search asks for it."""
+    for ell in primes_up_to(_CERTIFY_BELOW - 1):
+        if ell != space.N:
+            yield ell, _generators(space, sign, [ell])[0].array
+
+
+def _certified_chain(space, sign, n_max):
+    """(W_0 .. W_{n_max + 1}, {q: eta certifying q}) from one generator
+    per prime q of n = num((N - 1)/12), or None when some q has no
+    certificate below 50 (module docstring)."""
+    N, g = space.N, space.genus
+    qs = sorted(factorize((N - 1) // gcd(N - 1, 12)))
+    r = prod(qs)
+    chains, certified, searched = [], {}, []  # chains: (m_l, eta_l)
+    for _, eta in _candidates(space, sign):
+        searched.append(eta)
+        index = prod(map(int, np.diagonal(hnf_mod(eta, r * r))))
+        new = [q for q in qs if q not in certified and vp(index, q) == 1]
+        if new:
+            chains.append((prod(new), eta))
+            certified.update(dict.fromkeys(new, eta))
+        if len(certified) == len(qs):
+            break
+    else:
+        return None
+
+    ws = [np.eye(g, dtype=np.int64)]
+    ls = [ws[0]] * len(chains)
+    for k in range(1, n_max + 2):
+        ls = [hnf_mod(mul_int64(l, eta), m**k) for l, (m, eta) in zip(ls, chains)]
+        ws.append(ls[0] if len(ls) == 1 else hnf_mod(
+            np.concatenate([l.astype(object) * (r // m)**k for l, (m, _) in zip(ls, chains)]),
+            r**k))
+
+    # runtime cross-check: every eta the search computed lies in I, so it
+    # maps W_0 = Z^g into W_1, which holds r Z^g
+    z = scaled_inverse_mod(ws[1], r).astype(np.int64)  # entries in [0, r)
+    for eta in searched:
+        if (mul_int64(eta % r, z) % r).any():
+            raise ValueError("a certificate-search generator does not map M into W_1")
+    return tuple(map(IntMatrix, ws)), certified
+
+
+def _sturm_chain(space, sign, n_max):
+    """(W_0 .. W_{n_max + 1}, the Sturm generators) from the stack of all
+    the Sturm generators, with the saturation check: the fallback when
+    some prime of n has no certificate (module docstring)."""
     N = space.N
-    check_pair(N, p)
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if n_max < 0:
-        raise ValueError("need n_max >= 0")
     etas = [m.array for m in eisenstein_generators(space, sign)]
     unit = gcd(*(det(m) for m in etas[:3]))
     if not unit:
         raise ValueError("Eisenstein generators are all singular")
 
-    g = len(etas[0])
-    ws = [IntMatrix.identity(g)]
+    ws = [IntMatrix.identity(len(etas[0]))]
     for _ in range(n_max + 1):
         w = ws[-1].array
         ws.append(IntMatrix(hnf_mod(np.concatenate([mul_int64(w, eta) for eta in etas]),
@@ -179,9 +273,14 @@ def build_context(space, p, n_max=3, sign=1):
     for eta in _generators(space, sign, _next_primes(max(N, _sturm_bound(N)), 3)):
         if (mul_int64(eta.array % unit, z) % unit).any():
             raise ValueError("Sturm-bound generator set failed saturation check")
+    return tuple(ws), etas
 
-    # g_p: the generators commute, so cutting F_p^g down by one generator
-    # at a time leaves the intersection of their generalized kernels mod p
+
+def _g_p(etas, p):
+    """The dimension over F_p of the intersection of the generalized
+    kernels of the commuting `etas` mod p: cutting F_p^g down by one
+    generator at a time leaves it."""
+    g = len(etas[0])
     rows, cols = np.eye(g), list(range(g))
     for eta in etas:
         if not rows.shape[0]:
@@ -190,8 +289,26 @@ def build_context(space, p, n_max=3, sign=1):
         # product is a sum of g terms in [0, (p-1)^2], which cut's own
         # bound on these rows keeps within 2^53 - p (it raises otherwise)
         rows, cols = cut(rows, cols, _mod_p(rows @ (eta % p).astype(np.float64), p), 0, p)
-    return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign, g_p=rows.shape[0],
-                             W=tuple(ws))
+    return rows.shape[0]
+
+
+def build_context(space, p, n_max=3, sign=1):
+    """Assemble the Eisenstein filtration on M^sign at the prime p: from
+    the certified generators when every prime of num((N - 1)/12) has one,
+    else from the Sturm stack (module docstring)."""
+    check_pair(space.N, p)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if n_max < 0:
+        raise ValueError("need n_max >= 0")
+    built = _certified_chain(space, sign, n_max)
+    if built is None:
+        ws, etas = _sturm_chain(space, sign, n_max)
+    else:
+        ws, certified = built
+        etas = [certified[p]]
+    return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign, g_p=_g_p(etas, p),
+                             W=ws)
 
 
 def _valuations(ctx, x):

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from math import gcd, prod
 
 import pytest
 
@@ -11,6 +12,7 @@ import numpy as np
 from eistheta.exact_linalg import (
     IntMatrix,
     LogMap,
+    hnf_mod,
     primes_up_to,
     snf,
     vp,
@@ -29,6 +31,7 @@ from eistheta.eisenstein import (
     theta_valuations,
 )
 from eistheta.harness import FIXTURES_LARGE
+from eistheta.modp import g_p_dimension_modp
 from eistheta.modsym import (
     ThetaElement,
     build_space,
@@ -343,9 +346,10 @@ def test_filtration_matches_stacked_hnf_oracle(N, sign):
                          + [(421, 5)])
 def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
     # Cremona's family gives T_l (l != N) and Merel's U_N; both families
-    # give the same operator at every l the context asks for: the primes
-    # up to the Sturm bound, N, and the three saturation primes above both
-    # (one `hecke_operators` call for the generators, one for the three)
+    # give the same operator at every l the Sturm route asks for: the
+    # primes up to the Sturm bound, N, and the three saturation primes
+    # above both (one `hecke_operators` call for the generators, one for
+    # the three)
     space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
     asked, given = [], []
     real = eisenstein.hecke_operators
@@ -357,7 +361,7 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
         return ops
 
     monkeypatch.setattr(eisenstein, "hecke_operators", recording)
-    build_context(space, p)
+    eisenstein._sturm_chain(space, 1, 3)
     sturm = -(-(N + 1) // 6)
     above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
     assert asked == [[ell for ell in primes_up_to(sturm) if ell != N] + [N], above]
@@ -368,8 +372,9 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (641, 5), (1021, 5)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypatch):
-    # every step's hnf_mod, sketched or not, against the elimination of
-    # its whole stack; at 421 and 1021 every step is sketched and certified
+    # every step's hnf_mod in the Sturm route, sketched or not, against
+    # the elimination of its whole stack; at 421 and 1021 every step is
+    # sketched and certified
     # (g + 16 rows: 50 of 714 at 421, 100 of 3,360 at 1021, whose last
     # 26-bit modulus D has (D - 1)^2 m within 1% of the 2^63 bound)
     space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
@@ -384,13 +389,13 @@ def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypat
         return steps[-1][2]
 
     monkeypatch.setattr(eisenstein, "hnf_mod", step)
-    ctx = build_context(space, p, sign=sign)
-    assert len(steps) == ctx.n_max + 1  # the Sturm check eliminates nothing
+    ws, _ = eisenstein._sturm_chain(space, sign, 3)
+    assert len(steps) == 4  # the Sturm check eliminates nothing
     for n, (rows, D, got, used) in enumerate(steps, 1):
-        assert np.array_equal(got, ctx.W[n].array)
+        assert np.array_equal(got, ws[n].array)
         assert np.array_equal(got, direct(rows % D, D)), (N, sign, n)
         if N in (421, 1021):
-            assert used == [ctx.W[0].rows + 16]
+            assert used == [space.genus + 16]
 
 
 def _p_parts(diag, p):
@@ -399,10 +404,13 @@ def _p_parts(diag, p):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_good_primes_generate_the_filtration_locally(sign):
-    # Mazur (1977, II.16): locally at p, I^n is generated by eta_l^n for a
-    # good prime l (l != N, l not a p-th power mod N, l != 1 mod p), so the
-    # p-parts of the Smith forms of eta_l^n and of W_n agree; at N = 211
-    # the primes 11 and 31 (= 1 mod 5) are not good, and differ
+    # at N = 211 the naive "good prime" test (l != N, l not a p-th power
+    # mod N, l != 1 mod p) happens to pick exactly the l < 40 whose
+    # certificate reads v_p(det eta_l) = 1, and for those the p-parts of
+    # the Smith forms of eta_l^n and of W_n agree (the `eisenstein`
+    # docstring); 11 and 31 (= 1 mod 5) fail both.  The naive test is no
+    # certificate: v_p(det eta_l) also counts the other maximal ideals over
+    # p at which eta_l is not a unit, and at 1021 it fails (next test)
     N, p = 211, 5
     ctx = build_context(SP211, p, sign=sign)
     good = []
@@ -410,6 +418,7 @@ def test_good_primes_generate_the_filtration_locally(sign):
         t = restrict_to_sign(SP211, hecke(SP211, ell), sign)
         eta = IntMatrix(t.array - (ell + 1) * np.eye(SP211.genus, dtype=np.int64))
         is_good = ell != N and pow(ell, (N - 1) // p, N) != 1 and ell % p != 1
+        assert (vp(_index(hnf_mod(eta.array, p * p)), p) == 1) == is_good, ell
         power = eta
         for n in range(1, 5):
             same = _p_parts(snf(power).diag, p) == _p_parts(ctx.snf_of_W[n].diag, p)
@@ -417,6 +426,61 @@ def test_good_primes_generate_the_filtration_locally(sign):
             power = mat_mul(power, eta)
         good.append(is_good)
     assert good.count(False) == 2
+
+
+def _index(h):
+    """The index in Z^g of the lattice of a Hermite basis."""
+    return prod(map(int, np.diagonal(h)))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_naive_good_primes_are_not_certificates_at_1021(sign):
+    # 23 and 37 pass the naive test at (1021, 5), but eta_l Z^g + 25 Z^g
+    # has index divisible by 25: v_5(det eta_l) >= 2, so neither certifies
+    # 5.  n = 85 = 5 * 17, and the search stops at l = 3: l = 2 certifies
+    # 5 and l = 3 certifies 17
+    N, p = 1021, 5
+    space = _space(N)
+    for ell in (23, 37):
+        assert ell % p != 1 and pow(ell, (N - 1) // p, N) != 1
+        eta = eisenstein._generators(space, sign, [ell])[0].array
+        assert vp(_index(hnf_mod(eta, p * p)), p) >= 2, ell
+    searched = {}
+    real = eisenstein._candidates
+
+    def recording(sp, sg):
+        for ell, eta in real(sp, sg):
+            searched[ell] = eta
+            yield ell, eta
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eisenstein, "_candidates", recording)
+        _, certified = eisenstein._certified_chain(space, sign, 0)
+    assert list(searched) == [2, 3]
+    assert certified[5] is searched[2] and certified[17] is searched[3]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_search_order_does_not_change_the_context_at_1021(sign, monkeypatch):
+    # with l = 23 searched first, it certifies 17 (not 5: it reads 5^2),
+    # and l = 2 certifies 5; the chain combines the two and gives the same
+    # W, and g_p still comes from eta_2: eta_23's generalized kernel mod 5
+    # has dimension 3, g_p is 1
+    space = _space(1021)
+    want = build_context(space, 5, sign=sign)
+    real = eisenstein._candidates
+
+    def reordered(sp, sg):
+        found = dict(real(sp, sg))
+        return iter([(23, found.pop(23))] + list(found.items()))
+
+    monkeypatch.setattr(eisenstein, "_candidates", reordered)
+    ws, certified = eisenstein._certified_chain(space, sign, want.n_max)
+    eta23 = eisenstein._generators(space, sign, [23])[0].array
+    assert np.array_equal(certified[17], eta23) and not np.array_equal(certified[5], eta23)
+    assert eisenstein._g_p([eta23], 5) == 3
+    got = build_context(space, 5, sign=sign)
+    assert got.W == ws == want.W and got.g_p == want.g_p == 1
 
 
 def test_merel_criterion_at_the_large_fixtures():
@@ -438,8 +502,88 @@ def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
             IntMatrix.identity(sp.genus) if ell == first else eta
             for ell, eta in zip(ells, real(sp, sg, ells))])
         with pytest.raises(ValueError, match="failed saturation check"):
-            build_context(space, 5, sign=sign)
+            eisenstein._sturm_chain(space, sign, 3)
         monkeypatch.undo()
+
+
+# the admissible levels with a prime q of n = num((N - 1)/12) that has no
+# certificate below 50: in each, q^2 | n
+FALLBACK_LEVELS = {113: 2, 241: 2, 271: 3, 337: 2, 353: 2, 379: 3}
+SPACES = {11: SP11, 31: SP31, 211: SP211}
+
+
+def _space(N):
+    if N not in SPACES:
+        SPACES[N] = build_space(N)
+    return SPACES[N]
+
+
+def _recording_sturm_chain(monkeypatch):
+    """Patch `_sturm_chain` to record the arguments of each call."""
+    calls = []
+    real = eisenstein._sturm_chain
+    monkeypatch.setattr(eisenstein, "_sturm_chain",
+                        lambda *args: calls.append(args[1:]) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (1021, 5)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_certified_chain_matches_the_sturm_chain(N, p, sign, monkeypatch):
+    # the certified route gives the Sturm route's W (the full chain, every
+    # prime of n) and g_p, and the Sturm route runs exactly at the
+    # fallback levels, where the square of a prime divides n
+    space = _space(N)
+    calls = _recording_sturm_chain(monkeypatch)
+    ctx = build_context(space, p, sign=sign)
+    assert calls == ([(sign, ctx.n_max)] if N in FALLBACK_LEVELS else [])
+    ws, etas = eisenstein._sturm_chain(space, sign, ctx.n_max)
+    assert ctx.W == ws
+    assert ctx.g_p == eisenstein._g_p(etas, p)
+    if N in FALLBACK_LEVELS:
+        assert (N - 1) // gcd(N - 1, 12) % FALLBACK_LEVELS[N] ** 2 == 0
+
+
+@pytest.mark.parametrize("N,sign", [(11, 1), (11, -1), (421, 1), (421, -1)])
+@pytest.mark.parametrize("patch", ["square", "zero"])
+def test_a_generator_without_a_certificate_falls_back(N, sign, patch, monkeypatch):
+    # every searched eta replaced by its square, which lies in I but reads
+    # q^2 off the certificate, or by 0, which is singular: no prime of n
+    # is certified, and the Sturm route builds the same context
+    space = _space(N)
+    want = build_context(space, 5, sign=sign)
+    real = eisenstein._candidates
+    change = {"square": lambda eta: eta @ eta, "zero": np.zeros_like}[patch]
+    monkeypatch.setattr(eisenstein, "_candidates",
+                        lambda sp, sg: ((ell, change(eta)) for ell, eta in real(sp, sg)))
+    assert eisenstein._certified_chain(space, sign, want.n_max) is None
+    calls = _recording_sturm_chain(monkeypatch)
+    got = build_context(space, 5, sign=sign)
+    assert calls == [(sign, want.n_max)]
+    assert got.W == want.W and got.g_p == want.g_p
+
+
+@pytest.mark.parametrize("N,sign", [(11, 1), (11, -1), (421, 1), (421, -1)])
+def test_certificate_search_refuses_a_generator_outside_w1(N, sign, monkeypatch):
+    # the first searched eta (l = 2) patched to the identity: it certifies
+    # nothing, a later l certifies every prime of n, and the cross-check
+    # finds the identity does not map Z^g into W_1
+    real = eisenstein._candidates
+    monkeypatch.setattr(eisenstein, "_candidates", lambda sp, sg: (
+        (ell, np.eye(len(eta), dtype=np.int64) if ell == 2 else eta)
+        for ell, eta in real(sp, sg)))
+    with pytest.raises(ValueError, match="does not map M into W_1"):
+        build_context(_space(N), 5, sign=sign)
+
+
+def test_the_exact_and_mod_p_routes_agree_at_1871(monkeypatch):
+    # two independent routes to g_p: the certified context (the Sturm
+    # route would take minutes here, and is refused) and the mod-p route
+    monkeypatch.setattr(eisenstein, "_sturm_chain",
+                        lambda *args: pytest.fail("the Sturm route ran at 1871"))
+    ctx = build_context(build_space(1871), 5)
+    assert ctx.g_p == g_p_dimension_modp(1871, 5) == 2
+    assert ctx.e == (0, 1, 1, 2, 2)
 
 
 @pytest.mark.parametrize("N,p", [(31, 5), (71, 7), (181, 5)])
