@@ -48,14 +48,21 @@ M/pM on which I acts nilpotently.  eta_{l_p} is nilpotent on M_m/pM_m
 and a unit on M_m'/pM_m' for every other m' over p, so g_p is the
 dimension of its generalized kernel mod p (`cut` on it alone).
 
+No eta certifies a q with q^2 | n.  A certificate gives [M_m : IM_m] =
+q, so IM_m = mM_m and M_m/mM_m is one-dimensional over T/m; then M_m
+is cyclic over T_m (Nakayama), and faithful, so M_m = T_m, and
+M_m/IM_m = (T/I)_m = Z/q^{v_q(n)} has order q only when q^2 does not
+divide n.  So a non-squarefree n skips the search.
+
 The fallback (`_sturm_chain`).  When some q | n has no certificate
-below 50 (at every level checked, the q = 2 or 3 with q^2 | n: the
-admissible N < 400 at 113, 241, 271, 337, 353 and 379, and 641), the
-chain comes from the Sturm stack: T_l - l - 1 for the primes l != N up
-to ceil((N + 1)/6) and U_N - 1, with the saturation check below, and
-g_p from the generalized kernels of all of them.  It is the route
-every context took before the certificate, and it stays as that
-fallback and as the certified route's test oracle.  There W_{n+1} is
+below 50 (at every level checked, n is then not squarefree: q^2 | n
+for q = 2 or 3 at the admissible N < 400 113, 241, 271, 337, 353 and
+379, and at 641), the chain comes from the Sturm stack:
+T_l - l - 1 for the primes l != N up to ceil((N + 1)/6) and U_N - 1,
+with the saturation check below, and g_p from the generalized kernels
+of all of them.  It is the route every context took before the
+certificate, and it stays as that fallback and as the certified
+route's test oracle.  There W_{n+1} is
 spanned by the rows of W_n @ eta over the generators eta, formed as
 int64 products, and its Hermite form is computed modulo a proven
 multiple D_{n+1} of its index (`hnf_mod`, which eliminates a certified
@@ -219,7 +226,10 @@ def _certified_chain(space, sign, n_max):
     per prime q of n = num((N - 1)/12), or None when some q has no
     certificate below 50 (module docstring)."""
     N, g = space.N, space.genus
-    qs = sorted(factorize((N - 1) // gcd(N - 1, 12)))
+    n = factorize((N - 1) // gcd(N - 1, 12))
+    if max(n.values()) > 1:
+        return None  # no eta certifies a q with q^2 | n
+    qs = sorted(n)
     r = prod(qs)
     chains, certified, searched = [], {}, []  # chains: (m_l, eta_l)
     for _, eta in _candidates(space, sign):

@@ -507,7 +507,7 @@ def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
 
 
 # the admissible levels with a prime q of n = num((N - 1)/12) that has no
-# certificate below 50: in each, q^2 | n
+# certificate: in each, q^2 | n
 FALLBACK_LEVELS = {113: 2, 241: 2, 271: 3, 337: 2, 353: 2, 379: 3}
 SPACES = {11: SP11, 31: SP31, 211: SP211}
 
@@ -542,6 +542,20 @@ def test_certified_chain_matches_the_sturm_chain(N, p, sign, monkeypatch):
     assert ctx.g_p == eisenstein._g_p(etas, p)
     if N in FALLBACK_LEVELS:
         assert (N - 1) // gcd(N - 1, 12) % FALLBACK_LEVELS[N] ** 2 == 0
+
+
+@pytest.mark.parametrize("N", sorted(FALLBACK_LEVELS) + [641])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_no_generator_certifies_a_prime_whose_square_divides_n(N, sign):
+    # the search skips a non-squarefree n, because a certificate for q
+    # would make M_m/IM_m of order q, and it is Z/q^{v_q(n)} (module
+    # docstring): every eta_l, l < 50, reads q^2 off hnf_mod(eta_l, q^2)
+    q = FALLBACK_LEVELS.get(N, 2)
+    assert (N - 1) // gcd(N - 1, 12) % (q * q) == 0
+    space = _space(N)
+    for ell, eta in eisenstein._candidates(space, sign):
+        assert vp(_index(hnf_mod(eta, q * q)), q) >= 2, ell
+    assert eisenstein._certified_chain(space, sign, 3) is None
 
 
 @pytest.mark.parametrize("N,sign", [(11, 1), (11, -1), (421, 1), (421, -1)])
