@@ -592,7 +592,7 @@ def test_certificate_search_refuses_a_generator_outside_w1(N, sign, monkeypatch)
 
 def test_the_exact_and_mod_p_routes_agree_at_1871(monkeypatch):
     # two independent routes to g_p: the certified context (the Sturm
-    # route would take minutes here, and is refused) and the mod-p route
+    # route would take ~40 s here, and is refused) and the mod-p route
     monkeypatch.setattr(eisenstein, "_sturm_chain",
                         lambda *args: pytest.fail("the Sturm route ran at 1871"))
     ctx = build_context(build_space(1871), 5)
