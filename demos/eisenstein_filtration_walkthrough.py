@@ -15,7 +15,7 @@ N, p = 11, 5
 # of rank 2g.
 space = build_space(N)
 print(f"level {N}: {len(space.generators)} Manin symbols, "
-      f"rank {space.reduction.cols} quotient, genus {space.genus}")
+      f"rank {space.qmap.ncols} quotient, genus {space.genus}")
 
 # X_0(11) is an elliptic curve, so every Hecke operator acts on the
 # 2-dimensional cuspidal lattice by the scalar a_ell of 11a1.

@@ -74,7 +74,7 @@ def _cmd_space(args, out):
     info = {
         "N": sp.N,
         "generators": len(sp.generators),
-        "rank_M_rel": sp.reduction.cols,
+        "rank_M_rel": sp.qmap.ncols,
         "rank_M": 2 * sp.genus,
         "genus": sp.genus,
         "rank_plus": sp.plus_basis.rows,

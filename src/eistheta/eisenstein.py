@@ -41,7 +41,17 @@ lattices of coprime indices a and b is A cap B = bA + aB: W_k =
 `hnf_mod`(stack of (r/m_l)^k L_{l,k}, r^k), and W_k = L_{l,k} when one
 l certifies every q.  Every eta the search computed lies in I, so it
 maps Z^g into W_1 = I M: that is checked as membership mod r (W_1 holds
-r Z^g), and a failure raises ValueError.
+r Z^g), and a failure raises ValueError.  A chain product past
+`mul_int64`'s bound runs on Python ints (`mul_exact`), so every n_max
+is built.
+
+When one eta certifies every q, W_1 is the Hermite form H =
+`hnf_mod`(eta, r^2) the certificate already made, and its elimination
+is not repeated.  Proof: H is the form of eta Z^g + r^2 Z^g, whose
+index divides r^{2g}, so has no prime outside r, and has q-part q for
+every q | r: the index is r.  W_1 = eta Z^g + r Z^g contains that
+lattice and has index r too, so the two are equal, and a Hermite form
+is canonical.
 
 g_p is the dimension over F_p of M_m/pM_m, m = (I, p): the part of
 M/pM on which I acts nilpotently.  eta_{l_p} is nilpotent on M_m/pM_m
@@ -55,16 +65,19 @@ M_m/IM_m = (T/I)_m = Z/q^{v_q(n)} has order q only when q^2 does not
 divide n.  So a non-squarefree n skips the search.
 
 The fallback (`_sturm_chain`).  When some q | n has no certificate
-below 50 (at every level checked, n is then not squarefree: q^2 | n
-for q = 2 or 3 at the admissible N < 400 113, 241, 271, 337, 353 and
-379, and at 641), the chain comes from the Sturm stack:
+below 50, the chain comes from the Sturm stack.  That happens where n
+is not squarefree (q^2 | n for q = 2 or 3 at the admissible N < 400
+113, 241, 271, 337, 353 and 379, and at 641), and also where n is
+squarefree but q = 2 or 3 has no eta_l with v_q(det eta_l) = 1 for
+l < 50 (at 307, q = 3, and at 761 and 1129, q = 2).  The stack is
 T_l - l - 1 for the primes l != N up to ceil((N + 1)/6) and U_N - 1,
 with the saturation check below, and g_p from the generalized kernels
 of all of them.  It is the route every context took before the
 certificate, and it stays as that fallback and as the certified
 route's test oracle.  There W_{n+1} is
 spanned by the rows of W_n @ eta over the generators eta, formed as
-int64 products, and its Hermite form is computed modulo a proven
+exact products (`mul_exact`), and its Hermite form is computed modulo
+a proven
 multiple D_{n+1} of its index (`hnf_mod`, which eliminates a certified
 random sketch of the tall stack), so no entry outgrows D_{n+1}.  The
 modulus: W_n @ eta lies in W_{n+1} for every generator, so
@@ -111,6 +124,7 @@ from .exact_linalg import (
     hnf_mod,
     is_prime,
     log_to_p,
+    mul_exact,
     mul_int64,
     primes_up_to,
     scaled_inverse_mod,
@@ -231,13 +245,14 @@ def _certified_chain(space, sign, n_max):
         return None  # no eta certifies a q with q^2 | n
     qs = sorted(n)
     r = prod(qs)
-    chains, certified, searched = [], {}, []  # chains: (m_l, eta_l)
+    chains, certified, searched = [], {}, []  # chains: (m_l, eta_l, hnf_mod(eta_l, r^2))
     for _, eta in _candidates(space, sign):
         searched.append(eta)
-        index = prod(map(int, np.diagonal(hnf_mod(eta, r * r))))
+        h = hnf_mod(eta, r * r)
+        index = prod(map(int, np.diagonal(h)))
         new = [q for q in qs if q not in certified and vp(index, q) == 1]
         if new:
-            chains.append((prod(new), eta))
+            chains.append((prod(new), eta, h))
             certified.update(dict.fromkeys(new, eta))
         if len(certified) == len(qs):
             break
@@ -247,9 +262,13 @@ def _certified_chain(space, sign, n_max):
     ws = [np.eye(g, dtype=np.int64)]
     ls = [ws[0]] * len(chains)
     for k in range(1, n_max + 2):
-        ls = [hnf_mod(mul_int64(l, eta), m**k) for l, (m, eta) in zip(ls, chains)]
+        if k == 1 and len(chains) == 1:
+            ls = [chains[0][2]]  # W_1 is the certificate's Hermite form (module docstring)
+        else:
+            ls = [hnf_mod(mul_exact(l, eta), m**k) for l, (m, eta, _) in zip(ls, chains)]
         ws.append(ls[0] if len(ls) == 1 else hnf_mod(
-            np.concatenate([l.astype(object) * (r // m)**k for l, (m, _) in zip(ls, chains)]),
+            np.concatenate([l.astype(object) * (r // m)**k
+                            for l, (m, _, _) in zip(ls, chains)]),
             r**k))
 
     # runtime cross-check: every eta the search computed lies in I, so it
@@ -274,7 +293,7 @@ def _sturm_chain(space, sign, n_max):
     ws = [IntMatrix.identity(len(etas[0]))]
     for _ in range(n_max + 1):
         w = ws[-1].array
-        ws.append(IntMatrix(hnf_mod(np.concatenate([mul_int64(w, eta) for eta in etas]),
+        ws.append(IntMatrix(hnf_mod(np.concatenate([mul_exact(w, eta) for eta in etas]),
                                     prod(map(int, np.diagonal(w))) * unit)))
 
     # Sturm saturation check: three more Hecke primes must not shrink W_1,

@@ -4,10 +4,11 @@ Nothing here ever rounds.  An `IntMatrix` is one read-only 2-D numpy
 array: int64 when every entry fits, Python ints (dtype=object) when
 one does not.  Products run on int64 arrays, each under a bound that
 proves no entry can overflow: `mul_int64` raises when its bound fails,
-and `hnf_mod` and `scaled_inverse_mod`, whose entries stay below a
-modulus, switch to Python ints on the same code when that modulus is
-too large for int64.  The Smith invariants (`snf`) and the lattice
-helpers built on a tracked Hermite transform run on Python-int lists
+`mul_exact` runs on Python ints past it, and `hnf_mod` and
+`scaled_inverse_mod`, whose entries stay below a modulus, switch to
+Python ints on the same code when that modulus is too large for int64.
+The Smith invariants (`snf`) and the lattice helpers built on a
+tracked Hermite transform run on Python-int lists
 of the array, by fraction-free integer elimination with partial
 pivoting on the entry of least absolute value, which keeps
 intermediate growth tame at the matrix sizes we care about (a few
@@ -330,35 +331,47 @@ def _hnf_mod_reduced(a, D):
 
     Column by column.  When some nonzero entry a of the column is a unit
     mod D, its row r is scaled to the pivot row r' = a^-1 r mod D, pivot
-    1, and one product clears the column from every other row x, as
-    x - x_j r' mod D.  Otherwise Euclid down the column (pivoting on the
-    least entry) leaves one live row r with entry a, and one xgcd
-    u*a + v*D = d folds D e_j in: the unimodular change of (r, D e_j) to
-    (u r + v D e_j, (D/d) r - (a/d) D e_j) gives the pivot row u*r, pivot
-    d, and a row (D/d) r that stays live.  Every row is reduced mod D,
-    which adding multiples of D e_c does.  Both steps keep the lattice:
-    r = a r' mod D, so r and r' span the same lattice with D Z^g, and
-    D e_j = D r' minus D times r' off column j, which D Z^g holds, so
-    the fold leaves nothing live (the Euclid step's (D/d) r is then 0).
-    At D = 1 every entry is 0, so no column is pivoted on a unit.  The
-    entries above the pivots are then reduced column by column, also mod
-    D (each pivot divides D).  The result is the lattice's Hermite form,
-    its pivots positive and each entry above a pivot below it, which
-    is canonical: so which columns take the unit step does not show in
-    it.  Every entry stays in [0, D) and no intermediate exceeds 2 D^2
-    in size (a unit step's a r' is below D^2), which is what the dtype
-    is chosen by."""
+    1, and one product clears the column from every other live row x,
+    as x - x_j r' mod D, and one more from the pivot rows above, which
+    is where a Hermite form wants zeros over a pivot 1 (Gauss-Jordan).
+    The used row leaves by taking the last row's place.  Otherwise
+    Euclid down the column (pivoting on the least entry) leaves one live
+    row r with entry a, and one xgcd u*a + v*D = d folds D e_j in: the
+    unimodular change of (r, D e_j) to (u r + v D e_j, (D/d) r - (a/d)
+    D e_j) gives the pivot row u*r, pivot d, and a row (D/d) r that
+    stays live; rows Euclid zeroed are dropped.  Every row is reduced
+    mod D, which adding multiples of D e_c does.  Both steps keep the
+    lattice: r = a r' mod D, so r and r' span the same lattice with
+    D Z^g, and D e_j = D r' minus D times r' off column j, which D Z^g
+    holds, so the fold leaves nothing live (the Euclid step's (D/d) r is
+    then 0).  At D = 1 every entry is 0, so no column is pivoted on a
+    unit.
+
+    The entries above the Euclid pivots are then reduced, column by
+    column, also mod D (each pivot divides D).  The Euclid columns are
+    listed as they come, since a Euclid pivot can be 1 too (at D = 6,
+    Euclid on 2 and 3).  A unit column is already reduced and stays so:
+    a later step subtracts multiples of rows that are zero there, as the
+    unit step cleared every row above it.  A column with no live entry
+    has pivot D, and the entries above it are already in [0, D).  The
+    result is the lattice's Hermite form, its pivots positive and each
+    entry above a pivot below it, which is canonical: so which columns
+    take the unit step does not show in it.  Every entry stays in
+    [0, D) and no intermediate exceeds 2 D^2 in size (a unit step's
+    a r' is below D^2), which is what the dtype is chosen by."""
     g = a.shape[1]
     h = np.zeros((g, g), dtype=a.dtype)
+    euclid = []
     for j in range(g):
         # `a` holds the live rows on columns j.., all zero before column j
         units = np.flatnonzero((a[:, 0] != 0) & (np.gcd(a[:, 0], D) == 1))
         if len(units):
-            r = a[units[0]] * pow(int(a[units[0], 0]), -1, int(D)) % D
+            u = units[0]
+            r = a[u] * pow(int(a[u, 0]), -1, int(D)) % D
             h[j, j:] = r
-            a = np.delete(a, units[0], axis=0)
-            a = (a[:, 1:] - a[:, :1] * r[1:]) % D
-            a = a[(a != 0).any(axis=1)]
+            h[:j, j:] = (h[:j, j:] - h[:j, j:j + 1] * r) % D
+            a[u] = a[-1]
+            a = (a[:-1, 1:] - a[:-1, :1] * r[1:]) % D
             continue
         while True:
             nz = np.flatnonzero(a[:, 0] != 0)
@@ -372,12 +385,13 @@ def _hnf_mod_reduced(a, D):
             h[j, j] = D
             a = a[:, 1:]
             continue
+        euclid.append(j)
         r = a[nz[0]]
         d, u, _ = xgcd(int(r[0]), D)
         h[j, j:] = u * r % D  # pivot u*a = d mod D, and d < D
         a = np.vstack([np.delete(a, nz, axis=0), D // d * r % D])[:, 1:]
         a = a[(a != 0).any(axis=1)]
-    for j in range(1, g):
+    for j in euclid:
         q = h[:j, j] // h[j, j]
         h[:j, j:] = (h[:j, j:] - q[:, None] * h[j, j:]) % D
     return h
@@ -418,20 +432,35 @@ def as_int64(a):
         raise ValueError("matrix entry does not fit in int64") from None
 
 
+def _product_bound(a, b):
+    """max|a| * max|b| * (inner dimension): a bound on every partial sum
+    of every entry of a @ b, in any order."""
+    if not (a.size and b.size):
+        return 0
+    return (max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+            * a.shape[1])
+
+
 def mul_int64(a, b):
     """Exact product a @ b of int64 arrays: raises ValueError unless
     max|a| * max|b| * (inner dimension) < 2^63, which bounds every
     partial sum of every entry, in any order.  Below 2^53 the product
     runs in float64 BLAS, where all those sums are exact integers."""
-    bound = 0
-    if a.size and b.size:
-        bound = (max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
-                 * a.shape[1])
+    bound = _product_bound(a, b)
     if bound >= 2**63:
         raise ValueError("int64 product bound exceeded")
     if bound < 2**53:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
     return a @ b
+
+
+def mul_exact(a, b):
+    """Exact product a @ b of integer arrays (int64 or Python ints):
+    `mul_int64` while its bound holds, and on Python ints (dtype=object)
+    past it, where it would refuse."""
+    if _product_bound(a, b) >= 2**63:
+        return a.astype(object) @ b.astype(object)
+    return mul_int64(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from math import prod
 
@@ -263,18 +263,30 @@ def _dec_matrix(rows):
     return IntMatrix([[int(x) for x in row] for row in rows])
 
 
+# quotient-map rows per dense block that `_space_digest` hashes
+_DIGEST_ROWS = 1024
+
+
 def _space_digest(space):
-    """sha256 of the shape and int64 bytes of each field of the space
-    that fixes a coordinate, in field order: the matrices and the
-    coordinate symbols.  It is what a cache file keeps of the space."""
+    """sha256 of the shape and int64 bytes of each matrix of the space
+    that fixes a coordinate, and of the coordinate symbols: the quotient
+    map as the dense (N + 1) x (2g + 1) reduction it stands for, labelled
+    `reduction` and streamed a block of rows at a time, so no dense copy
+    is made, then the symbols, `star`, `plus_basis` and `minus_basis`.
+    It is what a cache file keeps of the space."""
     h = hashlib.sha256()
-    for f in fields(space):
-        m = getattr(space, f.name)
-        if f.name == "coord_symbols":
+    qmap = space.qmap
+    nrows = len(qmap.indptr) - 1
+    h.update(f"reduction:{nrows}x{qmap.ncols};".encode())
+    for lo in range(0, nrows, _DIGEST_ROWS):
+        block = qmap.dense(np.arange(lo, min(lo + _DIGEST_ROWS, nrows)))
+        h.update(block.astype("<i8").tobytes())
+    for name in ("coord_symbols", "star", "plus_basis", "minus_basis"):
+        m = getattr(space, name)
+        if name == "coord_symbols":
             m = IntMatrix([m])
-        if isinstance(m, IntMatrix):
-            h.update(f"{f.name}:{m.rows}x{m.cols};".encode())
-            h.update(m.array.astype("<i8").tobytes())
+        h.update(f"{name}:{m.rows}x{m.cols};".encode())
+        h.update(m.array.astype("<i8").tobytes())
     return h.hexdigest()
 
 

@@ -18,20 +18,16 @@ x - p floor(x / p), which is exact under the same bounds.  The
 Eisenstein generators are applied in increasing Hecke index, cutting
 the candidate space down after each one (`cut`, which the exact
 route's g_p also runs on).  Each Hecke operator acts on the 2g + 1
-coordinate generators through `hecke_pairs`, the pairs (symbol, image
-symbol) of the exact route's `hecke_counts`: Cremona's family for T_l
-(l != N), and U_N = -W_N from one continued-fraction walk per
-generator.
+coordinate generators through `hecke_pairs`, the exact route's pairs
+(symbol, image symbol): Cremona's family for T_l (l != N), and
+U_N = -W_N from one continued-fraction walk per generator.
 
-The quotient map (`_quotient_map`) is the CSR of its N + 1 symbol rows,
-symbol i being sign_of[i] times the tree's row of its folded variable
-var_of[i].  An operator's matrix T on M_rel is then one `bincount` per
-run of pairs, keyed by the symbol's coordinate and the columns of the
-image's row (`_hecke_images`): no k x (N + 1) count array, no fold and
-no product with a dense quotient map.  Its bound counts pairs: each
-adds at most one term below p in absolute value to an entry of T, so p
-times the number of pairs below 2^53 keeps every sum exact, and that
-bound cannot be fooled by terms that cancel.
+The quotient map is the exact route's (`modsym.quotient_map`), the CSR
+of its N + 1 symbol rows, its values reduced mod p here.  An
+operator's matrix T on M_rel is the exact route's `hecke_matrix` on
+those residues, one `bincount` per run of pairs, then reduced mod p
+(`_hecke_images`): no k x (N + 1) count array, no fold and no product
+with a dense quotient map.
 
 The plus quotient (`_plus_quotient`) is the fixed space of the star
 matrix S on the cuspidal coordinates, checked to square to the
@@ -58,16 +54,21 @@ products of residues, which the bound it checks up front keeps within
 2^53 - p.
 """
 
+import dataclasses
+
 import numpy as np
 
 from .exact_linalg import primes_up_to
 from .modsym import (
     CSR,
+    PAIR_CHUNK,
     check_pair,
     coordinate_symbols,
     genus,
+    hecke_matrix,
     hecke_pairs,
     presentation,
+    quotient_map,
     tree_reduction,
 )
 
@@ -236,24 +237,6 @@ def merel_criterion(N, p):
     return pow(acc, (N - 1) // p, N) == 1
 
 
-# the pairs of at most this many symbols and matrices meet the quotient map
-# at a time, in `_hecke_images`
-_PAIR_CHUNK = 2**16
-
-
-def _quotient_map(pres, red, p):
-    """The quotient map from symbols to M_rel, as the `CSR` of its N + 1
-    symbol rows: symbol i's row is sign_of[i] times the row of its
-    variable var_of[i] in the tree's `red`.  Refuses an entry of `red`
-    of absolute value >= p, so that every entry is an integer x with
-    0 < |x| < p: its residue is x + p [x < 0]."""
-    if red.vals.size and np.abs(red.vals).max() >= p:
-        raise ValueError("tree reduction has an entry of absolute value >= p")
-    which, cols, vals = red.take(np.array(pres.var_of))
-    sign = np.array(pres.sign_of, dtype=np.int64)
-    return CSR.from_entries(which, cols, vals * sign[which], len(sign), red.ncols)
-
-
 def _plus_quotient(qmap, pres, coord_gen, p):
     """(rows, cols): a basis over F_p of the plus quotient, the vectors of
     M_rel with no boundary (coordinate 0 zero, `modsym` docstring) fixed
@@ -340,30 +323,18 @@ def _hecke_images(vecs, pairs, qmap, p):
     """The images mod p of the rows of `vecs` (over M_rel, entries in
     [0, p)) under the operator whose (symbol, image) pairs `pairs`
     yields (`hecke_pairs`, the symbols being those of the M_rel
-    coordinates, in order), in the quotient's coordinates.
+    coordinates, in order), in the quotient's coordinates, `qmap` being
+    the quotient map with its values reduced into [0, p).
 
-    The operator's matrix T on M_rel (k x k) is one `bincount` per run
-    of pairs, keyed by the symbol's coordinate and the columns of the
-    image's row in `qmap`, weighted by its entries: no count array and
-    no fold.  Each pair adds at most one term to an entry of T, of
-    absolute value below p, so with P pairs in all every partial sum is
-    an integer of absolute value below (p - 1) P; the check
-    p (P + 1) < 2^53, taken on the number of pairs before a run is
-    expanded, keeps the float64 sums exact and T within `_mod_p`'s
-    range.  vecs @ (T mod p) is a sum of at most k <= N + 1 products of
-    residues, within 2^53 - p under the route's `_check_exact(p, N + 1)`.
+    T on M_rel (k x k) is `hecke_matrix` of the pairs on those residues:
+    with P pairs its entries are integers in [0, (p - 1) P], exact under
+    that function's check, then reduced mod p.  vecs @ (T mod p) is a
+    sum of at most k <= N + 1 products of residues, within 2^53 - p
+    under the route's `_check_exact(p, N + 1)`.
     """
     k = qmap.ncols
-    T = np.zeros(k * k)
-    npairs = 0
-    for rows, images in pairs:
-        npairs += np.broadcast(rows, images).size
-        if p * (npairs + 1) >= 2**53:
-            raise ValueError("float64 arithmetic mod p is not exact at this size")
-        rows, images = (a.ravel() for a in np.broadcast_arrays(rows, images))
-        which, cols, vals = qmap.take(images)
-        T += np.bincount(rows[which] * k + cols, weights=vals, minlength=k * k)
-    return _mod_p(vecs @ _mod_p(T, p).reshape(k, k), p)
+    T = hecke_matrix(pairs, qmap, k) % p
+    return _mod_p(vecs @ T.astype(np.float64), p)
 
 
 def _joint_kernel_dims(N, p):
@@ -379,8 +350,13 @@ def _joint_kernel_dims(N, p):
     pres = presentation(N)
     free, red = tree_reduction(pres)
     # the tree's reduction is exact over Z, so mod p it is the reduction of
-    # the relation quotient mod p: p >= 5 kills exactly the torsion
-    qmap = _quotient_map(pres, red, p)
+    # the relation quotient mod p: p >= 5 kills exactly the torsion.  An
+    # entry x with 0 < |x| < p keeps a nonzero residue, so the residues
+    # below are a CSR again
+    if red.max_abs() >= p:
+        raise ValueError("tree reduction has an entry of absolute value >= p")
+    qmap = quotient_map(pres, red)
+    residues = dataclasses.replace(qmap, vals=qmap.vals % p)
     k = len(free)
     coord_gen = np.array(coordinate_symbols(pres, free))  # one generator per coordinate
     which, cols, vals = qmap.take(coord_gen)
@@ -394,13 +370,13 @@ def _joint_kernel_dims(N, p):
     yield None, vecs.shape[0]
 
     symbols = [pres.generators[i] for i in coord_gen]
-    width = max(1, _PAIR_CHUNK // k)
+    width = max(1, PAIR_CHUNK // k)
     sturm = -(-(N + 1) // 6)
     for ell in primes_up_to(sturm) + [N]:
         if not vecs.shape[0]:
             break
         eigen = 1 if ell == N else ell + 1
-        images = _hecke_images(vecs, hecke_pairs(symbols, ell, N, pres.inv, width), qmap, p)
+        images = _hecke_images(vecs, hecke_pairs(symbols, ell, N, pres.inv, width), residues, p)
         vecs, vcols = cut(vecs, vcols, images, eigen, p)
         yield ell, vecs.shape[0]
 

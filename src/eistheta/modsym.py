@@ -23,7 +23,12 @@ gives that reduction as a sparse matrix (`CSR`), every entry -1 or 1,
 and basis vector j is the class of one symbol, the representative of
 the j-th free variable.  The reduction is an integral matrix, so every
 later computation (star involution, Hecke action, theta elements) is
-exact.
+exact.  `quotient_map` gives the quotient map on the N + 1 symbols, the
+CSR of sign_of[i] times the tree's row of var_of[i]: 3-6 nonzeros per
+row, where a dense copy would have 2g + 1.  Every route reads M_rel
+through it, and none makes it dense: Hecke pairs and paths add the
+rows of their symbols (`CSR.gather_add`), and a theta chunk's symbol
+counts meet its entries in column order (`CSR.left_mul`).
 
 The cuspidal lattice M = ker(boundary) is M_rel without its coordinate
 0.  Proof: at prime level the cusps form two classes, p/q lying over oo
@@ -52,8 +57,8 @@ the matrices of the nearest-integer continued fractions of -l/r,
 |r| <= l/2, halves rounded away from zero.  The families of all the l
 that one list asks for come from one lockstep walk of every (l, r)
 (`cremona_families`).  A matrix of determinant prime to N is invertible
-mod N, so no image is (0:0); `family_counts`, the action, raises if one
-is.
+mod N, so no image is (0:0); `family_images`, the action, raises if
+one is.
 
 The action indexes an image (u : v), u and v reduced into [0, N), by
 discrete logs to a primitive root g mod N (`_p1_logs`).  With K = N - 1,
@@ -86,11 +91,12 @@ normalised generators, (c:d) being the path {b/d, a/c} of a lift
 U_N sends (0:1) to (0:1) and (1:y) to {0, y/N} - {0, oo}, the
 continued-fraction walk of y/N (`_symbol_stream`) past its opening
 (0:1), O(log N) symbols; at y = 0 that walk is (1:0) = -(0:1) by the
-two-term relation, W_N(1:0) = (0:1).  `hecke_counts` gives these
-signed counts at l = N and Cremona's family's counts otherwise, and
-`hecke_pairs` the same images as (symbol, image) pairs, which the
-mod-p route reads; `hecke` applies them only to the symbols of
-coordinates 1 .. 2g, the basis of M.  On M_rel, -W_N need not be U_N,
+two-term relation, W_N(1:0) = (0:1).  `hecke_pairs` gives these
+images at l = N and Cremona's family's otherwise as (symbol, image)
+pairs, and `hecke_matrix` the operator on M_rel from them, one
+`bincount` per run of pairs on the quotient map's rows, for both
+routes: `hecke` applies it only to the symbols of coordinates 1 .. 2g,
+the basis of M, and the mod-p route to all 2g + 1, on residues.  On M_rel, -W_N need not be U_N,
 but only its restriction to M is read.  Merel's
 determinant-N family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = N}
 (Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994)
@@ -98,9 +104,10 @@ also gives U_N, once its images (0:0) are dropped, but it has 6,991
 matrices at N = 421 against 2g + 1 = 69 walks, so it stays only in the
 tests, as the independent oracle this U_N is checked against.
 
-The fixed matrices of a space (reduction, star, the signed bases and
-their integral left inverses) are `IntMatrix`es, each stored once as a
-read-only array, int64 while its entries fit.  Products with them run
+The fixed matrices of a space (star, the signed bases and their
+integral left inverses) are `IntMatrix`es, each stored once as a
+read-only array, int64 while its entries fit; the quotient map is the
+read-only CSR.  Products with them run
 in int64 under `mul_int64`'s bound, which raises rather than overflow.
 A solve x @ B = v is v @ L for a left inverse L of B, proven by
 multiplying back (`solve_by_inverse`); `restrict_to_sign` and the
@@ -162,8 +169,9 @@ N | x, the symbol (0 : 1); every step with N | x follows one with
 N | y, as the first has x = |D| prime to N.  So a lane has as many
 (0 : 1) as (1 : 0), at its one weight, and every pair (0 : 1) + (1 : 0)
 = x + xS is killed by the two-term relation in M_rel (iota fixes
-both).  The folded counts go through the int64 reduction to M_rel,
-whose coordinates 1 .. 2g are the cuspidal ones.
+both).  The folded counts go to M_rel through the quotient map's rows
+at the symbols they count, whose coordinates 1 .. 2g are the cuspidal
+ones.
 `path_to_chain` is the one-path form, on the convergents of a/m
 (`_symbol_stream`).
 """
@@ -236,81 +244,78 @@ class Presentation:
     folded variable var_of[i], whose representative generator is
     reps[var_of[i]]; a self-paired symbol leaves a 2y = 0 relation on
     its variable (listed in `sfixed`).  What remains is the relation
-    matrix in folded variables, nrel rows of sparse (row, var, coeff)
-    triples: one row per tau-orbit, then one row per `sfixed` entry.
+    matrix in folded variables, `relations`, an (nrel, 3) array of
+    sparse (row, var, coeff) triples: one row per tau-orbit, then one
+    row per `sfixed` entry.  Every index field is a read-only int64
+    array.
     """
 
     N: int
     generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
     inv: tuple  # inverses mod N (index 0 unused)
-    sigma: tuple  # index permutations (c:d) -> (c:d)S, (c:d)T, (-c:d)
-    tau: tuple
-    iota: tuple
-    var_of: tuple
-    sign_of: tuple
-    reps: tuple
-    sfixed: tuple
-    relations: tuple
+    sigma: np.ndarray  # index permutations (c:d) -> (c:d)S, (c:d)T, (-c:d)
+    tau: np.ndarray
+    iota: np.ndarray
+    var_of: np.ndarray
+    sign_of: np.ndarray
+    reps: np.ndarray
+    sfixed: np.ndarray
+    relations: np.ndarray
     nrel: int
 
 
 def presentation(N):
-    """The folded Manin-symbol presentation at prime level N >= 5."""
+    """The folded Manin-symbol presentation at prime level N >= 5.
+
+    S^2 = -I and T^3 = I act trivially on P^1, so sigma is an involution
+    and the tau-orbits have 1 or 3 symbols.  A variable is the S-orbit
+    {i, sigma(i)}, numbered in the order of its least member, which is
+    its representative (sign +1); so i is a representative exactly when
+    i <= sigma(i).  A tau-orbit's row lists its least member i, then
+    tau(i) and tau(tau(i)), and the rows come in the order of their
+    least members."""
     check_level(N)
     gens = ((0, 1),) + tuple((1, y) for y in range(N))
     n = N + 1
     power = _powers(N)  # (g^k)^-1 = g^(K - k), K = N - 1
     invarr = np.zeros(N, dtype=np.int64)
     invarr[power] = power[-np.arange(N - 1) % (N - 1)]
-    inv = tuple(invarr.tolist())
-    cs, ds = np.array(gens, dtype=np.int64).T
+    cs = np.ones(n, dtype=np.int64)
+    cs[0] = 0
+    ds = np.concatenate([[1], np.arange(N, dtype=np.int64)])
 
     def perm(u, v):
-        return tuple(p1_index(u % N, v % N, N, invarr).tolist())
+        return p1_index(u % N, v % N, N, invarr)
 
     sigma = perm(*_act(cs, ds, _S))
     tau = perm(*_act(cs, ds, _T))
     iota = perm(-cs, ds)
 
     # fold the two-term relations: x_j = -x_i for j = sigma(i) != i
-    var_of = [-1] * n
-    sign_of = [0] * n
-    reps = []
-    sfixed = []
-    for i in range(n):
-        if var_of[i] >= 0:
-            continue
-        j = sigma[i]
-        var_of[i] = len(reps)
-        sign_of[i] = 1
-        if j == i:
-            sfixed.append(len(reps))
-        else:
-            var_of[j] = len(reps)
-            sign_of[j] = -1
-        reps.append(i)
+    i = np.arange(n)
+    first = i <= sigma
+    reps = np.flatnonzero(first)
+    var_of = np.empty(n, dtype=np.int64)
+    var_of[reps] = np.arange(len(reps))
+    var_of[~first] = var_of[sigma[~first]]
+    sign_of = np.where(first, 1, -1).astype(np.int64)
+    sfixed = np.flatnonzero(sigma[reps] == reps)
 
     # three-term relations, one row per tau-orbit, in folded variables
-    relations = []
-    nrel = 0
-    done = [False] * n
-    for i in range(n):
-        if done[i]:
-            continue
-        j = i
-        while not done[j]:
-            done[j] = True
-            relations.append((nrel, var_of[j], sign_of[j]))
-            j = tau[j]
-        nrel += 1
-    for v in sfixed:
-        relations.append((nrel, v, 2))
-        nrel += 1
-    return Presentation(
-        N=N, generators=gens, inv=inv, sigma=sigma, tau=tau, iota=iota,
-        var_of=tuple(var_of), sign_of=tuple(sign_of), reps=tuple(reps),
-        sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
-    )
+    tau2 = tau[tau]
+    lead = np.flatnonzero((i <= tau) & (i <= tau2))
+    size = np.where(tau[lead] == lead, 1, 3)
+    orbit = np.stack([lead, tau[lead], tau2[lead]], axis=1)[np.arange(3) < size[:, None]]
+    rows = np.concatenate([np.repeat(np.arange(len(lead)), size),
+                           len(lead) + np.arange(len(sfixed))])
+    relations = np.stack([rows, np.concatenate([var_of[orbit], sfixed]),
+                          np.concatenate([sign_of[orbit], np.full(len(sfixed), 2)])], axis=1)
+    fields = dict(sigma=sigma, tau=tau, iota=iota, var_of=var_of, sign_of=sign_of, reps=reps,
+                  sfixed=sfixed, relations=relations)
+    for a in fields.values():
+        a.flags.writeable = False
+    return Presentation(N=N, generators=gens, inv=tuple(invarr.tolist()),
+                        nrel=len(lead) + len(sfixed), **fields)
 
 
 def _spans(indptr, rows):
@@ -350,10 +355,53 @@ class CSR:
         which, pos = _spans(self.indptr, rows)
         return which, self.cols[pos], self.vals[pos]
 
-    def dense(self):
-        """The matrix as a dense int64 array."""
-        out = np.zeros((len(self.indptr) - 1, self.ncols), dtype=np.int64)
-        out[np.repeat(np.arange(len(out)), np.diff(self.indptr)), self.cols] = self.vals
+    def dense(self, rows=None):
+        """The rows `rows` (an int64 array; all of them by default), in
+        that order, as a dense int64 array."""
+        if rows is None:
+            rows = np.arange(len(self.indptr) - 1)
+        which, cols, vals = self.take(rows)
+        out = np.zeros((len(rows), self.ncols), dtype=np.int64)
+        out[which, cols] = vals
+        return out
+
+    def gather_add(self, out, rows, nout):
+        """The nout x ncols float64 array whose row i is the sum of the
+        rows rows[k] of the matrix over the k with out[k] = i (int64
+        arrays of one length): the rows' entries gathered, then added by
+        one `bincount`.  Every partial sum is an integer of absolute
+        value at most len(rows) max |vals|, and float64 adds integers
+        exactly below 2^53: each caller checks that bound."""
+        which, cols, vals = self.take(rows)
+        return np.bincount(out[which] * self.ncols + cols, weights=vals,
+                           minlength=nout * self.ncols).reshape(nout, self.ncols)
+
+    def max_abs(self):
+        """The largest absolute value of an entry, 0 when there is none."""
+        return int(np.abs(self.vals).max()) if self.vals.size else 0
+
+    @cached_property
+    def _by_column(self):
+        """(rows, vals, starts, cols): the entries in column order, each
+        column's in row order, and for each column cols[i] that has
+        entries, the position starts[i] of its first."""
+        rows = np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+        order = np.argsort(self.cols, kind="stable")
+        size = np.bincount(self.cols, minlength=self.ncols)
+        cols = np.flatnonzero(size)
+        return rows[order], self.vals[order], (np.cumsum(size) - size)[cols], cols
+
+    def left_mul(self, x):
+        """x @ self for a dense int64 array x of rows with one column per
+        row of the matrix, in int64: x's columns gathered at every entry's
+        row, in column order, times the entries, and each column's run
+        summed by one `reduceat`.  Every partial sum is at most the
+        largest row sum of |x| times max |vals|, which the caller keeps
+        below 2^63."""
+        rows, vals, starts, cols = self._by_column
+        out = np.zeros((len(x), self.ncols), dtype=np.int64)
+        if len(cols):
+            out[:, cols] = np.add.reduceat(x[:, rows] * vals, starts, axis=1)
         return out
 
 
@@ -391,8 +439,8 @@ def tree_reduction(pres):
     nvars = len(pres.reps)
     nrows = pres.nrel - len(pres.sfixed)  # the tau-orbit rows come first
     half = np.zeros(nvars, dtype=bool)  # killed by their 2y = 0 rows wherever they sit
-    half[list(pres.sfixed)] = True
-    r, v, c = np.array(pres.relations, dtype=np.int64).reshape(-1, 3).T
+    half[pres.sfixed] = True
+    r, v, c = np.asarray(pres.relations, dtype=np.int64).reshape(-1, 3).T
     tau_row = r < nrows
     r, v, c = r[tau_row], v[tau_row], c[tau_row]
     bad = ~half & ((np.bincount(v, minlength=nvars) != 2)
@@ -461,14 +509,28 @@ def tree_reduction(pres):
     return free.tolist(), red
 
 
+def quotient_map(pres, red):
+    """The quotient map from symbols to M_rel, as the read-only `CSR` of
+    its N + 1 symbol rows: symbol i's row is sign_of[i] times the row of
+    its variable var_of[i] in the tree's `red` (`tree_reduction`)."""
+    var_of = np.asarray(pres.var_of, dtype=np.int64)
+    which, cols, vals = red.take(var_of)
+    indptr = np.concatenate([[0], np.cumsum(np.diff(red.indptr)[var_of])])
+    qmap = CSR(indptr, cols, vals * np.asarray(pres.sign_of, dtype=np.int64)[which], red.ncols)
+    for a in (qmap.indptr, qmap.cols, qmap.vals):
+        a.flags.writeable = False
+    return qmap
+
+
 @dataclass(frozen=True)
 class ModularSymbolSpace:
     """Immutable exact model of H_1(X_0(N), cusps; Z) and its pieces.
 
     Matrix conventions: everything acts on row vectors from the right.
-    `reduction` maps Manin-symbol coordinates to M_rel coordinates, and
-    coordinate j is the class of the symbol `coord_symbols[j]`, so the
-    reduction's rows there are the identity.  M is the slice of
+    `qmap`, the sparse quotient map (`quotient_map`), maps Manin-symbol
+    coordinates to M_rel coordinates, and coordinate j is the class of
+    the symbol `coord_symbols[j]`, so its rows there are the identity.
+    No dense copy of it is kept.  M is the slice of
     coordinates 1 .. 2g (module docstring): `star`, `plus_basis`,
     `minus_basis` and the Hecke matrices live in those cuspidal
     coordinates.  The symbol indexing (`generators`, `_inv`, `_iota`)
@@ -478,7 +540,7 @@ class ModularSymbolSpace:
     """
 
     N: int
-    reduction: IntMatrix  # symbols -> M_rel
+    qmap: CSR  # symbols -> M_rel, N + 1 rows of 2g + 1 columns
     coord_symbols: tuple  # the symbol of each M_rel coordinate; (0:1) first
     star: IntMatrix  # involution on M, cuspidal coordinates
     plus_basis: IntMatrix  # rows: basis of M^+ in cuspidal coordinates
@@ -486,7 +548,7 @@ class ModularSymbolSpace:
     genus: int
     generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
     _inv: tuple  # inverses mod N (index 0 unused)
-    _iota: tuple  # index permutation of (c:d) -> (-c:d)
+    _iota: np.ndarray  # index permutation of (c:d) -> (-c:d), read-only int64
 
     def index(self, u, v):
         """P^1(Z/NZ) index of (u : v); None for the degenerate (0:0)."""
@@ -545,7 +607,7 @@ def coordinate_symbols(pres, free):
     M_rel coordinate; raises ValueError unless coordinate 0 is
     (0:1) = {0, oo}, on which reading M as coordinates 1 .. 2g rests
     (module docstring)."""
-    symbols = [pres.reps[v] for v in free]
+    symbols = np.asarray(pres.reps)[free].tolist()
     if not symbols or symbols[0] != 0:
         raise ValueError("M_rel coordinate 0 is not the symbol (0:1) = {0, oo}")
     return symbols
@@ -564,20 +626,24 @@ def _space_from_tree(pres, free, red):
     """The space on the M_rel basis of a spanning tree's (free, red)
     (`tree_reduction`), checked: each coordinate is the class of its
     free variable's representative symbol, and coordinate 0 is that of
-    (0:1).  The reduction is the one dense array made of `red`."""
+    (0:1).  The quotient map stays sparse; the star images are the one
+    dense read of it."""
     symbols = coordinate_symbols(pres, free)
-    red = red.dense()[list(pres.var_of)] * np.array(pres.sign_of, dtype=np.int64)[:, None]
-    if not np.array_equal(red[symbols], np.eye(len(symbols))):
+    qmap = quotient_map(pres, red)
+    k = len(symbols)
+    which, cols, vals = qmap.take(np.array(symbols))
+    if not (np.array_equal(which, np.arange(k)) and np.array_equal(cols, np.arange(k))
+            and (vals == 1).all()):
         raise ValueError("the reduction does not send the coordinate symbols to the identity")
-    iota = np.array(pres.iota)
-    star = IntMatrix(cuspidal_coords(red[iota[symbols[1:]]], "star image"))
+    iota = np.asarray(pres.iota, dtype=np.int64)
+    star = IntMatrix(cuspidal_coords(qmap.dense(iota[symbols[1:]]), "star image"))
     plus, minus = star_decompose(star)
     g = genus(pres.N)
     if plus.rows != g or minus.rows != g:
         raise ValueError("star eigenlattices do not both have rank g")
     return ModularSymbolSpace(
         N=pres.N,
-        reduction=IntMatrix(red),
+        qmap=qmap,
         coord_symbols=tuple(symbols),
         star=star,
         plus_basis=plus,
@@ -726,23 +792,6 @@ def family_images(symbols, fam, N, width):
         yield t
 
 
-def family_counts(symbols, fam, N):
-    """counts[i, t]: how many matrices of the family `fam` send the
-    symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
-    array with N + 1 columns, with `family_images`' refusals.  The images
-    come N + 1 matrices at a time, so no index array outgrows the
-    counts it fills."""
-    base = np.arange(len(symbols))[:, None] * (N + 1)
-    counts = None
-    for t in family_images(symbols, fam, N, N + 1):
-        chunk = np.bincount((t + base).ravel(), minlength=len(symbols) * (N + 1))
-        if counts is None:  # the first run's counts take the rest: no zeroed array is made
-            counts = chunk
-        else:
-            counts += chunk
-    return counts.reshape(-1, N + 1)
-
-
 def _u_n_pairs(symbols, N, inv):
     """(rows, images): U_N = -W_N (module docstring) as int64 arrays of
     pairs, one per symbol of an image, images[k] being a symbol of the
@@ -762,34 +811,61 @@ def _u_n_pairs(symbols, N, inv):
     return np.array(rows, dtype=np.int64), np.array(images, dtype=np.int64)
 
 
+def family_pairs(symbols, fam, N, width):
+    """The images of the symbols under the family `fam` as (symbol,
+    image) pairs (`hecke_pairs`): one run per `family_images` run, rows
+    being a column of symbol indices that broadcasts against it."""
+    rows = np.arange(len(symbols))[:, None]
+    for t in family_images(symbols, fam, N, width):
+        yield rows, t
+
+
 def hecke_pairs(symbols, ell, N, inv, width):
     """The images of the symbols under T_ell (ell != N) or U_N (ell = N)
     as (symbol, image) pairs: yields (rows, images), int64 arrays that
     broadcast together, each pair an image symbol images[k] of
     symbols[rows[k]], counted once per matrix or walk step that makes
     it.  T_ell gives Cremona's family in runs of at most `width`
-    matrices (`family_images`), rows being a column of symbol indices;
-    U_N gives the pairs of its walks at once (`_u_n_pairs`).  The
-    symbols are normalised generators (0, 1) or (1, y) of
-    `presentation(N)`, `inv` the inverses mod N."""
+    matrices (`family_pairs`); U_N gives the pairs of its walks at once
+    (`_u_n_pairs`).  The symbols are normalised generators (0, 1) or
+    (1, y) of `presentation(N)`, `inv` the inverses mod N."""
     if ell == N:
         yield _u_n_pairs(symbols, N, inv)
-        return
-    rows = np.arange(len(symbols))[:, None]
-    for t in family_images(symbols, cremona_matrices(ell), N, width):
-        yield rows, t
+    else:
+        yield from family_pairs(symbols, cremona_matrices(ell), N, width)
 
 
-def hecke_counts(symbols, ell, N, inv):
-    """counts[i, t]: the signed multiplicity of symbol t of P^1(Z/NZ) in
-    the image of symbols[i] under T_ell (ell != N) or U_N (ell = N), as
-    an int64 array with N + 1 columns: `hecke_pairs`, counted.  T_ell
-    counts Cremona's family (`family_counts`)."""
-    if ell != N:
-        return family_counts(symbols, cremona_matrices(ell), N)
-    rows, images = _u_n_pairs(symbols, N, inv)
-    return np.bincount(rows * (N + 1) + images,
-                       minlength=len(symbols) * (N + 1)).reshape(-1, N + 1)
+# the (symbol, image) pairs of at most this many symbols and matrices meet
+# the quotient map at a time, in `hecke_matrix`
+PAIR_CHUNK = 2**16
+
+
+def hecke_matrix(pairs, qmap, nrows):
+    """The matrix, an exact int64 nrows x ncols array, of an operator
+    whose (symbol, image) pairs `pairs` yields (`hecke_pairs`): row i is
+    the sum of the `qmap` rows of the images of symbol i, one per pair.
+    Each run of pairs is one `gather_add`: the image rows' entries
+    gathered and added by one float64 `bincount` keyed by the symbol
+    and the column.  No symbol-count array and no dense product.
+
+    Exact: each pair adds one entry of `qmap` to one entry of T, so with
+    P pairs in all every partial sum is an integer of absolute value at
+    most P max|entry|, and float64 adds integers exactly below 2^53.
+    That bound is checked on the number of pairs before a run is
+    expanded (a run may be a broadcast view), so it cannot be fooled by
+    terms that cancel.  With the tree's entries +-1 it asks only for
+    P < 2^53; the mod-p route passes residues, below p."""
+    k = qmap.ncols
+    top = qmap.max_abs()
+    T = np.zeros((nrows, k))
+    npairs = 0
+    for rows, images in pairs:
+        npairs += np.broadcast(rows, images).size
+        if npairs * top >= 2**53:
+            raise ValueError("float64 sums of the Hecke pairs are not exact at this size")
+        rows, images = (a.ravel() for a in np.broadcast_arrays(rows, images))
+        T += qmap.gather_add(rows, images, nrows)
+    return T.astype(np.int64)
 
 
 def solve_by_inverse(B, L, v):
@@ -805,23 +881,24 @@ def solve_by_inverse(B, L, v):
 def hecke_operators(space, ells):
     """The matrices of T_ell for ell prime to N, or U_N for ell = N, on
     the cuspidal lattice, for each prime of `ells` in order, as
-    `IntMatrix`es in cuspidal coordinates, computed on Manin symbols by
-    `hecke_counts`: Cremona's Heilbronn matrices for ell != N, all from
-    one `cremona_families` walk, and -W_N for U_N (module docstring).
-    Only the symbols of the cuspidal coordinates 1 .. 2g are acted on,
-    and their images counts @ reduction, in int64 under `mul_int64`'s
-    bound, are read in cuspidal coordinates."""
+    `IntMatrix`es in cuspidal coordinates: `hecke_matrix` of the
+    (symbol, image) pairs of Cremona's Heilbronn matrices for ell != N,
+    all from one `cremona_families` walk, and of -W_N for U_N (module
+    docstring), on the space's sparse quotient map.  Only the symbols
+    of the cuspidal coordinates 1 .. 2g are acted on, and their images
+    are read in cuspidal coordinates."""
     ells = list(ells)
     if not all(map(is_prime, ells)):
         raise ValueError("Hecke index must be prime")
     N = space.N
     symbols = [space.generators[j] for j in space.coord_symbols[1:]]
+    width = max(1, PAIR_CHUNK // len(symbols))
     families = iter(cremona_families([ell for ell in ells if ell != N]))
     out = []
     for ell in ells:
-        counts = (hecke_counts(symbols, N, N, space._inv) if ell == N
-                  else family_counts(symbols, next(families), N))
-        out.append(IntMatrix(cuspidal_coords(mul_int64(counts, space.reduction.array),
+        pairs = (hecke_pairs(symbols, N, N, space._inv, width) if ell == N
+                 else family_pairs(symbols, next(families), N, width))
+        out.append(IntMatrix(cuspidal_coords(hecke_matrix(pairs, space.qmap, len(symbols)),
                                              "Hecke image")))
     return out
 
@@ -860,11 +937,16 @@ def _symbol_stream(a, m):
 
 
 def path_to_chain(space, a, m):
-    """Coordinates in M_rel of the modular symbol {0, a/m}."""
+    """Coordinates in M_rel of the modular symbol {0, a/m}: the sum of
+    the quotient-map rows of its symbols, one `gather_add`, exact while
+    their number times max|entry| is below 2^53, which is checked."""
     if m <= 0 or gcd(a, m) != 1:
         raise ValueError("need m > 0 and gcd(a, m) = 1")
-    symbols = [space.index(u, v) for u, v in _symbol_stream(a, m)]
-    return tuple(map(int, space.reduction.array[symbols].sum(axis=0)))
+    symbols = np.array([space.index(u, v) for u, v in _symbol_stream(a, m)], dtype=np.int64)
+    if len(symbols) * space.qmap.max_abs() >= 2**53:
+        raise ValueError("path: float64 sums are not exact at this size")
+    rel = space.qmap.gather_add(np.zeros(len(symbols), dtype=np.int64), symbols, 1)
+    return tuple(map(int, rel[0]))
 
 
 # the characters of the prime discriminants -4, 8 and -8, indexed by a mod 8
@@ -980,10 +1062,13 @@ def _theta_chunk(space, rows, tables, iota):
         counts += np.bincount(np.concatenate(keys), minlength=2 * width)
     half = (counts[:width] - counts[width:]).reshape(len(rows), N + 1)
     half[:, 1] = 0  # as many (0 : 1) as (1 : 0), both counted here (module docstring)
-    # theta = half + s iota(half), s = sign(D)
+    # theta = half + s iota(half), s = sign(D), reduced to M_rel by the
+    # sparse quotient map
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
-    rel = mul_int64(half + s * half[:, iota], space.reduction.array)
-    in_m = cuspidal_coords(rel, "theta chain")
+    theta = half + s * half[:, iota]
+    if int(np.abs(theta).sum(axis=1).max()) * space.qmap.max_abs() >= 2**63:
+        raise ValueError("theta walk: M_rel coordinates too large for int64")
+    in_m = cuspidal_coords(space.qmap.left_mul(theta), "theta chain")
     return [ThetaElement(D=D, coords=tuple(c), sign=1 if D > 0 else -1)
             for D, c in zip(Ds, in_m.tolist())]
 

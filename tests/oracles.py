@@ -30,9 +30,16 @@ it checks.
 boundary map, which `modsym` now reads off as M_rel without its
 coordinate 0, and `shuffled_tree_space` a space on a second spanning
 tree, another M_rel basis.
+`loop_presentation` is `modsym.presentation` as it folded the two-term
+relations and walked the tau-orbits in Python loops, into tuples.
+`dense_reduction` is the dense (N + 1) x (2g + 1) reduction a space
+once kept beside its sparse quotient map, and `family_counts`,
+`hecke_counts` and `dense_hecke` the exact Hecke route through it:
+symbol counts, k x (N + 1), times the dense reduction, before
+`modsym.hecke_matrix` met the quotient map's rows pair by pair.
 `merel_matrices` is Merel's determinant-l family, and `merel_counts`
 its action on Manin symbols, one matrix at a time, with the images
-(0:0) dropped.  `inverse_family_counts` is `modsym.family_counts` as it
+(0:0) dropped.  `inverse_family_counts` is `family_counts` as it
 indexed images through the inverses mod N, before the discrete-log
 tables.  `merel_hecke` is T_l (U_N at l = N) through Merel's
 family at every l: the route `modsym.hecke` took before Cremona's
@@ -86,8 +93,17 @@ from eistheta.exact_linalg import (
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
     CSR,
+    Presentation,
+    _S,
+    _T,
+    _act,
+    _powers,
     _space_from_tree,
+    _u_n_pairs,
+    check_level,
+    cremona_matrices,
     cuspidal_coords,
+    family_images,
     genus,
     p1_index,
     presentation,
@@ -344,6 +360,108 @@ def solve_left(B, C):
             raise ValueError("vector is not in the row span")
         xs.append(coeff)
     return mat_mul(IntMatrix(xs), u)
+
+
+def loop_presentation(N):
+    """`modsym.presentation` by Python loops over the symbols, every
+    index field a tuple and `relations` a tuple of (row, var, coeff)."""
+    check_level(N)
+    gens = ((0, 1),) + tuple((1, y) for y in range(N))
+    n = N + 1
+    power = _powers(N)
+    invarr = np.zeros(N, dtype=np.int64)
+    invarr[power] = power[-np.arange(N - 1) % (N - 1)]
+    cs, ds = np.array(gens, dtype=np.int64).T
+
+    def perm(u, v):
+        return tuple(p1_index(u % N, v % N, N, invarr).tolist())
+
+    sigma = perm(*_act(cs, ds, _S))
+    tau = perm(*_act(cs, ds, _T))
+    iota = perm(-cs, ds)
+
+    var_of = [-1] * n
+    sign_of = [0] * n
+    reps = []
+    sfixed = []
+    for i in range(n):
+        if var_of[i] >= 0:
+            continue
+        j = sigma[i]
+        var_of[i] = len(reps)
+        sign_of[i] = 1
+        if j == i:
+            sfixed.append(len(reps))
+        else:
+            var_of[j] = len(reps)
+            sign_of[j] = -1
+        reps.append(i)
+
+    relations = []
+    nrel = 0
+    done = [False] * n
+    for i in range(n):
+        if done[i]:
+            continue
+        j = i
+        while not done[j]:
+            done[j] = True
+            relations.append((nrel, var_of[j], sign_of[j]))
+            j = tau[j]
+        nrel += 1
+    for v in sfixed:
+        relations.append((nrel, v, 2))
+        nrel += 1
+    return Presentation(
+        N=N, generators=gens, inv=tuple(invarr.tolist()), sigma=sigma, tau=tau, iota=iota,
+        var_of=tuple(var_of), sign_of=tuple(sign_of), reps=tuple(reps),
+        sfixed=tuple(sfixed), relations=tuple(relations), nrel=nrel,
+    )
+
+
+def dense_reduction(space):
+    """The dense (N + 1) x (2g + 1) reduction from symbols to M_rel, as an
+    IntMatrix: the rows of the space's quotient map, written out."""
+    return IntMatrix(space.qmap.dense())
+
+
+def family_counts(symbols, fam, N):
+    """counts[i, t]: how many matrices of the family `fam` send the
+    symbol symbols[i] = (c, d) to symbol t of P^1(Z/NZ), as an int64
+    array with N + 1 columns, from `modsym.family_images` (with its
+    refusals), N + 1 matrices at a time."""
+    base = np.arange(len(symbols))[:, None] * (N + 1)
+    counts = np.zeros(len(symbols) * (N + 1), dtype=np.int64)
+    for t in family_images(symbols, fam, N, N + 1):
+        counts += np.bincount((t + base).ravel(), minlength=len(counts))
+    return counts.reshape(-1, N + 1)
+
+
+def hecke_counts(symbols, ell, N, inv):
+    """counts[i, t]: the signed multiplicity of symbol t of P^1(Z/NZ) in
+    the image of symbols[i] under T_ell (ell != N, Cremona's family) or
+    U_N (ell = N, `modsym._u_n_pairs`), as an int64 array with N + 1
+    columns."""
+    if ell != N:
+        return family_counts(symbols, cremona_matrices(ell), N)
+    rows, images = _u_n_pairs(symbols, N, inv)
+    return np.bincount(rows * (N + 1) + images,
+                       minlength=len(symbols) * (N + 1)).reshape(-1, N + 1)
+
+
+def _counts_to_cuspidal(space, counts):
+    """counts @ the dense reduction, in int64 under `mul_int64`'s bound,
+    read in cuspidal coordinates, as an IntMatrix."""
+    rel = mul_int64(counts, dense_reduction(space).array)
+    return IntMatrix(cuspidal_coords(rel, "Hecke image"))
+
+
+def dense_hecke(space, ell):
+    """T_ell (U_N at ell = N) on the cuspidal lattice as `modsym.hecke`
+    formed it before it became sparse: the counts of the symbols of
+    coordinates 1 .. 2g (`hecke_counts`) times the dense reduction."""
+    symbols = [space.generators[j] for j in space.coord_symbols[1:]]
+    return _counts_to_cuspidal(space, hecke_counts(symbols, ell, space.N, space._inv))
 
 
 def relation_matrix(pres):
@@ -675,7 +793,7 @@ def convergent_theta_coords(space, Ds):
             x, y, qm1, qm2, key, w = x[live], y[live], qm1[live], qm2[live], key[live], w[live]
         h = h.reshape(len(part), N + 1)
         s = np.sign(np.array(part, dtype=np.int64))[:, None]
-        out.append(mul_int64(h + s * h[:, iota], space.reduction.array))
+        out.append(mul_int64(h + s * h[:, iota], dense_reduction(space).array))
     rel = np.concatenate(out)
     if rel[:, 0].any():
         raise ValueError("theta chain has nonzero boundary")
@@ -765,8 +883,7 @@ def merel_hecke(space, ell):
     determinant-ell family, as an IntMatrix: `modsym.hecke` with the
     counts taken from `merel_counts`."""
     symbols = [space.generators[j] for j in space.coord_symbols[1:]]
-    counts = merel_counts(symbols, ell, space.N, space._inv)
-    return IntMatrix(cuspidal_coords(mul_int64(counts, space.reduction.array), "Hecke image"))
+    return _counts_to_cuspidal(space, merel_counts(symbols, ell, space.N, space._inv))
 
 
 def symbol_boundary(N, c, d):
@@ -791,9 +908,9 @@ def shuffled_tree_space(N, seed=0):
     from the relation triples in a shuffled order, which is another
     M_rel basis wherever the tau-orbit graph has more than one tree."""
     pres = presentation(N)
-    relations = list(pres.relations)
-    random.Random(seed).shuffle(relations)
-    pres = replace(pres, relations=tuple(relations))
+    order = list(range(len(pres.relations)))
+    random.Random(seed).shuffle(order)
+    pres = replace(pres, relations=pres.relations[order])
     return _space_from_tree(pres, *tree_reduction(pres))
 
 

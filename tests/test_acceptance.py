@@ -32,7 +32,7 @@ from eistheta.quadfield import (
     validate_discriminant,
 )
 from eistheta.selmer import SelmerInput, equivalence_predicate
-from oracles import fundamental_unit, mat_mul
+from oracles import dense_reduction, fundamental_unit, mat_mul
 
 rng = random.Random(3001)
 
@@ -216,7 +216,7 @@ def test_criterion_8_structural_suite(pair11, pair31, tmp_path):
     # the involution
     for D in (12, 37, -3, -47):
         theta = theta_element(space11, D)
-        rel = [0] * space11.reduction.cols
+        rel = [0] * dense_reduction(space11).cols
         for a in range(1, abs(D)):
             chi = kronecker(D, a)
             for j, x in enumerate(path_to_chain(space11, a, abs(D)) if chi else ()):
@@ -339,14 +339,15 @@ def _coset_hecke(space, ell):
     """T_ell on the cuspidal lattice straight from the coset action on
     rational paths, None standing in for the infinite cusp."""
 
-    oo = space.reduction.entries[0]  # the (0:1) symbol is {0, oo}
+    red = dense_reduction(space)
+    oo = red.entries[0]  # the (0:1) symbol is {0, oo}
 
     def chain(e):
         if e is None:
             return oo
         return path_to_chain(space, e.numerator, e.denominator)
 
-    k = space.reduction.cols
+    k = red.cols
     rows = []
     for i in space.coord_symbols[1:]:  # the symbols of the cuspidal coordinates
         total = [0] * k

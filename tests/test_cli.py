@@ -64,6 +64,18 @@ def test_negative_nmax_exits_2(capsys):
                 "--dmax", "40", "--nmax", "-1") == (2, "", "error: need n_max >= 0\n")
 
 
+def test_nmax_past_the_int64_chain_products_sweeps(capsys):
+    # at 211 the chain's products pass int64 from n_max = 15 on; they run
+    # on Python ints, and the sweep completes
+    code, out, err = _run(capsys, "sweep-even", "--N", "211", "--p", "5", "--dmin", "1",
+                          "--dmax", "300", "--nmax", "16")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "211,5,13,1,1,4,0,false,1,1,exact,true" and len(lines) == 39
+    assert all(line.endswith(",true") for line in lines[1:])
+    assert "211,5,284,1,1,0,3,true,17,2,exact,true" in lines  # valuation >= n_max + 1
+
+
 @pytest.mark.parametrize("argv", [
     ("sweep-even", "--N", "211", "--p", "5", "--dmin", "9", "--dmax", "1"),
     ("sweep-odd", "--N", "211", "--p", "5", "--dmin", "-1", "--dmax", "-9"),

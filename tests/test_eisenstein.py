@@ -44,6 +44,7 @@ from eistheta.modsym import (
 from eistheta.quadfield import validate_discriminant
 from oracles import (
     ADMISSIBLE,
+    dense_reduction,
     hnf,
     mat_mul,
     merel_counts,
@@ -288,6 +289,35 @@ def test_theta_valuations_past_the_int64_bound():
     assert vals[:4] == [1, 7, 14, 17]  # 17 = n_max + 1: at least 17
 
 
+def test_n_max_past_the_int64_product_bound():
+    # at 211 the chain product W_15 eta_2, and every later one, passes
+    # mul_int64's bound; they run on Python ints, and the chain continues
+    # the n_max = 14 one
+    short, ctx = build_context(SP211, 5, n_max=14), build_context(SP211, 5, n_max=16)
+    assert ctx.W[:16] == short.W and ctx.g_p == short.g_p == 2
+    assert ctx.e[:16] == short.e and ctx.e[15:17] == (8, 8)
+    eta = eisenstein._generators(SP211, 1, [2])[0].array
+    exact_linalg.mul_int64(ctx.W[14].array, eta)
+    with pytest.raises(ValueError, match="int64 product bound"):
+        exact_linalg.mul_int64(ctx.W[15].array, eta)
+
+
+@pytest.mark.parametrize("N,sign", [(211, 1), (211, -1), (421, 1), (421, -1)])
+def test_w1_is_the_certificates_hermite_form(N, sign, monkeypatch):
+    # one eta certifies every prime of n here, so W_1 is the Hermite form
+    # mod r^2 the certificate made, and no step eliminates mod r
+    space = SP211 if N == 211 else build_space(N)
+    r = prod(exact_linalg.factorize((N - 1) // gcd(N - 1, 12)))
+    moduli = []
+    monkeypatch.setattr(eisenstein, "hnf_mod", lambda rows, D:
+                        moduli.append(D) or exact_linalg.hnf_mod(rows, D))
+    ws, certified = eisenstein._certified_chain(space, sign, 3)
+    assert len({id(eta) for eta in certified.values()}) == 1
+    assert r not in moduli and moduli[-3:] == [r**2, r**3, r**4]
+    eta = next(iter(certified.values()))
+    assert np.array_equal(ws[1].array, exact_linalg.hnf_mod(eta, r))
+
+
 def test_theta_valuation_refuses_vectors_outside_the_sign_lattice():
     plus, minus = SP31.plus_basis.entries, SP31.minus_basis.entries
     outside = (minus[0], [a + b for a, b in zip(plus[0], minus[1])])
@@ -312,7 +342,7 @@ def _stacked_filtration(space, p, n_max, sign):
 
     def generator(ell, eigen):
         counts = merel_counts(symbols, ell, space.N, space._inv)
-        t_rel = mat_mul(IntMatrix(counts), space.reduction)
+        t_rel = mat_mul(IntMatrix(counts), dense_reduction(space))
         assert not any(row[0] for row in t_rel.entries)  # the images lie in M
         t_m = IntMatrix([row[1:] for row in t_rel.entries])
         t = solve_left(basis, mat_mul(basis, t_m))
@@ -609,7 +639,7 @@ def test_filtration_is_independent_of_the_m_rel_basis(N, p):
     tree = build_context(build_space(N), p)
     old = build_context(shuffled_tree_space(N), p)
     assert old.space.coord_symbols != tree.space.coord_symbols
-    assert (old.space.reduction == tree.space.reduction) == (N == 31)
+    assert (dense_reduction(old.space) == dense_reduction(tree.space)) == (N == 31)
     assert old.space.coord_symbols[0] == tree.space.coord_symbols[0] == 0
     assert old.e == tree.e and g_p_dimension(old) == g_p_dimension(tree)
     assert [sd.diag for sd in old.snf_of_W] == [sd.diag for sd in tree.snf_of_W]

@@ -23,6 +23,7 @@ from eistheta.exact_linalg import (
     kronecker,
     left_kernel,
     log_to_p,
+    mul_exact,
     mul_int64,
     primes_up_to,
     scaled_inverse_mod,
@@ -250,6 +251,41 @@ def _tall_stack(basis, coeffs):
     """The rows coeffs @ basis, as Python-int lists: a stack whose row
     lattice lies in that of `basis`."""
     return [[sum(c * b for c, b in zip(row, col)) for col in zip(*basis)] for row in coeffs]
+
+
+def test_hnf_mod_unit_and_euclid_columns_fuzz():
+    # Gauss-Jordan unit steps beside Euclid columns, against the pure-Python
+    # Hermite form of the stack and D I: moduli with several small primes,
+    # so that many columns hold no unit, rows often with shared factors
+    r = random.Random(26)
+    moduli = [1, 2, 4, 6, 12, 30, 36, 60, 210, 2 * 3 * 5 * 7 * 11, 2**5 * 3**3, 35**3, 97, 1024]
+    for _ in range(3000):
+        g = r.randint(1, 6)
+        D = r.choice(moduli)
+        m = r.randint(1, 2 * g + 2)
+        factors = [f for f in (1, 2, 3, 5, 6) if D % f == 0]
+        rows = [[r.choice(factors) * r.randrange(D) for _ in range(g)] for _ in range(m)]
+        assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D), (rows, D)
+
+
+def test_hnf_mod_reduces_above_a_euclid_pivot_of_one():
+    # at D = 6 column 1 holds 2 and 3 below row 0, no unit: Euclid makes
+    # pivot 1, and the entry above it, the 1 of row 0, must still be reduced
+    rows = [[1, 1, 0], [0, 2, 1], [0, 3, 4]]
+    assert hnf_mod(rows, 6).tolist() == _stacked_hnf(rows, 6) == np.eye(3, dtype=int).tolist()
+
+
+def test_mul_exact_runs_on_python_ints_past_the_bound():
+    a = np.array([[2**31, 1], [3, -2**31]], dtype=np.int64)
+    b = np.array([[2**31, 5], [-7, 2**31]], dtype=np.int64)
+    want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.tolist())]
+            for row in a.tolist()]
+    with pytest.raises(ValueError, match="int64 product bound"):
+        mul_int64(a, b)
+    got = mul_exact(a, b)
+    assert got.dtype == object and got.tolist() == want
+    small = mul_exact(a // 2**16, b // 2**16)
+    assert small.dtype == np.int64 and small.tolist() == mul_int64(a // 2**16, b // 2**16).tolist()
 
 
 @given(st.integers(1, 5).flatmap(lambda g: st.tuples(

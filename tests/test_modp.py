@@ -26,12 +26,17 @@ from eistheta.modp import (
     _left_nullspace_mod_p,
     _mod_p,
     _plus_quotient,
-    _quotient_map,
     _rref_mod_p,
     cut,
     g_p_dimension_modp,
 )
-from eistheta.modsym import build_space, coordinate_symbols, presentation, tree_reduction
+from eistheta.modsym import (
+    build_space,
+    coordinate_symbols,
+    presentation,
+    quotient_map,
+    tree_reduction,
+)
 from oracles import (
     ADMISSIBLE,
     csr_from_dense,
@@ -188,7 +193,7 @@ def test_halving_kernel_matches_panel_oracle_in_the_route(N, p, monkeypatch):
 def _plus_rows(N, p):
     pres = presentation(N)
     free, red = tree_reduction(pres)
-    qmap = _quotient_map(pres, red, p)
+    qmap = quotient_map(pres, red)
     return pres, qmap, np.array(coordinate_symbols(pres, free))
 
 
@@ -285,9 +290,10 @@ def test_exactness_bounds_survive_optimize():
     # the shared kernel's own bound (p^2 * 3 >= 2^53 on a 2 x 2 input),
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
-    # bound on a Hecke operator's (symbol, image) pairs (5 * (2^51 + 1)
-    # >= 2^53 at N = 41; at N = 11 and 31 the loop is proven done before
-    # any family), which must fire before a run of pairs is expanded:
+    # bound of `modsym.hecke_matrix` on a Hecke operator's (symbol, image)
+    # pairs, met on the quotient map's residues mod 5, the largest 4
+    # (4 * 2^51 >= 2^53 at N = 41; at N = 11 and 31 the loop is proven
+    # done before any family), which must fire before a run of pairs is expanded:
     # the runs are broadcast views of 2^51 pairs that hold a few
     # integers.  The bound counts pairs, not what they sum to, since the
     # sum can cancel: `huge_pairs` sends every symbol to one image 2^51
@@ -330,7 +336,8 @@ def test_exactness_bounds_survive_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True,
         text=True, check=True, timeout=120,
     ).stdout.splitlines()
-    assert out == ["ValueError: float64 arithmetic mod p is not exact at this size"] * 4
+    assert out == (["ValueError: float64 arithmetic mod p is not exact at this size"] * 2
+                   + ["ValueError: float64 sums of the Hecke pairs are not exact at this size"] * 2)
 
 
 def test_input_validation():

@@ -31,13 +31,14 @@ from eistheta.modsym import (
     cuspidal_coords,
     cremona_families,
     cremona_matrices,
-    family_counts,
+    family_images,
     genus,
     hecke,
-    hecke_counts,
+    hecke_operators,
     p1_index,
     path_to_chain,
     presentation,
+    quotient_map,
     star_decompose,
     theta_element,
     theta_elements,
@@ -49,9 +50,14 @@ from oracles import (
     chi_table,
     convergent_theta_coords,
     csr_from_dense,
+    dense_hecke,
+    dense_reduction,
     dense_tree_reduction,
+    family_counts,
     full_theta_counts,
+    hecke_counts,
     inverse_family_counts,
+    loop_presentation,
     mat_mul,
     merel_counts,
     merel_matrices,
@@ -77,7 +83,7 @@ def genus_formula(N):
 def test_build_space_pinned_ranks():
     sp = build_space(11)
     assert len(sp.generators) == 12
-    assert sp.reduction.cols == 3
+    assert dense_reduction(sp).cols == 3
     assert sp.star.rows == 2
     assert sp.genus == 1
     assert sp.plus_basis.rows == 1 and sp.minus_basis.rows == 1
@@ -91,7 +97,7 @@ def test_ranks_match_genus_formula(N):
     sp = build_space(N)
     g = genus_formula(N)
     assert sp.genus == g
-    assert sp.reduction.cols == 2 * g + 1
+    assert dense_reduction(sp).cols == 2 * g + 1
     assert sp.star.rows == 2 * g
     assert sp.plus_basis.rows == g and sp.minus_basis.rows == g
 
@@ -116,7 +122,7 @@ def test_levels_cover_both_graph_shapes():
     assert {N % 4 for N in LEVELS} == {1, 3} and {N % 3 for N in LEVELS} == {1, 2}
     for N in LEVELS:
         pres = presentation(N)
-        assert bool(pres.sfixed) == (N % 4 == 1)
+        assert bool(len(pres.sfixed)) == (N % 4 == 1)
         leaves = [i for i in range(N + 1) if pres.tau[i] == i]
         assert bool(leaves) == (N % 3 == 1)
 
@@ -130,7 +136,7 @@ def test_tree_reduction_matches_snf_oracle(N):
     assert not (relation_matrix(pres) @ red_vars).any()  # every relation dies
     assert set(np.unique(red_vars).tolist()) <= {-1, 0, 1}
     sp = build_space(N)
-    sec, red = sp.relation_kernel_basis.array, sp.reduction.array
+    sec, red = sp.relation_kernel_basis.array, dense_reduction(sp).array
     assert set(np.unique(red).tolist()) <= {-1, 0, 1}
     assert (np.abs(sec).sum(axis=1) == 1).all()  # each row one symbol, +-1
     # both reductions are quotient maps onto M_rel: the change of basis
@@ -157,6 +163,36 @@ def test_tree_reduction_matches_the_dense_oracle(N):
     assert (np.diff(row * red.ncols + red.cols) > 0).all()
 
 
+@pytest.mark.parametrize("N", LEVELS + [1871])
+def test_presentation_matches_the_loop_oracle(N):
+    # the numpy fold and tau-orbit rows against the Python loops, field
+    # for field; every index field a read-only int64 array
+    pres, want = presentation(N), loop_presentation(N)
+    for f in dataclasses.fields(pres):
+        got, ref = getattr(pres, f.name), getattr(want, f.name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.int64 and not got.flags.writeable, f.name
+            assert np.array_equal(got, np.array(ref, dtype=np.int64).reshape(got.shape)), f.name
+            assert got.ndim == (2 if f.name == "relations" else 1), f.name
+        else:
+            assert got == ref, f.name
+    assert pres.relations.shape == (len(want.relations), 3)
+
+
+@pytest.mark.parametrize("N", LEVELS + [1871])
+def test_quotient_map_matches_the_dense_fold(N):
+    # symbol i's row is sign_of[i] times the tree's row of var_of[i]: the
+    # CSR against that fold made dense, and read-only
+    pres = presentation(N)
+    free, red = tree_reduction(pres)
+    qmap = quotient_map(pres, red)
+    assert qmap.ncols == len(free) and len(qmap.indptr) == N + 2
+    assert np.array_equal(qmap.dense(), red.dense()[pres.var_of] * pres.sign_of[:, None])
+    assert set(qmap.vals.tolist()) <= {-1, 1}
+    assert not any(a.flags.writeable for a in (qmap.indptr, qmap.cols, qmap.vals))
+    assert np.array_equal(build_space(N).qmap.dense(), qmap.dense())
+
+
 def test_presentation_inverses_match_pow():
     # the inverses from the primitive root's power table, as Python ints
     for N in [N for N in range(5, 400) if is_prime(N)] + [1871]:
@@ -167,8 +203,9 @@ def test_presentation_inverses_match_pow():
 
 def test_tree_reduction_rejects_broken_graphs():
     pres = presentation(31)
-    (r, v, c), rest = pres.relations[0], pres.relations[1:]
-    flipped = dataclasses.replace(pres, relations=((r, v, -c),) + rest)
+    relations = pres.relations.copy()
+    relations[0, 2] *= -1
+    flipped = dataclasses.replace(pres, relations=relations)
     with pytest.raises(ValueError, match="opposite signs"):
         tree_reduction(flipped)
     # a presentation read at the wrong level has the wrong free rank
@@ -244,7 +281,7 @@ def test_space_from_tree_checks_its_layout():
     # symbol no longer reduces to a unit row: both are refused
     pres = presentation(31)
     free, red = tree_reduction(pres)
-    assert _space_from_tree(pres, free, red).reduction == build_space(31).reduction
+    assert dense_reduction(_space_from_tree(pres, free, red)) == dense_reduction(build_space(31))
     red_vars = red.dense()
     with pytest.raises(ValueError, match="coordinate 0"):
         _space_from_tree(pres, free[1:] + free[:1], csr_from_dense(np.roll(red_vars, -1, axis=1)))
@@ -300,8 +337,8 @@ def test_presentation_permutations():
 def test_two_and_three_term_relations_vanish():
     sp = build_space(31)
     N = sp.N
-    red = sp.reduction.entries
-    k = sp.reduction.cols
+    red = dense_reduction(sp).entries
+    k = len(red[0])
     for i, (c, d) in enumerate(sp.generators):
         js = sp.index(d, -c)  # (c:d) S
         jt = sp.index(d, -c - d)  # (c:d) T
@@ -312,7 +349,7 @@ def test_two_and_three_term_relations_vanish():
 
 def test_section_is_a_section():
     sp = build_space(31)
-    assert mat_mul(sp.relation_kernel_basis, sp.reduction) == IntMatrix.identity(5)
+    assert mat_mul(sp.relation_kernel_basis, dense_reduction(sp)) == IntMatrix.identity(5)
 
 
 def test_boundary_rank_one():
@@ -321,7 +358,7 @@ def test_boundary_rank_one():
     # image, so the map has rank one
     for N in (11, 31, 53):
         sp = build_space(N)
-        red = sp.reduction.entries
+        red = dense_reduction(sp).entries
         for i, (c, d) in enumerate(sp.generators):
             assert symbol_boundary(N, c, d) == (-red[i][0], red[i][0]), (N, i)
         bd = [symbol_boundary(N, *sp.generators[i]) for i in sp.coord_symbols]
@@ -332,7 +369,7 @@ def test_path_pinned_examples():
     sp = build_space(11)
     # {0, 1/2} reduces to the single symbol of the matrix with columns
     # (0,1) and (1,2), i.e. Manin symbol (2:1)
-    expected = sp.reduction.entries[sp.index(2, 1)]
+    expected = dense_reduction(sp).entries[sp.index(2, 1)]
     assert path_to_chain(sp, 1, 2) == tuple(expected)
     # {0, 0/1} is the zero chain
     assert path_to_chain(sp, 0, 1) == (0,) * 3
@@ -446,15 +483,17 @@ def test_cremona_families_walk_an_unsorted_list_with_repeats():
 
 
 def test_family_counts_refuses_entries_beyond_int64():
+    # the bound lives in the action, `family_images`, which the Hecke
+    # pairs of both routes read
     sp = build_space(11)
     fam = np.array([[1, 0, 0, 2], [2**60, 0, 0, 1]], dtype=np.int64)
     with pytest.raises(ValueError, match="int64"):
-        family_counts(sp.generators, fam, 11)
+        list(family_images(sp.generators, fam, 11, 2))
     fam[1, 0] = -(2**60)  # the bound is on the absolute value
     with pytest.raises(ValueError, match="int64"):
-        family_counts(sp.generators, fam, 11)
+        list(family_images(sp.generators, fam, 11, 2))
     fam[1, 0] = 2**58  # 2 * 11 * 2^58 < 2^63 is still exact
-    assert family_counts(sp.generators, fam, 11).sum() == 2 * 12
+    assert np.concatenate(list(family_images(sp.generators, fam, 11, 1)), axis=1).shape == (12, 2)
 
 
 @pytest.mark.parametrize("N", [11, 31])
@@ -554,7 +593,7 @@ INF = None  # the cusp at infinity
 def _chain(sp, r):
     """{0, r} in M_rel coordinates, r a Fraction or INF."""
     if r is INF:
-        return list(sp.reduction.entries[sp.index(0, 1)])
+        return list(dense_reduction(sp).entries[sp.index(0, 1)])
     return list(path_to_chain(sp, r.numerator, r.denominator))
 
 
@@ -571,7 +610,7 @@ def _gen_path(sp, i):
 
 def _coset_apply(sp, ell, alpha, beta):
     """T_ell {alpha, beta} straight from the coset definition."""
-    k = sp.reduction.cols
+    k = dense_reduction(sp).cols
     total = [0] * k
     for u in range(ell):
         for r, s in (((beta + u) / ell if beta is not INF else INF, 1),
@@ -624,7 +663,7 @@ def test_hecke_counts_are_cremona_and_minus_w_n(N):
         assert np.array_equal(hecke_counts(gens, ell, N, inv),
                               family_counts(gens, cremona_matrices(ell), N))
     # at l = N, each generator's counts reduce to -W_N of its path in M_rel
-    red = sp.reduction.array
+    red = dense_reduction(sp).array
     got = mul_int64(hecke_counts(gens, N, N, inv), red)
     for i in range(N + 1):
         alpha, beta = _gen_path(sp, i)
@@ -632,6 +671,43 @@ def test_hecke_counts_are_cremona_and_minus_w_n(N):
         assert np.array_equal(got[i], want), gens[i]
     with pytest.raises(ValueError, match="normalised"):
         hecke_counts([(2, 1)], N, N, inv)
+
+
+@pytest.mark.parametrize("N", LEVELS + [1871])
+def test_hecke_matches_the_dense_oracle(N):
+    # T_2, T_3, T_5, T_7 and U_N from the pairs met on the sparse quotient
+    # map against the symbol counts times the dense reduction
+    sp = build_space(N)
+    ells = [2, 3, 5, 7, N]
+    assert hecke_operators(sp, ells) == [dense_hecke(sp, ell) for ell in ells]
+
+
+def test_csr_left_mul_matches_the_dense_product():
+    # columns with no entry, first, inner and last, and none at all
+    r = np.random.default_rng(26)
+    for shape in [(7, 5), (30, 9), (1, 1), (4, 3)]:
+        a = r.integers(-2, 3, shape) * (r.random(shape) < 0.3)
+        a[:, [0, -1]] = 0
+        x = r.integers(-50, 50, (6, shape[0]))
+        assert np.array_equal(csr_from_dense(a).left_mul(x), x @ a), shape
+
+
+def test_hecke_matrix_bound_counts_pairs():
+    # the float64 bound is on the number of pairs times the largest entry
+    # of the quotient map, checked before a run is expanded: a broadcast
+    # run of 2^53 pairs is refused without being made, one of 2^52 pairs
+    # on entries 2 too, and runs whose images cancel count all their pairs
+    sp = build_space(11)
+    huge = (np.zeros((1, 1), dtype=np.int64), np.broadcast_to(np.int64(2), (1, 2**53)))
+    with pytest.raises(ValueError, match="Hecke pairs are not exact"):
+        modsym.hecke_matrix(iter([huge]), sp.qmap, 1)
+    doubled = dataclasses.replace(sp.qmap, vals=2 * sp.qmap.vals)
+    half = (huge[0], huge[1][:, :2**52])
+    with pytest.raises(ValueError, match="Hecke pairs are not exact"):
+        modsym.hecke_matrix(iter([half]), doubled, 1)
+    partner = presentation(11).sigma[2]
+    pair = (np.zeros(2, dtype=np.int64), np.array([2, partner]))
+    assert not modsym.hecke_matrix(iter([pair] * 3), sp.qmap, 1).any()
 
 
 @pytest.mark.parametrize("N", [11, 31, 211, 421])
@@ -672,7 +748,7 @@ def test_theta_matches_sum_of_paths():
         sp = build_space(N)
         for D in ds:
             m = abs(D)
-            rel = [0] * sp.reduction.cols
+            rel = [0] * dense_reduction(sp).cols
             for a in range(1, m):
                 chi = kronecker(D, a)
                 if chi:
@@ -701,7 +777,7 @@ def test_theta_elements_match_the_full_walk_oracle():
         thetas = theta_elements(sp, Ds)
         assert [(th.D, th.sign) for th in thetas] == [(D, 1 if D > 0 else -1) for D in Ds]
         counts = np.array([full_theta_counts(D, N, sp._inv) for D in Ds])
-        rel = mul_int64(counts, sp.reduction.array)
+        rel = mul_int64(counts, dense_reduction(sp).array)
         assert not rel[:, 0].any(), N
         assert np.array_equal(np.array([th.coords for th in thetas]), rel[:, 1:]), N
 
@@ -783,7 +859,7 @@ def _walks_agree(N, ms):
     assert np.array_equal(coords, convergent_theta_coords(sp, Ds)), N
     some = range(N % 3, len(Ds), 3)
     counts = np.array([full_theta_counts(Ds[i], N, sp._inv) for i in some])
-    rel = mul_int64(counts, sp.reduction.array)
+    rel = mul_int64(counts, dense_reduction(sp).array)
     assert not rel[:, 0].any(), N
     assert np.array_equal(coords[list(some)], rel[:, 1:]), N
 
@@ -796,6 +872,29 @@ def test_remainder_walk_matches_the_convergent_and_full_walks(N):
 @pytest.mark.parametrize("N", [421, 1871])
 def test_remainder_walk_matches_the_oracles_far_out(N):
     _walks_agree(N, range(20001, 21001))
+
+
+def test_theta_elements_match_the_dense_oracle_at_1871():
+    # the gather over the quotient map's rows against the convergent walk
+    # and the dense reduction, on every fundamental |D| <= 500 prime to N
+    # (211 is one of the levels above, on 1 .. 3000)
+    _walks_agree(1871, range(1, 501))
+
+
+@pytest.mark.parametrize("N", [11, 31, 211, 1871])
+def test_path_to_chain_matches_the_dense_rows(N):
+    # the gathered rows of the path's symbols against the sum of the dense
+    # reduction's rows at them
+    sp = build_space(N)
+    red = dense_reduction(sp).array
+    r = random.Random(N)
+    for _ in range(200):
+        m = r.randrange(1, 10**r.randrange(1, 12))
+        a = r.randrange(-3 * m, 3 * m)
+        if gcd(a, m) != 1:
+            continue
+        symbols = [sp.index(u, v) for u, v in modsym._symbol_stream(a, m)]
+        assert path_to_chain(sp, a, m) == tuple(red[symbols].sum(axis=0).tolist()), (a, m)
 
 
 def test_remainder_walk_matches_the_convergent_walk_on_multi_piece_rows():
@@ -872,9 +971,9 @@ def test_theta_refuses_vectors_outside_the_lattice():
     assert tuple(cuspidal_coords(np.array([[0, *th.coords]]), "theta")[0].tolist()) == th.coords
     # a reduction that gives every symbol a coordinate 0 makes the theta
     # chains and the Hecke images leave M, and both refuse
-    red = sp.reduction.array.copy()
+    red = dense_reduction(sp).array.copy()
     red[:, 0] = 1
-    bad = dataclasses.replace(sp, reduction=IntMatrix(red))
+    bad = dataclasses.replace(sp, qmap=csr_from_dense(red))
     with pytest.raises(ValueError, match="theta chain has nonzero boundary"):
         theta_element(bad, 13)
     with pytest.raises(ValueError, match="Hecke image has nonzero boundary"):
