@@ -7,43 +7,81 @@ U_N = -w_N at prime level).  A context keeps the Hermite bases of the
 finite-index sublattices W_n = I^n M and the multiplicity g_p;
 everything else is read off W_n.
 
-One generator per prime of n = num((N - 1) / 12).  T/I is Z/n (Mazur,
-"Modular curves and the Eisenstein ideal", Publ. IHES 47, 1977,
-Prop. II.9.7).  For a prime q not dividing n, I + qT = T, so I^k M and
-M agree locally at q (Nakayama).  For q | n, m = (I, q) is the only
-maximal ideal of T over q that holds I, and M_m != 0, because M (x) Q
-is free of rank one over T (x) Q.  By Nakayama, IM_m is a proper
-submodule of M_m, so [M_m : IM_m] >= q.  Take eta = T_l - l - 1 on M,
-l != N, with v_q(det eta) = 1.  M_q is the sum of the M_m' over the
-maximal ideals m' over q, and det eta is the product of eta's
-determinants on them.  eta lies in I, hence in m, so it is not a unit
-on M_m: its determinant there takes the one factor q, and eta is a
-unit at every other m'.  So [M_m : eta M_m] = q, and eta M_m inside
-IM_m forces eta M_m = IM_m.  T is commutative, so (I^k M)_q =
-(eta^k M)_q for every k.  M_m / eta M_m has order q, so q M_m lies in
-eta M_m, and (I^k M)_q holds q^k M_q.  Hence W_k holds r^k Z^g, with
-r = rad(n).
+The chain is fixed by its parts at the primes of n = num((N - 1) /
+12).  T/I is Z/n (Mazur, "Modular curves and the Eisenstein ideal",
+Publ. IHES 47, 1977, Prop. II.9.7).  For a prime q not dividing n,
+I + qT = T, so I^k M and M agree locally at q (Nakayama).  For q | n,
+m = (I, q) is the only maximal ideal of T over q that holds I, and
+M_m' != 0 at every maximal m', because M is faithful over T.  By
+Nakayama, IM_m is a proper submodule of M_m, so [M_m : IM_m] >= q.
 
-The certificate needs no determinant: the index of `hnf_mod`(eta, r^2),
-the lattice eta Z^g + r^2 Z^g, has q-part q^(sum min(e_i, 2)) over the
-q-exponents e_i of eta's Smith invariants, which is q exactly when
-v_q(det eta) = 1; a singular eta reads q^2 at least and never
-qualifies.
+Each q | n gets a list S_q of generators eta_l = T_l - l - 1 (U_N - 1
+at l = N), all in I, with IM_q = sum eta M_q over eta in S_q, and an
+exponent a_q = v_q(det eta) of one eta in S_q (`_local_sets`).
 
-The build (`_certified_chain`): eta_l for l = 2, 3, 5, ... (l != N,
-l < 50) one at a time, each prime q | n taking the first l that
-certifies it, until every q has one.  For each chosen l, with m_l the
-product of the primes it certifies, L_{l,k} = `hnf_mod`(L_{l,k-1}
-eta_l, m_l^k), from L_{l,0} = Z^g: that is eta_l^k M + m_l^k M, since
-q^(k-1) eta M_q lies in eta^k M_q, and it is W_k locally at the primes
-of m_l and Z^g at every other.  W_k is their intersection, which for
-lattices of coprime indices a and b is A cap B = bA + aB: W_k =
-`hnf_mod`(stack of (r/m_l)^k L_{l,k}, r^k), and W_k = L_{l,k} when one
-l certifies every q.  Every eta the search computed lies in I, so it
-maps Z^g into W_1 = I M: that is checked as membership mod r (W_1 holds
-r Z^g), and a failure raises ValueError.  A chain product past
-`mul_int64`'s bound runs on Python ints (`mul_exact`), so every n_max
-is built.
+The proven case: S_q = [eta_l], l != N, with v_q(det eta_l) = 1, and
+a_q = 1.  M_q is the sum of the M_m' over the maximal ideals m' over
+q, and det eta is the product of eta's determinants on them.  eta lies
+in I, hence in m, so it is not a unit on M_m: its determinant there
+takes the one factor q, and eta is a unit at every other m', where I is
+the unit ideal too.  So [M_m : eta M_m] = q, and eta M_m inside IM_m
+forces eta M_m = IM_m, so IM_q = eta M_q.  The certificate needs no
+determinant: the index of `hnf_mod`(eta, r^2), r = rad(n), the lattice
+eta Z^g + r^2 Z^g, has q-part q^(sum min(e_i, 2)) over the q-exponents
+e_i of eta's Smith invariants, which is q exactly when v_q(det eta) =
+1; a singular eta reads q^2 at least and never qualifies
+(`_certified`).  The search tries eta_l for l = 2, 3, 5, ... (l != N, l < 50) one
+at a time, each q taking the first l that certifies it, until every q
+has one.
+
+No eta certifies a q with q^2 | n.  A certificate gives [M_m : IM_m] =
+q, so IM_m = mM_m and M_m/mM_m is one-dimensional over T/m; then M_m
+is cyclic over T_m (Nakayama), and faithful, so M_m = T_m, and
+M_m/IM_m = (T/I)_m = Z/q^{v_q(n)} has order q only when q^2 does not
+divide n.  So a non-squarefree n skips the search.
+
+The accepted case, at every other q: where n is not squarefree (q^2 |
+n for q = 2 or 3 at the admissible N < 400 113, 241, 271, 337, 353 and
+379, and at 641 and 1009), and where n is squarefree but q = 2 or 3
+has no certificate below 50 (at 307, q = 3, and at 761 and 1129, q =
+2).  a_q = v_q(det eta_2).  eta_2 = T_2 - 3 is nonsingular, because
+every eigenvalue a_2 of T_2 on cusp forms has |a_2| <= 2 sqrt 2 < 3
+(Ramanujan-Petersson), and q^{a_q} M_q lies in eta_2 M_q, inside IM_q;
+a_q >= 1, as eta_2 is not a unit on M_m.  S_q is the Sturm generators
+eta_2, eta_3, eta_5, ... in order -- T_l - l - 1 for the primes l != N
+up to ceil((N + 1)/6), then U_N - 1, which generate I -- as few as make
+every Sturm generator, and the three at the primes just above max(N,
+Sturm bound) (the saturation check), map Z^g into L_{q,1} =
+`hnf_mod`(stack of S_q, q^{a_q}) (`_accepted`).  That is a membership
+test: x lies in L_{q,1} exactly when x Z = 0 (mod q^{a_q}), with Z =
+`scaled_inverse_mod`(L_{q,1}, q^{a_q}).  L_{q,1} = S_q M + q^{a_q} M
+lies in IM locally at q, and holds IM_q once the generators of I map M
+into it, so L_{q,1} is IM locally at q; as q^{a_q} M_q lies in eta_2
+M_q, IM_q = sum eta M_q over eta in S_q.  If S_q reaches the last Sturm
+generator and a saturation generator still falls outside, the build
+raises ValueError.  The only assumption is the Sturm-bound generation
+of I.
+
+v_q(det eta) without a determinant (`_vq_det`): the index of
+`hnf_mod`(eta, q^b) has q-exponent sum min(e_i, b).  Once that is below
+b, so is every e_i, and it is sum e_i = v_q(det eta).  b doubles from 2
+until then; a nonsingular eta has stopped once q^b exceeds the Hadamard
+bound on |det eta|, so an eta still going there is singular, and the
+build raises ValueError.
+
+The chain.  Let S be the union of the S_q and m = prod q^{a_q}.  W_0 =
+Z^g and W_k = `hnf_mod`(stack of W_{k-1} eta for eta in S, D_k), with
+D_k = m det W_{k-1}.  As T is commutative and S lies in I, I^k M_q =
+sum eta I^{k-1} M_q over eta in S for every q | n, so the rows span I^k
+M locally at each q | n, and D_k has no other prime, so the form is W_k
+wherever I^k M holds D_k Z^g.  It does: I^k M holds eta I^{k-1} M for
+the eta in S_q with v_q(det eta) = a_q, whose q-index is q^{a_q} [M :
+I^{k-1} M]_q, and a lattice of index d holds d Z^g.  Where every q is
+proven, D_k = m^k.  Every eta the build computed lies in I, so it maps
+Z^g into W_1, which holds m Z^g: that is checked as membership mod m,
+and a failure raises ValueError.  Each eta_l is computed at most once
+per build (`_Etas`).  A chain product past `mul_int64`'s bound runs on
+Python ints (`mul_exact`), so every n_max is built.
 
 When one eta certifies every q, W_1 is the Hermite form H =
 `hnf_mod`(eta, r^2) the certificate already made, and its elimination
@@ -54,45 +92,12 @@ lattice and has index r too, so the two are equal, and a Hermite form
 is canonical.
 
 g_p is the dimension over F_p of M_m/pM_m, m = (I, p): the part of
-M/pM on which I acts nilpotently.  eta_{l_p} is nilpotent on M_m/pM_m
-and a unit on M_m'/pM_m' for every other m' over p, so g_p is the
-dimension of its generalized kernel mod p (`cut` on it alone).
-
-No eta certifies a q with q^2 | n.  A certificate gives [M_m : IM_m] =
-q, so IM_m = mM_m and M_m/mM_m is one-dimensional over T/m; then M_m
-is cyclic over T_m (Nakayama), and faithful, so M_m = T_m, and
-M_m/IM_m = (T/I)_m = Z/q^{v_q(n)} has order q only when q^2 does not
-divide n.  So a non-squarefree n skips the search.
-
-The fallback (`_sturm_chain`).  When some q | n has no certificate
-below 50, the chain comes from the Sturm stack.  That happens where n
-is not squarefree (q^2 | n for q = 2 or 3 at the admissible N < 400
-113, 241, 271, 337, 353 and 379, and at 641), and also where n is
-squarefree but q = 2 or 3 has no eta_l with v_q(det eta_l) = 1 for
-l < 50 (at 307, q = 3, and at 761 and 1129, q = 2).  The stack is
-T_l - l - 1 for the primes l != N up to ceil((N + 1)/6) and U_N - 1,
-with the saturation check below, and g_p from the generalized kernels
-of all of them.  It is the route every context took before the
-certificate, and it stays as that fallback and as the certified
-route's test oracle.  There W_{n+1} is
-spanned by the rows of W_n @ eta over the generators eta, formed as
-exact products (`mul_exact`), and its Hermite form is computed modulo
-a proven
-multiple D_{n+1} of its index (`hnf_mod`, which eliminates a certified
-random sketch of the tall stack), so no entry outgrows D_{n+1}.  The
-modulus: W_n @ eta lies in W_{n+1} for every generator, so
-[M : W_{n+1}] divides [M : W_n @ eta] = det(W_n) |det eta| for each
-one, hence divides D_{n+1} = det(W_n) * G with G the gcd of |det eta|
-over the first three generators.  eta_2 = T_2 - 3 is nonsingular,
-because every eigenvalue a_2 of T_2 on cusp forms has |a_2| <= 2 sqrt 2
-< 3 (Ramanujan-Petersson), so G != 0.
-
-The Sturm saturation check asks whether three more generators, at the
-primes just above max(N, Sturm bound), would shrink W_1: adding them
-gives W_1 + sum eta_q Z^g (W_0 = Z^g), which is W_1 exactly when each
-eta_q maps Z^g into W_1.  W_1 holds G Z^g, so that is a membership
-test: the rows of eta_q mod G must satisfy x Z_1 = 0 (mod G), with
-Z_1 = `scaled_inverse_mod`(W_1, G).
+M/pM on which I acts nilpotently.  p | n, as p >= 5, and g_p is the
+dimension of the joint generalized kernel of S_p mod p (`cut` on each
+in turn).  That kernel is the sum of the M_m'/pM_m' over the maximal
+ideals m' over p that hold S_p, m among them.  A maximal m' that holds
+S_p and p but not I would have IM_m' = M_m', yet IM_m' = S_p M_m' lies
+in m'M_m', which Nakayama forbids as M_m' != 0.
 
 Valuations are local at p: x has valuation >= n when x lies in
 W_n + p^k Z^g for k >= e_n, the p-exponent of A = Z^g / W_n.  That
@@ -119,7 +124,6 @@ from .exact_linalg import (
     IntMatrix,
     LogMap,
     as_int64,
-    det,
     factorize,
     hnf_mod,
     is_prime,
@@ -184,13 +188,18 @@ class EisensteinContext:
         m_n).  x lies in W_n locally at p exactly when x Z_n = 0 mod m_n."""
         out = []
         for w in self.W[1:]:
-            m = self.p ** vp(prod(map(int, np.diagonal(w.array))), self.p)
+            m = self.p ** vp(_index(w.array), self.p)
             out.append((m, IntMatrix(scaled_inverse_mod(hnf_mod(w.array, m), m)).array))
         return tuple(out)
 
 
 def _sturm_bound(N):
     return -(-(N + 1) // 6)
+
+
+def _index(h):
+    """The index in Z^g of the lattice of a Hermite basis."""
+    return prod(map(int, np.diagonal(h)))
 
 
 def _generators(space, sign, ells):
@@ -206,12 +215,16 @@ def _generators(space, sign, ells):
     return out
 
 
+def _sturm_primes(N):
+    """The primes l != N up to the Sturm bound, then N: the indices of
+    the Sturm generators of I."""
+    return [ell for ell in primes_up_to(_sturm_bound(N)) if ell != N] + [N]
+
+
 def eisenstein_generators(space, sign):
     """The restricted operators spanning I on M^sign: T_l - l - 1 for the
     primes l != N up to the Sturm bound, then U_N - 1."""
-    N = space.N
-    return _generators(space, sign, [ell for ell in primes_up_to(_sturm_bound(N)) if ell != N]
-                       + [N])
+    return _generators(space, sign, _sturm_primes(space.N))
 
 
 def _next_primes(start, count):
@@ -224,85 +237,93 @@ def _next_primes(start, count):
     return out
 
 
+class _Etas(dict):
+    """{l: eta_l} for every l one build has asked for.  Called with a
+    list of primes, it returns their eta_l as arrays, in order, and
+    computes those not asked for before in one `_generators` call, so
+    that no operator is computed twice."""
+
+    def __init__(self, space, sign):
+        super().__init__()
+        self.space, self.sign = space, sign
+
+    def __call__(self, ells):
+        missing = [ell for ell in ells if ell not in self]
+        if missing:
+            self.update(zip(missing, (m.array for m in _generators(self.space, self.sign, missing))))
+        return [self[ell] for ell in ells]
+
+
 _CERTIFY_BELOW = 50  # the certificate search tries the primes l < 50
 
 
-def _candidates(space, sign):
-    """(l, eta_l) for the primes l < 50, l != N, in order, each operator
-    computed only when the search asks for it."""
-    for ell in primes_up_to(_CERTIFY_BELOW - 1):
-        if ell != space.N:
-            yield ell, _generators(space, sign, [ell])[0].array
+def _certified(eta, qs):
+    """(H, the primes q of `qs` with v_q(det eta) = 1), H = `hnf_mod`(eta,
+    r^2) for r the product of `qs` (module docstring)."""
+    h = hnf_mod(eta, prod(qs) ** 2)
+    index = _index(h)
+    return h, [q for q in qs if vp(index, q) == 1]
 
 
-def _certified_chain(space, sign, n_max):
-    """(W_0 .. W_{n_max + 1}, {q: eta certifying q}) from one generator
-    per prime q of n = num((N - 1)/12), or None when some q has no
-    certificate below 50 (module docstring)."""
-    N, g = space.N, space.genus
+def _vq_det(eta, q):
+    """v_q(det eta) from Hermite forms modulo powers of q (module
+    docstring); raises ValueError when eta is singular."""
+    bound = prod(int(s) for s in (eta.astype(object) ** 2).sum(axis=1))  # Hadamard: det^2 <= bound
+    b = 2
+    while True:
+        e = vp(_index(hnf_mod(eta, q**b)), q)
+        if e < b:
+            return e
+        if q ** (2 * b) > bound:  # then q^b > |det eta| unless det eta = 0
+            raise ValueError("Eisenstein generators are all singular")
+        b *= 2
+
+
+def _accepted(gens, count, q):
+    """(k, a_q) for a prime q of n without a certificate: S_q is the
+    first k of the `count` Sturm generators that open `gens`, the fewest
+    such that every generator in `gens` (the Sturm generators, then the
+    saturation generators) maps Z^g into `hnf_mod`(stack of S_q,
+    q^{a_q}), and a_q = v_q(det eta_2) (module docstring)."""
+    a = _vq_det(gens[0], q)
+    if not a:
+        raise ValueError("eta_2 is a unit at a prime of n")
+    m = q**a
+    h, outside = np.empty((0, len(gens[0])), dtype=np.int64), gens
+    for k in range(1, count + 1):
+        h = hnf_mod(np.concatenate([h, gens[k - 1]]), m)  # the form of S_q Z^g + m Z^g
+        z = scaled_inverse_mod(h, m).astype(np.int64)  # entries in [0, m)
+        outside = [eta for eta in outside if (mul_exact(eta % m, z) % m).any()]
+        if not outside:
+            return k, a
+    raise ValueError("Sturm-bound generator set failed saturation check")
+
+
+def _local_sets(etas):
+    """({q: (S_q, a_q)} for the primes q of n = num((N - 1)/12), each S_q
+    a tuple of the primes l of its eta_l, drawn from `etas` (an
+    `_Etas`); and W_1 when one eta certifies every q, else None (module
+    docstring)."""
+    N = etas.space.N
     n = factorize((N - 1) // gcd(N - 1, 12))
-    if max(n.values()) > 1:
-        return None  # no eta certifies a q with q^2 | n
-    qs = sorted(n)
-    r = prod(qs)
-    chains, certified, searched = [], {}, []  # chains: (m_l, eta_l, hnf_mod(eta_l, r^2))
-    for _, eta in _candidates(space, sign):
-        searched.append(eta)
-        h = hnf_mod(eta, r * r)
-        index = prod(map(int, np.diagonal(h)))
-        new = [q for q in qs if q not in certified and vp(index, q) == 1]
-        if new:
-            chains.append((prod(new), eta, h))
-            certified.update(dict.fromkeys(new, eta))
-        if len(certified) == len(qs):
-            break
-    else:
-        return None
-
-    ws = [np.eye(g, dtype=np.int64)]
-    ls = [ws[0]] * len(chains)
-    for k in range(1, n_max + 2):
-        if k == 1 and len(chains) == 1:
-            ls = [chains[0][2]]  # W_1 is the certificate's Hermite form (module docstring)
-        else:
-            ls = [hnf_mod(mul_exact(l, eta), m**k) for l, (m, eta, _) in zip(ls, chains)]
-        ws.append(ls[0] if len(ls) == 1 else hnf_mod(
-            np.concatenate([l.astype(object) * (r // m)**k
-                            for l, (m, _, _) in zip(ls, chains)]),
-            r**k))
-
-    # runtime cross-check: every eta the search computed lies in I, so it
-    # maps W_0 = Z^g into W_1, which holds r Z^g
-    z = scaled_inverse_mod(ws[1], r).astype(np.int64)  # entries in [0, r)
-    for eta in searched:
-        if (mul_int64(eta % r, z) % r).any():
-            raise ValueError("a certificate-search generator does not map M into W_1")
-    return tuple(map(IntMatrix, ws)), certified
-
-
-def _sturm_chain(space, sign, n_max):
-    """(W_0 .. W_{n_max + 1}, the Sturm generators) from the stack of all
-    the Sturm generators, with the saturation check: the fallback when
-    some prime of n has no certificate (module docstring)."""
-    N = space.N
-    etas = [m.array for m in eisenstein_generators(space, sign)]
-    unit = gcd(*(det(m) for m in etas[:3]))
-    if not unit:
-        raise ValueError("Eisenstein generators are all singular")
-
-    ws = [IntMatrix.identity(len(etas[0]))]
-    for _ in range(n_max + 1):
-        w = ws[-1].array
-        ws.append(IntMatrix(hnf_mod(np.concatenate([mul_exact(w, eta) for eta in etas]),
-                                    prod(map(int, np.diagonal(w))) * unit)))
-
-    # Sturm saturation check: three more Hecke primes must not shrink W_1,
-    # that is, W_0 = Z^g must map into W_1 under each of them
-    z = scaled_inverse_mod(ws[1].array, unit).astype(np.int64)  # entries in [0, G)
-    for eta in _generators(space, sign, _next_primes(max(N, _sturm_bound(N)), 3)):
-        if (mul_int64(eta.array % unit, z) % unit).any():
-            raise ValueError("Sturm-bound generator set failed saturation check")
-    return tuple(ws), etas
+    sets = {}
+    if max(n.values()) == 1:  # no eta certifies a q with q^2 | n
+        for ell in primes_up_to(_CERTIFY_BELOW - 1):
+            if ell == N:
+                continue
+            h, new = _certified(etas([ell])[0], sorted(n))
+            if not sets and len(new) == len(n):
+                return dict.fromkeys(n, ((ell,), 1)), h
+            sets.update({q: ((ell,), 1) for q in new if q not in sets})
+            if len(sets) == len(n):
+                return sets, None
+    sturm = _sturm_primes(N)
+    gens = etas(sturm + _next_primes(max(N, _sturm_bound(N)), 3))
+    for q in sorted(n):
+        if q not in sets:
+            k, a = _accepted(gens, len(sturm), q)
+            sets[q] = (tuple(sturm[:k]), a)
+    return sets, None
 
 
 def _g_p(etas, p):
@@ -322,22 +343,32 @@ def _g_p(etas, p):
 
 
 def build_context(space, p, n_max=3, sign=1):
-    """Assemble the Eisenstein filtration on M^sign at the prime p: from
-    the certified generators when every prime of num((N - 1)/12) has one,
-    else from the Sturm stack (module docstring)."""
+    """Assemble the Eisenstein filtration on M^sign at the prime p from a
+    generator set S_q for each prime q of num((N - 1)/12) (module
+    docstring)."""
     check_pair(space.N, p)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if n_max < 0:
         raise ValueError("need n_max >= 0")
-    built = _certified_chain(space, sign, n_max)
-    if built is None:
-        ws, etas = _sturm_chain(space, sign, n_max)
-    else:
-        ws, certified = built
-        etas = [certified[p]]
-    return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign, g_p=_g_p(etas, p),
-                             W=ws)
+    etas = _Etas(space, sign)
+    sets, w1 = _local_sets(etas)
+    chain = etas(list(dict.fromkeys(ell for s, _ in sets.values() for ell in s)))
+    m = prod(q**a for q, (_, a) in sets.items())
+    ws = [np.eye(space.genus, dtype=np.int64)]
+    for k in range(1, n_max + 2):
+        w = ws[-1]
+        ws.append(w1 if k == 1 and w1 is not None else hnf_mod(
+            np.concatenate([mul_exact(w, eta) for eta in chain]), m * _index(w)))
+
+    # runtime cross-check: every eta the build computed lies in I, so it
+    # maps W_0 = Z^g into W_1, which holds m Z^g
+    z = scaled_inverse_mod(ws[1], m).astype(np.int64)  # entries in [0, m)
+    for eta in etas.values():
+        if (mul_exact(eta % m, z) % m).any():
+            raise ValueError("an Eisenstein generator does not map M into W_1")
+    return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign,
+                             g_p=_g_p(etas(sets[p][0]), p), W=tuple(map(IntMatrix, ws)))
 
 
 def _valuations(ctx, x):

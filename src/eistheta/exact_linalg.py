@@ -216,45 +216,11 @@ def left_inverse(B: IntMatrix) -> IntMatrix:
     return IntMatrix(list(zip(*u[:k])))
 
 
-def det(a) -> int:
-    """Exact determinant of a square integer array, by Bareiss's
-    fraction-free elimination on Python ints: every intermediate entry
-    is a minor of the array, and each division is exact."""
-    m = np.array(a, dtype=object)
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        nz = np.flatnonzero(m[k:, k] != 0)
-        if not len(nz):
-            return 0
-        if nz[0]:
-            m[[k, k + nz[0]]] = m[[k + nz[0], k]]
-            sign = -sign
-        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * m[k, k]
-                             - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
-        prev = m[k, k]
-    return sign * int(m[-1, -1])
-
-
 def hnf_mod(rows, D):
     """Canonical row Hermite form, as a g x g array, of the lattice
     spanned by `rows` (an m x g integer array) and D * Z^g, for D >= 1.
     When D is a multiple of the index of the row lattice of `rows` in
     Z^g, that lattice contains D * Z^g, so this is its Hermite form.
-
-    A tall input is first sketched (Pernet-Stein, J. Number Theory 130,
-    2010): with S the rows reduced mod D and R a fixed (g + 16) x m
-    matrix with entries in [0, D) (`_mixer`), C = the form of R S + D Z^g
-    is eliminated in place of S.  Every row of R S is a combination of
-    rows of S, so C lies in span(S) + D Z^g whatever R is; C is accepted
-    only when the reverse holds too, certified by S Z = 0 (mod D) with
-    Z = `scaled_inverse_mod`(C, D), which says every row of S lies in C.
-    Then C is the form of the same lattice, and a Hermite form is
-    canonical, so R never shows in the output: a certificate that fails
-    costs only time, as the whole stack is then eliminated.  The sketch
-    runs when m > 2 (g + 16), so it saves work, and (D - 1)^2 max(m, g) <
-    2^63, which bounds both products for `mul_int64` and, as m > 32,
-    gives 2 D^2 < 2^63, so S is int64.
 
     Hermite form modulo D (Domich-Kannan-Trotter, Math. Oper. Res. 12,
     1987; Cohen, A Course in Computational Algebraic Number Theory, Alg.
@@ -267,35 +233,9 @@ def hnf_mod(rows, D):
     step: the Euclid-only elimination it replaced is its test oracle."""
     if D < 1:
         raise ValueError("the modulus must be positive")
-    m, g = np.shape(rows)
-    if m > 2 * (g + 16) and (D - 1) ** 2 * max(m, g) < 2**63:
-        c = _sketch(rows, D)
-        if c is not None:
-            return c
     # the reduced stack is handed over, so that it dies as the elimination
     # replaces it (at 40 bits it is an array of Python ints)
     return _hnf_mod_reduced(_mod_rows(rows, D), D)
-
-
-def _sketch(rows, D):
-    """The Hermite form of `rows` and D * Z^g from the certified sketch
-    of `hnf_mod`, or None when the certificate fails.  R S is formed a
-    block of rows at a time, which bounds the temporaries; each running
-    sum stays below (D - 1)^2 m."""
-    s = _mod_rows(rows, D)
-    m, g = s.shape
-    k = g + 16
-    blocks = range(0, m, _SKETCH_BLOCK)
-    rs = np.zeros((k, g), dtype=np.int64)
-    for i in blocks:
-        block = s[i:i + _SKETCH_BLOCK]
-        r = _mixer(i * k, len(block) * k, D).reshape(len(block), k).T
-        rs = (rs + mul_int64(r, block)) % D
-    c = _hnf_mod_reduced(rs, D)
-    z = scaled_inverse_mod(c, D).astype(np.int64)  # entries in [0, D)
-    if any((mul_int64(s[i:i + _SKETCH_BLOCK], z) % D).any() for i in blocks):
-        return None
-    return c
 
 
 def _mod_rows(rows, D):
@@ -304,24 +244,6 @@ def _mod_rows(rows, D):
     dtype = np.int64 if 2 * D * D < 2**63 else object
     a = np.asarray(rows)
     return ((a if a.dtype == dtype else a.astype(object)) % D).astype(dtype, copy=False)
-
-
-_SKETCH_BLOCK = 1024  # stack rows per product of the sketch
-
-
-def _mixer(start, count, D):
-    """Outputs start + 1 .. start + count of splitmix64 (seed 0), reduced
-    mod D: column i of R is outputs k i + 1 .. k i + k.  Deterministic,
-    and a uniform stand-in for a random matrix without importing
-    `numpy.random`."""
-    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    x *= np.uint64(0x9E3779B97F4A7C15)  # wraps mod 2^64, as splitmix64 does
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x ^= x >> np.uint64(shift)
-        x *= np.uint64(mult)
-    x ^= x >> np.uint64(31)
-    x %= np.uint64(D)
-    return x.view(np.int64)  # every entry is below D < 2^63
 
 
 def _hnf_mod_reduced(a, D):

@@ -59,9 +59,13 @@ the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
 Hermite forms replaced, `euclid_hnf_mod` is `exact_linalg.hnf_mod` with
-Euclid in every column, before it pivoted on units and sketched tall
-stacks, and `mat_mul` is the pure-Python product that
-int64 products are checked against.  `hnf_with_transform` and `snf`
+Euclid in every column, before it pivoted on units, and `mat_mul` is
+the pure-Python product that int64 products are checked against.
+`det` is Bareiss's fraction-free determinant.  `sturm_chain` is the
+chain W_n from the stack of all the Sturm generators, with its modulus
+from the determinants of the first three and its saturation check:
+the route every context took before the certified chain, and the
+fallback beside it until each prime of n got its own generator set.  `hnf_with_transform` and `snf`
 carry their unimodular transforms, which the package no longer reads:
 `residue_valuations` and `smith_alpha_functional` are the valuations
 and the alpha functional read off the Smith right transforms of the
@@ -71,7 +75,7 @@ replaced.
 
 import random
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -85,11 +89,15 @@ from eistheta.exact_linalg import (
     divisors,
     factorize,
     is_prime,
+    hnf_mod,
     left_kernel,
     vp,
+    mul_exact,
     mul_int64,
+    scaled_inverse_mod,
     xgcd,
 )
+from eistheta.eisenstein import _generators, _next_primes, _sturm_bound, eisenstein_generators
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
     CSR,
@@ -287,6 +295,52 @@ def euclid_hnf_mod(rows, D):
         q = h[:j, j] // h[j, j]
         h[:j, j:] = (h[:j, j:] - q[:, None] * h[j, j:]) % D
     return h
+
+
+def det(a) -> int:
+    """Exact determinant of a square integer array, by Bareiss's
+    fraction-free elimination on Python ints: every intermediate entry
+    is a minor of the array, and each division is exact."""
+    m = np.array(a, dtype=object)
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        nz = np.flatnonzero(m[k:, k] != 0)
+        if not len(nz):
+            return 0
+        if nz[0]:
+            m[[k, k + nz[0]]] = m[[k + nz[0], k]]
+            sign = -sign
+        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * m[k, k]
+                             - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        prev = m[k, k]
+    return sign * int(m[-1, -1])
+
+
+def sturm_chain(space, sign, n_max):
+    """(W_0 .. W_{n_max + 1}, the Sturm generators) from the stack of all
+    the Sturm generators.  W_{n+1} is the form of the rows of W_n eta
+    over the generators eta, modulo det(W_n) G with G the gcd of |det
+    eta| over the first three generators (eta_2 is nonsingular, so G !=
+    0): W_n eta lies in W_{n+1}, so [M : W_{n+1}] divides det(W_n) |det
+    eta| for each one.  The saturation check asks whether the three
+    generators at the primes just above max(N, Sturm bound) map Z^g into
+    W_1, as membership mod G."""
+    N = space.N
+    etas = [m.array for m in eisenstein_generators(space, sign)]
+    unit = gcd(*(det(m) for m in etas[:3]))
+    if not unit:
+        raise ValueError("Eisenstein generators are all singular")
+    ws = [IntMatrix.identity(len(etas[0]))]
+    for _ in range(n_max + 1):
+        w = ws[-1].array
+        ws.append(IntMatrix(hnf_mod(np.concatenate([mul_exact(w, eta) for eta in etas]),
+                                    prod(map(int, np.diagonal(w))) * unit)))
+    z = scaled_inverse_mod(ws[1].array, unit).astype(np.int64)  # entries in [0, G)
+    for eta in _generators(space, sign, _next_primes(max(N, _sturm_bound(N)), 3)):
+        if (mul_int64(eta.array % unit, z) % unit).any():
+            raise ValueError("Sturm-bound generator set failed saturation check")
+    return tuple(ws), etas
 
 
 def residue_valuations(ctx, xs):

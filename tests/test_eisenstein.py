@@ -1,5 +1,6 @@
 """Eisenstein filtration: lattice chain, valuations, g_p, alpha map."""
 
+import functools
 import random
 from dataclasses import replace
 from math import gcd, prod
@@ -45,6 +46,7 @@ from eistheta.quadfield import validate_discriminant
 from oracles import (
     ADMISSIBLE,
     dense_reduction,
+    det,
     hnf,
     mat_mul,
     merel_counts,
@@ -53,6 +55,7 @@ from oracles import (
     shuffled_tree_space,
     smith_alpha_functional,
     solve_left,
+    sturm_chain,
 )
 
 rng = random.Random(771561)
@@ -308,14 +311,16 @@ def test_w1_is_the_certificates_hermite_form(N, sign, monkeypatch):
     # mod r^2 the certificate made, and no step eliminates mod r
     space = SP211 if N == 211 else build_space(N)
     r = prod(exact_linalg.factorize((N - 1) // gcd(N - 1, 12)))
+    sets, w1 = eisenstein._local_sets(eisenstein._Etas(space, sign))
+    assert set(sets.values()) == {((2,), 1)} and w1 is not None
     moduli = []
     monkeypatch.setattr(eisenstein, "hnf_mod", lambda rows, D:
                         moduli.append(D) or exact_linalg.hnf_mod(rows, D))
-    ws, certified = eisenstein._certified_chain(space, sign, 3)
-    assert len({id(eta) for eta in certified.values()}) == 1
-    assert r not in moduli and moduli[-3:] == [r**2, r**3, r**4]
-    eta = next(iter(certified.values()))
-    assert np.array_equal(ws[1].array, exact_linalg.hnf_mod(eta, r))
+    ctx = build_context(space, 5, sign=sign)
+    assert moduli == [r**2, r**2, r**3, r**4]
+    eta = eisenstein._generators(space, sign, [2])[0].array
+    assert np.array_equal(ctx.W[1].array, exact_linalg.hnf_mod(eta, r))
+    assert np.array_equal(ctx.W[1].array, w1)
 
 
 def test_theta_valuation_refuses_vectors_outside_the_sign_lattice():
@@ -376,10 +381,10 @@ def test_filtration_matches_stacked_hnf_oracle(N, sign):
                          + [(421, 5)])
 def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
     # Cremona's family gives T_l (l != N) and Merel's U_N; both families
-    # give the same operator at every l the Sturm route asks for: the
-    # primes up to the Sturm bound, N, and the three saturation primes
-    # above both (one `hecke_operators` call for the generators, one for
-    # the three)
+    # give the same operator at every l the Sturm chain (the oracle) asks
+    # for: the primes up to the Sturm bound, N, and the three saturation
+    # primes above both (one `hecke_operators` call for the generators,
+    # one for the three)
     space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
     asked, given = [], []
     real = eisenstein.hecke_operators
@@ -391,7 +396,7 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
         return ops
 
     monkeypatch.setattr(eisenstein, "hecke_operators", recording)
-    eisenstein._sturm_chain(space, 1, 3)
+    sturm_chain(space, 1, 3)
     sturm = -(-(N + 1) // 6)
     above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
     assert asked == [[ell for ell in primes_up_to(sturm) if ell != N] + [N], above]
@@ -402,12 +407,11 @@ def test_hecke_matches_merel_family_at_every_context_prime(N, p, monkeypatch):
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (641, 5), (1021, 5)])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypatch):
-    # every step's hnf_mod in the Sturm route, sketched or not, against
-    # the elimination of its whole stack; at 421 and 1021 every step is
-    # sketched and certified
-    # (g + 16 rows: 50 of 714 at 421, 100 of 3,360 at 1021, whose last
-    # 26-bit modulus D has (D - 1)^2 m within 1% of the 2^63 bound)
-    space = {11: SP11, 31: SP31, 211: SP211}.get(N) or build_space(N)
+    # every hnf_mod of the build (the certificates, v_q(det eta_2), the
+    # accepted case's checks and the chain steps) eliminates its whole
+    # stack once, to the form of the direct elimination; the last n_max
+    # steps are W_2 .. W_{n_max + 1}, and W_1 is one of the forms
+    space = _space(N)
     steps, sizes = [], []
     direct = exact_linalg._hnf_mod_reduced
     monkeypatch.setattr(exact_linalg, "_hnf_mod_reduced",
@@ -419,13 +423,14 @@ def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypat
         return steps[-1][2]
 
     monkeypatch.setattr(eisenstein, "hnf_mod", step)
-    ws, _ = eisenstein._sturm_chain(space, sign, 3)
-    assert len(steps) == 4  # the Sturm check eliminates nothing
-    for n, (rows, D, got, used) in enumerate(steps, 1):
-        assert np.array_equal(got, ws[n].array)
-        assert np.array_equal(got, direct(rows % D, D)), (N, sign, n)
-        if N in (421, 1021):
-            assert used == [space.genus + 16]
+    ctx = build_context(space, p, sign=sign)
+    for rows, D, got, used in steps:
+        assert used == [len(rows)]
+        assert np.array_equal(got, direct(exact_linalg._mod_rows(rows, D), D)), (N, sign, D)
+    forms = [got for _, _, got, _ in steps]
+    for n in range(2, ctx.n_max + 2):
+        assert np.array_equal(forms[n - ctx.n_max - 2], ctx.W[n].array)
+    assert any(np.array_equal(got, ctx.W[1].array) for got in forms)
 
 
 def _p_parts(diag, p):
@@ -475,42 +480,35 @@ def test_naive_good_primes_are_not_certificates_at_1021(sign):
         assert ell % p != 1 and pow(ell, (N - 1) // p, N) != 1
         eta = eisenstein._generators(space, sign, [ell])[0].array
         assert vp(_index(hnf_mod(eta, p * p)), p) >= 2, ell
-    searched = {}
-    real = eisenstein._candidates
-
-    def recording(sp, sg):
-        for ell, eta in real(sp, sg):
-            searched[ell] = eta
-            yield ell, eta
-
+    asked = []
+    real = eisenstein._generators
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eisenstein, "_candidates", recording)
-        _, certified = eisenstein._certified_chain(space, sign, 0)
-    assert list(searched) == [2, 3]
-    assert certified[5] is searched[2] and certified[17] is searched[3]
+        mp.setattr(eisenstein, "_generators",
+                   lambda sp, sg, ells: asked.extend(ells) or real(sp, sg, ells))
+        sets, w1 = eisenstein._local_sets(eisenstein._Etas(space, sign))
+    assert asked == [2, 3]
+    assert sets == {5: ((2,), 1), 17: ((3,), 1)} and w1 is None
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_search_order_does_not_change_the_context_at_1021(sign, monkeypatch):
-    # with l = 23 searched first, it certifies 17 (not 5: it reads 5^2),
-    # and l = 2 certifies 5; the chain combines the two and gives the same
-    # W, and g_p still comes from eta_2: eta_23's generalized kernel mod 5
-    # has dimension 3, g_p is 1
+    # with eta_23 met in eta_3's place, it certifies 17 (not 5: it reads
+    # 5^2), and l = 2 certifies 5; the chain stacks the two and gives the
+    # same W, and g_p still comes from eta_2: eta_23's generalized kernel
+    # mod 5 has dimension 3, g_p is 1
     space = _space(1021)
     want = build_context(space, 5, sign=sign)
-    real = eisenstein._candidates
-
-    def reordered(sp, sg):
-        found = dict(real(sp, sg))
-        return iter([(23, found.pop(23))] + list(found.items()))
-
-    monkeypatch.setattr(eisenstein, "_candidates", reordered)
-    ws, certified = eisenstein._certified_chain(space, sign, want.n_max)
-    eta23 = eisenstein._generators(space, sign, [23])[0].array
-    assert np.array_equal(certified[17], eta23) and not np.array_equal(certified[5], eta23)
+    real = eisenstein._generators
+    swap = {3: 23, 23: 3}
+    monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: real(
+        sp, sg, [swap.get(ell, ell) for ell in ells]))
+    etas = eisenstein._Etas(space, sign)
+    sets, _ = eisenstein._local_sets(etas)
+    eta23 = real(space, sign, [23])[0].array
+    assert sets == {5: ((2,), 1), 17: ((3,), 1)} and np.array_equal(etas[3], eta23)
     assert eisenstein._g_p([eta23], 5) == 3
     got = build_context(space, 5, sign=sign)
-    assert got.W == ws == want.W and got.g_p == want.g_p == 1
+    assert got.W == want.W and got.g_p == want.g_p == 1
 
 
 def test_merel_criterion_at_the_large_fixtures():
@@ -523,22 +521,43 @@ def test_merel_criterion_at_the_large_fixtures():
 
 def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
     # an extra Hecke prime whose operator (here the identity) does not map
-    # W_0 into W_1 fails the membership test, at either sign
-    for space, sign in ((SP11, 1), (SP211, -1)):
-        sturm = eisenstein._sturm_bound(space.N)
-        first = eisenstein._next_primes(max(space.N, sturm), 1)[0]
+    # W_0 into L_{2,1} fails the membership test, at either sign, though
+    # S_2 grows to every Sturm generator
+    for N, sign in ((113, 1), (113, -1), (241, 1), (241, -1)):
+        first = eisenstein._next_primes(max(N, eisenstein._sturm_bound(N)), 1)[0]
         real = eisenstein._generators
         monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: [
             IntMatrix.identity(sp.genus) if ell == first else eta
             for ell, eta in zip(ells, real(sp, sg, ells))])
         with pytest.raises(ValueError, match="failed saturation check"):
-            eisenstein._sturm_chain(space, sign, 3)
+            build_context(_space(N), P_AT[N], sign=sign)
         monkeypatch.undo()
 
 
-# the admissible levels with a prime q of n = num((N - 1)/12) that has no
-# certificate: in each, q^2 | n
+# the admissible levels where n = num((N - 1)/12) is not squarefree, with
+# a prime q whose square divides n: q has no certificate
 FALLBACK_LEVELS = {113: 2, 241: 2, 271: 3, 337: 2, 353: 2, 379: 3}
+# levels past 400 where a prime of n has no certificate: at 641 and 1009
+# n is not squarefree, and at 307, 761 and 1129 it is, but q = 3, 2, 2
+# has no eta_l with v_q(det eta_l) = 1 for l < 50
+LARGE_ACCEPTED = [(307, 17), (641, 5), (761, 5), (1009, 7), (1129, 47)]
+P_AT = dict(reversed(ADMISSIBLE + LARGE_ACCEPTED))  # the least p at each N
+# {q: (|S_q|, a_q)} at every level where some q takes the accepted case;
+# every S_q is a prefix of eta_2, eta_3, eta_5, ..., the same at both
+# signs
+LOCAL_SETS = {
+    113: {2: (2, 4), 7: (1, 1)},
+    241: {2: (3, 4), 5: (2, 2)},
+    271: {3: (1, 2), 5: (1, 1)},
+    307: {3: (3, 3), 17: (1, 1)},
+    337: {2: (5, 5), 7: (1, 1)},
+    353: {2: (2, 8), 11: (1, 1)},
+    379: {3: (1, 2), 7: (1, 1)},
+    641: {2: (2, 11), 5: (2, 2)},
+    761: {2: (2, 14), 5: (1, 1), 19: (1, 1)},
+    1009: {2: (3, 6), 3: (2, 2), 7: (1, 1)},
+    1129: {2: (5, 4), 47: (1, 1)},
+}
 SPACES = {11: SP11, 31: SP31, 211: SP211}
 
 
@@ -548,83 +567,191 @@ def _space(N):
     return SPACES[N]
 
 
-def _recording_sturm_chain(monkeypatch):
-    """Patch `_sturm_chain` to record the arguments of each call."""
+@functools.cache
+def _sturm(N, sign, n_max):
+    """The oracle's (W, Sturm generators), once per (N, sign, n_max)."""
+    return sturm_chain(_space(N), sign, n_max)
+
+
+def _recording(monkeypatch, name):
+    """Patch the `eisenstein` function `name` to record the arguments and
+    result of each call."""
     calls = []
-    real = eisenstein._sturm_chain
-    monkeypatch.setattr(eisenstein, "_sturm_chain",
-                        lambda *args: calls.append(args[1:]) or real(*args))
+    real = getattr(eisenstein, name)
+
+    def recording(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(eisenstein, name, recording)
     return calls
 
 
-@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (1021, 5)])
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (1021, 5)] + LARGE_ACCEPTED)
 @pytest.mark.parametrize("sign", [1, -1])
 def test_certified_chain_matches_the_sturm_chain(N, p, sign, monkeypatch):
-    # the certified route gives the Sturm route's W (the full chain, every
-    # prime of n) and g_p, and the Sturm route runs exactly at the
-    # fallback levels, where the square of a prime divides n
+    # the one route gives the Sturm chain's W (the full chain, every prime
+    # of n) and g_p; the accepted case runs exactly at the levels where a
+    # prime of n has no certificate, with the pinned S_q and a_q
     space = _space(N)
-    calls = _recording_sturm_chain(monkeypatch)
+    local = _recording(monkeypatch, "_local_sets")
     ctx = build_context(space, p, sign=sign)
-    assert calls == ([(sign, ctx.n_max)] if N in FALLBACK_LEVELS else [])
-    ws, etas = eisenstein._sturm_chain(space, sign, ctx.n_max)
+    ws, etas = _sturm(N, sign, ctx.n_max)
     assert ctx.W == ws
     assert ctx.g_p == eisenstein._g_p(etas, p)
+    (_, (sets, w1)), = local
+    if N in LOCAL_SETS:
+        assert {q: (len(s), a) for q, (s, a) in sets.items()} == LOCAL_SETS[N]
+        assert all(s == tuple(eisenstein._sturm_primes(N)[:len(s)]) for s, _ in sets.values())
+    else:
+        assert all(len(s) == 1 and a == 1 for s, a in sets.values())
     if N in FALLBACK_LEVELS:
         assert (N - 1) // gcd(N - 1, 12) % FALLBACK_LEVELS[N] ** 2 == 0
 
 
+@pytest.mark.parametrize("N", [113, 241, 337, 353])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_accepted_chain_matches_the_sturm_chain_at_n_max_8(N, sign):
+    ctx = build_context(_space(N), P_AT[N], n_max=8, sign=sign)
+    assert ctx.W == _sturm(N, sign, 8)[0]
+
+
 @pytest.mark.parametrize("N", sorted(FALLBACK_LEVELS) + [641])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_no_generator_certifies_a_prime_whose_square_divides_n(N, sign):
+def test_no_generator_certifies_a_prime_whose_square_divides_n(N, sign, monkeypatch):
     # the search skips a non-squarefree n, because a certificate for q
     # would make M_m/IM_m of order q, and it is Z/q^{v_q(n)} (module
-    # docstring): every eta_l, l < 50, reads q^2 off hnf_mod(eta_l, q^2)
+    # docstring): every eta_l, l < 50, reads q^2 off hnf_mod(eta_l, q^2).
+    # Every prime of n takes the accepted case, which gives the Sturm
+    # chain's W and g_p
     q = FALLBACK_LEVELS.get(N, 2)
     assert (N - 1) // gcd(N - 1, 12) % (q * q) == 0
     space = _space(N)
-    for ell, eta in eisenstein._candidates(space, sign):
-        assert vp(_index(hnf_mod(eta, q * q)), q) >= 2, ell
-    assert eisenstein._certified_chain(space, sign, 3) is None
+    ells = [ell for ell in primes_up_to(49) if ell != N]
+    for ell, eta in zip(ells, eisenstein._generators(space, sign, ells)):
+        assert vp(_index(hnf_mod(eta.array, q * q)), q) >= 2, ell
+    monkeypatch.setattr(eisenstein, "_certified", lambda *args: pytest.fail("the search ran"))
+    ctx = build_context(space, P_AT[N], sign=sign)
+    ws, etas = _sturm(N, sign, ctx.n_max)
+    assert ctx.W == ws and ctx.g_p == eisenstein._g_p(etas, ctx.p)
 
 
 @pytest.mark.parametrize("N,sign", [(11, 1), (11, -1), (421, 1), (421, -1)])
 @pytest.mark.parametrize("patch", ["square", "zero"])
 def test_a_generator_without_a_certificate_falls_back(N, sign, patch, monkeypatch):
-    # every searched eta replaced by its square, which lies in I but reads
-    # q^2 off the certificate, or by 0, which is singular: no prime of n
-    # is certified, and the Sturm route builds the same context
+    # every searched eta's certificate read off its square, which lies in
+    # I but reads q^2, or off 0, which is singular: no prime of n is
+    # certified, and the accepted case builds the same context
     space = _space(N)
     want = build_context(space, 5, sign=sign)
-    real = eisenstein._candidates
+    real = eisenstein._certified
     change = {"square": lambda eta: eta @ eta, "zero": np.zeros_like}[patch]
-    monkeypatch.setattr(eisenstein, "_candidates",
-                        lambda sp, sg: ((ell, change(eta)) for ell, eta in real(sp, sg)))
-    assert eisenstein._certified_chain(space, sign, want.n_max) is None
-    calls = _recording_sturm_chain(monkeypatch)
+    monkeypatch.setattr(eisenstein, "_certified", lambda eta, qs: real(change(eta), qs))
+    accepted = _recording(monkeypatch, "_accepted")
     got = build_context(space, 5, sign=sign)
-    assert calls == [(sign, want.n_max)]
+    assert sorted(args[2] for args, _ in accepted) == sorted(
+        exact_linalg.factorize((N - 1) // gcd(N - 1, 12)))
     assert got.W == want.W and got.g_p == want.g_p
 
 
 @pytest.mark.parametrize("N,sign", [(11, 1), (11, -1), (421, 1), (421, -1)])
 def test_certificate_search_refuses_a_generator_outside_w1(N, sign, monkeypatch):
-    # the first searched eta (l = 2) patched to the identity: it certifies
-    # nothing, a later l certifies every prime of n, and the cross-check
-    # finds the identity does not map Z^g into W_1
-    real = eisenstein._candidates
-    monkeypatch.setattr(eisenstein, "_candidates", lambda sp, sg: (
-        (ell, np.eye(len(eta), dtype=np.int64) if ell == 2 else eta)
-        for ell, eta in real(sp, sg)))
+    # eta_2 patched to the identity: it certifies nothing, a later l
+    # certifies every prime of n, and the cross-check finds the identity
+    # does not map Z^g into W_1
+    real = eisenstein._generators
+    monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: [
+        IntMatrix.identity(sp.genus) if ell == 2 else eta
+        for ell, eta in zip(ells, real(sp, sg, ells))])
     with pytest.raises(ValueError, match="does not map M into W_1"):
         build_context(_space(N), 5, sign=sign)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("patch", ["singular", "unit"])
+def test_an_eta_2_that_cannot_bound_the_chain_is_refused(sign, patch, monkeypatch):
+    # at 113 every prime of n takes the accepted case, whose a_q is read
+    # off eta_2: a singular eta_2 (its first row copied onto its second)
+    # has no v_q(det), and the identity, a unit, would drop q from the
+    # chain
+    def change(eta):
+        if patch == "unit":
+            return IntMatrix.identity(eta.rows)
+        rows = eta.array.copy()
+        rows[1] = rows[0]
+        return IntMatrix(rows)
+
+    real = eisenstein._generators
+    monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: [
+        change(eta) if ell == 2 else eta for ell, eta in zip(ells, real(sp, sg, ells))])
+    message = {"singular": "all singular", "unit": "eta_2 is a unit"}[patch]
+    with pytest.raises(ValueError, match=message):
+        build_context(_space(113), 7, sign=sign)
+
+
+def test_vq_det_matches_the_determinant():
+    # v_q(det eta) from Hermite forms mod q^b against Bareiss: random
+    # matrices, some with a row scaled by a power of q (so b doubles
+    # several times) and some singular, and every eta_l, l < 50, at 113
+    # and 337, both signs
+    r = random.Random(27)
+    cases = []
+    for _ in range(150):
+        g = r.randint(1, 6)
+        a = np.array([[r.randint(-20, 20) for _ in range(g)] for _ in range(g)], dtype=np.int64)
+        if g > 1 and r.random() < 0.2:
+            a[-1] = a[0]
+        a[0] *= r.choice((2, 3, 5, 7)) ** r.randint(0, 12)
+        cases.append(a)
+    for N in (113, 337):
+        ells = [ell for ell in primes_up_to(49) if ell != N]
+        cases += [eta.array for sign in (1, -1)
+                  for eta in eisenstein._generators(_space(N), sign, ells)]
+    singular = 0
+    for a in cases:
+        d = det(a)
+        for q in (2, 3, 5, 7):
+            if d:
+                assert eisenstein._vq_det(a, q) == vp(d, q), (a.tolist(), q)
+            else:
+                with pytest.raises(ValueError, match="all singular"):
+                    eisenstein._vq_det(a, q)
+        singular += not d
+    assert singular >= 10
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_context_at_421_makes_four_eliminations(sign, monkeypatch):
+    # the certificate's elimination gives W_1, and each of W_2 .. W_4 takes
+    # one more: no other hnf_mod runs
+    seen = []
+    direct = exact_linalg._hnf_mod_reduced
+    monkeypatch.setattr(exact_linalg, "_hnf_mod_reduced",
+                        lambda a, D: seen.append(D) or direct(a, D))
+    build_context(_space(421), 5, sign=sign)
+    assert seen == [35**2, 35**2, 35**3, 35**4]
+
+
+def test_no_hecke_operator_is_computed_twice_at_761(monkeypatch):
+    # the search computes eta_l for every l < 50 (q = 2 has no
+    # certificate), and the accepted case asks for the Sturm and
+    # saturation generators: each l is computed once
+    asked = []
+    real = eisenstein.hecke_operators
+    monkeypatch.setattr(eisenstein, "hecke_operators",
+                        lambda sp, ells: asked.extend(ells) or real(sp, ells))
+    build_context(_space(761), 5)
+    sturm = eisenstein._sturm_primes(761)
+    assert sorted(asked) == sorted(set(sturm + eisenstein._next_primes(761, 3)))
+    assert asked[:15] == primes_up_to(49)
+
+
 def test_the_exact_and_mod_p_routes_agree_at_1871(monkeypatch):
     # two independent routes to g_p: the certified context (the Sturm
-    # route would take ~40 s here, and is refused) and the mod-p route
-    monkeypatch.setattr(eisenstein, "_sturm_chain",
-                        lambda *args: pytest.fail("the Sturm route ran at 1871"))
+    # generators are not computed there; the Sturm chain would take ~40 s)
+    # and the mod-p route
+    monkeypatch.setattr(eisenstein, "_sturm_primes",
+                        lambda N: pytest.fail("the Sturm generators were computed at 1871"))
     ctx = build_context(build_space(1871), 5)
     assert ctx.g_p == g_p_dimension_modp(1871, 5) == 2
     assert ctx.e == (0, 1, 1, 2, 2)

@@ -16,7 +16,6 @@ from eistheta import exact_linalg
 from eistheta.exact_linalg import (
     IntMatrix,
     LogMap,
-    det,
     factorize,
     hnf_mod,
     is_prime,
@@ -31,7 +30,7 @@ from eistheta.exact_linalg import (
     sqrt_mod,
     xgcd,
 )
-from oracles import euclid_hnf_mod, hnf, hnf_with_transform, mat_mul, solve_left, unimodular_inverse
+from oracles import det, euclid_hnf_mod, hnf, hnf_with_transform, mat_mul, solve_left, unimodular_inverse
 from oracles import snf as snf_with_transforms
 
 rng = random.Random(20161871)
@@ -313,48 +312,11 @@ def _counting_eliminations(monkeypatch):
     return seen
 
 
-def test_hnf_mod_sketches_a_tall_stack_and_certifies_it(monkeypatch):
-    # 60 rows over g = 3 with D up to 2^28 - 1 ((D - 1)^2 * 60 < 2^63), and
-    # 2,100 rows (three blocks of R S) with D up to 2^25: one elimination
-    # of the g + 16 sketch rows, and the certified form
-    seen = _counting_eliminations(monkeypatch)
-    basis = [[2, 1, 0], [0, 3, 5], [0, 0, 7]]
-    for m, moduli in ((60, (42, 2**28 - 1)), (2100, (42, 2**25))):
-        rows = _tall_stack(basis, _random_rows(m, 3))
-        for D in moduli:
-            seen.clear()
-            assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D)
-            assert seen == [19]
-
-
-def test_hnf_mod_falls_back_when_the_certificate_fails(monkeypatch):
-    # a zero mixer sketches D Z^g alone, which the certificate refuses
-    # unless the stack vanishes mod D; the whole stack is then eliminated,
-    # to the same form
-    seen = _counting_eliminations(monkeypatch)
-    monkeypatch.setattr(exact_linalg, "_mixer",
-                        lambda start, count, D: np.zeros(count, dtype=np.int64))
-    rows = _tall_stack([[2, 1, 0], [0, 3, 5], [0, 0, 7]], _random_rows(60, 3))
-    for D in (42, 210, 2**28 - 1):
-        seen.clear()
-        assert hnf_mod(rows, D).tolist() == _stacked_hnf(rows, D)
-        assert seen == [19, 60]
-    seen.clear()
-    assert hnf_mod([[6 * x for x in r] for r in rows], 6).tolist() == [[6, 0, 0], [0, 6, 0],
-                                                                       [0, 0, 6]]
-    assert seen == [19]  # a stack that vanishes mod D is certified by D Z^g
-
-
 def test_hnf_mod_past_the_sketch_bound_eliminates_the_stack(monkeypatch):
     # (D - 1)^2 m >= 2^63 while 2 D^2 < 2^63: the whole stack in int64,
-    # with no sketch and no product for mul_int64 to refuse; a stack that
-    # is not tall is never sketched
+    # with no product for mul_int64 to refuse; a stack that is not tall
+    # is eliminated whole too
     seen = _counting_eliminations(monkeypatch)
-
-    def no_mixer(*args):
-        raise AssertionError("sketched past the bound")
-
-    monkeypatch.setattr(exact_linalg, "_mixer", no_mixer)
     rows = _tall_stack([[2, 1, 0], [0, 3, 5], [0, 0, 7]], _random_rows(60, 3))
     for D in (2**29 + 1, 2**31 - 1):
         seen.clear()
@@ -364,24 +326,6 @@ def test_hnf_mod_past_the_sketch_bound_eliminates_the_stack(monkeypatch):
     seen.clear()
     assert hnf_mod(rows[:38], 42).tolist() == _stacked_hnf(rows[:38], 42)
     assert seen == [38]
-
-
-def _splitmix64(i):
-    """The i-th output of splitmix64 from seed 0, in Python ints."""
-    z = i * 0x9E3779B97F4A7C15 % 2**64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-    return z ^ z >> 31
-
-
-def test_mixer_is_splitmix64_within_the_modulus():
-    r = exact_linalg._mixer(0, 1140, 1000)
-    assert r.shape == (1140,) and r.dtype == np.int64
-    assert r.tolist() == [_splitmix64(i) % 1000 for i in range(1, 1141)]
-    assert len(np.unique(r)) > 500
-    assert exact_linalg._mixer(700, 5, 1000).tolist() == r[700:705].tolist()
-    big = exact_linalg._mixer(0, 20, 2**40)  # entries past 32 bits, none past D
-    assert 0 <= big.min() and 2**32 <= big.max() < 2**40
 
 
 def _scaled_inverse_by_fractions(h, m):
