@@ -69,19 +69,23 @@ until then; a nonsingular eta has stopped once q^b exceeds the Hadamard
 bound on |det eta|, so an eta still going there is singular, and the
 build raises ValueError.
 
-The chain.  Let S be the union of the S_q and m = prod q^{a_q}.  W_0 =
-Z^g and W_k = `hnf_mod`(stack of W_{k-1} eta for eta in S, D_k), with
-D_k = m det W_{k-1}.  As T is commutative and S lies in I, I^k M_q =
-sum eta I^{k-1} M_q over eta in S for every q | n, so the rows span I^k
-M locally at each q | n, and D_k has no other prime, so the form is W_k
-wherever I^k M holds D_k Z^g.  It does: I^k M holds eta I^{k-1} M for
-the eta in S_q with v_q(det eta) = a_q, whose q-index is q^{a_q} [M :
-I^{k-1} M]_q, and a lattice of index d holds d Z^g.  Where every q is
-proven, D_k = m^k.  Every eta the build computed lies in I, so it maps
-Z^g into W_1, which holds m Z^g: that is checked as membership mod m,
-and a failure raises ValueError.  Each eta_l is computed at most once
-per build (`_Etas`).  A chain product past `mul_int64`'s bound runs on
-Python ints (`mul_exact`), so every n_max is built.
+The chain.  Let S be the union of the S_q and m = prod q^{a_q}.  W_1 =
+`hnf_mod`(stack of S, m): S lies in I and spans IM_q at every q | n,
+which holds q^{a_q} M_q, so m Z^g lies in IM, and the form is IM (at a
+prime not dividing n both are Z^g).  Every eta the build computed lies
+in I, so it maps Z^g into W_1: that is checked as membership mod m, and
+a failure raises ValueError.  For k >= 2, W_k = `hnf_mod`(stack of
+W_{k-1} eta for eta in S, E^k), with E the exponent of Z^g/W_1, the
+least E with E Z^g in W_1.  E Z^g lies in W_1 exactly when E W_1^{-1}
+is integral, so E = m / gcd(m, Z_1) over the entries of Z_1 =
+`scaled_inverse_mod`(W_1, m) = m W_1^{-1} mod m.  As T is commutative
+and S spans IM_q, I^k M_q = sum eta I^{k-1} M_q over eta in S, so the
+rows span I^k M locally at each q | n, and E has no other prime; and
+I^k M = I^{k-1} (IM) holds E I^{k-1} M, hence E^k Z^g by induction: the
+form is W_k.  Where every q is proven, W_1 has index r = m, so E = m
+and the moduli are m^k.  Each eta_l is computed at most once per build
+(`_Etas`).  A chain product past `mul_int64`'s bound runs on Python ints
+(`mul_exact`), so every n_max is built.
 
 When one eta certifies every q, W_1 is the Hermite form H =
 `hnf_mod`(eta, r^2) the certificate already made, and its elimination
@@ -355,18 +359,19 @@ def build_context(space, p, n_max=3, sign=1):
     sets, w1 = _local_sets(etas)
     chain = etas(list(dict.fromkeys(ell for s, _ in sets.values() for ell in s)))
     m = prod(q**a for q, (_, a) in sets.items())
-    ws = [np.eye(space.genus, dtype=np.int64)]
-    for k in range(1, n_max + 2):
-        w = ws[-1]
-        ws.append(w1 if k == 1 and w1 is not None else hnf_mod(
-            np.concatenate([mul_exact(w, eta) for eta in chain]), m * _index(w)))
+    if w1 is None:
+        w1 = hnf_mod(np.concatenate(chain), m)
 
     # runtime cross-check: every eta the build computed lies in I, so it
     # maps W_0 = Z^g into W_1, which holds m Z^g
-    z = scaled_inverse_mod(ws[1], m).astype(np.int64)  # entries in [0, m)
+    z = scaled_inverse_mod(w1, m).astype(np.int64)  # entries in [0, m)
     for eta in etas.values():
         if (mul_exact(eta % m, z) % m).any():
             raise ValueError("an Eisenstein generator does not map M into W_1")
+    e = m // gcd(m, int(np.gcd.reduce(z.ravel())))  # the exponent of Z^g / W_1
+    ws = [np.eye(space.genus, dtype=np.int64), w1]
+    for k in range(2, n_max + 2):
+        ws.append(hnf_mod(np.concatenate([mul_exact(ws[-1], eta) for eta in chain]), e**k))
     return EisensteinContext(space=space, p=p, n_max=n_max, sign=sign,
                              g_p=_g_p(etas(sets[p][0]), p), W=tuple(map(IntMatrix, ws)))
 

@@ -410,7 +410,9 @@ def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypat
     # every hnf_mod of the build (the certificates, v_q(det eta_2), the
     # accepted case's checks and the chain steps) eliminates its whole
     # stack once, to the form of the direct elimination; the last n_max
-    # steps are W_2 .. W_{n_max + 1}, and W_1 is one of the forms
+    # steps are W_2 .. W_{n_max + 1}, modulo E^2 .. E^{n_max + 1} for E
+    # the exponent of Z^g/W_1 (its largest Smith invariant), and W_1 is
+    # one of the forms
     space = _space(N)
     steps, sizes = [], []
     direct = exact_linalg._hnf_mod_reduced
@@ -430,6 +432,8 @@ def test_sketched_chain_steps_match_the_direct_elimination(N, p, sign, monkeypat
     forms = [got for _, _, got, _ in steps]
     for n in range(2, ctx.n_max + 2):
         assert np.array_equal(forms[n - ctx.n_max - 2], ctx.W[n].array)
+    exponent = max(ctx.snf_of_W[1].diag)
+    assert [D for _, D, _, _ in steps[-ctx.n_max:]] == [exponent**k for k in range(2, ctx.n_max + 2)]
     assert any(np.array_equal(got, ctx.W[1].array) for got in forms)
 
 
