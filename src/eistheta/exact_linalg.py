@@ -458,6 +458,15 @@ def primitive_root(n):
     raise ValueError("no primitive root found")
 
 
+def unit_powers(g, n):
+    """power[k] = g^k mod n for 0 <= k < n - 1, as an int64 array built
+    by doubling: for a primitive root g mod a prime n, each unit once."""
+    power = np.ones(1, dtype=np.int64)
+    while len(power) < n - 1:
+        power = np.concatenate([power, power * (int(power[-1]) * g % n) % n])
+    return power[:n - 1]
+
+
 def vp(n, p):
     """Exponent of the prime p in the nonzero integer n."""
     v = 0
@@ -547,8 +556,8 @@ class LogMap:
     The generator defaults to the smallest primitive root mod N, so the
     map is deterministic across runs; a different primitive root may be
     supplied to check that downstream answers do not depend on the
-    choice.  Lookups use baby-step/giant-step on the full unit group
-    (N is desk-scale; O(sqrt N) is plenty).
+    choice.  Lookups read a full table of logs, built once from the
+    generator's powers (`unit_powers`): O(N), like the space at N.
     """
 
     def __init__(self, modulus, target, generator=None):
@@ -565,29 +574,16 @@ class LogMap:
             if any(pow(generator, (modulus - 1) // q, modulus) == 1 for q in facs):
                 raise ValueError("generator is not a primitive root")
         self.generator = generator
-        m = isqrt(modulus - 1) + 1
-        self._m = m
-        table = {}
-        acc = 1
-        for j in range(m):
-            table.setdefault(acc, j)
-            acc = acc * self.generator % modulus
-        self._baby = table
-        self._giant = pow(self.generator, -m, modulus)
+        log = np.zeros(modulus, dtype=np.int64)
+        log[unit_powers(generator, modulus)] = np.arange(modulus - 1)
+        self._log = log.tolist()
 
     def dlog(self, x):
         """Full discrete log of x base the generator, in Z/(N-1)Z."""
-        n = self.modulus
-        x %= n
+        x %= self.modulus
         if x == 0:
             raise ValueError("log of zero residue")
-        y = x
-        for i in range(self._m):
-            j = self._baby.get(y)
-            if j is not None:
-                return (i * self._m + j) % (n - 1)
-            y = y * self._giant % n
-        raise ValueError("discrete log not found (modulus not prime?)")
+        return self._log[x]
 
 
 def log_to_p(x, L: LogMap):

@@ -39,7 +39,7 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuations,
 )
-from .exact_linalg import IntMatrix, hnf_mod, kronecker
+from .exact_linalg import IntMatrix, _mod_rows, kronecker, mul_int64, scaled_inverse_mod
 from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import (
@@ -279,8 +279,13 @@ def _space_digest(space):
     nrows = len(qmap.indptr) - 1
     h.update(f"reduction:{nrows}x{qmap.ncols};".encode())
     for lo in range(0, nrows, _DIGEST_ROWS):
-        block = qmap.dense(np.arange(lo, min(lo + _DIGEST_ROWS, nrows)))
-        h.update(block.astype("<i8").tobytes())
+        # the block's entries are the contiguous run indptr[lo] .. indptr[hi]
+        hi = min(lo + _DIGEST_ROWS, nrows)
+        run = slice(qmap.indptr[lo], qmap.indptr[hi])
+        row = np.repeat(np.arange(hi - lo), np.diff(qmap.indptr[lo:hi + 1]))
+        block = np.zeros((hi - lo, qmap.ncols), dtype="<i8")
+        block[row, qmap.cols[run]] = qmap.vals[run]
+        h.update(block.tobytes())
     for name in ("coord_symbols", "star", "plus_basis", "minus_basis"):
         m = getattr(space, name)
         if name == "coord_symbols":
@@ -344,29 +349,44 @@ def _read_payload(payload):
                                   f"({type(exc).__name__}: {exc})") from None
 
 
+def _lattice_test(w):
+    """For a Hermite basis w (upper triangular, a positive diagonal, and
+    each entry above it in [0, its column's pivot)), the test of whether
+    every row of an integer array x lies in the lattice of w; None for
+    any other w.  d = det w, so d Z^g lies in the lattice, and x lies in
+    it exactly when x Z = 0 (mod d), Z = `scaled_inverse_mod`(w, d).  With
+    x reduced into [0, d) every partial sum of x Z is below g d^2: the
+    product runs in int64 while that is below 2^63, and in Python ints
+    otherwise."""
+    diag, upper = np.diagonal(w), np.triu(w, 1)
+    if not ((diag > 0).all() and (upper >= 0).all() and (upper < diag).all()
+            and not np.tril(w, -1).any()):
+        return None
+    d = prod(map(int, diag))
+    dtype = np.int64 if len(w) * d * d < 2**63 else object
+    z = scaled_inverse_mod(w, d).astype(dtype)
+    mul = mul_int64 if dtype is np.int64 else np.matmul
+    return lambda x: not (mul(_mod_rows(x, d).astype(dtype, copy=False), z) % d).any()
+
+
 def _check_structure(ctx):
     """The cheap invariants a cache file cannot fake by its checksum:
     every level g x g for the rebuilt space's genus g, each W_n a
     Hermite basis holding W_{n+1}, W_0 the identity basis of M^sign, W_1
     holding eta_2 W_0 for eta_2 = T_2 - 3 restricted to the stored sign
     (which ties the chain to its side), and 1 <= g_p <= g with g_p >= 2
-    exactly when Merel's criterion holds."""
+    exactly when Merel's criterion holds.  Each containment is one
+    product with a scaled inverse (`_lattice_test`)."""
     g = ctx.space.genus
     if any((m.rows, m.cols) != (g, g) for m in ctx.W):
         raise CacheIntegrityError(f"cache integrity check failed: a level is not {g} x {g}")
+    tests = [_lattice_test(w.array) for w in ctx.W]
     for n in range(len(ctx.W) - 1):
-        # a Hermite basis W_n of index d gives itself back from hnf_mod of
-        # W_n and W_{n+1} modulo d exactly when W_{n+1} lies inside it
-        w = ctx.W[n].array
-        d = prod(map(int, np.diagonal(w)))
-        if not (d > 0 and np.array_equal(hnf_mod(np.concatenate([w, ctx.W[n + 1].array]), d), w)):
+        if tests[n] is None or not tests[n](ctx.W[n + 1].array):
             raise CacheIntegrityError(f"cache integrity check failed: W_{n + 1} is not "
                                       f"inside W_{n}, or W_{n} is not a Hermite basis")
-    # W_1 holds eta_2 W_0 exactly when hnf_mod gives W_1 back from both
-    w = ctx.W[1].array
     eta = _generators(ctx.space, ctx.sign, [2])[0].array
-    if ctx.W[0] != IntMatrix.identity(g) or not np.array_equal(
-            hnf_mod(np.concatenate([w, eta]), prod(map(int, np.diagonal(w)))), w):
+    if ctx.W[0] != IntMatrix.identity(g) or tests[1] is None or not tests[1](eta):
         side = "plus" if ctx.sign > 0 else "minus"
         raise CacheIntegrityError(f"cache integrity check failed: W_0 is not M^{side}, or W_1 "
                                   f"does not hold its image under T_2 - 3 on the {side} side")

@@ -192,6 +192,7 @@ from .exact_linalg import (
     left_kernel,
     mul_int64,
     primitive_root,
+    unit_powers,
 )
 from .quadfield import fundamental_mask, legendre_table
 
@@ -277,7 +278,7 @@ def presentation(N):
     check_level(N)
     gens = ((0, 1),) + tuple((1, y) for y in range(N))
     n = N + 1
-    power = _powers(N)  # (g^k)^-1 = g^(K - k), K = N - 1
+    power = unit_powers(primitive_root(N), N)  # (g^k)^-1 = g^(K - k), K = N - 1
     invarr = np.zeros(N, dtype=np.int64)
     invarr[power] = power[-np.arange(N - 1) % (N - 1)]
     cs = np.ones(n, dtype=np.int64)
@@ -732,16 +733,6 @@ def cremona_matrices(ell):
     return cremona_families([ell])[0]
 
 
-def _powers(N):
-    """power[k] = g^k mod N for 0 <= k < N - 1, g the smallest primitive
-    root mod the prime N, as an int64 array built by doubling."""
-    g = primitive_root(N)
-    power = np.ones(1, dtype=np.int64)
-    while len(power) < N - 1:
-        power = np.concatenate([power, power * (int(power[-1]) * g % N) % N])
-    return power[:N - 1]
-
-
 @lru_cache(maxsize=4)
 def _p1_logs(N):
     """(lu, lv, index): the P^1(Z/NZ) index of (u : v), for u, v in
@@ -749,7 +740,7 @@ def _p1_logs(N):
     docstring).  Read-only, and cached for the few levels in use, as
     every Hecke operator at N reads them."""
     K = N - 1
-    power = _powers(N)
+    power = unit_powers(primitive_root(N), N)
     log = np.zeros(N, dtype=np.int64)
     log[power] = np.arange(K)
     lu, lv = log, log + K
@@ -1005,18 +996,24 @@ def theta_elements(space, Ds):
     need |D| >= F_(n+2) >= phi^n), so the buffer holds at most
     _THETA_CHUNK log_phi |D| keys, 45 per lane below 2^31.5.  Each chunk
     is folded, reduced to M_rel and checked to have no boundary at once.
-    Every walk value is at most |D|, a Legendre table squares residues
-    mod q | D, and a symbol's index multiplies two residues mod N,
-    w inv[u] < N^2: all exact in int64 while max(N, |D|)^2 < 2^63, which
-    is checked before any symbol data is read."""
+
+    The lanes and the inverse tables run in the dtype of `_walk_dtype`:
+    int32 while (N - 1)^2 < 2^31 and |D| < 2^31 (so up to N = 46337),
+    int64 otherwise.  Every walk value is at most |D|; a symbol's index
+    multiplies two residues mod N, w inv[u] <= (N - 1)^2; and every key
+    is below 2 width + N, width = (rows of the chunk) (N + 1) <=
+    max(_THETA_CHUNK, N + 1), far below 2^31 at N <= 46337.  (A
+    Legendre table squares residues mod q | D in int64.)  So all are
+    exact in int32 under its bound, and in int64 while
+    max(N, |D|)^2 < 2^63, which is checked before any symbol data is
+    read."""
     N = space.N
     Ds = list(Ds)
     if not fundamental_mask(Ds).all() or any(gcd(D, N) != 1 for D in Ds):
         raise ValueError("need a fundamental discriminant prime to N")
     if max([N] + [abs(D) for D in Ds]) ** 2 >= 2**63:
         raise ValueError("theta walk: N or |D| too large for int64 arithmetic")
-    inv = np.array(space._inv, dtype=np.int64)
-    tables = (-inv % N, inv)  # u -> -+u^{-1} mod N, read at signs -1 and +1
+    tables = _inverse_tables(space, _walk_dtype(N, max([abs(D) for D in Ds], default=0)))
     iota = np.array(space._iota, dtype=np.int64)
     out = []
     rows, n = [], 0  # the rows (D, c, weight < 0) of the next chunk, n lanes
@@ -1030,18 +1027,34 @@ def theta_elements(space, Ds):
     return out + (_theta_chunk(space, rows, tables, iota) if rows else [])
 
 
+def _walk_dtype(N, m):
+    """The dtype of the theta walk's lanes at level N for |D| <= m: int32
+    while (N - 1)^2 < 2^31 and m < 2^31, int64 otherwise
+    (`theta_elements`)."""
+    return np.int32 if (N - 1) ** 2 < 2**31 and m < 2**31 else np.int64
+
+
+def _inverse_tables(space, dtype):
+    """The maps u -> -u^{-1} and u -> u^{-1} mod N, both 0 at u = 0, as
+    `dtype` arrays: the walk reads them at the signs -1 and +1."""
+    inv = np.array(space._inv, dtype=dtype)
+    return -inv % space.N, inv
+
+
 def _theta_chunk(space, rows, tables, iota):
     """The theta elements of the rows (D, c, sign(D) chi_D(c) < 0) of one
-    chunk, `tables` being the maps u -> -u^{-1} and u -> u^{-1} mod N,
-    both 0 at u = 0 (module docstring)."""
+    chunk, `tables` being `_inverse_tables`: the lanes run in their
+    dtype (module docstring)."""
     N = space.N
+    dtype = tables[1].dtype
     Ds = [D for D, _, _ in rows]
     width = len(rows) * (N + 1)
-    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(c) for _, c, _ in rows])
-    c_all = np.concatenate([c for _, c, _ in rows])
+    row = np.repeat(np.arange(len(rows), dtype=dtype), [len(c) for _, c, _ in rows])
+    c_all = np.concatenate([c for _, c, _ in rows]).astype(dtype)
     # offset by 1: the symbol (u : -+w), u != 0, has index 1 + (-+w u^-1 mod N)
-    key_all = 1 + row * (N + 1) + width * np.concatenate([neg for _, _, neg in rows])
-    m_all = np.abs(np.array(Ds, dtype=np.int64))[row]
+    neg = np.concatenate([neg for _, _, neg in rows]).astype(dtype)
+    key_all = 1 + row * (N + 1) + width * neg
+    m_all = np.abs(np.array(Ds, dtype=dtype))[row]
     counts = np.zeros(2 * width, dtype=np.int64)
     for lo in range(0, len(c_all), _THETA_CHUNK):
         piece = slice(lo, lo + _THETA_CHUNK)

@@ -36,6 +36,14 @@ cycle (`unit_residues`):
   of u at the primes above N are (x +- y r)/2, r = `split_root`.
   x^2 - D y^2 = 4 a_k is checked mod N.
 
+A row's modular data comes from two O(N) tables rather than a search
+per residue.  `split_root` reads the smaller square root of each
+residue mod N off one table (`_smaller_roots`, r^2 mod N over
+r <= (N - 1)/2, cached per level); the discrete logs of the unit
+residues and of the conjugate generator read the full log table of the
+context's `LogMap`, indexed by residue.  So a row's three logs and its
+root are lookups, and each table is built once for all the rows at N.
+
 The class numbers of many D are found together (`class_numbers`), in
 batches of one sign.  Each b >= 0 of the parity of a D, with
 m = |b^2 - D|/4, makes a group of candidates a <= sqrt(m), each tested
@@ -84,6 +92,7 @@ _CLASS_CHUNK at a time, so a group may span two chunks.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -96,7 +105,6 @@ from .exact_linalg import (
     kronecker,
     log_to_p,
     primes_up_to,
-    sqrt_mod,
     vp,
 )
 
@@ -378,15 +386,29 @@ def _walk(form, D, N, first):
 # ---------------------------------------------------------------------------
 # the fundamental unit modulo the primes above N
 
+@lru_cache(maxsize=4)
+def _smaller_roots(N):
+    """root[a], for 0 <= a < N, the odd prime N: the smaller square root
+    r <= (N - 1)/2 of a mod N, and -1 at the non-squares, as a tuple.
+    Over the r <= (N - 1)/2, r^2 mod N hits 0 once and each nonzero
+    square once, its other root being N - r.  Cached for the few levels
+    in use, as every even sweep row reads it."""
+    root = np.full(N, -1, dtype=np.int64)
+    r = np.arange((N + 1) // 2, dtype=np.int64)
+    root[r * r % N] = r
+    return tuple(root.tolist())
+
+
 def split_root(D, N):
-    """The residue r with r^2 = D mod N that labels the first prime
-    above N.  The label is fixed by the radicand: sqrt(m) is sent to the
-    smaller of its two square roots, where D = m or 4m."""
-    if kronecker(D, N) != 1:
-        raise ValueError("N does not split in Q(sqrt(D))")
+    """The residue r with r^2 = D mod N, N an odd prime, that labels the
+    first prime above N.  The label is fixed by the radicand: sqrt(m) is
+    sent to the smaller of its two square roots (`_smaller_roots`),
+    where D = m or 4m.  N splits exactly when m is a nonzero square mod
+    N, 4 being a square."""
     m = D if D % 4 else D // 4
-    rm = sqrt_mod(m % N, N)
-    rm = min(rm, N - rm)
+    rm = _smaller_roots(N)[m % N]
+    if rm <= 0:
+        raise ValueError("N does not split in Q(sqrt(D))")
     return rm if D % 4 else (2 * rm) % N
 
 

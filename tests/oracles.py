@@ -54,7 +54,13 @@ package reads only the unit's residues modulo the primes above N, off
 the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 `unit_criterion` and `pic_zn_trivial` recompute, for one D, what
 `quadfield.field_profile` derives as its `criterion` and
-`pic_zn_trivial` fields.
+`pic_zn_trivial` fields.  `bsgs_dlog` is the baby-step giant-step
+discrete log that `exact_linalg.LogMap` ran for each lookup before it
+kept a full table of logs.
+
+`space_digest` is `harness._space_digest` as it built each block of the
+dense reduction through `CSR.dense`, before it scattered the block's
+contiguous run of entries straight from the quotient map's pointers.
 
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
@@ -73,6 +79,7 @@ W_n, the route that `eisenstein`'s Z_n = m_n H_n^{-1} mod m_n
 replaced.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass, replace
 from math import gcd, isqrt, prod
@@ -94,7 +101,9 @@ from eistheta.exact_linalg import (
     vp,
     mul_exact,
     mul_int64,
+    primitive_root,
     scaled_inverse_mod,
+    unit_powers,
     xgcd,
 )
 from eistheta.eisenstein import _generators, _next_primes, _sturm_bound, eisenstein_generators
@@ -105,7 +114,6 @@ from eistheta.modsym import (
     _S,
     _T,
     _act,
-    _powers,
     _space_from_tree,
     _u_n_pairs,
     check_level,
@@ -422,7 +430,7 @@ def loop_presentation(N):
     check_level(N)
     gens = ((0, 1),) + tuple((1, y) for y in range(N))
     n = N + 1
-    power = _powers(N)
+    power = unit_powers(primitive_root(N), N)
     invarr = np.zeros(N, dtype=np.int64)
     invarr[power] = power[-np.arange(N - 1) % (N - 1)]
     cs, ds = np.array(gens, dtype=np.int64).T
@@ -1112,3 +1120,46 @@ def pic_zn_trivial(D, N, p):
         return True
     s, _ = split_prime_data(D, N, p, h=h)
     return vp(h, p) == vp(s, p)
+
+
+def bsgs_dlog(N, g, x):
+    """The discrete log of x mod the prime N to the base g, a primitive
+    root, in [0, N - 1), by baby-step giant-step over the full unit
+    group."""
+    x %= N
+    if x == 0:
+        raise ValueError("log of zero residue")
+    m = isqrt(N - 1) + 1
+    baby = {}
+    acc = 1
+    for j in range(m):
+        baby.setdefault(acc, j)
+        acc = acc * g % N
+    giant = pow(g, -m, N)
+    y = x
+    for i in range(m):
+        j = baby.get(y)
+        if j is not None:
+            return (i * m + j) % (N - 1)
+        y = y * giant % N
+    raise ValueError("discrete log not found (modulus not prime?)")
+
+
+def space_digest(space, rows=1024):
+    """sha256 of the space as a cache file keeps it: the quotient map as
+    the dense reduction, `rows` rows at a time through `CSR.dense`, then
+    the coordinate symbols, `star`, `plus_basis` and `minus_basis`."""
+    h = hashlib.sha256()
+    qmap = space.qmap
+    nrows = len(qmap.indptr) - 1
+    h.update(f"reduction:{nrows}x{qmap.ncols};".encode())
+    for lo in range(0, nrows, rows):
+        block = qmap.dense(np.arange(lo, min(lo + rows, nrows)))
+        h.update(block.astype("<i8").tobytes())
+    for name in ("coord_symbols", "star", "plus_basis", "minus_basis"):
+        m = getattr(space, name)
+        if name == "coord_symbols":
+            m = IntMatrix([m])
+        h.update(f"{name}:{m.rows}x{m.cols};".encode())
+        h.update(m.array.astype("<i8").tobytes())
+    return h.hexdigest()

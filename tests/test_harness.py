@@ -10,6 +10,8 @@ and Selmer modules together.
 import hashlib
 import io
 import json
+import random
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from eistheta import harness, quadfield
 from eistheta.eisenstein import build_context, g_p_dimension, theta_valuation
+from eistheta.exact_linalg import IntMatrix, hnf_mod
 from eistheta.harness import (
     CacheIntegrityError,
     CacheVersionError,
@@ -35,7 +38,7 @@ from eistheta.harness import (
 )
 from eistheta.modsym import build_space, hecke, theta_element
 from eistheta.quadfield import validate_discriminant
-from oracles import dense_reduction, shuffled_tree_space
+from oracles import dense_reduction, shuffled_tree_space, space_digest
 
 EVEN_CSV = """\
 N,p,D,h,h_mod_p,log1_u,log1_pi2,criterion,eis_valuation,selmer_rank,selmer_kind,consistent
@@ -420,6 +423,14 @@ def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
         load_context(path)
 
 
+@pytest.mark.parametrize("N", [11, 211, 421, 1871])
+def test_space_digest_matches_the_dense_blocks(N):
+    # the digest scatters each block of rows straight from the quotient
+    # map's pointers; the oracle builds the same blocks through CSR.dense
+    # (at 1871 the 1,872 rows make two blocks)
+    assert harness._space_digest(build_space(N)) == space_digest(build_space(N))
+
+
 def test_cache_rejects_tampered_payload(tmp_path):
     space, ctx = _built_pair()
     path = tmp_path / "ctx.json"
@@ -515,6 +526,62 @@ def test_cache_refuses_a_g_p_out_of_bounds_or_against_merel(tmp_path):
             _resealed(path, lambda payload: payload.update(g_p=value))
             with pytest.raises(CacheIntegrityError, match=f"g_p = {value} is not in"):
                 load_context(path)
+
+
+def test_cache_refuses_a_level_off_the_hermite_shape(tmp_path):
+    # each edit keeps W_1's lattice (a unimodular row change) but not its
+    # Hermite shape: an entry above a pivot outside [0, pivot), and a row
+    # added to the one below it, off the triangle
+    path = tmp_path / "ctx.json"
+    space, ctx = build_pair(211, 5, 3, 1)
+    w = ctx.W[1].array
+    j = next(j for j in range(1, len(w)) if w[j, j] > 1)
+
+    def unreduced(payload):
+        payload["W"][1][0][j] = str(int(w[0, j]) + int(w[j, j]))
+
+    def below(payload):
+        payload["W"][1][j] = [str(int(a + b)) for a, b in zip(w[j], w[0])]
+
+    for edit in (unreduced, below):
+        save_context(space, ctx, path)
+        _resealed(path, edit)
+        with pytest.raises(CacheIntegrityError, match="W_1 is not a Hermite basis"):
+            load_context(path)
+
+
+def _hermite(rng, g, bits):
+    """A random g x g Hermite basis with pivots below 2^bits."""
+    w = np.zeros((g, g), dtype=object)
+    for j in range(g):
+        w[j, j] = rng.randrange(1, 2**bits)
+        for i in range(j):
+            w[i, j] = rng.randrange(w[j, j])
+    return w
+
+
+@pytest.mark.parametrize("bits", [3, 20, 40])
+def test_lattice_test_matches_hnf_mod(bits):
+    # x lies in the lattice of a Hermite basis w of index d exactly when
+    # hnf_mod gives w back from w and x modulo d; at 40 bits the product
+    # runs in Python ints, below in int64
+    rng = random.Random(bits)
+    seen = set()
+    for _ in range(40):
+        g = rng.randrange(1, 6)
+        w = _hermite(rng, g, bits)
+        d = prod(map(int, np.diagonal(w)))
+        inside = np.array([[rng.randrange(-5, 6) for _ in range(g)] for _ in range(2)],
+                          dtype=object) @ w
+        other = np.array([[rng.randrange(-9, 10) for _ in range(g)]], dtype=object)
+        x = inside if rng.random() < 0.5 else np.concatenate([inside, other])
+        want = np.array_equal(hnf_mod(np.concatenate([w, x]), d), w)
+        test = harness._lattice_test(IntMatrix(w).array)
+        assert test(IntMatrix(x).array) == want
+        seen.add(want)
+    assert seen == {True, False}
+    for bad in ([[2, 2], [0, 2]], [[2, -1], [0, 3]], [[2, 0], [1, 3]], [[-2, 0], [0, 3]]):
+        assert harness._lattice_test(np.array(bad)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -813,6 +813,57 @@ def test_theta_elements_do_not_depend_on_the_chunk_bound(monkeypatch, N):
             assert any(rows > 1 for rows, _, _ in chunks)
 
 
+def _both_dtypes(monkeypatch, want):
+    """Patch `_theta_chunk` to walk each chunk in int32 and in int64 and
+    check the two agree; returns the (rows, lanes) of the chunks seen,
+    after checking each chunk came with tables of dtype `want`."""
+    walk = modsym._theta_chunk
+    seen = []
+
+    def both(space, rows, tables, iota):
+        assert tables[1].dtype == want and tables[0].dtype == want
+        out = walk(space, rows, modsym._inverse_tables(space, np.int32), iota)
+        assert walk(space, rows, modsym._inverse_tables(space, np.int64), iota) == out
+        seen.append((len(rows), sum(len(c) for _, c, _ in rows)))
+        return out
+
+    monkeypatch.setattr(modsym, "_theta_chunk", both)
+    return seen
+
+
+@pytest.mark.parametrize("N", [11, 31, 211])
+def test_theta_chunks_agree_in_int32_and_int64(monkeypatch, N):
+    # the lanes forced into each dtype at the chunk, on a window of both
+    # signs, in chunks of many rows
+    sp = build_space(N)
+    Ds = _fundamental_window(N, range(1, 1501))
+    whole = theta_elements(sp, Ds)
+    seen = _both_dtypes(monkeypatch, np.int32)
+    assert theta_elements(sp, Ds) == whole
+    assert sum(rows for rows, _ in seen) == len(Ds) and max(rows for rows, _ in seen) > 1
+
+
+def test_theta_chunks_agree_in_int32_and_int64_far_out(monkeypatch):
+    # a far-window slice at 211 whose rows have more lanes than
+    # _THETA_CHUNK, so each is walked in several pieces, in both dtypes
+    sp = build_space(211)
+    Ds = _fundamental_window(211, range(97001, 97021))
+    seen = _both_dtypes(monkeypatch, np.int32)
+    theta_elements(sp, Ds)
+    assert any(lanes > modsym._THETA_CHUNK for _, lanes in seen)
+
+
+def test_walk_dtype_at_the_int32_bound():
+    # int32 while (N - 1)^2 < 2^31 and |D| < 2^31: 46337 and 46349 are
+    # consecutive primes on either side of sqrt(2^31) + 1 = 46341.95...
+    assert is_prime(46337) and is_prime(46349)
+    assert (46337 - 1) ** 2 < 2**31 <= (46349 - 1) ** 2
+    assert modsym._walk_dtype(46337, 3000) is np.int32
+    assert modsym._walk_dtype(46349, 3000) is np.int64
+    assert modsym._walk_dtype(211, 2**31 - 1) is np.int32
+    assert modsym._walk_dtype(211, 2**31) is np.int64
+
+
 def _remainder_symbols(m, c):
     """The remainder walk of one lane: (x : -+y) along the Euclid
     remainders of (m, c), the sign alternating from -1."""

@@ -9,7 +9,7 @@ import pytest
 
 import eistheta
 from eistheta import quadfield
-from eistheta.exact_linalg import LogMap, kronecker, log_to_p, xgcd
+from eistheta.exact_linalg import LogMap, factorize, kronecker, log_to_p, sqrt_mod, xgcd
 from eistheta.quadfield import (
     _is_reduced_pos,
     _prime_power_form,
@@ -28,6 +28,7 @@ from eistheta.quadfield import (
 )
 from oracles import (
     QuadUnit,
+    bsgs_dlog,
     class_number_per_d,
     fundamental_unit,
     pic_zn_trivial,
@@ -219,6 +220,35 @@ def test_unit_residues_pinned():
     assert unit_residues(37, 11) == (2, 8, 4)
     with pytest.raises(ValueError):
         unit_residues(13, 11)  # inert
+
+
+@pytest.mark.parametrize("N", [11, 31, 211, 421, 1871])
+def test_log_and_root_tables_match_the_searches(N):
+    # the full log table against baby-step giant-step, at the default
+    # primitive root and the largest one, and the smaller-root table
+    # against Tonelli-Shanks, on every residue mod N
+    g = max(x for x in range(2, N) if all(pow(x, (N - 1) // q, N) != 1 for q in factorize(N - 1)))
+    for L in (LogMap(N, 5), LogMap(N, 5, generator=g)):
+        assert [L.dlog(x) for x in range(1, N)] == [bsgs_dlog(N, L.generator, x) for x in range(1, N)]
+        with pytest.raises(ValueError, match="log of zero residue"):
+            L.dlog(N)
+    roots = quadfield._smaller_roots(N)
+    for a in range(N):
+        if kronecker(a, N) == -1:
+            assert roots[a] == -1, a
+        else:
+            r = sqrt_mod(a, N)
+            assert roots[a] == min(r, N - r), a
+    # split_root reads the table: the radicand's smaller root, doubled at 4 | D
+    for D in (D for D in range(2, 400) if is_fundamental(D)):
+        if kronecker(D, N) != 1:
+            with pytest.raises(ValueError, match="does not split"):
+                split_root(D, N)
+            continue
+        r = split_root(D, N)
+        m = D if D % 4 else D // 4
+        rm = min(sqrt_mod(m, N), N - sqrt_mod(m, N))
+        assert r == (rm if D % 4 else 2 * rm % N) and (r * r - D) % N == 0, D
 
 
 def test_tracked_residues_equal_exact_reduction_to_20000():
