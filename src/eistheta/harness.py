@@ -25,7 +25,6 @@ does not match; everything else a context offers is derived from W.
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import prod
@@ -204,6 +203,9 @@ def _sweep(N, p, d_min, d_max, n_max, jobs, sign, context):
     _, ctx = context or build_pair(N, p, n_max, sign)
     rows = row_function(ctx)
     if jobs > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # contiguous slices, a few per worker, so the walks still batch
         size = -(-len(ds) // (4 * jobs)) or 1
         slices = [ds[i:i + size] for i in range(0, len(ds), size)]
@@ -295,9 +297,12 @@ def _space_digest(space):
     return h.hexdigest()
 
 
+def _payload_blob(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _checksum(payload):
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_payload_blob(payload).encode()).hexdigest()
 
 
 def save_context(space, ctx, path):
@@ -313,16 +318,16 @@ def save_context(space, ctx, path):
         "g_p": str(ctx.g_p),
         "W": [_enc_matrix(m) for m in ctx.W],
     }
-    envelope = {
-        "format_version": FORMAT_VERSION,
-        "checksum": _checksum(payload),
-        "payload": payload,
-    }
+    # the envelope {"checksum", "format_version", "payload"} in sorted-key
+    # text, built around the payload's one encoding (json.dumps runs the
+    # C encoder; json.dump would not)
+    blob = _payload_blob(payload)
+    checksum = hashlib.sha256(blob.encode()).hexdigest()
+    text = f'{{"checksum":"{checksum}","format_version":{FORMAT_VERSION},"payload":{blob}}}'
     # a reader sees the old file or the whole new one, never a part
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    # json.dumps runs the C encoder; json.dump would not
     with open(tmp, "w") as fh:
-        fh.write(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+        fh.write(text)
     os.replace(tmp, path)
 
 

@@ -14,9 +14,10 @@ halved the rows: the two references for that kernel.  `dense_hecke_images` is th
 through the dense (N + 1) x (2g + 1) quotient map and dense counts,
 before the images met the sparse map pair by pair, and
 `cut_full_squaring` is `modp.cut` before it stopped at a vanishing
-power; both reduce by numpy's `%`.  `pairs_of_counts` turns counts into
-(symbol, image) pairs.  `dense_plus_quotient` is the plus quotient as
-the null space of the dense condition [e_0 | S - I], before
+power or at a proven exponent; both reduce by numpy's `%`.
+`pairs_of_counts` turns counts into (symbol, image) pairs.
+`dense_plus_quotient` is the plus quotient as the null space of the
+dense condition [e_0 | S - I], before
 `modp._plus_quotient` read the star's signed-permutation pairs.
 `full_theta_counts` is the theta walk over every residue, and
 `convergent_theta_coords` the half walk on continued-fraction

@@ -1,9 +1,13 @@
 """Exit codes, output determinism and cache behaviour of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eistheta
 from eistheta import cli, eisenstein, harness
 from eistheta.cli import main
 
@@ -197,6 +201,24 @@ def test_jobs_do_not_change_output(tmp_path, capsys, command, dmin, dmax):
     for cache in ((), ("--cache-dir", str(tmp_path))):
         for _ in range(2):  # cold, then warm cache
             assert _run(capsys, *args, "--jobs", "2", *cache)[:2] == (0, serial)
+
+
+def test_a_serial_run_never_loads_the_process_pool():
+    # `harness._sweep` imports the pool only for --jobs > 1, so a fresh
+    # import of the CLI and a serial sweep load no concurrent.futures
+    code = (
+        "import sys\n"
+        "import eistheta.cli\n"
+        "loaded = 'concurrent.futures' in sys.modules\n"
+        "eistheta.cli.main(['sweep-even', '--N', '11', '--p', '5', '--dmin', '1', '--dmax', '40'])\n"
+        "print(loaded, 'concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(eistheta.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out[-1] == "False False"
 
 
 def test_cached_context_is_never_rebuilt(tmp_path, capsys, monkeypatch):

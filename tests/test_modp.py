@@ -395,12 +395,30 @@ def _operator(p, m, kind, g):
     return conj_inv @ block % p @ conj % p, a
 
 
+def _nullspaces_taken(monkeypatch):
+    taken = []
+    real = modp._left_nullspace_mod_p
+    monkeypatch.setattr(modp, "_left_nullspace_mod_p", lambda q, p:
+                        taken.append(q.shape[0]) or real(q, p))
+    return taken
+
+
+def _first_exponent(m):
+    # the exponent of the cut's first null space, 2^k being the least
+    # power of two >= m: 2^ceil(k/2) from k = 4 on, else 2^k
+    k = next(k for k in range(64) if 2**k >= m)
+    return 2 ** -(-k // 2) if k >= 4 else 2**k
+
+
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("kind", ["zero", "square-zero", "nilpotent", "invertible", "mixed"])
 def test_cut_stops_at_a_vanishing_power(p, kind, monkeypatch):
     # on a subspace of F_p^n carrying op = eigen + conj^-1 diag(nil, unit) conj,
     # the cut equals the full-squaring one; a nilpotent op - eigen keeps the
-    # whole subspace without a null space
+    # whole subspace, without a null space if its power at the first
+    # exponent vanishes (always for "zero" and "square-zero", and below
+    # m = 9), else with the one null space that shows the chain may not
+    # have stalled there
     g = np.random.default_rng(p * 100 + len(kind))
     for m, n in [(1, 3), (2, 2), (5, 9), (8, 8), (17, 30)]:
         op, a = _operator(p, m, kind, g)
@@ -411,12 +429,75 @@ def test_cut_stops_at_a_vanishing_power(p, kind, monkeypatch):
                 break
         images = (op + eigen * np.eye(m, dtype=np.int64)) % p @ rows % p
         want = cut_full_squaring(rows, cols, images, eigen, p)
-        if a == m:
-            monkeypatch.setattr(modp, "_left_nullspace_mod_p", None)
+        taken = _nullspaces_taken(monkeypatch)
         got = cut(rows, cols, images, eigen, p)
         monkeypatch.undo()
         assert got[1] == want[1] and np.array_equal(got[0], want[0])
         assert got[0].shape[0] == a
+        if a == m:
+            vanishes = not np.array(_fp_pow(op.tolist(), _first_exponent(m), p)).any()
+            assert taken == ([] if vanishes else [m])
+            assert vanishes or kind == "nilpotent"
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("d,blocks,rounds", [
+    (7, 1, 1),    # one Jordan block of size 7 < 8: ker q^8 has dimension 7
+    (8, 1, 2),    # size 8: dim ker q^8 = 8 is not below 8, though it is the kernel
+    (12, 1, 2),   # size 12: ker q^8 has dimension 8, the kernel 12
+    (20, 1, 2),
+    (20, 7, 2),   # seven Jordan blocks of at most 4: stalled at q^4, yet dim 20 >= 8
+])
+def test_cut_takes_a_second_null_space_past_the_first_exponent(p, d, blocks, rounds, monkeypatch):
+    # m = 40 rows, so 2^6 is the least power of two >= m and the first
+    # exponent is 2^3 = 8.  op - eigen is conjugate to diag(nil, unit),
+    # nil a d x d nilpotent with `blocks` Jordan blocks (units on its
+    # superdiagonal but at the blocks' ends) and unit invertible: the cut
+    # equals the full-squaring one, and takes a second null space, of
+    # q^64, exactly when dim ker q^8 >= 8
+    m, n = 40, 50
+    assert _first_exponent(m) == 8
+    g = np.random.default_rng(1000 * p + 10 * d + blocks)
+    sup = g.integers(1, p, d - 1)
+    sup[np.linspace(0, d - 1, blocks + 1).astype(int)[1:-1] - 1] = 0
+    nil = np.triu(g.integers(0, p, (d, d)), 2) * (blocks == 1) + np.diag(sup, 1)
+    unit = np.triu(g.integers(0, p, (m - d, m - d)), 1) + np.diag(g.integers(1, p, m - d))
+    block = np.zeros((m, m), dtype=np.int64)
+    block[:d, :d] = nil
+    block[d:, d:] = unit
+    conj, conj_inv = _invertible_mod_p(m, p, g)
+    op = conj_inv @ block % p @ conj % p
+    while True:
+        rows, cols = _rref_mod_p(g.integers(0, p, (m, n)), p)
+        if len(cols) == m:
+            break
+    eigen = int(g.integers(0, 3 * p))
+    images = (op + eigen * np.eye(m, dtype=np.int64)) % p @ rows % p
+    want = cut_full_squaring(rows, cols, images, eigen, p)
+    taken = _nullspaces_taken(monkeypatch)
+    got = cut(rows, cols, images, eigen, p)
+    assert got[1] == want[1] and np.array_equal(got[0], want[0])
+    assert got[0].shape[0] == d
+    assert taken == [m] * rounds
+
+
+@pytest.mark.parametrize("p", [5, 13, 2**23 - 15])
+@pytest.mark.parametrize("kind", ["random", "lowrank", "zerodiag"])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (9, 4), (12, 12), (16, 16), (16, 40)])
+def test_leaf_matches_gauss_jordan(p, kind, shape):
+    # the leaf takes a nonzero a[r, j] as its pivot and searches only past
+    # a zero: random blocks mostly take the first branch, zero diagonals
+    # start in the search, and rank-deficient blocks end in it
+    g = np.random.default_rng(p % 1000 + 100 * shape[0] + shape[1] + len(kind))
+    a = g.integers(0, p, shape)
+    if kind == "lowrank":
+        a = g.integers(0, p, (shape[0], 2)) @ g.integers(0, p, (2, shape[1])) % p
+    if kind == "zerodiag":
+        np.fill_diagonal(a, 0)
+    got, pivots = modp._gauss_jordan_leaf(a.astype(np.float64), p)
+    want, want_pivots = gauss_jordan_mod_p(a.tolist(), p)
+    assert pivots == want_pivots and all(type(j) is int for j in pivots)
+    assert got.tolist() == want
 
 
 def _random_matrix(rows, cols):
