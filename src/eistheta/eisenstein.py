@@ -130,6 +130,7 @@ from .exact_linalg import (
     as_int64,
     factorize,
     hnf_mod,
+    in_lattice,
     is_prime,
     log_to_p,
     mul_exact,
@@ -147,6 +148,8 @@ from .modsym import (
     path_to_chain,
     restrict_to_sign,
     solve_by_inverse,
+    sturm_bound,
+    sturm_primes,
 )
 
 
@@ -167,7 +170,7 @@ class EisensteinContext:
 
     @property
     def sturm_bound(self):
-        return _sturm_bound(self.space.N)
+        return sturm_bound(self.space.N)
 
     @cached_property
     def logmap(self):
@@ -197,10 +200,6 @@ class EisensteinContext:
         return tuple(out)
 
 
-def _sturm_bound(N):
-    return -(-(N + 1) // 6)
-
-
 def _index(h):
     """The index in Z^g of the lattice of a Hermite basis."""
     return prod(map(int, np.diagonal(h)))
@@ -219,16 +218,10 @@ def _generators(space, sign, ells):
     return out
 
 
-def _sturm_primes(N):
-    """The primes l != N up to the Sturm bound, then N: the indices of
-    the Sturm generators of I."""
-    return [ell for ell in primes_up_to(_sturm_bound(N)) if ell != N] + [N]
-
-
 def eisenstein_generators(space, sign):
     """The restricted operators spanning I on M^sign: T_l - l - 1 for the
     primes l != N up to the Sturm bound, then U_N - 1."""
-    return _generators(space, sign, _sturm_primes(space.N))
+    return _generators(space, sign, sturm_primes(space.N))
 
 
 def _next_primes(start, count):
@@ -296,8 +289,8 @@ def _accepted(gens, count, q):
     h, outside = np.empty((0, len(gens[0])), dtype=np.int64), gens
     for k in range(1, count + 1):
         h = hnf_mod(np.concatenate([h, gens[k - 1]]), m)  # the form of S_q Z^g + m Z^g
-        z = scaled_inverse_mod(h, m).astype(np.int64)  # entries in [0, m)
-        outside = [eta for eta in outside if (mul_exact(eta % m, z) % m).any()]
+        z = scaled_inverse_mod(h, m)
+        outside = [eta for eta in outside if not in_lattice(eta, z, m).all()]
         if not outside:
             return k, a
     raise ValueError("Sturm-bound generator set failed saturation check")
@@ -321,8 +314,8 @@ def _local_sets(etas):
             sets.update({q: ((ell,), 1) for q in new if q not in sets})
             if len(sets) == len(n):
                 return sets, None
-    sturm = _sturm_primes(N)
-    gens = etas(sturm + _next_primes(max(N, _sturm_bound(N)), 3))
+    sturm = sturm_primes(N)
+    gens = etas(sturm + _next_primes(N, 3))  # N is past the Sturm bound
     for q in sorted(n):
         if q not in sets:
             k, a = _accepted(gens, len(sturm), q)
@@ -364,9 +357,9 @@ def build_context(space, p, n_max=3, sign=1):
 
     # runtime cross-check: every eta the build computed lies in I, so it
     # maps W_0 = Z^g into W_1, which holds m Z^g
-    z = scaled_inverse_mod(w1, m).astype(np.int64)  # entries in [0, m)
+    z = scaled_inverse_mod(w1, m)
     for eta in etas.values():
-        if (mul_exact(eta % m, z) % m).any():
+        if not in_lattice(eta, z, m).all():
             raise ValueError("an Eisenstein generator does not map M into W_1")
     e = m // gcd(m, int(np.gcd.reduce(z.ravel())))  # the exponent of Z^g / W_1
     ws = [np.eye(space.genus, dtype=np.int64), w1]
@@ -378,18 +371,11 @@ def build_context(space, p, n_max=3, sign=1):
 
 def _valuations(ctx, x):
     """The valuations of the rows of x (signed coordinates): each level's
-    test x Z_n = 0 mod m_n as one product, on x reduced mod the largest
-    m_n (every m_n divides it, so the reduction is exact), in int64
-    while that m_n squared times g is below 2^63 and in Python ints
-    beyond."""
-    top = ctx.membership[-1][0]
-    dtype = np.int64 if top * top * x.shape[1] < 2**63 else object
-    x = x % top if x.dtype == dtype else (x.astype(object) % top).astype(dtype)
+    test x Z_n = 0 mod m_n as one product (`in_lattice`)."""
     val = np.zeros(len(x), dtype=np.int64)
     passed = np.ones(len(x), dtype=bool)
     for n, (m, z) in enumerate(ctx.membership, 1):
-        prods = mul_int64(x, z) if dtype is np.int64 else x @ z.astype(object)
-        passed &= (prods % m == 0).all(axis=1)
+        passed &= in_lattice(x, z, m)
         val[passed] = n
     return val.tolist()
 

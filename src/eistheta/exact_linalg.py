@@ -345,6 +345,15 @@ def scaled_inverse_mod(h, m):
     return z % m
 
 
+def in_lattice(x, z, m):
+    """Which rows of the integer array x lie in a lattice L holding
+    m Z^g, given z = `scaled_inverse_mod`(h, m) for its Hermite basis h:
+    a bool array, True where x z = 0 (mod m).  x is reduced into [0, m)
+    first (`_mod_rows`), and the product is `mul_exact`: int64 while its
+    bound holds, Python ints past it."""
+    return (mul_exact(_mod_rows(x, m), z) % m == 0).all(axis=1)
+
+
 def as_int64(a):
     """int64 array of an integer array-like; raises ValueError if an
     entry does not fit."""

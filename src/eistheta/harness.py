@@ -38,7 +38,7 @@ from .eisenstein import (
     g_p_dimension,
     theta_valuations,
 )
-from .exact_linalg import IntMatrix, _mod_rows, kronecker, mul_int64, scaled_inverse_mod
+from .exact_linalg import IntMatrix, in_lattice, kronecker, scaled_inverse_mod
 from .modp import merel_criterion
 from .modsym import build_space, check_pair, theta_elements
 from .quadfield import (
@@ -359,19 +359,15 @@ def _lattice_test(w):
     each entry above it in [0, its column's pivot)), the test of whether
     every row of an integer array x lies in the lattice of w; None for
     any other w.  d = det w, so d Z^g lies in the lattice, and x lies in
-    it exactly when x Z = 0 (mod d), Z = `scaled_inverse_mod`(w, d).  With
-    x reduced into [0, d) every partial sum of x Z is below g d^2: the
-    product runs in int64 while that is below 2^63, and in Python ints
-    otherwise."""
+    it exactly when x Z = 0 (mod d), Z = `scaled_inverse_mod`(w, d)
+    (`in_lattice`)."""
     diag, upper = np.diagonal(w), np.triu(w, 1)
     if not ((diag > 0).all() and (upper >= 0).all() and (upper < diag).all()
             and not np.tril(w, -1).any()):
         return None
     d = prod(map(int, diag))
-    dtype = np.int64 if len(w) * d * d < 2**63 else object
-    z = scaled_inverse_mod(w, d).astype(dtype)
-    mul = mul_int64 if dtype is np.int64 else np.matmul
-    return lambda x: not (mul(_mod_rows(x, d).astype(dtype, copy=False), z) % d).any()
+    z = scaled_inverse_mod(w, d)
+    return lambda x: bool(in_lattice(x, z, d).all())
 
 
 def _check_structure(ctx):

@@ -5,35 +5,30 @@ algebra's filtration over Z, which is the right default at small level
 but needlessly slow once N has four digits.  For the multiplicity g_p
 alone nothing integral is required: the torsion of the Manin-symbol
 quotient is supported at 2 and 3 while p >= 5, so plain linear algebra
-over F_p yields the same number.  The quotient map is the exact
-route's, `tree_reduction` of `presentation(N)`, a sparse matrix (CSR)
-with entries -1 and 1, read mod p, so no elimination of the relation
-matrix is needed and no dense copy of it is made.
+over F_p yields the same number.  The route reads the exact route's
+space, `build_space(N)`, whose quotient map comes off a spanning tree
+with no elimination of the relation matrix, and never asks for its
+signed bases, so no lattice over Z is saturated.
 
 All arithmetic runs through float64 BLAS, the way FFLAS/FFPACK do it
 (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008): each product is bounded
 in advance by p^2 times a matrix dimension, below 2^53, so nothing
 ever rounds, and every residue is taken by one kernel, `_mod_p`, as
 x - p floor(x / p), which is exact under the same bounds.  The
-Eisenstein generators are applied in increasing Hecke index, cutting
-the candidate space down after each one (`cut`, which the exact
-route's g_p also runs on).  Each Hecke operator acts on the 2g + 1
-coordinate generators through `hecke_pairs`, the exact route's pairs
-(symbol, image symbol): Cremona's family for T_l (l != N), and
-U_N = -W_N from one continued-fraction walk per generator.
+Eisenstein generators are applied in increasing Hecke index
+(`sturm_primes`), cutting the candidate space down after each one
+(`cut`, which the exact route's g_p also runs on).  Each
+operator is the exact route's matrix over Z on the cuspidal lattice,
+`hecke(space, l)`, reduced mod p: Cremona's family for T_l (l != N),
+and U_N = -W_N from one continued-fraction walk per generator.  So the
+route keeps the exact route's checks: the coordinate symbols reduce to
+the identity over Z, and no star or Hecke image has a boundary.
 
-The quotient map is the exact route's (`modsym.quotient_map`), the CSR
-of its N + 1 symbol rows, its values reduced mod p here.  An
-operator's matrix T on M_rel is the exact route's `hecke_matrix` on
-those residues, one `bincount` per run of pairs, then reduced mod p
-(`_hecke_images`): no k x (N + 1) count array, no fold and no product
-with a dense quotient map.
-
-The plus quotient (`_plus_quotient`) is the fixed space of the star
-matrix S on the cuspidal coordinates, checked to square to the
-identity mod p on its sparse rows.  For p odd and S^2 = I it is the row
-space of I + S: (I + S) S = S + S^2 = I + S, so each row is fixed, and
-a fixed x is (x/2)(I + S).  Most rows of S are those of a signed
+The plus quotient (`_plus_quotient`) is the fixed space of the space's
+star matrix S on the 2g cuspidal coordinates, checked to square to the
+identity mod p on its nonzero entries.  For p odd and S^2 = I it is the
+row space of I + S: (I + S) S = S + S^2 = I + S, so each row is fixed,
+and a fixed x is (x/2)(I + S).  Most rows of S are those of a signed
 permutation, row j a single entry e at pi(j) and row pi(j) a single
 entry at j; such a pair gives the one vector e_j + e e_pi(j).  Those
 vectors clear their columns out of the other rows, and only the other
@@ -68,23 +63,9 @@ products of residues, which the bound it checks up front keeps within
 2^53 - p.
 """
 
-import dataclasses
-
 import numpy as np
 
-from .exact_linalg import primes_up_to
-from .modsym import (
-    CSR,
-    PAIR_CHUNK,
-    check_pair,
-    coordinate_symbols,
-    genus,
-    hecke_matrix,
-    hecke_pairs,
-    presentation,
-    quotient_map,
-    tree_reduction,
-)
+from .modsym import build_space, check_pair, hecke, sturm_primes
 
 
 def _mod_p(x, p):
@@ -274,19 +255,18 @@ def merel_criterion(N, p):
     return pow(acc, (N - 1) // p, N) == 1
 
 
-def _plus_quotient(qmap, pres, coord_gen, p):
+def _plus_quotient(star, p):
     """(rows, cols): a basis over F_p of the plus quotient, the vectors of
-    M_rel with no boundary (coordinate 0 zero, `modsym` docstring) fixed
-    by the star involution, as rows in reduced echelon form (pivot
-    columns `cols`, in increasing order), the form `cut` reads.
+    the cuspidal coordinates fixed by the star involution, whose integer
+    matrix is `star`, as rows in reduced echelon form (pivot columns
+    `cols`, in increasing order), the form `cut` reads.
 
-    The star matrix S on the cuspidal coordinates 1 .. 2g is read off
-    `qmap` at the star images iota(symbol) of the coordinate symbols;
-    one with a nonzero coordinate 0 has a nonzero boundary, and raises.
-    S must square to the identity mod p, and is checked to on its sparse
-    rows.  Then, p being odd, the fixed space of S is the row space of
-    I + S: (I + S) S = S + S^2 = I + S, so every row is fixed, and a
-    fixed x is (x/2)(I + S).
+    S = star mod p must square to the identity mod p, and is checked to
+    on the nonzero entries of `star`.  (One that is a multiple of p adds
+    nothing to a product; alone in its row, it makes that row of S^2
+    zero, and the check fails.)  Then, p being odd, the fixed space of S
+    is the row space of I + S: (I + S) S = S + S^2 = I + S, so every row
+    is fixed, and a fixed x is (x/2)(I + S).
 
     Most rows of S are a signed permutation's: row j has one nonzero e,
     at pi(j), and row pi(j) one, at j.  Such a pair {a < b} gives the
@@ -304,25 +284,29 @@ def _plus_quotient(qmap, pres, coord_gen, p):
     The residues stay below p^2 + p in absolute value before each
     `_mod_p`.
     """
-    which, cols, vals = qmap.take(np.array(pres.iota)[coord_gen[1:]])
-    if (cols == 0).any():
-        raise ValueError("star image has nonzero boundary")
-    n = len(coord_gen) - 1
-    star = CSR.from_entries(which, cols - 1, vals % p, n, n)
-    which, cols, vals = np.repeat(np.arange(n), np.diff(star.indptr)), star.cols, star.vals
-    # S^2 - I, entry by entry: S[i, c] S[c, j] for every S[i, c], less 1 at (i, i);
-    # each sum has at most n terms below p^2 in absolute value
-    entry, cols2, vals2 = star.take(cols)
-    keys = np.concatenate([which[entry] * n + cols2, np.arange(n) * (n + 1)])
-    terms = np.concatenate([vals[entry] * vals2, np.full(n, -1)])
+    n = len(star)
+    flat = np.asarray(star).ravel()
+    # the entries in row order, each row's in column order; numpy finds a
+    # bool array's nonzeros faster
+    which, cols = np.divmod(np.flatnonzero(flat != 0), n)
+    vals = flat[which * n + cols] % p
+    size = np.bincount(which, minlength=n)
+    start = np.cumsum(size) - size
+    # S^2 - I, entry by entry: S[i, c] S[c, j] for every S[i, c] and every
+    # S[c, j], less 1 at (i, i); each sum has at most n terms below p^2
+    run = size[cols]
+    entry = np.repeat(np.arange(len(cols)), run)
+    pos = np.arange(len(entry)) + np.repeat(start[cols] - (np.cumsum(run) - run), run)
+    keys = np.concatenate([which[entry] * n + cols[pos], np.arange(n) * (n + 1)])
+    terms = np.concatenate([vals[entry] * vals[pos], np.full(n, -1)])
     _, key = np.unique(keys, return_inverse=True)
     if _mod_p(np.bincount(key, weights=terms), p).any():
         raise ValueError("star matrix does not square to the identity mod p")
 
-    single = np.flatnonzero(np.diff(star.indptr) == 1)
+    single = np.flatnonzero(size == 1)
     pi = np.full(n, -1)
     eps = np.zeros(n, dtype=np.int64)
-    pi[single], eps[single] = cols[star.indptr[single]], vals[star.indptr[single]]
+    pi[single], eps[single] = cols[start[single]], vals[start[single]]
     paired = np.zeros(n, dtype=bool)
     paired[single] = pi[pi[single]] == single
     piv = np.flatnonzero(paired & (np.arange(n) <= pi))
@@ -351,70 +335,33 @@ def _plus_quotient(qmap, pres, coord_gen, p):
 
     cols = np.concatenate([piv, np.array(lcols, dtype=np.int64)])
     order = np.argsort(cols)
-    rows = np.zeros((len(cols), n + 1))
-    rows[:, 1:] = np.vstack([top, low])[order]
-    return rows, (cols[order] + 1).tolist()
-
-
-def _hecke_images(vecs, pairs, qmap, p):
-    """The images mod p of the rows of `vecs` (over M_rel, entries in
-    [0, p)) under the operator whose (symbol, image) pairs `pairs`
-    yields (`hecke_pairs`, the symbols being those of the M_rel
-    coordinates, in order), in the quotient's coordinates, `qmap` being
-    the quotient map with its values reduced into [0, p).
-
-    T on M_rel (k x k) is `hecke_matrix` of the pairs on those residues:
-    with P pairs its entries are integers in [0, (p - 1) P], exact under
-    that function's check, then reduced mod p.  vecs @ (T mod p) is a
-    sum of at most k <= N + 1 products of residues, within 2^53 - p
-    under the route's `_check_exact(p, N + 1)`.
-    """
-    k = qmap.ncols
-    T = hecke_matrix(pairs, qmap, k) % p
-    return _mod_p(vecs @ T.astype(np.float64), p)
+    return np.vstack([top, low])[order], cols[order].tolist()
 
 
 def _joint_kernel_dims(N, p):
     """Cut the plus quotient mod p by the Eisenstein generators in turn:
     yields (None, g) for the quotient itself, then (ell, d) after the
     generator of Hecke index ell, d being the dimension of the joint
-    generalized kernel so far.  Drained, the last d is g_p."""
+    generalized kernel so far.  Drained, the last d is g_p.
+
+    An operator's images are vecs @ (T mod p), T = `hecke`(space, ell)
+    over Z: a sum of 2g products of residues, within 2^53 - p under
+    `_check_exact(p, N + 1)`, as 2g < N + 1."""
     check_pair(N, p)
-    # every float64 product below has length at most N + 1, the number of
-    # symbols, which bounds the 2g + 1 coordinates and the variables
+    # checked before the space is built, from N alone
     _check_exact(p, N + 1)
-
-    pres = presentation(N)
-    free, red = tree_reduction(pres)
-    # the tree's reduction is exact over Z, so mod p it is the reduction of
-    # the relation quotient mod p: p >= 5 kills exactly the torsion.  An
-    # entry x with 0 < |x| < p keeps a nonzero residue, so the residues
-    # below are a CSR again
-    if red.max_abs() >= p:
-        raise ValueError("tree reduction has an entry of absolute value >= p")
-    qmap = quotient_map(pres, red)
-    residues = dataclasses.replace(qmap, vals=qmap.vals % p)
-    k = len(free)
-    coord_gen = np.array(coordinate_symbols(pres, free))  # one generator per coordinate
-    which, cols, vals = qmap.take(coord_gen)
-    if not (np.array_equal(which, np.arange(k)) and np.array_equal(cols, np.arange(k))
-            and (vals % p == 1).all()):
-        raise ValueError("coordinate generators do not reduce to a basis")
-
-    vecs, vcols = _plus_quotient(qmap, pres, coord_gen, p)
-    if vecs.shape[0] != genus(N):
+    space = build_space(N)
+    vecs, vcols = _plus_quotient(space.star.array, p)
+    if vecs.shape[0] != space.genus:
         raise ValueError("plus quotient mod p does not have rank g")
     yield None, vecs.shape[0]
 
-    symbols = [pres.generators[i] for i in coord_gen]
-    width = max(1, PAIR_CHUNK // k)
-    sturm = -(-(N + 1) // 6)
-    for ell in primes_up_to(sturm) + [N]:
+    for ell in sturm_primes(N):
         if not vecs.shape[0]:
             break
         eigen = 1 if ell == N else ell + 1
-        images = _hecke_images(vecs, hecke_pairs(symbols, ell, N, pres.inv, width), residues, p)
-        vecs, vcols = cut(vecs, vcols, images, eigen, p)
+        T = (hecke(space, ell).array % p).astype(np.float64)
+        vecs, vcols = cut(vecs, vcols, _mod_p(vecs @ T, p), eigen, p)
         yield ell, vecs.shape[0]
 
 

@@ -51,14 +51,13 @@ nonzero boundary, and `cuspidal_coords` raises on it;
 A Hecke operator acts on Manin symbols through a family of integer
 matrices of determinant l, each sending the symbol (c:d) to
 (c:d)(a,b;c',d') = (ca + dc' : cb + dd').  For l prime to N, T_l uses
-Cremona's Heilbronn matrices (`cremona_matrices`; Cremona, Algorithms
+Cremona's Heilbronn matrices (`cremona_families`; Cremona, Algorithms
 for Modular Elliptic Curves, 2nd ed., 1997, sec. 2.4): (1, 0; 0, l) and
 the matrices of the nearest-integer continued fractions of -l/r,
 |r| <= l/2, halves rounded away from zero.  The families of all the l
-that one list asks for come from one lockstep walk of every (l, r)
-(`cremona_families`).  A matrix of determinant prime to N is invertible
-mod N, so no image is (0:0); `family_images`, the action, raises if
-one is.
+that one list asks for come from one lockstep walk of every (l, r).  A
+matrix of determinant prime to N is invertible mod N, so no image is
+(0:0); `family_images`, the action, raises if one is.
 
 The action indexes an image (u : v), u and v reduced into [0, N), by
 discrete logs to a primitive root g mod N (`_p1_logs`).  With K = N - 1,
@@ -91,13 +90,13 @@ normalised generators, (c:d) being the path {b/d, a/c} of a lift
 U_N sends (0:1) to (0:1) and (1:y) to {0, y/N} - {0, oo}, the
 continued-fraction walk of y/N (`_symbol_stream`) past its opening
 (0:1), O(log N) symbols; at y = 0 that walk is (1:0) = -(0:1) by the
-two-term relation, W_N(1:0) = (0:1).  `hecke_pairs` gives these
-images at l = N and Cremona's family's otherwise as (symbol, image)
-pairs, and `hecke_matrix` the operator on M_rel from them, one
-`bincount` per run of pairs on the quotient map's rows, for both
-routes: `hecke` applies it only to the symbols of coordinates 1 .. 2g,
-the basis of M, and the mod-p route to all 2g + 1, on residues.  On M_rel, -W_N need not be U_N,
-but only its restriction to M is read.  Merel's
+two-term relation, W_N(1:0) = (0:1).  `hecke_operators` takes these
+images at l = N (`_u_n_pairs`) and Cremona's family's otherwise
+(`family_pairs`) as (symbol, image) pairs, and `hecke_matrix` the
+operator from them, one `bincount` per run of pairs on the quotient
+map's rows, for both routes: only the symbols of coordinates 1 .. 2g,
+the basis of M, are acted on.  On M_rel, -W_N need not be U_N, but
+only its restriction to M is read.  Merel's
 determinant-N family {(a,b;c,d): a > b >= 0, d > c >= 0, ad - bc = N}
 (Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994)
 also gives U_N, once its images (0:0) are dropped, but it has 6,991
@@ -107,8 +106,11 @@ tests, as the independent oracle this U_N is checked against.
 The fixed matrices of a space (star, the signed bases and their
 integral left inverses) are `IntMatrix`es, each stored once as a
 read-only array, int64 while its entries fit; the quotient map is the
-read-only CSR.  Products with them run
-in int64 under `mul_int64`'s bound, which raises rather than overflow.
+read-only CSR.  `build_space` makes the quotient map and the star; the
+signed bases and their inverses are derived on first use, so the
+mod-p route, which reads only the star and the Hecke matrices, never
+makes them.  Products with them run in int64 under `mul_int64`'s
+bound, which raises rather than overflow.
 A solve x @ B = v is v @ L for a left inverse L of B, proven by
 multiplying back (`solve_by_inverse`); `restrict_to_sign` and the
 valuations solve that way.
@@ -191,6 +193,7 @@ from .exact_linalg import (
     left_inverse,
     left_kernel,
     mul_int64,
+    primes_up_to,
     primitive_root,
     unit_powers,
 )
@@ -534,8 +537,10 @@ class ModularSymbolSpace:
     No dense copy of it is kept.  M is the slice of
     coordinates 1 .. 2g (module docstring): `star`, `plus_basis`,
     `minus_basis` and the Hecke matrices live in those cuspidal
-    coordinates.  The symbol indexing (`generators`, `_inv`, `_iota`)
-    is that of `presentation(N)`.  `build_space(N)` makes every field a
+    coordinates.  The signed bases and their left inverses are derived
+    from `star` on first use, and each is then kept.  The symbol
+    indexing (`generators`, `_inv`, `_iota`) is that of
+    `presentation(N)`.  `build_space(N)` makes every field a
     deterministic function of N, so a cache file stores N and a digest
     of the space, not the space (`harness.save_context`).
     """
@@ -544,8 +549,6 @@ class ModularSymbolSpace:
     qmap: CSR  # symbols -> M_rel, N + 1 rows of 2g + 1 columns
     coord_symbols: tuple  # the symbol of each M_rel coordinate; (0:1) first
     star: IntMatrix  # involution on M, cuspidal coordinates
-    plus_basis: IntMatrix  # rows: basis of M^+ in cuspidal coordinates
-    minus_basis: IntMatrix
     genus: int
     generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
     _inv: tuple  # inverses mod N (index 0 unused)
@@ -557,8 +560,27 @@ class ModularSymbolSpace:
         v %= self.N
         return p1_index(u, v, self.N, self._inv) if u or v else None
 
-    # integral left inverses of the signed bases, derived on first use and
-    # never written to a cache file (see `solve_by_inverse`)
+    @cached_property
+    def _star_eigenlattices(self):
+        """(M^+, M^-) from one `star_decompose`, each checked to have
+        rank g."""
+        plus, minus = star_decompose(self.star)
+        if plus.rows != self.genus or minus.rows != self.genus:
+            raise ValueError("star eigenlattices do not both have rank g")
+        return plus, minus
+
+    @property
+    def plus_basis(self):
+        """Rows: a basis of M^+ in cuspidal coordinates."""
+        return self._star_eigenlattices[0]
+
+    @property
+    def minus_basis(self):
+        """Rows: a basis of M^- in cuspidal coordinates."""
+        return self._star_eigenlattices[1]
+
+    # integral left inverses of the signed bases, never written to a
+    # cache file (see `solve_by_inverse`)
     @cached_property
     def plus_inverse(self):
         return left_inverse(self.plus_basis)
@@ -595,8 +617,9 @@ class ThetaElement:
 
 
 def build_space(N):
-    """Construct the full modular-symbol space at prime level N >= 5 of
-    genus g >= 1, on the M_rel basis of `tree_reduction`."""
+    """The modular-symbol space at prime level N >= 5 of genus g >= 1, on
+    the M_rel basis of `tree_reduction`: presentation, tree, quotient
+    map, its check, and the star; the signed bases come on first use."""
     if genus(N) == 0:
         raise ValueError(f"X_0({N}) has genus 0: there is no cuspidal lattice")
     pres = presentation(N)
@@ -638,18 +661,12 @@ def _space_from_tree(pres, free, red):
         raise ValueError("the reduction does not send the coordinate symbols to the identity")
     iota = np.asarray(pres.iota, dtype=np.int64)
     star = IntMatrix(cuspidal_coords(qmap.dense(iota[symbols[1:]]), "star image"))
-    plus, minus = star_decompose(star)
-    g = genus(pres.N)
-    if plus.rows != g or minus.rows != g:
-        raise ValueError("star eigenlattices do not both have rank g")
     return ModularSymbolSpace(
         N=pres.N,
         qmap=qmap,
         coord_symbols=tuple(symbols),
         star=star,
-        plus_basis=plus,
-        minus_basis=minus,
-        genus=g,
+        genus=genus(pres.N),
         generators=pres.generators,
         _inv=pres.inv,
         _iota=pres.iota,
@@ -727,12 +744,6 @@ def cremona_families(ells):
     return np.split(out, np.cumsum(np.bincount(family, minlength=len(sizes)))[:-1])
 
 
-def cremona_matrices(ell):
-    """Cremona's Heilbronn matrices of determinant l, for a prime l, as
-    an int64 array of rows (a, b, c, d) (`cremona_families`)."""
-    return cremona_families([ell])[0]
-
-
 @lru_cache(maxsize=4)
 def _p1_logs(N):
     """(lu, lv, index): the P^1(Z/NZ) index of (u : v), for u, v in
@@ -804,26 +815,11 @@ def _u_n_pairs(symbols, N, inv):
 
 def family_pairs(symbols, fam, N, width):
     """The images of the symbols under the family `fam` as (symbol,
-    image) pairs (`hecke_pairs`): one run per `family_images` run, rows
+    image) pairs (`hecke_matrix`): one run per `family_images` run, rows
     being a column of symbol indices that broadcasts against it."""
     rows = np.arange(len(symbols))[:, None]
     for t in family_images(symbols, fam, N, width):
         yield rows, t
-
-
-def hecke_pairs(symbols, ell, N, inv, width):
-    """The images of the symbols under T_ell (ell != N) or U_N (ell = N)
-    as (symbol, image) pairs: yields (rows, images), int64 arrays that
-    broadcast together, each pair an image symbol images[k] of
-    symbols[rows[k]], counted once per matrix or walk step that makes
-    it.  T_ell gives Cremona's family in runs of at most `width`
-    matrices (`family_pairs`); U_N gives the pairs of its walks at once
-    (`_u_n_pairs`).  The symbols are normalised generators (0, 1) or
-    (1, y) of `presentation(N)`, `inv` the inverses mod N."""
-    if ell == N:
-        yield _u_n_pairs(symbols, N, inv)
-    else:
-        yield from family_pairs(symbols, cremona_matrices(ell), N, width)
 
 
 # the (symbol, image) pairs of at most this many symbols and matrices meet
@@ -833,8 +829,10 @@ PAIR_CHUNK = 2**16
 
 def hecke_matrix(pairs, qmap, nrows):
     """The matrix, an exact int64 nrows x ncols array, of an operator
-    whose (symbol, image) pairs `pairs` yields (`hecke_pairs`): row i is
-    the sum of the `qmap` rows of the images of symbol i, one per pair.
+    whose (symbol, image) pairs `pairs` yields, as runs (rows, images)
+    of int64 arrays that broadcast together: row i is the sum of the
+    `qmap` rows of the images of symbol i, one per pair, so an image
+    made by two matrices or walk steps counts twice.
     Each run of pairs is one `gather_add`: the image rows' entries
     gathered and added by one float64 `bincount` keyed by the symbol
     and the column.  No symbol-count array and no dense product.
@@ -845,7 +843,7 @@ def hecke_matrix(pairs, qmap, nrows):
     That bound is checked on the number of pairs before a run is
     expanded (a run may be a broadcast view), so it cannot be fooled by
     terms that cancel.  With the tree's entries +-1 it asks only for
-    P < 2^53; the mod-p route passes residues, below p."""
+    P < 2^53."""
     k = qmap.ncols
     top = qmap.max_abs()
     T = np.zeros((nrows, k))
@@ -874,7 +872,8 @@ def hecke_operators(space, ells):
     the cuspidal lattice, for each prime of `ells` in order, as
     `IntMatrix`es in cuspidal coordinates: `hecke_matrix` of the
     (symbol, image) pairs of Cremona's Heilbronn matrices for ell != N,
-    all from one `cremona_families` walk, and of -W_N for U_N (module
+    in runs of at most `PAIR_CHUNK` pairs, all from one
+    `cremona_families` walk, and of -W_N for U_N (`_u_n_pairs`, module
     docstring), on the space's sparse quotient map.  Only the symbols
     of the cuspidal coordinates 1 .. 2g are acted on, and their images
     are read in cuspidal coordinates."""
@@ -887,7 +886,7 @@ def hecke_operators(space, ells):
     families = iter(cremona_families([ell for ell in ells if ell != N]))
     out = []
     for ell in ells:
-        pairs = (hecke_pairs(symbols, N, N, space._inv, width) if ell == N
+        pairs = ([_u_n_pairs(symbols, N, space._inv)] if ell == N
                  else family_pairs(symbols, next(families), N, width))
         out.append(IntMatrix(cuspidal_coords(hecke_matrix(pairs, space.qmap, len(symbols)),
                                              "Hecke image")))
@@ -898,6 +897,20 @@ def hecke(space, ell):
     """The matrix of T_ell (ell prime to N) or U_N (ell = N) on the
     cuspidal lattice (`hecke_operators`)."""
     return hecke_operators(space, [ell])[0]
+
+
+def sturm_bound(N):
+    """ceil((N + 1) / 6), the Sturm bound for weight 2 at prime level N:
+    T_l - l - 1 for the primes l up to it, with U_N - 1, generate the
+    Eisenstein ideal (`eisenstein` module docstring)."""
+    return -(-(N + 1) // 6)
+
+
+def sturm_primes(N):
+    """The Hecke indices of the Sturm generators, in the order both
+    routes take them: the primes up to the Sturm bound, all below N,
+    then N."""
+    return primes_up_to(sturm_bound(N)) + [N]
 
 
 def restrict_to_sign(space, op_matrix, sign):

@@ -10,15 +10,12 @@ and dense subtree sums.  `csr_from_dense` turns a dense array into the
 package's `CSR`.  `gauss_jordan_mod_p` is the plain
 pure-Python elimination, and `panel_rref_mod_p` the float64 kernel that
 eliminated 128-row panels one pivot at a time before `modp._rref_mod_p`
-halved the rows: the two references for that kernel.  `dense_hecke_images` is the mod-p route's Hecke product
-through the dense (N + 1) x (2g + 1) quotient map and dense counts,
-before the images met the sparse map pair by pair, and
+halved the rows: the two references for that kernel.
 `cut_full_squaring` is `modp.cut` before it stopped at a vanishing
-power or at a proven exponent; both reduce by numpy's `%`.
-`pairs_of_counts` turns counts into (symbol, image) pairs.
+power or at a proven exponent; it reduces by numpy's `%`.
 `dense_plus_quotient` is the plus quotient as the null space of the
-dense condition [e_0 | S - I], before
-`modp._plus_quotient` read the star's signed-permutation pairs.
+dense condition S - I, before `modp._plus_quotient` read the star's
+signed-permutation pairs.
 `full_theta_counts` is the theta walk over every residue, and
 `convergent_theta_coords` the half walk on continued-fraction
 convergents that `modsym.theta_elements` ran before it walked Euclid
@@ -107,7 +104,7 @@ from eistheta.exact_linalg import (
     unit_powers,
     xgcd,
 )
-from eistheta.eisenstein import _generators, _next_primes, _sturm_bound, eisenstein_generators
+from eistheta.eisenstein import _generators, _next_primes, eisenstein_generators
 from eistheta.modp import _left_nullspace_mod_p, _mod_p, _rref_mod_p
 from eistheta.modsym import (
     CSR,
@@ -118,12 +115,13 @@ from eistheta.modsym import (
     _space_from_tree,
     _u_n_pairs,
     check_level,
-    cremona_matrices,
+    cremona_families,
     cuspidal_coords,
     family_images,
     genus,
     p1_index,
     presentation,
+    sturm_bound,
     tree_reduction,
 )
 from eistheta.quadfield import (
@@ -346,7 +344,7 @@ def sturm_chain(space, sign, n_max):
         ws.append(IntMatrix(hnf_mod(np.concatenate([mul_exact(w, eta) for eta in etas]),
                                     prod(map(int, np.diagonal(w))) * unit)))
     z = scaled_inverse_mod(ws[1].array, unit).astype(np.int64)  # entries in [0, G)
-    for eta in _generators(space, sign, _next_primes(max(N, _sturm_bound(N)), 3)):
+    for eta in _generators(space, sign, _next_primes(max(N, sturm_bound(N)), 3)):
         if (mul_int64(eta.array % unit, z) % unit).any():
             raise ValueError("Sturm-bound generator set failed saturation check")
     return tuple(ws), etas
@@ -506,7 +504,7 @@ def hecke_counts(symbols, ell, N, inv):
     U_N (ell = N, `modsym._u_n_pairs`), as an int64 array with N + 1
     columns."""
     if ell != N:
-        return family_counts(symbols, cremona_matrices(ell), N)
+        return family_counts(symbols, cremona_families([ell])[0], N)
     rows, images = _u_n_pairs(symbols, N, inv)
     return np.bincount(rows * (N + 1) + images,
                        minlength=len(symbols) * (N + 1)).reshape(-1, N + 1)
@@ -712,35 +710,11 @@ def panel_rref_mod_p(a, p, block=128):
     return done[order], [pcols[i] for i in order]
 
 
-def dense_hecke_images(vecs, pairs, qmap, p):
-    """`modp._hecke_images` through the dense (N + 1) x (2g + 1) quotient
-    map: the pairs counted into a dense k x (N + 1) array first, then
-    two products, reduced by numpy's `%`."""
-    red_p = qmap.dense() % p
-    counts = np.zeros(vecs.shape[1] * len(red_p), dtype=np.int64)
-    for rows, images in pairs:
-        rows, images = np.broadcast_arrays(rows, images)
-        counts += np.bincount((rows * len(red_p) + images).ravel(), minlength=len(counts))
-    return (vecs @ counts.reshape(vecs.shape[1], -1) % p) @ red_p % p
-
-
-def pairs_of_counts(counts):
-    """The (symbol, image) pairs of nonnegative counts, as one run of
-    `modsym.hecke_pairs`."""
-    rows, images = np.nonzero(counts)
-    yield np.repeat(rows, counts[rows, images]), np.repeat(images, counts[rows, images])
-
-
-def dense_plus_quotient(qmap, pres, coord_gen, p):
+def dense_plus_quotient(star, p):
     """`modp._plus_quotient` as the mod-p route took it before it read the
-    star's pairs: the left null space over F_p of the dense condition
-    [e_0 | S - I], boundary zero (coordinate 0, the unit column e_0) and
-    fixed by the star matrix S on all of M_rel."""
-    k = len(coord_gen)
-    red_p = qmap.dense() % p
-    eye = np.eye(k)
-    cond = np.hstack([eye[:, :1], (red_p[np.array(pres.iota)[coord_gen]] - eye) % p])
-    return _left_nullspace_mod_p(cond, p)
+    star's pairs: the left null space over F_p of S - I, S the integer
+    matrix `star` of the star involution on the cuspidal coordinates."""
+    return _left_nullspace_mod_p((np.asarray(star) - np.eye(len(star), dtype=np.int64)) % p, p)
 
 
 def cut_full_squaring(rows, cols, images, eigen, p):

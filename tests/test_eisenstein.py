@@ -528,7 +528,7 @@ def test_sturm_check_refuses_a_generator_that_shrinks_w1(monkeypatch):
     # W_0 into L_{2,1} fails the membership test, at either sign, though
     # S_2 grows to every Sturm generator
     for N, sign in ((113, 1), (113, -1), (241, 1), (241, -1)):
-        first = eisenstein._next_primes(max(N, eisenstein._sturm_bound(N)), 1)[0]
+        first = eisenstein._next_primes(max(N, eisenstein.sturm_bound(N)), 1)[0]
         real = eisenstein._generators
         monkeypatch.setattr(eisenstein, "_generators", lambda sp, sg, ells: [
             IntMatrix.identity(sp.genus) if ell == first else eta
@@ -606,7 +606,7 @@ def test_certified_chain_matches_the_sturm_chain(N, p, sign, monkeypatch):
     (_, (sets, w1)), = local
     if N in LOCAL_SETS:
         assert {q: (len(s), a) for q, (s, a) in sets.items()} == LOCAL_SETS[N]
-        assert all(s == tuple(eisenstein._sturm_primes(N)[:len(s)]) for s, _ in sets.values())
+        assert all(s == tuple(eisenstein.sturm_primes(N)[:len(s)]) for s, _ in sets.values())
     else:
         assert all(len(s) == 1 and a == 1 for s, a in sets.values())
     if N in FALLBACK_LEVELS:
@@ -745,7 +745,7 @@ def test_no_hecke_operator_is_computed_twice_at_761(monkeypatch):
     monkeypatch.setattr(eisenstein, "hecke_operators",
                         lambda sp, ells: asked.extend(ells) or real(sp, ells))
     build_context(_space(761), 5)
-    sturm = eisenstein._sturm_primes(761)
+    sturm = eisenstein.sturm_primes(761)
     assert sorted(asked) == sorted(set(sturm + eisenstein._next_primes(761, 3)))
     assert asked[:15] == primes_up_to(49)
 
@@ -754,7 +754,7 @@ def test_the_exact_and_mod_p_routes_agree_at_1871(monkeypatch):
     # two independent routes to g_p: the certified context (the Sturm
     # generators are not computed there; the Sturm chain would take ~40 s)
     # and the mod-p route
-    monkeypatch.setattr(eisenstein, "_sturm_primes",
+    monkeypatch.setattr(eisenstein, "sturm_primes",
                         lambda N: pytest.fail("the Sturm generators were computed at 1871"))
     ctx = build_context(build_space(1871), 5)
     assert ctx.g_p == g_p_dimension_modp(1871, 5) == 2

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import eistheta
-from eistheta import modp
+from eistheta import modp, modsym
 from eistheta.eisenstein import build_context, eisenstein_generators, g_p_dimension, merel_criterion
 from eistheta.exact_linalg import IntMatrix, is_prime, primes_up_to, snf
 from eistheta.modp import (
@@ -33,6 +33,8 @@ from eistheta.modp import (
 from eistheta.modsym import (
     build_space,
     coordinate_symbols,
+    genus,
+    hecke,
     presentation,
     quotient_map,
     tree_reduction,
@@ -41,11 +43,10 @@ from oracles import (
     ADMISSIBLE,
     csr_from_dense,
     cut_full_squaring,
-    dense_hecke_images,
+    dense_hecke,
     dense_plus_quotient,
     gauss_jordan_mod_p,
-    merel_counts,
-    pairs_of_counts,
+    merel_hecke,
     panel_rref_mod_p,
     rref_reduction,
 )
@@ -130,49 +131,62 @@ NO_STAR_PAIRS = {(43, 7), (127, 7), (337, 7), (67, 11), (397, 11), (157, 13), (3
 def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     # the tree's reduction mod p is the dense F_p elimination's quotient
     # map in another basis: red = red_o @ red[free_o] mod p, red_o being
-    # a unit row at each of its free variables; run on the eliminated
-    # reduction, fed in as a CSR, the mod-p route gives the same g_p.  Its
-    # star matrix has few signed-permutation pairs, and none at
-    # NO_STAR_PAIRS, where the plus quotient eliminates all of its 2g rows
+    # a unit row at each of its free variables.  The route takes only a
+    # reduction that is exact over Z (`build_space` checks it), so the
+    # eliminated one meets `_plus_quotient` alone: its star matrix, read
+    # off the eliminated quotient map with no boundary mod p, gives the
+    # dense null space's plus quotient, of rank g.  That star has few
+    # signed-permutation pairs, and none at NO_STAR_PAIRS, where the plus
+    # quotient eliminates all of its 2g rows
     pres = presentation(N)
     free, red = tree_reduction(pres)
     red = red.dense()
     free_o, red_o = rref_reduction(pres, p)
     assert len(free_o) == len(free)
     assert not ((red_o @ red[free_o] - red) % p).any()
-    monkeypatch.setattr(modp, "tree_reduction", lambda pres: (free_o, csr_from_dense(red_o)))
+    qmap_o = quotient_map(pres, csr_from_dense(red_o))
+    star_o = qmap_o.dense(np.asarray(pres.iota)[coordinate_symbols(pres, free_o)[1:]]) % p
+    assert not star_o[:, 0].any()
+    star_o = star_o[:, 1:]
     shapes = []
     monkeypatch.setattr(modp, "_rref_mod_p", lambda a, p:
                         shapes.append(a.shape) or _rref_mod_p(a, p))
-    assert g_p_dimension_modp(N, p) == _g_p_modp(N, p)
+    rows, cols = _plus_quotient(star_o, p)
+    monkeypatch.undo()
+    want, want_cols = _rref_mod_p(dense_plus_quotient(star_o, p)[0], p)
+    assert cols == want_cols and rows.tobytes() == want.tobytes()
+    assert len(cols) == genus(N)
     assert shapes[0][1] == len(free) - 1
     assert (shapes[0][0] == len(free) - 1) == ((N, p) in NO_STAR_PAIRS)
 
 
 def test_tree_reduction_entries_not_below_p_are_refused(monkeypatch):
-    # the route reads an entry x of the reduction, |x| < p, as x + p [x < 0]
-    real = modp.tree_reduction
+    # the tree's reduction times p, zero mod p: the route reads the space's
+    # reduction over Z, where `build_space` refuses it, as the coordinate
+    # symbols no longer reduce to the identity
+    real = modsym.tree_reduction
 
     def scaled(pres):
         free, red = real(pres)
         return free, dataclasses.replace(red, vals=5 * red.vals)
 
-    monkeypatch.setattr(modp, "tree_reduction", scaled)
-    with pytest.raises(ValueError, match="absolute value >= p"):
+    monkeypatch.setattr(modsym, "tree_reduction", scaled)
+    with pytest.raises(ValueError, match="does not send the coordinate symbols to the identity"):
         g_p_dimension_modp(11, 5)
 
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
 def test_folded_images_match_dense_quotient_map(N, p, monkeypatch):
-    # the pairs met by the sparse quotient map give the same images as
-    # dense counts through the dense (N + 1) x (2g + 1) quotient map, so
-    # the drained loop yields the same dimensions after every generator
+    # each operator as dense symbol counts times the dense (N + 1) x
+    # (2g + 1) reduction (`dense_hecke`), in place of the pairs met by the
+    # sparse quotient map: the drained loop yields the same dimensions
+    # after every generator
     own = list(_joint_kernel_dims(N, p))
     used = []
-    monkeypatch.setattr(modp, "_hecke_images", lambda *args:
-                        used.append(1) or dense_hecke_images(*args))
+    monkeypatch.setattr(modp, "hecke", lambda space, ell:
+                        used.append(ell) or dense_hecke(space, ell))
     assert list(_joint_kernel_dims(N, p)) == own
-    assert len(used) == len(own) - 1
+    assert used == [ell for ell, _ in own[1:]]
 
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5)])
@@ -190,38 +204,31 @@ def test_halving_kernel_matches_panel_oracle_in_the_route(N, p, monkeypatch):
     assert len(used) == 1 + 2 * shrinks
 
 
-def _plus_rows(N, p):
-    pres = presentation(N)
-    free, red = tree_reduction(pres)
-    qmap = quotient_map(pres, red)
-    return pres, qmap, np.array(coordinate_symbols(pres, free))
-
-
 @pytest.mark.parametrize("N,p", ADMISSIBLE + [(1871, 5), (4621, 5)])
 def test_plus_quotient_matches_the_dense_null_space(N, p):
     # the pair-folded elimination gives the row space of the dense
     # condition's null space, already in its reduced echelon form
-    pres, qmap, coord_gen = _plus_rows(N, p)
-    rows, cols = _plus_quotient(qmap, pres, coord_gen, p)
-    want, want_cols = _rref_mod_p(dense_plus_quotient(qmap, pres, coord_gen, p)[0], p)
+    star = _space(N).star.array
+    rows, cols = _plus_quotient(star, p)
+    want, want_cols = _rref_mod_p(dense_plus_quotient(star, p)[0], p)
     assert cols == want_cols and all(type(j) is int for j in cols)
     assert rows.tobytes() == want.tobytes()
 
 
 def test_plus_quotient_refuses_a_star_that_is_no_involution():
-    # the star image of coordinate 1 doubled: S^2 has 2 at (1, 1)
-    pres, qmap, coord_gen = _plus_rows(211, 5)
-    _plus_quotient(qmap, pres, coord_gen, 5)
-    image = pres.iota[coord_gen[1]]
-    vals = qmap.vals.copy()
-    vals[qmap.indptr[image]:qmap.indptr[image + 1]] *= 2
+    # row 0 of the star doubled: S^2 has 2 at (0, 0)
+    star = _space(211).star.array
+    _plus_quotient(star, 5)
+    doubled = star.copy()
+    doubled[0] *= 2
     with pytest.raises(ValueError, match="does not square to the identity mod p"):
-        _plus_quotient(dataclasses.replace(qmap, vals=vals), pres, coord_gen, 5)
+        _plus_quotient(doubled, 5)
 
 
 def test_star_image_with_a_boundary_is_refused(monkeypatch):
-    # coordinate 1's star image replaced by (0:1) = {0, oo}, coordinate 0
-    real = modp.presentation
+    # coordinate 1's star image replaced by (0:1) = {0, oo}, coordinate 0:
+    # `build_space` refuses it for the route
+    real = modsym.presentation
 
     def broken(N):
         pres = real(N)
@@ -229,9 +236,18 @@ def test_star_image_with_a_boundary_is_refused(monkeypatch):
         iota[coordinate_symbols(pres, tree_reduction(pres)[0])[1]] = 0
         return dataclasses.replace(pres, iota=tuple(iota))
 
-    monkeypatch.setattr(modp, "presentation", broken)
+    monkeypatch.setattr(modsym, "presentation", broken)
     with pytest.raises(ValueError, match="star image has nonzero boundary"):
         g_p_dimension_modp(211, 5)
+
+
+def test_the_route_never_decomposes_the_star(monkeypatch):
+    # the route reads the space's star and Hecke matrices, never its signed
+    # bases, and `build_space` alone does not make them
+    monkeypatch.setattr(modsym, "star_decompose", lambda star:
+                        pytest.fail("the star was decomposed"))
+    assert g_p_dimension_modp(1871, 5) == 2
+    build_space(211)
 
 
 @pytest.mark.parametrize("N,p", [(41, 5), (181, 5), (211, 7)])
@@ -245,11 +261,9 @@ def test_halving_kernel_matches_panel_oracle_in_the_exact_g_p(N, p, monkeypatch)
     assert used
 
 
-def _families_used(monkeypatch, N, p):
+def _operators_used(monkeypatch, N, p):
     used = []
-    hecke_pairs = modp.hecke_pairs
-    monkeypatch.setattr(modp, "hecke_pairs", lambda symbols, ell, N, inv, width:
-                        used.append(ell) or hecke_pairs(symbols, ell, N, inv, width))
+    monkeypatch.setattr(modp, "hecke", lambda space, ell: used.append(ell) or hecke(space, ell))
     return g_p_dimension_modp(N, p), used
 
 
@@ -260,7 +274,7 @@ def _families_used(monkeypatch, N, p):
     (181, 5, 3, primes_up_to(31) + [181]),  # g_p = 3 > 2: the full loop
 ])
 def test_stop_points(N, p, g_p, families, monkeypatch):
-    assert _families_used(monkeypatch, N, p) == (g_p, families)
+    assert _operators_used(monkeypatch, N, p) == (g_p, families)
 
 
 @pytest.mark.parametrize("N,p", ADMISSIBLE)
@@ -269,10 +283,8 @@ def test_u_n_matches_merel_family_in_the_drained_loop(N, p, monkeypatch):
     # family counting U_N instead of -W_N it gives the same dimensions
     own = list(_joint_kernel_dims(N, p))
     assert own[-1][0] == N
-    hecke_pairs = modp.hecke_pairs
-    monkeypatch.setattr(modp, "hecke_pairs", lambda symbols, ell, N, inv, width: (
-        pairs_of_counts(merel_counts(symbols, N, N, inv)) if ell == N
-        else hecke_pairs(symbols, ell, N, inv, width)))
+    monkeypatch.setattr(modp, "hecke", lambda space, ell:
+                        merel_hecke(space, ell) if ell == N else hecke(space, ell))
     assert list(_joint_kernel_dims(N, p)) == own
 
 
@@ -291,34 +303,35 @@ def test_exactness_bounds_survive_optimize():
     # the entry bound of the mod-p route (25 * (N + 2) >= 2^53), which
     # must fire before the level-sized presentation is built, and the
     # bound of `modsym.hecke_matrix` on a Hecke operator's (symbol, image)
-    # pairs, met on the quotient map's residues mod 5, the largest 4
-    # (4 * 2^51 >= 2^53 at N = 41; at N = 11 and 31 the loop is proven
-    # done before any family), which must fire before a run of pairs is expanded:
-    # the runs are broadcast views of 2^51 pairs that hold a few
-    # integers.  The bound counts pairs, not what they sum to, since the
-    # sum can cancel: `huge_pairs` sends every symbol to one image 2^51
-    # times, `cancelling_pairs` sends symbol 1 to a symbol and to its
-    # sigma-partner 2^50 times each, whose quotient rows cancel.
+    # pairs, met on the quotient map's entries +-1 (P >= 2^53 pairs at
+    # N = 41, whose loop reaches T_2; at N = 11 and 31 it is proven done
+    # before any operator), which must fire before a run of pairs is
+    # expanded: the runs are broadcast views of 2^53 or more pairs that
+    # hold a few integers.  The bound counts pairs, not what they sum to,
+    # since the sum can cancel: `huge_pairs` sends each of the 2g = 6
+    # symbols to one image 2^51 times, `cancelling_pairs` sends symbol 1
+    # to a symbol and to its sigma-partner 2^53 times each, whose quotient
+    # rows cancel.
     code = (
         "import numpy as np\n"
-        "from eistheta import modp\n"
-        "presentation = modp.presentation\n"
+        "from eistheta import modp, modsym\n"
+        "presentation = modsym.presentation\n"
         "def no_work(N):\n"
         "    raise RuntimeError('presentation built before the bound check')\n"
         "def huge_pairs():\n"
-        "    modp.presentation = presentation\n"
-        "    modp.hecke_pairs = lambda symbols, ell, N, inv, width: iter([(\n"
+        "    modsym.presentation = presentation\n"
+        "    modsym.family_pairs = lambda symbols, fam, N, width: iter([(\n"
         "        np.broadcast_to(np.arange(len(symbols))[:, None], (len(symbols), 2**51)),\n"
         "        np.broadcast_to(np.int64(2), (1, 2**51)))])\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
         "def cancelling_pairs():\n"
-        "    modp.presentation = presentation\n"
+        "    modsym.presentation = presentation\n"
         "    sigma = presentation(41).sigma\n"
-        "    modp.hecke_pairs = lambda symbols, ell, N, inv, width: iter([(\n"
-        "        np.broadcast_to(np.int64(1), (2**50, 2)),\n"
-        "        np.broadcast_to(np.array([2, sigma[2]]), (2**50, 2)))])\n"
+        "    modsym.family_pairs = lambda symbols, fam, N, width: iter([(\n"
+        "        np.broadcast_to(np.int64(1), (2**53, 2)),\n"
+        "        np.broadcast_to(np.array([2, sigma[2]]), (2**53, 2)))])\n"
         "    modp.g_p_dimension_modp(41, 5)\n"
-        "modp.presentation = no_work\n"
+        "modsym.presentation = no_work\n"
         "calls = (lambda: modp.cut(np.eye(2), [0, 1], np.eye(2), 0, 2**31 - 1),\n"
         "         lambda: modp.g_p_dimension_modp(360287970189731, 5),\n"
         "         huge_pairs, cancelling_pairs)\n"

@@ -30,7 +30,6 @@ from eistheta.modsym import (
     coordinate_symbols,
     cuspidal_coords,
     cremona_families,
-    cremona_matrices,
     family_images,
     genus,
     hecke,
@@ -404,6 +403,23 @@ def test_star_is_an_involution():
         assert plus == sp.plus_basis and minus == sp.minus_basis
 
 
+def test_signed_bases_are_derived_once_on_first_use(monkeypatch):
+    # `build_space` makes no signed basis; the first read decomposes the
+    # star once for both signs, and a star whose eigenlattices do not
+    # both have rank g is refused there
+    calls = []
+    real = modsym.star_decompose
+    monkeypatch.setattr(modsym, "star_decompose", lambda star: calls.append(1) or real(star))
+    sp = build_space(31)
+    assert calls == []
+    plus = sp.plus_basis
+    assert sp.plus_basis is plus and calls == [1]
+    assert sp.minus_basis.rows == sp.genus == 2 and calls == [1]
+    bad = dataclasses.replace(sp, star=IntMatrix(np.diag([1, 1, 1, -1])))  # ranks 3 and 1
+    with pytest.raises(ValueError, match="do not both have rank g"):
+        bad.plus_basis
+
+
 def test_star_eigenlattice_index_is_power_of_two():
     for N in (11, 31, 53):
         sp = build_space(N)
@@ -453,24 +469,24 @@ def _cremona_reference(ell):
 
 
 def test_cremona_family():
-    assert {tuple(r) for r in cremona_matrices(2).tolist()} == \
+    assert {tuple(r) for r in cremona_families([2])[0].tolist()} == \
         {tuple(r) for r in merel_matrices(2).tolist()}
-    assert cremona_matrices(3).tolist() == [
+    assert cremona_families([3])[0].tolist() == [
         [1, 0, 0, 3], [3, 1, 0, 1], [1, 0, 1, 3], [3, 0, 0, 1], [3, -1, 0, 1], [-1, 0, 1, -3]]
     for ell in primes_up_to(2000)[1:]:
-        arr = cremona_matrices(ell)
+        arr = cremona_families([ell])[0]
         assert arr.dtype == np.int64
         assert (arr[:, 0] * arr[:, 3] - arr[:, 1] * arr[:, 2] == ell).all()
         assert np.array_equal(arr, np.array(_cremona_reference(ell))), ell
     # 8,694 matrices for the 20 T_l and three saturation primes at N = 421,
     # against 26,924 in Merel's families
     ells = primes_up_to(71) + [431, 433, 439]
-    assert sum(len(cremona_matrices(ell)) for ell in ells) == 8694
+    assert sum(len(cremona_families([ell])[0]) for ell in ells) == 8694
 
 
 def test_cremona_families_walk_an_unsorted_list_with_repeats():
     # one lockstep walk gives each family in the order asked, each as
-    # cremona_matrices of one l gave it (at 2, Merel's four in that order)
+    # the walk of that l alone gives it (at 2, Merel's four in that order)
     ells = [439, 2, 7, 3, 2, 431, 7, 5, 433, 3]
     fams = cremona_families(ells)
     assert len(fams) == len(ells)
@@ -522,7 +538,7 @@ def test_family_counts_match_the_inverse_index_at_every_context_prime(N):
     sturm = -(-(N + 1) // 6)
     above = [q for q in primes_up_to(max(N, sturm) + 100) if q > max(N, sturm)][:3]
     for ell in [ell for ell in primes_up_to(sturm) if ell != N] + above:
-        fam = cremona_matrices(ell)
+        fam = cremona_families([ell])[0]
         assert np.array_equal(family_counts(symbols, fam, N),
                               inverse_family_counts(symbols, fam, N, sp._inv)), ell
         assert np.array_equal(family_counts(symbols, merel_matrices(ell), N),
@@ -532,7 +548,7 @@ def test_family_counts_match_the_inverse_index_at_every_context_prime(N):
 def test_family_counts_match_the_inverse_index_at_1871():
     # T_2, which the mod-p route counts at 1871, on every symbol
     pres = presentation(1871)
-    for fam in (cremona_matrices(2), merel_matrices(2)):
+    for fam in (cremona_families([2])[0], merel_matrices(2)):
         got = family_counts(pres.generators, fam, 1871)
         assert np.array_equal(got, inverse_family_counts(pres.generators, fam, 1871, pres.inv))
     assert np.array_equal(got, merel_counts(pres.generators, 2, 1871, pres.inv))
@@ -661,7 +677,7 @@ def test_hecke_counts_are_cremona_and_minus_w_n(N):
     gens, inv = sp.generators, sp._inv
     for ell in (2, 3, 5, 7):
         assert np.array_equal(hecke_counts(gens, ell, N, inv),
-                              family_counts(gens, cremona_matrices(ell), N))
+                              family_counts(gens, cremona_families([ell])[0], N))
     # at l = N, each generator's counts reduce to -W_N of its path in M_rel
     red = dense_reduction(sp).array
     got = mul_int64(hecke_counts(gens, N, N, inv), red)
