@@ -203,6 +203,13 @@ def left_kernel(A: IntMatrix) -> list:
     return [u[i] for i in range(A.rows) if not any(h[i])]
 
 
+def hnf_rows(A: IntMatrix) -> list:
+    """The nonzero rows, as Python-int lists, of the canonical row
+    Hermite form of the lattice of A's rows: pivots positive, each entry
+    above a pivot in [0, pivot)."""
+    return [r for r in _hnf_inplace(A.array.tolist()) if any(r)]
+
+
 def left_inverse(B: IntMatrix) -> IntMatrix:
     """Integral L with B*L = I, for B of full row rank whose row lattice
     is saturated; then v*L is the solution x of x*B = v for every v in

@@ -49,7 +49,7 @@ from .quadfield import (
 )
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 6  # context cache files
+FORMAT_VERSION = 7  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
@@ -274,8 +274,13 @@ def _space_digest(space):
     that fixes a coordinate, and of the coordinate symbols: the quotient
     map as the dense (N + 1) x (2g + 1) reduction it stands for, labelled
     `reduction` and streamed a block of rows at a time, so no dense copy
-    is made, then the symbols, `star`, `plus_basis` and `minus_basis`.
-    It is what a cache file keeps of the space."""
+    is made, then the symbols and `star`.  It is what a cache file keeps
+    of the space.
+
+    The signed bases are left out: each is the canonical Hermite form of
+    an eigenlattice of the star (`modsym.signed_basis`), so a function of
+    the star, which the digest covers.  A plus-side build, save or load
+    therefore never derives M^-."""
     h = hashlib.sha256()
     qmap = space.qmap
     nrows = len(qmap.indptr) - 1
@@ -288,7 +293,7 @@ def _space_digest(space):
         block = np.zeros((hi - lo, qmap.ncols), dtype="<i8")
         block[row, qmap.cols[run]] = qmap.vals[run]
         h.update(block.tobytes())
-    for name in ("coord_symbols", "star", "plus_basis", "minus_basis"):
+    for name in ("coord_symbols", "star"):
         m = getattr(space, name)
         if name == "coord_symbols":
             m = IntMatrix([m])

@@ -134,13 +134,19 @@ def _rref_rows(a, p):
     The merge keeps the echelon form: a top row is zero left of its
     pivot, and the bottom rows it takes multiples of have their pivots
     right of it, so it stays zero there; the bottom rows are zero at
-    the top's pivot columns, so the top's unit columns survive.
+    the top's pivot columns, so the top's unit columns survive.  Those
+    columns are dropped before the bottom half recurses, so its leaves
+    never search them, and its pivot columns are mapped back.
     """
     if a.shape[0] <= _RREF_LEAF:
         return _gauss_jordan_leaf(a, p)
     h = a.shape[0] // 2
     top, tcols = _rref_rows(a[:h], p)
-    low, lcols = _rref_rows(_mod_p(a[h:] - a[h:, tcols] @ top, p), p)
+    rest = np.delete(np.arange(a.shape[1]), tcols)
+    cleared, lcols = _rref_rows(_mod_p(a[h:, rest] - a[h:, tcols] @ top[:, rest], p), p)
+    low = np.zeros((len(lcols), a.shape[1]))
+    low[:, rest] = cleared
+    lcols = rest[lcols].tolist()
     top = _mod_p(top - top[:, lcols] @ low, p)
     cols = tcols + lcols
     order = np.argsort(cols)

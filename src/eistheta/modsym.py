@@ -103,17 +103,52 @@ also gives U_N, once its images (0:0) are dropped, but it has 6,991
 matrices at N = 421 against 2g + 1 = 69 walks, so it stays only in the
 tests, as the independent oracle this U_N is checked against.
 
-The fixed matrices of a space (star, the signed bases and their
-integral left inverses) are `IntMatrix`es, each stored once as a
-read-only array, int64 while its entries fit; the quotient map is the
-read-only CSR.  `build_space` makes the quotient map and the star; the
-signed bases and their inverses are derived on first use, so the
-mod-p route, which reads only the star and the Hecke matrices, never
-makes them.  Products with them run in int64 under `mul_int64`'s
-bound, which raises rather than overflow.
-A solve x @ B = v is v @ L for a left inverse L of B, proven by
+The fixed matrices of a space (star and the signed bases) are
+`IntMatrix`es, each stored once as a read-only array, int64 while its
+entries fit; the quotient map is the read-only CSR.  `build_space`
+makes the quotient map and the star; each signed basis, and its left
+inverse, is derived on first use and on its own, so the mod-p route,
+which reads only the star and the Hecke matrices, never makes one, and
+a plus context never makes M^-.  Products with them run in int64 under
+`mul_int64`'s bound, which raises rather than overflow.
+
+The signed basis of M^s, s = +-1, is the lattice {x : x S = s x} of the
+star S in canonical row Hermite form, read off the star's pairs
+(`signed_basis`), as Cremona's plus quotient (ch. 2) and the mod-p
+route's `_plus_quotient` read them mod p.  Most rows of S are a signed
+permutation's: row a holds one entry e, at column b, and row b one, at
+a.  S^2 = I makes the two entries one and the same e = +-1, and a pair
+whose entries are not raises.  The pair {a < b} gives the vector
+e_a + s e e_b of M^s, and a row a whose one entry, at a, is s gives
+e_a.  Call those columns a and f, the columns b the partners, and every
+other row an o row.  Subtracting x_a (e_a + s e e_b) and x_f e_f from
+an x of M^s leaves one with x_a = x_f = 0, which solves x S = s x
+exactly when its o coordinates y do and its partners are
+x_b = -e y S_oa (column a of x S = s x): column o' of the equations is
+y (S_oo - s I) = 0, column b is y (S_ob + s e S_oa) = 0 once x_b is put
+in, and column f is y S_of = 0.  Every integral y of that kernel lifts
+to an integral x, so M^s is spanned by the pair and fixed vectors and
+the lift of a basis of the left kernel of the reduced system
+[S_oo - sI | S_ob + s e S_oa | S_of], which `left_kernel` gives.  That
+kernel is saturated in Z^o, and so is its lift, as projecting to the o
+coordinates undoes it.  At N = 421 the star has 30 o rows of 68, at
+9931 532 of 1654.  The lifted rows get their own Hermite form, on the
+columns they touch.  The pair and fixed vectors have pivot 1 at a and
+f, where every other vector is 0; of the pivots of the lifted rows only
+a partner b can hold an entry of another row, s e in its pair's vector,
+so each pair vector is reduced at the lifted pivots, in increasing
+order.  The rows sorted by pivot are then the lattice's canonical
+Hermite form, a function of the star alone.  Last, every row is checked
+to be fixed by s S, on the star's nonzero entries (`CSR.left_mul`).
+
+A solve x @ B = v is read off a left inverse of B, proven by
 multiplying back (`solve_by_inverse`); `restrict_to_sign` and the
-valuations solve that way.
+valuations solve that way.  When every pivot of a Hermite basis B is
+1, B is the identity at its pivot columns, as the entries above a
+pivot 1 are 0, so x is v at those columns (`hermite_left_inverse`):
+no elimination and no product.  That holds at every level measured;
+otherwise `left_inverse` gives a matrix L with B @ L = I, and x is
+v @ L.
 
 The theta element of D is the chain sum_a chi_D(a) {0, a/m}, m = |D|,
 and only the a < m/2 are walked (the half walk).  Proof: pair a > m/2
@@ -187,7 +222,9 @@ import numpy as np
 
 from .exact_linalg import (
     IntMatrix,
+    as_int64,
     factorize,
+    hnf_rows,
     is_prime,
     kronecker,
     left_inverse,
@@ -537,8 +574,13 @@ class ModularSymbolSpace:
     No dense copy of it is kept.  M is the slice of
     coordinates 1 .. 2g (module docstring): `star`, `plus_basis`,
     `minus_basis` and the Hecke matrices live in those cuspidal
-    coordinates.  The signed bases and their left inverses are derived
-    from `star` on first use, and each is then kept.  The symbol
+    coordinates.  Each signed basis is derived from `star` on first use,
+    one sign at a time, and then kept: the canonical Hermite form of the
+    star's eigenlattice (`signed_basis`), from its pair vectors
+    e_a + s e e_b and the saturated lift of the left kernel of the
+    reduced system on the other rows (module docstring), checked to
+    have rank g.  Its left inverse is its pivot columns when every pivot
+    is 1 (`hermite_left_inverse`).  The symbol
     indexing (`generators`, `_inv`, `_iota`) is that of
     `presentation(N)`.  `build_space(N)` makes every field a
     deterministic function of N, so a cache file stores N and a digest
@@ -560,41 +602,40 @@ class ModularSymbolSpace:
         v %= self.N
         return p1_index(u, v, self.N, self._inv) if u or v else None
 
+    def _signed_basis(self, sign):
+        """`signed_basis` of the star, checked to have rank g."""
+        basis = signed_basis(self.star.array, sign)
+        if len(basis) != self.genus:
+            raise ValueError(f"the star's {sign:+d} eigenlattice has rank {len(basis)}, "
+                             f"not g = {self.genus}")
+        return IntMatrix(basis)
+
     @cached_property
-    def _star_eigenlattices(self):
-        """(M^+, M^-) from one `star_decompose`, each checked to have
-        rank g."""
-        plus, minus = star_decompose(self.star)
-        if plus.rows != self.genus or minus.rows != self.genus:
-            raise ValueError("star eigenlattices do not both have rank g")
-        return plus, minus
-
-    @property
     def plus_basis(self):
-        """Rows: a basis of M^+ in cuspidal coordinates."""
-        return self._star_eigenlattices[0]
+        """Rows: the Hermite basis of M^+ in cuspidal coordinates."""
+        return self._signed_basis(1)
 
-    @property
+    @cached_property
     def minus_basis(self):
-        """Rows: a basis of M^- in cuspidal coordinates."""
-        return self._star_eigenlattices[1]
+        """Rows: the Hermite basis of M^- in cuspidal coordinates."""
+        return self._signed_basis(-1)
 
-    # integral left inverses of the signed bases, never written to a
-    # cache file (see `solve_by_inverse`)
+    # left inverses of the signed bases (`hermite_left_inverse`), never
+    # written to a cache file
     @cached_property
     def plus_inverse(self):
-        return left_inverse(self.plus_basis)
+        return hermite_left_inverse(self.plus_basis)
 
     @cached_property
     def minus_inverse(self):
-        return left_inverse(self.minus_basis)
+        return hermite_left_inverse(self.minus_basis)
 
     def signed(self, sign):
-        """The arrays of the basis of M^+ (sign > 0) or M^- and of its
-        left inverse."""
+        """The array of the basis of M^+ (sign > 0) or M^-, and its left
+        inverse as `solve_by_inverse` reads it."""
         if sign > 0:
-            return self.plus_basis.array, self.plus_inverse.array
-        return self.minus_basis.array, self.minus_inverse.array
+            return self.plus_basis.array, self.plus_inverse
+        return self.minus_basis.array, self.minus_inverse
 
     @cached_property
     def relation_kernel_basis(self):
@@ -673,11 +714,83 @@ def _space_from_tree(pres, free, red):
     )
 
 
-def star_decompose(star):
-    """Saturated eigenlattices (M^+, M^-) of the star involution, as
-    rows in the coordinates the matrix `star` acts on."""
-    ident = np.eye(star.rows, dtype=np.int64)
-    return tuple(IntMatrix(left_kernel(IntMatrix(star.array + s * ident))) for s in (-1, 1))
+def signed_basis(star, sign):
+    """The canonical row Hermite form, an int64 array, of the lattice
+    {x : x S = sign x} of the star involution S, an int64 array `star`,
+    read off its signed-permutation pairs (module docstring).  Raises
+    ValueError if a pair's two entries are not one and the same +-1, or
+    if a row of the result is not fixed by sign * S, which is tested on
+    the star's nonzero entries."""
+    n = len(star)
+    which, cols = np.nonzero(star)
+    vals = star[which, cols]
+    size = np.bincount(which, minlength=n)
+    first = np.cumsum(size) - size
+    single = np.flatnonzero(size == 1)
+    pi = np.full(n, -1)
+    eps = np.zeros(n, dtype=np.int64)
+    pi[single], eps[single] = cols[first[single]], vals[first[single]]
+    paired = np.zeros(n, dtype=bool)
+    paired[single] = pi[pi[single]] == single
+    j = np.arange(n)
+    a = np.flatnonzero(paired & (j < pi))
+    b, e = pi[a], eps[a]
+    if (np.abs(e) != 1).any() or (eps[b] != e).any():
+        raise ValueError("a signed-permutation pair of the star is not a +-1 transposition")
+    fixed = np.flatnonzero(paired & (j == pi) & (eps == sign))
+    other = np.flatnonzero(~paired | ((j == pi) & (eps != sign)))
+
+    # the other coordinates y of the lattice: the left kernel of the
+    # reduced system, lifted by x_b = -e y S_oa
+    s_o = star[other]
+    system = np.hstack([s_o[:, other] - sign * np.eye(len(other), dtype=np.int64),
+                        s_o[:, b] + sign * e * s_o[:, a], s_o[:, fixed]])
+    system = system[:, system.any(axis=0)]
+    ker = left_kernel(IntMatrix(system)) if system.any() else np.eye(len(other), dtype=np.int64)
+    y = as_int64(ker).reshape(len(ker), len(other))
+    lift = np.zeros((len(y), n), dtype=np.int64)
+    lift[:, other] = y
+    lift[:, b] = -e * mul_int64(y, s_o[:, a])
+    # its Hermite form, on the columns the lift touches
+    h = np.zeros((len(y), n), dtype=np.int64)
+    touched = np.flatnonzero(lift.any(axis=0))
+    if len(y):
+        h[:, touched] = as_int64(hnf_rows(IntMatrix(lift[:, touched])))
+    piv = np.argmax(h != 0, axis=1)
+    d = h[np.arange(len(h)), piv]
+
+    # the pair rows e_a + sign e e_b, reduced at the derived pivots in
+    # increasing order, and the fixed rows e_f
+    top = np.zeros((len(a) + len(fixed), n), dtype=np.int64)
+    top[np.arange(len(a)), a] = 1
+    top[np.arange(len(a)), b] = sign * e
+    top[len(a) + np.arange(len(fixed)), fixed] = 1
+    for k in range(len(h)):
+        q = top[:len(a), piv[k]] // d[k]
+        hit = np.flatnonzero(q)
+        top[hit] -= q[hit, None] * h[k]
+    basis = np.vstack([top, h])[np.argsort(np.concatenate([a, fixed, piv]))]
+
+    if int(np.abs(basis).max(initial=0)) * int(np.abs(vals).max(initial=0)) * n >= 2**63:
+        raise ValueError("signed basis too large for an int64 check")
+    image = CSR.from_entries(which, cols, vals, n, n).left_mul(basis)
+    if not np.array_equal(image, sign * basis):
+        raise ValueError(f"the signed basis is not fixed by {sign:+d} times the star")
+    return basis
+
+
+def hermite_left_inverse(basis):
+    """A left inverse of the Hermite basis `basis` (an IntMatrix), as
+    `solve_by_inverse` reads it: the read-only int64 array of its pivot
+    columns when every pivot is 1, at which the basis is the identity
+    (the entries above a pivot 1 are 0); the array of `left_inverse`
+    otherwise."""
+    b = basis.array
+    cols = np.argmax(b != 0, axis=1)
+    if (b[np.arange(len(b)), cols] == 1).all():
+        cols.flags.writeable = False
+        return cols
+    return left_inverse(basis).array
 
 
 # ---------------------------------------------------------------------------
@@ -858,10 +971,12 @@ def hecke_matrix(pairs, qmap, nrows):
 
 
 def solve_by_inverse(B, L, v):
-    """The x with x @ B = v, for int64 arrays, read off as v @ L through
-    a left inverse L of B (B @ L = I) and proven by multiplying back;
-    raises ValueError if some row of v is outside the row lattice of B."""
-    x = mul_int64(v, L)
+    """The x with x @ B = v, for int64 arrays, read off through a left
+    inverse L of B (`hermite_left_inverse`): v[:, L] when L lists B's
+    pivot columns, v @ L when it is a matrix (B @ L = I).  Proven by
+    multiplying back; raises ValueError if some row of v is outside the
+    row lattice of B."""
+    x = v[:, L] if L.ndim == 1 else mul_int64(v, L)
     if not np.array_equal(mul_int64(x, B), v):
         raise ValueError("vector is not in the row span")
     return x

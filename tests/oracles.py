@@ -24,6 +24,8 @@ remainders: the two references for that walk.  Both read chi_D off
 own before it made only the half the walk reads, sharing the tables
 of a window (`modsym._half_chis`), so neither reference runs the code
 it checks.
+`star_decompose` gives both eigenlattices of the star as the left
+kernels of the dense star -+ I, which `modsym.signed_basis` replaced.
 `saturated_cuspidal_basis` is M as the saturated kernel of the
 boundary map, which `modsym` now reads off as M_rel without its
 coordinate 0, and `shuffled_tree_space` a space on a second spanning
@@ -940,6 +942,16 @@ def saturated_cuspidal_basis(space):
     return IntMatrix(left_kernel(bd))
 
 
+def star_decompose(star):
+    """Saturated eigenlattices (M^+, M^-) of the star involution, as
+    rows in the coordinates the IntMatrix `star` acts on: the left
+    kernels of star -+ I by Hermite form with transform, the route
+    `modsym` took before it read them off the star's pairs
+    (`modsym.signed_basis`)."""
+    ident = np.eye(star.rows, dtype=np.int64)
+    return tuple(IntMatrix(left_kernel(IntMatrix(star.array + s * ident))) for s in (-1, 1))
+
+
 def shuffled_tree_space(N, seed=0):
     """The space at N on a second spanning tree: `tree_reduction` grown
     from the relation triples in a shuffled order, which is another
@@ -1123,7 +1135,7 @@ def bsgs_dlog(N, g, x):
 def space_digest(space, rows=1024):
     """sha256 of the space as a cache file keeps it: the quotient map as
     the dense reduction, `rows` rows at a time through `CSR.dense`, then
-    the coordinate symbols, `star`, `plus_basis` and `minus_basis`."""
+    the coordinate symbols and `star`."""
     h = hashlib.sha256()
     qmap = space.qmap
     nrows = len(qmap.indptr) - 1
@@ -1131,7 +1143,7 @@ def space_digest(space, rows=1024):
     for lo in range(0, nrows, rows):
         block = qmap.dense(np.arange(lo, min(lo + rows, nrows)))
         h.update(block.astype("<i8").tobytes())
-    for name in ("coord_symbols", "star", "plus_basis", "minus_basis"):
+    for name in ("coord_symbols", "star"):
         m = getattr(space, name)
         if name == "coord_symbols":
             m = IntMatrix([m])

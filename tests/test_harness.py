@@ -36,7 +36,7 @@ from eistheta.harness import (
     sweep_odd,
     sweep_window,
 )
-from eistheta.modsym import build_space, hecke, theta_element
+from eistheta.modsym import ModularSymbolSpace, build_space, hecke, theta_element
 from eistheta.quadfield import validate_discriminant
 from oracles import dense_reduction, shuffled_tree_space, space_digest
 
@@ -310,12 +310,12 @@ def test_cache_round_trip(tmp_path):
 
 
 # sha256 and size of what save_context writes for build_pair(N, 5, 3, sign),
-# pinned again at format version 6, whose space digest covers the
-# coordinate symbols in place of the section, boundary and cuspidal basis
+# pinned again at format version 7, whose signed bases are canonical
+# Hermite forms, left out of the space digest
 CACHE_BYTES = {
-    (11, 1): ("a0735a38f3ca59f0c22bb3b1dc38059c37330641489e4ebe28338b163479170c", 293),
-    (211, 1): ("18e4c7df83d49c291ef89bba1081e8fd4744d412f7e85ac47d90ac1949fcf091", 6311),
-    (211, -1): ("5ef70cf6e4ffe0feb7ff9035d8252bfd9d7cf84b4b325a62182ac1fd1bd3791c", 6356),
+    (11, 1): ("dd1b495e144f9d7c677e2fd6d1b074177d7c3c94dff41cb19fe9dd7d8ae712e5", 293),
+    (211, 1): ("640c464b89b1b006a96415417788edb8deb105488f2f1cd7266107ba9b8c67a7", 6373),
+    (211, -1): ("9cd84fbfa29868e7576d17282618e5d812ce1914bf78d20ab8b4c45ebb016435", 6353),
 }
 
 
@@ -334,7 +334,7 @@ def test_bench_and_demo_readers_see_python_ints():
     section = space.relation_kernel_basis.entries
     support = sum(1 for j in range(len(space.generators)) if any(r[j] for r in section))
     assert (support, len(space.generators)) == (35, 212)
-    assert max(abs(x).bit_length() for w in ctx.W for r in w.entries for x in r) == 14
+    assert max(abs(x).bit_length() for w in ctx.W for r in w.entries for x in r) == 16
     assert all(type(d) is int for sd in ctx.snf_of_W for d in sd.diag)
     diags = [[str(d) for d in sd.diag] for sd in ctx.snf_of_W]
     assert [d[-2:] for d in diags] == [["1", "1"], ["1", "35"], ["5", "245"],
@@ -376,12 +376,18 @@ def test_cache_rejects_foreign_version(tmp_path):
     # version 1 files also stored the unused SNF left transforms, version 3
     # files every matrix of the space, version 4 files the generators of I,
     # the SNF diagonals and right transforms and e, version 5 files a
-    # digest of the section, boundary and cuspidal basis
+    # digest of the section, boundary and cuspidal basis, version 6 files
+    # W in the coordinates of the bases of the dense star's Hermite
+    # transform, which the digest covered
     for version in (0, 1, 3, 4, 5):
         envelope["format_version"] = version
         path.write_text(json.dumps(envelope))
         with pytest.raises(CacheVersionError, match="version"):
             load_context(path)
+    envelope["format_version"] = 6
+    path.write_text(json.dumps(envelope))
+    with pytest.raises(CacheVersionError, match="file has 6, this build reads 7"):
+        load_context(path)
     assert issubclass(CacheVersionError, ValueError)
 
 
@@ -402,7 +408,7 @@ def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
     envelope = json.loads(path.read_text())
     envelope["format_version"] = 2
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 2, this build reads 6"):
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 7"):
         load_context(path)
 
 
@@ -429,6 +435,19 @@ def test_space_digest_matches_the_dense_blocks(N):
     # map's pointers; the oracle builds the same blocks through CSR.dense
     # (at 1871 the 1,872 rows make two blocks)
     assert harness._space_digest(build_space(N)) == space_digest(build_space(N))
+
+
+def test_plus_side_cache_never_derives_the_minus_basis(tmp_path, monkeypatch):
+    # the digest leaves the signed bases out, so a plus build, save and
+    # load reads M^+ alone
+    monkeypatch.setattr(ModularSymbolSpace, "minus_basis",
+                        property(lambda self: pytest.fail("M^- was derived")))
+    space, ctx = build_pair(211, 5, 3, 1)
+    path = tmp_path / "ctx.json"
+    save_context(space, ctx, path)
+    space2, ctx2 = load_context(path)
+    assert ctx2.W == ctx.W and ctx2.g_p == ctx.g_p == 2
+    assert space2.plus_basis == space.plus_basis
 
 
 def test_cache_rejects_tampered_payload(tmp_path):

@@ -244,7 +244,7 @@ def test_star_image_with_a_boundary_is_refused(monkeypatch):
 def test_the_route_never_decomposes_the_star(monkeypatch):
     # the route reads the space's star and Hecke matrices, never its signed
     # bases, and `build_space` alone does not make them
-    monkeypatch.setattr(modsym, "star_decompose", lambda star:
+    monkeypatch.setattr(modsym, "signed_basis", lambda star, sign:
                         pytest.fail("the star was decomposed"))
     assert g_p_dimension_modp(1871, 5) == 2
     build_space(211)
@@ -554,6 +554,27 @@ def test_rref_halving_matches_panel_oracle():
     for block in (128, 7):
         want, want_pivots = panel_rref_mod_p(a, 5, block=block)
         assert pivots == want_pivots and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dense", "lowrank"])
+def test_no_leaf_sees_a_top_pivot_column(kind, monkeypatch):
+    # the leaves run in order, and each earlier leaf lies in the top half of
+    # a split whose bottom half holds the later one: so a leaf gets every
+    # column but the pivot columns the leaves before it found
+    seen = []
+    real = modp._gauss_jordan_leaf
+
+    def leaf(a, p):
+        out = real(a, p)
+        seen.append((a.shape[1], len(out[1])))
+        return out
+
+    monkeypatch.setattr(modp, "_gauss_jordan_leaf", leaf)
+    a = _rref_input(7, 129, 140, kind, seed=129)
+    _assert_rref_matches_oracles(a, 7)
+    widths, found = map(list, zip(*seen))
+    assert len(seen) == 9 and sum(found) == (129 if kind == "dense" else 24)
+    assert widths == [140 - sum(found[:i]) for i in range(len(seen))]
 
 
 def _largest_exact_prime(m):

@@ -38,7 +38,8 @@ from eistheta.modsym import (
     path_to_chain,
     presentation,
     quotient_map,
-    star_decompose,
+    signed_basis,
+    solve_by_inverse,
     theta_element,
     theta_elements,
     tree_reduction,
@@ -55,6 +56,7 @@ from oracles import (
     family_counts,
     full_theta_counts,
     hecke_counts,
+    hnf,
     inverse_family_counts,
     loop_presentation,
     mat_mul,
@@ -64,6 +66,7 @@ from oracles import (
     saturated_cuspidal_basis,
     snf_section_reduction,
     solve_left,
+    star_decompose,
     symbol_boundary,
 )
 
@@ -400,24 +403,77 @@ def test_star_is_an_involution():
         sp = build_space(N)
         assert mat_mul(sp.star, sp.star) == IntMatrix.identity(sp.star.rows)
         plus, minus = star_decompose(sp.star)
-        assert plus == sp.plus_basis and minus == sp.minus_basis
+        assert hnf(plus) == sp.plus_basis and hnf(minus) == sp.minus_basis
+
+
+@pytest.mark.parametrize("N", sorted({N for N, _ in ADMISSIBLE}) + [421, 1871, 4621])
+def test_signed_basis_is_the_hermite_form_of_the_star_eigenlattices(N):
+    # read off the star's pairs, the basis is the canonical Hermite form of
+    # the eigenlattice that the dense left kernel of star -+ I spans
+    sp = build_space(N)
+    oracle = star_decompose(sp.star)
+    for sign, lattice in zip((1, -1), oracle):
+        assert np.array_equal(signed_basis(sp.star.array, sign), hnf(lattice).array), (N, sign)
 
 
 def test_signed_bases_are_derived_once_on_first_use(monkeypatch):
-    # `build_space` makes no signed basis; the first read decomposes the
-    # star once for both signs, and a star whose eigenlattices do not
-    # both have rank g is refused there
+    # `build_space` makes no signed basis; each sign's is derived on its
+    # first read, alone, and a star whose eigenlattice does not have rank g
+    # is refused there
     calls = []
-    real = modsym.star_decompose
-    monkeypatch.setattr(modsym, "star_decompose", lambda star: calls.append(1) or real(star))
+    real = modsym.signed_basis
+    monkeypatch.setattr(modsym, "signed_basis",
+                        lambda star, sign: calls.append(sign) or real(star, sign))
     sp = build_space(31)
     assert calls == []
     plus = sp.plus_basis
     assert sp.plus_basis is plus and calls == [1]
-    assert sp.minus_basis.rows == sp.genus == 2 and calls == [1]
+    assert sp.minus_basis.rows == sp.genus == 2 and calls == [1, -1]
     bad = dataclasses.replace(sp, star=IntMatrix(np.diag([1, 1, 1, -1])))  # ranks 3 and 1
-    with pytest.raises(ValueError, match="do not both have rank g"):
+    with pytest.raises(ValueError, match=r"\+1 eigenlattice has rank 3, not g = 2"):
         bad.plus_basis
+    with pytest.raises(ValueError, match=r"-1 eigenlattice has rank 1, not g = 2"):
+        bad.minus_basis
+
+
+def test_a_star_pair_must_be_a_signed_transposition():
+    # rows 0 and 1 hold one entry each, at each other's column: a pair, whose
+    # entries must be one and the same +-1 (S^2 = I)
+    sp = build_space(11)
+    for star in ([[0, 1], [-1, 0]], [[0, -1], [1, 0]], [[0, 2], [2, 0]]):
+        bad = dataclasses.replace(sp, star=IntMatrix(star))
+        for sign in (1, -1):
+            with pytest.raises(ValueError, match="not a \\+-1 transposition"):
+                signed_basis(bad.star.array, sign)
+        with pytest.raises(ValueError, match="not a \\+-1 transposition"):
+            bad.plus_basis
+
+
+def test_a_pivot_above_one_takes_the_left_inverse():
+    # the planted star [[1, 1], [0, -1]] has no pair: its plus lattice is
+    # spanned by (2, 1), pivot 2, whose left inverse is a matrix; its minus
+    # lattice by (0, 1), pivot 1, whose left inverse is the pivot column
+    sp = dataclasses.replace(build_space(11), star=IntMatrix([[1, 1], [0, -1]]))
+    assert sp.plus_basis == IntMatrix([[2, 1]]) and sp.minus_basis == IntMatrix([[0, 1]])
+    basis, inverse = sp.signed(1)
+    assert inverse.ndim == 2 and (basis @ inverse == 1).all()
+    assert solve_by_inverse(basis, inverse, np.array([[4, 2], [-2, -1]])).tolist() == [[2], [-1]]
+    with pytest.raises(ValueError, match="not in the row span"):
+        solve_by_inverse(basis, inverse, np.array([[1, 0]]))
+    basis, inverse = sp.signed(-1)
+    assert inverse.tolist() == [1]
+    assert solve_by_inverse(basis, inverse, np.array([[0, 3]])).tolist() == [[3]]
+    with pytest.raises(ValueError, match="not in the row span"):
+        solve_by_inverse(basis, inverse, np.array([[1, 3]]))
+
+
+def test_real_signed_bases_have_unit_pivots():
+    # every level measured takes the pivot-column inverse
+    for N in (11, 211, 421, 1871):
+        sp = build_space(N)
+        for sign in (1, -1):
+            basis, inverse = sp.signed(sign)
+            assert inverse.ndim == 1 and np.array_equal(basis[:, inverse], np.eye(sp.genus))
 
 
 def test_star_eigenlattice_index_is_power_of_two():
