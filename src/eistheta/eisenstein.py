@@ -134,7 +134,6 @@ from .exact_linalg import (
     is_prime,
     log_to_p,
     mul_exact,
-    mul_int64,
     primes_up_to,
     scaled_inverse_mod,
     snf,
@@ -454,7 +453,7 @@ def alpha_check(ctx, samples, logmap=None):
         if gcd(d, space.N) != 1:
             raise ValueError("sample denominator shares a factor with N")
         x = cuspidal_coords(as_int64([path_to_chain(space, b, d)]), "path")
-        sym = x + mul_int64(x, space.star.array)
+        sym = x + space.star.left_mul(x)
         y = solve_by_inverse(plus, plus_inv, sym)[0].tolist()
         val = _alpha_of_plus_vector(ctx, y) * inv2 % ctx.p
         pairs.append((val, log_to_p(d, lm)))

@@ -28,8 +28,9 @@ import numpy as np
 def _int_array(data):
     """The read-only array of an IntMatrix from a nonempty 2-D integer
     array-like: int64 when every entry fits, else dtype=object holding
-    Python ints.  Raises ValueError for any other shape and for entries
-    that are not integers (floats included)."""
+    Python ints; an int64 array is kept with no copy, made read-only in
+    place.  Raises ValueError for any other shape and for entries that
+    are not integers (floats included)."""
     a = np.asarray(data)
     if a.ndim != 2 or not a.size:
         raise ValueError("an IntMatrix needs a nonempty 2-D array")
@@ -40,7 +41,7 @@ def _int_array(data):
         except TypeError:
             raise ValueError("matrix entries must be integers") from None
     try:
-        a = a.astype(np.int64)
+        a = a.astype(np.int64, copy=False)
     except OverflowError:  # an entry does not fit: keep the Python ints
         pass
     a.flags.writeable = False

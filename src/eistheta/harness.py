@@ -265,40 +265,36 @@ def _dec_matrix(rows):
     return IntMatrix([[int(x) for x in row] for row in rows])
 
 
-# quotient-map rows per dense block that `_space_digest` hashes
+# rows per dense block that `_space_digest` hashes
 _DIGEST_ROWS = 1024
+
+
+def _digest_csr(h, name, m):
+    """Feed sha256 `h` the label `name`, the shape and the int64 bytes of
+    the dense matrix of the `CSR` m, made `_DIGEST_ROWS` rows at a time."""
+    nrows = len(m.indptr) - 1
+    h.update(f"{name}:{nrows}x{m.ncols};".encode())
+    for lo in range(0, nrows, _DIGEST_ROWS):
+        h.update(m.dense(np.arange(lo, min(lo + _DIGEST_ROWS, nrows))).astype("<i8").tobytes())
 
 
 def _space_digest(space):
     """sha256 of the shape and int64 bytes of each matrix of the space
     that fixes a coordinate, and of the coordinate symbols: the quotient
-    map as the dense (N + 1) x (2g + 1) reduction it stands for, labelled
-    `reduction` and streamed a block of rows at a time, so no dense copy
-    is made, then the symbols and `star`.  It is what a cache file keeps
-    of the space.
+    map as the dense (N + 1) x (2g + 1) reduction, labelled `reduction`,
+    then the symbols, then the dense 2g x 2g `star`, both matrices
+    streamed by `_digest_csr`.  It is what a cache file keeps of the
+    space.
 
     The signed bases are left out: each is the canonical Hermite form of
     an eigenlattice of the star (`modsym.signed_basis`), so a function of
     the star, which the digest covers.  A plus-side build, save or load
     therefore never derives M^-."""
     h = hashlib.sha256()
-    qmap = space.qmap
-    nrows = len(qmap.indptr) - 1
-    h.update(f"reduction:{nrows}x{qmap.ncols};".encode())
-    for lo in range(0, nrows, _DIGEST_ROWS):
-        # the block's entries are the contiguous run indptr[lo] .. indptr[hi]
-        hi = min(lo + _DIGEST_ROWS, nrows)
-        run = slice(qmap.indptr[lo], qmap.indptr[hi])
-        row = np.repeat(np.arange(hi - lo), np.diff(qmap.indptr[lo:hi + 1]))
-        block = np.zeros((hi - lo, qmap.ncols), dtype="<i8")
-        block[row, qmap.cols[run]] = qmap.vals[run]
-        h.update(block.tobytes())
-    for name in ("coord_symbols", "star"):
-        m = getattr(space, name)
-        if name == "coord_symbols":
-            m = IntMatrix([m])
-        h.update(f"{name}:{m.rows}x{m.cols};".encode())
-        h.update(m.array.astype("<i8").tobytes())
+    _digest_csr(h, "reduction", space.qmap)
+    h.update(f"coord_symbols:1x{len(space.coord_symbols)};".encode()
+             + np.array(space.coord_symbols, dtype="<i8").tobytes())
+    _digest_csr(h, "star", space.star)
     return h.hexdigest()
 
 

@@ -25,14 +25,15 @@ route keeps the exact route's checks: the coordinate symbols reduce to
 the identity over Z, and no star or Hecke image has a boundary.
 
 The plus quotient (`_plus_quotient`) is the fixed space of the space's
-star matrix S on the 2g cuspidal coordinates, checked to square to the
-identity mod p on its nonzero entries.  For p odd and S^2 = I it is the
-row space of I + S: (I + S) S = S + S^2 = I + S, so each row is fixed,
-and a fixed x is (x/2)(I + S).  Most rows of S are those of a signed
-permutation, row j a single entry e at pi(j) and row pi(j) a single
-entry at j; such a pair gives the one vector e_j + e e_pi(j).  Those
+star S, the sparse 2g x 2g `CSR` on the cuspidal coordinates, checked
+to square to the identity mod p on its nonzero entries.  For p odd and
+S^2 = I it is the row space of I + S: (I + S) S = S + S^2 = I + S, so
+each row is fixed, and a fixed x is (x/2)(I + S).  Most rows of S are
+those of a signed permutation, row j a single entry e at pi(j) and row
+pi(j) a single entry at j, which `modsym.star_pairs` reads for both
+routes; such a pair gives the one vector e_j + e e_pi(j).  Those
 vectors clear their columns out of the other rows, and only the other
-rows are eliminated: 78 of 312 at N = 1871.
+rows are made dense and eliminated: 78 of 312 at N = 1871.
 
 The loop stops as soon as its answer is proven (`g_p_dimension_modp`):
 every cut keeps the m-part, so the dimension never drops below g_p,
@@ -65,7 +66,7 @@ products of residues, which the bound it checks up front keeps within
 
 import numpy as np
 
-from .modsym import build_space, check_pair, hecke, sturm_primes
+from .modsym import build_space, check_pair, hecke, star_pairs, sturm_primes
 
 
 def _mod_p(x, p):
@@ -264,8 +265,8 @@ def merel_criterion(N, p):
 def _plus_quotient(star, p):
     """(rows, cols): a basis over F_p of the plus quotient, the vectors of
     the cuspidal coordinates fixed by the star involution, whose integer
-    matrix is `star`, as rows in reduced echelon form (pivot columns
-    `cols`, in increasing order), the form `cut` reads.
+    matrix is the `CSR` `star`, as rows in reduced echelon form (pivot
+    columns `cols`, in increasing order), the form `cut` reads.
 
     S = star mod p must square to the identity mod p, and is checked to
     on the nonzero entries of `star`.  (One that is a multiple of p adds
@@ -275,12 +276,13 @@ def _plus_quotient(star, p):
     is fixed, and a fixed x is (x/2)(I + S).
 
     Most rows of S are a signed permutation's: row j has one nonzero e,
-    at pi(j), and row pi(j) one, at j.  Such a pair {a < b} gives the
-    row e_a + e e_b of I + S, and its row b is a multiple of it, as
-    S^2 = I makes the two entries inverse; a row with pi(a) = a gives
-    e_a if e = 1 and nothing if e = -1 (the only square roots of 1 mod
-    p).  These pair vectors carry column a, which no other pair
-    vector touches, so they clear it out of the other rows of I + S;
+    at pi(j), and row pi(j) one, at j (`modsym.star_pairs`; e is taken
+    mod p).  Such a pair {a < b} gives the row e_a + e e_b of I + S, and
+    its row b is a multiple of it, as S^2 = I makes the two entries
+    inverse; a row with pi(a) = a gives e_a if e = 1 and nothing if
+    e = -1 (the only square roots of 1 mod p).  These pair vectors
+    carry column a, which no other pair vector touches, so they clear
+    it out of the other rows of I + S;
     only those rows are eliminated (`_rref_mod_p`), and their pivots
     miss every column a.  Last, each pair vector is cleared at the
     eliminated rows' pivots, through column b, the only one of its
@@ -290,31 +292,20 @@ def _plus_quotient(star, p):
     The residues stay below p^2 + p in absolute value before each
     `_mod_p`.
     """
-    n = len(star)
-    flat = np.asarray(star).ravel()
-    # the entries in row order, each row's in column order; numpy finds a
-    # bool array's nonzeros faster
-    which, cols = np.divmod(np.flatnonzero(flat != 0), n)
-    vals = flat[which * n + cols] % p
-    size = np.bincount(which, minlength=n)
-    start = np.cumsum(size) - size
+    n = star.ncols
+    which = np.repeat(np.arange(n), np.diff(star.indptr))
+    cols, vals = star.cols, star.vals % p
     # S^2 - I, entry by entry: S[i, c] S[c, j] for every S[i, c] and every
     # S[c, j], less 1 at (i, i); each sum has at most n terms below p^2
-    run = size[cols]
-    entry = np.repeat(np.arange(len(cols)), run)
-    pos = np.arange(len(entry)) + np.repeat(start[cols] - (np.cumsum(run) - run), run)
-    keys = np.concatenate([which[entry] * n + cols[pos], np.arange(n) * (n + 1)])
-    terms = np.concatenate([vals[entry] * vals[pos], np.full(n, -1)])
+    entry, far, far_vals = star.take(cols)
+    keys = np.concatenate([which[entry] * n + far, np.arange(n) * (n + 1)])
+    terms = np.concatenate([vals[entry] * (far_vals % p), np.full(n, -1)])
     _, key = np.unique(keys, return_inverse=True)
     if _mod_p(np.bincount(key, weights=terms), p).any():
         raise ValueError("star matrix does not square to the identity mod p")
 
-    single = np.flatnonzero(size == 1)
-    pi = np.full(n, -1)
-    eps = np.zeros(n, dtype=np.int64)
-    pi[single], eps[single] = cols[start[single]], vals[start[single]]
-    paired = np.zeros(n, dtype=bool)
-    paired[single] = pi[pi[single]] == single
+    pi, eps, paired = star_pairs(star)
+    eps %= p
     piv = np.flatnonzero(paired & (np.arange(n) <= pi))
     piv = piv[(piv != pi[piv]) | (eps[piv] == 1)]
     twin = np.flatnonzero(piv != pi[piv])  # the pairs with a < b
@@ -357,7 +348,7 @@ def _joint_kernel_dims(N, p):
     # checked before the space is built, from N alone
     _check_exact(p, N + 1)
     space = build_space(N)
-    vecs, vcols = _plus_quotient(space.star.array, p)
+    vecs, vcols = _plus_quotient(space.star, p)
     if vecs.shape[0] != space.genus:
         raise ValueError("plus quotient mod p does not have rank g")
     yield None, vecs.shape[0]

@@ -45,7 +45,7 @@ symbol with no boundary.  So a vector of M_rel lies in M exactly when
 its coordinate 0 is zero, and coordinates 1 .. 2g are the cuspidal
 coordinates: no kernel is computed and no section is kept.  A theta
 chain, a Hecke image or a star image with a nonzero coordinate 0 has a
-nonzero boundary, and `cuspidal_coords` raises on it;
+nonzero boundary, and `cuspidal_coords` (`_space_from_tree`) raises;
 `coordinate_symbols` raises unless free[0] is the variable of (0:1).
 
 A Hecke operator acts on Manin symbols through a family of integer
@@ -103,43 +103,45 @@ also gives U_N, once its images (0:0) are dropped, but it has 6,991
 matrices at N = 421 against 2g + 1 = 69 walks, so it stays only in the
 tests, as the independent oracle this U_N is checked against.
 
-The fixed matrices of a space (star and the signed bases) are
-`IntMatrix`es, each stored once as a read-only array, int64 while its
-entries fit; the quotient map is the read-only CSR.  `build_space`
-makes the quotient map and the star; each signed basis, and its left
-inverse, is derived on first use and on its own, so the mod-p route,
-which reads only the star and the Hecke matrices, never makes one, and
-a plus context never makes M^-.  Products with them run in int64 under
-`mul_int64`'s bound, which raises rather than overflow.
+`build_space` makes the quotient map and the star S, the 2g x 2g
+matrix of iota on M, both read-only `CSR`s: S's rows are the quotient
+map's at the iota images of the coordinate symbols, so no dense star
+(22 MB at N = 9931, with 1.47 entries per row) is made.  Each signed
+basis, an `IntMatrix`, and its left inverse are derived on first use
+and on their own, so the mod-p route, which reads only the star and
+the Hecke matrices, never makes one, and a plus context never makes
+M^-.  Products run in int64 under a bound that raises rather than
+overflow (`mul_int64`, `CSR.left_mul`).
 
 The signed basis of M^s, s = +-1, is the lattice {x : x S = s x} of the
 star S in canonical row Hermite form, read off the star's pairs
 (`signed_basis`), as Cremona's plus quotient (ch. 2) and the mod-p
-route's `_plus_quotient` read them mod p.  Most rows of S are a signed
-permutation's: row a holds one entry e, at column b, and row b one, at
-a.  S^2 = I makes the two entries one and the same e = +-1, and a pair
-whose entries are not raises.  The pair {a < b} gives the vector
-e_a + s e e_b of M^s, and a row a whose one entry, at a, is s gives
-e_a.  Call those columns a and f, the columns b the partners, and every
-other row an o row.  Subtracting x_a (e_a + s e e_b) and x_f e_f from
-an x of M^s leaves one with x_a = x_f = 0, which solves x S = s x
-exactly when its o coordinates y do and its partners are
-x_b = -e y S_oa (column a of x S = s x): column o' of the equations is
-y (S_oo - s I) = 0, column b is y (S_ob + s e S_oa) = 0 once x_b is put
-in, and column f is y S_of = 0.  Every integral y of that kernel lifts
-to an integral x, so M^s is spanned by the pair and fixed vectors and
-the lift of a basis of the left kernel of the reduced system
-[S_oo - sI | S_ob + s e S_oa | S_of], which `left_kernel` gives.  That
-kernel is saturated in Z^o, and so is its lift, as projecting to the o
-coordinates undoes it.  At N = 421 the star has 30 o rows of 68, at
-9931 532 of 1654.  The lifted rows get their own Hermite form, on the
-columns they touch.  The pair and fixed vectors have pivot 1 at a and
-f, where every other vector is 0; of the pivots of the lifted rows only
-a partner b can hold an entry of another row, s e in its pair's vector,
-so each pair vector is reduced at the lifted pivots, in increasing
-order.  The rows sorted by pivot are then the lattice's canonical
-Hermite form, a function of the star alone.  Last, every row is checked
-to be fixed by s S, on the star's nonzero entries (`CSR.left_mul`).
+route's `_plus_quotient` read them mod p, both through `star_pairs`.
+Most rows of S are a signed permutation's: row a holds one entry e, at
+column b, and row b one, at a.  S^2 = I makes the two entries one and
+the same e = +-1, and a pair whose entries are not raises.  The pair
+{a < b} gives the vector e_a + s e e_b of M^s, and a row a whose one
+entry, at a, is s gives e_a.  Call those columns a and f, the columns b
+the partners, and every other row an o row.  Subtracting
+x_a (e_a + s e e_b) and x_f e_f from an x of M^s leaves one with
+x_a = x_f = 0, which solves x S = s x exactly when its o coordinates y
+do and its partners are x_b = -e y S_oa (column a of x S = s x):
+column o' of the equations is y (S_oo - s I) = 0, column b is
+y (S_ob + s e S_oa) = 0 once x_b is put in, and column f is y S_of = 0.
+Every integral y of that kernel lifts to an integral x, so M^s is
+spanned by the pair and fixed vectors and the lift of a basis of the
+left kernel of the reduced system [S_oo - sI | S_ob + s e S_oa | S_of],
+which `left_kernel` gives.  That kernel is saturated in Z^o, and so is
+its lift, as projecting to the o coordinates undoes it.  Only the o
+rows of S are made dense: at N = 421 30 of 68, at 9931 532 of 1654.
+The lifted rows get their own Hermite form, on the columns they touch.
+The pair and fixed vectors have pivot 1 at a and f, where every other
+vector is 0; of the pivots of the lifted rows only a partner b can hold
+an entry of another row, s e in its pair's vector, so each pair vector
+is reduced at the lifted pivots, in increasing order.  The rows sorted
+by pivot are then the lattice's canonical Hermite form, a function of
+the star alone.  Last, every row is checked to be fixed by s S, on the
+star's nonzero entries (`CSR.left_mul`).
 
 A solve x @ B = v is read off a left inverse of B, proven by
 multiplying back (`solve_by_inverse`); `restrict_to_sign` and the
@@ -374,12 +376,16 @@ def _spans(indptr, rows):
 class CSR:
     """An int64 matrix of `ncols` columns in compressed sparse rows: row r
     holds the entries cols[k], vals[k] for indptr[r] <= k < indptr[r + 1],
-    in increasing column, none of them zero."""
+    in increasing column, none of them zero, in read-only arrays."""
 
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     ncols: int
+
+    def __post_init__(self):
+        for a in (self.indptr, self.cols, self.vals):
+            a.flags.writeable = False
 
     @classmethod
     def from_entries(cls, rows, cols, vals, nrows, ncols):
@@ -437,8 +443,13 @@ class CSR:
         row of the matrix, in int64: x's columns gathered at every entry's
         row, in column order, times the entries, and each column's run
         summed by one `reduceat`.  Every partial sum is at most the
-        largest row sum of |x| times max |vals|, which the caller keeps
-        below 2^63."""
+        largest row sum of |x| times max |vals|: raises ValueError unless
+        that is below 2^63, summed on Python ints past int64."""
+        size = np.abs(x)
+        if size.min(initial=0) < 0 or int(size.max(initial=0)) * x.shape[1] >= 2**63:
+            size = np.abs(x.astype(object))  # -2^63 has no int64 absolute value
+        if int(size.sum(axis=1).max(initial=0)) * self.max_abs() >= 2**63:
+            raise ValueError("sparse product bound exceeded for int64")
         rows, vals, starts, cols = self._by_column
         out = np.zeros((len(x), self.ncols), dtype=np.int64)
         if len(cols):
@@ -557,10 +568,7 @@ def quotient_map(pres, red):
     var_of = np.asarray(pres.var_of, dtype=np.int64)
     which, cols, vals = red.take(var_of)
     indptr = np.concatenate([[0], np.cumsum(np.diff(red.indptr)[var_of])])
-    qmap = CSR(indptr, cols, vals * np.asarray(pres.sign_of, dtype=np.int64)[which], red.ncols)
-    for a in (qmap.indptr, qmap.cols, qmap.vals):
-        a.flags.writeable = False
-    return qmap
+    return CSR(indptr, cols, vals * np.asarray(pres.sign_of, dtype=np.int64)[which], red.ncols)
 
 
 @dataclass(frozen=True)
@@ -571,16 +579,16 @@ class ModularSymbolSpace:
     `qmap`, the sparse quotient map (`quotient_map`), maps Manin-symbol
     coordinates to M_rel coordinates, and coordinate j is the class of
     the symbol `coord_symbols[j]`, so its rows there are the identity.
-    No dense copy of it is kept.  M is the slice of
-    coordinates 1 .. 2g (module docstring): `star`, `plus_basis`,
-    `minus_basis` and the Hecke matrices live in those cuspidal
-    coordinates.  Each signed basis is derived from `star` on first use,
-    one sign at a time, and then kept: the canonical Hermite form of the
-    star's eigenlattice (`signed_basis`), from its pair vectors
-    e_a + s e e_b and the saturated lift of the left kernel of the
-    reduced system on the other rows (module docstring), checked to
-    have rank g.  Its left inverse is its pivot columns when every pivot
-    is 1 (`hermite_left_inverse`).  The symbol
+    No dense copy of it is kept.  M is the slice of coordinates 1 .. 2g
+    (module docstring): `star`, `plus_basis`, `minus_basis` and the
+    Hecke matrices live in those cuspidal coordinates; `star`, iota on
+    M, is a 2g x 2g `CSR` like `qmap`.  Each signed basis is derived
+    from `star` on first use, one sign at a time, and then kept: the
+    canonical Hermite form of the star's eigenlattice (`signed_basis`),
+    from its pair vectors e_a + s e e_b and the saturated lift of the
+    left kernel of the reduced system on the other rows (module
+    docstring), checked to have rank g.  Its left inverse is its pivot
+    columns when every pivot is 1 (`hermite_left_inverse`).  The symbol
     indexing (`generators`, `_inv`, `_iota`) is that of
     `presentation(N)`.  `build_space(N)` makes every field a
     deterministic function of N, so a cache file stores N and a digest
@@ -590,7 +598,7 @@ class ModularSymbolSpace:
     N: int
     qmap: CSR  # symbols -> M_rel, N + 1 rows of 2g + 1 columns
     coord_symbols: tuple  # the symbol of each M_rel coordinate; (0:1) first
-    star: IntMatrix  # involution on M, cuspidal coordinates
+    star: CSR  # involution on M, cuspidal coordinates, 2g x 2g
     genus: int
     generators: tuple  # the N+1 points (c, d) of P^1(Z/NZ)
     _inv: tuple  # inverses mod N (index 0 unused)
@@ -604,7 +612,7 @@ class ModularSymbolSpace:
 
     def _signed_basis(self, sign):
         """`signed_basis` of the star, checked to have rank g."""
-        basis = signed_basis(self.star.array, sign)
+        basis = signed_basis(self.star, sign)
         if len(basis) != self.genus:
             raise ValueError(f"the star's {sign:+d} eigenlattice has rank {len(basis)}, "
                              f"not g = {self.genus}")
@@ -691,8 +699,8 @@ def _space_from_tree(pres, free, red):
     """The space on the M_rel basis of a spanning tree's (free, red)
     (`tree_reduction`), checked: each coordinate is the class of its
     free variable's representative symbol, and coordinate 0 is that of
-    (0:1).  The quotient map stays sparse; the star images are the one
-    dense read of it."""
+    (0:1).  The star is read off the quotient map's rows at the iota
+    images of the coordinate symbols; a nonzero boundary is refused."""
     symbols = coordinate_symbols(pres, free)
     qmap = quotient_map(pres, red)
     k = len(symbols)
@@ -700,8 +708,10 @@ def _space_from_tree(pres, free, red):
     if not (np.array_equal(which, np.arange(k)) and np.array_equal(cols, np.arange(k))
             and (vals == 1).all()):
         raise ValueError("the reduction does not send the coordinate symbols to the identity")
-    iota = np.asarray(pres.iota, dtype=np.int64)
-    star = IntMatrix(cuspidal_coords(qmap.dense(iota[symbols[1:]]), "star image"))
+    which, cols, vals = qmap.take(np.asarray(pres.iota, dtype=np.int64)[symbols[1:]])
+    if (cols == 0).any():
+        raise ValueError("star image has nonzero boundary")
+    star = CSR.from_entries(which, cols - 1, vals, k - 1, k - 1)
     return ModularSymbolSpace(
         N=pres.N,
         qmap=qmap,
@@ -714,24 +724,29 @@ def _space_from_tree(pres, free, red):
     )
 
 
+def star_pairs(star):
+    """(pi, eps, paired), the signed-permutation pairs of a star's `CSR`,
+    for both routes: pi[j] is the column of row j's single entry, or -1
+    when row j does not hold exactly one; eps[j] is that entry (else 0);
+    paired[j] is pi[pi[j]] == j.  Each caller checks the pairs' entries
+    its own way: +-1 over Z, S^2 = I mod p."""
+    single = np.diff(star.indptr) == 1
+    first = star.indptr[:-1][single]
+    pi = np.full(star.ncols, -1)
+    eps = np.zeros(star.ncols, dtype=np.int64)
+    pi[single], eps[single] = star.cols[first], star.vals[first]
+    return pi, eps, single & (pi[pi] == np.arange(star.ncols))
+
+
 def signed_basis(star, sign):
     """The canonical row Hermite form, an int64 array, of the lattice
-    {x : x S = sign x} of the star involution S, an int64 array `star`,
-    read off its signed-permutation pairs (module docstring).  Raises
-    ValueError if a pair's two entries are not one and the same +-1, or
-    if a row of the result is not fixed by sign * S, which is tested on
-    the star's nonzero entries."""
-    n = len(star)
-    which, cols = np.nonzero(star)
-    vals = star[which, cols]
-    size = np.bincount(which, minlength=n)
-    first = np.cumsum(size) - size
-    single = np.flatnonzero(size == 1)
-    pi = np.full(n, -1)
-    eps = np.zeros(n, dtype=np.int64)
-    pi[single], eps[single] = cols[first[single]], vals[first[single]]
-    paired = np.zeros(n, dtype=bool)
-    paired[single] = pi[pi[single]] == single
+    {x : x S = sign x} of the star involution S, the `CSR` `star`, read
+    off its signed-permutation pairs (`star_pairs`, module docstring).
+    Raises ValueError if a pair's two entries are not one and the same
+    +-1, or if a row of the result is not fixed by sign * S, which is
+    tested on the star's nonzero entries."""
+    n = star.ncols
+    pi, eps, paired = star_pairs(star)
     j = np.arange(n)
     a = np.flatnonzero(paired & (j < pi))
     b, e = pi[a], eps[a]
@@ -742,7 +757,7 @@ def signed_basis(star, sign):
 
     # the other coordinates y of the lattice: the left kernel of the
     # reduced system, lifted by x_b = -e y S_oa
-    s_o = star[other]
+    s_o = star.dense(other)
     system = np.hstack([s_o[:, other] - sign * np.eye(len(other), dtype=np.int64),
                         s_o[:, b] + sign * e * s_o[:, a], s_o[:, fixed]])
     system = system[:, system.any(axis=0)]
@@ -771,10 +786,7 @@ def signed_basis(star, sign):
         top[hit] -= q[hit, None] * h[k]
     basis = np.vstack([top, h])[np.argsort(np.concatenate([a, fixed, piv]))]
 
-    if int(np.abs(basis).max(initial=0)) * int(np.abs(vals).max(initial=0)) * n >= 2**63:
-        raise ValueError("signed basis too large for an int64 check")
-    image = CSR.from_entries(which, cols, vals, n, n).left_mul(basis)
-    if not np.array_equal(image, sign * basis):
+    if not np.array_equal(star.left_mul(basis), sign * basis):
         raise ValueError(f"the signed basis is not fixed by {sign:+d} times the star")
     return basis
 
@@ -1207,8 +1219,6 @@ def _theta_chunk(space, rows, tables, iota):
     # sparse quotient map
     s = np.sign(np.array(Ds, dtype=np.int64))[:, None]
     theta = half + s * half[:, iota]
-    if int(np.abs(theta).sum(axis=1).max()) * space.qmap.max_abs() >= 2**63:
-        raise ValueError("theta walk: M_rel coordinates too large for int64")
     in_m = cuspidal_coords(space.qmap.left_mul(theta), "theta chain")
     return [ThetaElement(D=D, coords=tuple(c), sign=1 if D > 0 else -1)
             for D, c in zip(Ds, in_m.tolist())]

@@ -58,9 +58,9 @@ the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 discrete log that `exact_linalg.LogMap` ran for each lookup before it
 kept a full table of logs.
 
-`space_digest` is `harness._space_digest` as it built each block of the
-dense reduction through `CSR.dense`, before it scattered the block's
-contiguous run of entries straight from the quotient map's pointers.
+`space_digest` is `harness._space_digest` as it hashed a space whose
+star was dense: the quotient map a block of rows at a time through
+`CSR.dense`, and the star made dense whole.
 
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
@@ -607,9 +607,10 @@ def dense_tree_reduction(pres):
 
 
 def csr_from_dense(a):
-    """The `modsym.CSR` of a dense integer array."""
+    """The `modsym.CSR` of a dense integer array-like."""
+    a = np.asarray(a, dtype=np.int64)
     rows, cols = np.nonzero(a)
-    return CSR.from_entries(rows, cols, np.asarray(a, dtype=np.int64)[rows, cols], *a.shape)
+    return CSR.from_entries(rows, cols, a[rows, cols], *a.shape)
 
 
 def rref_reduction(pres, p):
@@ -1135,7 +1136,7 @@ def bsgs_dlog(N, g, x):
 def space_digest(space, rows=1024):
     """sha256 of the space as a cache file keeps it: the quotient map as
     the dense reduction, `rows` rows at a time through `CSR.dense`, then
-    the coordinate symbols and `star`."""
+    the coordinate symbols and the star, made dense whole."""
     h = hashlib.sha256()
     qmap = space.qmap
     nrows = len(qmap.indptr) - 1
@@ -1145,8 +1146,7 @@ def space_digest(space, rows=1024):
         h.update(block.astype("<i8").tobytes())
     for name in ("coord_symbols", "star"):
         m = getattr(space, name)
-        if name == "coord_symbols":
-            m = IntMatrix([m])
+        m = IntMatrix([m]) if name == "coord_symbols" else IntMatrix(m.dense())
         h.update(f"{name}:{m.rows}x{m.cols};".encode())
         h.update(m.array.astype("<i8").tobytes())
     return h.hexdigest()

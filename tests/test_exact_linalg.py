@@ -85,6 +85,18 @@ def test_intmatrix_is_read_only_and_compares_to_a_bool():
     assert (m == [[1, 2], [3, 4]]) is False
 
 
+def test_intmatrix_wraps_an_int64_array_without_a_copy():
+    # the array is kept as given and made read-only in place; any other
+    # dtype is converted into a new array
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    m = IntMatrix(a)
+    assert np.shares_memory(m.array, a) and not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 7
+    b = np.arange(6, dtype=np.int32).reshape(2, 3)
+    assert not np.shares_memory(IntMatrix(b).array, b) and b.flags.writeable
+
+
 def test_intmatrix_refuses_other_shapes_and_non_integers():
     bad = ([1, 2], [[[1]]], [], [[]], np.zeros((0, 3), dtype=np.int64), [[1, 2], [3]],
            [[1.5, 2]], np.ones((2, 2)), [[2**63, 0.5]], [["1"]])

@@ -287,7 +287,7 @@ def test_cache_round_trip(tmp_path):
     assert space2.N == space.N and space2.genus == space.genus
     assert space2.coord_symbols == space.coord_symbols
     assert dense_reduction(space2) == dense_reduction(space)
-    assert space2.star == space.star
+    assert np.array_equal(space2.star.dense(), space.star.dense())
     assert space2.plus_basis == space.plus_basis
     assert space2.minus_basis == space.minus_basis
     assert ctx2.W == ctx.W and ctx2.g_p == ctx.g_p and ctx2.e == ctx.e
@@ -431,9 +431,9 @@ def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
 
 @pytest.mark.parametrize("N", [11, 211, 421, 1871])
 def test_space_digest_matches_the_dense_blocks(N):
-    # the digest scatters each block of rows straight from the quotient
-    # map's pointers; the oracle builds the same blocks through CSR.dense
-    # (at 1871 the 1,872 rows make two blocks)
+    # the digest streams the quotient map and the star through one block
+    # loop; the oracle makes the star dense whole (at 1871 the 1,872 rows
+    # of the quotient map make two blocks)
     assert harness._space_digest(build_space(N)) == space_digest(build_space(N))
 
 

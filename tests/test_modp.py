@@ -151,7 +151,7 @@ def test_tree_matches_dense_rref_oracle(N, p, monkeypatch):
     shapes = []
     monkeypatch.setattr(modp, "_rref_mod_p", lambda a, p:
                         shapes.append(a.shape) or _rref_mod_p(a, p))
-    rows, cols = _plus_quotient(star_o, p)
+    rows, cols = _plus_quotient(csr_from_dense(star_o), p)
     monkeypatch.undo()
     want, want_cols = _rref_mod_p(dense_plus_quotient(star_o, p)[0], p)
     assert cols == want_cols and rows.tobytes() == want.tobytes()
@@ -208,21 +208,21 @@ def test_halving_kernel_matches_panel_oracle_in_the_route(N, p, monkeypatch):
 def test_plus_quotient_matches_the_dense_null_space(N, p):
     # the pair-folded elimination gives the row space of the dense
     # condition's null space, already in its reduced echelon form
-    star = _space(N).star.array
+    star = _space(N).star
     rows, cols = _plus_quotient(star, p)
-    want, want_cols = _rref_mod_p(dense_plus_quotient(star, p)[0], p)
+    want, want_cols = _rref_mod_p(dense_plus_quotient(star.dense(), p)[0], p)
     assert cols == want_cols and all(type(j) is int for j in cols)
     assert rows.tobytes() == want.tobytes()
 
 
 def test_plus_quotient_refuses_a_star_that_is_no_involution():
     # row 0 of the star doubled: S^2 has 2 at (0, 0)
-    star = _space(211).star.array
+    star = _space(211).star
     _plus_quotient(star, 5)
-    doubled = star.copy()
+    doubled = star.dense()
     doubled[0] *= 2
     with pytest.raises(ValueError, match="does not square to the identity mod p"):
-        _plus_quotient(doubled, 5)
+        _plus_quotient(csr_from_dense(doubled), 5)
 
 
 def test_star_image_with_a_boundary_is_refused(monkeypatch):

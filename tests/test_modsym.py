@@ -24,6 +24,7 @@ import eistheta
 from eistheta import modsym
 from eistheta.exact_linalg import IntMatrix, is_prime, kronecker, mul_int64, primes_up_to, xgcd
 from eistheta.modsym import (
+    CSR,
     _half_chis,
     _space_from_tree,
     build_space,
@@ -86,11 +87,11 @@ def test_build_space_pinned_ranks():
     sp = build_space(11)
     assert len(sp.generators) == 12
     assert dense_reduction(sp).cols == 3
-    assert sp.star.rows == 2
+    assert sp.star.dense().shape == (2, 2)
     assert sp.genus == 1
     assert sp.plus_basis.rows == 1 and sp.minus_basis.rows == 1
     sp31 = build_space(31)
-    assert sp31.star.rows == 4
+    assert sp31.star.dense().shape == (4, 4)
     assert sp31.genus == 2
 
 
@@ -100,7 +101,7 @@ def test_ranks_match_genus_formula(N):
     g = genus_formula(N)
     assert sp.genus == g
     assert dense_reduction(sp).cols == 2 * g + 1
-    assert sp.star.rows == 2 * g
+    assert sp.star.dense().shape == (2 * g, 2 * g)
     assert sp.plus_basis.rows == g and sp.minus_basis.rows == g
 
 
@@ -401,8 +402,9 @@ def test_path_boundary_telescopes():
 def test_star_is_an_involution():
     for N in (11, 31, 53):
         sp = build_space(N)
-        assert mat_mul(sp.star, sp.star) == IntMatrix.identity(sp.star.rows)
-        plus, minus = star_decompose(sp.star)
+        star = IntMatrix(sp.star.dense())
+        assert mat_mul(star, star) == IntMatrix.identity(star.rows)
+        plus, minus = star_decompose(star)
         assert hnf(plus) == sp.plus_basis and hnf(minus) == sp.minus_basis
 
 
@@ -411,9 +413,9 @@ def test_signed_basis_is_the_hermite_form_of_the_star_eigenlattices(N):
     # read off the star's pairs, the basis is the canonical Hermite form of
     # the eigenlattice that the dense left kernel of star -+ I spans
     sp = build_space(N)
-    oracle = star_decompose(sp.star)
+    oracle = star_decompose(IntMatrix(sp.star.dense()))
     for sign, lattice in zip((1, -1), oracle):
-        assert np.array_equal(signed_basis(sp.star.array, sign), hnf(lattice).array), (N, sign)
+        assert np.array_equal(signed_basis(sp.star, sign), hnf(lattice).array), (N, sign)
 
 
 def test_signed_bases_are_derived_once_on_first_use(monkeypatch):
@@ -429,7 +431,7 @@ def test_signed_bases_are_derived_once_on_first_use(monkeypatch):
     plus = sp.plus_basis
     assert sp.plus_basis is plus and calls == [1]
     assert sp.minus_basis.rows == sp.genus == 2 and calls == [1, -1]
-    bad = dataclasses.replace(sp, star=IntMatrix(np.diag([1, 1, 1, -1])))  # ranks 3 and 1
+    bad = dataclasses.replace(sp, star=csr_from_dense(np.diag([1, 1, 1, -1])))  # ranks 3 and 1
     with pytest.raises(ValueError, match=r"\+1 eigenlattice has rank 3, not g = 2"):
         bad.plus_basis
     with pytest.raises(ValueError, match=r"-1 eigenlattice has rank 1, not g = 2"):
@@ -441,10 +443,10 @@ def test_a_star_pair_must_be_a_signed_transposition():
     # entries must be one and the same +-1 (S^2 = I)
     sp = build_space(11)
     for star in ([[0, 1], [-1, 0]], [[0, -1], [1, 0]], [[0, 2], [2, 0]]):
-        bad = dataclasses.replace(sp, star=IntMatrix(star))
+        bad = dataclasses.replace(sp, star=csr_from_dense(star))
         for sign in (1, -1):
             with pytest.raises(ValueError, match="not a \\+-1 transposition"):
-                signed_basis(bad.star.array, sign)
+                signed_basis(bad.star, sign)
         with pytest.raises(ValueError, match="not a \\+-1 transposition"):
             bad.plus_basis
 
@@ -453,7 +455,7 @@ def test_a_pivot_above_one_takes_the_left_inverse():
     # the planted star [[1, 1], [0, -1]] has no pair: its plus lattice is
     # spanned by (2, 1), pivot 2, whose left inverse is a matrix; its minus
     # lattice by (0, 1), pivot 1, whose left inverse is the pivot column
-    sp = dataclasses.replace(build_space(11), star=IntMatrix([[1, 1], [0, -1]]))
+    sp = dataclasses.replace(build_space(11), star=csr_from_dense([[1, 1], [0, -1]]))
     assert sp.plus_basis == IntMatrix([[2, 1]]) and sp.minus_basis == IntMatrix([[0, 1]])
     basis, inverse = sp.signed(1)
     assert inverse.ndim == 2 and (basis @ inverse == 1).all()
@@ -645,10 +647,11 @@ def test_hecke_charpoly_at_31():
 def test_hecke_operators_commute():
     sp = build_space(31)
     ops = [hecke(sp, ell) for ell in (2, 3, 5, 31)]
+    star = IntMatrix(sp.star.dense())
     for a in ops:
         for b in ops:
             assert mat_mul(a, b) == mat_mul(b, a)
-        assert mat_mul(a, sp.star) == mat_mul(sp.star, a)
+        assert mat_mul(a, star) == mat_mul(star, a)
 
 
 def test_hecke_rejects_composite_index():
@@ -752,6 +755,68 @@ def test_hecke_matches_the_dense_oracle(N):
     sp = build_space(N)
     ells = [2, 3, 5, 7, N]
     assert hecke_operators(sp, ells) == [dense_hecke(sp, ell) for ell in ells]
+
+
+def test_csr_left_mul_refuses_past_its_int64_bound():
+    # the bound is the largest row sum of |x| times max |vals|: 2^62 - 1
+    # times 2 passes, 2^62 times 2 is 2^63 and is refused; so are a row
+    # of -2^63, rows whose sums of |x| leave int64 before the product
+    # does, and a sum of 1000 terms 2^54
+    m = csr_from_dense([[2, 0], [0, -1]])
+    assert m.left_mul(np.array([[2**62 - 1, 0]])).tolist() == [[2**63 - 2, 0]]
+    assert m.left_mul(np.array([[2**60, -2**60]])).tolist() == [[2**61, 2**60]]
+    for x in ([[2**62, 0]], [[2**61, 2**61]], [[-2**63, 0]], [[2**62, 2**62], [0, 1]],
+              [[2**63 - 1, 2**63 - 1]]):
+        with pytest.raises(ValueError, match="sparse product bound"):
+            m.left_mul(np.array(x, dtype=np.int64))
+    ones = csr_from_dense(np.ones((1000, 1), dtype=np.int64))
+    assert ones.left_mul(np.full((1, 1000), 2**53)).tolist() == [[1000 * 2**53]]
+    with pytest.raises(ValueError, match="sparse product bound"):
+        ones.left_mul(np.full((1, 1000), 2**54))
+
+
+def test_the_star_is_a_read_only_csr_made_without_dense_rows(monkeypatch):
+    # `build_space` reads the star's rows straight off the quotient map:
+    # with `CSR.dense` failing it still builds, and the star it keeps is
+    # a 2g x 2g CSR whose arrays cannot be written
+    def fail(*args):
+        pytest.fail("a dense matrix was made")
+
+    monkeypatch.setattr(CSR, "dense", fail)
+    for N in (211, 1871):
+        sp = build_space(N)
+        assert isinstance(sp.star, CSR) and sp.star.ncols == len(sp.star.indptr) - 1 == 2 * sp.genus
+        for a in (sp.star.indptr, sp.star.cols, sp.star.vals):
+            assert a.dtype == np.int64 and not a.flags.writeable
+    monkeypatch.undo()
+    assert np.array_equal(sp.star.left_mul(sp.star.dense()), np.eye(2 * sp.genus))
+
+
+def test_one_pair_reader_serves_both_routes(monkeypatch):
+    # each caller looks `star_pairs` up in its own module: one plus basis
+    # and one mod-p g_p each read the star's pairs once
+    from eistheta import modp
+
+    calls = []
+    for module in (modsym, modp):
+        real = module.star_pairs
+        monkeypatch.setattr(module, "star_pairs",
+                            lambda star, real=real, name=module.__name__:
+                            calls.append(name) or real(star))
+    build_space(211).plus_basis
+    assert calls == ["eistheta.modsym"]
+    assert modp.g_p_dimension_modp(211, 5) == 2
+    assert calls == ["eistheta.modsym", "eistheta.modp"]
+
+
+def test_star_pairs_reads_single_entry_rows():
+    # rows 0 and 2 are a pair, row 1 is fixed, row 3 has two entries and
+    # row 4 one, at row 3's column, which is not a pair
+    pi, eps, paired = modsym.star_pairs(csr_from_dense(
+        [[0, 0, -1, 0, 0], [0, 1, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 0, 0, 1, 1], [0, 0, 0, 1, 0]]))
+    assert pi.tolist() == [2, 1, 0, -1, 3]
+    assert eps.tolist() == [-1, 1, -1, 0, 1]
+    assert paired.tolist() == [True, True, True, False, False]
 
 
 def test_csr_left_mul_matches_the_dense_product():
@@ -1109,7 +1174,7 @@ def test_theta_sign_matches_star():
         th = theta_element(sp, D)
         assert th.sign == (1 if D > 0 else -1)
         v = IntMatrix([list(th.coords)])
-        assert mat_mul(v, sp.star) == IntMatrix(
+        assert mat_mul(v, IntMatrix(sp.star.dense())) == IntMatrix(
             [[th.sign * x for x in th.coords]]
         )
 
