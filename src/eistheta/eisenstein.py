@@ -184,8 +184,12 @@ class EisensteinContext:
 
     @cached_property
     def e(self):
-        """The p-exponent of each M^sign / W_n."""
-        return tuple(max(vp(d, self.p) for d in sd.diag) for sd in self.snf_of_W)
+        """The p-exponent of each M^sign / W_n: 0 at n = 0 and, for n >= 1,
+        v_p of the exponent m_n / gcd(m_n, entries of Z_n) of Z^g / H_n,
+        the p-part of Z^g / W_n, read off `membership` as `build_context`
+        reads E; no Smith form is made."""
+        return (0,) + tuple(vp(m // gcd(m, int(np.gcd.reduce(z.ravel()))), self.p)
+                            for m, z in self.membership)
 
     @cached_property
     def membership(self):

@@ -17,9 +17,11 @@ the discriminants at a time.
 
 A cache file keeps the pair's expensive half, the Eisenstein context
 (p, n_max, the sign, g_p and the W_n chain), with the level N and a
-digest of the space.  The space is a cheap, deterministic function of
-N, so `load_context` rebuilds it and refuses a file whose digest it
-does not match; everything else a context offers is derived from W.
+digest of the space.  Every number in it is a JSON integer, and a file
+holding anything else where a number belongs is refused.  The space is
+a cheap, deterministic function of N, so `load_context` rebuilds it and
+refuses a file whose digest of its sparse arrays it does not match;
+everything else a context offers is derived from W.
 """
 
 import hashlib
@@ -27,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -49,7 +52,7 @@ from .quadfield import (
 )
 from .selmer import SelmerInput, selmer_rank
 
-FORMAT_VERSION = 7  # context cache files
+FORMAT_VERSION = 8  # context cache files
 REPORT_FORMAT_VERSION = 1  # JSON sweep reports
 
 
@@ -257,34 +260,38 @@ def check_fixtures(large=False):
 # ---------------------------------------------------------------------------
 # persistence: single-file JSON envelope, checksummed and versioned
 
-def _enc_matrix(m):
-    return [[str(x) for x in row] for row in m.array.tolist()]
+def _ints(values):
+    """The values, refused with ValueError unless each is a JSON integer:
+    a Python int, not a bool, float, string or list."""
+    kinds = set(map(type, values)) - {int}
+    if kinds:
+        raise ValueError("not an integer: " + ", ".join(sorted(t.__name__ for t in kinds)))
+    return values
 
 
 def _dec_matrix(rows):
-    return IntMatrix([[int(x) for x in row] for row in rows])
-
-
-# rows per dense block that `_space_digest` hashes
-_DIGEST_ROWS = 1024
+    """The IntMatrix of a W level as the file writes it: a list of rows of
+    JSON integers, of any size."""
+    _ints(chain.from_iterable(rows))
+    return IntMatrix(rows)
 
 
 def _digest_csr(h, name, m):
-    """Feed sha256 `h` the label `name`, the shape and the int64 bytes of
-    the dense matrix of the `CSR` m, made `_DIGEST_ROWS` rows at a time."""
-    nrows = len(m.indptr) - 1
-    h.update(f"{name}:{nrows}x{m.ncols};".encode())
-    for lo in range(0, nrows, _DIGEST_ROWS):
-        h.update(m.dense(np.arange(lo, min(lo + _DIGEST_ROWS, nrows))).astype("<i8").tobytes())
+    """Feed sha256 `h` the label `name`, the shape and the `<i8` bytes of
+    the `CSR` m's own arrays: indptr, cols, vals.  A `CSR` keeps each
+    row's columns increasing and holds no zero, so these bytes are a
+    function of the matrix."""
+    h.update(f"{name}:{len(m.indptr) - 1}x{m.ncols};".encode())
+    for a in (m.indptr, m.cols, m.vals):
+        h.update(a.astype("<i8", copy=False).tobytes())
 
 
 def _space_digest(space):
-    """sha256 of the shape and int64 bytes of each matrix of the space
-    that fixes a coordinate, and of the coordinate symbols: the quotient
-    map as the dense (N + 1) x (2g + 1) reduction, labelled `reduction`,
-    then the symbols, then the dense 2g x 2g `star`, both matrices
-    streamed by `_digest_csr`.  It is what a cache file keeps of the
-    space.
+    """sha256 of each matrix of the space that fixes a coordinate, and of
+    the coordinate symbols: the quotient map's `CSR`, labelled
+    `reduction`, then the symbols, then the 2g x 2g `star`'s `CSR`, both
+    matrices hashed through their sparse arrays by `_digest_csr`.  It is
+    what a cache file keeps of the space.
 
     The signed bases are left out: each is the canonical Hermite form of
     an eigenlattice of the star (`modsym.signed_basis`), so a function of
@@ -307,17 +314,19 @@ def _checksum(payload):
 
 
 def save_context(space, ctx, path):
-    """Write ctx to `path`: its p, n_max, sign, g_p and W.  Of the space
-    only N and `_space_digest` are kept: `load_context` rebuilds it with
-    `build_space(N)`."""
+    """Write ctx to `path`: its p, n_max, sign, g_p and W, every scalar and
+    every entry of W a JSON integer (Python's json writes and reads ints
+    of any size, so levels past int64 round-trip unchanged).  Of the
+    space only N and `_space_digest` are kept: `load_context` rebuilds it
+    with `build_space(N)`."""
     payload = {
-        "N": str(space.N),
+        "N": int(space.N),
         "space_sha256": _space_digest(space),
-        "p": str(ctx.p),
-        "n_max": str(ctx.n_max),
-        "sign": str(ctx.sign),
-        "g_p": str(ctx.g_p),
-        "W": [_enc_matrix(m) for m in ctx.W],
+        "p": int(ctx.p),
+        "n_max": int(ctx.n_max),
+        "sign": int(ctx.sign),
+        "g_p": int(ctx.g_p),
+        "W": [m.array.tolist() for m in ctx.W],
     }
     # the envelope {"checksum", "format_version", "payload"} in sorted-key
     # text, built around the payload's one encoding (json.dumps runs the
@@ -334,11 +343,11 @@ def save_context(space, ctx, path):
 
 def _read_payload(payload):
     """(N, p, space digest, the context's other fields) of a payload,
-    raising CacheIntegrityError if a key is missing, a value does not
-    parse, (N, p) breaks the standing hypotheses, or W does not have
-    n_max + 2 levels."""
+    raising CacheIntegrityError if a key is missing, a scalar or an entry
+    of W is not a JSON integer, (N, p) breaks the standing hypotheses, or
+    W does not have n_max + 2 levels."""
     try:
-        N, p, n_max, sign, g_p = (int(payload[k]) for k in ("N", "p", "n_max", "sign", "g_p"))
+        N, p, n_max, sign, g_p = _ints([payload[k] for k in ("N", "p", "n_max", "sign", "g_p")])
         check_pair(N, p)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

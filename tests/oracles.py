@@ -58,9 +58,10 @@ the principal rho-cycle walked modulo N (`quadfield.unit_residues`).
 discrete log that `exact_linalg.LogMap` ran for each lookup before it
 kept a full table of logs.
 
-`space_digest` is `harness._space_digest` as it hashed a space whose
-star was dense: the quotient map a block of rows at a time through
-`CSR.dense`, and the star made dense whole.
+`space_digest` is `harness._space_digest` from the dense reduction and
+star: each is made a `CSR` again by `csr_from_dense`, whose arrays are
+hashed, so it checks that the space's own `CSR`s are in that canonical
+form (columns increasing in each row, no zero stored).
 
 `hnf`, `solve_left` and `unimodular_inverse` are the pure-Python
 Hermite-form routes that the package's int64 left inverses and modular
@@ -1133,20 +1134,22 @@ def bsgs_dlog(N, g, x):
     raise ValueError("discrete log not found (modulus not prime?)")
 
 
-def space_digest(space, rows=1024):
-    """sha256 of the space as a cache file keeps it: the quotient map as
-    the dense reduction, `rows` rows at a time through `CSR.dense`, then
-    the coordinate symbols and the star, made dense whole."""
-    h = hashlib.sha256()
-    qmap = space.qmap
-    nrows = len(qmap.indptr) - 1
-    h.update(f"reduction:{nrows}x{qmap.ncols};".encode())
-    for lo in range(0, nrows, rows):
-        block = qmap.dense(np.arange(lo, min(lo + rows, nrows)))
-        h.update(block.astype("<i8").tobytes())
-    for name in ("coord_symbols", "star"):
-        m = getattr(space, name)
-        m = IntMatrix([m]) if name == "coord_symbols" else IntMatrix(m.dense())
-        h.update(f"{name}:{m.rows}x{m.cols};".encode())
-        h.update(m.array.astype("<i8").tobytes())
-    return h.hexdigest()
+def _csr_bytes(name, a):
+    """The label, shape and `<i8` indptr, cols and vals of the `CSR` that
+    `csr_from_dense` makes of the dense array a."""
+    m = csr_from_dense(a)
+    return f"{name}:{a.shape[0]}x{a.shape[1]};".encode() + b"".join(
+        x.astype("<i8").tobytes() for x in (m.indptr, m.cols, m.vals))
+
+
+def space_digest(space):
+    """sha256 of the space as a cache file keeps it, from the dense
+    matrices: the reduction and the star written out, each made a `CSR`
+    again by `csr_from_dense` and hashed through its arrays, with the
+    coordinate symbols between them."""
+    symbols = space.coord_symbols
+    return hashlib.sha256(
+        _csr_bytes("reduction", dense_reduction(space).array)
+        + f"coord_symbols:1x{len(symbols)};".encode() + np.array(symbols, dtype="<i8").tobytes()
+        + _csr_bytes("star", space.star.dense())
+    ).hexdigest()

@@ -130,7 +130,7 @@ def test_cache_dir_refuses_corruption(tmp_path, capsys):
     assert _run(capsys, *args)[0] == 0
     (path,) = tmp_path.iterdir()
     envelope = json.loads(path.read_text())
-    envelope["payload"]["p"] = "7"
+    envelope["payload"]["p"] = 7
     path.write_text(json.dumps(envelope))
     code, _, err = _run(capsys, *args)
     assert code == 2
@@ -272,8 +272,8 @@ def test_cache_dir_refuses_a_chain_resealed_at_the_other_sign(tmp_path, capsys, 
     assert _run(capsys, made, *args, *WINDOWS[made])[0] == 0
     (path,) = tmp_path.iterdir()
     envelope = json.loads(path.read_text())
-    sign = int(envelope["payload"]["sign"])
-    envelope["payload"]["sign"] = str(-sign)
+    sign = envelope["payload"]["sign"]
+    envelope["payload"]["sign"] = -sign
     envelope["checksum"] = harness._checksum(envelope["payload"])
     side, other = ("plus", "minus") if sign > 0 else ("minus", "plus")
     path.with_name(path.name.replace(side, other)).write_text(json.dumps(envelope))

@@ -761,6 +761,18 @@ def test_the_exact_and_mod_p_routes_agree_at_1871(monkeypatch):
     assert ctx.e == (0, 1, 1, 2, 2)
 
 
+@pytest.mark.parametrize("N,p", ADMISSIBLE + [(421, 5), (641, 5)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_e_from_membership_matches_the_smith_forms(N, p, sign):
+    # e is read off the membership pairs (m_n, Z_n), with no Smith form
+    # made; the oracle is the largest v_p of each W_n's Smith invariants
+    for n_max in (3, 6):
+        ctx = build_context(_space(N), p, n_max=n_max, sign=sign)
+        e = ctx.e
+        assert "snf_of_W" not in vars(ctx)
+        assert e == tuple(max(vp(d, p) for d in snf(w).diag) for w in ctx.W)
+
+
 @pytest.mark.parametrize("N,p", [(31, 5), (71, 7), (181, 5)])
 def test_filtration_is_independent_of_the_m_rel_basis(N, p):
     # e, the Smith invariants of every W_n, g_p and the theta valuations

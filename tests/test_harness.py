@@ -7,6 +7,7 @@ sweep row exercises the quadratic-field, modular-symbol, Eisenstein
 and Selmer modules together.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -38,7 +39,7 @@ from eistheta.harness import (
 )
 from eistheta.modsym import ModularSymbolSpace, build_space, hecke, theta_element
 from eistheta.quadfield import validate_discriminant
-from oracles import dense_reduction, shuffled_tree_space, space_digest
+from oracles import csr_from_dense, dense_reduction, shuffled_tree_space, space_digest
 
 EVEN_CSV = """\
 N,p,D,h,h_mod_p,log1_u,log1_pi2,criterion,eis_valuation,selmer_rank,selmer_kind,consistent
@@ -310,12 +311,12 @@ def test_cache_round_trip(tmp_path):
 
 
 # sha256 and size of what save_context writes for build_pair(N, 5, 3, sign),
-# pinned again at format version 7, whose signed bases are canonical
-# Hermite forms, left out of the space digest
+# pinned again at format version 8, which writes every number as a JSON
+# integer and digests the space's sparse arrays
 CACHE_BYTES = {
-    (11, 1): ("dd1b495e144f9d7c677e2fd6d1b074177d7c3c94dff41cb19fe9dd7d8ae712e5", 293),
-    (211, 1): ("640c464b89b1b006a96415417788edb8deb105488f2f1cd7266107ba9b8c67a7", 6373),
-    (211, -1): ("9cd84fbfa29868e7576d17282618e5d812ce1914bf78d20ab8b4c45ebb016435", 6353),
+    (11, 1): ("0456756c3dfe67e295af6dade0438a10a6a63591599c9dac5de147172d56f41d", 273),
+    (211, 1): ("3270fd15c39c812defb938869f09b2b455d01a5a2c9ba083d21c76b6be61d999", 3473),
+    (211, -1): ("55deedf8c53040896489680df1ea88c466ffbb09c433837086e4be8e84b72f9d", 3453),
 }
 
 
@@ -378,15 +379,16 @@ def test_cache_rejects_foreign_version(tmp_path):
     # the SNF diagonals and right transforms and e, version 5 files a
     # digest of the section, boundary and cuspidal basis, version 6 files
     # W in the coordinates of the bases of the dense star's Hermite
-    # transform, which the digest covered
-    for version in (0, 1, 3, 4, 5):
+    # transform, which the digest covered, version 7 files every number as
+    # a JSON string and a digest of the dense reduction and star
+    for version in (0, 1, 3, 4, 5, 6):
         envelope["format_version"] = version
         path.write_text(json.dumps(envelope))
         with pytest.raises(CacheVersionError, match="version"):
             load_context(path)
-    envelope["format_version"] = 6
+    envelope["format_version"] = 7
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 6, this build reads 7"):
+    with pytest.raises(CacheVersionError, match="file has 7, this build reads 8"):
         load_context(path)
     assert issubclass(CacheVersionError, ValueError)
 
@@ -408,7 +410,7 @@ def test_cache_refuses_version_two_on_the_snf_basis(tmp_path):
     envelope = json.loads(path.read_text())
     envelope["format_version"] = 2
     path.write_text(json.dumps(envelope))
-    with pytest.raises(CacheVersionError, match="file has 2, this build reads 7"):
+    with pytest.raises(CacheVersionError, match="file has 2, this build reads 8"):
         load_context(path)
 
 
@@ -418,7 +420,7 @@ def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
     save_context(space, ctx, path)
     payload = json.loads(path.read_text())["payload"]
     assert set(payload) == {"N", "space_sha256", "p", "n_max", "sign", "g_p", "W"}
-    assert payload["N"] == "11" and payload["g_p"] == "1"
+    assert payload["N"] == 11 and payload["g_p"] == 1
     assert payload["space_sha256"] == harness._space_digest(build_space(11))
 
     def edit_digest(payload):
@@ -431,10 +433,38 @@ def test_cache_holds_the_context_and_a_digest_of_the_space(tmp_path):
 
 @pytest.mark.parametrize("N", [11, 211, 421, 1871])
 def test_space_digest_matches_the_dense_blocks(N):
-    # the digest streams the quotient map and the star through one block
-    # loop; the oracle makes the star dense whole (at 1871 the 1,872 rows
-    # of the quotient map make two blocks)
+    # the digest hashes the quotient map's and the star's own sparse
+    # arrays; the oracle writes both out dense and makes each a CSR again,
+    # so the two agree only if the space's CSRs are in that canonical form
     assert harness._space_digest(build_space(N)) == space_digest(build_space(N))
+
+
+def test_space_digest_sees_one_star_entry_and_one_coordinate_symbol():
+    space = build_space(211)
+    digest = harness._space_digest(space)
+    star = space.star.dense()
+    i, j = np.argwhere(star)[0]
+    for value in (star[i, j] + 1, 0):
+        edited = star.copy()
+        edited[i, j] = value
+        other = dataclasses.replace(space, star=csr_from_dense(edited))
+        assert harness._space_digest(other) != digest
+    symbols = list(space.coord_symbols)
+    symbols[-1] += 1
+    assert harness._space_digest(dataclasses.replace(space, coord_symbols=symbols)) != digest
+
+
+def test_cache_round_trips_a_chain_past_int64(tmp_path):
+    # at n_max = 16 the last two levels at 211 hold entries of up to 69
+    # bits; the file writes them as JSON integers, and they load unchanged
+    space, ctx = build_pair(211, 5, 16, 1)
+    assert [w.array.dtype == object for w in ctx.W][-3:] == [False, True, True]
+    path = tmp_path / "ctx.json"
+    save_context(space, ctx, path)
+    assert json.loads(path.read_text())["payload"]["W"][-1] == ctx.W[-1].array.tolist()
+    ctx2 = load_context(path)[1]
+    assert ctx2.W == ctx.W and ctx2.e == ctx.e
+    assert [w.array.dtype for w in ctx2.W] == [w.array.dtype for w in ctx.W]
 
 
 def test_plus_side_cache_never_derives_the_minus_basis(tmp_path, monkeypatch):
@@ -455,7 +485,7 @@ def test_cache_rejects_tampered_payload(tmp_path):
     path = tmp_path / "ctx.json"
     save_context(space, ctx, path)
     envelope = json.loads(path.read_text())
-    envelope["payload"]["g_p"] = "2"
+    envelope["payload"]["g_p"] = 2
     path.write_text(json.dumps(envelope))
     with pytest.raises(CacheIntegrityError, match="integrity"):
         load_context(path)
@@ -480,10 +510,10 @@ def test_cache_rechecks_structure_on_load(tmp_path):
         w[1], w[2] = w[2], w[1]
 
     def negate_level(payload):  # the same lattice, but not a Hermite basis
-        payload["W"][1] = [[str(-int(x)) for x in row] for row in payload["W"][1]]
+        payload["W"][1] = [[-x for x in row] for row in payload["W"][1]]
 
     def widen_level(payload):
-        payload["W"][2] = [row + ["0"] for row in payload["W"][2]]
+        payload["W"][2] = [row + [0] for row in payload["W"][2]]
 
     def drop(key):
         return lambda payload: payload.pop(key)
@@ -492,13 +522,13 @@ def test_cache_rechecks_structure_on_load(tmp_path):
         return lambda payload: payload[key].pop()
 
     def other_p(payload):  # 7 does not divide N - 1 = 10
-        payload["p"] = "7"
+        payload["p"] = 7
 
     def other_sign(payload):
-        payload["sign"] = "5"
+        payload["sign"] = 5
 
     def scaled_top(payload):  # W_0 = 5 Z holds W_1 = 5 Z, but is not M^+
-        payload["W"][0] = [["5"]]
+        payload["W"][0] = [[5]]
 
     for edit, what in ((swap_levels, "W_2 is not inside W_1"),
                        (negate_level, "W_1 is not a Hermite basis"),
@@ -524,7 +554,7 @@ def test_cache_refuses_a_chain_resealed_at_the_other_sign(tmp_path, sign):
     for N, refused in ((211, True), (11, False)):
         pair = build_pair(N, 5, 3, sign)
         save_context(*pair, path)
-        _resealed(path, lambda payload: payload.update(sign=str(-sign)))
+        _resealed(path, lambda payload: payload.update(sign=-sign))
         if not refused:
             assert load_context(path)[1].W == build_pair(N, 5, 3, -sign)[1].W == pair[1].W
             continue
@@ -534,11 +564,42 @@ def test_cache_refuses_a_chain_resealed_at_the_other_sign(tmp_path, sign):
             load_context(path)
 
 
+@pytest.mark.parametrize("where,value,kind", [
+    (("W", 0, 0, 0), 1.0, "float"),
+    (("W", 0, 0, 0), True, "bool"),
+    (("W", 1, 0, 0), "5", "str"),
+    (("W", 1, 0, 0), [5], "list"),
+    (("g_p",), 1.9, "float"),
+    (("n_max",), 3.5, "float"),
+    (("sign",), True, "bool"),
+    (("N",), "11", "str"),
+    (("p",), [5], "list"),
+], ids=["W-float", "W-bool", "W-str", "W-list", "g_p-float", "n_max-float", "sign-bool",
+        "N-str", "p-list"])
+def test_cache_reads_only_json_integers(tmp_path, where, value, kind):
+    # a resealed number that is not a JSON integer is refused, though
+    # int() would read each as one (1.0 and true as 1, 1.9 as 1, 3.5 as 3,
+    # "11" as 11) and the rest of the file would then pass its checks
+    path = tmp_path / "ctx.json"
+    save_context(*build_pair(11, 5, 3, 1), path)
+
+    def edit(payload):
+        *keys, last = where
+        for key in keys:
+            payload = payload[key]
+        payload[last] = value
+
+    _resealed(path, edit)
+    with pytest.raises(CacheIntegrityError,
+                       match=rf"malformed payload \(ValueError: not an integer: {kind}\)"):
+        load_context(path)
+
+
 def test_cache_refuses_a_g_p_out_of_bounds_or_against_merel(tmp_path):
     # a resealed g_p is held to 1 <= g_p <= genus and to Merel's criterion
     # (false at 11, where the genus is 1; true at 31, where it is 2)
     path = tmp_path / "ctx.json"
-    for N, bad in ((11, ("0", "2")), (31, ("0", "1", "3"))):
+    for N, bad in ((11, (0, 2)), (31, (0, 1, 3))):
         pair = build_pair(N, 5, 3, 1)
         for value in bad:
             save_context(*pair, path)
@@ -557,10 +618,10 @@ def test_cache_refuses_a_level_off_the_hermite_shape(tmp_path):
     j = next(j for j in range(1, len(w)) if w[j, j] > 1)
 
     def unreduced(payload):
-        payload["W"][1][0][j] = str(int(w[0, j]) + int(w[j, j]))
+        payload["W"][1][0][j] = int(w[0, j] + w[j, j])
 
     def below(payload):
-        payload["W"][1][j] = [str(int(a + b)) for a, b in zip(w[j], w[0])]
+        payload["W"][1][j] = [int(a + b) for a, b in zip(w[j], w[0])]
 
     for edit in (unreduced, below):
         save_context(space, ctx, path)
